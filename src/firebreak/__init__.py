@@ -51,14 +51,11 @@ from .errors import (
 from .game import (
     BudgetSequence,
     CanonicalStrategy,
-    CutsetStrategy,
     FeasibilityResult,
     GameState,
     ScheduleStrategy,
-    SurroundStrategy,
     SynthesisResult,
     Verdict,
-    canonical_strategy,
     feasibility_check,
     format_trace,
     initial_state,

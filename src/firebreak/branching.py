@@ -5,7 +5,7 @@ An edge at level n has capacity rate**(-n).  The branching number of an
 infinite tree is the supremum of the rates at which the root still pushes
 a non-zero flow to infinity; equivalently the supremum of the rates for
 which all cutset weights stay bounded away from zero.  On truncations both
-sides are computed by one bottom-up recursion; on periodic specs the
+sides are computed by one bottom-up recursion; on a spec's automaton the
 recursion collapses to a per-state vector iteration, which also yields a
 fixed-point argument covering every depth at once.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -26,11 +26,12 @@ import numpy as np
 
 from .errors import SpecError
 from .trees import (
-    ExplicitSpec,
+    Automaton,
     PeriodicSpec,
     SymmetricSpec,
     TreeSpec,
     Truncation,
+    compile,
     expand,
 )
 
@@ -65,14 +66,13 @@ def edge_weight(rate: Rate, level: int):
     return float(rate) ** (-level)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cutset:
     """A set of truncation edges, identified by their child endpoints.
     Valid when removing them leaves the root separated from every boundary
     vertex."""
 
     edges: frozenset[int]
-    _weights: dict = field(default_factory=dict, repr=False, compare=False)
 
     def levels(self, trunc: Truncation) -> list[int]:
         return sorted(trunc.level[v] for v in self.edges)
@@ -106,21 +106,14 @@ def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
     """Sum of rate**(-level) over the cut edges.  Rejects edge sets that do
     not separate the root from the truncation boundary."""
     rate = exact_rate(rate)
-    if _positive(rate) <= 0:
+    if float(rate) <= 0:
         raise SpecError("rate must be positive")
     for v in cutset.edges:
         if not 1 <= v < trunc.n_vertices:
             raise SpecError(f"edge id {v} out of range")
     if not cutset.separates(trunc):
         raise SpecError("edge set does not separate the root from the boundary")
-    key = (id(trunc), rate)
-    if key not in cutset._weights:
-        cutset._weights[key] = sum(edge_weight(rate, trunc.level[v]) for v in cutset.edges)
-    return cutset._weights[key]
-
-
-def _positive(rate: Rate) -> float:
-    return float(rate)
+    return sum(edge_weight(rate, trunc.level[v]) for v in cutset.edges)
 
 
 def _subtree_cut_values(trunc: Truncation, rate: Rate) -> list:
@@ -149,7 +142,7 @@ def min_cut_weight(trunc: Truncation, rate: Rate):
     """Minimum cutset weight over all cutsets of the truncation, by the
     bottom-up recursion; non-increasing in the truncation depth."""
     rate = exact_rate(rate)
-    if _positive(rate) <= 0:
+    if float(rate) <= 0:
         raise SpecError("rate must be positive")
     return _subtree_cut_values(trunc, rate)[0]
 
@@ -194,7 +187,7 @@ def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
     top-down by splitting each vertex's attainable subtree flow.  Its value
     equals min_cut_weight exactly."""
     rate = exact_rate(rate)
-    if _positive(rate) <= 0:
+    if float(rate) <= 0:
         raise SpecError("rate must be positive")
     c = _subtree_cut_values(trunc, rate)
     zero = Fraction(0) if isinstance(rate, Fraction) else 0.0
@@ -221,14 +214,13 @@ def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
 # ---------------------------------------------------------------------------
 
 
-def _reachable_count_matrix(spec: PeriodicSpec) -> tuple[list[str], np.ndarray]:
-    names = list(spec.reachable_states())
-    idx = {s: i for i, s in enumerate(names)}
-    mat = np.zeros((len(names), len(names)))
-    for s in names:
-        for t in spec.states[s]:
-            mat[idx[s], idx[t]] += 1
-    return names, mat
+def _count_matrix(spec: TreeSpec) -> np.ndarray:
+    children = compile(spec).children
+    mat = np.zeros((len(children), len(children)))
+    for s, kids in enumerate(children):
+        for t in kids:
+            mat[s, t] += 1
+    return mat
 
 
 def _perron_root(mat: np.ndarray, rel_tol: float = PERRON_REL_TOL,
@@ -266,33 +258,36 @@ def br_exact_periodic(spec: PeriodicSpec, rel_tol: float = PERRON_REL_TOL) -> fl
     if spec.is_finite():
         warnings.warn("spec unfolds to a finite tree; branching number reported as 1 by convention")
         return 1.0
-    _, mat = _reachable_count_matrix(spec)
-    return _perron_root(mat, rel_tol=rel_tol)
+    return _perron_root(_count_matrix(spec), rel_tol=rel_tol)
 
 
 # -- decay classification ----------------------------------------------------
 
 
-def _classify_periodic(spec: PeriodicSpec, rate: float, max_depth: int):
-    """Classify the depth behaviour of the min-cut weight at this rate via
-    the per-state recursion y <- min(1, (sum over children y)/rate).
-    Returns (verdict, depth) with verdict in {"decays", "stabilises",
-    "indeterminate"}."""
-    names = list(spec.reachable_states())
-    idx = {s: i for i, s in enumerate(names)}
-    kids = [[idx[t] for t in spec.states[s]] for s in names]
-    root_kids = [idx[t] for t in spec.states[spec.root]]
-    y = [1.0 if kids[i] else 0.0 for i in range(len(names))]
-    for depth in range(1, max_depth + 1):
-        y_new = [min(1.0, sum(y[t] for t in kids[i]) / rate) if kids[i] else 0.0
-                 for i in range(len(names))]
-        m = sum(y_new[t] for t in root_kids) / rate
-        if m < DECAY_FLOOR:
-            return "decays", depth
+def _state_recursion(auto: Automaton, rate: float):
+    """The per-state min-cut recursion y_s <- min(1, (sum of y over the
+    children of s)/rate), from y = 1 on states with children.  After n
+    steps, (sum of y over the root's children)/rate is the min-cut weight
+    at depth n.  Yields (that weight, largest change of y) per step,
+    forever."""
+    kids, root_kids = auto.children, auto.children[auto.root]
+    y = [1.0 if k else 0.0 for k in kids]
+    while True:
+        y_new = [min(1.0, sum(y[t] for t in k) / rate) if k else 0.0 for k in kids]
         delta = max(abs(a - b) for a, b in zip(y, y_new))
+        y = y_new
+        yield sum(y[t] for t in root_kids) / rate, delta
+
+
+def _classify_states(auto: Automaton, rate: float, max_depth: int):
+    """Classify the depth behaviour of the min-cut weight at this rate via
+    the per-state recursion.  Returns (verdict, depth) with verdict in
+    {"decays", "stabilises", "indeterminate"}."""
+    for depth, (weight, delta) in zip(range(1, max_depth + 1), _state_recursion(auto, rate)):
+        if weight < DECAY_FLOOR:
+            return "decays", depth
         if delta < FIXED_POINT_TOL:
             return "stabilises", depth
-        y = y_new
     return "indeterminate", max_depth
 
 
@@ -327,14 +322,6 @@ class BracketResult:
         return self.hi - self.lo
 
 
-def _max_child_count(spec: TreeSpec) -> int:
-    if isinstance(spec, PeriodicSpec):
-        return max(len(spec.states[s]) for s in spec.reachable_states())
-    if isinstance(spec, SymmetricSpec):
-        return max(spec.preperiod + spec.period)
-    raise SpecError("explicit specs describe finite trees and have no bracket")
-
-
 def br_bracket(spec: TreeSpec, tol: float, depth_max: int = 50_000) -> BracketResult:
     """Bisect for the branching number using the decay classification of
     min-cut weights.  The returned interval has width <= tol and contains
@@ -342,15 +329,16 @@ def br_bracket(spec: TreeSpec, tol: float, depth_max: int = 50_000) -> BracketRe
     probe stops the bisection and flags the interval as heuristic."""
     if tol <= 0:
         raise SpecError("tol must be positive")
-    if isinstance(spec, ExplicitSpec) or (isinstance(spec, PeriodicSpec) and spec.is_finite()):
+    auto = compile(spec)
+    if auto.is_finite():
         raise SpecError("bracket requires an infinite tree spec")
-    if isinstance(spec, PeriodicSpec):
-        classify = lambda lam: _classify_periodic(spec, lam, depth_max)
-    else:
+    if isinstance(spec, SymmetricSpec):
         classify = lambda lam: _classify_symmetric(spec, lam, depth_max)
+    else:
+        classify = lambda lam: _classify_states(auto, lam, depth_max)
 
     lo = 1.0
-    hi = _max_child_count(spec) + 0.5
+    hi = max(len(kids) for kids in auto.children) + 0.5
     probes: list[tuple[float, str, int]] = []
     determinate = True
     while hi - lo > tol:
@@ -411,19 +399,10 @@ def _fixed_point_mincut(spec: PeriodicSpec, rate: float,
                         max_iter: int = 500_000) -> float:
     """Limit of the min-cut weight over depths, via the per-state fixed
     point.  Positive exactly when the rate is below the branching number."""
-    names = list(spec.reachable_states())
-    idx = {s: i for i, s in enumerate(names)}
-    kids = [[idx[t] for t in spec.states[s]] for s in names]
-    root_kids = [idx[t] for t in spec.states[spec.root]]
-    y = [1.0 if kids[i] else 0.0 for i in range(len(names))]
-    for _ in range(max_iter):
-        y_new = [min(1.0, sum(y[t] for t in kids[i]) / rate) if kids[i] else 0.0
-                 for i in range(len(names))]
-        delta = max(abs(a - b) for a, b in zip(y, y_new))
-        y = y_new
+    for _, (weight, delta) in zip(range(max_iter), _state_recursion(compile(spec), rate)):
         if delta < FIXED_POINT_TOL:
             break
-    return sum(y[t] for t in root_kids) / rate
+    return weight
 
 
 def budget_partial_sums(rate: Rate, horizon: int) -> list[int]:

@@ -29,7 +29,7 @@ from .errors import ResourceLimitError, SpecError, SurroundCapError
 from .game import (
     BudgetSequence,
     FeasibilityResult,
-    SurroundStrategy,
+    ScheduleStrategy,
     Verdict,
     feasibility_check,
     simulate,
@@ -241,7 +241,7 @@ def ball(model, radius: int, cap: int | None = None) -> CayleyBall:
         layers.append(layer)
         if len(elements) > limit:
             raise ResourceLimitError(
-                f"ball of radius {dist} has {len(elements)} elements, cap is {limit}"
+                f"ball of radius {dist} has {len(elements)} elements, the ball cap is {limit}"
             )
     adjacency = []
     for v, elem in enumerate(elements):
@@ -361,10 +361,11 @@ def growth_rate_estimate(model, radius: int, cap: int | None = None) -> GrowthEs
 
 @dataclass(frozen=True)
 class SurroundResult:
-    strategy: SurroundStrategy
+    strategy: ScheduleStrategy
     verdict: Verdict
     trigger_round: int
     sphere_index: int
+    sphere: tuple[int, ...]
     budget_trace: tuple[tuple[int, int, int], ...]  # (round, budget, sphere size)
     ball: CayleyBall
 
@@ -404,11 +405,12 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int,
             "the rate may not exceed the growth rate", tuple(trace),
         )
     sphere_index = radius + trigger + 1
-    strategy = SurroundStrategy(trigger_round=trigger, sphere_index=sphere_index,
-                                sphere=b.layers[sphere_index], rate=rate_x)
+    sphere = tuple(sorted(b.layers[sphere_index]))
+    strategy = ScheduleStrategy({trigger: sphere})
     verdict = simulate(b, radius, strategy, budget, horizon=trigger + 2)
     return SurroundResult(strategy=strategy, verdict=verdict, trigger_round=trigger,
-                          sphere_index=sphere_index, budget_trace=tuple(trace), ball=b)
+                          sphere_index=sphere_index, sphere=sphere,
+                          budget_trace=tuple(trace), ball=b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Subcommands: ``br``, ``contain``, ``simulate``, ``oracle``, ``cayley``.
 Every run prints a structured-text report (sorted ``config.*`` and
 ``result.*`` lines, then CSV blocks); identical configurations produce
 byte-identical reports.  Exit codes: 0 determinate result, 1 usage or
-parse error, 2 indeterminate result, 3 strategy fault.
+parse error, 2 indeterminate result or a resource cap reached (the message
+names the cap), 3 strategy fault.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .oracle import OracleCache, brute_force_containment, oracle_key
 from .trees import (
     ExplicitSpec,
     PeriodicSpec,
+    compile,
     expand,
     format_tree_spec,
     load_tree_spec,
@@ -107,9 +109,8 @@ def _rate(text: str) -> Fraction:
         raise SpecError(f"rate {text!r} is not a rational number")
 
 
-def _base_config(args, command: str) -> dict:
-    cfg = {"command": command, "version": __version__, "seed": args.seed}
-    return cfg
+def _base_config(command: str) -> dict:
+    return {"command": command, "version": __version__}
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +118,7 @@ def _base_config(args, command: str) -> dict:
 
 def cmd_br(args) -> int:
     spec = load_tree_spec(args.spec)
-    config = _base_config(args, "br")
+    config = _base_config("br")
     config.update(spec=args.spec, tol=args.tol, depth_max=args.D_max)
     result: dict = {}
     tables = []
@@ -131,10 +132,7 @@ def cmd_br(args) -> int:
             rows.append((lam, depth, min_cut_weight(trunc, lam),
                          max_flow(trunc, lam).value))
         tables.append(("cuts", ("lambda", "depth", "min_cut", "flow_value"), rows))
-    finite = isinstance(spec, ExplicitSpec) or (
-        isinstance(spec, PeriodicSpec) and spec.is_finite()
-    )
-    if finite:
+    if compile(spec).is_finite():
         result["br_exact"] = 1.0
         result["note"] = "finite tree; branching number is 1 by convention"
     else:
@@ -161,14 +159,12 @@ def cmd_br(args) -> int:
 def cmd_contain(args) -> int:
     spec = load_tree_spec(args.spec)
     lam = _rate(getattr(args, "lambda"))
-    config = _base_config(args, "contain")
+    config = _base_config("contain")
     config.update(spec=args.spec, **{"lambda": lam}, k=args.k, depth_max=args.D_max)
     result: dict = {}
     tables = []
 
-    if isinstance(spec, ExplicitSpec) or (
-        isinstance(spec, PeriodicSpec) and spec.is_finite()
-    ):
+    if compile(spec).is_finite():
         raise SpecError("contain needs an infinite tree spec")
 
     margin = 1e-6
@@ -205,7 +201,7 @@ def cmd_contain(args) -> int:
             "schedule", ("round", "budget", "protect"),
             [
                 (r, budget(r), " ".join(str(v) for v in vs))
-                for r, vs in sorted(synth.strategy.by_round.items())
+                for r, vs in sorted(synth.strategy.schedule.items())
             ],
         ))
         emit_report(config, result, tables, args.out)
@@ -251,7 +247,7 @@ def cmd_simulate(args) -> int:
     spec = load_tree_spec(args.spec)
     budget = BudgetSequence.parse(args.budget)
     trunc = expand(spec, args.depth)
-    config = _base_config(args, "simulate")
+    config = _base_config("simulate")
     config.update(spec=args.spec, k=args.k, budget=budget.describe(),
                   depth=args.depth, horizon=args.horizon)
     result: dict = {}
@@ -317,7 +313,7 @@ def cmd_oracle(args) -> int:
         fire = sorted({int(t) for t in args.x0.split(",") if t})
     else:
         fire = [v for v in range(trunc.n_vertices) if trunc.level[v] <= args.k]
-    config = _base_config(args, "oracle")
+    config = _base_config("oracle")
     config.update(spec=args.spec, k=args.k, x0=",".join(str(v) for v in fire),
                   budget=budget.describe(), depth=depth, strict=args.strict,
                   horizon=args.horizon)
@@ -350,7 +346,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_cayley(args) -> int:
     model = group_from_name(args.group)
-    config = _base_config(args, "cayley")
+    config = _base_config("cayley")
     config.update(group=args.group, mode=args.mode, R=args.R)
     result: dict = {}
     tables = []
@@ -384,7 +380,7 @@ def cmd_cayley(args) -> int:
         result.update(
             trigger_round=res.trigger_round,
             sphere_index=res.sphere_index,
-            sphere_size=len(res.strategy.sphere),
+            sphere_size=len(res.sphere),
             verdict=res.verdict.kind,
             verdict_round=res.verdict.round_no,
             burnt=res.verdict.burnt,
@@ -434,8 +430,6 @@ def cmd_cayley(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="firebreak", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in reports (corpus shuffles)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("br", help="branching number: exact (periodic) and bracket")
@@ -517,7 +511,7 @@ def main(argv=None) -> int:
         return EXIT_INDETERMINATE
     except ResourceLimitError as exc:
         sys.stderr.write(f"firebreak: {exc}\n")
-        return EXIT_USAGE
+        return EXIT_INDETERMINATE
     except FileNotFoundError as exc:
         sys.stderr.write(f"firebreak: {exc}\n")
         return EXIT_USAGE

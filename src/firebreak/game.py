@@ -22,14 +22,7 @@ from typing import Iterable, Mapping
 
 from .branching import edge_weight, exact_rate, min_cut_weight, min_cutset, Cutset
 from .errors import SpecError, StrategyFault, SynthesisError
-from .trees import (
-    ExplicitSpec,
-    PeriodicSpec,
-    SymmetricSpec,
-    TreeSpec,
-    Truncation,
-    expand,
-)
+from .trees import PeriodicSpec, TreeSpec, Truncation, compile, expand
 
 UNTOUCHED, PROTECTED, BURNING = 0, 1, 2
 
@@ -200,7 +193,9 @@ def step(state: GameState, protect: Iterable[int], budget: int) -> GameState:
 
 
 class ScheduleStrategy:
-    """Fixed map round -> protect set."""
+    """Fixed map round -> protect set.  Synthesis plays the cut vertices at
+    level n in round n - radius; wait-and-surround plays one sphere in its
+    trigger round."""
 
     def __init__(self, schedule: Mapping[int, Iterable[int]]):
         self.schedule = {int(r): tuple(vs) for r, vs in schedule.items()}
@@ -222,41 +217,6 @@ class CanonicalStrategy:
         eligible = [v for v in self.vprime if state.statuses[v] == UNTOUCHED]
         eligible.sort(key=lambda v: (level[v], v))
         return tuple(eligible[:budget])
-
-
-class CutsetStrategy:
-    """Play the cut vertices at level n in round n - offset (just ahead of
-    the fire front)."""
-
-    def __init__(self, vprime_by_level: Mapping[int, Iterable[int]], offset: int):
-        self.offset = offset
-        self.by_round = {
-            lv - offset: tuple(sorted(vs)) for lv, vs in vprime_by_level.items() if vs
-        }
-
-    @property
-    def vprime(self) -> tuple[int, ...]:
-        return tuple(v for vs in self.by_round.values() for v in vs)
-
-    def protect_for(self, state: GameState, round_no: int, budget: int) -> tuple[int, ...]:
-        return self.by_round.get(round_no, ())
-
-
-class SurroundStrategy:
-    """Wait, then protect a whole sphere in a single round."""
-
-    def __init__(self, trigger_round: int, sphere_index: int, sphere: Iterable[int], rate):
-        self.trigger_round = trigger_round
-        self.sphere_index = sphere_index
-        self.sphere = tuple(sorted(sphere))
-        self.rate = rate
-
-    def protect_for(self, state: GameState, round_no: int, budget: int) -> tuple[int, ...]:
-        return self.sphere if round_no == self.trigger_round else ()
-
-
-def canonical_strategy(vprime: Iterable[int]) -> CanonicalStrategy:
-    return CanonicalStrategy(vprime)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +344,8 @@ def parse_trace(text: str) -> tuple[dict[int, tuple[int, ...]], dict]:
 # (each cut vertex must be protected before the fire front, which advances
 # one level per round, reaches it; protection precedes spread, so level n
 # must be bought by round n-k).  The decision is a bottom-up dynamic
-# program over Pareto-minimal cumulative level-count profiles; subtrees
-# with identical behaviour share memo entries (automaton state for
-# periodic specs, level for symmetric ones, shape signature for explicit
-# trees).
+# program over Pareto-minimal cumulative level-count profiles, memoised
+# per (level, automaton state) for the states that occur at each level.
 
 
 @dataclass(frozen=True)
@@ -402,67 +360,6 @@ class FeasibilityResult:
         if not self.feasible or self.witness_paths is None:
             raise SpecError("no materialised witness on this result")
         return tuple(sorted(trunc.index_of_path(p) for p in self.witness_paths))
-
-
-class _NodeModel:
-    """Uniform view of the tree below each memo key."""
-
-    def __init__(self, spec: TreeSpec, depth: int):
-        self.spec = spec
-        self.depth = depth
-        if isinstance(spec, ExplicitSpec):
-            self.levels = spec.levels()
-            self.kids = [
-                [w for w in ws if self.levels[w] <= depth]
-                for ws in spec.children_lists()
-            ]
-            self.sig: list[int] = [0] * spec.n_vertices
-            self.keys_by_level: dict[int, list[int]] = {}
-            self.rep: dict[tuple[int, int], int] = {}
-            interned: dict[tuple, int] = {}
-            for v in sorted(range(spec.n_vertices), key=lambda u: -self.levels[u]):
-                lv = self.levels[v]
-                if lv > depth:
-                    continue
-                shape = tuple(sorted(self.sig[w] for w in self.kids[v]))
-                sig = interned.setdefault(shape, len(interned))
-                self.sig[v] = sig
-                if (lv, sig) not in self.rep:
-                    self.rep[(lv, sig)] = v
-                    self.keys_by_level.setdefault(lv, []).append(sig)
-            for sigs in self.keys_by_level.values():
-                sigs.sort()
-
-    def root_children(self) -> list:
-        """(child_vertex_or_state, child_key) pairs under the root."""
-        return self.children_of(self._root_node(), 0)
-
-    def _root_node(self):
-        if isinstance(self.spec, PeriodicSpec):
-            return self.spec.root
-        if isinstance(self.spec, SymmetricSpec):
-            return None
-        return 0
-
-    def children_of(self, node, level: int) -> list:
-        """(child_node, child_key) pairs; key identifies the memo class."""
-        if isinstance(self.spec, PeriodicSpec):
-            return [(t, t) for t in self.spec.states[node]]
-        if isinstance(self.spec, SymmetricSpec):
-            return [(None, None)] * self.spec.count_at(level)
-        return [(w, self.sig[w]) for w in self.kids[node]]
-
-    def key_of(self, node):
-        if isinstance(self.spec, ExplicitSpec):
-            return self.sig[node]
-        return node
-
-    def continues_at_depth(self, key) -> bool:
-        if isinstance(self.spec, PeriodicSpec):
-            return len(self.spec.states[key]) > 0
-        # symmetric counts are >= 1; explicit level-D vertices are the
-        # horizon of the description and treated as continuing
-        return True
 
 
 def _pareto(entries):
@@ -491,45 +388,19 @@ def _pareto(entries):
 def _regular_profile(spec: TreeSpec, depth: int):
     """Per-level child counts (levels 0..depth-1) plus whether level-depth
     vertices continue, when the tree is level-regular; None otherwise."""
-    if isinstance(spec, SymmetricSpec):
-        return [spec.count_at(j) for j in range(depth)], True
-    if isinstance(spec, PeriodicSpec):
-        counts: list[int] = []
-        states = {spec.root}
-        for _level in range(depth):
-            sizes = {len(spec.states[s]) for s in states}
-            if len(sizes) != 1:
-                return None
-            counts.append(sizes.pop())
-            if counts[-1] == 0:
-                return counts + [0] * (depth - len(counts)), False
-            states = {t for s in states for t in spec.states[s]}
-        continues = {len(spec.states[s]) > 0 for s in states}
-        if len(continues) != 1:
-            return None
-        return counts, continues.pop()
-    n = spec.n_vertices
-    levels = [0] * n
-    for i, p in enumerate(spec.parents):
-        levels[i + 1] = levels[p] + 1
-    child_count = [0] * n
-    for i, p in enumerate(spec.parents):
-        if levels[i + 1] <= depth:
-            child_count[p] += 1
-    per_level: dict[int, set[int]] = {}
-    for v in range(n):
-        if levels[v] < depth:
-            per_level.setdefault(levels[v], set()).add(child_count[v])
+    auto = compile(spec)
+    levels = auto.level_states(depth)
     counts = []
-    for j in range(depth):
-        sizes = per_level.get(j)
-        if sizes is None:
-            counts.append(0)
-            continue
-        if len(sizes) != 1:
+    for states in levels[:depth]:
+        sizes = {len(auto.children[s]) for s in states}
+        if len(sizes) > 1:
             return None
-        counts.append(sizes.pop())
-    return counts, True
+        counts.append(max(sizes, default=0))
+    counts += [0] * (depth - len(counts))
+    continues = {auto.continues(s) for s in levels[-1]}  # levels[-1] is level depth or empty
+    if len(continues) > 1:
+        return None
+    return counts, continues == {True}
 
 
 def _feasibility_regular(counts: list[int], continues: bool, radius: int,
@@ -638,32 +509,20 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
     def within(p) -> bool:
         return all(a <= c for a, c in zip(p, caps))
 
-    model = _NodeModel(spec, depth)
+    auto = compile(spec)
+    succ = auto.children
+    # keyed by (level, state) for the states occurring at that level
+    has_boundary: dict[tuple[int, int], bool] = {}
+    frontier: dict[tuple[int, int], list] = {}
 
-    # memo keys present per level
-    has_boundary: dict[tuple, bool] = {}
-    frontier: dict[tuple, list] = {}
-
-    def level_keys(level: int):
-        if isinstance(spec, PeriodicSpec):
-            return list(spec.reachable_states())
-        if isinstance(spec, SymmetricSpec):
-            return [None]
-        return model.keys_by_level.get(level, [])
-
-    def rep_node(level: int, key):
-        if isinstance(spec, ExplicitSpec):
-            return model.rep[(level, key)]
-        return key
-
-    def combine(children, level):
+    def combine(kids, level):
         """Minkowski-sum the child frontiers under the caps, tracking
-        which child profile produced each sum."""
+        which profile of each live child produced each sum."""
         partial = [(zero, ())]
-        for _node, key in children:
-            front = frontier.get((level + 1, key), [])
-            if not has_boundary.get((level + 1, key), False):
+        for child in kids:
+            if not has_boundary[(level + 1, child)]:
                 continue  # dead subtree needs no cut vertices
+            front = frontier[(level + 1, child)]
             if not front:
                 return []
             nxt: dict[tuple, tuple] = {}
@@ -673,54 +532,40 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
                     if not within(s):
                         continue
                     if s not in nxt:
-                        nxt[s] = choices + ((key, q),)
+                        nxt[s] = choices + (q,)
             partial = _pareto(list(nxt.items()))
             if not partial:
                 return []
         return partial
 
-    if isinstance(spec, ExplicitSpec):
-        levels_present = sorted({lv for lv in model.levels if lv <= depth}, reverse=True)
-    else:
-        levels_present = list(range(depth, 0, -1))
-
-    for level in levels_present:
-        if level == 0:
-            continue
-        for key in level_keys(level):
-            node = rep_node(level, key)
-            kids = model.children_of(node, level)
+    levels = auto.level_states(depth)
+    for level in range(len(levels) - 1, 0, -1):
+        for state in levels[level]:
+            kids = succ[state]
             if level == depth:
-                hb = model.continues_at_depth(key)
-                has_boundary[(level, key)] = hb
-                if not hb:
-                    frontier[(level, key)] = [(zero, ("dead",))]
-                else:
-                    u = unit(level)
-                    frontier[(level, key)] = [(u, ("take",))] if within(u) else []
-                continue
-            hb = any(has_boundary.get((level + 1, ck), False) for _n, ck in kids)
-            has_boundary[(level, key)] = hb
+                hb = auto.continues(state)
+            else:
+                hb = any(has_boundary[(level + 1, ck)] for ck in kids)
+            has_boundary[(level, state)] = hb
             if not hb:
-                frontier[(level, key)] = [(zero, ("dead",))]
+                frontier[(level, state)] = [(zero, ("dead",))]
                 continue
             options = []
             if level >= radius + 1:
                 u = unit(level)
                 if within(u):
                     options.append((u, ("take",)))
-            options.extend(
-                (p, ("combine", choices)) for p, choices in combine(kids, level)
-            )
-            frontier[(level, key)] = _pareto(options)
+            if level < depth:
+                options.extend(
+                    (p, ("combine", choices)) for p, choices in combine(kids, level)
+                )
+            frontier[(level, state)] = _pareto(options)
 
-    root_children = model.root_children()
-    root_hb = any(has_boundary.get((1, ck), False) for _n, ck in root_children) \
-        if depth >= 1 else False
-    if not root_hb:
+    root_kids = succ[auto.root]
+    if not any(has_boundary[(1, ck)] for ck in root_kids):
         return FeasibilityResult(feasible=True, depth=depth, radius=radius,
                                  witness_paths=(), witness_levels=())
-    final = combine(root_children, 0)
+    final = combine(root_kids, 0)
     if not final:
         return FeasibilityResult(feasible=False, depth=depth, radius=radius)
 
@@ -729,27 +574,19 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
     # walk the (virtual) tree to materialise the witness
     witness: list[tuple[int, ...]] = []
 
-    def walk(node, level, key, profile_tag, path):
-        tag = profile_tag
+    def walk(state, level, tag, path):
         if tag[0] == "dead":
             return
         if tag[0] == "take":
             witness.append(path)
             return
-        _, choices = tag
-        remaining = list(choices)
-        for i, (child_node, child_key) in enumerate(model.children_of(node, level)):
-            if not has_boundary.get((level + 1, child_key), False):
-                continue
-            for j, (ck, q) in enumerate(remaining):
-                if ck == child_key:
-                    remaining.pop(j)
-                    child_front = dict(frontier[(level + 1, child_key)])
-                    walk(child_node, level + 1, child_key, child_front[q], path + (i,))
-                    break
+        choices = iter(tag[1])  # one profile per live child, in child order
+        for i, child in enumerate(succ[state]):
+            if has_boundary[(level + 1, child)]:
+                child_front = dict(frontier[(level + 1, child)])
+                walk(child, level + 1, child_front[next(choices)], path + (i,))
 
-    root_node = model._root_node()
-    walk(root_node, 0, model.key_of(root_node), ("combine", chosen), ())
+    walk(auto.root, 0, ("combine", chosen), ())
     per_level: dict[int, int] = {}
     for path in witness:
         per_level[len(path)] = per_level.get(len(path), 0) + 1
@@ -765,7 +602,7 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    strategy: CutsetStrategy
+    strategy: ScheduleStrategy
     trunc: Truncation
     cutset: Cutset
     epsilon: object
@@ -806,7 +643,7 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
         br = br_exact_periodic(spec)
         if lam <= br + 1e-9:
             raise SpecError(f"rate {lam} is not above the branching number {br}")
-    elif isinstance(spec, SymmetricSpec):
+    elif not compile(spec).is_finite():
         bracket = br_bracket(spec, tol=1e-3)
         if not (bracket.determinate and lam > bracket.hi):
             raise SpecError(f"rate {lam} is not above the branching bracket {bracket}")
@@ -819,10 +656,10 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
         last_weight = weight
         if weight < eps:
             cut = min_cutset(trunc, rate_x)
-            by_level: dict[int, list[int]] = {}
+            by_round: dict[int, list[int]] = {}
             for v in cut.edges:
-                by_level.setdefault(trunc.level[v], []).append(v)
-            strategy = CutsetStrategy(by_level, offset=radius)
+                by_round.setdefault(trunc.level[v] - radius, []).append(v)
+            strategy = ScheduleStrategy({r: tuple(sorted(vs)) for r, vs in by_round.items()})
             return SynthesisResult(strategy=strategy, trunc=trunc, cutset=cut,
                                    epsilon=eps, depth=depth, radius=radius)
     raise SynthesisError(

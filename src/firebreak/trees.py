@@ -1,21 +1,33 @@
 """Finite descriptions of infinite rooted trees and their depth-D truncations.
 
-Three spec variants are supported:
+Three spec variants are accepted, one per way of writing a tree down:
 
-* ``PeriodicSpec`` -- a finite automaton: states with ordered child-state
-  sequences.  The tree unfolds from the root state; every vertex carries
-  the state that produced it, so self-similarity can be exploited later.
+* ``PeriodicSpec`` -- a finite automaton: named states with ordered
+  child-state sequences, unfolded from the root state.
 * ``SymmetricSpec`` -- spherically symmetric trees given by per-level child
   counts, a preperiod followed by a repeating period.
 * ``ExplicitSpec`` -- a finite rooted tree given as a parent list.
 
+All of them compile to one internal ``Automaton`` (``compile``): int states
+with ordered child-state tuples and a root state.  A periodic spec keeps its
+reachable states; a symmetric spec becomes the cycle of its
+``len(preperiod) + len(period)`` levels; an explicit tree becomes its
+interned subtree shapes, with children in spec order.  Level counts,
+expansion, finiteness, the per-state min-cut recursion and the feasibility
+program read only the automaton.  Besides ``compile`` and the spec file
+format, only decisions that need a fact one variant alone has ask which
+variant they were given: the periodic Perron root and certificates, the
+symmetric closed-form bracket, and the explicit-only oracle.
+
 A ``Truncation`` is the finite tree of all vertices at levels 0..D, in a
 deterministic level-major order (children in spec order).  The level of a
 vertex is its distance from the root; the level of an edge is the level of
-its child endpoint.  Level-D vertices that provably continue in the
-infinite tree form the truncation *boundary*: separating the root from
-them is what a cutset must do, and a fire reaching one of them makes a
-game verdict inconclusive at this depth.
+its child endpoint.  Level-D vertices that continue in the infinite tree
+form the truncation *boundary*: separating the root from them is what a
+cutset must do, and a fire reaching one of them makes a game verdict
+inconclusive at this depth.  A level-D vertex continues when its state has
+children, or always for an explicit tree (``escape_leaves``): the depth of
+a finite description is the horizon of what it can rule out.
 """
 
 from __future__ import annotations
@@ -71,26 +83,7 @@ class PeriodicSpec:
     def is_finite(self) -> bool:
         """True when the unfolded tree has finitely many vertices, i.e. no
         cycle of the automaton is reachable from the root."""
-        # iterative DFS cycle detection over reachable states
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {s: WHITE for s in self.states}
-        stack = [(self.root, iter(self.states[self.root]))]
-        colour[self.root] = GREY
-        while stack:
-            state, it = stack[-1]
-            advanced = False
-            for child in it:
-                if colour[child] == GREY:
-                    return False
-                if colour[child] == WHITE:
-                    colour[child] = GREY
-                    stack.append((child, iter(self.states[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[state] = BLACK
-                stack.pop()
-        return True
+        return compile(self).is_finite()
 
 
 @dataclass(frozen=True)
@@ -108,11 +101,6 @@ class SymmetricSpec:
         for c in self.preperiod + self.period:
             if c < 1:
                 raise SpecError("symmetric child counts must be >= 1")
-
-    def count_at(self, level: int) -> int:
-        if level < len(self.preperiod):
-            return self.preperiod[level]
-        return self.period[(level - len(self.preperiod)) % len(self.period)]
 
 
 @dataclass(frozen=True)
@@ -152,57 +140,118 @@ class ExplicitSpec:
 TreeSpec = Union[PeriodicSpec, SymmetricSpec, ExplicitSpec]
 
 
-def level_counts(spec: TreeSpec, depth: int) -> list[int]:
-    """Number of vertices per level, computed without materialising the
-    tree (state-count vectors for periodic specs)."""
-    if depth < 0:
-        raise SpecError("depth must be >= 0")
-    if isinstance(spec, PeriodicSpec):
-        counts = {spec.root: 1}
+@dataclass(frozen=True)
+class Automaton:
+    """The one internal form of a tree spec.  ``children[s]`` is the ordered
+    child-state tuple of state s; the tree unfolds from ``root``.  Every
+    state is reachable from the root.  ``escape_leaves`` makes every
+    level-D vertex of a truncation continue (explicit trees); otherwise a
+    level-D vertex continues when its state has children.  ``names`` holds
+    the state names of a periodic spec, indexed by state."""
+
+    children: tuple[tuple[int, ...], ...]
+    root: int
+    escape_leaves: bool = False
+    names: tuple[str, ...] | None = None
+
+    def continues(self, state: int) -> bool:
+        return bool(self.children[state]) or self.escape_leaves
+
+    def level_states(self, depth: int) -> list[tuple[int, ...]]:
+        """The states occurring at each level 0..depth, sorted; stops early
+        (shorter list) once a level is empty."""
+        out = [(self.root,)]
+        while len(out) <= depth and out[-1]:
+            out.append(tuple(sorted({t for s in out[-1] for t in self.children[s]})))
+        return out
+
+    def level_counts(self, depth: int) -> list[int]:
+        """Vertices per level 0..depth, from state-count vectors."""
+        counts = {self.root: 1}
         out = [1]
         for _ in range(depth):
-            nxt: dict[str, int] = {}
+            nxt: dict[int, int] = {}
             for state, n in counts.items():
-                for child in spec.states[state]:
+                for child in self.children[state]:
                     nxt[child] = nxt.get(child, 0) + n
             out.append(sum(nxt.values()))
             counts = nxt
         return out
+
+    def is_finite(self) -> bool:
+        """No cycle: an acyclic automaton has no state deeper than its
+        state count, a cyclic one has states at every level."""
+        return not self.level_states(len(self.children))[-1]
+
+
+def compile(spec: TreeSpec) -> Automaton:
+    """The automaton of a spec; the only code that reads a spec's variant.
+    Specs are immutable values, so the automaton is built once and kept on
+    the spec (an explicit tree of 10**6 vertices takes seconds to intern)."""
+    auto = spec.__dict__.get("_automaton")
+    if auto is None:
+        auto = _build_automaton(spec)
+        object.__setattr__(spec, "_automaton", auto)
+    return auto
+
+
+def _build_automaton(spec: TreeSpec) -> Automaton:
+    if isinstance(spec, PeriodicSpec):
+        names = spec.reachable_states()
+        index = {name: i for i, name in enumerate(names)}
+        children = tuple(tuple(index[t] for t in spec.states[name]) for name in names)
+        return Automaton(children, index[spec.root], names=names)
     if isinstance(spec, SymmetricSpec):
-        out = [1]
-        for lv in range(depth):
-            out.append(out[-1] * spec.count_at(lv))
-        return out
-    levels = spec.levels()
-    out = [0] * (depth + 1)
-    for lv in levels:
-        if lv <= depth:
-            out[lv] += 1
-    return out
+        # state i is level i; the last state loops back to the period start
+        counts = spec.preperiod + spec.period
+        succ = list(range(1, len(counts))) + [len(spec.preperiod)]
+        return Automaton(tuple((t,) * c for t, c in zip(succ, counts)), 0)
+    # explicit: intern subtree shapes bottom-up (children have larger ids)
+    kids = spec.children_lists()
+    shapes: dict[tuple[int, ...], int] = {}
+    state = [0] * spec.n_vertices
+    for v in range(spec.n_vertices - 1, -1, -1):
+        state[v] = shapes.setdefault(tuple(state[w] for w in kids[v]), len(shapes))
+    return Automaton(tuple(shapes), state[0], escape_leaves=True)
+
+
+def level_counts(spec: TreeSpec, depth: int) -> list[int]:
+    """Number of vertices per level, computed without materialising the
+    tree (state-count vectors of the spec's automaton)."""
+    if depth < 0:
+        raise SpecError("depth must be >= 0")
+    return compile(spec).level_counts(depth)
 
 
 @dataclass
 class Truncation:
     """Depth-D truncation of a tree spec, vertices in level-major order.
-
-    ``states`` holds the origin state name per vertex for periodic specs
-    (None otherwise).  ``boundary`` lists the level-D vertices that
-    continue in the infinite tree; for explicit specs every level-D vertex
-    is treated as continuing (the truncation horizon is the limit of what
-    the finite description can rule out).
-    """
+    ``boundary`` lists the level-D vertices that continue in the infinite
+    tree (see the module docstring for explicit specs)."""
 
     spec: TreeSpec
     depth: int
     parent: list[int]
     children: list[list[int]]
     level: list[int]
-    states: list[str] | None
     boundary: tuple[int, ...] = field(default=())
 
     @property
     def n_vertices(self) -> int:
         return len(self.parent)
+
+    @property
+    def states(self) -> list[str] | None:
+        """Origin state name per vertex for periodic specs (None otherwise),
+        derived on demand from the spec's automaton."""
+        auto = compile(self.spec)
+        if auto.names is None:
+            return None
+        state = [auto.root] * self.n_vertices
+        for v in range(self.n_vertices):
+            for w, t in zip(self.children[v], auto.children[state[v]]):
+                state[w] = t
+        return [auto.names[s] for s in state]
 
     def neighbors(self, v: int) -> list[int]:
         if self.parent[v] < 0:
@@ -227,23 +276,6 @@ class Truncation:
             v = self.children[v][step]
         return v
 
-    def restrict(self, depth: int) -> "Truncation":
-        """The depth-D' truncation, D' <= D; a prefix of this one."""
-        if depth > self.depth:
-            raise SpecError("cannot deepen a truncation by restriction")
-        return expand(self.spec, depth)
-
-
-def _boundary_continues(spec: TreeSpec, state: str | None, level: int) -> bool:
-    if isinstance(spec, PeriodicSpec):
-        return len(spec.states[state]) > 0
-    if isinstance(spec, SymmetricSpec):
-        return spec.count_at(level) >= 1
-    # Explicit: a level-D vertex is the horizon of the description; treat
-    # it as continuing whether or not the finite tree stops there.  This is
-    # the escape-leaf convention the game and the oracle rely on.
-    return True
-
 
 def expand(spec: TreeSpec, depth: int, cap: int | None = None) -> Truncation:
     """Materialise the truncation of all vertices at levels 0..depth.
@@ -256,80 +288,33 @@ def expand(spec: TreeSpec, depth: int, cap: int | None = None) -> Truncation:
     if depth < 0:
         raise SpecError("depth must be >= 0")
     limit = cap if cap is not None else vertex_cap()
-    total = sum(level_counts(spec, depth))
+    auto = compile(spec)
+    total = sum(auto.level_counts(depth))
     if total > limit:
         raise ResourceLimitError(
-            f"truncation would have {total} vertices, cap is {limit}"
+            f"truncation would have {total} vertices, cap is {limit} ({VERTEX_CAP_ENV})"
         )
 
+    succ = auto.children
     parent: list[int] = [-1]
     children: list[list[int]] = [[]]
     level: list[int] = [0]
-
-    if isinstance(spec, PeriodicSpec):
-        states = [spec.root]
-        frontier = [0]
-        for lv in range(depth):
-            nxt = []
-            for v in frontier:
-                for child_state in spec.states[states[v]]:
-                    w = len(parent)
-                    parent.append(v)
-                    children.append([])
-                    children[v].append(w)
-                    level.append(lv + 1)
-                    states.append(child_state)
-                    nxt.append(w)
-            frontier = nxt
-        boundary = tuple(
-            v for v in range(len(parent))
-            if level[v] == depth and _boundary_continues(spec, states[v], depth)
-        )
-        return Truncation(spec, depth, parent, children, level, states, boundary)
-
-    if isinstance(spec, SymmetricSpec):
-        frontier = [0]
-        for lv in range(depth):
-            count = spec.count_at(lv)
-            nxt = []
-            for v in frontier:
-                for _ in range(count):
-                    w = len(parent)
-                    parent.append(v)
-                    children.append([])
-                    children[v].append(w)
-                    level.append(lv + 1)
-                    nxt.append(w)
-            frontier = nxt
-        boundary = tuple(v for v in range(len(parent)) if level[v] == depth)
-        return Truncation(spec, depth, parent, children, level, None, boundary)
-
-    # Explicit: re-number into level-major order, truncating below `depth`.
-    src_levels = spec.levels()
-    src_children = spec.children_lists()
-    order: list[int] = [0]
-    new_id = {0: 0}
+    state = [auto.root]
     frontier = [0]
-    for lv in range(depth):
+    for lv in range(1, depth + 1):
         nxt = []
         for v in frontier:
-            for w in src_children[v]:
-                if src_levels[w] <= depth:
-                    new_id[w] = len(order)
-                    order.append(w)
-                    nxt.append(w)
+            for child_state in succ[state[v]]:
+                w = len(parent)
+                parent.append(v)
+                children.append([])
+                children[v].append(w)
+                level.append(lv)
+                state.append(child_state)
+                nxt.append(w)
         frontier = nxt
-    parent = [-1] * len(order)
-    children = [[] for _ in order]
-    level = [0] * len(order)
-    for src in order[1:]:
-        v = new_id[src]
-        p = new_id[spec.parents[src - 1]]
-        parent[v] = p
-        children[p].append(v)
-        level[v] = src_levels[src]
-    boundary = tuple(v for v in range(len(order)) if level[v] == depth)
-    return Truncation(spec, depth, parent, children, level, None, boundary)
+    boundary = tuple(v for v in frontier if auto.continues(state[v]))
+    return Truncation(spec, depth, parent, children, level, boundary)
 
 
 def ball(trunc: Truncation, radius: int) -> tuple[int, ...]:

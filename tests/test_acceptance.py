@@ -23,7 +23,7 @@ from firebreak import (
     brute_force_containment,
     br_bracket,
     br_exact_periodic,
-    canonical_strategy,
+    CanonicalStrategy,
     cayley_ball,
     check_certificate,
     enumerate_geodesic_words,
@@ -130,7 +130,7 @@ def _exists_containing_canonical(trunc, k, budget) -> bool:
     for edges in enumerate_cutsets(trunc):
         if any(trunc.level[v] <= k for v in edges):
             continue
-        if simulate(trunc, k, canonical_strategy(edges), budget).contained:
+        if simulate(trunc, k, CanonicalStrategy(edges), budget).contained:
             return True
     return False
 
@@ -172,7 +172,7 @@ def test_criterion_4_synthesis_above_threshold():
         for k in radii:
             res = synthesize_cutset_strategy(spec, rate, k)
             # each cut level n is played in round n - k, within budget
-            for round_no, vertices in res.strategy.by_round.items():
+            for round_no, vertices in res.strategy.schedule.items():
                 assert len(vertices) <= budget(round_no)
                 assert all(res.trunc.level[v] == round_no + k for v in vertices)
             verdict = simulate(res.trunc, k, res.strategy, budget)

@@ -72,6 +72,16 @@ class TestCutWeight:
         with pytest.raises(SpecError):
             cut_weight(t, Cutset(edges=frozenset({1})), Fraction(2))
 
+    def test_weight_follows_the_truncation_not_its_id(self, monkeypatch):
+        # every truncation gets the same id(): a weight keyed on identity
+        # would answer the second question with the first answer
+        import firebreak.branching
+        monkeypatch.setattr(firebreak.branching, "id", lambda _o: 0, raising=False)
+        pi = Cutset({1, 2})
+        assert cut_weight(expand(binary_spec(), 1), pi, 2) == 1
+        path = expand(SymmetricSpec((), (1,)), 2)
+        assert cut_weight(path, pi, 2) == Fraction(3, 4)
+
     def test_non_positive_rate_rejected(self):
         t = expand(binary_spec(), 2)
         with pytest.raises(SpecError):

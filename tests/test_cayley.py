@@ -214,14 +214,14 @@ class TestWaitAndSurround:
     def test_z_triggers_at_two(self):
         res = wait_and_surround(FreeAbelian(1), 1, Fraction(3, 2), 6)
         assert res.trigger_round == 2
-        assert res.sphere_index == 4 and len(res.strategy.sphere) == 2
+        assert res.sphere_index == 4 and len(res.sphere) == 2
         assert res.verdict.contained and res.verdict.round_no == 3
 
     def test_z2_triggers_at_ten(self):
         res = wait_and_surround(FreeAbelian(2), 1, Fraction(3, 2), 12)
         # least n with floor(1.5**n) >= 4(n+2)
         assert res.trigger_round == 10
-        assert len(res.strategy.sphere) == 48
+        assert len(res.sphere) == 48
         assert res.verdict.contained
         # one guard band: fire stops exactly at the sphere below
         assert res.verdict.burnt == 2 * 11 * 11 + 2 * 11 + 1
@@ -233,7 +233,7 @@ class TestWaitAndSurround:
             assert f_n < size
         n, f_n, size = res.budget_trace[-1]
         assert n == res.trigger_round and f_n >= size
-        assert budget(res.trigger_round) >= len(res.strategy.sphere)
+        assert budget(res.trigger_round) >= len(res.sphere)
 
     def test_free2_rate_below_growth_exhausts(self):
         with pytest.raises(SurroundCapError) as err:
@@ -246,7 +246,7 @@ class TestWaitAndSurround:
         # the protected sphere is two steps ahead of the fire at play time
         res = wait_and_surround(FreeAbelian(1), 0, 2, 8)
         played = res.verdict.trace[res.trigger_round - 1]
-        assert played.protected == res.strategy.sphere
+        assert played.protected == res.sphere
 
 
 class TestPolynomialProbe:

@@ -1,7 +1,7 @@
 """Command-line surface: subcommands, exit codes, report determinism.
 
-Exit code contract: 0 determinate, 1 usage/parse error, 2 indeterminate,
-3 strategy fault.
+Exit code contract: 0 determinate, 1 usage/parse error, 2 indeterminate
+or a resource cap reached, 3 strategy fault.
 """
 
 import io
@@ -76,6 +76,13 @@ class TestBr:
                          "--tol", "1e-9", "--D-max", "2000"])
         assert code == 2
         assert "result.bracket_determinate = false" in out
+
+    def test_vertex_cap_exits_two_naming_the_cap(self, spec_dir, monkeypatch, capsys):
+        monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "10")
+        code, _out = run(["br", str(spec_dir / "binary.tree"),
+                          "--lambda", "3", "--cut-depths", "8"])
+        assert code == 2
+        assert "FIREBREAK_VERTEX_CAP" in capsys.readouterr().err
 
 
 class TestContain:

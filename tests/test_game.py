@@ -26,7 +26,6 @@ from firebreak import (
     SpecError,
     StrategyFault,
     SynthesisError,
-    canonical_strategy,
     expand,
     feasibility_check,
     format_trace,
@@ -137,7 +136,7 @@ class TestStep:
 class TestSimulate:
     def test_ray_contained_round1(self):
         t = expand(ray_spec(), 4)
-        v = simulate(t, 0, canonical_strategy([1]), BudgetSequence.constant(1))
+        v = simulate(t, 0, CanonicalStrategy([1]), BudgetSequence.constant(1))
         assert v.contained and v.round_no == 1 and v.burnt == 1
 
     def test_binary_cutset_play(self):
@@ -153,7 +152,7 @@ class TestSimulate:
     def test_binary_single_guard_never_contains(self):
         t = expand(binary_spec(), 10)
         for vprime in ([1], [1, 2], [3, 4, 5, 6]):
-            v = simulate(t, 0, canonical_strategy(vprime), BudgetSequence.constant(1))
+            v = simulate(t, 0, CanonicalStrategy(vprime), BudgetSequence.constant(1))
             assert not v.contained
 
     def test_boundary_reached_is_not_containment(self):
@@ -189,20 +188,20 @@ class TestCanonical:
         # both level-1 vertices targeted, budget 1: round 1 protects one,
         # the other burns, containment fails
         t = expand(binary_spec(), 4)
-        v = simulate(t, 0, canonical_strategy([1, 2]), BudgetSequence.constant(1))
+        v = simulate(t, 0, CanonicalStrategy([1, 2]), BudgetSequence.constant(1))
         assert not v.contained
         assert v.trace[0].protected == (1,)  # closest-first, lowest id
         assert 2 in v.trace[0].burnt
 
     def test_two_guards_contain(self):
         t = expand(binary_spec(), 4)
-        v = simulate(t, 0, canonical_strategy([1, 2]), BudgetSequence.constant(2))
+        v = simulate(t, 0, CanonicalStrategy([1, 2]), BudgetSequence.constant(2))
         assert v.contained and v.round_no == 1 and v.burnt == 1
 
     def test_level3_targets_protected_by_round_two(self):
         t = expand(binary_spec(), 3)
         level3 = [v for v in range(t.n_vertices) if t.level[v] == 3]
-        v = simulate(t, 1, canonical_strategy(level3), BudgetSequence.exponential(3))
+        v = simulate(t, 1, CanonicalStrategy(level3), BudgetSequence.exponential(3))
         assert v.contained
         protected = set(v.trace[0].protected) | set(v.trace[1].protected)
         assert protected == set(level3)
@@ -237,7 +236,7 @@ class TestFeasibility:
         r = feasibility_check(binary_spec(), 1, budget, 3)
         t = expand(binary_spec(), 3)
         ids = r.witness_vertices(t)
-        v = simulate(t, 1, canonical_strategy(ids), budget)
+        v = simulate(t, 1, CanonicalStrategy(ids), budget)
         assert v.contained
 
     def test_depth_must_exceed_radius(self):
@@ -294,7 +293,7 @@ class TestFeasibility:
         assert r.feasible  # golden ratio < 2: one guard per round wins eventually
         t = expand(fibonacci_spec(), 6)
         ids = r.witness_vertices(t)
-        v = simulate(t, 0, canonical_strategy(ids), BudgetSequence.constant(1))
+        v = simulate(t, 0, CanonicalStrategy(ids), BudgetSequence.constant(1))
         assert v.contained
 
     def test_no_boundary_is_trivially_feasible(self):
@@ -308,7 +307,7 @@ class TestSynthesis:
     def test_binary_rate3(self, k):
         budget = BudgetSequence.exponential(3)
         res = synthesize_cutset_strategy(binary_spec(), 3, k)
-        for round_no, vertices in res.strategy.by_round.items():
+        for round_no, vertices in res.strategy.schedule.items():
             assert len(vertices) <= budget(round_no)
             for v in vertices:
                 assert res.trunc.level[v] == round_no + k
@@ -319,11 +318,11 @@ class TestSynthesis:
         res = synthesize_cutset_strategy(binary_spec(), 3, 1)
         assert res.depth == 3
         assert len(res.cutset.edges) == 8
-        assert res.strategy.by_round == {2: tuple(range(7, 15))}
+        assert res.strategy.schedule == {2: tuple(range(7, 15))}
 
     def test_ray_rate2(self):
         res = synthesize_cutset_strategy(ray_spec(), 2, 0)
-        assert res.depth == 1 and res.strategy.by_round == {1: (1,)}
+        assert res.depth == 1 and res.strategy.schedule == {1: (1,)}
 
     def test_below_branching_number_rejected(self):
         with pytest.raises(SpecError):
@@ -359,7 +358,7 @@ class TestSmallerFiresInherit:
             if not r.feasible:
                 continue
             t = expand(spec, depth)
-            verdict = simulate(t, k, canonical_strategy(r.witness_vertices(t)), budget)
+            verdict = simulate(t, k, CanonicalStrategy(r.witness_vertices(t)), budget)
             assert verdict.contained
             schedule = ScheduleStrategy({tr.round_no: tr.protected
                                          for tr in verdict.trace})

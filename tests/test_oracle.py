@@ -25,7 +25,7 @@ from firebreak import (
     ResourceLimitError,
     ScheduleStrategy,
     brute_force_containment,
-    canonical_strategy,
+    CanonicalStrategy,
     cut_weight,
     enumerate_cutsets,
     expand,
@@ -49,7 +49,7 @@ def exists_containing_canonical(trunc, k, budget) -> bool:
     for edges in enumerate_cutsets(trunc):
         if any(trunc.level[v] <= k for v in edges):
             continue
-        verdict = simulate(trunc, k, canonical_strategy(edges), budget)
+        verdict = simulate(trunc, k, CanonicalStrategy(edges), budget)
         if verdict.contained:
             return True
     return False

@@ -9,6 +9,9 @@ Claims covered:
     - edge levels make level-n weight sums equal M_n * rate**-n
     - the parser round-trips, rejects unknown fields and bad documents
     - the expansion cap raises ResourceLimitError
+    - one representation: a periodic truncation re-read as an explicit
+      tree, and a symmetric spec written as its cycle automaton, expand to
+      the same truncation (and decide feasibility identically)
 """
 
 import random
@@ -27,10 +30,13 @@ from firebreak import (
     level_counts,
     parse_tree_spec,
 )
+from firebreak import feasibility_check
 from conftest import (
     binary_spec,
+    budget_catalogue,
     fibonacci_spec,
     random_periodic_spec,
+    random_symmetric_spec,
     star_spec,
 )
 
@@ -208,3 +214,57 @@ class TestDegenerate:
         spec = PeriodicSpec(states={"A": ("A", "B"), "B": ()}, root="A")
         t = expand(spec, 4)
         assert counts_of(t) == [1, 2, 2, 2, 2]
+
+
+def cycle_spec(sym: SymmetricSpec) -> PeriodicSpec:
+    """The periodic automaton of a symmetric spec: one state per level of
+    preperiod + period, the last one looping back to the period start."""
+    counts = sym.preperiod + sym.period
+    names = [f"L{i}" for i in range(len(counts))]
+    succ = names[1:] + [names[len(sym.preperiod)]]
+    return PeriodicSpec(states={n: (t,) * c for n, t, c in zip(names, succ, counts)},
+                        root=names[0])
+
+
+class TestOneRepresentation:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_periodic_reexpanded_as_explicit(self, seed):
+        rng = random.Random(4000 + seed)
+        spec = random_periodic_spec(rng, allow_dead=seed % 2 == 0)
+        depth = rng.randint(1, 8)
+        while sum(level_counts(spec, depth)) > 3000:
+            depth -= 1
+        t = expand(spec, depth)
+        again = expand(ExplicitSpec(parents=tuple(t.parent[1:])), depth)
+        assert again.parent == t.parent
+        assert again.children == t.children
+        assert again.level == t.level
+        # explicit level-D vertices always continue, periodic ones only
+        # when their state has children
+        assert set(t.boundary) <= set(again.boundary)
+        if all(spec.states[s] for s in spec.reachable_states()):
+            assert again.boundary == t.boundary
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_symmetric_equals_its_cycle_automaton(self, seed, monkeypatch):
+        import firebreak.game as game_mod
+
+        rng = random.Random(5000 + seed)
+        sym = random_symmetric_spec(rng)
+        cycle = cycle_spec(sym)
+        depth = rng.randint(2, 6)
+        while sum(level_counts(sym, depth)) > 120:
+            depth -= 1
+        a, b = expand(sym, depth), expand(cycle, depth)
+        assert (a.parent, a.children, a.level, a.boundary) == \
+            (b.parent, b.children, b.level, b.boundary)
+        budget = rng.choice(budget_catalogue())
+        k = rng.randrange(depth)
+        for regular in (True, False):  # greedy sweep, then the Pareto program
+            with monkeypatch.context() as m:
+                if not regular:
+                    m.setattr(game_mod, "_regular_profile", lambda s, d: None)
+                ra = feasibility_check(sym, k, budget, depth)
+                rb = feasibility_check(cycle, k, budget, depth)
+            assert (ra.feasible, ra.witness_levels, ra.witness_paths) == \
+                (rb.feasible, rb.witness_levels, rb.witness_paths)
