@@ -40,6 +40,8 @@ Rate = Union[Fraction, int, float]
 DECAY_FLOOR = 1e-6          # min-cut weight below this counts as decayed
 FIXED_POINT_TOL = 1e-12     # per-state recursion change below this is a fixed point
 PERRON_REL_TOL = 1e-10
+MAX_ITERATIONS = 500_000    # power-iteration and fixed-point steps
+CERTIFICATE_HORIZON = 200   # budget sums that fix the coefficient at rates <= 1
 
 
 def exact_rate(rate: Rate) -> Rate:
@@ -73,9 +75,6 @@ class Cutset:
     vertex."""
 
     edges: frozenset[int]
-
-    def levels(self, trunc: Truncation) -> list[int]:
-        return sorted(trunc.level[v] for v in self.edges)
 
     def is_antichain(self, trunc: Truncation) -> bool:
         for v in self.edges:
@@ -178,9 +177,6 @@ class FlowAssignment:
     value: Rate
     rate: Rate
 
-    def inflow(self, trunc: Truncation, v: int):
-        return self.value if v == 0 else self.flows.get(v, 0)
-
 
 def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
     """A maximum feasible flow from the root to the boundary, built
@@ -223,8 +219,7 @@ def _count_matrix(spec: TreeSpec) -> np.ndarray:
     return mat
 
 
-def _perron_root(mat: np.ndarray, rel_tol: float = PERRON_REL_TOL,
-                 max_iter: int = 500_000) -> float:
+def _perron_root(mat: np.ndarray) -> float:
     """Dominant eigenvalue of a non-negative matrix by power iteration on
     the shifted matrix mat + I (the shift makes periodic count matrices
     aperiodic, so the iteration converges)."""
@@ -232,7 +227,7 @@ def _perron_root(mat: np.ndarray, rel_tol: float = PERRON_REL_TOL,
     shifted = mat + np.eye(n)
     v = np.ones(n) / n
     lam = 1.0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITERATIONS):
         w = shifted @ v
         total = float(w.sum())
         if total == 0.0:
@@ -240,12 +235,12 @@ def _perron_root(mat: np.ndarray, rel_tol: float = PERRON_REL_TOL,
         lam = total
         v = w / total
         residual = float(np.abs(shifted @ v - lam * v).max())
-        if residual <= rel_tol * max(1.0, lam):
+        if residual <= PERRON_REL_TOL * max(1.0, lam):
             break
     return lam - 1.0
 
 
-def br_exact_periodic(spec: PeriodicSpec, rel_tol: float = PERRON_REL_TOL) -> float:
+def br_exact_periodic(spec: PeriodicSpec) -> float:
     """Branching number of the tree unfolded from a periodic spec: the
     Perron root of the state-transition count matrix restricted to states
     reachable from the root.  Periodic trees are subperiodic, so growth
@@ -258,7 +253,7 @@ def br_exact_periodic(spec: PeriodicSpec, rel_tol: float = PERRON_REL_TOL) -> fl
     if spec.is_finite():
         warnings.warn("spec unfolds to a finite tree; branching number reported as 1 by convention")
         return 1.0
-    return _perron_root(_count_matrix(spec), rel_tol=rel_tol)
+    return _perron_root(_count_matrix(spec))
 
 
 # -- decay classification ----------------------------------------------------
@@ -395,11 +390,10 @@ class LowerBoundCertificate:
     br_value: float
 
 
-def _fixed_point_mincut(spec: PeriodicSpec, rate: float,
-                        max_iter: int = 500_000) -> float:
+def _fixed_point_mincut(spec: PeriodicSpec, rate: float) -> float:
     """Limit of the min-cut weight over depths, via the per-state fixed
     point.  Positive exactly when the rate is below the branching number."""
-    for _, (weight, delta) in zip(range(max_iter), _state_recursion(compile(spec), rate)):
+    for _, (weight, delta) in zip(range(MAX_ITERATIONS), _state_recursion(compile(spec), rate)):
         if delta < FIXED_POINT_TOL:
             break
     return weight
@@ -417,8 +411,7 @@ def budget_partial_sums(rate: Rate, horizon: int) -> list[int]:
     return sums
 
 
-def lower_bound_certificate(spec: PeriodicSpec, rate: Rate,
-                            horizon: int = 200) -> LowerBoundCertificate:
+def lower_bound_certificate(spec: PeriodicSpec, rate: Rate) -> LowerBoundCertificate:
     """Build a non-containment certificate for budgets floor(rate**n).
 
     Requires rate < branching number.  The mid rate is the midpoint, the
@@ -439,7 +432,7 @@ def lower_bound_certificate(spec: PeriodicSpec, rate: Rate,
     if lam > 1.0:
         coeff = lam / (lam - 1.0)
     else:
-        sums = budget_partial_sums(exact_rate(rate), horizon)
+        sums = budget_partial_sums(exact_rate(rate), CERTIFICATE_HORIZON)
         coeff = max(
             [float(s) / lam ** (i + 1) for i, s in enumerate(sums)] + [1.0]
         )

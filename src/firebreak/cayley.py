@@ -8,20 +8,26 @@ comparisons.  Built-in models: free groups (reduced words), free abelian
 groups (integer vectors), the infinite dihedral group and free products
 of finite cyclic groups (alternating syllable normal forms).
 
-During ball construction each element records the lexicographically
-minimal geodesic word from the identity: a vertex at distance n takes the
-least (parent word, generator) extension over its distance-(n-1)
-neighbours.  Prefixes of lex-minimal geodesics are lex-minimal, so the
-propagation is exact; an exhaustive enumeration backs this as a test
-oracle.  Joining each element to its word's prefix gives a spanning tree
-of the ball whose levels are the Cayley distances -- the depth-R slice of
-a subperiodic spanning tree of the whole graph, which carries the graph's
+Balls are built by one breadth-first search that takes the vertices in
+index order and, at each vertex, the generators in order.  By induction
+on the distance, every layer is then numbered in shortlex order of its
+elements' lex-min geodesic words: an element at distance n is first
+reached from its least-indexed neighbour at distance n-1, by the least
+generator leading there, and since all words of that layer have the same
+length this (parent word, generator) pair is its least geodesic word
+(Epstein et al., *Word Processing in Groups*, 1992).  So each element
+keeps only its tree parent and the generator that reached it; the words
+follow from these, and an exhaustive enumeration backs them as a test
+oracle.  Joining each element to its tree parent gives a spanning tree of
+the ball whose levels are the Cayley distances -- the depth-R slice of a
+subperiodic spanning tree of the whole graph, which carries the graph's
 growth and hands every tree algorithm in this package a Cayley question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .branching import exact_rate
@@ -165,18 +171,19 @@ def group_from_name(name: str):
 @dataclass
 class CayleyBall:
     """Ball of a Cayley graph: elements grouped into distance layers,
-    adjacency restricted to the ball, and per-element lex-min geodesic
-    words.  Vertex order is layer-major, words sorted within a layer, so
-    construction is canonical.  Quacks like a game arena: the radius-R
-    sphere is the boundary."""
+    adjacency restricted to the ball, and the lex-min geodesic spanning
+    tree (each element's parent and the generator joining them).  Vertex
+    order is layer-major, shortlex by word within a layer, so construction
+    is canonical.  Quacks like a game arena: the radius-R sphere is the
+    boundary."""
 
     model: object
     radius: int
     elements: list
     level: list[int]
-    words: list[tuple[int, ...]]
     layers: list[list[int]]
     tree_parent: list[int]
+    tree_generator: list[int]  # generator from tree_parent[v] to v; -1 at the root
     adjacency: list[list[int]] = field(default_factory=list)
     _index: dict = field(default_factory=dict, repr=False)
 
@@ -190,7 +197,15 @@ class CayleyBall:
 
     @property
     def boundary(self) -> tuple[int, ...]:
-        return tuple(self.layers[self.radius]) if self.radius < len(self.layers) else ()
+        return tuple(self.layers[self.radius])
+
+    @cached_property
+    def words(self) -> list[tuple[int, ...]]:
+        """Lex-min geodesic word of every element, as generator indices."""
+        words: list[tuple[int, ...]] = [()]
+        for v in range(1, len(self.elements)):
+            words.append(words[self.tree_parent[v]] + (self.tree_generator[v],))
+        return words
 
     def neighbors(self, v: int) -> list[int]:
         return self.adjacency[v]
@@ -205,55 +220,46 @@ class CayleyBall:
         return "".join(self.model.generators[g] for g in self.words[v])
 
 
-def ball(model, radius: int, cap: int | None = None) -> CayleyBall:
-    """Breadth-first ball around the identity, generators explored in
-    order, lex-min geodesic words propagated from the minimal parent."""
+def ball(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
+    """Breadth-first ball around the identity, vertices taken in index
+    order and generators in order; ``elements`` is its own queue."""
     if radius < 0:
         raise SpecError("ball radius must be >= 0")
-    limit = cap if cap is not None else DEFAULT_BALL_CAP
+    multiply = model.multiply
+    n_gens = len(model.generators)
     elements = [model.identity]
     index = {model.identity: 0}
     level = [0]
-    words: list[tuple[int, ...]] = [()]
-    layers = [[0]]
+    layers = [[0]] + [[] for _ in range(radius)]
     tree_parent = [-1]
-    n_gens = len(model.generators)
-    for dist in range(1, radius + 1):
-        candidates: dict = {}
-        for v in layers[dist - 1]:
-            for g in range(n_gens):
-                w = model.multiply(elements[v], g)
-                if w in index:
-                    continue
-                cand = words[v] + (g,)
-                best = candidates.get(w)
-                if best is None or cand < best[0]:
-                    candidates[w] = (cand, v)
-        layer = []
-        for w, (word, parent) in sorted(candidates.items(), key=lambda kv: kv[1][0]):
-            idx = len(elements)
-            index[w] = idx
-            elements.append(w)
-            level.append(dist)
-            words.append(word)
-            tree_parent.append(parent)
-            layer.append(idx)
-        layers.append(layer)
-        if len(elements) > limit:
-            raise ResourceLimitError(
-                f"ball of radius {dist} has {len(elements)} elements, the ball cap is {limit}"
-            )
+    tree_generator = [-1]
     adjacency = []
     for v, elem in enumerate(elements):
+        dist = level[v]
+        if dist and v == layers[dist][0] and len(elements) > cap:
+            # layer dist is complete once its first vertex is reached
+            raise ResourceLimitError(
+                f"ball of radius {dist} has {len(elements)} elements, the ball cap is {cap}"
+            )
         row = []
         for g in range(n_gens):
-            w = index.get(model.multiply(elem, g))
-            if w is not None:
-                row.append(w)
+            w = multiply(elem, g)
+            u = index.get(w)
+            if u is None:
+                if dist == radius:
+                    continue
+                u = len(elements)
+                index[w] = u
+                elements.append(w)
+                level.append(dist + 1)
+                layers[dist + 1].append(u)
+                tree_parent.append(v)
+                tree_generator.append(g)
+            row.append(u)
         adjacency.append(row)
     return CayleyBall(model=model, radius=radius, elements=elements, level=level,
-                      words=words, layers=layers, tree_parent=tree_parent,
-                      adjacency=adjacency, _index=index)
+                      layers=layers, tree_parent=tree_parent,
+                      tree_generator=tree_generator, adjacency=adjacency, _index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +275,12 @@ class LexMinTree:
     spec: ExplicitSpec
     ball: CayleyBall
 
-    @property
-    def elements(self) -> list:
-        return self.ball.elements
-
     def level_counts(self) -> list[int]:
         return self.ball.sphere_sizes()
 
 
-def lex_min_tree(model, radius: int, cap: int | None = None) -> LexMinTree:
-    b = ball(model, radius, cap=cap)
-    return lex_min_tree_of_ball(b)
+def lex_min_tree(model, radius: int) -> LexMinTree:
+    return lex_min_tree_of_ball(ball(model, radius))
 
 
 def lex_min_tree_of_ball(b: CayleyBall) -> LexMinTree:
@@ -289,7 +290,7 @@ def lex_min_tree_of_ball(b: CayleyBall) -> LexMinTree:
 
 def enumerate_geodesic_words(b: CayleyBall, v: int) -> list[tuple[int, ...]]:
     """Every geodesic word for element v, by walking all distance-reducing
-    predecessors; exhaustive oracle for the propagated lex-min words."""
+    predecessors; exhaustive oracle for the breadth-first lex-min words."""
     model = b.model
     memo: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
@@ -334,10 +335,10 @@ class GrowthEstimate:
         return self.sphere_ratio_sequence[-1]
 
 
-def growth_rate_estimate(model, radius: int, cap: int | None = None) -> GrowthEstimate:
+def growth_rate_estimate(model, radius: int) -> GrowthEstimate:
     if radius < 2:
         raise SpecError("growth estimates need radius >= 2")
-    b = ball(model, radius, cap=cap)
+    b = ball(model, radius)
     spheres = b.sphere_sizes()
     balls = []
     total = 0
@@ -370,8 +371,7 @@ class SurroundResult:
     ball: CayleyBall
 
 
-def wait_and_surround(model, radius: int, rate, ball_radius: int,
-                      cap: int | None = None) -> SurroundResult:
+def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundResult:
     """Wait until the budget floor(rate**n) covers the sphere one past the
     fire's reach, then protect that whole sphere at once.  The fire starts
     on B(radius) and occupies B(radius+n) after round n, so protecting
@@ -384,7 +384,7 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int,
         raise SpecError("ball radius must exceed the initial radius + 1")
     rate_x = exact_rate(rate)
     budget = BudgetSequence.exponential(rate_x)
-    b = ball(model, ball_radius, cap=cap)
+    b = ball(model, ball_radius)
     trace = []
     trigger = None
     n = 0
@@ -420,25 +420,19 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int,
 
 @dataclass(frozen=True)
 class ProbeReport:
-    group: str
-    coeff: object
-    degree: int
-    radius: int
-    depth: int
     feasibility: FeasibilityResult
     budget_vs_sphere: tuple[tuple[int, int, int], ...]  # (n, cum budget, |S(n+1)|)
     note: str
 
 
-def polynomial_probe(model, coeff, degree: int, radius: int, depth: int,
-                     cap: int | None = None) -> ProbeReport:
+def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> ProbeReport:
     """Deadline feasibility of budgets floor(coeff * n**degree) on the
     lex-min spanning tree, with the cumulative-budget-vs-sphere table.
     An infeasible spanning tree is evidence (not proof) against containment
     on the Cayley graph itself: containment passes to subgraphs in the
     direction asserted here, and a finite-depth probe cannot settle an
     asymptotic statement."""
-    tree = lex_min_tree(model, depth, cap=cap)
+    tree = lex_min_tree(model, depth)
     budget = BudgetSequence.polynomial(coeff, degree)
     result = feasibility_check(tree.spec, radius, budget, depth)
     spheres = tree.ball.sphere_sizes()
@@ -447,7 +441,6 @@ def polynomial_probe(model, coeff, degree: int, radius: int, depth: int,
         for n in range(1, depth)
     )
     return ProbeReport(
-        group=model.name, coeff=coeff, degree=degree, radius=radius, depth=depth,
         feasibility=result, budget_vs_sphere=rows,
         note=("evidence only: finite-depth probe on the spanning tree; "
               "non-containment transfers to the ambient graph via subgraph "

@@ -109,6 +109,13 @@ def _rate(text: str) -> Fraction:
         raise SpecError(f"rate {text!r} is not a rational number")
 
 
+def _int(text: str, option: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(f"{option}: {text!r} is not an integer")
+
+
 def _base_config(command: str) -> dict:
     return {"command": command, "version": __version__}
 
@@ -166,6 +173,8 @@ def cmd_contain(args) -> int:
 
     if compile(spec).is_finite():
         raise SpecError("contain needs an infinite tree spec")
+    if args.k < 0:
+        raise SpecError("initial radius must be >= 0")
 
     margin = 1e-6
     if isinstance(spec, PeriodicSpec):
@@ -259,7 +268,7 @@ def cmd_simulate(args) -> int:
         strategy = ScheduleStrategy(schedule)
         config["replay"] = args.replay
     elif args.protect:
-        vprime = [int(t) for t in args.protect.split(",") if t]
+        vprime = [_int(t, "--protect") for t in args.protect.split(",") if t]
         for v in vprime:
             if not 0 <= v < trunc.n_vertices:
                 raise SpecError(f"vertex {v} is outside the depth-{args.depth} truncation")
@@ -269,7 +278,8 @@ def cmd_simulate(args) -> int:
         schedule = {}
         for chunk in args.schedule.split(";"):
             r, _, ids = chunk.partition(":")
-            schedule[int(r)] = tuple(int(t) for t in ids.split(",") if t)
+            schedule[_int(r, "--schedule")] = tuple(
+                _int(t, "--schedule") for t in ids.split(",") if t)
         strategy = ScheduleStrategy(schedule)
         config["schedule"] = args.schedule
     else:
@@ -306,11 +316,13 @@ def cmd_oracle(args) -> int:
     spec = load_tree_spec(args.spec)
     if not isinstance(spec, ExplicitSpec):
         raise SpecError("the oracle runs on explicit tree specs only")
+    if args.k < 0:
+        raise SpecError("initial radius must be >= 0")
     budget = BudgetSequence.parse(args.budget)
     depth = args.depth if args.depth is not None else spec.height()
     trunc = expand(spec, depth)
     if args.x0:
-        fire = sorted({int(t) for t in args.x0.split(",") if t})
+        fire = sorted({_int(t, "--x0") for t in args.x0.split(",") if t})
     else:
         fire = [v for v in range(trunc.n_vertices) if trunc.level[v] <= args.k]
     config = _base_config("oracle")

@@ -144,9 +144,6 @@ class GameState:
     def burning_count(self) -> int:
         return self.statuses.count(BURNING)
 
-    def is_burning(self, v: int) -> bool:
-        return self.statuses[v] == BURNING
-
 
 def initial_state(arena, radius: int) -> GameState:
     """Fire on the ball of the given radius around the root."""
@@ -287,6 +284,8 @@ def simulate(trunc, radius: int, strategy, budget: BudgetSequence,
     """Play the game with the fire starting on the radius-`radius` ball.
     Containment strategies for balls suffice: a strategy containing the
     ball contains every fire inside it."""
+    if radius < 0:
+        raise SpecError("initial radius must be >= 0")
     if radius >= trunc.depth:
         raise SpecError("initial radius must be smaller than the truncation depth")
     fire = [v for v in range(trunc.n_vertices) if trunc.level[v] <= radius]
@@ -490,6 +489,8 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
     """Decide whether a deadline-respecting vertex cut exists within the
     given depth.  Feasible results carry a witness (paths from the root);
     infeasible at one depth is evidence only, since deeper cuts may exist."""
+    if radius < 0:
+        raise SpecError("initial radius must be >= 0")
     if depth <= radius:
         raise SpecError("depth must exceed the initial radius")
     ncoords = depth - radius
@@ -637,6 +638,10 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
     SynthesisError when no light cutset appears within depth_max."""
     from .branching import br_bracket, br_exact_periodic  # cycle-free, local
 
+    if radius < 0:
+        raise SpecError("initial radius must be >= 0")
+    if depth_max <= radius:
+        raise SpecError("depth_max must exceed the initial radius")
     rate_x = exact_rate(rate)
     lam = float(rate_x)
     if isinstance(spec, PeriodicSpec):

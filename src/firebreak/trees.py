@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import ResourceLimitError, SpecError
 
@@ -257,10 +257,6 @@ class Truncation:
         if self.parent[v] < 0:
             return self.children[v]
         return [self.parent[v]] + self.children[v]
-
-    def edges(self) -> Iterable[int]:
-        """Edges identified by their child endpoint (1..n-1)."""
-        return range(1, self.n_vertices)
 
     def path_of(self, v: int) -> tuple[int, ...]:
         """Root-to-v path as child indices (position among siblings)."""

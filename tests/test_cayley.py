@@ -5,8 +5,9 @@ Claims covered:
       associate with word evaluation
     - ball layers match the closed-form sphere sizes (Z, Z^2, free rank 2,
       infinite dihedral, C2*C3)
-    - propagated lex-min words equal the minimum over exhaustively
-      enumerated geodesic words
+    - breadth-first lex-min words equal the minimum over exhaustively
+      enumerated geodesic words, and each layer is in increasing word order
+    - adjacency rows list the in-ball products v*g in generator order
     - the lex-min tree is spanning, geodesic, uses only Cayley edges, and
       equals the ball on free groups
     - construction is canonical (vertex order independent of exploration
@@ -106,6 +107,15 @@ class TestBalls:
         b = cayley_ball(FreeProductCyclic((2, 3)), 5)
         assert b.sphere_sizes() == [1, 3, 4, 6, 8, 12]
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_adjacency_rows_follow_generator_order(self, model):
+        b = cayley_ball(model, 4)
+        for v in range(b.n_vertices):
+            products = (model.multiply(b.elements[v], g)
+                        for g in range(len(model.generators)))
+            assert b.neighbors(v) == [b.index_of(w) for w in products
+                                      if w in b._index]
+
     def test_adjacency_is_symmetric(self):
         b = cayley_ball(FreeAbelian(2), 4)
         for v in range(b.n_vertices):
@@ -119,7 +129,9 @@ class TestBalls:
 
     def test_cap(self):
         from firebreak import ResourceLimitError
-        with pytest.raises(ResourceLimitError):
+        # fires once a completed layer passes the cap: |B(5)| = 485, |B(6)| = 1457
+        with pytest.raises(ResourceLimitError,
+                           match="ball of radius 6 has 1457 elements, the ball cap is 1000"):
             cayley_ball(FreeGroup(2), 8, cap=1000)
 
 
@@ -134,13 +146,9 @@ class TestLexMinWords:
             assert e == b.elements[v]
             assert len(b.words[v]) == b.level[v]
 
-    def test_z2_words_minimal_by_enumeration(self):
-        b = cayley_ball(FreeAbelian(2), 5)
-        for v in range(b.n_vertices):
-            assert b.words[v] == min(enumerate_geodesic_words(b, v))
-
-    def test_dinf_words_minimal_by_enumeration(self):
-        b = cayley_ball(infinite_dihedral(), 6)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_words_minimal_by_enumeration(self, model):
+        b = cayley_ball(model, 6)
         for v in range(b.n_vertices):
             assert b.words[v] == min(enumerate_geodesic_words(b, v))
 
@@ -309,7 +317,8 @@ class TestDeterminism:
         assert a.adjacency == b.adjacency
 
     def test_layers_sorted_by_word(self):
-        b = cayley_ball(FreeAbelian(2), 4)
-        for layer in b.layers:
-            words = [b.words[v] for v in layer]
-            assert words == sorted(words)
+        for model in ALL_MODELS:
+            b = cayley_ball(model, 4)
+            for layer in b.layers:
+                words = [b.words[v] for v in layer]
+                assert all(x < y for x, y in zip(words, words[1:])), model.name

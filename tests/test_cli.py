@@ -6,6 +6,7 @@ or a resource cap reached, 3 strategy fault.
 
 import io
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ BINARY = "variant: periodic\nroot: A\nstates: A -> A A\n"
 FIB = "variant: periodic\nroot: A\nstates: A -> A B ; B -> A\n"
 RAY = "variant: periodic\nroot: A\nstates: A -> A\n"
 RAY5 = "variant: explicit\nparents: 0 1 2 3 4\n"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -152,6 +154,38 @@ class TestSimulate:
         assert "result.replay_match = true" in out
 
 
+class TestRejectedInput:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1",
+         "--depth", "4", "--protect", "1,x"],
+        ["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1",
+         "--depth", "4", "--schedule", "1:2;x"],
+        ["oracle", "{d}/ray5.tree", "--budget", "const:1", "--x0", "0,y"],
+    ], ids=["protect", "schedule", "x0"])
+    def test_malformed_ids_exit_one(self, argv, spec_dir, capsys):
+        code, _out = run([a.format(d=spec_dir) for a in argv])
+        assert code == 1
+        assert "firebreak: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{d}/binary.tree", "--budget", "const:1", "--depth", "4"],
+        ["oracle", "{d}/ray5.tree", "--budget", "const:1"],
+        ["cayley", "zd:2", "--mode", "polyprobe", "--R", "4"],
+        ["contain", "{d}/binary.tree", "--lambda", "3"],
+        ["contain", "{d}/binary.tree", "--lambda", "3/2"],
+    ], ids=["simulate", "oracle", "polyprobe", "contain-above", "contain-below"])
+    def test_negative_radius_exits_one(self, argv, spec_dir, capsys):
+        code, _out = run([a.format(d=spec_dir) for a in argv] + ["--k", "-1"])
+        assert code == 1
+        assert "initial radius must be >= 0" in capsys.readouterr().err
+
+    def test_depth_max_not_above_radius_exits_one(self, spec_dir, capsys):
+        code, _out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "3",
+                          "--k", "2", "--D-max", "2"])
+        assert code == 1
+        assert "depth_max must exceed the initial radius" in capsys.readouterr().err
+
+
 class TestOracle:
     def test_ray_feasible(self, spec_dir):
         code, out = run(["oracle", str(spec_dir / "ray5.tree"), "--k", "0",
@@ -207,6 +241,17 @@ class TestCayley:
         code, out = run(["br", str(out_file)])
         assert code == 0
         assert "result.br_exact = 1.0" in out  # exported trees are finite
+
+    @pytest.mark.parametrize("group, radius, golden", [
+        ("freeprod:2,3", "5", "cayley_freeprod_2_3_R5.tree"),
+        ("zd:2", "4", "cayley_zd_2_R4.tree"),
+    ])
+    def test_tree_export_matches_golden(self, group, radius, golden, tmp_path):
+        out_file = tmp_path / golden
+        code, _out = run(["cayley", group, "--mode", "tree", "--R", radius,
+                          "--out", str(out_file)])
+        assert code == 0
+        assert out_file.read_bytes() == (DATA / golden).read_bytes()
 
     def test_unknown_group(self):
         code, _out = run(["cayley", "so3", "--mode", "growth", "--R", "4"])
