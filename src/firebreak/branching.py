@@ -4,10 +4,11 @@ certificates on tree truncations.
 An edge at level n has capacity rate**(-n).  The branching number of an
 infinite tree is the supremum of the rates at which the root still pushes
 a non-zero flow to infinity; equivalently the supremum of the rates for
-which all cutset weights stay bounded away from zero.  On truncations both
-sides are computed by one bottom-up recursion; on a spec's automaton the
-recursion collapses to a per-state vector iteration, which also yields a
-fixed-point argument covering every depth at once.
+which all cutset weights stay bounded away from zero (Lyons 1990).  A
+vertex's min-cut value depends only on its level and automaton state, so
+one per-state recursion on the spec's automaton, ``_state_recursion``,
+gives min-cut weights at every depth, min cutsets, max flows, the decay
+classification behind brackets and the fixed point behind certificates.
 
 Rates may be ``fractions.Fraction`` (or int), in which case all cut and
 flow arithmetic is exact, or float, in which case documented tolerances
@@ -20,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Union
 
 import numpy as np
@@ -42,6 +44,8 @@ FIXED_POINT_TOL = 1e-12     # per-state recursion change below this is a fixed p
 PERRON_REL_TOL = 1e-10
 MAX_ITERATIONS = 500_000    # power-iteration and fixed-point steps
 CERTIFICATE_HORIZON = 200   # budget sums that fix the coefficient at rates <= 1
+CHECK_DEPTH = 8             # truncation depths whose min-cut check_certificate recomputes
+CHECK_HORIZON = 60          # budget sums check_certificate re-adds
 
 
 def exact_rate(rate: Rate) -> Rate:
@@ -86,18 +90,13 @@ class Cutset:
         return True
 
     def separates(self, trunc: Truncation) -> bool:
-        blocked = self.edges
-        stack = [0]
-        seen = {0}
         boundary = set(trunc.boundary)
-        while stack:
+        stack = [0]
+        while stack:  # a tree: each vertex is reached once, from its parent
             v = stack.pop()
             if v in boundary:
                 return False
-            for w in trunc.children[v]:
-                if w not in blocked and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            stack.extend(w for w in trunc.children[v] if w not in self.edges)
         return True
 
 
@@ -115,54 +114,60 @@ def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
     return sum(edge_weight(rate, trunc.level[v]) for v in cutset.edges)
 
 
-def _subtree_cut_values(trunc: Truncation, rate: Rate) -> list:
-    """c(v) = cheapest cut separating v's boundary descendants from v,
-    capped by the capacity of the edge above v.  Dead subtrees cost 0."""
-    boundary = set(trunc.boundary)
-    zero = Fraction(0) if isinstance(rate, Fraction) else 0.0
-    c = [zero] * trunc.n_vertices
-    for v in range(trunc.n_vertices - 1, -1, -1):
-        if v in boundary:
-            c[v] = edge_weight(rate, trunc.depth)
-            continue
-        total = zero
-        for w in trunc.children[v]:
-            total = total + c[w]
-        if v == 0:
-            c[v] = total
-        elif total == 0:
-            c[v] = zero
-        else:
-            c[v] = min(edge_weight(rate, trunc.level[v]), total)
-    return c
+def _state_recursion(auto: Automaton, rate: Rate):
+    """The min-cut recursion on the spec's automaton.  Yields (y_n, W(n+1))
+    for n = 0, 1, ... forever, where y_0(s) = 1 if state s continues and 0
+    otherwise, and y_n(s) = min(1, sum of y_{n-1} over the children of s,
+    divided by the rate), or 0 for a state without children.
+
+    A level-L vertex in state s of a depth-D truncation has min-cut value
+    c(v) = rate**(-L) * y_{D-L}(s): the cheapest cut below it, capped by
+    the edge above it.  The root has no edge above it, so the depth-D
+    min-cut weight W(D) is the sum of y_{D-1} over the root's children
+    divided by the rate, and y_0 at the root for D = 0.  Arithmetic stays
+    in the rate's type: Fraction rates give exact values."""
+    one = edge_weight(rate, 0)
+    zero = one - one
+    kids, root_kids = auto.children, auto.children[auto.root]
+    y = [one if auto.continues(s) else zero for s in range(len(kids))]
+    while True:
+        yield y, sum(y[t] for t in root_kids) / rate
+        y = [min(one, sum(y[t] for t in k) / rate) if k else zero for k in kids]
 
 
-def min_cut_weight(trunc: Truncation, rate: Rate):
-    """Minimum cutset weight over all cutsets of the truncation, by the
-    bottom-up recursion; non-increasing in the truncation depth."""
+def _truncation_recursion(trunc: Truncation, rate: Rate):
+    """(rate, ys, W(D)) for a depth-D truncation: the normalised positive
+    rate, ys[n] = y_n for n = 0..D, and the min-cut weight."""
     rate = exact_rate(rate)
     if float(rate) <= 0:
         raise SpecError("rate must be positive")
-    return _subtree_cut_values(trunc, rate)[0]
+    auto = compile(trunc.spec)
+    ys, weights = zip(*islice(_state_recursion(auto, rate), trunc.depth + 1))
+    return rate, ys, weights[trunc.depth - 1] if trunc.depth else ys[0][auto.root]
+
+
+def min_cut_weight(trunc: Truncation, rate: Rate):
+    """Minimum cutset weight over all cutsets of the truncation, read from
+    the per-state recursion without visiting a vertex; non-increasing in
+    the truncation depth."""
+    return _truncation_recursion(trunc, rate)[2]
 
 
 def min_cutset(trunc: Truncation, rate: Rate) -> Cutset:
-    """A cutset attaining min_cut_weight.  Ties between cutting above a
-    vertex and cutting inside its subtree go to the shallower cut."""
-    rate = exact_rate(rate)
-    c = _subtree_cut_values(trunc, rate)
-    boundary = set(trunc.boundary)
+    """A cutset attaining min_cut_weight: v is cut exactly when its
+    recursion value is 1, i.e. when cutting the edge above it costs no more
+    than the best cut inside its subtree, so ties go to the shallower cut.
+    Subtrees of value 0 reach no boundary vertex and are skipped."""
+    _, ys, _ = _truncation_recursion(trunc, rate)
+    depth, level, state = trunc.depth, trunc.level, trunc.state
     edges: list[int] = []
     stack = list(trunc.children[0])
     while stack:
         v = stack.pop()
-        if c[v] == 0:
-            continue
-        if v in boundary or edge_weight(rate, trunc.level[v]) <= sum(
-            c[w] for w in trunc.children[v]
-        ):
+        y = ys[depth - level[v]][state[v]]
+        if y == 1:
             edges.append(v)
-        else:
+        elif y:
             stack.extend(trunc.children[v])
     return Cutset(edges=frozenset(edges))
 
@@ -180,29 +185,23 @@ class FlowAssignment:
 
 def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
     """A maximum feasible flow from the root to the boundary, built
-    top-down by splitting each vertex's attainable subtree flow.  Its value
-    equals min_cut_weight exactly."""
-    rate = exact_rate(rate)
-    if float(rate) <= 0:
-        raise SpecError("rate must be positive")
-    c = _subtree_cut_values(trunc, rate)
-    zero = Fraction(0) if isinstance(rate, Fraction) else 0.0
+    top-down by splitting each vertex's inflow over its children up to
+    their min-cut values c, read from a per-(level, state) table.  Its
+    value equals min_cut_weight exactly."""
+    rate, ys, value = _truncation_recursion(trunc, rate)
+    depth, level, state = trunc.depth, trunc.level, trunc.state
+    c = [[edge_weight(rate, lv) * y for y in ys[depth - lv]] for lv in range(depth + 1)]
     flows: dict[int, Rate] = {}
-    inflow = [zero] * trunc.n_vertices
-    inflow[0] = c[0]
     for v in range(trunc.n_vertices):
-        remaining = inflow[v]
-        if remaining == 0:
-            continue
+        remaining = flows.get(v, 0) if v else value
         for w in trunc.children[v]:
             if remaining == 0:
                 break
-            x = min(c[w], remaining)
+            x = min(c[level[w]][state[w]], remaining)
             if x > 0:
                 flows[w] = x
-                inflow[w] = x
                 remaining = remaining - x
-    return FlowAssignment(flows=flows, value=c[0], rate=rate)
+    return FlowAssignment(flows=flows, value=value, rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -259,31 +258,27 @@ def br_exact_periodic(spec: PeriodicSpec) -> float:
 # -- decay classification ----------------------------------------------------
 
 
-def _state_recursion(auto: Automaton, rate: float):
-    """The per-state min-cut recursion y_s <- min(1, (sum of y over the
-    children of s)/rate), from y = 1 on states with children.  After n
-    steps, (sum of y over the root's children)/rate is the min-cut weight
-    at depth n.  Yields (that weight, largest change of y) per step,
-    forever."""
-    kids, root_kids = auto.children, auto.children[auto.root]
-    y = [1.0 if k else 0.0 for k in kids]
-    while True:
-        y_new = [min(1.0, sum(y[t] for t in k) / rate) if k else 0.0 for k in kids]
-        delta = max(abs(a - b) for a, b in zip(y, y_new))
-        y = y_new
-        yield sum(y[t] for t in root_kids) / rate, delta
+def _settling(auto: Automaton, rate: float):
+    """(W(n+1), largest change from y_{n-1} to y_n) for n = 1, 2, ...:
+    how the float readers below watch the recursion decay or settle."""
+    steps = _state_recursion(auto, rate)
+    y, _ = next(steps)
+    for y_next, weight in steps:
+        yield weight, max(abs(a - b) for a, b in zip(y, y_next))
+        y = y_next
 
 
 def _classify_states(auto: Automaton, rate: float, max_depth: int):
     """Classify the depth behaviour of the min-cut weight at this rate via
-    the per-state recursion.  Returns (verdict, depth) with verdict in
-    {"decays", "stabilises", "indeterminate"}."""
-    for depth, (weight, delta) in zip(range(1, max_depth + 1), _state_recursion(auto, rate)):
+    the per-state recursion, over max_depth steps.  Returns (verdict,
+    depth) with verdict in {"decays", "stabilises", "indeterminate"} and
+    depth the truncation depth whose weight was read last."""
+    for depth, (weight, delta) in zip(range(2, max_depth + 2), _settling(auto, rate)):
         if weight < DECAY_FLOOR:
             return "decays", depth
         if delta < FIXED_POINT_TOL:
             return "stabilises", depth
-    return "indeterminate", max_depth
+    return "indeterminate", max_depth + 1
 
 
 def _classify_symmetric(spec: SymmetricSpec, rate: float, max_depth: int):
@@ -393,7 +388,7 @@ class LowerBoundCertificate:
 def _fixed_point_mincut(spec: PeriodicSpec, rate: float) -> float:
     """Limit of the min-cut weight over depths, via the per-state fixed
     point.  Positive exactly when the rate is below the branching number."""
-    for _, (weight, delta) in zip(range(MAX_ITERATIONS), _state_recursion(compile(spec), rate)):
+    for _, (weight, delta) in zip(range(MAX_ITERATIONS), _settling(compile(spec), rate)):
         if delta < FIXED_POINT_TOL:
             break
     return weight
@@ -458,16 +453,15 @@ def lower_bound_certificate(spec: PeriodicSpec, rate: Rate) -> LowerBoundCertifi
     )
 
 
-def check_certificate(cert: LowerBoundCertificate, depth_check: int = 8,
-                      horizon: int = 60) -> dict[str, bool]:
-    """Re-evaluate the three certificate invariants independently of how
-    the certificate was built.  Cut weights are recomputed from expanded
-    truncations; the budget bound is checked up to the horizon plus its
-    analytic tail."""
+def check_certificate(cert: LowerBoundCertificate) -> dict[str, bool]:
+    """Re-evaluate the three certificate invariants from the certificate's
+    numbers.  Cut weights are recomputed at depths 1..CHECK_DEPTH and at
+    the fixed point; the budget bound is checked up to CHECK_HORIZON plus
+    its analytic tail."""
     lam, mu = cert.rate, cert.mid_rate
     results = {}
 
-    sums = budget_partial_sums(lam, horizon)
+    sums = budget_partial_sums(lam, CHECK_HORIZON)
     budget_ok = all(s <= cert.budget_coeff * lam ** (i + 1) * (1 + 1e-12)
                     for i, s in enumerate(sums))
     if lam > 1.0:
@@ -476,7 +470,7 @@ def check_certificate(cert: LowerBoundCertificate, depth_check: int = 8,
 
     cuts_ok = all(
         float(min_cut_weight(expand(cert.spec, d), mu)) > cert.cut_weight_floor
-        for d in range(1, depth_check + 1)
+        for d in range(1, CHECK_DEPTH + 1)
     )
     cuts_ok = cuts_ok and _fixed_point_mincut(cert.spec, mu) > cert.cut_weight_floor
     results["cutsets_above_floor"] = cuts_ok

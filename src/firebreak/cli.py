@@ -102,11 +102,11 @@ def emit_report(config: dict, result: dict, tables=(), out: str | None = None) -
     return text
 
 
-def _rate(text: str) -> Fraction:
+def _rational(text: str, option: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SpecError(f"rate {text!r} is not a rational number")
+        raise SpecError(f"{option}: {text!r} is not a rational number")
 
 
 def _int(text: str, option: str) -> int:
@@ -131,7 +131,7 @@ def cmd_br(args) -> int:
     tables = []
     code = EXIT_OK
     if getattr(args, "lambda") is not None:
-        lam = _rate(getattr(args, "lambda"))
+        lam = _rational(getattr(args, "lambda"), "--lambda")
         config["lambda"] = lam
         rows = []
         for depth in range(1, args.cut_depths + 1):
@@ -165,7 +165,7 @@ def cmd_br(args) -> int:
 
 def cmd_contain(args) -> int:
     spec = load_tree_spec(args.spec)
-    lam = _rate(getattr(args, "lambda"))
+    lam = _rational(getattr(args, "lambda"), "--lambda")
     config = _base_config("contain")
     config.update(spec=args.spec, **{"lambda": lam}, k=args.k, depth_max=args.D_max)
     result: dict = {}
@@ -175,6 +175,8 @@ def cmd_contain(args) -> int:
         raise SpecError("contain needs an infinite tree spec")
     if args.k < 0:
         raise SpecError("initial radius must be >= 0")
+    if args.evidence_depths < 1:
+        raise SpecError("--evidence-depths must be >= 1")
 
     margin = 1e-6
     if isinstance(spec, PeriodicSpec):
@@ -264,7 +266,7 @@ def cmd_simulate(args) -> int:
 
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as fh:
-            schedule, claimed = parse_trace(fh.read())
+            schedule, claimed = parse_trace(fh.read(), args.replay)
         strategy = ScheduleStrategy(schedule)
         config["replay"] = args.replay
     elif args.protect:
@@ -377,7 +379,9 @@ def cmd_cayley(args) -> int:
             ],
         ))
     elif args.mode == "surround":
-        lam = _rate(getattr(args, "lambda"))
+        if getattr(args, "lambda") is None:
+            raise SpecError("--lambda is required for mode surround")
+        lam = _rational(getattr(args, "lambda"), "--lambda")
         config["lambda"] = lam
         config["k"] = args.k
         try:
@@ -406,7 +410,7 @@ def cmd_cayley(args) -> int:
         config["k"] = args.k
         config["c"] = args.c
         config["d"] = args.d
-        report = polynomial_probe(model, Fraction(args.c), args.d, args.k, args.R)
+        report = polynomial_probe(model, _rational(args.c, "--c"), args.d, args.k, args.R)
         result.update(
             feasible=report.feasibility.feasible,
             note=report.note,
@@ -416,14 +420,14 @@ def cmd_cayley(args) -> int:
             list(report.budget_vs_sphere),
         ))
     elif args.mode == "tree":
+        if not args.out:
+            raise SpecError("--out is required for mode tree")
         tree = lex_min_tree(model, args.R)
         text = format_tree_spec(tree.spec)
         words = "".join(
             f"# vertex {v} = {tree.ball.word_str(v) or 'id'}\n"
             for v in range(tree.ball.n_vertices)
         )
-        if not args.out:
-            raise SpecError("--out is required for mode tree")
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(words + text)
         result.update(vertices=tree.ball.n_vertices, out=args.out,

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .branching import edge_weight, exact_rate, min_cut_weight, min_cutset, Cutset
+from .branching import (_state_recursion, br_bracket, br_exact_periodic, edge_weight,
+                        exact_rate, min_cutset, Cutset)
 from .errors import SpecError, StrategyFault, SynthesisError
 from .trees import PeriodicSpec, TreeSpec, Truncation, compile, expand
 
@@ -308,27 +309,27 @@ def format_trace(verdict: Verdict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trace(text: str) -> tuple[dict[int, tuple[int, ...]], dict]:
-    """Returns (schedule, verdict summary) from a trace file."""
+def parse_trace(text: str, source: str = "trace") -> tuple[dict[int, tuple[int, ...]], dict]:
+    """Returns (schedule, verdict summary) from a trace file.  A malformed
+    round or verdict line raises SpecError naming the source and line."""
     schedule: dict[int, tuple[int, ...]] = {}
     summary: dict = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         parts = [p.strip() for p in line.split("|")]
-        if parts[0].startswith("round"):
-            round_no = int(parts[0].split()[1])
-            protect_field = parts[1].split(None, 1)
-            ids = () if len(protect_field) == 1 or protect_field[1] == "-" else tuple(
-                int(t) for t in protect_field[1].split()
-            )
-            schedule[round_no] = ids
-        elif parts[0].startswith("verdict"):
-            summary["kind"] = parts[0].split()[1]
-            summary["round_no"] = int(parts[1].split()[1])
-            burnt = parts[2].split()[1]
-            summary["burnt"] = None if burnt == "-" else int(burnt)
+        try:
+            if parts[0].startswith("round"):
+                schedule[int(parts[0].split()[1])] = tuple(
+                    int(t) for t in parts[1].split()[1:] if t != "-")
+            elif parts[0].startswith("verdict"):
+                summary["kind"] = parts[0].split()[1]
+                summary["round_no"] = int(parts[1].split()[1])
+                burnt = parts[2].split()[1]
+                summary["burnt"] = None if burnt == "-" else int(burnt)
+        except (ValueError, IndexError) as exc:
+            raise SpecError(f"{source}: line {lineno}: malformed trace line {raw!r}") from exc
     return schedule, summary
 
 
@@ -635,9 +636,9 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
     """Find a cutset light enough that playing its level-n vertices in
     round n - radius always fits the budget floor(rate**n), and wrap it as
     a strategy.  Requires rate above the branching number; fails with
-    SynthesisError when no light cutset appears within depth_max."""
-    from .branching import br_bracket, br_exact_periodic  # cycle-free, local
-
+    SynthesisError when no light cutset appears within depth_max.  The
+    min-cut weight at each depth comes from the per-state recursion, so
+    only the truncation at the returned depth is materialised."""
     if radius < 0:
         raise SpecError("initial radius must be >= 0")
     if depth_max <= radius:
@@ -654,12 +655,10 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
             raise SpecError(f"rate {lam} is not above the branching bracket {bracket}")
     probe_range = max(depth_max + 40, 120)
     eps = cut_weight_target(rate_x, radius, probe_range=probe_range)
-    last_weight = None
-    for depth in range(radius + 1, depth_max + 1):
-        trunc = expand(spec, depth)
-        weight = min_cut_weight(trunc, rate_x)
-        last_weight = weight
-        if weight < eps:
+    weights = (w for _, w in _state_recursion(compile(spec), rate_x))
+    for depth, weight in zip(range(1, depth_max + 1), weights):
+        if depth > radius and weight < eps:
+            trunc = expand(spec, depth)
             cut = min_cutset(trunc, rate_x)
             by_round: dict[int, list[int]] = {}
             for v in cut.edges:
@@ -669,6 +668,6 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
                                    epsilon=eps, depth=depth, radius=radius)
     raise SynthesisError(
         f"no cutset of weight < {float(eps):.6g} within depth {depth_max} "
-        f"(last min-cut weight {float(last_weight):.6g}); the rate may not exceed "
+        f"(last min-cut weight {float(weight):.6g}); the rate may not exceed "
         f"the branching number, or depth_max is too small"
     )

@@ -222,12 +222,16 @@ class OracleCache:
         self.entries: dict[str, OracleDecision] = {}
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, start=1):
                     line = line.strip()
                     if not line:
                         continue
-                    key, rest = line.split(" ", 1)
-                    self.entries[key] = _decision_from_text(rest)
+                    key, _, rest = line.partition(" ")
+                    try:
+                        self.entries[key] = _decision_from_text(rest)
+                    except ValueError as exc:
+                        raise SpecError(
+                            f"{path}: line {lineno}: malformed cache entry {line!r}") from exc
         except FileNotFoundError:
             pass
 
@@ -253,7 +257,9 @@ def _decision_to_text(decision: OracleDecision) -> str:
 def _decision_from_text(text: str) -> OracleDecision:
     if text == "infeasible":
         return OracleDecision(feasible=False, schedule=None)
-    _, _, body = text.partition(" ")
+    head, _, body = text.partition(" ")
+    if head != "feasible":
+        raise ValueError(f"unknown decision {head!r}")
     if body in ("", "-"):
         return OracleDecision(feasible=True, schedule=())
     schedule = []

@@ -226,14 +226,16 @@ def level_counts(spec: TreeSpec, depth: int) -> list[int]:
 @dataclass
 class Truncation:
     """Depth-D truncation of a tree spec, vertices in level-major order.
-    ``boundary`` lists the level-D vertices that continue in the infinite
-    tree (see the module docstring for explicit specs)."""
+    ``state`` is each vertex's automaton state; ``boundary`` lists the
+    level-D vertices that continue in the infinite tree (see the module
+    docstring for explicit specs)."""
 
     spec: TreeSpec
     depth: int
     parent: list[int]
     children: list[list[int]]
     level: list[int]
+    state: list[int]
     boundary: tuple[int, ...] = field(default=())
 
     @property
@@ -242,16 +244,9 @@ class Truncation:
 
     @property
     def states(self) -> list[str] | None:
-        """Origin state name per vertex for periodic specs (None otherwise),
-        derived on demand from the spec's automaton."""
-        auto = compile(self.spec)
-        if auto.names is None:
-            return None
-        state = [auto.root] * self.n_vertices
-        for v in range(self.n_vertices):
-            for w, t in zip(self.children[v], auto.children[state[v]]):
-                state[w] = t
-        return [auto.names[s] for s in state]
+        """Origin state name per vertex for periodic specs (None otherwise)."""
+        names = compile(self.spec).names
+        return None if names is None else [names[s] for s in self.state]
 
     def neighbors(self, v: int) -> list[int]:
         if self.parent[v] < 0:
@@ -273,7 +268,7 @@ class Truncation:
         return v
 
 
-def expand(spec: TreeSpec, depth: int, cap: int | None = None) -> Truncation:
+def expand(spec: TreeSpec, depth: int) -> Truncation:
     """Materialise the truncation of all vertices at levels 0..depth.
 
     Children appear in spec order; vertex order is level-major, so the
@@ -283,7 +278,7 @@ def expand(spec: TreeSpec, depth: int, cap: int | None = None) -> Truncation:
     """
     if depth < 0:
         raise SpecError("depth must be >= 0")
-    limit = cap if cap is not None else vertex_cap()
+    limit = vertex_cap()
     auto = compile(spec)
     total = sum(auto.level_counts(depth))
     if total > limit:
@@ -310,7 +305,7 @@ def expand(spec: TreeSpec, depth: int, cap: int | None = None) -> Truncation:
                 nxt.append(w)
         frontier = nxt
     boundary = tuple(v for v in frontier if auto.continues(state[v]))
-    return Truncation(spec, depth, parent, children, level, boundary)
+    return Truncation(spec, depth, parent, children, level, state, boundary)
 
 
 def ball(trunc: Truncation, radius: int) -> tuple[int, ...]:

@@ -185,7 +185,7 @@ def test_criterion_5_certificates_below_threshold():
     spec = binary_spec()
     for lam in (1.2, 1.5, 1.9):
         cert = lower_bound_certificate(spec, lam)
-        checks = check_certificate(cert, depth_check=8, horizon=60)
+        checks = check_certificate(cert)
         assert all(checks.values()), (lam, checks)
         budget = BudgetSequence.exponential(
             Fraction(lam).limit_denominator(1000)

@@ -3,7 +3,10 @@
 Claims covered:
     - cut weights match hand arithmetic; invalid cutsets rejected
     - the min-cut recursion matches the hand recursion and, on every small
-      tree, the exhaustive cutset enumeration (exact rational equality)
+      tree, the exhaustive cutset enumeration (exact rational equality), and
+      so do the weight of min_cutset and the value of max_flow
+    - a decays probe names the first truncation depth whose weight is
+      below the floor
     - flows satisfy capacity and conservation and attain the min cut,
       exactly for rational rates
     - min-cut weights are non-increasing in the depth
@@ -37,7 +40,7 @@ from firebreak import (
     min_cut_weight,
     min_cutset,
 )
-from firebreak.branching import budget_partial_sums, _fixed_point_mincut
+from firebreak.branching import DECAY_FLOOR, budget_partial_sums, _fixed_point_mincut
 from conftest import (
     binary_spec,
     fibonacci_spec,
@@ -141,6 +144,8 @@ class TestMinCut:
         if any(not c for c in cuts):
             best = Fraction(0)
         assert min_cut_weight(t, rate) == best
+        assert cut_weight(t, min_cutset(t, rate), rate) == best
+        assert max_flow(t, rate).value == best
 
     def test_min_cutset_attains_minimum(self):
         for spec, rate in [(binary_spec(), Fraction(4)), (fibonacci_spec(), Fraction(2))]:
@@ -285,6 +290,17 @@ class TestBracket:
             if verdict == "stabilises":
                 assert lam <= bracket.hi
 
+    @pytest.mark.parametrize("tol", [0.05, 1e-4])
+    def test_decay_probe_depth_names_the_truncation(self, tol):
+        # above 2 the binary min-cut weight at depth d is (2/lam)**d, so a
+        # decays probe's depth is the first one below the floor
+        bracket = br_bracket(binary_spec(), tol=tol)
+        decays = [(lam, d) for lam, verdict, d in bracket.probes if verdict == "decays"]
+        assert decays
+        for lam, d in decays:
+            assert lam > 2
+            assert (2 / lam) ** d < DECAY_FLOOR <= (2 / lam) ** (d - 1)
+
     def test_heuristic_flag_when_probes_cannot_classify(self):
         # probes within ~1e-9 of the threshold need more depth than the
         # cap allows; the bracket must say so rather than pretend
@@ -299,7 +315,7 @@ class TestCertificate:
     def test_binary_certificates_validate(self, lam):
         cert = lower_bound_certificate(binary_spec(), lam)
         assert cert.rate < cert.mid_rate < cert.br_value
-        checks = check_certificate(cert, depth_check=8, horizon=60)
+        checks = check_certificate(cert)
         assert all(checks.values()), checks
 
     def test_budget_bound_is_tight_for_geometric(self):

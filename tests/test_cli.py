@@ -119,6 +119,12 @@ class TestContain:
         assert "result.verdict = contained" in out
         assert "result.verdict_round = 1" in out
 
+    def test_cut_past_the_vertex_cap_exits_two(self, spec_dir, capsys):
+        code, _out = run(["contain", str(spec_dir / "fib.tree"),
+                          "--lambda", "17/10", "--k", "2"])
+        assert code == 2
+        assert "FIREBREAK_VERTEX_CAP" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_canonical_contained(self, spec_dir):
@@ -178,6 +184,48 @@ class TestRejectedInput:
         code, _out = run([a.format(d=spec_dir) for a in argv] + ["--k", "-1"])
         assert code == 1
         assert "initial radius must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cayley", "zd:2", "--mode", "surround", "--R", "5"],
+         "--lambda is required for mode surround"),
+        (["cayley", "zd:2", "--mode", "polyprobe", "--R", "3", "--c", "x"],
+         "--c: 'x' is not a rational number"),
+        (["contain", "{d}/binary.tree", "--lambda", "3/2", "--evidence-depths", "0"],
+         "--evidence-depths must be >= 1"),
+        (["contain", "{d}/binary.tree", "--lambda", "3/2", "--evidence-depths", "-2"],
+         "--evidence-depths must be >= 1"),
+    ], ids=["surround-no-lambda", "polyprobe-bad-c", "evidence-depths-0",
+            "evidence-depths-negative"])
+    def test_bad_option_exits_one(self, argv, message, spec_dir, capsys):
+        code, _out = run([a.format(d=spec_dir) for a in argv])
+        assert code == 1
+        assert f"firebreak: {message}" in capsys.readouterr().err
+
+    def test_tree_without_out_exits_before_building(self, monkeypatch, capsys):
+        import firebreak.cli
+        def no_ball(*_a):
+            raise AssertionError("the ball was built before --out was checked")
+        monkeypatch.setattr(firebreak.cli, "lex_min_tree", no_ball)
+        code, _out = run(["cayley", "free:2", "--mode", "tree", "--R", "10"])
+        assert code == 1
+        assert "--out is required for mode tree" in capsys.readouterr().err
+
+    def test_malformed_replay_trace_names_file_and_line(self, spec_dir, capsys):
+        trace = spec_dir / "bad.trace"
+        trace.write_text("round 1 | protect - | burn 1 2\nround x | protect 1 | burn 2\n")
+        code, _out = run(["simulate", str(spec_dir / "binary.tree"), "--k", "0",
+                          "--budget", "const:1", "--depth", "4", "--replay", str(trace)])
+        assert code == 1
+        assert f"firebreak: {trace}: line 2: malformed trace line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["nospace", "abc feasible 1:x", "abc maybe"])
+    def test_malformed_cache_names_file_and_line(self, entry, spec_dir, capsys):
+        cache = spec_dir / "o.cache"
+        cache.write_text("\n" + entry + "\n")
+        code, _out = run(["oracle", str(spec_dir / "ray5.tree"), "--budget", "const:1",
+                          "--cache", str(cache)])
+        assert code == 1
+        assert f"firebreak: {cache}: line 2: malformed cache entry" in capsys.readouterr().err
 
     def test_depth_max_not_above_radius_exits_one(self, spec_dir, capsys):
         code, _out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "3",

@@ -9,8 +9,10 @@ Claims covered:
     - feasibility matches hand arithmetic, is monotone in budgets, and the
       regular-tree fast path agrees with the profile program
     - synthesized cutset strategies stay within budget, play level n at
-      round n - k, and contain
-    - traces round-trip through the text format (golden file)
+      round n - k, and contain; synthesis materialises only the truncation
+      it returns, so a cut past the vertex cap fails at once
+    - traces round-trip through the text format (golden file); malformed
+      trace lines are rejected by line number
 """
 
 import random
@@ -22,6 +24,7 @@ import pytest
 from firebreak import (
     BudgetSequence,
     CanonicalStrategy,
+    ResourceLimitError,
     ScheduleStrategy,
     SpecError,
     StrategyFault,
@@ -335,6 +338,21 @@ class TestSynthesis:
             synthesize_cutset_strategy(binary_spec(), Fraction(201, 100), 1,
                                        depth_max=3)
 
+    def test_expands_only_the_returned_depth(self, monkeypatch):
+        import firebreak.game
+        depths = []
+        real = firebreak.game.expand
+        monkeypatch.setattr(firebreak.game, "expand",
+                            lambda spec, depth: depths.append(depth) or real(spec, depth))
+        res = synthesize_cutset_strategy(fibonacci_spec(), 2, 1)
+        assert res.depth == 5
+        assert depths == [5]
+
+    def test_cut_past_the_vertex_cap_fails_at_once(self):
+        # fib at 17/10, k=2 cuts at depth 33, which has 24,157,815 vertices
+        with pytest.raises(ResourceLimitError, match="FIREBREAK_VERTEX_CAP"):
+            synthesize_cutset_strategy(fibonacci_spec(), Fraction(17, 10), 2)
+
     def test_float_rate_keeps_margin(self):
         res = synthesize_cutset_strategy(binary_spec(), 3.0, 1, depth_max=12)
         verdict = simulate(res.trunc, 1, res.strategy, BudgetSequence.exponential(3.0))
@@ -383,6 +401,13 @@ class TestTraceFormat:
         schedule, summary = parse_trace(text)
         assert schedule == {1: (), 2: level3}
         assert summary == {"kind": "contained", "round_no": 2, "burnt": 7}
+
+    @pytest.mark.parametrize("bad", ["round x | protect 1 | burn 2",
+                                     "round 2 | protect 1 y | burn -",
+                                     "verdict contained | round"])
+    def test_malformed_line_names_the_line(self, bad):
+        with pytest.raises(SpecError, match="line 2"):
+            parse_trace("round 1 | protect - | burn 3\n" + bad + "\n")
 
     def test_golden_trace(self):
         res = synthesize_cutset_strategy(binary_spec(), 3, 1)

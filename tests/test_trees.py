@@ -93,9 +93,10 @@ class TestExpand:
         assert t_deep.level[:n] == t_shallow.level
         assert t_deep.states[:n] == t_shallow.states
 
-    def test_vertex_cap(self):
-        with pytest.raises(ResourceLimitError):
-            expand(binary_spec(), 10, cap=100)
+    def test_vertex_cap(self, monkeypatch):
+        monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "100")
+        with pytest.raises(ResourceLimitError, match="FIREBREAK_VERTEX_CAP"):
+            expand(binary_spec(), 10)
 
     def test_vertex_cap_env_var(self, monkeypatch):
         monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "50")
