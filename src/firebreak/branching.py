@@ -6,9 +6,10 @@ infinite tree is the supremum of the rates at which the root still pushes
 a non-zero flow to infinity; equivalently the supremum of the rates for
 which all cutset weights stay bounded away from zero (Lyons 1990).  A
 vertex's min-cut value depends only on its level and automaton state, so
-one per-state recursion on the spec's automaton, ``_state_recursion``,
-gives min-cut weights at every depth, min cutsets, max flows, the decay
-classification behind brackets and the fixed point behind certificates.
+one per-state recursion, read per spec and rate by ``cut_recursion``, gives
+min-cut weights at every depth with no truncation built, min cutsets, the
+decay classification of brackets and the fixed point of certificates.
+``max_flow`` and ``cut_weight``, which walk a truncation, check it in tests.
 
 Rates may be ``fractions.Fraction`` (or int), in which case all cut and
 flow arithmetic is exact, or float, in which case documented tolerances
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -34,7 +36,6 @@ from .trees import (
     TreeSpec,
     Truncation,
     compile,
-    expand,
 )
 
 Rate = Union[Fraction, int, float]
@@ -44,7 +45,7 @@ FIXED_POINT_TOL = 1e-12     # per-state recursion change below this is a fixed p
 PERRON_REL_TOL = 1e-10
 MAX_ITERATIONS = 500_000    # power-iteration and fixed-point steps
 CERTIFICATE_HORIZON = 200   # budget sums that fix the coefficient at rates <= 1
-CHECK_DEPTH = 8             # truncation depths whose min-cut check_certificate recomputes
+CHECK_DEPTH = 8             # depths whose min-cut weight check_certificate re-reads
 CHECK_HORIZON = 60          # budget sums check_certificate re-adds
 
 
@@ -101,8 +102,8 @@ class Cutset:
 
 
 def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
-    """Sum of rate**(-level) over the cut edges.  Rejects edge sets that do
-    not separate the root from the truncation boundary."""
+    """Sum of rate**(-level) over the cut edges, one power per level.
+    Rejects edge sets that do not separate the root from the boundary."""
     rate = exact_rate(rate)
     if float(rate) <= 0:
         raise SpecError("rate must be positive")
@@ -111,7 +112,8 @@ def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
             raise SpecError(f"edge id {v} out of range")
     if not cutset.separates(trunc):
         raise SpecError("edge set does not separate the root from the boundary")
-    return sum(edge_weight(rate, trunc.level[v]) for v in cutset.edges)
+    per_level = Counter(trunc.level[v] for v in cutset.edges)
+    return sum(n * edge_weight(rate, lv) for lv, n in per_level.items())
 
 
 def _state_recursion(auto: Automaton, rate: Rate):
@@ -135,15 +137,20 @@ def _state_recursion(auto: Automaton, rate: Rate):
         y = [min(one, sum(y[t] for t in k) / rate) if k else zero for k in kids]
 
 
-def _truncation_recursion(trunc: Truncation, rate: Rate):
-    """(rate, ys, W(D)) for a depth-D truncation: the normalised positive
-    rate, ys[n] = y_n for n = 0..D, and the min-cut weight."""
+def cut_recursion(spec: TreeSpec, rate: Rate):
+    """The one reader of W(1), W(2), ... per spec and rate: the rate, after
+    exact_rate and a positivity check, and _state_recursion in its type."""
     rate = exact_rate(rate)
     if float(rate) <= 0:
         raise SpecError("rate must be positive")
-    auto = compile(trunc.spec)
-    ys, weights = zip(*islice(_state_recursion(auto, rate), trunc.depth + 1))
-    return rate, ys, weights[trunc.depth - 1] if trunc.depth else ys[0][auto.root]
+    return rate, _state_recursion(compile(spec), rate)
+
+
+def _truncation_recursion(trunc: Truncation, rate: Rate):
+    """(rate, ys = y_0..y_D, W(D)) for a depth-D truncation."""
+    rate, steps = cut_recursion(trunc.spec, rate)
+    ys, weights = zip(*islice(steps, trunc.depth + 1))
+    return rate, ys, weights[trunc.depth - 1] if trunc.depth else ys[0][trunc.state[0]]
 
 
 def min_cut_weight(trunc: Truncation, rate: Rate):
@@ -319,6 +326,8 @@ def br_bracket(spec: TreeSpec, tol: float, depth_max: int = 50_000) -> BracketRe
     probe stops the bisection and flags the interval as heuristic."""
     if tol <= 0:
         raise SpecError("tol must be positive")
+    if depth_max < 1:
+        raise SpecError("depth_max must be >= 1")
     auto = compile(spec)
     if auto.is_finite():
         raise SpecError("bracket requires an infinite tree spec")
@@ -455,9 +464,9 @@ def lower_bound_certificate(spec: PeriodicSpec, rate: Rate) -> LowerBoundCertifi
 
 def check_certificate(cert: LowerBoundCertificate) -> dict[str, bool]:
     """Re-evaluate the three certificate invariants from the certificate's
-    numbers.  Cut weights are recomputed at depths 1..CHECK_DEPTH and at
-    the fixed point; the budget bound is checked up to CHECK_HORIZON plus
-    its analytic tail."""
+    numbers.  Min-cut weights are re-read from the per-state recursion at
+    depths 1..CHECK_DEPTH and at the fixed point; the budget bound is
+    checked up to CHECK_HORIZON plus its analytic tail."""
     lam, mu = cert.rate, cert.mid_rate
     results = {}
 
@@ -468,12 +477,9 @@ def check_certificate(cert: LowerBoundCertificate) -> dict[str, bool]:
         budget_ok = budget_ok and cert.budget_coeff >= lam / (lam - 1.0) - 1e-9
     results["ordered_and_budget_bounded"] = (lam < mu) and budget_ok
 
-    cuts_ok = all(
-        float(min_cut_weight(expand(cert.spec, d), mu)) > cert.cut_weight_floor
-        for d in range(1, CHECK_DEPTH + 1)
-    )
-    cuts_ok = cuts_ok and _fixed_point_mincut(cert.spec, mu) > cert.cut_weight_floor
-    results["cutsets_above_floor"] = cuts_ok
+    _, steps = cut_recursion(cert.spec, mu)
+    weights = [w for _, w in islice(steps, CHECK_DEPTH)] + [_fixed_point_mincut(cert.spec, mu)]
+    results["cutsets_above_floor"] = all(w > cert.cut_weight_floor for w in weights)
 
     ratio = lam / mu
     results["geometric_tail_below_floor"] = (

@@ -19,10 +19,9 @@ from .branching import (
     br_bracket,
     br_exact_periodic,
     check_certificate,
+    cut_recursion,
     cut_weight,
     lower_bound_certificate,
-    max_flow,
-    min_cut_weight,
 )
 from .cayley import (
     group_from_name,
@@ -130,14 +129,13 @@ def cmd_br(args) -> int:
     result: dict = {}
     tables = []
     code = EXIT_OK
+    if args.cut_depths < 1:
+        raise SpecError("--cut-depths must be >= 1")
     if getattr(args, "lambda") is not None:
         lam = _rational(getattr(args, "lambda"), "--lambda")
         config["lambda"] = lam
-        rows = []
-        for depth in range(1, args.cut_depths + 1):
-            trunc = expand(spec, depth)
-            rows.append((lam, depth, min_cut_weight(trunc, lam),
-                         max_flow(trunc, lam).value))
+        _, steps = cut_recursion(spec, lam)
+        rows = [(lam, depth, w, w) for depth, (_, w) in zip(range(1, args.cut_depths + 1), steps)]
         tables.append(("cuts", ("lambda", "depth", "min_cut", "flow_value"), rows))
     if compile(spec).is_finite():
         result["br_exact"] = 1.0
@@ -203,7 +201,7 @@ def cmd_contain(args) -> int:
             cut_depth=synth.depth,
             cut_size=len(synth.cutset.edges),
             cut_weight=cut_weight(synth.trunc, synth.cutset, lam),
-            flow_value=max_flow(synth.trunc, lam).value,
+            flow_value=synth.weight,
             verdict=verdict.kind,
             verdict_round=verdict.round_no,
             burnt=verdict.burnt,

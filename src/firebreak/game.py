@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .branching import (_state_recursion, br_bracket, br_exact_periodic, edge_weight,
+from .branching import (br_bracket, br_exact_periodic, cut_recursion, edge_weight,
                         exact_rate, min_cutset, Cutset)
 from .errors import SpecError, StrategyFault, SynthesisError
 from .trees import PeriodicSpec, TreeSpec, Truncation, compile, expand
@@ -250,6 +250,8 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
     """Game engine for an arbitrary initial fire.  Public entry points
     restrict the fire to balls around the root; the oracle uses this
     directly."""
+    if horizon is not None and horizon < 0:
+        raise SpecError("horizon must be >= 0")
     state = state_from_fire(arena, fire)
     boundary = set(arena.boundary)
     if boundary & set(state.frontier):
@@ -608,6 +610,7 @@ class SynthesisResult:
     trunc: Truncation
     cutset: Cutset
     epsilon: object
+    weight: object  # the cutset's weight, W(depth) from the per-state recursion
     depth: int
     radius: int
 
@@ -643,7 +646,7 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
         raise SpecError("initial radius must be >= 0")
     if depth_max <= radius:
         raise SpecError("depth_max must exceed the initial radius")
-    rate_x = exact_rate(rate)
+    rate_x, steps = cut_recursion(spec, rate)
     lam = float(rate_x)
     if isinstance(spec, PeriodicSpec):
         br = br_exact_periodic(spec)
@@ -655,8 +658,7 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
             raise SpecError(f"rate {lam} is not above the branching bracket {bracket}")
     probe_range = max(depth_max + 40, 120)
     eps = cut_weight_target(rate_x, radius, probe_range=probe_range)
-    weights = (w for _, w in _state_recursion(compile(spec), rate_x))
-    for depth, weight in zip(range(1, depth_max + 1), weights):
+    for depth, (_, weight) in zip(range(1, depth_max + 1), steps):
         if depth > radius and weight < eps:
             trunc = expand(spec, depth)
             cut = min_cutset(trunc, rate_x)
@@ -665,7 +667,7 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
                 by_round.setdefault(trunc.level[v] - radius, []).append(v)
             strategy = ScheduleStrategy({r: tuple(sorted(vs)) for r, vs in by_round.items()})
             return SynthesisResult(strategy=strategy, trunc=trunc, cutset=cut,
-                                   epsilon=eps, depth=depth, radius=radius)
+                                   epsilon=eps, weight=weight, depth=depth, radius=radius)
     raise SynthesisError(
         f"no cutset of weight < {float(eps):.6g} within depth {depth_max} "
         f"(last min-cut weight {float(weight):.6g}); the rate may not exceed "

@@ -55,6 +55,8 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
     when one exists.  ``free_cap`` guards against runaway searches; raise
     it deliberately for larger instances (the restricted search copes with
     more than the default on narrow trees)."""
+    if horizon is not None and horizon < 0:
+        raise SpecError("horizon must be >= 0")
     fire = frozenset(x0)
     for v in fire:
         if not 0 <= v < trunc.n_vertices:

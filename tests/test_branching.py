@@ -40,12 +40,14 @@ from firebreak import (
     min_cut_weight,
     min_cutset,
 )
-from firebreak.branching import DECAY_FLOOR, budget_partial_sums, _fixed_point_mincut
+from firebreak.branching import (DECAY_FLOOR, budget_partial_sums, cut_recursion,
+                                  _fixed_point_mincut)
 from conftest import (
     binary_spec,
     fibonacci_spec,
     ray_spec,
     sqrt2_spec,
+    random_periodic_spec,
     random_truncation,
     ternary_spec,
 )
@@ -146,6 +148,26 @@ class TestMinCut:
         assert min_cut_weight(t, rate) == best
         assert cut_weight(t, min_cutset(t, rate), rate) == best
         assert max_flow(t, rate).value == best
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cut_recursion_matches_the_references(self, seed):
+        # W(d) read without a truncation equals the materialised min cut
+        # and max flow, as the same Fraction and, at a float rate, the same
+        # float that check_certificate used to recompute
+        rng = random.Random(3000 + seed)
+        spec = random_periodic_spec(rng, allow_dead=seed % 2 == 1)
+        for rate in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2), 1.75):
+            _, steps = cut_recursion(spec, rate)
+            for depth, (_, weight) in zip(range(1, 7), steps):
+                trunc = expand(spec, depth)
+                reference = min_cut_weight(trunc, rate)
+                assert weight == reference and type(weight) is type(reference)
+                assert weight == max_flow(trunc, rate).value
+
+    @pytest.mark.parametrize("rate", [0, -1, Fraction(-1, 2), -0.5])
+    def test_cut_recursion_rejects_non_positive_rate(self, rate):
+        with pytest.raises(SpecError, match="rate must be positive"):
+            cut_recursion(binary_spec(), rate)
 
     def test_min_cutset_attains_minimum(self):
         for spec, rate in [(binary_spec(), Fraction(4)), (fibonacci_spec(), Fraction(2))]:

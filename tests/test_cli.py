@@ -5,12 +5,16 @@ or a resource cap reached, 3 strategy fault.
 """
 
 import io
+import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from firebreak.cli import main
+from firebreak import expand, format_tree_spec, max_flow, min_cut_weight
+from firebreak.cli import _fmt, main
+from conftest import random_periodic_spec
 
 BINARY = "variant: periodic\nroot: A\nstates: A -> A A\n"
 FIB = "variant: periodic\nroot: A\nstates: A -> A B ; B -> A\n"
@@ -32,6 +36,12 @@ def run(argv):
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def csv_rows(report: str, name: str) -> list[list[str]]:
+    """The rows of a report's CSV block, header excluded."""
+    block = report.split(f"csv {name}\n")[1].split("\ncsv ")[0]
+    return [line.split(",") for line in block.splitlines()[1:]]
 
 
 class TestBr:
@@ -79,12 +89,31 @@ class TestBr:
         assert code == 2
         assert "result.bracket_determinate = false" in out
 
-    def test_vertex_cap_exits_two_naming_the_cap(self, spec_dir, monkeypatch, capsys):
+    def test_cuts_table_builds_no_truncation(self, spec_dir, monkeypatch):
+        # depth 8 has 511 vertices; the table reads the recursion instead
         monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "10")
-        code, _out = run(["br", str(spec_dir / "binary.tree"),
-                          "--lambda", "3", "--cut-depths", "8"])
-        assert code == 2
-        assert "FIREBREAK_VERTEX_CAP" in capsys.readouterr().err
+        code, out = run(["br", str(spec_dir / "binary.tree"),
+                         "--lambda", "3", "--cut-depths", "8"])
+        assert code == 0
+        assert len(csv_rows(out, "cuts")) == 8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cuts_table_matches_the_references(self, seed, tmp_path):
+        rng = random.Random(5000 + seed)
+        spec = random_periodic_spec(rng)
+        path = tmp_path / "random.tree"
+        path.write_text(format_tree_spec(spec))
+        for lam in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)):
+            code, out = run(["br", str(path), "--tol", "0.1",
+                             "--lambda", _fmt(lam), "--cut-depths", "6"])
+            assert code in (0, 2)
+            expected = []
+            for depth in range(1, 7):
+                trunc = expand(spec, depth)
+                weight = min_cut_weight(trunc, lam)
+                assert max_flow(trunc, lam).value == weight
+                expected.append([_fmt(lam), str(depth), _fmt(weight), _fmt(weight)])
+            assert csv_rows(out, "cuts") == expected
 
 
 class TestContain:
@@ -125,6 +154,22 @@ class TestContain:
         assert code == 2
         assert "FIREBREAK_VERTEX_CAP" in capsys.readouterr().err
 
+    def test_certificate_check_builds_no_truncation(self, spec_dir, monkeypatch):
+        # the check reads depths 1..8; depth 8 has 511 vertices
+        monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "100")
+        code, out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "3/2"])
+        assert code == 0
+        assert "result.certificate_valid = true" in out
+
+    def test_wide_tree_below_threshold(self, tmp_path):
+        # the depth-6 truncation of a 20-ary tree passes the default cap
+        path = tmp_path / "wide.tree"
+        path.write_text("variant: periodic\nroot: A\nstates: A -> " + " ".join(["A"] * 20) + "\n")
+        code, out = run(["contain", str(path), "--lambda", "10"])
+        assert code == 0
+        assert "result.regime = below" in out
+        assert "result.certificate_valid = true" in out
+
 
 class TestSimulate:
     def test_canonical_contained(self, spec_dir):
@@ -158,6 +203,13 @@ class TestSimulate:
                          "--replay", str(trace)])
         assert code == 0
         assert "result.replay_match = true" in out
+
+    def test_vertex_cap_exits_two_naming_the_cap(self, spec_dir, monkeypatch, capsys):
+        monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "10")
+        code, _out = run(["simulate", str(spec_dir / "binary.tree"), "--k", "0",
+                          "--budget", "const:1", "--depth", "8"])
+        assert code == 2
+        assert "FIREBREAK_VERTEX_CAP" in capsys.readouterr().err
 
 
 class TestRejectedInput:
@@ -194,8 +246,18 @@ class TestRejectedInput:
          "--evidence-depths must be >= 1"),
         (["contain", "{d}/binary.tree", "--lambda", "3/2", "--evidence-depths", "-2"],
          "--evidence-depths must be >= 1"),
+        (["br", "{d}/binary.tree", "--lambda", "3", "--cut-depths", "0"],
+         "--cut-depths must be >= 1"),
+        (["br", "{d}/binary.tree", "--lambda", "3", "--cut-depths", "-1"],
+         "--cut-depths must be >= 1"),
+        (["br", "{d}/binary.tree", "--D-max", "0"], "depth_max must be >= 1"),
+        (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1",
+          "--depth", "3", "--horizon", "-1"], "horizon must be >= 0"),
+        (["oracle", "{d}/ray5.tree", "--budget", "const:1", "--horizon", "-1"],
+         "horizon must be >= 0"),
     ], ids=["surround-no-lambda", "polyprobe-bad-c", "evidence-depths-0",
-            "evidence-depths-negative"])
+            "evidence-depths-negative", "cut-depths-0", "cut-depths-negative",
+            "br-depth-max-0", "simulate-negative-horizon", "oracle-negative-horizon"])
     def test_bad_option_exits_one(self, argv, message, spec_dir, capsys):
         code, _out = run([a.format(d=spec_dir) for a in argv])
         assert code == 1

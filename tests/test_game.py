@@ -29,10 +29,12 @@ from firebreak import (
     SpecError,
     StrategyFault,
     SynthesisError,
+    cut_weight,
     expand,
     feasibility_check,
     format_trace,
     initial_state,
+    max_flow,
     parse_trace,
     run_game,
     simulate,
@@ -306,10 +308,19 @@ class TestFeasibility:
 
 
 class TestSynthesis:
+    @staticmethod
+    def check_weight(res, rate):
+        # the recursion's W(depth) is the weight of the materialised cut and
+        # the value of the reference max flow
+        assert res.weight < res.epsilon
+        assert res.weight == cut_weight(res.trunc, res.cutset, rate) \
+            == max_flow(res.trunc, rate).value
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_binary_rate3(self, k):
         budget = BudgetSequence.exponential(3)
         res = synthesize_cutset_strategy(binary_spec(), 3, k)
+        self.check_weight(res, 3)
         for round_no, vertices in res.strategy.schedule.items():
             assert len(vertices) <= budget(round_no)
             for v in vertices:
@@ -320,12 +331,22 @@ class TestSynthesis:
     def test_binary_rate3_k1_cut_is_level3(self):
         res = synthesize_cutset_strategy(binary_spec(), 3, 1)
         assert res.depth == 3
+        assert res.weight == Fraction(8, 27)
         assert len(res.cutset.edges) == 8
         assert res.strategy.schedule == {2: tuple(range(7, 15))}
 
     def test_ray_rate2(self):
         res = synthesize_cutset_strategy(ray_spec(), 2, 0)
         assert res.depth == 1 and res.strategy.schedule == {1: (1,)}
+        self.check_weight(res, 2)
+
+    @pytest.mark.parametrize("spec, rate, k", [
+        (fibonacci_spec(), Fraction(2), 1),
+        (fibonacci_spec(), Fraction(5, 2), 2),
+        (ternary_spec(), Fraction(7, 2), 1),
+    ])
+    def test_weight_is_the_materialised_cut(self, spec, rate, k):
+        self.check_weight(synthesize_cutset_strategy(spec, rate, k), rate)
 
     def test_below_branching_number_rejected(self):
         with pytest.raises(SpecError):
@@ -355,6 +376,7 @@ class TestSynthesis:
 
     def test_float_rate_keeps_margin(self):
         res = synthesize_cutset_strategy(binary_spec(), 3.0, 1, depth_max=12)
+        assert abs(res.weight - cut_weight(res.trunc, res.cutset, 3.0)) < 1e-12
         verdict = simulate(res.trunc, 1, res.strategy, BudgetSequence.exponential(3.0))
         assert verdict.contained
 
