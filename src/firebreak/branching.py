@@ -8,12 +8,14 @@ which all cutset weights stay bounded away from zero (Lyons 1990).  A
 vertex's min-cut value depends only on its level and automaton state, so
 one per-state recursion, read per spec and rate by ``cut_recursion``, gives
 min-cut weights at every depth with no truncation built, min cutsets, the
-decay classification of brackets and the fixed point of certificates.
+decay classification of brackets and the lower bounds of certificates.
 ``max_flow`` and ``cut_weight``, which walk a truncation, check it in tests.
 
-Rates may be ``fractions.Fraction`` (or int), in which case all cut and
-flow arithmetic is exact, or float, in which case documented tolerances
-apply.
+For a spec the branching number is the Perron root of its automaton's
+count matrix.  ``compare_to_br`` says exactly on which side of it a rate
+lies, and certificates below it are built and checked exactly.  Rates may
+be ``fractions.Fraction`` (or int), in which case all cut and flow
+arithmetic is exact, or float, in which case documented tolerances apply.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import ResourceLimitError, SpecError
 from .trees import (
     Automaton,
-    PeriodicSpec,
     SymmetricSpec,
     TreeSpec,
     Truncation,
@@ -42,11 +43,7 @@ Rate = Union[Fraction, int, float]
 
 DECAY_FLOOR = 1e-6          # min-cut weight below this counts as decayed
 FIXED_POINT_TOL = 1e-12     # per-state recursion change below this is a fixed point
-PERRON_REL_TOL = 1e-10
-MAX_ITERATIONS = 500_000    # power-iteration and fixed-point steps
-CERTIFICATE_HORIZON = 200   # budget sums that fix the coefficient at rates <= 1
-CHECK_DEPTH = 8             # depths whose min-cut weight check_certificate re-reads
-CHECK_HORIZON = 60          # budget sums check_certificate re-adds
+CERTIFICATE_RADIUS_MAX = 100_000  # largest certificate radius built
 
 
 def exact_rate(rate: Rate) -> Rate:
@@ -116,11 +113,12 @@ def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
     return sum(n * edge_weight(rate, lv) for lv, n in per_level.items())
 
 
-def _state_recursion(auto: Automaton, rate: Rate):
+def _state_recursion(auto: Automaton, rate: Rate, y=None):
     """The min-cut recursion on the spec's automaton.  Yields (y_n, W(n+1))
     for n = 0, 1, ... forever, where y_0(s) = 1 if state s continues and 0
-    otherwise, and y_n(s) = min(1, sum of y_{n-1} over the children of s,
-    divided by the rate), or 0 for a state without children.
+    otherwise (or the given start vector), and y_n(s) = min(1, sum of
+    y_{n-1} over the children of s, divided by the rate), or 0 for a state
+    without children.
 
     A level-L vertex in state s of a depth-D truncation has min-cut value
     c(v) = rate**(-L) * y_{D-L}(s): the cheapest cut below it, capped by
@@ -131,7 +129,8 @@ def _state_recursion(auto: Automaton, rate: Rate):
     one = edge_weight(rate, 0)
     zero = one - one
     kids, root_kids = auto.children, auto.children[auto.root]
-    y = [one if auto.continues(s) else zero for s in range(len(kids))]
+    if y is None:
+        y = [one if auto.continues(s) else zero for s in range(len(kids))]
     while True:
         yield y, sum(y[t] for t in root_kids) / rate
         y = [min(one, sum(y[t] for t in k) / rate) if k else zero for k in kids]
@@ -216,63 +215,96 @@ def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
 # ---------------------------------------------------------------------------
 
 
-def _count_matrix(spec: TreeSpec) -> np.ndarray:
-    children = compile(spec).children
-    mat = np.zeros((len(children), len(children)))
-    for s, kids in enumerate(children):
-        for t in kids:
-            mat[s, t] += 1
-    return mat
-
-
-def _perron_root(mat: np.ndarray) -> float:
-    """Dominant eigenvalue of a non-negative matrix by power iteration on
-    the shifted matrix mat + I (the shift makes periodic count matrices
-    aperiodic, so the iteration converges)."""
-    n = mat.shape[0]
-    shifted = mat + np.eye(n)
-    v = np.ones(n) / n
-    lam = 1.0
-    for _ in range(MAX_ITERATIONS):
-        w = shifted @ v
-        total = float(w.sum())
-        if total == 0.0:
-            return 0.0
-        lam = total
-        v = w / total
-        residual = float(np.abs(shifted @ v - lam * v).max())
-        if residual <= PERRON_REL_TOL * max(1.0, lam):
-            break
-    return lam - 1.0
-
-
-def br_exact_periodic(spec: PeriodicSpec) -> float:
-    """Branching number of the tree unfolded from a periodic spec: the
-    Perron root of the state-transition count matrix restricted to states
-    reachable from the root.  Periodic trees are subperiodic, so growth
-    rate and branching number coincide and both equal this root.
+def br_exact_periodic(spec: TreeSpec) -> float:
+    """Branching number of the tree unfolded from a spec, as a float for
+    display: the spectral radius of the automaton's state-transition count
+    matrix.  Periodic trees are subperiodic, so growth rate and branching
+    number coincide and both equal this root.  Regime decisions read
+    ``compare_to_br``, which is exact.
 
     Degenerate specs that unfold to a finite tree report 1.0 with a
     warning (the convention for finite trees)."""
-    if not isinstance(spec, PeriodicSpec):
-        raise SpecError("br_exact_periodic needs a periodic spec")
-    if spec.is_finite():
+    auto = compile(spec)
+    if auto.is_finite():
         warnings.warn("spec unfolds to a finite tree; branching number reported as 1 by convention")
         return 1.0
-    return _perron_root(_count_matrix(spec))
+    kids = auto.children
+    mat = np.zeros((len(kids), len(kids)))
+    np.add.at(mat, ([s for s, k in enumerate(kids) for _ in k], [t for k in kids for t in k]), 1)
+    return float(max(abs(np.linalg.eigvals(mat))))
+
+
+def _components(kids) -> list[list[int]]:
+    """Strongly connected components of the automaton graph, each a sorted
+    state list: Tarjan's algorithm with an explicit stack of (state, child
+    iterator, stack height at entry), from a virtual state -1 per root.  A
+    state whose component is done gets index n, which lowers no low link."""
+    n = len(kids)
+    index, low, stack, comps = {}, {-1: n}, [], []
+    for root in range(n):
+        work = [(-1, iter((root,)), 0)]
+        while work:
+            v, todo, at = work[-1]
+            for w in todo:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    work.append((w, iter(kids[w]), len(stack)))
+                    stack.append(w)
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if v >= 0 and low[v] == index[v]:
+                    comps.append(sorted(stack[at:]))
+                    index.update(dict.fromkeys(stack[at:], n))
+                    del stack[at:]
+    return comps
+
+
+def _compare_component(kids, comp: list[int], rate: Fraction) -> int:
+    """Sign of rate - br_C on a strongly connected component C, from the
+    leading principal minors of q * (rate * I - M_C), rate = p/q: the
+    pivots of fraction-free (Bareiss) elimination.  All positive means a
+    nonsingular M-matrix, br_C < rate; all proper ones positive and a zero
+    determinant means br_C = rate; else br_C > rate (Berman & Plemmons 1994)."""
+    p, q, n = rate.numerator, rate.denominator, len(comp)
+    a = [[p * (s == t) - q * kids[s].count(t) for t in comp] for s in comp]
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return 0 if k == n - 1 and pivot == 0 else -1
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return 1
+
+
+def compare_to_br(spec: TreeSpec, rate: Rate) -> int:
+    """The sign (-1, 0 or 1) of rate - br, exactly: br is the largest
+    Perron root over the strongly connected components of the automaton's
+    count matrix (0 for an acyclic automaton), and float rates are read as
+    the rationals they are."""
+    rate = Fraction(exact_rate(rate))
+    kids = compile(spec).children
+    return min(_compare_component(kids, comp, rate) for comp in _components(kids))
+
+
+def br_enclosure(spec: TreeSpec) -> tuple[float, float, float]:
+    """(br, lo, hi) for an infinite spec: the float root of br_exact_periodic
+    and lo < br < hi, exactly.  The bracket is the float root widened by a
+    relative 2**-30, doubled until compare_to_br confirms both sides."""
+    br = br_exact_periodic(spec)
+    widen = 2.0 ** -30
+    while not compare_to_br(spec, br * (1 - widen)) < 0 < compare_to_br(spec, br * (1 + widen)):
+        widen *= 2
+    return br, br * (1 - widen), br * (1 + widen)
 
 
 # -- decay classification ----------------------------------------------------
-
-
-def _settling(auto: Automaton, rate: float):
-    """(W(n+1), largest change from y_{n-1} to y_n) for n = 1, 2, ...:
-    how the float readers below watch the recursion decay or settle."""
-    steps = _state_recursion(auto, rate)
-    y, _ = next(steps)
-    for y_next, weight in steps:
-        yield weight, max(abs(a - b) for a, b in zip(y, y_next))
-        y = y_next
 
 
 def _classify_states(auto: Automaton, rate: float, max_depth: int):
@@ -280,11 +312,14 @@ def _classify_states(auto: Automaton, rate: float, max_depth: int):
     the per-state recursion, over max_depth steps.  Returns (verdict,
     depth) with verdict in {"decays", "stabilises", "indeterminate"} and
     depth the truncation depth whose weight was read last."""
-    for depth, (weight, delta) in zip(range(2, max_depth + 2), _settling(auto, rate)):
+    steps = _state_recursion(auto, rate)
+    y, _ = next(steps)
+    for depth, (y_next, weight) in zip(range(2, max_depth + 2), steps):
         if weight < DECAY_FLOOR:
             return "decays", depth
-        if delta < FIXED_POINT_TOL:
+        if max(abs(a - b) for a, b in zip(y, y_next)) < FIXED_POINT_TOL:
             return "stabilises", depth
+        y = y_next
     return "indeterminate", max_depth + 1
 
 
@@ -373,117 +408,112 @@ def br_bracket(spec: TreeSpec, tol: float, depth_max: int = 50_000) -> BracketRe
 @dataclass(frozen=True)
 class LowerBoundCertificate:
     """Witness that budgets floor(rate**n) cannot contain a fire starting
-    on the ball of the given radius.
-
-    The three facts it certifies:
-      1. cumulative budgets are bounded: sum_{i<=n} floor(rate**i) <=
+    on the ball of the given radius.  Every number but br_value is exact.
+    With M the automaton's count matrix, the three facts it certifies:
+      1. rate < mid_rate < br, and sum_{i<=n} floor(rate**i) <=
          budget_coeff * rate**n for every n >= 1;
-      2. every cutset of the tree has mid-rate weight above
-         cut_weight_floor (fixed point of the per-state recursion);
+      2. 0 <= y <= 1 and mid_rate * y <= M y entrywise, so y stays below
+         every step of the min-cut recursion at mid_rate, and every cutset
+         has mid-rate weight at least (sum of y over the root's children) /
+         mid_rate >= cut_weight_floor;
       3. budget_coeff * sum_{i>radius} (rate/mid_rate)**i < cut_weight_floor.
     Together these force any containing cut to be both lighter and heavier
     than cut_weight_floor, so no containment strategy exists.
     """
 
-    spec: PeriodicSpec
-    rate: float
-    mid_rate: float
-    budget_coeff: float
-    cut_weight_floor: float
+    spec: TreeSpec
+    rate: Fraction
+    mid_rate: Fraction
+    budget_coeff: Fraction
+    cut_weight_floor: Fraction
     radius: int
     br_value: float
+    y: tuple[Fraction, ...]
 
 
-def _fixed_point_mincut(spec: PeriodicSpec, rate: float) -> float:
-    """Limit of the min-cut weight over depths, via the per-state fixed
-    point.  Positive exactly when the rate is below the branching number."""
-    for _, (weight, delta) in zip(range(MAX_ITERATIONS), _settling(compile(spec), rate)):
-        if delta < FIXED_POINT_TOL:
-            break
-    return weight
+def _perron_vector(kids, comp: list[int], rate: Fraction):
+    """(bound, v) for a component C with br_C > rate: v is (M_C + I)**j
+    applied to the all-ones vector on C (0 off C), and bound is its lower
+    Collatz-Wielandt bound min over C of (M v)_s / v_s <= br_C.  The lower
+    and upper (max) bounds both tend to br_C, since M_C + I is primitive, so
+    j grows until the bound exceeds the rate by 2**20 times their gap."""
+    inside = set(comp)
+    v = [int(s in inside) for s in range(len(kids))]
+    while True:
+        mv = [sum(v[t] for t in k) for k in kids]
+        ratios = [Fraction(mv[s], v[s]) for s in comp]
+        bound = min(ratios)
+        if bound > rate and (max(ratios) - bound) * 2 ** 20 <= bound - rate:
+            return bound, v
+        v = [v[s] + mv[s] if s in inside else 0 for s in range(len(kids))]
 
 
-def budget_partial_sums(rate: Rate, horizon: int) -> list[int]:
-    """Cumulative sums of floor(rate**i), i = 1..horizon, exact for
-    rational rates."""
-    rate = exact_rate(rate)
-    sums = []
-    total = 0
-    for i in range(1, horizon + 1):
-        total += math.floor(rate ** i)
-        sums.append(total)
-    return sums
+def _tail_below(ratio: Fraction, scale: Fraction, radius: int) -> bool:
+    """scale * ratio**(radius+1) < 1, compared in integers (no gcd of the
+    large powers)."""
+    return (scale.numerator * ratio.numerator ** (radius + 1)
+            < scale.denominator * ratio.denominator ** (radius + 1))
 
 
-def lower_bound_certificate(spec: PeriodicSpec, rate: Rate) -> LowerBoundCertificate:
-    """Build a non-containment certificate for budgets floor(rate**n).
+def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate:
+    """Build a non-containment certificate for budgets floor(rate**n), in
+    exact arithmetic (float rates are read as the rationals they are).
 
-    Requires rate < branching number.  The mid rate is the midpoint, the
-    budget coefficient is the geometric bound rate/(rate-1) (direct
-    summation shows any positive constant works below 1), the cut floor
-    comes from the per-state fixed point at the mid rate with a 10% safety
-    margin, and the radius is the least one closing the geometric tail."""
-    br = br_exact_periodic(spec)
-    lam = float(rate)
-    if lam <= 0:
+    Requires rate < branching number.  On the component with the best
+    Collatz-Wielandt bound, a power of M_C + I gives y with mid_rate * y <=
+    M y, the mid rate halfway between the rate and that bound; 2n steps of
+    the min-cut recursion y -> min(1, M y / mid_rate) keep that and raise
+    y.  The cut floor is 9/10 of the weight y bounds, the budget coefficient
+    rate/(rate-1) (1 below rate 1, where every budget is 0), and the radius
+    the least closing the geometric tail; past CERTIFICATE_RADIUS_MAX it
+    raises ResourceLimitError."""
+    rate = Fraction(exact_rate(rate))
+    if rate <= 0:
         raise SpecError("rate must be positive")
-    if lam >= br - 1e-9:
-        raise SpecError(f"rate {lam} is not below the branching number {br}")
-    if abs(lam - 1.0) < 1e-12:
+    if rate == 1:
         # floor(1**i) sums to n, which no constant times 1**n dominates
         raise SpecError("no finite budget coefficient exists at rate exactly 1")
-    mu = (lam + br) / 2.0
-    if lam > 1.0:
-        coeff = lam / (lam - 1.0)
-    else:
-        sums = budget_partial_sums(exact_rate(rate), CERTIFICATE_HORIZON)
-        coeff = max(
-            [float(s) / lam ** (i + 1) for i, s in enumerate(sums)] + [1.0]
-        )
-    floor_limit = _fixed_point_mincut(spec, mu)
-    eps = 0.9 * floor_limit
-    if eps <= 0:
-        raise SpecError("fixed point vanished; rate is too close to the branching number")
-    ratio = lam / mu
-    tail = lambda k: coeff * ratio ** (k + 1) / (1.0 - ratio)
-    k = max(0, math.ceil(math.log(eps * (1.0 - ratio) / coeff) / math.log(ratio)) - 1)
-    while tail(k) >= eps:
-        k += 1
-    while k > 0 and tail(k - 1) < eps:
-        k -= 1
-    return LowerBoundCertificate(
-        spec=spec,
-        rate=lam,
-        mid_rate=mu,
-        budget_coeff=coeff,
-        cut_weight_floor=eps,
-        radius=k,
-        br_value=br,
-    )
+    auto = compile(spec)
+    kids = auto.children
+    above = [c for c in _components(kids) if _compare_component(kids, c, rate) < 0]
+    if not above:
+        raise SpecError(f"rate {float(rate)} is not below the branching number")
+    bound, v = max(_perron_vector(kids, c, rate) for c in above)
+    mu = (rate + bound) / 2
+    top = max(v)
+    steps = _state_recursion(auto, mu, [Fraction(x, top) for x in v])
+    y, weight = next(islice(steps, 2 * len(kids), None))
+    coeff = rate / (rate - 1) if rate > 1 else Fraction(1)
+    floor = Fraction(9, 10) * weight
+    ratio = rate / mu
+    scale = coeff / ((1 - ratio) * floor)
+    radius = max(0, math.ceil(math.log(scale) / math.log1p((mu - rate) / rate)) - 1)
+    if radius <= CERTIFICATE_RADIUS_MAX + 1:  # else the float estimate stands
+        while not _tail_below(ratio, scale, radius):
+            radius += 1
+        while radius > 0 and _tail_below(ratio, scale, radius - 1):
+            radius -= 1
+    if radius > CERTIFICATE_RADIUS_MAX:
+        raise ResourceLimitError(f"certificate radius {radius} is past "
+                                 f"CERTIFICATE_RADIUS_MAX = {CERTIFICATE_RADIUS_MAX}")
+    return LowerBoundCertificate(spec, rate, mu, coeff, floor, radius,
+                                 br_exact_periodic(spec), tuple(y))
 
 
 def check_certificate(cert: LowerBoundCertificate) -> dict[str, bool]:
-    """Re-evaluate the three certificate invariants from the certificate's
-    numbers.  Min-cut weights are re-read from the per-state recursion at
-    depths 1..CHECK_DEPTH and at the fixed point; the budget bound is
-    checked up to CHECK_HORIZON plus its analytic tail."""
-    lam, mu = cert.rate, cert.mid_rate
-    results = {}
-
-    sums = budget_partial_sums(lam, CHECK_HORIZON)
-    budget_ok = all(s <= cert.budget_coeff * lam ** (i + 1) * (1 + 1e-12)
-                    for i, s in enumerate(sums))
-    if lam > 1.0:
-        budget_ok = budget_ok and cert.budget_coeff >= lam / (lam - 1.0) - 1e-9
-    results["ordered_and_budget_bounded"] = (lam < mu) and budget_ok
-
-    _, steps = cut_recursion(cert.spec, mu)
-    weights = [w for _, w in islice(steps, CHECK_DEPTH)] + [_fixed_point_mincut(cert.spec, mu)]
-    results["cutsets_above_floor"] = all(w > cert.cut_weight_floor for w in weights)
-
-    ratio = lam / mu
-    results["geometric_tail_below_floor"] = (
-        cert.budget_coeff * ratio ** (cert.radius + 1) / (1.0 - ratio)
-        < cert.cut_weight_floor
-    )
-    return results
+    """Re-verify the three certificate facts in exact arithmetic from the
+    spec's count matrix and the stored vector y; no cut recursion is read."""
+    lam, mu, coeff, floor, y = (cert.rate, cert.mid_rate, cert.budget_coeff,
+                                cert.cut_weight_floor, cert.y)
+    auto = compile(cert.spec)
+    kids = auto.children
+    budget_ok = coeff >= lam / (lam - 1) if lam > 1 else 0 < lam < 1 and coeff >= 0
+    ratio = lam / mu if mu > lam else 1
+    return {
+        "ordered_and_budget_bounded": ratio < 1 and compare_to_br(cert.spec, mu) < 0 and budget_ok,
+        "cutsets_above_floor": len(y) == len(kids) and all(
+            0 <= y_s <= 1 and mu * y_s <= sum(y[t] for t in k) for y_s, k in zip(y, kids)
+        ) and 0 < floor <= sum(y[t] for t in kids[auto.root]) / mu,
+        "geometric_tail_below_floor": ratio < 1 and floor > 0 and _tail_below(
+            ratio, coeff / ((1 - ratio) * floor), cert.radius),
+    }

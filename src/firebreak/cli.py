@@ -11,14 +11,17 @@ names the cap), 3 strategy fault.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .branching import (
     br_bracket,
+    br_enclosure,
     br_exact_periodic,
     check_certificate,
+    compare_to_br,
     cut_recursion,
     cut_weight,
     lower_bound_certificate,
@@ -50,7 +53,6 @@ from .game import (
 from .oracle import OracleCache, brute_force_containment, oracle_key
 from .trees import (
     ExplicitSpec,
-    PeriodicSpec,
     compile,
     expand,
     format_tree_spec,
@@ -141,8 +143,7 @@ def cmd_br(args) -> int:
         result["br_exact"] = 1.0
         result["note"] = "finite tree; branching number is 1 by convention"
     else:
-        if isinstance(spec, PeriodicSpec):
-            result["br_exact"] = br_exact_periodic(spec)
+        result["br_exact"] = br_exact_periodic(spec)
         bracket = br_bracket(spec, tol=args.tol, depth_max=args.D_max)
         result.update(
             bracket_lo=bracket.lo,
@@ -176,22 +177,10 @@ def cmd_contain(args) -> int:
     if args.evidence_depths < 1:
         raise SpecError("--evidence-depths must be >= 1")
 
-    margin = 1e-6
-    if isinstance(spec, PeriodicSpec):
-        br = br_exact_periodic(spec)
-        result["br_exact"] = br
-        lo, hi = br - margin, br + margin
-    else:
-        bracket = br_bracket(spec, tol=min(1e-3, margin * 1000))
-        if not bracket.determinate:
-            result["regime"] = "undetermined"
-            emit_report(config, result, tables, args.out)
-            return EXIT_INDETERMINATE
-        result.update(bracket_lo=bracket.lo, bracket_hi=bracket.hi)
-        lo, hi = bracket.lo, bracket.hi
-
-    lam_f = float(lam)
-    if lam_f > hi:
+    br, lo, hi = br_enclosure(spec)
+    result.update(br_exact=br, bracket_lo=lo, bracket_hi=hi)
+    side = compare_to_br(spec, lam)
+    if side > 0:
         result["regime"] = "above"
         synth = synthesize_cutset_strategy(spec, lam, args.k, depth_max=args.D_max)
         budget = BudgetSequence.exponential(lam)
@@ -213,43 +202,30 @@ def cmd_contain(args) -> int:
                 for r, vs in sorted(synth.strategy.schedule.items())
             ],
         ))
-        emit_report(config, result, tables, args.out)
-        return EXIT_OK
-
-    if lam_f < lo:
+    elif side < 0:
         result["regime"] = "below"
-        evidence_rows = []
-        if isinstance(spec, PeriodicSpec):
-            cert = lower_bound_certificate(spec, lam)
-            checks = check_certificate(cert)
-            result.update(
-                certificate_mid_rate=cert.mid_rate,
-                certificate_budget_coeff=cert.budget_coeff,
-                certificate_cut_floor=cert.cut_weight_floor,
-                certificate_radius=cert.radius,
-                certificate_valid=all(checks.values()),
-            )
-            radius = cert.radius
-        else:
-            result["note"] = ("certificates need a periodic spec; feasibility "
-                              "shown at the requested radius only (small balls "
-                              "can stay containable below the threshold)")
-            radius = args.k
+        cert = lower_bound_certificate(spec, lam)
+        result.update(
+            certificate_mid_rate=float(cert.mid_rate),
+            certificate_budget_coeff=float(cert.budget_coeff),
+            certificate_cut_floor=float(cert.cut_weight_floor),
+            certificate_radius=cert.radius,
+            certificate_valid=all(check_certificate(cert).values()),
+        )
         budget = BudgetSequence.exponential(lam)
-        for depth in range(radius + 1, radius + 1 + args.evidence_depths):
-            fr = feasibility_check(spec, radius, budget, depth)
+        evidence_rows = []
+        for depth in range(cert.radius + 1, cert.radius + 1 + args.evidence_depths):
+            fr = feasibility_check(spec, cert.radius, budget, depth)
             evidence_rows.append((depth, "feasible" if fr.feasible else "infeasible"))
         result["all_probed_depths_infeasible"] = all(
             row[1] == "infeasible" for row in evidence_rows
         )
         tables.append(("feasibility_evidence", ("depth", "decision"), evidence_rows))
-        emit_report(config, result, tables, args.out)
-        return EXIT_OK
-
-    result["regime"] = "undetermined"
-    result["note"] = "rate is at or too close to the containment threshold"
+    else:
+        result["regime"] = "undetermined"
+        result["note"] = "rate equals the branching number, the containment threshold"
     emit_report(config, result, tables, args.out)
-    return EXIT_INDETERMINATE
+    return EXIT_OK if side else EXIT_INDETERMINATE
 
 
 def cmd_simulate(args) -> int:
@@ -442,6 +418,7 @@ def cmd_cayley(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="firebreak", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -507,9 +484,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .branching import (br_bracket, br_exact_periodic, cut_recursion, edge_weight,
-                        exact_rate, min_cutset, Cutset)
+from .branching import (compare_to_br, cut_recursion, edge_weight, exact_rate, min_cutset,
+                        Cutset)
 from .errors import SpecError, StrategyFault, SynthesisError
-from .trees import PeriodicSpec, TreeSpec, Truncation, compile, expand
+from .trees import TreeSpec, Truncation, compile, expand
 
 UNTOUCHED, PROTECTED, BURNING = 0, 1, 2
 
@@ -618,15 +618,16 @@ class SynthesisResult:
 def cut_weight_target(rate, radius: int, probe_range: int = 120):
     """Largest eps such that any cutset lighter than eps schedules within
     budgets floor(rate**n): eps <= floor(rate**(n-radius)) / rate**n for
-    every n > radius.  The head is minimised directly; past the probe
-    range the floor loss is bounded analytically."""
+    every n > radius.  The head is minimised over one running power of
+    the rate; past the probe range the floor loss is bounded analytically."""
     rate = exact_rate(rate)
     if float(rate) <= 1:
         raise SynthesisError("budget rate must exceed 1 for cutset synthesis")
-    head = min(
-        math.floor(rate ** m) * edge_weight(rate, radius + m)
-        for m in range(1, probe_range + 1)
-    )
+    power = head = edge_weight(rate, 0)  # rate**m; floor(x) / x <= 1
+    for _ in range(probe_range):
+        power *= rate
+        head = min(head, math.floor(power) / power)
+    head *= edge_weight(rate, radius)
     tail = edge_weight(rate, radius) * (1 - edge_weight(rate, probe_range + 1))
     eps = min(head, tail)
     if isinstance(rate, Fraction):
@@ -647,15 +648,8 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
     if depth_max <= radius:
         raise SpecError("depth_max must exceed the initial radius")
     rate_x, steps = cut_recursion(spec, rate)
-    lam = float(rate_x)
-    if isinstance(spec, PeriodicSpec):
-        br = br_exact_periodic(spec)
-        if lam <= br + 1e-9:
-            raise SpecError(f"rate {lam} is not above the branching number {br}")
-    elif not compile(spec).is_finite():
-        bracket = br_bracket(spec, tol=1e-3)
-        if not (bracket.determinate and lam > bracket.hi):
-            raise SpecError(f"rate {lam} is not above the branching bracket {bracket}")
+    if compare_to_br(spec, rate_x) <= 0:
+        raise SpecError(f"rate {float(rate_x)} is not above the branching number")
     probe_range = max(depth_max + 40, 120)
     eps = cut_weight_target(rate_x, radius, probe_range=probe_range)
     for depth, (_, weight) in zip(range(1, depth_max + 1), steps):

@@ -13,11 +13,11 @@ with ordered child-state tuples and a root state.  A periodic spec keeps its
 reachable states; a symmetric spec becomes the cycle of its
 ``len(preperiod) + len(period)`` levels; an explicit tree becomes its
 interned subtree shapes, with children in spec order.  Level counts,
-expansion, finiteness, the per-state min-cut recursion and the feasibility
-program read only the automaton.  Besides ``compile`` and the spec file
-format, only decisions that need a fact one variant alone has ask which
-variant they were given: the periodic Perron root and certificates, the
-symmetric closed-form bracket, and the explicit-only oracle.
+expansion, finiteness, the per-state min-cut recursion, the Perron root,
+regime decisions, certificates and the feasibility program read only the
+automaton.  Besides ``compile`` and the spec file format, only the
+symmetric closed-form bracket and the explicit-only oracle ask which
+variant they were given.
 
 A ``Truncation`` is the finite tree of all vertices at levels 0..D, in a
 deterministic level-major order (children in spec order).  The level of a

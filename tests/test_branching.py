@@ -17,6 +17,7 @@ Claims covered:
     - results are invariant under reordering children in the spec
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -40,8 +41,9 @@ from firebreak import (
     min_cut_weight,
     min_cutset,
 )
-from firebreak.branching import (DECAY_FLOOR, budget_partial_sums, cut_recursion,
-                                  _fixed_point_mincut)
+from firebreak.branching import (CERTIFICATE_RADIUS_MAX, DECAY_FLOOR, br_enclosure,
+                                  compare_to_br, cut_recursion)
+from firebreak.errors import ResourceLimitError
 from conftest import (
     binary_spec,
     fibonacci_spec,
@@ -53,6 +55,9 @@ from conftest import (
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+# Perron root 2 as a 2x2 Jordan block: two components of root 2 in a chain
+REDUCIBLE = PeriodicSpec(states={"A": ("A", "B", "A"), "B": ("B", "B")}, root="A")
+SYMMETRIC = SymmetricSpec(preperiod=(3, 2), period=(1, 2))  # br = sqrt 2
 
 
 class TestCutWeight:
@@ -274,6 +279,61 @@ class TestBranchingNumber:
             assert br_exact_periodic(spec) == 1.0
 
 
+def random_automaton(rng: random.Random) -> PeriodicSpec:
+    """1-5 states with 0-3 children each, reducible ones included."""
+    names = "ABCDE"[:rng.randint(1, 5)]
+    states = {s: tuple(rng.choice(names) for _ in range(rng.randint(0, 3))) for s in names}
+    return PeriodicSpec(states=states, root="A")
+
+
+class TestCompareToBr:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_numpy_eigenvalues(self, seed):
+        rng = random.Random(5000 + seed)
+        spec = random_automaton(rng)
+        reach = spec.reachable_states()
+        idx = {s: i for i, s in enumerate(reach)}
+        mat = np.zeros((len(reach), len(reach)))
+        for s in reach:
+            for child in spec.states[s]:
+                mat[idx[s], idx[child]] += 1
+        rho = max(abs(np.linalg.eigvals(mat)))
+        rates = [Fraction(rng.randint(1, 400), 100) for _ in range(8)]
+        rates += [Fraction(n) for n in range(1, 4)]
+        for rate in rates:
+            if abs(float(rate) - rho) < 1e-6:
+                continue
+            assert compare_to_br(spec, rate) == (1 if rate > rho else -1), (spec, rate, rho)
+
+    def test_jordan_block_root_decided_exactly(self):
+        assert compare_to_br(REDUCIBLE, Fraction(200001, 100000)) == 1
+        assert compare_to_br(REDUCIBLE, Fraction(2)) == 0
+        assert compare_to_br(REDUCIBLE, Fraction(199999, 100000)) == -1
+
+    def test_binary_decided_near_two(self):
+        tiny = Fraction(1, 10**12)
+        assert compare_to_br(binary_spec(), 2 + tiny) == 1
+        assert compare_to_br(binary_spec(), 2 - tiny) == -1
+        assert compare_to_br(binary_spec(), 2) == 0
+
+    def test_irrational_roots(self):
+        assert compare_to_br(fibonacci_spec(), Fraction(1618033, 1000000)) == -1
+        assert compare_to_br(fibonacci_spec(), Fraction(1618034, 1000000)) == 1
+        assert compare_to_br(SYMMETRIC, Fraction(1414213, 1000000)) == -1
+        assert compare_to_br(SYMMETRIC, Fraction(1414214, 1000000)) == 1
+
+    def test_acyclic_automaton_has_root_zero(self):
+        spec = PeriodicSpec(states={"A": ("B", "B"), "B": ()}, root="A")
+        assert compare_to_br(spec, Fraction(1, 100)) == 1
+
+    @pytest.mark.parametrize("spec", [binary_spec(), fibonacci_spec(), REDUCIBLE, SYMMETRIC],
+                             ids=["binary", "fib", "reducible", "symmetric"])
+    def test_enclosure_brackets_the_root(self, spec):
+        br, lo, hi = br_enclosure(spec)
+        assert lo < br < hi and (hi - lo) / br < 1e-6
+        assert compare_to_br(spec, lo) == -1 and compare_to_br(spec, hi) == 1
+
+
 class TestBracket:
     @pytest.mark.parametrize("spec_fn,value", [
         (binary_spec, 2.0),
@@ -341,12 +401,15 @@ class TestCertificate:
         assert all(checks.values()), checks
 
     def test_budget_bound_is_tight_for_geometric(self):
-        # sums of floor(lam**i) stay below lam/(lam-1) * lam**n
+        # sums of floor(lam**i) stay below lam/(lam-1) * lam**n, the
+        # coefficient the certificate stores
         lam = Fraction(3, 2)
-        sums = budget_partial_sums(lam, 40)
-        coeff = float(lam) / (float(lam) - 1)
-        for n, s in enumerate(sums, start=1):
-            assert s <= coeff * float(lam) ** n
+        coeff = lower_bound_certificate(binary_spec(), lam).budget_coeff
+        assert coeff == lam / (lam - 1)
+        total = 0
+        for n in range(1, 41):
+            total += math.floor(lam ** n)
+            assert total <= coeff * lam ** n
 
     def test_ray_below_one(self):
         # budgets floor(0.5**n) are all zero, so the fire burns forever;
@@ -367,10 +430,12 @@ class TestCertificate:
         assert cert.radius > 1000
         checks = check_certificate(cert)
         assert all(checks.values()), checks
-        # the radius is the least one closing the tail
-        ratio = cert.rate / cert.mid_rate
-        tail = lambda k: cert.budget_coeff * ratio ** (k + 1) / (1 - ratio)
-        assert tail(cert.radius) < cert.cut_weight_floor <= tail(cert.radius - 1)
+        # the radius is the least one closing the tail (checked in floats:
+        # the exact powers have millions of bits)
+        ratio = float(cert.rate) / float(cert.mid_rate)
+        tail = lambda k: float(cert.budget_coeff) * ratio ** (k + 1) / (1 - ratio)
+        floor = float(cert.cut_weight_floor)
+        assert tail(cert.radius) < floor <= tail(cert.radius - 1)
         from firebreak import BudgetSequence, feasibility_check
         budget = BudgetSequence.exponential(Fraction(1999, 1000))
         for depth in range(cert.radius + 1, cert.radius + 4):
@@ -387,11 +452,55 @@ class TestCertificate:
         with pytest.raises(SpecError):
             lower_bound_certificate(binary_spec(), 2.5)
 
-    def test_fixed_point_matches_deep_mincut(self):
-        mu = 1.75
-        fp = _fixed_point_mincut(binary_spec(), mu)
-        deep = float(min_cut_weight(expand(binary_spec(), 14), mu))
-        assert fp <= deep + 1e-9
+    @pytest.mark.parametrize("spec,lam", [
+        (binary_spec(), Fraction(3, 2)),
+        (fibonacci_spec(), Fraction(3, 2)),
+        (sqrt2_spec(), Fraction(6, 5)),
+        (REDUCIBLE, Fraction(3, 2)),
+        (SYMMETRIC, Fraction(13, 10)),
+    ], ids=["binary", "fib", "sqrt2", "reducible", "symmetric"])
+    def test_floor_below_materialised_mincut(self, spec, lam):
+        # the floor the stored y proves is below the min cut of every
+        # materialised truncation at the mid rate
+        cert = lower_bound_certificate(spec, lam)
+        assert all(check_certificate(cert).values())
+        for depth in range(1, 11):
+            assert cert.cut_weight_floor <= min_cut_weight(expand(spec, depth), cert.mid_rate)
+
+    def test_symmetric_spec_gets_a_certificate(self):
+        cert = lower_bound_certificate(SYMMETRIC, Fraction(13, 10))
+        assert cert.rate < cert.mid_rate < math.sqrt(2)
+        assert all(check_certificate(cert).values())
+
+    def test_reducible_spec_just_below_two(self):
+        # the Perron root 2 is a 2x2 Jordan block; below it a certificate
+        # exists, at a radius past the cap
+        with pytest.raises(ResourceLimitError, match="CERTIFICATE_RADIUS_MAX"):
+            lower_bound_certificate(REDUCIBLE, Fraction(199999, 100000))
+        with pytest.raises(SpecError, match="not below"):
+            lower_bound_certificate(REDUCIBLE, Fraction(200001, 100000))
+
+    def test_radius_past_the_cap_raises(self):
+        cert = lower_bound_certificate(binary_spec(), Fraction(1999, 1000))
+        assert cert.radius <= CERTIFICATE_RADIUS_MAX
+        with pytest.raises(ResourceLimitError, match="CERTIFICATE_RADIUS_MAX"):
+            lower_bound_certificate(binary_spec(), Fraction(19999, 10000))
+
+    @pytest.mark.parametrize("corrupt", ["floor", "mid_rate", "y"])
+    def test_check_rejects_a_corrupted_certificate(self, corrupt):
+        cert = lower_bound_certificate(fibonacci_spec(), Fraction(3, 2))
+        assert all(check_certificate(cert).values())
+        if corrupt == "floor":
+            bound = (cert.y[0] + cert.y[1]) / cert.mid_rate  # root A -> A B
+            bad = dataclasses.replace(cert, cut_weight_floor=bound + Fraction(1, 10**9))
+        elif corrupt == "mid_rate":
+            bad = dataclasses.replace(cert, mid_rate=Fraction(1618034, 1000000))
+        else:
+            low = min(range(len(cert.y)), key=lambda s: cert.y[s])
+            y = list(cert.y)
+            y[low] = min(1, y[low] + Fraction(1, 10))
+            bad = dataclasses.replace(cert, y=tuple(y))
+        assert not all(check_certificate(bad).values())
 
 
 class TestOrderIndependence:

@@ -6,6 +6,7 @@ or a resource cap reached, 3 strategy fault.
 
 import io
 import random
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -13,13 +14,14 @@ from pathlib import Path
 import pytest
 
 from firebreak import expand, format_tree_spec, max_flow, min_cut_weight
-from firebreak.cli import _fmt, main
+from firebreak.cli import _fmt, build_parser, main
 from conftest import random_periodic_spec
 
 BINARY = "variant: periodic\nroot: A\nstates: A -> A A\n"
 FIB = "variant: periodic\nroot: A\nstates: A -> A B ; B -> A\n"
 RAY = "variant: periodic\nroot: A\nstates: A -> A\n"
 RAY5 = "variant: explicit\nparents: 0 1 2 3 4\n"
+REDUCIBLE = "variant: periodic\nroot: A\nstates: A -> A B A ; B -> B B\n"
 DATA = Path(__file__).parent / "data"
 
 
@@ -160,6 +162,54 @@ class TestContain:
         code, out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "3/2"])
         assert code == 0
         assert "result.certificate_valid = true" in out
+
+    def test_jordan_block_just_above_two_is_not_below(self, tmp_path, capsys):
+        # br = 2 is a 2x2 Jordan block of A -> A B A ; B -> B B; a float
+        # Perron root lands above 2 and would call 200001/100000 "below"
+        path = tmp_path / "reducible.tree"
+        path.write_text(REDUCIBLE)
+        t0 = time.perf_counter()
+        code, out = run(["contain", str(path), "--lambda", "200001/100000"])
+        assert time.perf_counter() - t0 < 5
+        assert code == 2
+        assert "regime = below" not in out
+        assert "depth 40" in capsys.readouterr().err
+
+    def test_jordan_block_at_two_undetermined(self, tmp_path):
+        path = tmp_path / "reducible.tree"
+        path.write_text(REDUCIBLE)
+        t0 = time.perf_counter()
+        code, out = run(["contain", str(path), "--lambda", "2"])
+        assert time.perf_counter() - t0 < 5
+        assert code == 2
+        assert "result.regime = undetermined" in out
+        assert "result.br_exact = " in out and "result.bracket_lo = " in out
+
+    def test_symmetric_spec_gets_a_certificate(self, tmp_path):
+        path = tmp_path / "sym.tree"
+        path.write_text("variant: symmetric\nlevels: 3 2 | 1 2\n")
+        code, out = run(["contain", str(path), "--lambda", "13/10"])
+        assert code == 0
+        assert "result.regime = below" in out
+        assert "result.certificate_valid = true" in out
+        assert "result.all_probed_depths_infeasible = true" in out
+        lo = float(out.split("result.bracket_lo = ")[1].splitlines()[0])
+        hi = float(out.split("result.bracket_hi = ")[1].splitlines()[0])
+        assert lo < 2 ** 0.5 < hi
+
+    def test_certificate_radius_past_the_cap_exits_two(self, spec_dir, capsys):
+        # the radius would be 455,788; the evidence loop never starts
+        t0 = time.perf_counter()
+        code, out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "19999/10000"])
+        assert time.perf_counter() - t0 < 2
+        assert code == 2 and not out
+        assert "CERTIFICATE_RADIUS_MAX" in capsys.readouterr().err
+
+    def test_certificate_radius_below_the_cap_decides(self, spec_dir):
+        code, out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "1999/1000"])
+        assert code == 0
+        assert "result.certificate_radius = 36356" in out
+        assert "result.all_probed_depths_infeasible = true" in out
 
     def test_wide_tree_below_threshold(self, tmp_path):
         # the depth-6 truncation of a 20-ary tree passes the default cap
@@ -366,6 +416,13 @@ class TestCayley:
     def test_unknown_group(self):
         code, _out = run(["cayley", "so3", "--mode", "growth", "--R", "4"])
         assert code == 1
+
+
+def test_parser_is_built_once_per_process(spec_dir):
+    run(["br", str(spec_dir / "binary.tree")])
+    built = build_parser.cache_info().misses
+    run(["br", str(spec_dir / "ray.tree")])
+    assert build_parser.cache_info().misses == built == 1
 
 
 class TestDeterminism:

@@ -15,6 +15,7 @@ Claims covered:
       trace lines are rejected by line number
 """
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -41,7 +42,8 @@ from firebreak import (
     step,
     synthesize_cutset_strategy,
 )
-from firebreak.game import BURNING, PROTECTED, UNTOUCHED, _regular_profile
+from firebreak.game import (BURNING, PROTECTED, UNTOUCHED, _regular_profile,
+                            cut_weight_target)
 from firebreak.trees import ExplicitSpec, PeriodicSpec
 from conftest import (
     binary_spec,
@@ -351,6 +353,23 @@ class TestSynthesis:
     def test_below_branching_number_rejected(self):
         with pytest.raises(SpecError):
             synthesize_cutset_strategy(binary_spec(), Fraction(3, 2), 1)
+
+    def test_at_the_branching_number_rejected(self):
+        # the Perron root 2 is a 2x2 Jordan block: only exactly 2 is refused
+        spec = PeriodicSpec(states={"A": ("A", "B", "A"), "B": ("B", "B")}, root="A")
+        with pytest.raises(SpecError, match="not above"):
+            synthesize_cutset_strategy(spec, 2, 1)
+        with pytest.raises(SynthesisError, match="depth 40"):
+            synthesize_cutset_strategy(spec, Fraction(200001, 100000), 1)
+
+    @pytest.mark.parametrize("rate", [Fraction(3, 2), Fraction(2), Fraction(21, 10),
+                                      Fraction(7, 3), Fraction(41, 20)])
+    @pytest.mark.parametrize("radius", [0, 1, 3])
+    def test_cut_weight_target_matches_fresh_powers(self, rate, radius):
+        # the running power gives the same Fraction as one fresh power per m
+        head = min(math.floor(rate ** m) * rate ** -(radius + m) for m in range(1, 121))
+        tail = rate ** -radius * (1 - rate ** -121)
+        assert cut_weight_target(rate, radius) == min(head, tail)
 
     def test_depth_exhaustion_raises(self):
         # rate barely above the branching number: light cutsets exist only
