@@ -448,9 +448,15 @@ def _perron_vector(kids, comp: list[int], rate: Fraction):
         v = [v[s] + mv[s] if s in inside else 0 for s in range(len(kids))]
 
 
+def _log(x: Fraction) -> float:
+    """Natural log of a positive rational: no float overflow, precise near 1."""
+    if Fraction(1, 2) < x < 2:
+        return math.log1p(float(x - 1))
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
 def _tail_below(ratio: Fraction, scale: Fraction, radius: int) -> bool:
-    """scale * ratio**(radius+1) < 1, compared in integers (no gcd of the
-    large powers)."""
+    """scale * ratio**(radius+1) < 1, compared in integers (no large gcd)."""
     return (scale.numerator * ratio.numerator ** (radius + 1)
             < scale.denominator * ratio.denominator ** (radius + 1))
 
@@ -461,12 +467,13 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
 
     Requires rate < branching number.  On the component with the best
     Collatz-Wielandt bound, a power of M_C + I gives y with mid_rate * y <=
-    M y, the mid rate halfway between the rate and that bound; 2n steps of
-    the min-cut recursion y -> min(1, M y / mid_rate) keep that and raise
-    y.  The cut floor is 9/10 of the weight y bounds, the budget coefficient
+    M y; 2n steps of y -> min(1, M y / mid_rate) keep that and raise y.  The
+    mid rate is the midpoint of the rate and that bound moved by at most
+    gap / 2**13 to a short denominator, so the tail powers stay small.  The
+    cut floor is 9/10 of the weight y bounds, the budget coefficient
     rate/(rate-1) (1 below rate 1, where every budget is 0), and the radius
-    the least closing the geometric tail; past CERTIFICATE_RADIUS_MAX it
-    raises ResourceLimitError."""
+    the least closing the geometric tail; a radius past
+    CERTIFICATE_RADIUS_MAX, estimated or exact, raises ResourceLimitError."""
     rate = Fraction(exact_rate(rate))
     if rate <= 0:
         raise SpecError("rate must be positive")
@@ -479,7 +486,7 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
     if not above:
         raise SpecError(f"rate {float(rate)} is not below the branching number")
     bound, v = max(_perron_vector(kids, c, rate) for c in above)
-    mu = (rate + bound) / 2
+    mu = ((rate + bound) / 2).limit_denominator(math.ceil(2 ** 12 / (bound - rate)))
     top = max(v)
     steps = _state_recursion(auto, mu, [Fraction(x, top) for x in v])
     y, weight = next(islice(steps, 2 * len(kids), None))
@@ -487,14 +494,16 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
     floor = Fraction(9, 10) * weight
     ratio = rate / mu
     scale = coeff / ((1 - ratio) * floor)
-    radius = max(0, math.ceil(math.log(scale) / math.log1p((mu - rate) / rate)) - 1)
-    if radius <= CERTIFICATE_RADIUS_MAX + 1:  # else the float estimate stands
+    gain = _log(mu / rate)  # the tail shrinks by this log factor a level
+    estimate = _log(scale) / gain - 1 if gain > 0 else math.inf
+    if estimate <= CERTIFICATE_RADIUS_MAX + 1:
+        radius = max(0, math.ceil(estimate))
         while not _tail_below(ratio, scale, radius):
             radius += 1
         while radius > 0 and _tail_below(ratio, scale, radius - 1):
             radius -= 1
-    if radius > CERTIFICATE_RADIUS_MAX:
-        raise ResourceLimitError(f"certificate radius {radius} is past "
+    if estimate > CERTIFICATE_RADIUS_MAX + 1 or radius > CERTIFICATE_RADIUS_MAX:
+        raise ResourceLimitError(f"certificate radius (estimate {estimate:,.0f}) is past "
                                  f"CERTIFICATE_RADIUS_MAX = {CERTIFICATE_RADIUS_MAX}")
     return LowerBoundCertificate(spec, rate, mu, coeff, floor, radius,
                                  br_exact_periodic(spec), tuple(y))

@@ -490,21 +490,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SpecError as exc:
+    except (SpecError, FileNotFoundError) as exc:
         sys.stderr.write(f"firebreak: {exc}\n")
         return EXIT_USAGE
     except StrategyFault as exc:
         sys.stderr.write(f"firebreak: strategy fault: {exc}\n")
         return EXIT_FAULT
-    except SynthesisError as exc:
+    except (SynthesisError, ResourceLimitError) as exc:
         sys.stderr.write(f"firebreak: {exc}\n")
         return EXIT_INDETERMINATE
-    except ResourceLimitError as exc:
-        sys.stderr.write(f"firebreak: {exc}\n")
-        return EXIT_INDETERMINATE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"firebreak: {exc}\n")
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -55,14 +55,14 @@ class BudgetSequence:
     @classmethod
     def exponential(cls, rate) -> "BudgetSequence":
         rate = exact_rate(rate)
-        if float(rate) <= 0:
+        if rate <= 0:
             raise SpecError("budget rate must be positive")
         return cls(kind="exponential", rate=rate)
 
     @classmethod
     def polynomial(cls, coeff, degree: int) -> "BudgetSequence":
         coeff = exact_rate(coeff)
-        if float(coeff) < 0 or degree < 0:
+        if coeff < 0 or degree < 0:
             raise SpecError("polynomial budget needs coeff >= 0 and degree >= 0")
         return cls(kind="polynomial", coeff=coeff, degree=degree)
 
@@ -621,7 +621,7 @@ def cut_weight_target(rate, radius: int, probe_range: int = 120):
     every n > radius.  The head is minimised over one running power of
     the rate; past the probe range the floor loss is bounded analytically."""
     rate = exact_rate(rate)
-    if float(rate) <= 1:
+    if rate <= 1:
         raise SynthesisError("budget rate must exceed 1 for cutset synthesis")
     power = head = edge_weight(rate, 0)  # rate**m; floor(x) / x <= 1
     for _ in range(probe_range):
@@ -629,10 +629,7 @@ def cut_weight_target(rate, radius: int, probe_range: int = 120):
         head = min(head, math.floor(power) / power)
     head *= edge_weight(rate, radius)
     tail = edge_weight(rate, radius) * (1 - edge_weight(rate, probe_range + 1))
-    eps = min(head, tail)
-    if isinstance(rate, Fraction):
-        return eps
-    return eps * 0.5  # float rates keep a safety margin against rounding
+    return min(head, tail) * (1 if isinstance(rate, Fraction) else 0.5)  # halved for float rounding
 
 
 def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,

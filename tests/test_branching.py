@@ -442,6 +442,21 @@ class TestCertificate:
             assert not feasibility_check(binary_spec(), cert.radius, budget,
                                          depth).feasible
 
+    def test_long_period_mid_rate_stays_short(self):
+        # period 20 (br = 5**(1/20)): the Collatz-Wielandt bound carries a
+        # denominator of over a thousand bits; the mid rate must not, since
+        # the tail check raises it to the radius (5,654 here)
+        spec = SymmetricSpec(preperiod=(2,), period=(1,) * 19 + (5,))
+        cert = lower_bound_certificate(spec, Fraction(27, 25))
+        assert cert.radius > 1000
+        assert cert.mid_rate.denominator.bit_length() < 64
+        assert all(check_certificate(cert).values())
+
+    def test_short_midpoint_is_kept(self):
+        # the bound is exactly 2 on binary, so the mid rate is the midpoint
+        cert = lower_bound_certificate(binary_spec(), Fraction(1999, 1000))
+        assert cert.mid_rate == Fraction(3999, 2000)
+
     def test_rate_one_rejected(self):
         with pytest.raises(SpecError):
             lower_bound_certificate(binary_spec(), 1)

@@ -211,6 +211,33 @@ class TestContain:
         assert "result.certificate_radius = 36356" in out
         assert "result.all_probed_depths_infeasible = true" in out
 
+    def test_long_period_symmetric_certificate_is_quick(self, tmp_path):
+        # period 20 with br = 5**(1/20) ~ 1.0838: radius 5,654 at 27/25
+        path = tmp_path / "period20.tree"
+        path.write_text("variant: symmetric\nlevels: 2 | " + "1 " * 19 + "5\n")
+        t0 = time.perf_counter()
+        code, out = run(["contain", str(path), "--lambda", "27/25"])
+        assert time.perf_counter() - t0 < 5
+        assert code == 0
+        assert "result.certificate_radius = 5654" in out
+        assert "result.certificate_valid = true" in out
+
+    def test_rate_within_1e_310_of_br_exits_two(self, spec_dir, capsys):
+        # rate - 2 underflows a float; the radius estimate does not overflow
+        code, out = run(["contain", str(spec_dir / "binary.tree"),
+                         "--lambda", "1." + "9" * 310])
+        assert code == 2 and not out
+        assert "CERTIFICATE_RADIUS_MAX" in capsys.readouterr().err
+
+    def test_rate_1e_minus_400_decides(self, spec_dir):
+        # every budget is 0; the rate is no float but a positive rational
+        code, out = run(["contain", str(spec_dir / "binary.tree"),
+                         "--lambda", "1/1" + "0" * 400])
+        assert code == 0
+        assert "result.regime = below" in out
+        assert "result.certificate_valid = true" in out
+        assert "result.all_probed_depths_infeasible = true" in out
+
     def test_wide_tree_below_threshold(self, tmp_path):
         # the depth-6 truncation of a 20-ary tree passes the default cap
         path = tmp_path / "wide.tree"
