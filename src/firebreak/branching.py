@@ -25,6 +25,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import islice
 from typing import Union
 
@@ -77,15 +78,6 @@ class Cutset:
     vertex."""
 
     edges: frozenset[int]
-
-    def is_antichain(self, trunc: Truncation) -> bool:
-        for v in self.edges:
-            u = trunc.parent[v]
-            while u > 0:
-                if u in self.edges:
-                    return False
-                u = trunc.parent[u]
-        return True
 
     def separates(self, trunc: Truncation) -> bool:
         boundary = set(trunc.boundary)
@@ -436,15 +428,19 @@ def _perron_vector(kids, comp: list[int], rate: Fraction):
     applied to the all-ones vector on C (0 off C), and bound is its lower
     Collatz-Wielandt bound min over C of (M v)_s / v_s <= br_C.  The lower
     and upper (max) bounds both tend to br_C, since M_C + I is primitive, so
-    j grows until the bound exceeds the rate by 2**20 times their gap."""
+    j grows until the bound exceeds the rate by 2**20 times their gap.
+    Ratios are compared by integer cross-multiplication (v > 0 on C)."""
     inside = set(comp)
+    p, q = rate.numerator, rate.denominator
     v = [int(s in inside) for s in range(len(kids))]
     while True:
         mv = [sum(v[t] for t in k) for k in kids]
-        ratios = [Fraction(mv[s], v[s]) for s in comp]
-        bound = min(ratios)
-        if bound > rate and (max(ratios) - bound) * 2 ** 20 <= bound - rate:
-            return bound, v
+        by_ratio = cmp_to_key(lambda s, t: mv[s] * v[t] - mv[t] * v[s])
+        lo, hi = min(comp, key=by_ratio), max(comp, key=by_ratio)
+        a, b, c, d = mv[lo], v[lo], mv[hi], v[hi]  # bound a/b, largest ratio c/d
+        # bound > rate and (c/d - a/b) * 2**20 <= a/b - p/q, times b*d*q > 0
+        if a * q > p * b and (c * b - a * d) * q * 2 ** 20 <= (a * q - p * b) * d:
+            return Fraction(a, b), v
         v = [v[s] + mv[s] if s in inside else 0 for s in range(len(kids))]
 
 

@@ -16,13 +16,15 @@ Tree truncations and Cayley balls both qualify.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .branching import (compare_to_br, cut_recursion, edge_weight, exact_rate, min_cutset,
                         Cutset)
-from .errors import SpecError, StrategyFault, SynthesisError
+from .errors import ResourceLimitError, SpecError, StrategyFault, SynthesisError
 from .trees import TreeSpec, Truncation, compile, expand
 
 UNTOUCHED, PROTECTED, BURNING = 0, 1, 2
@@ -345,9 +347,14 @@ def parse_trace(text: str, source: str = "trace") -> tuple[dict[int, tuple[int, 
 #     |{v in V' : level(v) <= n}| <= f(1) + ... + f(n-k)
 # (each cut vertex must be protected before the fire front, which advances
 # one level per round, reaches it; protection precedes spread, so level n
-# must be bought by round n-k).  The decision is a bottom-up dynamic
-# program over Pareto-minimal cumulative level-count profiles, memoised
-# per (level, automaton state) for the states that occur at each level.
+# must be bought by round n-k).  Vertices of one automaton state at one
+# level root isomorphic subtrees, so off the level-regular fast path the
+# decision is an exact memoised recursion on live counts per (level,
+# state): a vertex is live when its subtree reaches the boundary and no
+# ancestor of it is cut.  Both paths pick, among the feasible cuts, the
+# lexicographically minimal cumulative level-count profile.
+
+FEASIBILITY_WORK_MAX = 1_000_000  # cut choices the count recursion may try
 
 
 @dataclass(frozen=True)
@@ -358,21 +365,6 @@ class FeasibilityResult:
     witness_paths: tuple[tuple[int, ...], ...] | None = None
     witness_levels: tuple[tuple[int, int], ...] | None = None  # (level, count)
 
-    def witness_vertices(self, trunc) -> tuple[int, ...]:
-        if not self.feasible or self.witness_paths is None:
-            raise SpecError("no materialised witness on this result")
-        return tuple(sorted(trunc.index_of_path(p) for p in self.witness_paths))
-
-
-def _pareto(entries):
-    entries = sorted(entries, key=lambda e: e[0])
-    kept = []
-    for p, tag in entries:
-        if any(all(a <= b for a, b in zip(q, p)) for q, _ in kept):
-            continue
-        kept.append((p, tag))
-    return kept
-
 
 # -- level-regular fast path -------------------------------------------------
 #
@@ -381,10 +373,9 @@ def _pareto(entries):
 # removes exactly s/M_j of the boundary, whatever the positions.  Spending
 # the whole budget headroom as early as possible is then optimal (early
 # kills cover at least as much per unit and cumulative budgets only grow),
-# so a single greedy sweep decides feasibility, in O(depth) big-int steps
-# instead of a profile frontier.  The witness refines the greedy counts to
-# the lexicographically minimal cumulative profile, matching what the
-# Pareto program would pick.
+# so a single greedy sweep decides feasibility, in O(depth) big-int steps.
+# The witness refines the greedy counts to the lexicographically minimal
+# cumulative profile, matching what the count recursion would pick.
 
 
 def _regular_profile(spec: TreeSpec, depth: int):
@@ -497,106 +488,131 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
     if depth <= radius:
         raise SpecError("depth must exceed the initial radius")
     ncoords = depth - radius
-    caps = [budget.cumulative(j + 1) for j in range(ncoords)]
+    caps = list(accumulate(budget(j) for j in range(1, ncoords + 1)))  # cumulative budgets
 
     regular = _regular_profile(spec, depth)
     if regular is not None:
         counts, continues = regular
         return _feasibility_regular(counts, continues, radius, caps, depth)
 
-    zero = (0,) * ncoords
+    return _feasibility_counts(compile(spec), radius, caps, depth)
 
-    def unit(level: int) -> tuple[int, ...]:
-        j0 = level - radius - 1
-        return tuple(0 if j < j0 else 1 for j in range(ncoords))
 
-    def within(p) -> bool:
-        return all(a <= c for a, c in zip(p, caps))
+# -- live counts per (level, state) ------------------------------------------
+#
+# best(L, counts, spent) is the lex-min tuple of per-level cut counts for
+# levels L..depth that completes a cut, given the live count per state at
+# level L and the cut vertices already spent; lex-min per-level counts are
+# lex-min cumulative counts.  It tries cut vectors x <= counts in order of
+# sum(x) and stops at the first sum that completes: a larger sum at level L
+# loses on the first coordinate.  A successor whose live count exceeds what
+# the horizon deadline leaves is dropped, since every live vertex needs a
+# cut vertex of its own, and so is a state whose boundary vertices no
+# affordable cut could cover.
 
-    auto = compile(spec)
+
+def _feasibility_counts(auto, radius: int, caps: list[int],
+                        depth: int) -> FeasibilityResult:
     succ = auto.children
-    # keyed by (level, state) for the states occurring at that level
-    has_boundary: dict[tuple[int, int], bool] = {}
-    frontier: dict[tuple[int, int], list] = {}
-
-    def combine(kids, level):
-        """Minkowski-sum the child frontiers under the caps, tracking
-        which profile of each live child produced each sum."""
-        partial = [(zero, ())]
-        for child in kids:
-            if not has_boundary[(level + 1, child)]:
-                continue  # dead subtree needs no cut vertices
-            front = frontier[(level + 1, child)]
-            if not front:
-                return []
-            nxt: dict[tuple, tuple] = {}
-            for p, choices in partial:
-                for q, _tag in front:
-                    s = tuple(a + b for a, b in zip(p, q))
-                    if not within(s):
-                        continue
-                    if s not in nxt:
-                        nxt[s] = choices + (q,)
-            partial = _pareto(list(nxt.items()))
-            if not partial:
-                return []
-        return partial
-
     levels = auto.level_states(depth)
-    for level in range(len(levels) - 1, 0, -1):
-        for state in levels[level]:
-            kids = succ[state]
-            if level == depth:
-                hb = auto.continues(state)
-            else:
-                hb = any(has_boundary[(level + 1, ck)] for ck in kids)
-            has_boundary[(level, state)] = hb
-            if not hb:
-                frontier[(level, state)] = [(zero, ("dead",))]
-                continue
-            options = []
-            if level >= radius + 1:
-                u = unit(level)
-                if within(u):
-                    options.append((u, ("take",)))
-            if level < depth:
-                options.extend(
-                    (p, ("combine", choices)) for p, choices in combine(kids, level)
-                )
-            frontier[(level, state)] = _pareto(options)
-
-    root_kids = succ[auto.root]
-    if not any(has_boundary[(1, ck)] for ck in root_kids):
+    levels += [()] * (depth + 1 - len(levels))  # the tree may end before the horizon
+    # per level L, for the live states (those whose subtrees reach the
+    # boundary): live[L] the states, kids[L] the (child position, index in
+    # live[L + 1]) of their live children, reach[L] their boundary vertices
+    live = [tuple(s for s in levels[depth] if auto.continues(s))]
+    kids, reach = [[()] * len(live[0])], [[1] * len(live[0])]
+    for lv in range(depth - 1, -1, -1):
+        index = {t: j for j, t in enumerate(live[0])}
+        rows = [(s, tuple((c, index[t]) for c, t in enumerate(succ[s]) if t in index))
+                for s in levels[lv]]
+        rows = [(s, ks) for s, ks in rows if ks]
+        live.insert(0, tuple(s for s, _ks in rows))
+        kids.insert(0, [ks for _s, ks in rows])
+        reach.insert(0, [sum(reach[0][j] for _c, j in ks) for _s, ks in rows])
+    if not live[0]:
         return FeasibilityResult(feasible=True, depth=depth, radius=radius,
                                  witness_paths=(), witness_levels=())
-    final = combine(root_kids, 0)
-    if not final:
+    peak = list(accumulate([max(r) for r in reversed(reach)], max))[::-1]  # max reach, L on
+
+    def descend(lv: int, uncut) -> tuple[int, ...]:
+        out = [0] * len(live[lv + 1]) if lv < depth else []
+        for i, n in enumerate(uncut):
+            for _c, j in kids[lv][i]:
+                out[j] += n
+        return tuple(out)
+
+    counts: tuple[int, ...] = (1,)
+    for lv in range(radius + 1):  # no cuts within the fire's ball
+        counts = descend(lv, counts)
+    memo: dict = {}
+    work = 0
+
+    def best(lv: int, counts: tuple[int, ...], spent: int):
+        nonlocal work
+        key = (lv, counts, spent)
+        if key in memo:
+            return memo[key]
+        # hopeless: were each cut vertex affordable from level j on to cover
+        # peak[j] boundary vertices, the live ones would still not be covered
+        ahead = caps[lv - radius - 1:]
+        covered = sum((b - a) * p for a, b, p in zip([spent] + ahead, ahead, peak[lv:]))
+        if covered < sum(n * r for n, r in zip(counts, reach[lv])):
+            return None
+        total = sum(counts)
+        room = caps[lv - radius - 1] - spent
+        found = None
+        for size in (total,) if lv == depth else range(min(room, total) + 1):
+            if found is not None or size > room:
+                break
+            for cut in _splits(counts, size):
+                work += 1
+                if work > FEASIBILITY_WORK_MAX:
+                    raise ResourceLimitError(f"deadline feasibility passed {FEASIBILITY_WORK_MAX:,}"
+                                             " cut choices (FEASIBILITY_WORK_MAX)")
+                rest = descend(lv, tuple(n - x for n, x in zip(counts, cut)))
+                if spent + size + sum(rest) > caps[-1]:
+                    continue
+                tail = best(lv + 1, rest, spent + size) if any(rest) else ((), ())
+                if tail is not None and (found is None or (size,) + tail[0] < found[0]):
+                    found = ((size,) + tail[0], (cut,) + tail[1])
+        memo[key] = found
+        return found
+
+    # one frame per level; each level costs work, so the work cap bounds them
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), depth - radius + 100))
+    chosen = best(radius + 1, counts, 0)
+    if chosen is None:
         return FeasibilityResult(feasible=False, depth=depth, radius=radius)
-
-    chosen_profile, chosen = min(final, key=lambda e: e[0])
-
-    # walk the (virtual) tree to materialise the witness
-    witness: list[tuple[int, ...]] = []
-
-    def walk(state, level, tag, path):
-        if tag[0] == "dead":
-            return
-        if tag[0] == "take":
-            witness.append(path)
-            return
-        choices = iter(tag[1])  # one profile per live child, in child order
-        for i, child in enumerate(succ[state]):
-            if has_boundary[(level + 1, child)]:
-                child_front = dict(frontier[(level + 1, child)])
-                walk(child, level + 1, child_front[next(choices)], path + (i,))
-
-    walk(auto.root, 0, ("combine", chosen), ())
-    per_level: dict[int, int] = {}
-    for path in witness:
-        per_level[len(path)] = per_level.get(len(path), 0) + 1
+    sizes, cuts = chosen
+    witness_levels = tuple((radius + 1 + i, n) for i, n in enumerate(sizes) if n)
+    paths: list = []  # stays empty, and is reported None, past 100,000 cut vertices
+    plan = dict(enumerate(cuts, start=radius + 1))
+    frontier = [((), 0)] if sum(sizes) <= 100_000 else []  # (path, index into live[lv])
+    for lv in range(depth + 1):
+        left = list(plan.get(lv, [0] * len(live[lv])))  # cut the first left[i] of live[lv][i]
+        uncut = []
+        for path, i in frontier:
+            if left[i]:
+                left[i] -= 1
+                paths.append(path)
+            else:
+                uncut.append((path, i))
+        frontier = [(path + (c,), j) for path, i in uncut for c, j in kids[lv][i]]
     return FeasibilityResult(feasible=True, depth=depth, radius=radius,
-                             witness_paths=tuple(sorted(witness)),
-                             witness_levels=tuple(sorted(per_level.items())))
+                             witness_paths=tuple(sorted(paths)) if paths else None,
+                             witness_levels=witness_levels)
+
+
+def _splits(counts: tuple[int, ...], size: int):
+    """Every vector x <= counts with sum(x) == size."""
+    if not counts:
+        if size == 0:
+            yield ()
+        return
+    rest = sum(counts[1:])
+    for first in range(max(0, size - rest), min(counts[0], size) + 1):
+        for tail in _splits(counts[1:], size - first):
+            yield (first,) + tail
 
 
 # ---------------------------------------------------------------------------

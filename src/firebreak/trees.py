@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .errors import ResourceLimitError, SpecError
 
@@ -252,20 +252,6 @@ class Truncation:
         if self.parent[v] < 0:
             return self.children[v]
         return [self.parent[v]] + self.children[v]
-
-    def path_of(self, v: int) -> tuple[int, ...]:
-        """Root-to-v path as child indices (position among siblings)."""
-        rev = []
-        while self.parent[v] >= 0:
-            rev.append(self.children[self.parent[v]].index(v))
-            v = self.parent[v]
-        return tuple(reversed(rev))
-
-    def index_of_path(self, path: Sequence[int]) -> int:
-        v = 0
-        for step in path:
-            v = self.children[v][step]
-        return v
 
 
 def expand(spec: TreeSpec, depth: int) -> Truncation:

@@ -124,3 +124,39 @@ def random_truncation(rng: random.Random, max_depth: int = 10,
         if sum(level_counts(spec, depth)) <= size_limit:
             return expand(spec, depth)
     raise AssertionError("could not draw a truncation within the size limit")
+
+
+# -- root paths: a vertex as the child indices that lead to it ---------------
+
+
+def path_of(trunc, v: int) -> tuple[int, ...]:
+    """Root-to-v path as child indices (position among siblings)."""
+    rev = []
+    while trunc.parent[v] >= 0:
+        rev.append(trunc.children[trunc.parent[v]].index(v))
+        v = trunc.parent[v]
+    return tuple(reversed(rev))
+
+
+def index_of_path(trunc, path) -> int:
+    v = 0
+    for step in path:
+        v = trunc.children[v][step]
+    return v
+
+
+def witness_vertices(result, trunc) -> tuple[int, ...]:
+    """The vertex ids of a feasible result's witness paths in trunc."""
+    assert result.feasible and result.witness_paths is not None
+    return tuple(sorted(index_of_path(trunc, p) for p in result.witness_paths))
+
+
+def is_antichain(cut, trunc) -> bool:
+    """No vertex of the cutset lies below another one."""
+    for v in cut.edges:
+        u = trunc.parent[v]
+        while u > 0:
+            if u in cut.edges:
+                return False
+            u = trunc.parent[u]
+    return True

@@ -13,7 +13,9 @@ Claims covered:
     - the Perron root matches numpy's eigenvalues (independent oracle) and
       the known closed forms (2, 3, golden ratio, sqrt 2)
     - brackets contain the exact values; finite specs are rejected
-    - certificates re-validate independently and their budgets cross-check
+    - certificates re-validate independently and their budgets cross-check;
+      the Perron vector compares its ratios in integers, with the same
+      steps and result as the Fraction formula
     - results are invariant under reordering children in the spec
 """
 
@@ -41,12 +43,15 @@ from firebreak import (
     min_cut_weight,
     min_cutset,
 )
-from firebreak.branching import (CERTIFICATE_RADIUS_MAX, DECAY_FLOOR, br_enclosure,
-                                  compare_to_br, cut_recursion)
+from firebreak.branching import (CERTIFICATE_RADIUS_MAX, DECAY_FLOOR, _compare_component,
+                                  _components, _perron_vector, br_enclosure, compare_to_br,
+                                  cut_recursion)
 from firebreak.errors import ResourceLimitError
+from firebreak.trees import compile
 from conftest import (
     binary_spec,
     fibonacci_spec,
+    is_antichain,
     ray_spec,
     sqrt2_spec,
     random_periodic_spec,
@@ -99,8 +104,8 @@ class TestCutWeight:
 
     def test_antichain_detection(self):
         t = expand(binary_spec(), 3)
-        assert Cutset(edges=frozenset({1, 2})).is_antichain(t)
-        assert not Cutset(edges=frozenset({1, 3})).is_antichain(t)
+        assert is_antichain(Cutset(edges=frozenset({1, 2})), t)
+        assert not is_antichain(Cutset(edges=frozenset({1, 3})), t)
 
 
 class TestMinCut:
@@ -179,7 +184,7 @@ class TestMinCut:
             t = expand(spec, 5)
             cut = min_cutset(t, rate)
             assert cut.separates(t)
-            assert cut.is_antichain(t)
+            assert is_antichain(cut, t)
             assert cut_weight(t, cut, rate) == min_cut_weight(t, rate)
 
     def test_tie_prefers_shallow_cut(self):
@@ -392,7 +397,37 @@ class TestBracket:
         assert bracket.contains(2.0)
 
 
+def fraction_perron_vector(kids, comp, rate):
+    """_perron_vector with every Collatz-Wielandt ratio a Fraction."""
+    inside = set(comp)
+    v = [int(s in inside) for s in range(len(kids))]
+    while True:
+        mv = [sum(v[t] for t in k) for k in kids]
+        ratios = [Fraction(mv[s], v[s]) for s in comp]
+        bound = min(ratios)
+        if bound > rate and (max(ratios) - bound) * 2 ** 20 <= bound - rate:
+            return bound, v
+        v = [v[s] + mv[s] if s in inside else 0 for s in range(len(kids))]
+
+
 class TestCertificate:
+    def test_perron_vector_matches_fraction_ratios(self):
+        # the integer cross-multiplied comparisons take the same steps and
+        # return the same (bound, v) as the Fraction formula
+        rng = random.Random(71)
+        specs = [SymmetricSpec(preperiod=(2,), period=(1,) * 7 + (5,)), REDUCIBLE,
+                 fibonacci_spec()] + [random_automaton(rng) for _ in range(40)]
+        checked = 0
+        for spec in specs:
+            kids = compile(spec).children
+            for comp in _components(kids):
+                for rate in (Fraction(1, 2), Fraction(21, 20), Fraction(3, 2)):
+                    if _compare_component(kids, comp, rate) < 0:
+                        assert _perron_vector(kids, comp, rate) == \
+                            fraction_perron_vector(kids, comp, rate)
+                        checked += 1
+        assert checked >= 30
+
     @pytest.mark.parametrize("lam", [1.2, 1.5, 1.9])
     def test_binary_certificates_validate(self, lam):
         cert = lower_bound_certificate(binary_spec(), lam)

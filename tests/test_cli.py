@@ -238,6 +238,18 @@ class TestContain:
         assert "result.certificate_valid = true" in out
         assert "result.all_probed_depths_infeasible = true" in out
 
+    def test_fib_below_threshold_evidence_is_quick(self, spec_dir):
+        # every evidence depth is decided on live counts per (level, state);
+        # the profile program it replaced gave no result within 60 s here
+        t0 = time.perf_counter()
+        code, out = run(["contain", str(spec_dir / "fib.tree"), "--lambda", "3/2"])
+        assert time.perf_counter() - t0 < 2
+        assert code == 0
+        assert "result.certificate_radius = 114" in out
+        rows = csv_rows(out, "feasibility_evidence")
+        assert [r[0] for r in rows] == [str(d) for d in range(115, 123)]
+        assert all(r[1] == "infeasible" for r in rows)
+
     def test_wide_tree_below_threshold(self, tmp_path):
         # the depth-6 truncation of a 20-ary tree passes the default cap
         path = tmp_path / "wide.tree"
@@ -419,6 +431,22 @@ class TestCayley:
                          "--d", "2", "--k", "2"])
         assert code == 0
         assert "result.feasible = false" in out
+
+    def test_polyprobe_on_a_lex_min_tree_that_is_not_level_regular(self):
+        t0 = time.perf_counter()
+        code, out = run(["cayley", "zd:3", "--mode", "polyprobe", "--R", "7",
+                         "--k", "1", "--c", "2", "--d", "2"])
+        assert time.perf_counter() - t0 < 2
+        assert code == 0
+        assert "result.feasible = true" in out
+
+    def test_feasibility_work_cap_exits_two_naming_it(self, monkeypatch, capsys):
+        import firebreak.game as game_mod
+        monkeypatch.setattr(game_mod, "FEASIBILITY_WORK_MAX", 10)  # this probe tries 69
+        code, out = run(["cayley", "zd:3", "--mode", "polyprobe", "--R", "7",
+                         "--k", "1", "--c", "2", "--d", "2"])
+        assert code == 2 and not out
+        assert "FEASIBILITY_WORK_MAX" in capsys.readouterr().err
 
     def test_tree_export_feeds_br(self, tmp_path):
         out_file = tmp_path / "free2.tree"

@@ -7,7 +7,10 @@ Claims covered:
       and never reports containment when the fire can reach the horizon
     - canonical strategies pick closest-first with deterministic ties
     - feasibility matches hand arithmetic, is monotone in budgets, and the
-      regular-tree fast path agrees with the profile program
+      regular-tree fast path agrees with the count recursion; both agree
+      with the Pareto profile program (tests/pareto_reference.py) on
+      feasibility and witness profile, and every witness separates the
+      root from the boundary within its deadlines
     - synthesized cutset strategies stay within budget, play level n at
       round n - k, and contain; synthesis materialises only the truncation
       it returns, so a cut past the vertex cap fails at once
@@ -17,6 +20,8 @@ Claims covered:
 
 import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +30,7 @@ import pytest
 from firebreak import (
     BudgetSequence,
     CanonicalStrategy,
+    Cutset,
     ResourceLimitError,
     ScheduleStrategy,
     SpecError,
@@ -35,6 +41,7 @@ from firebreak import (
     feasibility_check,
     format_trace,
     initial_state,
+    level_counts,
     max_flow,
     parse_trace,
     run_game,
@@ -50,11 +57,29 @@ from conftest import (
     budget_catalogue,
     fibonacci_spec,
     random_explicit_tree,
+    random_periodic_spec,
+    random_symmetric_spec,
     ray_spec,
     ternary_spec,
+    witness_vertices,
 )
+from pareto_reference import pareto_feasibility
 
 DATA = Path(__file__).parent / "data"
+
+
+def assert_valid_witness(spec, k, budget, depth, result):
+    """The witness separates the root from the boundary of expand(spec,
+    depth), lies outside the fire's ball, meets every deadline and has the
+    reported level counts."""
+    t = expand(spec, depth)
+    cut = witness_vertices(result, t)
+    assert Cutset(frozenset(cut)).separates(t)
+    levels = [t.level[v] for v in cut]
+    assert all(lv > k for lv in levels)
+    for n in range(k + 1, depth + 1):
+        assert sum(lv <= n for lv in levels) <= budget.cumulative(n - k)
+    assert result.witness_levels == tuple(sorted(Counter(levels).items()))
 
 
 class TestBudgets:
@@ -242,7 +267,7 @@ class TestFeasibility:
         budget = BudgetSequence.exponential(3)
         r = feasibility_check(binary_spec(), 1, budget, 3)
         t = expand(binary_spec(), 3)
-        ids = r.witness_vertices(t)
+        ids = witness_vertices(r, t)
         v = simulate(t, 1, CanonicalStrategy(ids), budget)
         assert v.contained
 
@@ -265,10 +290,11 @@ class TestFeasibility:
             if r1.feasible:
                 assert r2.feasible
 
-    def test_regular_path_agrees_with_profile_program(self, monkeypatch):
+    def test_regular_path_agrees_with_count_recursion(self, monkeypatch):
         # run the same regular instances through both routes: the greedy
-        # sweep (production path) and the Pareto profile program (forced
-        # by disabling regularity detection)
+        # sweep (production path for level-regular trees) and the recursion
+        # on live counts per (level, state), forced by disabling regularity
+        # detection
         import firebreak.game as game_mod
 
         rng = random.Random(23)
@@ -294,14 +320,75 @@ class TestFeasibility:
                 assert fast.witness_levels == slow.witness_levels
             checked += 1
 
-    def test_fibonacci_uses_profile_program(self):
+    def test_fibonacci_uses_count_recursion(self):
         assert _regular_profile(fibonacci_spec(), 4) is None
         r = feasibility_check(fibonacci_spec(), 0, BudgetSequence.constant(1), 6)
         assert r.feasible  # golden ratio < 2: one guard per round wins eventually
         t = expand(fibonacci_spec(), 6)
-        ids = r.witness_vertices(t)
+        ids = witness_vertices(r, t)
         v = simulate(t, 0, CanonicalStrategy(ids), BudgetSequence.constant(1))
         assert v.contained
+
+    def test_greedy_miss_is_feasible(self):
+        # a heaviest-subtree-first greedy spends level 1 on X, whose chain
+        # ends in a 5-ary subtree, and misses this cut; the recursion
+        # finds it, and its profile is the lex-min one
+        spec = PeriodicSpec(states={"R": ("X", "Y"), "X": ("P",), "P": ("P2",),
+                                    "P2": ("Q",), "Q": ("Q",) * 5, "Y": ("Z", "Z"),
+                                    "Z": ("Z", "Z")}, root="R")
+        r = feasibility_check(spec, 0, BudgetSequence.constant(1), 8)
+        assert r.feasible
+        assert r.witness_levels == ((2, 1), (3, 2), (4, 1))
+        assert_valid_witness(spec, 0, BudgetSequence.constant(1), 8, r)
+
+    def test_witness_past_100k_vertices_is_levels_only(self):
+        # all 4**9 boundary vertices are cut at the horizon, the lex-min profile
+        spec = PeriodicSpec(states={"A": ("A", "A", "A", "A", "B"), "B": ()}, root="A")
+        assert _regular_profile(spec, 9) is None
+        r = feasibility_check(spec, 0, BudgetSequence.constant(300_000), 9)
+        assert r.feasible and r.witness_paths is None
+        assert r.witness_levels == ((9, 4 ** 9),)
+
+    def test_probe_deeper_than_the_recursion_limit(self):
+        # the recursion keeps one frame per level: 1,200 levels of a thin
+        # tree whose one boundary vertex is cut at the horizon
+        spec = PeriodicSpec(states={"A": ("A", "B"), "B": ()}, root="A")
+        r = feasibility_check(spec, 0, BudgetSequence.constant(1), 1200)
+        assert r.feasible and r.witness_levels == ((1200, 1),)
+
+    def test_matches_the_profile_program(self):
+        # the Pareto profile program, kept in tests/ as the slow reference,
+        # decides the same instances and picks the same witness profile
+        rng = random.Random(41)
+        budgets = budget_catalogue() + [BudgetSequence.polynomial(1, 1)]
+        kinds = {"periodic": 0, "symmetric": 0, "explicit": 0}
+        t0 = time.perf_counter()
+        while sum(kinds.values()) < 300:
+            kind = rng.choice(sorted(kinds))
+            if kind == "explicit":
+                spec = random_explicit_tree(rng, max_vertices=rng.randint(6, 90))
+                if spec.height() < 1:
+                    continue
+                depth = rng.randint(1, spec.height() + 2)  # may end before the horizon
+            else:
+                spec = (random_periodic_spec(rng, allow_dead=rng.random() < 0.3)
+                        if kind == "periodic" else random_symmetric_spec(rng))
+                depth = rng.randint(1, 8)
+                while depth > 1 and sum(level_counts(spec, depth)) > 150:
+                    depth -= 1
+            if sum(level_counts(spec, depth)) > 150:
+                continue
+            k = rng.randrange(min(depth, 3))
+            budget = rng.choice(budgets)
+            fast = feasibility_check(spec, k, budget, depth)
+            slow = pareto_feasibility(spec, k, budget, depth)
+            assert (fast.feasible, fast.witness_levels) == \
+                (slow.feasible, slow.witness_levels), (spec, k, budget.describe(), depth)
+            if fast.feasible:
+                assert_valid_witness(spec, k, budget, depth, fast)
+            kinds[kind] += 1
+        assert min(kinds.values()) >= 80, kinds
+        assert time.perf_counter() - t0 < 5
 
     def test_no_boundary_is_trivially_feasible(self):
         spec = ExplicitSpec(parents=(0, 0))
@@ -417,7 +504,7 @@ class TestSmallerFiresInherit:
             if not r.feasible:
                 continue
             t = expand(spec, depth)
-            verdict = simulate(t, k, CanonicalStrategy(r.witness_vertices(t)), budget)
+            verdict = simulate(t, k, CanonicalStrategy(witness_vertices(r, t)), budget)
             assert verdict.contained
             schedule = ScheduleStrategy({tr.round_no: tr.protected
                                          for tr in verdict.trace})

@@ -35,6 +35,8 @@ from conftest import (
     binary_spec,
     budget_catalogue,
     fibonacci_spec,
+    index_of_path,
+    path_of,
     random_periodic_spec,
     random_symmetric_spec,
     star_spec,
@@ -110,7 +112,7 @@ class TestExpand:
     def test_paths_roundtrip(self):
         t = expand(fibonacci_spec(), 5)
         for v in range(t.n_vertices):
-            assert t.index_of_path(t.path_of(v)) == v
+            assert index_of_path(t, path_of(t, v)) == v
 
 
 class TestBall:
@@ -261,7 +263,7 @@ class TestOneRepresentation:
             (b.parent, b.children, b.level, b.boundary)
         budget = rng.choice(budget_catalogue())
         k = rng.randrange(depth)
-        for regular in (True, False):  # greedy sweep, then the Pareto program
+        for regular in (True, False):  # greedy sweep, then the count recursion
             with monkeypatch.context() as m:
                 if not regular:
                     m.setattr(game_mod, "_regular_profile", lambda s, d: None)
