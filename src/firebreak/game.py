@@ -487,14 +487,10 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
         raise SpecError("initial radius must be >= 0")
     if depth <= radius:
         raise SpecError("depth must exceed the initial radius")
-    ncoords = depth - radius
-    caps = list(accumulate(budget(j) for j in range(1, ncoords + 1)))  # cumulative budgets
-
-    regular = _regular_profile(spec, depth)
+    caps = list(accumulate(budget(j) for j in range(1, depth - radius + 1)))  # cumulative budgets
+    regular = _regular_profile(spec, depth)  # (counts, continues) on level-regular trees
     if regular is not None:
-        counts, continues = regular
-        return _feasibility_regular(counts, continues, radius, caps, depth)
-
+        return _feasibility_regular(*regular, radius, caps, depth)
     return _feasibility_counts(compile(spec), radius, caps, depth)
 
 
@@ -578,9 +574,13 @@ def _feasibility_counts(auto, radius: int, caps: list[int],
         memo[key] = found
         return found
 
-    # one frame per level; each level costs work, so the work cap bounds them
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), depth - radius + 100))
-    chosen = best(radius + 1, counts, 0)
+    # one frame per level, each entered by a cut choice: the work cap bounds them
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, min(depth - radius, FEASIBILITY_WORK_MAX) + 100))
+    try:
+        chosen = best(radius + 1, counts, 0)
+    finally:
+        sys.setrecursionlimit(limit)
     if chosen is None:
         return FeasibilityResult(feasible=False, depth=depth, radius=radius)
     sizes, cuts = chosen

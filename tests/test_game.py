@@ -20,6 +20,7 @@ Claims covered:
 
 import math
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -351,10 +352,13 @@ class TestFeasibility:
 
     def test_probe_deeper_than_the_recursion_limit(self):
         # the recursion keeps one frame per level: 1,200 levels of a thin
-        # tree whose one boundary vertex is cut at the horizon
+        # tree whose one boundary vertex is cut at the horizon; the
+        # interpreter's recursion limit is left as it was found
         spec = PeriodicSpec(states={"A": ("A", "B"), "B": ()}, root="A")
+        limit = sys.getrecursionlimit()
         r = feasibility_check(spec, 0, BudgetSequence.constant(1), 1200)
         assert r.feasible and r.witness_levels == ((1200, 1),)
+        assert sys.getrecursionlimit() == limit
 
     def test_matches_the_profile_program(self):
         # the Pareto profile program, kept in tests/ as the slow reference,
