@@ -33,7 +33,6 @@ from .cayley import (
     ProbeReport,
     SurroundResult,
     ball as cayley_ball,
-    enumerate_geodesic_words,
     group_from_name,
     growth_rate_estimate,
     infinite_dihedral,
@@ -69,7 +68,6 @@ from .oracle import (
     OracleCache,
     OracleDecision,
     brute_force_containment,
-    enumerate_cutsets,
     oracle_key,
 )
 from .trees import (

@@ -8,26 +8,46 @@ comparisons.  Built-in models: free groups (reduced words), free abelian
 groups (integer vectors), the infinite dihedral group and free products
 of finite cyclic groups (alternating syllable normal forms).
 
-Balls are built by one breadth-first search that takes the vertices in
-index order and, at each vertex, the generators in order.  By induction
-on the distance, every layer is then numbered in shortlex order of its
-elements' lex-min geodesic words: an element at distance n is first
-reached from its least-indexed neighbour at distance n-1, by the least
-generator leading there, and since all words of that layer have the same
-length this (parent word, generator) pair is its least geodesic word
-(Epstein et al., *Word Processing in Groups*, 1992).  So each element
-keeps only its tree parent and the generator that reached it; the words
-follow from these, and an exhaustive enumeration backs them as a test
-oracle.  Joining each element to its tree parent gives a spanning tree of
-the ball whose levels are the Cayley distances -- the depth-R slice of a
-subperiodic spanning tree of the whole graph, which carries the graph's
-growth and hands every tree algorithm in this package a Cayley question.
+Every element has one shortlex normal form: its lexicographically least
+geodesic word.  Each model's ``word_acceptor()`` is a ``PeriodicSpec``
+whose unfolding is the tree of these words (Cannon 1984; Epstein et al.,
+*Word Processing in Groups*, 1992).  A state records what the normal form
+needs to know about its last syllable, and its name gives the letter that
+enters it:
+
+* free groups: the last letter; any letter but its inverse follows;
+* Z^d: the last letter; the same letter or any letter of a later axis
+  follows, since a shortlex word has its letters sorted;
+* free products (``dinf`` included): the last letter and its run length;
+  on a factor of order m a run of the generator grows while 2*run <= m
+  and a run of its inverse while 2*run < m, since a tie goes to the
+  smaller letter.
+
+Children follow generator order, so unfolding the acceptor level by level
+numbers every layer in shortlex order -- the order in which a
+breadth-first search that takes vertices in index order and, at each
+vertex, the generators in order first reaches them.  By induction on the
+distance: the search first reaches an element at distance n from its
+least-indexed neighbour at distance n-1, by the least generator leading
+there, and as all words of a layer have the same length that (parent word,
+generator) pair is the least geodesic word, whose prefix is the parent's
+normal form.  So the acceptor's level counts are the sphere sizes, which
+growth, the surround trigger, the ball cap and the polynomial probes read
+with nothing built, and ``ball`` unfolds the acceptor into vertices whose
+tree edges are known without hashing an element.  Its adjacency, built on
+first use, multiplies out and looks up only a generator that neither
+extends the normal form nor leads back to the parent (an earlier axis in
+Z^d, a same-factor move in a free product; none in a free group).  Joining each element to its tree parent
+gives a spanning tree of the ball whose levels are the Cayley distances --
+the depth-R slice of the acceptor's tree, which carries the graph's growth
+and hands every tree algorithm in this package a Cayley question.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from string import digits
 from typing import Sequence
 
 from .branching import exact_rate
@@ -40,11 +60,13 @@ from .game import (
     feasibility_check,
     simulate,
 )
-from .trees import ExplicitSpec
+from .trees import ExplicitSpec, PeriodicSpec, compile, truncation_shapes
 
 _LETTERS = "abcdefghij"
 
 DEFAULT_BALL_CAP = 2_000_000
+
+_ROOT_STATE = "id"  # acceptor state of the empty word; no letter enters it
 
 
 def _letter(i: int, inverse: bool) -> str:
@@ -75,6 +97,15 @@ class FreeGroup:
             return elem[:-1]
         return elem + (g,)
 
+    def word_acceptor(self) -> PeriodicSpec:
+        """Reduced words: a state is the last letter, and any letter but
+        its inverse follows it."""
+        gens = self.generators
+        states = {_ROOT_STATE: gens}
+        for g, name in enumerate(gens):
+            states[name] = tuple(h for i, h in enumerate(gens) if i != g ^ 1)
+        return PeriodicSpec(states=states, root=_ROOT_STATE)
+
 
 class FreeAbelian:
     """Z^d with generator order a < A < b < B < ... (a = +e1, A = -e1)."""
@@ -98,6 +129,16 @@ class FreeAbelian:
         out = list(elem)
         out[axis] += delta
         return tuple(out)
+
+    def word_acceptor(self) -> PeriodicSpec:
+        """Shortlex words have their letters sorted: a state is the last
+        letter, and the same letter or any letter of a later axis follows
+        it."""
+        gens = self.generators
+        states = {_ROOT_STATE: gens}
+        for g, name in enumerate(gens):
+            states[name] = (name,) + gens[2 * (g // 2 + 1):]
+        return PeriodicSpec(states=states, root=_ROOT_STATE)
 
 
 class FreeProductCyclic:
@@ -144,6 +185,24 @@ class FreeProductCyclic:
             return elem[:-1] + ((factor, exp),)
         return elem + ((factor, delta),)
 
+    def word_acceptor(self) -> PeriodicSpec:
+        """Syllables written shortlex: a state is the last letter and its
+        run length, named like ``a2``.  On a factor of order m a run of
+        the generator grows while 2 * run <= m, a run of its inverse while
+        2 * run < m (a tie goes to the smaller letter), and any letter of
+        another factor starts a new run."""
+        gens = self.generators
+        states = {_ROOT_STATE: tuple(f"{name}1" for name in gens)}
+        for g, (factor, delta) in enumerate(self._moves):
+            m = self.orders[factor]
+            longest = m // 2 if delta == 1 else (m - 1) // 2
+            for run in range(1, longest + 1):
+                nxt = [(h, 1) for h, (f, _d) in enumerate(self._moves) if f != factor]
+                if run < longest:
+                    nxt.append((g, run + 1))
+                states[f"{gens[g]}{run}"] = tuple(f"{gens[h]}{r}" for h, r in sorted(nxt))
+        return PeriodicSpec(states=states, root=_ROOT_STATE)
+
 
 def infinite_dihedral() -> FreeProductCyclic:
     """Two involutions a, b generate the infinite dihedral group; it is
@@ -175,21 +234,20 @@ class CayleyBall:
     tree (each element's parent and the generator joining them).  Vertex
     order is layer-major, shortlex by word within a layer, so construction
     is canonical.  Quacks like a game arena: the radius-R sphere is the
-    boundary."""
+    boundary.  Words, elements and adjacency are derived from the tree on
+    first use."""
 
     model: object
     radius: int
-    elements: list
     level: list[int]
     layers: list[list[int]]
     tree_parent: list[int]
     tree_generator: list[int]  # generator from tree_parent[v] to v; -1 at the root
-    adjacency: list[list[int]] = field(default_factory=list)
-    _index: dict = field(default_factory=dict, repr=False)
+    state: list[int]  # the word acceptor's (compiled) state at each vertex
 
     @property
     def n_vertices(self) -> int:
-        return len(self.elements)
+        return len(self.tree_parent)
 
     @property
     def depth(self) -> int:
@@ -203,9 +261,59 @@ class CayleyBall:
     def words(self) -> list[tuple[int, ...]]:
         """Lex-min geodesic word of every element, as generator indices."""
         words: list[tuple[int, ...]] = [()]
-        for v in range(1, len(self.elements)):
+        for v in range(1, len(self.tree_parent)):
             words.append(words[self.tree_parent[v]] + (self.tree_generator[v],))
         return words
+
+    @cached_property
+    def elements(self) -> list:
+        """Every element in normal form, from its tree parent's."""
+        multiply = self.model.multiply
+        elements = [self.model.identity]
+        for v in range(1, len(self.tree_parent)):
+            elements.append(multiply(elements[self.tree_parent[v]], self.tree_generator[v]))
+        return elements
+
+    @cached_property
+    def _index(self) -> dict:
+        return {elem: v for v, elem in enumerate(self.elements)}
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """The in-ball products v*g of every vertex, in generator order.
+        The parent is v times the inverse of the generator entering v and
+        the children follow the acceptor; only a generator that does
+        neither (an earlier axis in Z^d, a same-factor move in a free
+        product; none in a free group) is multiplied out and looked up,
+        and only then are the elements built."""
+        auto, entering = _acceptor(self.model)
+        plans = []  # per state, the step each generator takes, in generator order
+        for s, kids in enumerate(auto.children):
+            child = {entering[t]: k for k, t in enumerate(kids)}
+            up = -1 if s == auto.root else self.model.inverse_index(entering[s])
+            plans.append(tuple(_PARENT if g == up else child.get(g, _LOOKUP)
+                               for g in range(len(self.model.generators))))
+        if any(_LOOKUP in plan for plan in plans):
+            multiply, elements, index = self.model.multiply, self.elements, self._index
+        n_inner = self.n_vertices - len(self.layers[self.radius])  # with children in the ball
+        adjacency = []
+        first_child = 1
+        for v, s in enumerate(self.state):
+            n_kids = len(auto.children[s]) if v < n_inner else 0
+            row = []
+            for g, step in enumerate(plans[s]):
+                if step >= 0:
+                    if step < n_kids:
+                        row.append(first_child + step)
+                elif step == _PARENT:
+                    row.append(self.tree_parent[v])
+                else:
+                    u = index.get(multiply(elements[v], g))
+                    if u is not None:
+                        row.append(u)
+            first_child += n_kids
+            adjacency.append(row)
+        return adjacency
 
     def neighbors(self, v: int) -> list[int]:
         return self.adjacency[v]
@@ -220,46 +328,59 @@ class CayleyBall:
         return "".join(self.model.generators[g] for g in self.words[v])
 
 
-def ball(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
-    """Breadth-first ball around the identity, vertices taken in index
-    order and generators in order; ``elements`` is its own queue."""
+_PARENT, _LOOKUP = -1, -2  # adjacency steps besides child k (k >= 0)
+
+
+def _acceptor(model):
+    """The compiled word acceptor, and the generator entering each state
+    (-1 at the root), which the state's name gives."""
+    acceptor = model.word_acceptor()
+    auto = compile(acceptor)
+    entering = [-1 if name == acceptor.root else model.generators.index(name.rstrip(digits))
+                for name in auto.names]
+    return auto, entering
+
+
+def _sphere_sizes(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[int]:
+    """|S(0)|, ..., |S(radius)| from the word acceptor's level counts.  The
+    ball cap is decided here, before anything is built: it fails at the
+    least radius 1..R whose ball has more than ``cap`` elements."""
     if radius < 0:
         raise SpecError("ball radius must be >= 0")
-    multiply = model.multiply
-    n_gens = len(model.generators)
-    elements = [model.identity]
-    index = {model.identity: 0}
-    level = [0]
-    layers = [[0]] + [[] for _ in range(radius)]
-    tree_parent = [-1]
-    tree_generator = [-1]
-    adjacency = []
-    for v, elem in enumerate(elements):
-        dist = level[v]
-        if dist and v == layers[dist][0] and len(elements) > cap:
-            # layer dist is complete once its first vertex is reached
+    spheres: list[int] = []
+    total = 0
+    for r, size in zip(range(radius + 1), compile(model.word_acceptor()).iter_level_counts()):
+        spheres.append(size)
+        total += size
+        if r and total > cap:
             raise ResourceLimitError(
-                f"ball of radius {dist} has {len(elements)} elements, the ball cap is {cap}"
+                f"ball of radius {r} has {total} elements, the ball cap is {cap}"
             )
-        row = []
-        for g in range(n_gens):
-            w = multiply(elem, g)
-            u = index.get(w)
-            if u is None:
-                if dist == radius:
-                    continue
-                u = len(elements)
-                index[w] = u
-                elements.append(w)
-                level.append(dist + 1)
-                layers[dist + 1].append(u)
-                tree_parent.append(v)
-                tree_generator.append(g)
-            row.append(u)
-        adjacency.append(row)
-    return CayleyBall(model=model, radius=radius, elements=elements, level=level,
-                      layers=layers, tree_parent=tree_parent,
-                      tree_generator=tree_generator, adjacency=adjacency, _index=index)
+    return spheres
+
+
+def ball(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
+    """The ball around the identity, unfolded from the word acceptor: the
+    children of a vertex are the one-letter extensions of its normal form,
+    in generator order, so vertices are numbered as a breadth-first search
+    in generator order numbers them."""
+    spheres = _sphere_sizes(model, radius, cap)
+    auto, entering = _acceptor(model)
+    children = auto.children
+    state = [auto.root]
+    tree_parent = [-1]
+    level: list[int] = []
+    layers = []
+    for r, size in enumerate(spheres):
+        start = len(level)
+        layers.append(list(range(start, start + size)))
+        level.extend([r] * size)
+        if r < radius:  # the next layer: children of this one, in order
+            tree_parent += [v for v in range(start, start + size) for _ in children[state[v]]]
+            state += [t for s in state[start:] for t in children[s]]
+    return CayleyBall(model=model, radius=radius, level=level, layers=layers,
+                      tree_parent=tree_parent, tree_generator=[entering[s] for s in state],
+                      state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +407,6 @@ def lex_min_tree(model, radius: int) -> LexMinTree:
 def lex_min_tree_of_ball(b: CayleyBall) -> LexMinTree:
     spec = ExplicitSpec(parents=tuple(b.tree_parent[1:]))
     return LexMinTree(spec=spec, ball=b)
-
-
-def enumerate_geodesic_words(b: CayleyBall, v: int) -> list[tuple[int, ...]]:
-    """Every geodesic word for element v, by walking all distance-reducing
-    predecessors; exhaustive oracle for the breadth-first lex-min words."""
-    model = b.model
-    memo: dict[int, list[tuple[int, ...]]] = {0: [()]}
-
-    def rec(u: int) -> list[tuple[int, ...]]:
-        if u in memo:
-            return memo[u]
-        out = []
-        for g in range(len(model.generators)):
-            prev = model.multiply(b.elements[u], model.inverse_index(g))
-            p = b._index.get(prev)
-            if p is not None and b.level[p] == b.level[u] - 1:
-                out.extend(w + (g,) for w in rec(p))
-        memo[u] = sorted(out)
-        return memo[u]
-
-    return rec(v)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +438,7 @@ class GrowthEstimate:
 def growth_rate_estimate(model, radius: int) -> GrowthEstimate:
     if radius < 2:
         raise SpecError("growth estimates need radius >= 2")
-    b = ball(model, radius)
-    spheres = b.sphere_sizes()
+    spheres = _sphere_sizes(model, radius)
     balls = []
     total = 0
     for s in spheres:
@@ -376,15 +475,18 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
     fire's reach, then protect that whole sphere at once.  The fire starts
     on B(radius) and occupies B(radius+n) after round n, so protecting
     S(radius+n+1) in round n leaves a one-sphere guard band and blocks all
-    further spread.  Runs out of ball (SurroundCapError) when the rate
-    does not outgrow the spheres within the given ball radius."""
+    further spread.  The trigger is read from the acceptor's sphere sizes,
+    and the ball is built only out to the protected sphere, which the fire
+    never passes.  Runs out of ball (SurroundCapError, with nothing built)
+    when the rate does not outgrow the spheres within the given ball
+    radius; the ball cap applies to that radius."""
     if radius < 0:
         raise SpecError("initial radius must be >= 0")
     if ball_radius <= radius + 1:
         raise SpecError("ball radius must exceed the initial radius + 1")
     rate_x = exact_rate(rate)
     budget = BudgetSequence.exponential(rate_x)
-    b = ball(model, ball_radius)
+    spheres = _sphere_sizes(model, ball_radius)
     trace = []
     trigger = None
     n = 0
@@ -394,7 +496,7 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
         if sphere_index > ball_radius:
             break
         f_n = budget(n)
-        size = len(b.layers[sphere_index])
+        size = spheres[sphere_index]
         trace.append((n, f_n, size))
         if f_n >= size:
             trigger = n
@@ -405,7 +507,8 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
             "the rate may not exceed the growth rate", tuple(trace),
         )
     sphere_index = radius + trigger + 1
-    sphere = tuple(sorted(b.layers[sphere_index]))
+    b = ball(model, sphere_index)
+    sphere = tuple(b.layers[sphere_index])
     strategy = ScheduleStrategy({trigger: sphere})
     verdict = simulate(b, radius, strategy, budget, horizon=trigger + 2)
     return SurroundResult(strategy=strategy, verdict=verdict, trigger_round=trigger,
@@ -427,15 +530,19 @@ class ProbeReport:
 
 def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> ProbeReport:
     """Deadline feasibility of budgets floor(coeff * n**degree) on the
-    lex-min spanning tree, with the cumulative-budget-vs-sphere table.
+    lex-min spanning tree, with the cumulative-budget-vs-sphere table;
+    both read the word acceptor, which unfolds to that tree, so no ball
+    is built (the ball cap still bounds the depth).
     An infeasible spanning tree is evidence (not proof) against containment
     on the Cayley graph itself: containment passes to subgraphs in the
     direction asserted here, and a finite-depth probe cannot settle an
     asymptotic statement."""
-    tree = lex_min_tree(model, depth)
+    spheres = _sphere_sizes(model, depth)
     budget = BudgetSequence.polynomial(coeff, degree)
-    result = feasibility_check(tree.spec, radius, budget, depth)
-    spheres = tree.ball.sphere_sizes()
+    # on the subtree shapes, as on the materialised tree: states that agree
+    # to the depth share one count, which keeps the count vectors short
+    result = feasibility_check(truncation_shapes(model.word_acceptor(), depth), radius,
+                               budget, depth)
     rows = tuple(
         (n, budget.cumulative(n), spheres[n + 1])
         for n in range(1, depth)

@@ -1,5 +1,5 @@
 """Brute-force ground truth on small instances: exhaustive game search for
-containment and exhaustive cutset enumeration.
+containment.
 
 The search enumerates protect-sets round by round with a transposition
 table keyed on the status vector and the (budget-stabilised) round.  Fire
@@ -166,36 +166,6 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
             break
         round_no += 1
     return OracleDecision(feasible=True, schedule=tuple(schedule))
-
-
-def enumerate_cutsets(trunc: Truncation, max_edges: int = 18) -> Iterator[frozenset[int]]:
-    """All antichain cutsets separating the root from the boundary, each
-    edge on some root-to-boundary path, each cutset exactly once."""
-    boundary = set(trunc.boundary)
-    hb = [False] * trunc.n_vertices
-    for v in range(trunc.n_vertices - 1, -1, -1):
-        hb[v] = v in boundary or any(hb[w] for w in trunc.children[v])
-    relevant = sum(1 for v in range(1, trunc.n_vertices) if hb[v])
-    if relevant > max_edges:
-        raise ResourceLimitError(
-            f"{relevant} boundary-path edges exceed the enumeration cap {max_edges}"
-        )
-
-    def per_vertex(v: int) -> list[frozenset[int]]:
-        if v in boundary:
-            return [frozenset((v,))]
-        options = _product(trunc, [w for w in trunc.children[v] if hb[w]], per_vertex)
-        return [frozenset((v,))] + options
-
-    kids = [w for w in trunc.children[0] if hb[w]]
-    yield from _product(trunc, kids, per_vertex)
-
-
-def _product(trunc, kids, per_vertex) -> list[frozenset[int]]:
-    partial = [frozenset()]
-    for w in kids:
-        partial = [acc | opt for acc in partial for opt in per_vertex(w)]
-    return partial
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from itertools import islice
+from typing import Iterator, Mapping, Union
 
 from .errors import ResourceLimitError, SpecError
 
@@ -167,16 +168,19 @@ class Automaton:
 
     def level_counts(self, depth: int) -> list[int]:
         """Vertices per level 0..depth, from state-count vectors."""
+        return list(islice(self.iter_level_counts(), depth + 1))
+
+    def iter_level_counts(self) -> Iterator[int]:
+        """Vertices per level 0, 1, 2, ..., without end; a caller that
+        bounds a running total stops as soon as it passes."""
         counts = {self.root: 1}
-        out = [1]
-        for _ in range(depth):
+        while True:
+            yield sum(counts.values())
             nxt: dict[int, int] = {}
             for state, n in counts.items():
                 for child in self.children[state]:
                     nxt[child] = nxt.get(child, 0) + n
-            out.append(sum(nxt.values()))
             counts = nxt
-        return out
 
     def is_finite(self) -> bool:
         """No cycle: an acyclic automaton has no state deeper than its
@@ -213,6 +217,30 @@ def _build_automaton(spec: TreeSpec) -> Automaton:
     for v in range(spec.n_vertices - 1, -1, -1):
         state[v] = shapes.setdefault(tuple(state[w] for w in kids[v]), len(shapes))
     return Automaton(tuple(shapes), state[0], escape_leaves=True)
+
+
+def truncation_shapes(spec: TreeSpec, depth: int) -> PeriodicSpec:
+    """The depth-D truncation as an automaton of its subtree shapes: the
+    states that compiling it as an explicit tree would intern, found
+    without materialising it.  A vertex at level L roots a subtree of
+    height D - L, and two states give equal subtrees of height h when
+    their children do at height h - 1, position by position; at height 0
+    a vertex continues or it does not.  State ``h.c`` is shape class c at
+    height h; a continuing height-0 shape loops on itself, so its
+    level-D vertices continue in the infinite tree."""
+    if depth < 0:
+        raise SpecError("depth must be >= 0")
+    auto = compile(spec)
+    shape = [[int(auto.continues(s)) for s in range(len(auto.children))]]
+    for _ in range(depth):
+        below: dict = {}
+        shape.append([below.setdefault(tuple(shape[-1][t] for t in kids), len(below))
+                      for kids in auto.children])
+    states = {"0.1": ("0.1",), "0.0": ()}
+    for h in range(1, depth + 1):
+        for s, kids in enumerate(auto.children):
+            states[f"{h}.{shape[h][s]}"] = tuple(f"{h - 1}.{shape[h - 1][t]}" for t in kids)
+    return PeriodicSpec(states=states, root=f"{depth}.{shape[depth][auto.root]}")
 
 
 def level_counts(spec: TreeSpec, depth: int) -> list[int]:

@@ -8,6 +8,7 @@ from firebreak import (
     BudgetSequence,
     ExplicitSpec,
     PeriodicSpec,
+    ResourceLimitError,
     SymmetricSpec,
     expand,
     level_counts,
@@ -160,3 +161,55 @@ def is_antichain(cut, trunc) -> bool:
                 return False
             u = trunc.parent[u]
     return True
+
+
+# -- exhaustive enumerations, the oracles of fast paths ----------------------
+
+
+def enumerate_cutsets(trunc, max_edges: int = 18):
+    """All antichain cutsets separating the root from the boundary, each
+    edge on some root-to-boundary path, each cutset exactly once."""
+    boundary = set(trunc.boundary)
+    hb = [False] * trunc.n_vertices
+    for v in range(trunc.n_vertices - 1, -1, -1):
+        hb[v] = v in boundary or any(hb[w] for w in trunc.children[v])
+    relevant = sum(1 for v in range(1, trunc.n_vertices) if hb[v])
+    if relevant > max_edges:
+        raise ResourceLimitError(
+            f"{relevant} boundary-path edges exceed the enumeration cap {max_edges}"
+        )
+
+    def product(kids) -> list[frozenset[int]]:
+        partial = [frozenset()]
+        for w in kids:
+            partial = [acc | opt for acc in partial for opt in per_vertex(w)]
+        return partial
+
+    def per_vertex(v: int) -> list[frozenset[int]]:
+        if v in boundary:
+            return [frozenset((v,))]
+        return [frozenset((v,))] + product([w for w in trunc.children[v] if hb[w]])
+
+    yield from product([w for w in trunc.children[0] if hb[w]])
+
+
+def enumerate_geodesic_words(b, v: int) -> list[tuple[int, ...]]:
+    """Every geodesic word for element v of a Cayley ball, by walking all
+    distance-reducing predecessors; exhaustive oracle for the lex-min
+    words."""
+    model = b.model
+    memo: dict[int, list[tuple[int, ...]]] = {0: [()]}
+
+    def rec(u: int) -> list[tuple[int, ...]]:
+        if u in memo:
+            return memo[u]
+        out = []
+        for g in range(len(model.generators)):
+            prev = model.multiply(b.elements[u], model.inverse_index(g))
+            p = b._index.get(prev)
+            if p is not None and b.level[p] == b.level[u] - 1:
+                out.extend(w + (g,) for w in rec(p))
+        memo[u] = sorted(out)
+        return memo[u]
+
+    return rec(v)

@@ -26,7 +26,6 @@ from firebreak import (
     CanonicalStrategy,
     cayley_ball,
     check_certificate,
-    enumerate_geodesic_words,
     expand,
     feasibility_check,
     infinite_dihedral,
@@ -42,6 +41,8 @@ from firebreak.cayley import lex_min_tree_of_ball
 from firebreak.cli import main as cli_main
 from conftest import (
     binary_spec,
+    enumerate_cutsets,
+    enumerate_geodesic_words,
     fibonacci_spec,
     random_truncation,
     random_explicit_tree,
@@ -126,7 +127,6 @@ def _triangle_corpus(rng, count):
 
 
 def _exists_containing_canonical(trunc, k, budget) -> bool:
-    from firebreak import enumerate_cutsets
     for edges in enumerate_cutsets(trunc):
         if any(trunc.level[v] <= k for v in edges):
             continue

@@ -36,7 +36,6 @@ from firebreak import (
     br_exact_periodic,
     check_certificate,
     cut_weight,
-    enumerate_cutsets,
     expand,
     lower_bound_certificate,
     max_flow,
@@ -50,6 +49,7 @@ from firebreak.errors import ResourceLimitError
 from firebreak.trees import compile
 from conftest import (
     binary_spec,
+    enumerate_cutsets,
     fibonacci_spec,
     is_antichain,
     ray_spec,

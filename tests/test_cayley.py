@@ -17,6 +17,14 @@ Claims covered:
       containment, and reports cap exhaustion with a trace
     - polynomial probes are infeasible on exponential-growth trees and the
       budget-vs-sphere table matches the cumulative sums
+    - the word acceptors have the stated state counts and unfold to the
+      balls of the breadth-first reference (tests/cayley_reference.py):
+      every field equal at every radius up to 24 whose ball has at most
+      5k vertices and at the largest radius (at most 200) whose ball has
+      at most 50k, and their level counts are the sphere sizes
+    - probes on the acceptor decide as the materialised lex-min tree does
+    - a surround without trigger is decided with no ball, and a triggered
+      one builds the ball only out to the protected sphere
 """
 
 import random
@@ -24,6 +32,7 @@ from fractions import Fraction
 
 import pytest
 
+import firebreak.cayley as cayley_mod
 from firebreak import (
     BudgetSequence,
     FreeAbelian,
@@ -32,16 +41,18 @@ from firebreak import (
     SpecError,
     SurroundCapError,
     cayley_ball,
-    enumerate_geodesic_words,
     expand,
     feasibility_check,
     group_from_name,
     growth_rate_estimate,
     infinite_dihedral,
+    level_counts,
     lex_min_tree,
     polynomial_probe,
     wait_and_surround,
 )
+from cayley_reference import reference_ball
+from conftest import enumerate_geodesic_words
 
 ALL_MODELS = [
     FreeGroup(1),
@@ -250,6 +261,22 @@ class TestWaitAndSurround:
         for _n, f_n, size in err.value.trace:
             assert f_n < size
 
+    def test_no_trigger_builds_no_ball(self, monkeypatch):
+        def no_ball(*_args, **_kw):
+            raise AssertionError("a ball was built")
+
+        monkeypatch.setattr(cayley_mod, "ball", no_ball)
+        with pytest.raises(SurroundCapError) as err:
+            wait_and_surround(FreeGroup(2), 1, Fraction(5, 2), 8)
+        assert [size for _n, _f, size in err.value.trace] == [36, 108, 324, 972, 2916, 8748]
+
+    def test_ball_ends_at_the_protected_sphere(self):
+        res = wait_and_surround(FreeAbelian(2), 1, Fraction(3, 2), 12)
+        assert res.ball.radius == res.sphere_index == 12
+        res = wait_and_surround(FreeAbelian(1), 1, Fraction(3, 2), 30)
+        assert res.ball.radius == res.sphere_index == 4
+        assert res.verdict.contained and res.verdict.burnt == 7
+
     def test_no_fault_on_trigger_round(self):
         # the protected sphere is two steps ahead of the fire at play time
         res = wait_and_surround(FreeAbelian(1), 0, 2, 8)
@@ -322,3 +349,69 @@ class TestDeterminism:
             for layer in b.layers:
                 words = [b.words[v] for v in layer]
                 assert all(x < y for x, y in zip(words, words[1:])), model.name
+
+
+# the built-in models plus free products with an order-4 factor and two
+# factors whose runs reach two and three letters
+DIFFERENTIAL_MODELS = ALL_MODELS + [FreeProductCyclic((2, 3, 4)), FreeProductCyclic((5, 7))]
+BALL_FIELDS = ("elements", "_index", "level", "layers", "tree_parent", "tree_generator",
+               "adjacency", "words")
+
+
+def differential_radii(model, dense: int = 24, every: int = 5_000, most: int = 50_000,
+                       longest: int = 200) -> list[int]:
+    """Every radius up to ``dense`` while the ball has at most ``every``
+    vertices, and the largest radius whose ball has at most ``most``, but
+    none past ``longest``: the words of a ball hold about |B| * R letters."""
+    spheres = level_counts(model.word_acceptor(), longest)
+    sizes = [sum(spheres[:r + 1]) for r in range(longest + 1)]
+    last = max(r for r, n in enumerate(sizes) if n <= most)
+    return [r for r in range(min(last, dense + 1)) if sizes[r] <= every] + [last]
+
+
+class TestWordAcceptors:
+    @pytest.mark.parametrize("name, n_states", [
+        ("free:1", 3), ("free:2", 5), ("free:3", 7), ("zd:1", 3), ("zd:2", 5), ("zd:3", 7),
+        ("dinf", 3), ("freeprod:2,3", 4), ("freeprod:3,3", 5), ("freeprod:5,7", 11),
+    ])
+    def test_state_counts(self, name, n_states):
+        assert len(group_from_name(name).word_acceptor().states) == n_states
+
+    def test_free_product_runs(self):
+        # order 4: a, aa (a tie goes to a) and A; order 5: two of either
+        states = FreeProductCyclic((4, 5)).word_acceptor().states
+        assert states["a1"] == ("a2", "b1", "B1")
+        assert states["a2"] == states["A1"] == ("b1", "B1")
+        assert states["b1"] == ("a1", "A1", "b2")
+        assert states["B1"] == ("a1", "A1", "B2")
+        assert states["B2"] == ("a1", "A1")
+
+    @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
+    def test_ball_equals_breadth_first_reference(self, model):
+        acceptor = model.word_acceptor()
+        for radius in differential_radii(model):
+            got, ref = cayley_ball(model, radius), reference_ball(model, radius)
+            for name in BALL_FIELDS:
+                assert getattr(got, name) == getattr(ref, name), (radius, name)
+            assert level_counts(acceptor, radius) == got.sphere_sizes()
+
+    @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
+    def test_unfolding_numbers_vertices_as_the_ball(self, model):
+        trunc = expand(model.word_acceptor(), 6)
+        assert trunc.parent == cayley_ball(model, 6).tree_parent
+
+    def test_probe_on_acceptor_matches_materialised_tree(self):
+        rng = random.Random(8)
+        seen = set()
+        for _ in range(60):
+            model = rng.choice(DIFFERENTIAL_MODELS)
+            depth = rng.randint(2, 6)
+            radius = rng.randint(0, depth - 1)
+            coeff, degree = rng.randint(1, 4), rng.randint(0, 2)
+            rep = polynomial_probe(model, coeff, degree, radius, depth)
+            tree = lex_min_tree(model, depth)
+            budget = BudgetSequence.polynomial(coeff, degree)
+            assert rep.feasibility == feasibility_check(tree.spec, radius, budget, depth)
+            assert [s for _n, _c, s in rep.budget_vs_sphere] == tree.level_counts()[2:]
+            seen.add(rep.feasibility.feasible)
+        assert seen == {True, False}

@@ -426,6 +426,20 @@ class TestCayley:
         assert code == 2
         assert "result.regime = cap_exhausted" in out
 
+    def test_ball_cap_decided_before_building(self, monkeypatch, capsys):
+        import firebreak.cayley as cayley_mod
+
+        def no_ball(*_args, **_kw):
+            raise AssertionError("a ball was built")
+
+        monkeypatch.setattr(cayley_mod, "ball", no_ball)
+        t0 = time.perf_counter()
+        code, out = run(["cayley", "free:2", "--mode", "growth", "--R", "13"])
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and not out
+        assert ("ball of radius 13 has 3188645 elements, the ball cap is 2000000"
+                in capsys.readouterr().err)
+
     def test_polyprobe(self):
         code, out = run(["cayley", "free:2", "--mode", "polyprobe", "--R", "8",
                          "--d", "2", "--k", "2"])

@@ -27,7 +27,6 @@ from firebreak import (
     brute_force_containment,
     CanonicalStrategy,
     cut_weight,
-    enumerate_cutsets,
     expand,
     feasibility_check,
     min_cut_weight,
@@ -36,8 +35,8 @@ from firebreak import (
     simulate,
 )
 from firebreak.trees import ExplicitSpec, format_tree_spec
-from conftest import (binary_spec, budget_catalogue, is_antichain, random_explicit_tree,
-                      ray_spec)
+from conftest import (binary_spec, budget_catalogue, enumerate_cutsets, is_antichain,
+                      random_explicit_tree, ray_spec)
 
 
 def ball_ids(trunc, k):

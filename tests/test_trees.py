@@ -12,6 +12,8 @@ Claims covered:
     - one representation: a periodic truncation re-read as an explicit
       tree, and a symmetric spec written as its cycle automaton, expand to
       the same truncation (and decide feasibility identically)
+    - a truncation's subtree shapes, read off the automaton, unfold to the
+      truncation and are the states its explicit tree interns
 """
 
 import random
@@ -31,6 +33,7 @@ from firebreak import (
     parse_tree_spec,
 )
 from firebreak import feasibility_check
+from firebreak.trees import compile, truncation_shapes
 from conftest import (
     binary_spec,
     budget_catalogue,
@@ -271,3 +274,24 @@ class TestOneRepresentation:
                 rb = feasibility_check(cycle, k, budget, depth)
             assert (ra.feasible, ra.witness_levels, ra.witness_paths) == \
                 (rb.feasible, rb.witness_levels, rb.witness_paths)
+
+    @pytest.mark.parametrize("seed", range(24))  # seed 22 has dead level-D vertices
+    def test_truncation_shapes(self, seed):
+        rng = random.Random(6000 + seed)
+        spec = random_periodic_spec(rng, allow_dead=seed % 2 == 0)
+        depth = rng.randint(0, 8)
+        while sum(level_counts(spec, depth)) > 3000:
+            depth -= 1
+        t = expand(spec, depth)
+        shapes = truncation_shapes(spec, depth)
+        again = expand(shapes, depth)
+        assert (again.parent, again.level, again.boundary) == (t.parent, t.level, t.boundary)
+        budget = rng.choice(budget_catalogue())
+        if depth:
+            k = rng.randrange(depth)
+            assert feasibility_check(shapes, k, budget, depth).witness_levels == \
+                feasibility_check(spec, k, budget, depth).witness_levels
+        if all(spec.states[s] for s in spec.reachable_states()):
+            explicit = compile(ExplicitSpec(parents=tuple(t.parent[1:])))
+            assert [len(states) for states in compile(shapes).level_states(depth)] == \
+                [len(states) for states in explicit.level_states(depth)]
