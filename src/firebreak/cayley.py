@@ -34,21 +34,28 @@ generator) pair is the least geodesic word, whose prefix is the parent's
 normal form.  So the acceptor's level counts are the sphere sizes, which
 growth, the surround trigger, the ball cap and the polynomial probes read
 with nothing built, and ``ball`` unfolds the acceptor into vertices whose
-tree edges are known without hashing an element.  Its adjacency, built on
-first use, multiplies out and looks up only a generator that neither
-extends the normal form nor leads back to the parent (an earlier axis in
-Z^d, a same-factor move in a free product; none in a free group).  Joining each element to its tree parent
-gives a spanning tree of the ball whose levels are the Cayley distances --
-the depth-R slice of the acceptor's tree, which carries the graph's growth
-and hands every tree algorithm in this package a Cayley question.
+tree edges are known without building an element.  Its adjacency, built
+on first use in one vectorised pass into flat row offsets and an
+``array('i')`` of column ids, reads every product off the tree too: a
+free product's same-factor move goes up the current run and down the new
+syllable's letters, and an earlier axis g of Z^d commutes with the letter
+h entering v, so v*g is the h-child of parent*g.  Joining each element to
+its tree parent gives a spanning tree of the ball whose levels are the
+Cayley distances -- the depth-R slice of the acceptor's tree, which
+carries the graph's growth and hands every tree algorithm in this package
+a Cayley question.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 from string import digits
 from typing import Sequence
+
+import numpy as np
 
 from .branching import exact_rate
 from .errors import ResourceLimitError, SpecError, SurroundCapError
@@ -185,6 +192,15 @@ class FreeProductCyclic:
             return elem[:-1] + ((factor, exp),)
         return elem + ((factor, delta),)
 
+    def syllable(self, h: int, run: int, g: int) -> tuple[int, ...]:
+        """The shortlex letters of h**run * g for g of h's factor: the
+        generator while 2 * exponent <= order, else its inverse."""
+        factor, delta = self._moves[h]
+        m = self.orders[factor]
+        exp = (run * delta + self._moves[g][1]) % m
+        letter = self._moves.index((factor, 1))
+        return (letter,) * exp if 2 * exp <= m else (self.inverse_index(letter),) * (m - exp)
+
     def word_acceptor(self) -> PeriodicSpec:
         """Syllables written shortlex: a state is the last letter and its
         run length, named like ``a2``.  On a factor of order m a run of
@@ -234,8 +250,8 @@ class CayleyBall:
     tree (each element's parent and the generator joining them).  Vertex
     order is layer-major, shortlex by word within a layer, so construction
     is canonical.  Quacks like a game arena: the radius-R sphere is the
-    boundary.  Words, elements and adjacency are derived from the tree on
-    first use."""
+    boundary.  Words and adjacency are derived from the tree on first use;
+    no element is built."""
 
     model: object
     radius: int
@@ -266,69 +282,62 @@ class CayleyBall:
         return words
 
     @cached_property
-    def elements(self) -> list:
-        """Every element in normal form, from its tree parent's."""
-        multiply = self.model.multiply
-        elements = [self.model.identity]
-        for v in range(1, len(self.tree_parent)):
-            elements.append(multiply(elements[self.tree_parent[v]], self.tree_generator[v]))
-        return elements
-
-    @cached_property
-    def _index(self) -> dict:
-        return {elem: v for v, elem in enumerate(self.elements)}
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        """The in-ball products v*g of every vertex, in generator order.
-        The parent is v times the inverse of the generator entering v and
-        the children follow the acceptor; only a generator that does
-        neither (an earlier axis in Z^d, a same-factor move in a free
-        product; none in a free group) is multiplied out and looked up,
-        and only then are the elements built."""
+    def _rows(self) -> tuple[array, array]:
+        """Row offsets and column ids of the in-ball products v*g, in
+        generator order, read off the tree in one numpy pass: child k, the
+        parent, up the run and down the new syllable (a free product's
+        same-factor move), or the h-child of parent*g (an earlier axis g of
+        Z^d commutes with the letter h entering v)."""
         auto, entering = _acceptor(self.model)
-        plans = []  # per state, the step each generator takes, in generator order
-        for s, kids in enumerate(auto.children):
-            child = {entering[t]: k for k, t in enumerate(kids)}
-            up = -1 if s == auto.root else self.model.inverse_index(entering[s])
-            plans.append(tuple(_PARENT if g == up else child.get(g, _LOOKUP)
-                               for g in range(len(self.model.generators))))
-        if any(_LOOKUP in plan for plan in plans):
-            multiply, elements, index = self.model.multiply, self.elements, self._index
-        n_inner = self.n_vertices - len(self.layers[self.radius])  # with children in the ball
-        adjacency = []
-        first_child = 1
-        for v, s in enumerate(self.state):
-            n_kids = len(auto.children[s]) if v < n_inner else 0
-            row = []
-            for g, step in enumerate(plans[s]):
-                if step >= 0:
-                    if step < n_kids:
-                        row.append(first_child + step)
-                elif step == _PARENT:
-                    row.append(self.tree_parent[v])
-                else:
-                    u = index.get(multiply(elements[v], g))
-                    if u is not None:
-                        row.append(u)
-            first_child += n_kids
-            adjacency.append(row)
-        return adjacency
+        model, n, n_gens = self.model, self.n_vertices, len(self.model.generators)
+        n_inner = n - len(self.layers[self.radius])  # with children in the ball
+        state, parent = np.array(self.state, np.int32), np.array(self.tree_parent, np.int32)
+        child = [{entering[t]: k for k, t in enumerate(kids)} for kids in auto.children]
+        kid = np.array([[c.get(g, -1) for g in range(n_gens)] for c in child + [{}]], np.int32)
+        inner = np.full(n + 1, len(child), np.int32)  # kid's row: none past n_inner and at -1
+        inner[:n_inner] = state[:n_inner]
+        n_kids = (kid >= 0).sum(1, dtype=np.int32)[inner]
+        first = np.cumsum(n_kids, dtype=np.int32) - n_kids + 1  # first child of each vertex
 
-    def neighbors(self, v: int) -> list[int]:
-        return self.adjacency[v]
+        def down(t, g):  # the child of t entered by g, -1 outside the ball
+            k = kid[inner[t], g]
+            return np.where(k >= 0, first[t] + k, -1)
 
-    def index_of(self, elem) -> int:
-        return self._index[elem]
+        cols = down(np.arange(n)[:, None], np.arange(n_gens))
+        up = [-1 if s == auto.root else model.inverse_index(entering[s]) for s in range(len(child))]
+        cols[np.arange(1, n), np.array(up, np.int32)[state[1:]]] = parent[1:]
+        commute = np.zeros(kid.shape, bool)
+        for s, g in ((s, g) for s, c in enumerate(child) for g in range(n_gens)
+                     if g not in c and g != up[s]):
+            if isinstance(model, FreeAbelian):
+                commute[s, g] = True
+            elif (vs := np.flatnonzero(state == s)).size:
+                run, t = int(auto.names[s][1:]), vs  # a state name is its letter and run length
+                for _ in range(run):
+                    t = parent[t]
+                for h in model.syllable(entering[s], run, g):
+                    t = down(t, h)
+                cols[vs, g] = t
+        rows, gs = np.nonzero(commute[state])  # in vertex order: parent*g is set a level up
+        at, of, flat = rows * n_gens + gs, parent[rows] * n_gens + gs, cols.reshape(-1)
+        hs = np.array(entering, np.int32)[state[rows]]
+        for a, b in pairwise(np.unique(np.searchsorted(rows, np.cumsum(self.sphere_sizes())))):
+            flat[at[a:b]] = down(flat[of[a:b]], hs[a:b])
+        present = cols >= 0
+        offsets = np.zeros(n + 1, np.int32)
+        np.cumsum(present.sum(1), out=offsets[1:])
+        return array("i", offsets.tobytes()), array("i", cols[present].tobytes())
+
+    def neighbors(self, v: int) -> array:
+        """The in-ball products v*g, in generator order."""
+        offsets, columns = self._rows
+        return columns[offsets[v]:offsets[v + 1]]
 
     def sphere_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
 
     def word_str(self, v: int) -> str:
         return "".join(self.model.generators[g] for g in self.words[v])
-
-
-_PARENT, _LOOKUP = -1, -2  # adjacency steps besides child k (k >= 0)
 
 
 def _acceptor(model):

@@ -7,20 +7,26 @@ protected, then fire spreads to every untouched neighbour of a burning
 vertex.  Statuses are permanent.  The fire is contained once a round adds
 no new burning vertex.
 
-An *arena* is anything with ``n_vertices``, ``neighbors(v)``, ``level``
-(distance from the root/identity), ``boundary`` (vertices whose burning
-makes the outcome inconclusive at this truncation depth) and ``depth``.
-Tree truncations and Cayley balls both qualify.
+An *arena* is anything with ``n_vertices``, ``neighbors(v)`` (an iterable
+of vertex ids), ``level`` (distance from the root/identity, non-decreasing
+in vertex order), ``boundary`` (vertices whose burning makes the outcome
+inconclusive at this truncation depth) and ``depth``.  Tree truncations
+and Cayley balls both qualify.  ``run_game`` plays the whole game on one
+status array that it changes in place, so the ``GameState.statuses`` a
+strategy sees is live; ``step`` copies it and leaves its input alone.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .branching import (compare_to_br, cut_recursion, edge_weight, exact_rate, min_cutset,
                         Cutset)
@@ -117,9 +123,9 @@ class BudgetSequence:
         if self.kind == "constant":
             return 1
         if self.kind == "exponential":
-            return 1 if float(self.rate) <= 1 else None
+            return 1 if self.rate <= 1 else None
         if self.kind == "polynomial":
-            return 1 if (self.degree == 0 or float(self.coeff) == 0) else None
+            return 1 if (self.degree == 0 or self.coeff == 0) else None
         return max(1, len(self.values))
 
     def describe(self) -> str:
@@ -140,7 +146,7 @@ class BudgetSequence:
 @dataclass(frozen=True)
 class GameState:
     arena: object
-    statuses: bytes
+    statuses: bytearray  # live during run_game
     round_no: int
     frontier: tuple[int, ...]  # vertices that started burning last round
 
@@ -150,8 +156,7 @@ class GameState:
 
 def initial_state(arena, radius: int) -> GameState:
     """Fire on the ball of the given radius around the root."""
-    fire = [v for v in range(arena.n_vertices) if arena.level[v] <= radius]
-    return state_from_fire(arena, fire)
+    return state_from_fire(arena, range(bisect_right(arena.level, radius)))
 
 
 def state_from_fire(arena, fire: Iterable[int]) -> GameState:
@@ -159,17 +164,26 @@ def state_from_fire(arena, fire: Iterable[int]) -> GameState:
     fire = tuple(sorted(set(fire)))
     for v in fire:
         statuses[v] = BURNING
-    return GameState(arena=arena, statuses=bytes(statuses), round_no=0, frontier=fire)
+    return GameState(arena=arena, statuses=statuses, round_no=0, frontier=fire)
 
 
 def step(state: GameState, protect: Iterable[int], budget: int) -> GameState:
-    """Protect, then spread.  Protecting a burning vertex or overspending
-    the budget is a strategy fault, not a silent clip."""
+    """Protect, then spread, on a copy of the statuses."""
+    statuses = bytearray(state.statuses)
+    frontier = _advance(state, statuses, protect, budget)
+    return GameState(arena=state.arena, statuses=statuses, round_no=state.round_no + 1,
+                     frontier=frontier)
+
+
+def _advance(state: GameState, statuses: bytearray, protect: Iterable[int],
+             budget: int) -> tuple[int, ...]:
+    """Play round ``state.round_no + 1`` on ``statuses`` in place and return
+    the vertices that start burning.  Protecting a burning vertex or
+    overspending the budget is a strategy fault, not a silent clip."""
     round_no = state.round_no + 1
     protect = sorted(set(protect))
     if len(protect) > budget:
         raise StrategyFault(round_no, f"protect set of size {len(protect)} exceeds budget {budget}")
-    statuses = bytearray(state.statuses)
     for v in protect:
         if not 0 <= v < len(statuses):
             raise SpecError(f"vertex {v} is not in the arena")
@@ -177,14 +191,14 @@ def step(state: GameState, protect: Iterable[int], budget: int) -> GameState:
             raise StrategyFault(round_no, f"vertex {v} is burning and cannot be protected")
         statuses[v] = PROTECTED
     newly = []
-    arena = state.arena
+    neighbors = state.arena.neighbors
     for v in state.frontier:
-        for w in arena.neighbors(v):
+        for w in neighbors(v):
             if statuses[w] == UNTOUCHED:
                 statuses[w] = BURNING
                 newly.append(w)
-    return GameState(arena=arena, statuses=bytes(statuses), round_no=round_no,
-                     frontier=tuple(sorted(newly)))
+    newly.sort()
+    return tuple(newly)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +270,7 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
         raise SpecError("horizon must be >= 0")
     state = state_from_fire(arena, fire)
     boundary = set(arena.boundary)
-    if boundary & set(state.frontier):
+    if not boundary.isdisjoint(state.frontier):
         return Verdict(kind=BOUNDARY_REACHED, round_no=0, burnt=None, trace=())
     if horizon is None:
         horizon = arena.n_vertices + 2
@@ -264,9 +278,9 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
     for n in range(1, horizon + 1):
         f_n = budget(n)
         protect = tuple(strategy.protect_for(state, n, f_n))
-        state = step(state, protect, f_n)
+        state = GameState(arena, state.statuses, n, _advance(state, state.statuses, protect, f_n))
         trace.append(TraceRound(n, tuple(sorted(protect)), state.frontier))
-        if boundary & set(state.frontier):
+        if not boundary.isdisjoint(state.frontier):
             return Verdict(kind=BOUNDARY_REACHED, round_no=n, burnt=None, trace=tuple(trace))
         if not state.frontier:
             assert _separated(state), "contained state has an exposed untouched vertex"
@@ -276,12 +290,12 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
 
 
 def _separated(state: GameState) -> bool:
-    arena = state.arena
-    for v in range(arena.n_vertices):
-        if state.statuses[v] == BURNING:
-            if any(state.statuses[w] == UNTOUCHED for w in arena.neighbors(v)):
-                return False
-    return True
+    """No burning vertex has an untouched neighbour: checked from whichever
+    of the two is fewer, as the arena's graph is undirected."""
+    statuses, neighbors = state.statuses, state.arena.neighbors
+    side, other = sorted((BURNING, UNTOUCHED), key=statuses.count)
+    checked = np.flatnonzero(np.frombuffer(statuses, np.uint8) == side).tolist()
+    return not any(other in map(statuses.__getitem__, neighbors(v)) for v in checked)
 
 
 def simulate(trunc, radius: int, strategy, budget: BudgetSequence,
@@ -293,8 +307,7 @@ def simulate(trunc, radius: int, strategy, budget: BudgetSequence,
         raise SpecError("initial radius must be >= 0")
     if radius >= trunc.depth:
         raise SpecError("initial radius must be smaller than the truncation depth")
-    fire = [v for v in range(trunc.n_vertices) if trunc.level[v] <= radius]
-    return run_game(trunc, fire, strategy, budget, horizon)
+    return run_game(trunc, range(bisect_right(trunc.level, radius)), strategy, budget, horizon)
 
 
 # -- trace files -------------------------------------------------------------

@@ -193,11 +193,24 @@ def enumerate_cutsets(trunc, max_edges: int = 18):
     yield from product([w for w in trunc.children[0] if hb[w]])
 
 
+def ball_elements(b) -> tuple[list, dict]:
+    """Every element of a Cayley ball in normal form, multiplied out from
+    its tree parent's, and the vertex of each element; the ball itself
+    builds none.  Kept on the ball, since the oracles ask per vertex."""
+    if "_test_elements" not in vars(b):
+        elements = [b.model.identity]
+        for v in range(1, b.n_vertices):
+            elements.append(b.model.multiply(elements[b.tree_parent[v]], b.tree_generator[v]))
+        b._test_elements = elements, {elem: v for v, elem in enumerate(elements)}
+    return b._test_elements
+
+
 def enumerate_geodesic_words(b, v: int) -> list[tuple[int, ...]]:
     """Every geodesic word for element v of a Cayley ball, by walking all
     distance-reducing predecessors; exhaustive oracle for the lex-min
     words."""
     model = b.model
+    elements, index = ball_elements(b)
     memo: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
     def rec(u: int) -> list[tuple[int, ...]]:
@@ -205,8 +218,8 @@ def enumerate_geodesic_words(b, v: int) -> list[tuple[int, ...]]:
             return memo[u]
         out = []
         for g in range(len(model.generators)):
-            prev = model.multiply(b.elements[u], model.inverse_index(g))
-            p = b._index.get(prev)
+            prev = model.multiply(elements[u], model.inverse_index(g))
+            p = index.get(prev)
             if p is not None and b.level[p] == b.level[u] - 1:
                 out.extend(w + (g,) for w in rec(p))
         memo[u] = sorted(out)

@@ -1,0 +1,91 @@
+"""The copy-per-round game engine that ``firebreak.game`` replaced with
+in-place stepping, kept as the slow reference of a differential test.
+
+``step`` copies the whole status array every round and returns a fresh
+immutable state; ``run_game`` threads those states through the rounds,
+and ``simulate`` finds the initial fire by scanning every vertex's level.
+Rules, fault checks and verdicts are those of ``firebreak.game``, whose
+value types this module reuses.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from firebreak.errors import SpecError, StrategyFault
+from firebreak.game import (BOUNDARY_REACHED, BURNING, CONTAINED, ESCAPED_HORIZON, PROTECTED,
+                            UNTOUCHED, GameState, TraceRound, Verdict)
+
+
+def state_from_fire(arena, fire: Iterable[int]) -> GameState:
+    statuses = bytearray(arena.n_vertices)
+    fire = tuple(sorted(set(fire)))
+    for v in fire:
+        statuses[v] = BURNING
+    return GameState(arena=arena, statuses=bytes(statuses), round_no=0, frontier=fire)
+
+
+def step(state: GameState, protect: Iterable[int], budget: int) -> GameState:
+    """Protect, then spread, on a copy of the statuses made this round."""
+    round_no = state.round_no + 1
+    protect = sorted(set(protect))
+    if len(protect) > budget:
+        raise StrategyFault(round_no, f"protect set of size {len(protect)} exceeds budget {budget}")
+    statuses = bytearray(state.statuses)
+    for v in protect:
+        if not 0 <= v < len(statuses):
+            raise SpecError(f"vertex {v} is not in the arena")
+        if statuses[v] == BURNING:
+            raise StrategyFault(round_no, f"vertex {v} is burning and cannot be protected")
+        statuses[v] = PROTECTED
+    newly = []
+    arena = state.arena
+    for v in state.frontier:
+        for w in arena.neighbors(v):
+            if statuses[w] == UNTOUCHED:
+                statuses[w] = BURNING
+                newly.append(w)
+    return GameState(arena=arena, statuses=bytes(statuses), round_no=round_no,
+                     frontier=tuple(sorted(newly)))
+
+
+def run_game(arena, fire: Iterable[int], strategy, budget, horizon: int | None = None) -> Verdict:
+    if horizon is not None and horizon < 0:
+        raise SpecError("horizon must be >= 0")
+    state = state_from_fire(arena, fire)
+    boundary = set(arena.boundary)
+    if boundary & set(state.frontier):
+        return Verdict(kind=BOUNDARY_REACHED, round_no=0, burnt=None, trace=())
+    if horizon is None:
+        horizon = arena.n_vertices + 2
+    trace: list[TraceRound] = []
+    for n in range(1, horizon + 1):
+        f_n = budget(n)
+        protect = tuple(strategy.protect_for(state, n, f_n))
+        state = step(state, protect, f_n)
+        trace.append(TraceRound(n, tuple(sorted(protect)), state.frontier))
+        if boundary & set(state.frontier):
+            return Verdict(kind=BOUNDARY_REACHED, round_no=n, burnt=None, trace=tuple(trace))
+        if not state.frontier:
+            assert _separated(state), "contained state has an exposed untouched vertex"
+            return Verdict(kind=CONTAINED, round_no=n, burnt=state.burning_count(),
+                           trace=tuple(trace))
+    return Verdict(kind=ESCAPED_HORIZON, round_no=horizon, burnt=None, trace=tuple(trace))
+
+
+def _separated(state: GameState) -> bool:
+    arena = state.arena
+    for v in range(arena.n_vertices):
+        if state.statuses[v] == BURNING:
+            if any(state.statuses[w] == UNTOUCHED for w in arena.neighbors(v)):
+                return False
+    return True
+
+
+def simulate(trunc, radius: int, strategy, budget, horizon: int | None = None) -> Verdict:
+    if radius < 0:
+        raise SpecError("initial radius must be >= 0")
+    if radius >= trunc.depth:
+        raise SpecError("initial radius must be smaller than the truncation depth")
+    fire = [v for v in range(trunc.n_vertices) if trunc.level[v] <= radius]
+    return run_game(trunc, fire, strategy, budget, horizon)

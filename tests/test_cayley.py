@@ -19,9 +19,10 @@ Claims covered:
       budget-vs-sphere table matches the cumulative sums
     - the word acceptors have the stated state counts and unfold to the
       balls of the breadth-first reference (tests/cayley_reference.py):
-      every field equal at every radius up to 24 whose ball has at most
-      5k vertices and at the largest radius (at most 200) whose ball has
-      at most 50k, and their level counts are the sphere sizes
+      every field and every adjacency row equal at every radius up to 24
+      whose ball has at most 5k vertices and at the largest radius (at
+      most 200) whose ball has at most 50k, and their level counts are
+      the sphere sizes
     - probes on the acceptor decide as the materialised lex-min tree does
     - a surround without trigger is decided with no ball, and a triggered
       one builds the ball only out to the protected sphere
@@ -52,7 +53,7 @@ from firebreak import (
     wait_and_surround,
 )
 from cayley_reference import reference_ball
-from conftest import enumerate_geodesic_words
+from conftest import ball_elements, enumerate_geodesic_words
 
 ALL_MODELS = [
     FreeGroup(1),
@@ -121,11 +122,10 @@ class TestBalls:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_adjacency_rows_follow_generator_order(self, model):
         b = cayley_ball(model, 4)
+        elements, index = ball_elements(b)
         for v in range(b.n_vertices):
-            products = (model.multiply(b.elements[v], g)
-                        for g in range(len(model.generators)))
-            assert b.neighbors(v) == [b.index_of(w) for w in products
-                                      if w in b._index]
+            products = (model.multiply(elements[v], g) for g in range(len(model.generators)))
+            assert list(b.neighbors(v)) == [index[w] for w in products if w in index]
 
     def test_adjacency_is_symmetric(self):
         b = cayley_ball(FreeAbelian(2), 4)
@@ -150,11 +150,12 @@ class TestLexMinWords:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_words_evaluate_to_their_element(self, model):
         b = cayley_ball(model, 4)
+        elements, _index = ball_elements(b)
         for v in range(b.n_vertices):
             e = model.identity
             for g in b.words[v]:
                 e = model.multiply(e, g)
-            assert e == b.elements[v]
+            assert e == elements[v]
             assert len(b.words[v]) == b.level[v]
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
@@ -165,10 +166,9 @@ class TestLexMinWords:
 
     def test_z_gen_before_inverse(self):
         b = cayley_ball(FreeAbelian(1), 2)
-        v = b.index_of((2,))
-        assert b.word_str(v) == "aa"
-        w = b.index_of((-2,))
-        assert b.word_str(w) == "AA"
+        _elements, index = ball_elements(b)
+        assert b.word_str(index[(2,)]) == "aa"
+        assert b.word_str(index[(-2,)]) == "AA"
 
 
 class TestLexMinTree:
@@ -339,9 +339,10 @@ class TestDeterminism:
     def test_ball_reconstruction_identical(self):
         a = cayley_ball(FreeProductCyclic((2, 3)), 5)
         b = cayley_ball(FreeProductCyclic((2, 3)), 5)
-        assert a.elements == b.elements
+        assert ball_elements(a) == ball_elements(b)
         assert a.words == b.words
-        assert a.adjacency == b.adjacency
+        for v in range(a.n_vertices):
+            assert list(a.neighbors(v)) == list(b.neighbors(v))
 
     def test_layers_sorted_by_word(self):
         for model in ALL_MODELS:
@@ -354,8 +355,7 @@ class TestDeterminism:
 # the built-in models plus free products with an order-4 factor and two
 # factors whose runs reach two and three letters
 DIFFERENTIAL_MODELS = ALL_MODELS + [FreeProductCyclic((2, 3, 4)), FreeProductCyclic((5, 7))]
-BALL_FIELDS = ("elements", "_index", "level", "layers", "tree_parent", "tree_generator",
-               "adjacency", "words")
+BALL_FIELDS = ("level", "layers", "tree_parent", "tree_generator", "words")
 
 
 def differential_radii(model, dense: int = 24, every: int = 5_000, most: int = 50_000,
@@ -393,6 +393,9 @@ class TestWordAcceptors:
             got, ref = cayley_ball(model, radius), reference_ball(model, radius)
             for name in BALL_FIELDS:
                 assert getattr(got, name) == getattr(ref, name), (radius, name)
+            assert ball_elements(got) == (ref.elements, ref._index), radius
+            for v in range(got.n_vertices):
+                assert list(got.neighbors(v)) == ref.adjacency[v], (radius, v)
             assert level_counts(acceptor, radius) == got.sphere_sizes()
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)

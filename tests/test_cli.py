@@ -420,6 +420,16 @@ class TestCayley:
         assert "result.trigger_round = 10" in out
         assert "result.verdict = contained" in out
 
+    def test_surround_on_a_large_ball(self):
+        # the ball out to the protected sphere has 354,293 vertices
+        code, out = run(["cayley", "free:2", "--mode", "surround", "--R", "11",
+                         "--lambda", "4", "--k", "1"])
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("result.")] == [
+            "result.burnt = 118097", "result.sphere_index = 11",
+            "result.sphere_size = 236196", "result.trigger_round = 9",
+            "result.verdict = contained", "result.verdict_round = 10"]
+
     def test_surround_cap_exhausted(self):
         code, out = run(["cayley", "free:2", "--mode", "surround", "--R", "7",
                          "--lambda", "2.5", "--k", "1"])

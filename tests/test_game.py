@@ -1,8 +1,12 @@
 """Game engine, strategies, deadline feasibility and synthesis.
 
 Claims covered:
+    - budgets that only a float would call constant are not constant
     - step applies protection before spread, rejects faults, keeps statuses
-      monotone and disjoint
+      monotone and disjoint, and leaves its input state alone
+    - the in-place engine plays as the copy-per-round reference
+      (tests/game_reference.py) on random truncations and Cayley balls of
+      every model: same traces, verdicts, faults and fault rounds
     - simulate reproduces the hand-traced verdicts (ray, binary cut play)
       and never reports containment when the fire can reach the horizon
     - canonical strategies pick closest-first with deterministic ties
@@ -31,16 +35,21 @@ import pytest
 from firebreak import (
     BudgetSequence,
     CanonicalStrategy,
+    FreeAbelian,
+    FreeGroup,
+    FreeProductCyclic,
     Cutset,
     ResourceLimitError,
     ScheduleStrategy,
     SpecError,
     StrategyFault,
     SynthesisError,
+    cayley_ball,
     cut_weight,
     expand,
     feasibility_check,
     format_trace,
+    infinite_dihedral,
     initial_state,
     level_counts,
     max_flow,
@@ -60,10 +69,12 @@ from conftest import (
     random_explicit_tree,
     random_periodic_spec,
     random_symmetric_spec,
+    random_truncation,
     ray_spec,
     ternary_spec,
     witness_vertices,
 )
+import game_reference
 from pareto_reference import pareto_feasibility
 
 DATA = Path(__file__).parent / "data"
@@ -113,6 +124,17 @@ class TestBudgets:
         assert BudgetSequence.explicit([3, 1, 1]).stabilization_round() == 3
         assert BudgetSequence.exponential(2).stabilization_round() is None
         assert BudgetSequence.exponential(Fraction(1, 2)).stabilization_round() == 1
+        assert BudgetSequence.exponential(1).stabilization_round() == 1
+        assert BudgetSequence.polynomial(0, 3).stabilization_round() == 1
+
+    def test_stabilization_is_exact(self):
+        # both budgets read as constant through a float, and neither is
+        tiny = BudgetSequence.parse("poly:1/1" + "0" * 400 + ",1")
+        assert float(tiny.coeff) == 0 and tiny(1) == 0 and tiny(10 ** 401) == 10
+        assert tiny.stabilization_round() is None
+        barely = BudgetSequence.exponential(1 + Fraction(1, 10 ** 20))  # floor(rate**n) grows
+        assert float(barely.rate) == 1 and barely.rate > 1
+        assert barely.stabilization_round() is None
 
 
 class TestStep:
@@ -164,6 +186,99 @@ class TestStep:
                 nxt.statuses[v] == BURNING and v in protect for v in range(t.n_vertices)
             )
             state = nxt
+
+
+class RandomStrategy:
+    """Protects a seeded random sample of vertices each round: mostly
+    untouched ones within the budget, sometimes one too many, a burning
+    vertex or an id outside the arena."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def protect_for(self, state, round_no, budget):
+        rng, n = self.rng, state.arena.n_vertices
+        picks = [v for v in range(n) if state.statuses[v] == UNTOUCHED and rng.random() < 0.3]
+        picks = picks[:budget + (rng.random() < 0.1)]
+        if rng.random() < 0.05:
+            picks.append(rng.choice([v for v in range(n) if state.statuses[v] == BURNING]))
+        if rng.random() < 0.03:
+            picks.append(rng.choice((-1, n)))
+        return picks
+
+
+def _engine_outcome(play, *args):
+    try:
+        return play(*args)
+    except (StrategyFault, SpecError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "round_no", None)
+
+
+ENGINE_MODELS = [FreeGroup(1), FreeGroup(2), FreeAbelian(1), FreeAbelian(2), FreeAbelian(3),
+                 infinite_dihedral(), FreeProductCyclic((2, 3)), FreeProductCyclic((3, 3))]
+
+
+class TestInPlaceEngine:
+    """The in-place engine against the copy-per-round reference
+    (tests/game_reference.py)."""
+
+    def arenas(self, rng):
+        yield from (random_truncation(rng, max_depth=7, size_limit=400) for _ in range(300))
+        yield from (cayley_ball(model, radius) for model in ENGINE_MODELS for radius in (2, 3, 4, 5))
+
+    def strategies(self, rng, arena):
+        n = arena.n_vertices
+        schedule = {r: rng.sample(range(n), min(n, rng.randint(0, 3)))
+                    for r in range(1, arena.depth + 2) if rng.random() < 0.6}
+        if rng.random() < 0.1:
+            schedule[1] = (rng.choice((-1, n)),)
+        vprime, seed = rng.sample(range(n), rng.randint(0, n)), rng.randrange(10 ** 6)
+        yield lambda: ScheduleStrategy(schedule)
+        yield lambda: CanonicalStrategy(vprime)
+        yield lambda: RandomStrategy(seed)  # a fresh strategy replays the same draws
+
+    def test_matches_copy_per_round_reference(self):
+        rng = random.Random(53)
+        kinds = Counter()
+        for arena in self.arenas(rng):
+            for make in self.strategies(rng, arena):
+                radius = rng.randrange(arena.depth)
+                budget = rng.choice(budget_catalogue())
+                horizon = rng.choice((None, None, 0, 1, 2, 5, -1))
+                fire = rng.sample(range(arena.n_vertices), min(arena.n_vertices, 3)) + [0]
+                got = _engine_outcome(simulate, arena, radius, make(), budget, horizon)
+                want = _engine_outcome(game_reference.simulate, arena, radius, make(), budget,
+                                       horizon)
+                assert got == want
+                got = _engine_outcome(run_game, arena, fire, make(), budget, horizon)
+                want = _engine_outcome(game_reference.run_game, arena, fire, make(), budget,
+                                       horizon)
+                assert got == want
+                kinds[got[0] if isinstance(got, tuple) else got.kind] += 1
+        assert set(kinds) == {"contained", "boundary_reached", "escaped_horizon",
+                              "StrategyFault", "SpecError"}, kinds
+
+    def test_step_leaves_its_input_alone(self):
+        rng = random.Random(59)
+        for arena in self.arenas(rng):
+            state = ref = initial_state(arena, rng.randrange(arena.depth))
+            for round_no in range(1, arena.depth + 2):
+                untouched = [v for v in range(arena.n_vertices) if state.statuses[v] == UNTOUCHED]
+                protect = rng.sample(untouched, min(len(untouched), rng.randint(0, 2)))
+                burning = [v for v in range(arena.n_vertices) if state.statuses[v] == BURNING]
+                if rng.random() < 0.2:  # a fault after some vertices are marked protected
+                    protect.append(rng.choice(burning))
+                before = bytes(state.statuses)
+                got = _engine_outcome(step, state, protect, 2)
+                assert state.statuses == before
+                want = _engine_outcome(game_reference.step, ref, protect, 2)
+                if isinstance(want, tuple):
+                    assert got == want
+                    break
+                assert (got.round_no, got.frontier, bytes(got.statuses)) == (
+                    want.round_no, want.frontier, want.statuses) == (round_no, got.frontier,
+                                                                     want.statuses)
+                state, ref = got, want
 
 
 class TestSimulate:
