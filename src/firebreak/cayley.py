@@ -318,11 +318,12 @@ class CayleyBall:
                 for h in model.syllable(entering[s], run, g):
                     t = down(t, h)
                 cols[vs, g] = t
-        rows, gs = np.nonzero(commute[state])  # in vertex order: parent*g is set a level up
-        at, of, flat = rows * n_gens + gs, parent[rows] * n_gens + gs, cols.reshape(-1)
-        hs = np.array(entering, np.int32)[state[rows]]
-        for a, b in pairwise(np.unique(np.searchsorted(rows, np.cumsum(self.sphere_sizes())))):
-            flat[at[a:b]] = down(flat[of[a:b]], hs[a:b])
+        if commute.any():  # level by level, as parent*g is set a level up
+            rows, gs = np.nonzero(commute[state])
+            at, of, flat = rows * n_gens + gs, parent[rows] * n_gens + gs, cols.reshape(-1)
+            hs = np.array(entering, np.int32)[state[rows]]
+            for a, b in pairwise(np.searchsorted(rows, np.cumsum(self.sphere_sizes()))):
+                flat[at[a:b]] = down(flat[of[a:b]], hs[a:b])
         present = cols >= 0
         offsets = np.zeros(n + 1, np.int32)
         np.cumsum(present.sum(1), out=offsets[1:])

@@ -224,7 +224,7 @@ class TestInPlaceEngine:
 
     def arenas(self, rng):
         yield from (random_truncation(rng, max_depth=7, size_limit=400) for _ in range(300))
-        yield from (cayley_ball(model, radius) for model in ENGINE_MODELS for radius in (2, 3, 4, 5))
+        yield from (cayley_ball(model, r) for model in ENGINE_MODELS for r in (2, 3, 4, 5))
 
     def strategies(self, rng, arena):
         n = arena.n_vertices
@@ -266,7 +266,7 @@ class TestInPlaceEngine:
                 untouched = [v for v in range(arena.n_vertices) if state.statuses[v] == UNTOUCHED]
                 protect = rng.sample(untouched, min(len(untouched), rng.randint(0, 2)))
                 burning = [v for v in range(arena.n_vertices) if state.statuses[v] == BURNING]
-                if rng.random() < 0.2:  # a fault after some vertices are marked protected
+                if rng.random() < 0.2:  # a fault, maybe after marking others protected
                     protect.append(rng.choice(burning))
                 before = bytes(state.statuses)
                 got = _engine_outcome(step, state, protect, 2)
@@ -275,9 +275,8 @@ class TestInPlaceEngine:
                 if isinstance(want, tuple):
                     assert got == want
                     break
-                assert (got.round_no, got.frontier, bytes(got.statuses)) == (
-                    want.round_no, want.frontier, want.statuses) == (round_no, got.frontier,
-                                                                     want.statuses)
+                assert got.round_no == round_no
+                assert (got.frontier, got.statuses) == (want.frontier, want.statuses)
                 state, ref = got, want
 
 
