@@ -7,13 +7,14 @@ protected, then fire spreads to every untouched neighbour of a burning
 vertex.  Statuses are permanent.  The fire is contained once a round adds
 no new burning vertex.
 
-An *arena* is anything with ``n_vertices``, ``neighbors(v)`` (an iterable
-of vertex ids), ``level`` (distance from the root/identity, non-decreasing
-in vertex order), ``boundary`` (vertices whose burning makes the outcome
-inconclusive at this truncation depth) and ``depth``.  Tree truncations
-and Cayley balls both qualify.  ``run_game`` plays the whole game on one
-status array that it changes in place, so the ``GameState.statuses`` a
-strategy sees is live; ``step`` copies it and leaves its input alone.
+An *arena* is an undirected graph with ``n_vertices``, ``neighbors(v)``
+(an iterable of vertex ids), ``level`` (distance from the root/identity,
+non-decreasing in vertex order), ``boundary`` (vertices whose burning
+makes the outcome inconclusive at this truncation depth) and ``depth``.
+Tree truncations and Cayley balls both qualify.  ``run_game`` plays the
+whole game on one status array that it changes in place, so the
+``GameState.statuses`` a strategy sees is live; ``step`` copies it and
+leaves its input alone.
 """
 
 from __future__ import annotations
