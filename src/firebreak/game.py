@@ -192,14 +192,13 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int],
             raise StrategyFault(round_no, f"vertex {v} is burning and cannot be protected")
         statuses[v] = PROTECTED
     newly = []
-    neighbors = state.arena.neighbors
+    arena = state.arena
     for v in state.frontier:
-        for w in neighbors(v):
+        for w in arena.neighbors(v):
             if statuses[w] == UNTOUCHED:
                 statuses[w] = BURNING
                 newly.append(w)
-    newly.sort()
-    return tuple(newly)
+    return tuple(sorted(newly))
 
 
 # ---------------------------------------------------------------------------
