@@ -33,17 +33,18 @@ there, and as all words of a layer have the same length that (parent word,
 generator) pair is the least geodesic word, whose prefix is the parent's
 normal form.  So the acceptor's level counts are the sphere sizes, which
 growth, the surround trigger, the ball cap and the polynomial probes read
-with nothing built, and ``ball`` unfolds the acceptor into vertices whose
-tree edges are known without building an element.  Its adjacency, built
-on first use in one vectorised pass into flat row offsets and an
-``array('i')`` of column ids, reads every product off the tree too: a
-free product's same-factor move goes up the current run and down the new
-syllable's letters, and an earlier axis g of Z^d commutes with the letter
-h entering v, so v*g is the h-child of parent*g.  Joining each element to
-its tree parent gives a spanning tree of the ball whose levels are the
-Cayley distances -- the depth-R slice of the acceptor's tree, which
-carries the graph's growth and hands every tree algorithm in this package
-a Cayley question.
+with nothing built (a model builds its acceptor once), and ``ball``
+unfolds the acceptor into vertices whose tree edges are known without
+building an element; each vertex's word is its parent's plus one letter.
+Its adjacency, built on first use in one vectorised pass into flat row
+offsets and an ``array('i')`` of column ids (large game rounds read numpy
+views), reads every product off the tree too: a free product's same-factor
+move goes up the current run and down the new syllable's letters, and an
+earlier axis g of Z^d commutes with the letter h entering v, so v*g is the
+h-child of parent*g.  Joining each element to its tree parent gives a
+spanning tree of the ball whose levels are the Cayley distances -- the
+depth-R slice of the acceptor's tree, which carries the graph's growth and
+hands every tree algorithm in this package a Cayley question.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .game import (
     feasibility_check,
     simulate,
 )
-from .trees import ExplicitSpec, PeriodicSpec, compile, truncation_shapes
+from .trees import Automaton, ExplicitSpec, PeriodicSpec, compile, truncation_shapes
 
 _LETTERS = "abcdefghij"
 
@@ -82,7 +83,21 @@ def _letter(i: int, inverse: bool) -> str:
     return _LETTERS[i].upper() if inverse else _LETTERS[i]
 
 
-class FreeGroup:
+class _GroupModel:
+    """What every model shares: its word acceptor, built once per model."""
+
+    @cached_property
+    def acceptor(self) -> tuple[PeriodicSpec, Automaton, list[int]]:
+        """The word acceptor, its compiled automaton and the generator
+        entering each state (-1 at the root), which the state's name gives."""
+        spec = self.word_acceptor()
+        auto = compile(spec)
+        entering = [-1 if name == spec.root else self.generators.index(name.rstrip(digits))
+                    for name in auto.names]
+        return spec, auto, entering
+
+
+class FreeGroup(_GroupModel):
     """Free group of the given rank; elements are reduced words, stored as
     tuples of generator indices.  Generator order: a < A < b < B < ..."""
 
@@ -114,7 +129,7 @@ class FreeGroup:
         return PeriodicSpec(states=states, root=_ROOT_STATE)
 
 
-class FreeAbelian:
+class FreeAbelian(_GroupModel):
     """Z^d with generator order a < A < b < B < ... (a = +e1, A = -e1)."""
 
     def __init__(self, dim: int):
@@ -148,7 +163,7 @@ class FreeAbelian:
         return PeriodicSpec(states=states, root=_ROOT_STATE)
 
 
-class FreeProductCyclic:
+class FreeProductCyclic(_GroupModel):
     """Free product of finite cyclic groups C_m1 * C_m2 * ...; elements
     are alternating syllables (factor, exponent) with 1 <= exponent <
     order.  Each factor contributes its generator, followed immediately by
@@ -274,24 +289,16 @@ class CayleyBall:
         return tuple(self.layers[self.radius])
 
     @cached_property
-    def words(self) -> list[tuple[int, ...]]:
-        """Lex-min geodesic word of every element, as generator indices."""
-        words: list[tuple[int, ...]] = [()]
-        for v in range(1, len(self.tree_parent)):
-            words.append(words[self.tree_parent[v]] + (self.tree_generator[v],))
-        return words
-
-    @cached_property
     def _rows(self) -> tuple[array, array]:
         """Row offsets and column ids of the in-ball products v*g, in
         generator order, read off the tree in one numpy pass: child k, the
         parent, up the run and down the new syllable (a free product's
         same-factor move), or the h-child of parent*g (an earlier axis g of
         Z^d commutes with the letter h entering v)."""
-        auto, entering = _acceptor(self.model)
+        _spec, auto, entering = self.model.acceptor
         model, n, n_gens = self.model, self.n_vertices, len(self.model.generators)
         n_inner = n - len(self.layers[self.radius])  # with children in the ball
-        state, parent = np.array(self.state, np.int32), np.array(self.tree_parent, np.int32)
+        state, parent = (np.fromiter(x, np.int32, n) for x in (self.state, self.tree_parent))
         child = [{entering[t]: k for k, t in enumerate(kids)} for kids in auto.children]
         kid = np.array([[c.get(g, -1) for g in range(n_gens)] for c in child + [{}]], np.int32)
         inner = np.full(n + 1, len(child), np.int32)  # kid's row: none past n_inner and at -1
@@ -329,6 +336,11 @@ class CayleyBall:
         np.cumsum(present.sum(1), out=offsets[1:])
         return array("i", offsets.tobytes()), array("i", cols[present].tobytes())
 
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numpy views of the same row buffers, which large game rounds read."""
+        return tuple(np.frombuffer(a, np.intc) for a in self._rows)
+
     def neighbors(self, v: int) -> array:
         """The in-ball products v*g, in generator order."""
         offsets, columns = self._rows
@@ -337,18 +349,16 @@ class CayleyBall:
     def sphere_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
 
+    @cached_property
+    def word_strings(self) -> list[str]:
+        """Every element's lex-min word: its tree parent's plus one letter."""
+        letters, strings = self.model.generators, [""]
+        for p, g in zip(self.tree_parent[1:], self.tree_generator[1:]):
+            strings.append(strings[p] + letters[g])
+        return strings
+
     def word_str(self, v: int) -> str:
-        return "".join(self.model.generators[g] for g in self.words[v])
-
-
-def _acceptor(model):
-    """The compiled word acceptor, and the generator entering each state
-    (-1 at the root), which the state's name gives."""
-    acceptor = model.word_acceptor()
-    auto = compile(acceptor)
-    entering = [-1 if name == acceptor.root else model.generators.index(name.rstrip(digits))
-                for name in auto.names]
-    return auto, entering
+        return self.word_strings[v]
 
 
 def _sphere_sizes(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[int]:
@@ -359,7 +369,7 @@ def _sphere_sizes(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[int]:
         raise SpecError("ball radius must be >= 0")
     spheres: list[int] = []
     total = 0
-    for r, size in zip(range(radius + 1), compile(model.word_acceptor()).iter_level_counts()):
+    for r, size in zip(range(radius + 1), model.acceptor[1].iter_level_counts()):
         spheres.append(size)
         total += size
         if r and total > cap:
@@ -375,7 +385,7 @@ def ball(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
     in generator order, so vertices are numbered as a breadth-first search
     in generator order numbers them."""
     spheres = _sphere_sizes(model, radius, cap)
-    auto, entering = _acceptor(model)
+    _spec, auto, entering = model.acceptor
     children = auto.children
     state = [auto.root]
     tree_parent = [-1]
@@ -551,7 +561,7 @@ def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> Prob
     budget = BudgetSequence.polynomial(coeff, degree)
     # on the subtree shapes, as on the materialised tree: states that agree
     # to the depth share one count, which keeps the count vectors short
-    result = feasibility_check(truncation_shapes(model.word_acceptor(), depth), radius,
+    result = feasibility_check(truncation_shapes(model.acceptor[0], depth), radius,
                                budget, depth)
     rows = tuple(
         (n, budget.cumulative(n), spheres[n + 1])

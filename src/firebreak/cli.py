@@ -398,10 +398,8 @@ def cmd_cayley(args) -> int:
             raise SpecError("--out is required for mode tree")
         tree = lex_min_tree(model, args.R)
         text = format_tree_spec(tree.spec)
-        words = "".join(
-            f"# vertex {v} = {tree.ball.word_str(v) or 'id'}\n"
-            for v in range(tree.ball.n_vertices)
-        )
+        words = "".join(f"# vertex {v} = {w or 'id'}\n"
+                        for v, w in enumerate(tree.ball.word_strings))
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(words + text)
         result.update(vertices=tree.ball.n_vertices, out=args.out,

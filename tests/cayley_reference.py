@@ -28,13 +28,6 @@ class ReferenceBall:
     adjacency: list[list[int]] = field(default_factory=list)
     _index: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def words(self) -> list[tuple[int, ...]]:
-        words: list[tuple[int, ...]] = [()]
-        for v in range(1, len(self.elements)):
-            words.append(words[self.tree_parent[v]] + (self.tree_generator[v],))
-        return words
-
     def sphere_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
 

@@ -205,6 +205,16 @@ def ball_elements(b) -> tuple[list, dict]:
     return b._test_elements
 
 
+def ball_words(b) -> list[tuple[int, ...]]:
+    """The lex-min geodesic word of every element of a Cayley ball, as
+    generator indices: its tree parent's word and the generator joining
+    them."""
+    words: list[tuple[int, ...]] = [()]
+    for v in range(1, b.n_vertices):
+        words.append(words[b.tree_parent[v]] + (b.tree_generator[v],))
+    return words
+
+
 def enumerate_geodesic_words(b, v: int) -> list[tuple[int, ...]]:
     """Every geodesic word for element v of a Cayley ball, by walking all
     distance-reducing predecessors; exhaustive oracle for the lex-min

@@ -63,7 +63,7 @@ def run_game(arena, fire: Iterable[int], strategy, budget, horizon: int | None =
         f_n = budget(n)
         protect = tuple(strategy.protect_for(state, n, f_n))
         state = step(state, protect, f_n)
-        trace.append(TraceRound(n, tuple(sorted(protect)), state.frontier))
+        trace.append(TraceRound(n, tuple(sorted(set(protect))), state.frontier))
         if boundary & set(state.frontier):
             return Verdict(kind=BOUNDARY_REACHED, round_no=n, burnt=None, trace=tuple(trace))
         if not state.frontier:

@@ -7,6 +7,8 @@ Claims covered:
       infinite dihedral, C2*C3)
     - breadth-first lex-min words equal the minimum over exhaustively
       enumerated geodesic words, and each layer is in increasing word order
+    - every ``# vertex v = w`` line of a tree export spells vertex v's word
+      in generator letters, on every model
     - adjacency rows list the in-ball products v*g in generator order
     - the lex-min tree is spanning, geodesic, uses only Cayley edges, and
       equals the ball on free groups
@@ -25,7 +27,8 @@ Claims covered:
       the sphere sizes
     - probes on the acceptor decide as the materialised lex-min tree does
     - a surround without trigger is decided with no ball, and a triggered
-      one builds the ball only out to the protected sphere
+      one builds the ball only out to the protected sphere and its model's
+      word acceptor once
 """
 
 import random
@@ -52,8 +55,9 @@ from firebreak import (
     polynomial_probe,
     wait_and_surround,
 )
+from firebreak.cli import main as cli_main
 from cayley_reference import reference_ball
-from conftest import ball_elements, enumerate_geodesic_words
+from conftest import ball_elements, ball_words, enumerate_geodesic_words
 
 ALL_MODELS = [
     FreeGroup(1),
@@ -151,18 +155,35 @@ class TestLexMinWords:
     def test_words_evaluate_to_their_element(self, model):
         b = cayley_ball(model, 4)
         elements, _index = ball_elements(b)
+        words = ball_words(b)
         for v in range(b.n_vertices):
             e = model.identity
-            for g in b.words[v]:
+            for g in words[v]:
                 e = model.multiply(e, g)
             assert e == elements[v]
-            assert len(b.words[v]) == b.level[v]
+            assert len(words[v]) == b.level[v]
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_words_minimal_by_enumeration(self, model):
         b = cayley_ball(model, 6)
+        words = ball_words(b)
         for v in range(b.n_vertices):
-            assert b.words[v] == min(enumerate_geodesic_words(b, v))
+            assert words[v] == min(enumerate_geodesic_words(b, v))
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_tree_export_lines_spell_the_words(self, model, tmp_path, capsys):
+        # every radius up to 24 whose ball has at most 5k vertices, and the
+        # largest (at most 200) whose ball has at most 5k
+        out = tmp_path / "ball.tree"
+        for radius in differential_radii(model, most=5_000):
+            assert cli_main(["cayley", model.name, "--mode", "tree", "--R", str(radius),
+                             "--out", str(out)]) == 0
+            capsys.readouterr()
+            words = ball_words(cayley_ball(model, radius))
+            want = [f"# vertex {v} = {''.join(model.generators[g] for g in w) or 'id'}"
+                    for v, w in enumerate(words)]
+            lines = out.read_text().splitlines()
+            assert [line for line in lines if line.startswith("# vertex")] == want, radius
 
     def test_z_gen_before_inverse(self):
         b = cayley_ball(FreeAbelian(1), 2)
@@ -203,8 +224,9 @@ class TestLexMinTree:
     def test_parent_word_is_prefix(self):
         tree = lex_min_tree(FreeProductCyclic((2, 3)), 5)
         b = tree.ball
+        words = ball_words(b)
         for v in range(1, b.n_vertices):
-            assert b.words[b.tree_parent[v]] == b.words[v][:-1]
+            assert words[b.tree_parent[v]] == words[v][:-1]
 
 
 class TestGrowth:
@@ -277,6 +299,17 @@ class TestWaitAndSurround:
         assert res.ball.radius == res.sphere_index == 4
         assert res.verdict.contained and res.verdict.burnt == 7
 
+    def test_acceptor_built_once_per_model(self, monkeypatch):
+        # a triggered surround reads the acceptor for its trigger, its ball
+        # and its adjacency: the model builds and compiles it once
+        model = FreeGroup(2)
+        built = []
+        acceptor = model.word_acceptor
+        monkeypatch.setattr(model, "word_acceptor", lambda: built.append(1) or acceptor())
+        res = wait_and_surround(model, 1, 5, 8)  # triggers in round 5
+        assert res.verdict.contained and len(built) == 1
+        assert cayley_mod.compile(model.acceptor[0]) is model.acceptor[1]
+
     def test_no_fault_on_trigger_round(self):
         # the protected sphere is two steps ahead of the fire at play time
         res = wait_and_surround(FreeAbelian(1), 0, 2, 8)
@@ -340,22 +373,23 @@ class TestDeterminism:
         a = cayley_ball(FreeProductCyclic((2, 3)), 5)
         b = cayley_ball(FreeProductCyclic((2, 3)), 5)
         assert ball_elements(a) == ball_elements(b)
-        assert a.words == b.words
+        assert ball_words(a) == ball_words(b)
         for v in range(a.n_vertices):
             assert list(a.neighbors(v)) == list(b.neighbors(v))
 
     def test_layers_sorted_by_word(self):
         for model in ALL_MODELS:
             b = cayley_ball(model, 4)
+            every = ball_words(b)
             for layer in b.layers:
-                words = [b.words[v] for v in layer]
+                words = [every[v] for v in layer]
                 assert all(x < y for x, y in zip(words, words[1:])), model.name
 
 
 # the built-in models plus free products with an order-4 factor and two
 # factors whose runs reach two and three letters
 DIFFERENTIAL_MODELS = ALL_MODELS + [FreeProductCyclic((2, 3, 4)), FreeProductCyclic((5, 7))]
-BALL_FIELDS = ("level", "layers", "tree_parent", "tree_generator", "words")
+BALL_FIELDS = ("level", "layers", "tree_parent", "tree_generator")
 
 
 def differential_radii(model, dense: int = 24, every: int = 5_000, most: int = 50_000,

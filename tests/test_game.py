@@ -6,7 +6,11 @@ Claims covered:
       monotone and disjoint, and leaves its input state alone
     - the in-place engine plays as the copy-per-round reference
       (tests/game_reference.py) on random truncations and Cayley balls of
-      every model: same traces, verdicts, faults and fault rounds
+      every model: same traces, verdicts, faults and fault rounds, also
+      with every ball round and protect set forced through the numpy pass;
+      protect sets past SPREAD_VECTOR_MIN that mix negative, burning,
+      out-of-ball and huge ids fail with the reference's fault, message and
+      round, and a trace records each protect set once, sorted
     - simulate reproduces the hand-traced verdicts (ray, binary cut play)
       and never reports containment when the fire can reach the horizon
     - canonical strategies pick closest-first with deterministic ties
@@ -22,6 +26,7 @@ Claims covered:
       trace lines are rejected by line number
 """
 
+import bisect
 import math
 import random
 import sys
@@ -59,6 +64,7 @@ from firebreak import (
     step,
     synthesize_cutset_strategy,
 )
+import firebreak.game as game_mod
 from firebreak.game import (BURNING, PROTECTED, UNTOUCHED, _regular_profile,
                             cut_weight_target)
 from firebreak.trees import ExplicitSpec, PeriodicSpec
@@ -258,6 +264,48 @@ class TestInPlaceEngine:
         assert set(kinds) == {"contained", "boundary_reached", "escaped_horizon",
                               "StrategyFault", "SpecError"}, kinds
 
+    def test_numpy_rounds_match_copy_per_round_reference(self, monkeypatch):
+        # with the threshold at 1, every ball round and every protect set
+        # takes the numpy pass
+        spread, calls = game_mod._spread_rows, Counter()
+        monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", 1)
+        monkeypatch.setattr(game_mod, "_spread_rows",
+                            lambda *args: calls.update(["spread"]) or spread(*args))
+        self.test_matches_copy_per_round_reference()
+        self.test_step_leaves_its_input_alone()
+        assert calls["spread"] > 100, calls
+
+    def test_large_protect_sets_fail_as_the_reference(self):
+        # protect sets past SPREAD_VECTOR_MIN mixing a negative id, a burning
+        # id, an id past the ball and 10**30: same fault, message and round
+        b = cayley_ball(FreeGroup(2), 7)
+        n, size, rng = b.n_vertices, game_mod.SPREAD_VECTOR_MIN, random.Random(67)
+        budget, kinds = BudgetSequence.constant(n), Counter()
+        for _ in range(60):
+            round_no = rng.randint(1, 3)  # a radius-1 fire covers B(round_no) as it plays
+            burning = bisect.bisect_right(b.level, round_no)
+            protect = rng.sample(range(burning, n), size + rng.randint(0, 50))
+            bad = (-rng.randint(1, 3), rng.randrange(burning), n + rng.randint(0, 3), 10 ** 30)
+            protect += [v for v in bad if rng.random() < 0.4]
+            rng.shuffle(protect)
+            schedule = {round_no: protect}
+            if round_no > 1 and rng.random() < 0.5:  # an earlier large round that is valid
+                schedule[1] = rng.sample(range(bisect.bisect_right(b.level, 5), n), size)
+            got, want = (_engine_outcome(play, b, 1, ScheduleStrategy(schedule), budget)
+                         for play in (simulate, game_reference.simulate))
+            assert got == want
+            state = initial_state(b, round_no)
+            got, want = (_engine_outcome(play, state, protect, n)
+                         for play in (step, game_reference.step))
+            if isinstance(want, tuple):
+                assert got == want
+                kinds[want[0], want[1].split()[1].startswith("-")] += 1
+            else:
+                assert (got.frontier, got.statuses) == (want.frontier, want.statuses)
+                kinds["played"] += 1
+        assert set(kinds) == {("SpecError", True), ("SpecError", False),
+                              ("StrategyFault", False), "played"}, kinds
+
     def test_step_leaves_its_input_alone(self):
         rng = random.Random(59)
         for arena in self.arenas(rng):
@@ -306,6 +354,12 @@ class TestSimulate:
         t = expand(binary_spec(), 3)
         v = simulate(t, 0, ScheduleStrategy({}), BudgetSequence.constant(0))
         assert v.kind == "boundary_reached" and v.round_no == 3
+
+    def test_trace_records_the_protect_set(self):
+        # a repeated id is protected, and recorded, once
+        t = expand(binary_spec(), 3)
+        v = simulate(t, 0, ScheduleStrategy({1: (2, 1, 2)}), BudgetSequence.constant(2))
+        assert v.contained and v.trace[0].protected == (1, 2)
 
     def test_escaped_horizon(self):
         t = expand(ray_spec(), 9)
