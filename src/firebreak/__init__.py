@@ -75,7 +75,6 @@ from .trees import (
     PeriodicSpec,
     SymmetricSpec,
     Truncation,
-    ball,
     expand,
     format_tree_spec,
     level_counts,

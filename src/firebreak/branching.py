@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import islice
+from itertools import islice, pairwise
 from typing import Union
 
 import numpy as np
@@ -38,6 +37,7 @@ from .trees import (
     TreeSpec,
     Truncation,
     compile,
+    view,
 )
 
 Rate = Union[Fraction, int, float]
@@ -80,14 +80,15 @@ class Cutset:
     edges: frozenset[int]
 
     def separates(self, trunc: Truncation) -> bool:
-        boundary = set(trunc.boundary)
-        stack = [0]
-        while stack:  # a tree: each vertex is reached once, from its parent
-            v = stack.pop()
-            if v in boundary:
-                return False
-            stack.extend(w for w in trunc.children[v] if w not in self.edges)
-        return True
+        """No boundary vertex is reached from the root once the edges are
+        cut; a vertex is reached when its parent is, level by level."""
+        ids = np.fromiter(self.edges, np.int64, len(self.edges))
+        reached = np.ones(trunc.n_vertices, bool)
+        reached[ids[(ids > 0) & (ids < trunc.n_vertices)]] = False
+        parent = view(trunc.parent)
+        for a, b in pairwise(trunc.level_starts[1:]):
+            reached[a:b] &= reached[parent[a:b]]
+        return not (reached & np.frombuffer(trunc.boundary_mask, bool)).any()
 
 
 def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
@@ -96,13 +97,14 @@ def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
     rate = exact_rate(rate)
     if float(rate) <= 0:
         raise SpecError("rate must be positive")
-    for v in cutset.edges:
-        if not 1 <= v < trunc.n_vertices:
-            raise SpecError(f"edge id {v} out of range")
+    edges, n = cutset.edges, trunc.n_vertices
+    if edges and not 1 <= min(edges) <= max(edges) < n:
+        raise SpecError(f"edge id {next(v for v in edges if not 1 <= v < n)} out of range")
     if not cutset.separates(trunc):
         raise SpecError("edge set does not separate the root from the boundary")
-    per_level = Counter(trunc.level[v] for v in cutset.edges)
-    return sum(n * edge_weight(rate, lv) for lv, n in per_level.items())
+    ids = np.fromiter(edges, np.intp, len(edges))
+    per_level = np.bincount(view(trunc.level)[ids], minlength=trunc.depth + 1).tolist()
+    return sum(count * edge_weight(rate, lv) for lv, count in enumerate(per_level) if count)
 
 
 def _state_recursion(auto: Automaton, rate: Rate, y=None):
@@ -155,19 +157,22 @@ def min_cutset(trunc: Truncation, rate: Rate) -> Cutset:
     """A cutset attaining min_cut_weight: v is cut exactly when its
     recursion value is 1, i.e. when cutting the edge above it costs no more
     than the best cut inside its subtree, so ties go to the shallower cut.
-    Subtrees of value 0 reach no boundary vertex and are skipped."""
+    Subtrees of value 0 reach no boundary vertex and are skipped.  Values
+    are classified exactly per (level, state), and the vertices whose
+    ancestors all lie strictly between 0 and 1 are carried down by level."""
     _, ys, _ = _truncation_recursion(trunc, rate)
-    depth, level, state = trunc.depth, trunc.level, trunc.state
-    edges: list[int] = []
-    stack = list(trunc.children[0])
-    while stack:
-        v = stack.pop()
-        y = ys[depth - level[v]][state[v]]
-        if y == 1:
-            edges.append(v)
-        elif y:
-            stack.extend(trunc.children[v])
-    return Cutset(edges=frozenset(edges))
+    depth = trunc.depth
+    table = np.array([[1 if y == 1 else 2 if y else 0 for y in ys[depth - lv]]
+                      for lv in range(depth + 1)], np.int8)  # 2: strictly between
+    kind = table[view(trunc.level), view(trunc.state)]
+    parent = view(trunc.parent)
+    cut, opened = np.zeros(trunc.n_vertices, bool), kind == 2
+    opened[0] = True
+    for a, b in pairwise(trunc.level_starts[1:]):
+        reached = opened[parent[a:b]]
+        cut[a:b] = reached & (kind[a:b] == 1)
+        opened[a:b] &= reached
+    return Cutset(edges=frozenset(np.flatnonzero(cut).tolist()))
 
 
 @dataclass

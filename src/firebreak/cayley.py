@@ -34,8 +34,9 @@ generator) pair is the least geodesic word, whose prefix is the parent's
 normal form.  So the acceptor's level counts are the sphere sizes, which
 growth, the surround trigger, the ball cap and the polynomial probes read
 with nothing built (a model builds its acceptor once), and ``ball``
-unfolds the acceptor into vertices whose tree edges are known without
-building an element; each vertex's word is its parent's plus one letter.
+unfolds the acceptor (``trees.unfold``, which also builds truncations)
+into int32 arrays of vertices whose tree edges are known without building
+an element; each vertex's word is its parent's plus one letter.
 Its adjacency, built on first use in one vectorised pass into flat row
 offsets and an ``array('i')`` of column ids (large game rounds read numpy
 views), reads every product off the tree too: a free product's same-factor
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 from string import digits
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,7 +69,8 @@ from .game import (
     feasibility_check,
     simulate,
 )
-from .trees import Automaton, ExplicitSpec, PeriodicSpec, compile, truncation_shapes
+from .trees import (Automaton, ExplicitSpec, PeriodicSpec, compile, packed, truncation_shapes,
+                    unfold, view)
 
 _LETTERS = "abcdefghij"
 
@@ -264,17 +266,18 @@ class CayleyBall:
     adjacency restricted to the ball, and the lex-min geodesic spanning
     tree (each element's parent and the generator joining them).  Vertex
     order is layer-major, shortlex by word within a layer, so construction
-    is canonical.  Quacks like a game arena: the radius-R sphere is the
+    is canonical; the per-vertex fields are ``array('i')``s and each layer
+    a ``range``.  Quacks like a game arena: the radius-R sphere is the
     boundary.  Words and adjacency are derived from the tree on first use;
     no element is built."""
 
     model: object
     radius: int
-    level: list[int]
-    layers: list[list[int]]
-    tree_parent: list[int]
-    tree_generator: list[int]  # generator from tree_parent[v] to v; -1 at the root
-    state: list[int]  # the word acceptor's (compiled) state at each vertex
+    level: array
+    layers: list[range]
+    tree_parent: array
+    tree_generator: array  # generator from tree_parent[v] to v; -1 at the root
+    state: array  # the word acceptor's (compiled) state at each vertex
 
     @property
     def n_vertices(self) -> int:
@@ -289,6 +292,11 @@ class CayleyBall:
         return tuple(self.layers[self.radius])
 
     @cached_property
+    def is_boundary(self) -> Callable[[int], bool]:
+        """The boundary test: membership in the radius-R layer's range."""
+        return self.layers[self.radius].__contains__
+
+    @cached_property
     def _rows(self) -> tuple[array, array]:
         """Row offsets and column ids of the in-ball products v*g, in
         generator order, read off the tree in one numpy pass: child k, the
@@ -298,7 +306,7 @@ class CayleyBall:
         _spec, auto, entering = self.model.acceptor
         model, n, n_gens = self.model, self.n_vertices, len(self.model.generators)
         n_inner = n - len(self.layers[self.radius])  # with children in the ball
-        state, parent = (np.fromiter(x, np.int32, n) for x in (self.state, self.tree_parent))
+        state, parent = view(self.state), view(self.tree_parent)
         child = [{entering[t]: k for k, t in enumerate(kids)} for kids in auto.children]
         kid = np.array([[c.get(g, -1) for g in range(n_gens)] for c in child + [{}]], np.int32)
         inner = np.full(n + 1, len(child), np.int32)  # kid's row: none past n_inner and at -1
@@ -384,23 +392,13 @@ def ball(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
     children of a vertex are the one-letter extensions of its normal form,
     in generator order, so vertices are numbered as a breadth-first search
     in generator order numbers them."""
-    spheres = _sphere_sizes(model, radius, cap)
+    _sphere_sizes(model, radius, cap)
     _spec, auto, entering = model.acceptor
-    children = auto.children
-    state = [auto.root]
-    tree_parent = [-1]
-    level: list[int] = []
-    layers = []
-    for r, size in enumerate(spheres):
-        start = len(level)
-        layers.append(list(range(start, start + size)))
-        level.extend([r] * size)
-        if r < radius:  # the next layer: children of this one, in order
-            tree_parent += [v for v in range(start, start + size) for _ in children[state[v]]]
-            state += [t for s in state[start:] for t in children[s]]
-    return CayleyBall(model=model, radius=radius, level=level, layers=layers,
-                      tree_parent=tree_parent, tree_generator=[entering[s] for s in state],
-                      state=state)
+    state, parent, level, _first_child, starts = unfold(auto, radius)
+    return CayleyBall(model=model, radius=radius, level=packed(level),
+                      layers=list(map(range, starts[:-1], starts[1:])), tree_parent=packed(parent),
+                      tree_generator=packed(np.array(entering, np.intc)[state]),
+                      state=packed(state))
 
 
 # ---------------------------------------------------------------------------

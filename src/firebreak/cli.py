@@ -198,7 +198,7 @@ def cmd_contain(args) -> int:
         tables.append((
             "schedule", ("round", "budget", "protect"),
             [
-                (r, budget(r), " ".join(str(v) for v in vs))
+                (r, budget(r), " ".join(map(str, vs)))
                 for r, vs in sorted(synth.strategy.schedule.items())
             ],
         ))
@@ -309,7 +309,7 @@ def cmd_oracle(args) -> int:
 
     cache = OracleCache(args.cache) if args.cache else None
     key = oracle_key(format_tree_spec(spec), fire, budget, args.horizon,
-                     restrict=not args.strict)
+                     restrict=not args.strict) if cache else None
     decision = cache.get(key) if cache else None
     result["cache_hit"] = decision is not None
     if decision is None:

@@ -9,11 +9,13 @@ no new burning vertex.
 
 An *arena* is an undirected graph with ``n_vertices``, ``neighbors(v)``
 (an iterable of vertex ids), ``level`` (distance from the root/identity,
-non-decreasing in vertex order), ``boundary`` (vertices whose burning
-makes the outcome inconclusive at this truncation depth) and ``depth``.
-It may also expose flat ``rows`` (numpy row offsets and column ids, row v
-listing ``neighbors(v)``), which large rounds read.  Tree truncations and
-Cayley balls qualify.  ``run_game`` plays the whole game on one status
+non-decreasing in vertex order), ``depth``, ``boundary`` (vertices whose
+burning makes the outcome inconclusive at this truncation depth, all at
+level ``depth``) and ``is_boundary(v)``, the test for one, which
+``run_game`` asks only of frontier ids at level ``depth``.  It may also
+expose flat ``rows`` (numpy row offsets and column ids, row v listing
+``neighbors(v)``), which large rounds read.  Tree truncations and Cayley
+balls qualify.  ``run_game`` plays the whole game on one status
 array that it changes in place, so the ``GameState.statuses`` a strategy
 sees is live; ``step`` copies it and leaves its input alone.
 """
@@ -25,7 +27,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -299,8 +301,12 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
     if horizon is not None and horizon < 0:
         raise SpecError("horizon must be >= 0")
     state = state_from_fire(arena, fire)
-    boundary = set(arena.boundary)
-    if not boundary.isdisjoint(state.frontier):
+    deepest = bisect_left(arena.level, arena.depth)  # the first id that may be on the boundary
+
+    def reached(frontier: tuple[int, ...]) -> bool:
+        return any(map(arena.is_boundary, frontier[bisect_left(frontier, deepest):]))
+
+    if reached(state.frontier):
         return Verdict(kind=BOUNDARY_REACHED, round_no=0, burnt=None, trace=())
     if horizon is None:
         horizon = arena.n_vertices + 2
@@ -311,7 +317,7 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
         protect, frontier = _advance(state, state.statuses, protect, f_n)
         state = GameState(arena, state.statuses, n, frontier)
         trace.append(TraceRound(n, protect, frontier))
-        if not boundary.isdisjoint(state.frontier):
+        if reached(frontier):
             return Verdict(kind=BOUNDARY_REACHED, round_no=n, burnt=None, trace=tuple(trace))
         if not state.frontier:
             assert _separated(state), "contained state has an exposed untouched vertex"
@@ -679,7 +685,8 @@ def cut_weight_target(rate, radius: int, probe_range: int = 120):
     """Largest eps such that any cutset lighter than eps schedules within
     budgets floor(rate**n): eps <= floor(rate**(n-radius)) / rate**n for
     every n > radius.  The head is minimised over one running power of
-    the rate; past the probe range the floor loss is bounded analytically."""
+    the rate, until floor(x) / x > 1 - 1/x can no longer go below it; past
+    the probe range the floor loss is bounded analytically."""
     rate = exact_rate(rate)
     if rate <= 1:
         raise SynthesisError("budget rate must exceed 1 for cutset synthesis")
@@ -687,6 +694,8 @@ def cut_weight_target(rate, radius: int, probe_range: int = 120):
     for _ in range(probe_range):
         power *= rate
         head = min(head, math.floor(power) / power)
+        if power * (1 - head) >= 1:  # 1 - 1/x >= head, and x only grows
+            break
     head *= edge_weight(rate, radius)
     tail = edge_weight(rate, radius) * (1 - edge_weight(rate, probe_range + 1))
     return min(head, tail) * (1 if isinstance(rate, Fraction) else 0.5)  # halved for float rounding
@@ -713,10 +722,10 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
         if depth > radius and weight < eps:
             trunc = expand(spec, depth)
             cut = min_cutset(trunc, rate_x)
-            by_round: dict[int, list[int]] = {}
-            for v in cut.edges:
-                by_round.setdefault(trunc.level[v] - radius, []).append(v)
-            strategy = ScheduleStrategy({r: tuple(sorted(vs)) for r, vs in by_round.items()})
+            ids = np.sort(np.fromiter(cut.edges, np.intc, len(cut.edges)))
+            bounds = np.searchsorted(ids, trunc.level_starts).tolist()  # level n: round n - radius
+            strategy = ScheduleStrategy({lv - radius: tuple(ids[a:b].tolist()) for lv, (a, b)
+                                         in enumerate(pairwise(bounds)) if a < b})
             return SynthesisResult(strategy=strategy, trunc=trunc, cutset=cut,
                                    epsilon=eps, weight=weight, depth=depth, radius=radius)
     raise SynthesisError(

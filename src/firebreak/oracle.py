@@ -69,8 +69,7 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
         raise ResourceLimitError(
             f"{free} vertices outside the fire exceed the oracle cap {cap}"
         )
-    boundary = frozenset(trunc.boundary)
-    if boundary & fire:
+    if any(map(trunc.is_boundary, fire)):
         return OracleDecision(feasible=False, schedule=None)
     if horizon is None:
         horizon = trunc.n_vertices + 2
@@ -81,22 +80,22 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
         statuses[v] = BURNING
 
     memo: dict[tuple, tuple[bool, tuple[int, ...] | None]] = {}
+    vertices = range(trunc.n_vertices)
+    neighbors = [list(trunc.neighbors(v)) for v in vertices]  # read at every node
 
-    def live_front(st: bytearray) -> list[int]:
-        return [
-            v for v in range(trunc.n_vertices)
-            if st[v] == BURNING
-            and any(st[w] == UNTOUCHED for w in trunc.neighbors(v))
-        ]
+    def live_front(st: bytearray) -> bool:
+        """Whether some burning vertex has an untouched neighbour."""
+        return any(st[v] == BURNING and any(st[w] == UNTOUCHED for w in neighbors[v])
+                   for v in vertices)
 
     def spread(st: bytearray) -> list[int]:
         # synchronous step: only vertices burning before the round ignite
         # their neighbours
         newly = sorted({
             w
-            for v in range(trunc.n_vertices)
+            for v in vertices
             if st[v] == BURNING
-            for w in trunc.neighbors(v)
+            for w in neighbors[v]
             if st[w] == UNTOUCHED
         })
         for w in newly:
@@ -106,13 +105,13 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
     def candidate_sets(st: bytearray, f_n: int) -> Iterator[tuple[int, ...]]:
         if restrict:
             cands = [
-                v for v in range(trunc.n_vertices)
+                v for v in vertices
                 if st[v] == UNTOUCHED
-                and any(st[w] == BURNING for w in trunc.neighbors(v))
+                and any(st[w] == BURNING for w in neighbors[v])
             ]
             yield from combinations(cands, min(f_n, len(cands)))
         else:
-            cands = [v for v in range(trunc.n_vertices) if st[v] == UNTOUCHED]
+            cands = [v for v in vertices if st[v] == UNTOUCHED]
             for size in range(min(f_n, len(cands)), -1, -1):
                 yield from combinations(cands, size)
 
@@ -133,7 +132,7 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
             for v in protect:
                 child[v] = PROTECTED
             newly = spread(child)
-            if any(v in boundary for v in newly):
+            if any(map(trunc.is_boundary, newly)):
                 continue
             if not newly:
                 result = (True, tuple(protect))

@@ -20,22 +20,30 @@ symmetric closed-form bracket and the explicit-only oracle ask which
 variant they were given.
 
 A ``Truncation`` is the finite tree of all vertices at levels 0..D, in a
-deterministic level-major order (children in spec order).  The level of a
-vertex is its distance from the root; the level of an edge is the level of
-its child endpoint.  Level-D vertices that continue in the infinite tree
-form the truncation *boundary*: separating the root from them is what a
-cutset must do, and a fire reaching one of them makes a game verdict
-inconclusive at this depth.  A level-D vertex continues when its state has
-children, or always for an explicit tree (``escape_leaves``): the depth of
-a finite description is the horizon of what it can rule out.
+deterministic level-major order (children in spec order), unfolded one
+numpy pass a level by ``unfold``, which also builds Cayley balls.  Its
+``parent``, ``level`` and ``state`` are ``array('i')``s (numpy reads them
+as zero-copy views), ``children[v]`` is a ``range`` and ``rows`` the flat
+adjacency that large game rounds read.  The level of a vertex is its
+distance from the root; the level of an edge is the level of its child
+endpoint.  Level-D vertices that continue in the infinite tree form the
+truncation *boundary*: separating the root from them is what a cutset must
+do, and a fire reaching one of them makes a game verdict inconclusive at
+this depth.  A level-D vertex continues when its state has children, or
+always for an explicit tree (``escape_leaves``): the depth of a finite
+description is the horizon of what it can rule out.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterator, Mapping, Union
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, islice
+from typing import Callable, Iterator, Mapping, Union
+
+import numpy as np
 
 from .errors import ResourceLimitError, SpecError
 
@@ -251,35 +259,100 @@ def level_counts(spec: TreeSpec, depth: int) -> list[int]:
     return compile(spec).level_counts(depth)
 
 
+def view(values: array) -> np.ndarray:
+    """A zero-copy numpy view of an ``array('i')``."""
+    return np.frombuffer(values, np.intc)
+
+
+def packed(values: np.ndarray) -> array:
+    """An ``np.intc`` array as an ``array('i')``, which indexes to ints."""
+    assert values.dtype == np.intc, values.dtype
+    return array("i", values.tobytes())
+
+
+def unfold(auto: Automaton, depth: int) -> tuple[np.ndarray, ...]:
+    """The automaton's tree to the given depth, level-major with children in
+    spec order: each vertex's state, parent and level and the CSR child
+    offsets ``first_child`` (level-D vertices have no children), all int32,
+    and the first id of each level 0..depth followed by the vertex count."""
+    # each vertex is unfolded as a slot of a child table whose slot 0 holds the
+    # root: the children of the state in slot p fill ends[p] - n_kids[p] ..
+    # ends[p] - 1, and the table gives the state in each slot
+    table = np.array([auto.root] + [t for kids in auto.children for t in kids], np.intc)
+    counts = np.array([len(kids) for kids in auto.children])
+    ends, n_kids = (counts.cumsum() + 1)[table], counts[table]
+    slots, sizes = [np.zeros(1, np.intp)], [1]
+    for _ in range(depth):  # array methods: np.cumsum and np.repeat cost twice the call
+        counts = n_kids[slots[-1]]
+        # a vertex's n children fill places last - n .. last - 1 of the next
+        # level (last: the running child count), so place i is slot ends - last + i
+        at = (ends[slots[-1]] - counts.cumsum()).repeat(counts)
+        at += np.arange(at.size)
+        slots.append(at)
+        sizes.append(at.size)
+    slot, starts = np.concatenate(slots), [0, *accumulate(sizes)]
+    kids = np.concatenate(([1], n_kids[slot]))  # the root is the child of a vertex -1
+    kids[starts[depth] + 1:] = 0
+    parent = np.arange(-1, len(slot), dtype=np.intc).repeat(kids)
+    level = np.arange(depth + 1, dtype=np.intc).repeat(sizes)
+    return table[slot], parent, level, kids.cumsum(dtype=np.intc), starts
+
+
 @dataclass
 class Truncation:
-    """Depth-D truncation of a tree spec, vertices in level-major order.
-    ``state`` is each vertex's automaton state; ``boundary`` lists the
-    level-D vertices that continue in the infinite tree (see the module
-    docstring for explicit specs)."""
+    """Depth-D truncation of a tree spec (see the module docstring): the
+    children of v are ``first_child[v]`` .. ``first_child[v + 1] - 1``,
+    level L holds the ids ``level_starts[L]`` .. ``level_starts[L + 1] - 1``
+    and ``state`` is each vertex's automaton state."""
 
     spec: TreeSpec
     depth: int
-    parent: list[int]
-    children: list[list[int]]
-    level: list[int]
-    state: list[int]
-    boundary: tuple[int, ...] = field(default=())
+    parent: array
+    level: array
+    state: array
+    first_child: array
+    level_starts: tuple[int, ...]
 
     @property
     def n_vertices(self) -> int:
         return len(self.parent)
 
-    @property
-    def states(self) -> list[str] | None:
-        """Origin state name per vertex for periodic specs (None otherwise)."""
-        names = compile(self.spec).names
-        return None if names is None else [names[s] for s in self.state]
+    @cached_property
+    def children(self) -> list[range]:
+        return list(map(range, self.first_child[:-1], self.first_child[1:]))
 
-    def neighbors(self, v: int) -> list[int]:
-        if self.parent[v] < 0:
-            return self.children[v]
-        return [self.parent[v]] + self.children[v]
+    @cached_property
+    def boundary_mask(self) -> bytes:
+        """One byte per vertex, 1 at the boundary: the level-D ids that continue."""
+        auto, first = compile(self.spec), self.level_starts[self.depth]
+        continues = np.array([auto.continues(s) for s in range(len(auto.children))])
+        return bytes(first) + continues[view(self.state)[first:]].tobytes()
+
+    @property
+    def boundary(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(np.frombuffer(self.boundary_mask, bool)).tolist())
+
+    @property
+    def is_boundary(self) -> Callable[[int], int]:
+        return self.boundary_mask.__getitem__  # one C call an id
+
+    def neighbors(self, v: int) -> range | list[int]:
+        kids = range(self.first_child[v], self.first_child[v + 1])
+        return kids if v == 0 else [self.parent[v], *kids]
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row offsets and column ids, row v listing ``neighbors(v)``: row v
+        starts after v - 1 parents and first_child[v] - 1 children, and
+        child w sits in its parent's row at parent[w] + w - 1."""
+        parent, first = view(self.parent), view(self.first_child)
+        ids = np.arange(self.n_vertices + 1, dtype=np.intc)
+        offsets = first + ids - 2
+        offsets[0] = 0
+        columns = np.empty(offsets[-1], np.intc)
+        columns[offsets[1:-1]] = parent[1:]
+        columns[parent[1:] + ids[1:-1] - 1] = ids[1:-1]
+        return offsets, columns
 
 
 def expand(spec: TreeSpec, depth: int) -> Truncation:
@@ -299,39 +372,9 @@ def expand(spec: TreeSpec, depth: int) -> Truncation:
         raise ResourceLimitError(
             f"truncation would have {total} vertices, cap is {limit} ({VERTEX_CAP_ENV})"
         )
-
-    succ = auto.children
-    parent: list[int] = [-1]
-    children: list[list[int]] = [[]]
-    level: list[int] = [0]
-    state = [auto.root]
-    frontier = [0]
-    for lv in range(1, depth + 1):
-        nxt = []
-        for v in frontier:
-            for child_state in succ[state[v]]:
-                w = len(parent)
-                parent.append(v)
-                children.append([])
-                children[v].append(w)
-                level.append(lv)
-                state.append(child_state)
-                nxt.append(w)
-        frontier = nxt
-    boundary = tuple(v for v in frontier if auto.continues(state[v]))
-    return Truncation(spec, depth, parent, children, level, state, boundary)
-
-
-def ball(trunc: Truncation, radius: int) -> tuple[int, ...]:
-    """All vertices at levels 0..radius.  The radius must not exceed the
-    truncation depth (the ball would not be fully contained)."""
-    if radius < 0:
-        raise SpecError("ball radius must be >= 0")
-    if radius > trunc.depth:
-        raise SpecError(
-            f"ball of radius {radius} is not contained in a depth-{trunc.depth} truncation"
-        )
-    return tuple(v for v in range(trunc.n_vertices) if trunc.level[v] <= radius)
+    state, parent, level, first_child, starts = unfold(auto, depth)
+    return Truncation(spec, depth, packed(parent), packed(level), packed(state),
+                      packed(first_child), tuple(starts))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ from firebreak import (
     ExplicitSpec,
     PeriodicSpec,
     ResourceLimitError,
+    SpecError,
     SymmetricSpec,
     expand,
     level_counts,
 )
+from firebreak.trees import compile
 
 
 def binary_spec() -> PeriodicSpec:
@@ -125,6 +127,24 @@ def random_truncation(rng: random.Random, max_depth: int = 10,
         if sum(level_counts(spec, depth)) <= size_limit:
             return expand(spec, depth)
     raise AssertionError("could not draw a truncation within the size limit")
+
+
+def ball(trunc, radius: int) -> tuple[int, ...]:
+    """All vertices at levels 0..radius.  The radius must not exceed the
+    truncation depth (the ball would not be fully contained)."""
+    if radius < 0:
+        raise SpecError("ball radius must be >= 0")
+    if radius > trunc.depth:
+        raise SpecError(
+            f"ball of radius {radius} is not contained in a depth-{trunc.depth} truncation"
+        )
+    return tuple(v for v in range(trunc.n_vertices) if trunc.level[v] <= radius)
+
+
+def states(trunc) -> list[str] | None:
+    """Origin state name per vertex for periodic specs (None otherwise)."""
+    names = compile(trunc.spec).names
+    return None if names is None else [names[s] for s in trunc.state]
 
 
 # -- root paths: a vertex as the child indices that lead to it ---------------

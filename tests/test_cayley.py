@@ -389,7 +389,7 @@ class TestDeterminism:
 # the built-in models plus free products with an order-4 factor and two
 # factors whose runs reach two and three letters
 DIFFERENTIAL_MODELS = ALL_MODELS + [FreeProductCyclic((2, 3, 4)), FreeProductCyclic((5, 7))]
-BALL_FIELDS = ("level", "layers", "tree_parent", "tree_generator")
+BALL_FIELDS = ("level", "tree_parent", "tree_generator")  # arrays; each layer is a range
 
 
 def differential_radii(model, dense: int = 24, every: int = 5_000, most: int = 50_000,
@@ -426,7 +426,8 @@ class TestWordAcceptors:
         for radius in differential_radii(model):
             got, ref = cayley_ball(model, radius), reference_ball(model, radius)
             for name in BALL_FIELDS:
-                assert getattr(got, name) == getattr(ref, name), (radius, name)
+                assert list(getattr(got, name)) == getattr(ref, name), (radius, name)
+            assert [list(layer) for layer in got.layers] == ref.layers, (radius, "layers")
             assert ball_elements(got) == (ref.elements, ref._index), radius
             for v in range(got.n_vertices):
                 assert list(got.neighbors(v)) == ref.adjacency[v], (radius, v)

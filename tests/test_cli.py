@@ -4,6 +4,7 @@ Exit code contract: 0 determinate, 1 usage/parse error, 2 indeterminate
 or a resource cap reached, 3 strategy fault.
 """
 
+import hashlib
 import io
 import random
 import time
@@ -249,6 +250,24 @@ class TestContain:
         rows = csv_rows(out, "feasibility_evidence")
         assert [r[0] for r in rows] == [str(d) for d in range(115, 123)]
         assert all(r[1] == "infeasible" for r in rows)
+
+    @pytest.mark.parametrize("name, text, argv, digest", [
+        ("ternary.tree", "variant: periodic\nroot: A\nstates: A -> A A A\n",
+         ["--lambda", "7/2", "--k", "1"],
+         "548027ec3003574dca4abc3935475b3676339d3c7cf07e7b50d5e2c5e793f42e"),
+        ("binary.tree", BINARY, ["--lambda", "5/2", "--k", "3"],
+         "bc37cb0733eaf3cab0a7a05db58a48207d0bcf24a5f160c6715e8d9bba42aa66"),
+    ])
+    def test_large_cut_reports_match_golden(self, name, text, argv, digest, tmp_path,
+                                            monkeypatch):
+        # the ternary cut has 59,049 vertices and the binary one 16,384; the
+        # sha256 of each full report (about 355 KB and 99 KB) was written by
+        # the list-based truncation and cut walks the numpy ones replaced
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_text(text)
+        code, out = run(["contain", name, *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_wide_tree_below_threshold(self, tmp_path):
         # the depth-6 truncation of a 20-ary tree passes the default cap

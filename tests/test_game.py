@@ -7,7 +7,8 @@ Claims covered:
     - the in-place engine plays as the copy-per-round reference
       (tests/game_reference.py) on random truncations and Cayley balls of
       every model: same traces, verdicts, faults and fault rounds, also
-      with every ball round and protect set forced through the numpy pass;
+      with every round and protect set, of balls and of truncations,
+      forced through the numpy pass;
       protect sets past SPREAD_VECTOR_MIN that mix negative, burning,
       out-of-ball and huge ids fail with the reference's fault, message and
       round, and a trace records each protect set once, sorted
@@ -273,6 +274,18 @@ class TestInPlaceEngine:
                             lambda *args: calls.update(["spread"]) or spread(*args))
         self.test_matches_copy_per_round_reference()
         self.test_step_leaves_its_input_alone()
+        assert calls["spread"] > 100, calls
+
+    def test_numpy_rounds_on_truncations_match_reference(self, monkeypatch):
+        # truncations have rows too: with the threshold at 1 every round of
+        # a truncation game spreads in the numpy pass
+        spread, calls = game_mod._spread_rows, Counter()
+        monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", 1)
+        monkeypatch.setattr(game_mod, "_spread_rows",
+                            lambda *args: calls.update(["spread"]) or spread(*args))
+        monkeypatch.setattr(self, "arenas", lambda rng: (
+            random_truncation(rng, max_depth=7, size_limit=400) for _ in range(300)))
+        self.test_matches_copy_per_round_reference()
         assert calls["spread"] > 100, calls
 
     def test_large_protect_sets_fail_as_the_reference(self):
@@ -622,10 +635,12 @@ class TestSynthesis:
             synthesize_cutset_strategy(spec, Fraction(200001, 100000), 1)
 
     @pytest.mark.parametrize("rate", [Fraction(3, 2), Fraction(2), Fraction(21, 10),
-                                      Fraction(7, 3), Fraction(41, 20)])
+                                      Fraction(7, 3), Fraction(41, 20), Fraction(39, 20),
+                                      Fraction(101, 100), Fraction(1999, 1000), Fraction(7, 2)])
     @pytest.mark.parametrize("radius", [0, 1, 3])
     def test_cut_weight_target_matches_fresh_powers(self, rate, radius):
-        # the running power gives the same Fraction as one fresh power per m
+        # the running power, stopped once 1 - rate**-m reaches the head, gives
+        # the same Fraction as one fresh power per m over the whole range
         head = min(math.floor(rate ** m) * rate ** -(radius + m) for m in range(1, 121))
         tail = rate ** -radius * (1 - rate ** -121)
         assert cut_weight_target(rate, radius) == min(head, tail)

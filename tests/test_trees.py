@@ -14,9 +14,13 @@ Claims covered:
       the same truncation (and decide feasibility identically)
     - a truncation's subtree shapes, read off the automaton, unfold to the
       truncation and are the states its explicit tree interns
+    - the numpy unfolding and the level-by-level cut walks give the fields,
+      rows, min cutsets, separation answers, weights and error messages of
+      the list-based ones in tests/trees_reference.py
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,23 +30,26 @@ from firebreak import (
     ResourceLimitError,
     SpecError,
     SymmetricSpec,
-    ball,
     expand,
     format_tree_spec,
     level_counts,
     parse_tree_spec,
 )
-from firebreak import feasibility_check
+from firebreak import Cutset, cut_weight, feasibility_check, min_cutset
 from firebreak.trees import compile, truncation_shapes
+import trees_reference
 from conftest import (
+    ball,
     binary_spec,
     budget_catalogue,
     fibonacci_spec,
     index_of_path,
     path_of,
+    random_explicit_tree,
     random_periodic_spec,
     random_symmetric_spec,
     star_spec,
+    states,
 )
 
 
@@ -96,7 +103,7 @@ class TestExpand:
         n = t_shallow.n_vertices
         assert t_deep.parent[:n] == t_shallow.parent
         assert t_deep.level[:n] == t_shallow.level
-        assert t_deep.states[:n] == t_shallow.states
+        assert states(t_deep)[:n] == states(t_shallow)
 
     def test_vertex_cap(self, monkeypatch):
         monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "100")
@@ -154,7 +161,7 @@ class TestBoundary:
         spec = PeriodicSpec(states={"A": ("A", "B"), "B": ()}, root="A")
         t = expand(spec, 3)
         for v in t.boundary:
-            assert t.states[v] == "A"
+            assert states(t)[v] == "A"
 
     def test_symmetric_all_deepest_are_boundary(self):
         t = expand(star_spec(), 3)
@@ -295,3 +302,83 @@ class TestOneRepresentation:
             explicit = compile(ExplicitSpec(parents=tuple(t.parent[1:])))
             assert [len(states) for states in compile(shapes).level_states(depth)] == \
                 [len(states) for states in explicit.level_states(depth)]
+
+
+def _outcome(fn, *args):
+    """A call's value, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except SpecError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestNumpyUnfolding:
+    """``expand`` and the level-by-level cut walks against the list-based
+    ones they replaced (tests/trees_reference.py), on seeded random
+    periodic (with dead states), symmetric and explicit specs."""
+
+    def instances(self, rng, count):
+        for i in range(count):
+            kind = i % 3
+            if kind == 0:
+                spec = random_periodic_spec(rng, allow_dead=i % 2 == 0)
+                depth = rng.randint(0, 9)
+            elif kind == 1:
+                spec, depth = random_symmetric_spec(rng), rng.randint(0, 9)
+            else:
+                spec = random_explicit_tree(rng, max_vertices=30)
+                depth = rng.randint(0, spec.height() + 1)
+            while sum(level_counts(spec, depth)) > 3000:
+                depth -= 1
+            yield spec, depth
+
+    def test_truncation_fields_match_the_lists(self):
+        rng = random.Random(7100)
+        for spec, depth in self.instances(rng, 240):
+            got, ref = expand(spec, depth), trees_reference.expand(spec, depth)
+            assert got.n_vertices == ref.n_vertices
+            assert (list(got.parent), list(got.level), list(got.state)) == \
+                (ref.parent, ref.level, ref.state)
+            assert [list(kids) for kids in got.children] == ref.children
+            assert got.boundary == ref.boundary
+            assert [v for v in range(got.n_vertices) if got.is_boundary(v)] == list(ref.boundary)
+            offsets, columns = got.rows
+            for v in range(ref.n_vertices):
+                want = ([ref.parent[v]] if v else []) + ref.children[v]
+                assert list(got.neighbors(v)) == want
+                assert columns[offsets[v]:offsets[v + 1]].tolist() == want
+
+    def test_expand_errors_match(self, monkeypatch):
+        assert _outcome(expand, binary_spec(), -1) == \
+            _outcome(trees_reference.expand, binary_spec(), -1)
+        monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "40")
+        with pytest.raises(ResourceLimitError) as got:
+            expand(fibonacci_spec(), 7)
+        with pytest.raises(ResourceLimitError) as want:
+            trees_reference.expand(fibonacci_spec(), 7)
+        assert str(got.value) == str(want.value)
+
+    def test_cuts_separation_and_weights_match(self):
+        rng = random.Random(7200)
+        seen = set()
+        for spec, depth in self.instances(rng, 240):
+            got, ref = expand(spec, depth), trees_reference.expand(spec, depth)
+            n = got.n_vertices
+            for _ in range(3):
+                rate = Fraction(rng.randint(1, 40), rng.randint(1, 12))
+                cut = min_cutset(got, rate)
+                assert cut == trees_reference.min_cutset(ref, rate)
+                edges = sorted(cut.edges)
+                sets = [edges, edges[1:], rng.sample(range(1, n), rng.randint(0, n - 1)),
+                        [v for v in range(n) if got.level[v] == 1],
+                        edges + rng.sample((0, -1, n, n + 2), rng.randint(1, 3))]
+                for edge_set in sets:
+                    cutset = Cutset(edges=frozenset(edge_set))
+                    assert cutset.separates(got) == trees_reference.separates(cutset, ref)
+                    outcome = _outcome(cut_weight, got, cutset, rate)
+                    assert outcome == _outcome(trees_reference.cut_weight, ref, cutset, rate)
+                    seen.add(outcome[1].split()[-1] if isinstance(outcome, tuple) else "weight")
+                    if outcome == ("SpecError", "edge set does not separate the root "
+                                   "from the boundary"):
+                        assert not cutset.separates(got)
+        assert seen == {"weight", "range", "boundary"}, seen
