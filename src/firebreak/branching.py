@@ -7,15 +7,16 @@ a non-zero flow to infinity; equivalently the supremum of the rates for
 which all cutset weights stay bounded away from zero (Lyons 1990).  A
 vertex's min-cut value depends only on its level and automaton state, so
 one per-state recursion, read per spec and rate by ``cut_recursion``, gives
-min-cut weights at every depth with no truncation built, min cutsets, the
-decay classification of brackets and the lower bounds of certificates.
-``max_flow`` and ``cut_weight``, which walk a truncation, check it in tests.
+min-cut weights at every depth with no truncation built, min cutsets and
+the lower bounds of certificates.  ``max_flow`` and ``cut_weight``, which
+walk a truncation, check it in tests.
 
 For a spec the branching number is the Perron root of its automaton's
 count matrix.  ``compare_to_br`` says exactly on which side of it a rate
-lies, and certificates below it are built and checked exactly.  Rates may
-be ``fractions.Fraction`` (or int), in which case all cut and flow
-arithmetic is exact, or float, in which case documented tolerances apply.
+lies, ``br_bracket`` bisects on that sign, and certificates below it are
+built and checked exactly.  Rates may be ``fractions.Fraction`` (or int),
+in which case all cut and flow arithmetic is exact, or float, in which
+case documented tolerances apply.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 from .errors import ResourceLimitError, SpecError
 from .trees import (
     Automaton,
-    SymmetricSpec,
     TreeSpec,
     Truncation,
     compile,
@@ -42,8 +42,6 @@ from .trees import (
 
 Rate = Union[Fraction, int, float]
 
-DECAY_FLOOR = 1e-6          # min-cut weight below this counts as decayed
-FIXED_POINT_TOL = 1e-12     # per-state recursion change below this is a fixed point
 CERTIFICATE_RADIUS_MAX = 100_000  # largest certificate radius built
 
 
@@ -301,100 +299,42 @@ def br_enclosure(spec: TreeSpec) -> tuple[float, float, float]:
     return br, br * (1 - widen), br * (1 + widen)
 
 
-# -- decay classification ----------------------------------------------------
-
-
-def _classify_states(auto: Automaton, rate: float, max_depth: int):
-    """Classify the depth behaviour of the min-cut weight at this rate via
-    the per-state recursion, over max_depth steps.  Returns (verdict,
-    depth) with verdict in {"decays", "stabilises", "indeterminate"} and
-    depth the truncation depth whose weight was read last."""
-    steps = _state_recursion(auto, rate)
-    y, _ = next(steps)
-    for depth, (y_next, weight) in zip(range(2, max_depth + 2), steps):
-        if weight < DECAY_FLOOR:
-            return "decays", depth
-        if max(abs(a - b) for a, b in zip(y, y_next)) < FIXED_POINT_TOL:
-            return "stabilises", depth
-        y = y_next
-    return "indeterminate", max_depth + 1
-
-
-def _classify_symmetric(spec: SymmetricSpec, rate: float, max_depth: int):
-    """On a spherically symmetric tree the min cut is a full level, of
-    weight (level count) * rate**(-level).  In log space the per-period
-    drift of that weight decides the classification exactly; the in-period
-    dips are bounded, so the sign of the drift is conclusive."""
-    log_rate = math.log(rate)
-    drift = sum(math.log(c) for c in spec.period) - len(spec.period) * log_rate
-    scale = max(1.0, abs(log_rate)) * len(spec.period)
-    depth = len(spec.preperiod) + len(spec.period)
-    if drift < -1e-12 * scale:
-        return "decays", depth
-    if drift > 1e-12 * scale:
-        return "stabilises", depth
-    return "indeterminate", max_depth
-
-
 @dataclass(frozen=True)
 class BracketResult:
     lo: float
     hi: float
-    determinate: bool
-    probes: tuple[tuple[float, str, int], ...]
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
+    probes: tuple[tuple[float, str], ...]
 
     @property
     def width(self) -> float:
         return self.hi - self.lo
 
 
-def br_bracket(spec: TreeSpec, tol: float, depth_max: int = 50_000) -> BracketResult:
-    """Bisect for the branching number using the decay classification of
-    min-cut weights.  The returned interval has width <= tol and contains
-    the branching number whenever every probe classified; an indeterminate
-    probe stops the bisection and flags the interval as heuristic."""
-    if tol <= 0:
+def br_bracket(spec: TreeSpec, tol: float) -> BracketResult:
+    """Bisect [1, largest out-degree + 1/2] for the branching number on
+    exact comparisons: lo <= br <= hi, and hi - lo <= tol unless lo and hi
+    are adjacent floats.  compare_to_br reads each float mid as the dyadic
+    rational it is.  A mid above br, where min cutset weights tend to 0
+    (Lyons 1990), is recorded "decays" and becomes hi; any other mid is
+    recorded "stabilises" and becomes lo.  That includes a mid equal to br,
+    which only a rounded mid next to an integer br can be: there a top
+    component's Perron vector keeps the weights bounded away from 0."""
+    if not tol > 0:
         raise SpecError("tol must be positive")
-    if depth_max < 1:
-        raise SpecError("depth_max must be >= 1")
     auto = compile(spec)
     if auto.is_finite():
         raise SpecError("bracket requires an infinite tree spec")
-    if isinstance(spec, SymmetricSpec):
-        classify = lambda lam: _classify_symmetric(spec, lam, depth_max)
-    else:
-        classify = lambda lam: _classify_states(auto, lam, depth_max)
-
     lo = 1.0
     hi = max(len(kids) for kids in auto.children) + 0.5
-    probes: list[tuple[float, str, int]] = []
-    determinate = True
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        verdict, depth = classify(mid)
-        probes.append((mid, verdict, depth))
-        if verdict == "indeterminate":
-            # the boundary rate itself never classifies; try nudged probes
-            # before giving up on this interval
-            for nudged in (mid - tol / 4.0, mid + tol / 4.0):
-                if not lo < nudged < hi:
-                    continue
-                verdict, depth = classify(nudged)
-                probes.append((nudged, verdict, depth))
-                if verdict != "indeterminate":
-                    mid = nudged
-                    break
-            if verdict == "indeterminate":
-                determinate = False
-                break
-        if verdict == "decays":
+    probes: list[tuple[float, str]] = []
+    while hi - lo > tol and lo < (mid := (lo + hi) / 2.0) < hi:
+        decays = compare_to_br(spec, mid) > 0
+        probes.append((mid, "decays" if decays else "stabilises"))
+        if decays:
             hi = mid
         else:
             lo = mid
-    return BracketResult(lo=lo, hi=hi, determinate=determinate, probes=tuple(probes))
+    return BracketResult(lo=lo, hi=hi, probes=tuple(probes))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Subcommands: ``br``, ``contain``, ``simulate``, ``oracle``, ``cayley``.
 Every run prints a structured-text report (sorted ``config.*`` and
 ``result.*`` lines, then CSV blocks); identical configurations produce
-byte-identical reports.  Exit codes: 0 determinate result, 1 usage or
-parse error, 2 indeterminate result or a resource cap reached (the message
-names the cap), 3 strategy fault.
+byte-identical reports.  Exit codes: 0 determinate result (every ``br`` run
+on an infinite spec: its bracket is exact), 1 usage or parse error, 2
+indeterminate result or a resource cap reached (the message names the
+cap), 3 strategy fault.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INDETERMINATE = 2
 EXIT_FAULT = 3
+
+CUT_DEPTHS_MAX = 1000  # most rows of br's cuts table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,42 +127,49 @@ def _base_config(command: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _cut_rows(spec, lam: Fraction, depths: int):
+    """The cuts table: (lambda, depth, min_cut, flow_value) for depths 1..
+    depths, read from the recursion.  ResourceLimitError past CUT_DEPTHS_MAX
+    rows, checked first, and at the first weight too long for str()."""
+    if depths > CUT_DEPTHS_MAX:
+        raise ResourceLimitError(f"--cut-depths {depths} is past CUT_DEPTHS_MAX = {CUT_DEPTHS_MAX}")
+    digits = sys.get_int_max_str_digits()
+    too_long = 10 ** digits if digits else None
+    _, steps = cut_recursion(spec, lam)
+    rows = []
+    for depth, (_, w) in zip(range(1, depths + 1), steps):
+        if too_long is not None and max(w.numerator, w.denominator) >= too_long:
+            raise ResourceLimitError(
+                f"the min-cut weight at depth {depth} has more than {digits} digits, "
+                f"past sys.get_int_max_str_digits() = {digits}")
+        rows.append((lam, depth, w, w))
+    return rows
+
+
 def cmd_br(args) -> int:
     spec = load_tree_spec(args.spec)
     config = _base_config("br")
-    config.update(spec=args.spec, tol=args.tol, depth_max=args.D_max)
+    config.update(spec=args.spec, tol=args.tol)
     result: dict = {}
     tables = []
-    code = EXIT_OK
     if args.cut_depths < 1:
         raise SpecError("--cut-depths must be >= 1")
     if getattr(args, "lambda") is not None:
         lam = _rational(getattr(args, "lambda"), "--lambda")
         config["lambda"] = lam
-        _, steps = cut_recursion(spec, lam)
-        rows = [(lam, depth, w, w) for depth, (_, w) in zip(range(1, args.cut_depths + 1), steps)]
-        tables.append(("cuts", ("lambda", "depth", "min_cut", "flow_value"), rows))
+        tables.append(("cuts", ("lambda", "depth", "min_cut", "flow_value"),
+                       _cut_rows(spec, lam, args.cut_depths)))
     if compile(spec).is_finite():
         result["br_exact"] = 1.0
         result["note"] = "finite tree; branching number is 1 by convention"
     else:
         result["br_exact"] = br_exact_periodic(spec)
-        bracket = br_bracket(spec, tol=args.tol, depth_max=args.D_max)
-        result.update(
-            bracket_lo=bracket.lo,
-            bracket_hi=bracket.hi,
-            bracket_width=bracket.width,
-            bracket_determinate=bracket.determinate,
-        )
-        tables.append((
-            "probes", ("lambda", "verdict", "depth"),
-            [(lam, verdict, depth) for lam, verdict, depth in bracket.probes],
-        ))
-        if not bracket.determinate:
-            result["note"] = "heuristic bracket: a probe stayed indeterminate"
-            code = EXIT_INDETERMINATE
+        bracket = br_bracket(spec, tol=args.tol)
+        result.update(bracket_lo=bracket.lo, bracket_hi=bracket.hi,
+                      bracket_width=bracket.width)
+        tables.append(("probes", ("lambda", "verdict"), list(bracket.probes)))
     emit_report(config, result, tables, args.out)
-    return code
+    return EXIT_OK
 
 
 def cmd_contain(args) -> int:
@@ -424,7 +434,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("br", help="branching number: exact (periodic) and bracket")
     p.add_argument("spec")
     p.add_argument("--tol", type=float, default=0.01)
-    p.add_argument("--D-max", dest="D_max", type=int, default=50_000)
     p.add_argument("--lambda", default=None,
                    help="also tabulate min-cut and flow values at this rate")
     p.add_argument("--cut-depths", type=int, default=8)

@@ -5,8 +5,8 @@ Claims covered:
     - the min-cut recursion matches the hand recursion and, on every small
       tree, the exhaustive cutset enumeration (exact rational equality), and
       so do the weight of min_cutset and the value of max_flow
-    - a decays probe names the first truncation depth whose weight is
-      below the floor
+    - bracket probes are exact: the rows match the float classifier's
+      wherever it classified, and fine brackets hold br by exact identities
     - flows satisfy capacity and conservation and attain the min cut,
       exactly for rational rates
     - min-cut weights are non-increasing in the depth
@@ -20,9 +20,11 @@ Claims covered:
 """
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from firebreak import (
     min_cut_weight,
     min_cutset,
 )
-from firebreak.branching import (CERTIFICATE_RADIUS_MAX, DECAY_FLOOR, _compare_component,
+from firebreak.branching import (CERTIFICATE_RADIUS_MAX, _compare_component,
                                   _components, _perron_vector, br_enclosure, compare_to_br,
                                   cut_recursion)
 from firebreak.errors import ResourceLimitError
@@ -60,6 +62,7 @@ from conftest import (
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+DATA = Path(__file__).parent / "data"
 # Perron root 2 as a 2x2 Jordan block: two components of root 2 in a chain
 REDUCIBLE = PeriodicSpec(states={"A": ("A", "B", "A"), "B": ("B", "B")}, root="A")
 SYMMETRIC = SymmetricSpec(preperiod=(3, 2), period=(1, 2))  # br = sqrt 2
@@ -339,6 +342,14 @@ class TestCompareToBr:
         assert compare_to_br(spec, lo) == -1 and compare_to_br(spec, hi) == 1
 
 
+BRACKET_SPECS = {
+    "binary": binary_spec(), "fib": fibonacci_spec(), "sqrt2": sqrt2_spec(),
+    "ray": ray_spec(), "jordan": REDUCIBLE,
+    "sym322": SymmetricSpec(preperiod=(3,), period=(2, 2)),
+    "sym14": SymmetricSpec(preperiod=(), period=(1, 4)),
+}
+
+
 class TestBracket:
     @pytest.mark.parametrize("spec_fn,value", [
         (binary_spec, 2.0),
@@ -348,53 +359,73 @@ class TestBracket:
     ])
     def test_contains_exact_value(self, spec_fn, value):
         bracket = br_bracket(spec_fn(), tol=0.01)
-        assert bracket.determinate
         assert bracket.width <= 0.01
-        assert bracket.contains(value)
+        assert bracket.lo <= value <= bracket.hi
 
     def test_symmetric_bracket(self):
-        spec = SymmetricSpec(preperiod=(3,), period=(2, 2))
-        bracket = br_bracket(spec, tol=0.01)
-        assert bracket.determinate and bracket.contains(2.0)
+        bracket = br_bracket(BRACKET_SPECS["sym322"], tol=0.01)
+        assert bracket.lo <= 2.0 <= bracket.hi
 
     def test_symmetric_period_mean(self):
         # alternating 1 and 4 children: branching number is 2
-        spec = SymmetricSpec(preperiod=(), period=(1, 4))
-        bracket = br_bracket(spec, tol=0.01)
-        assert bracket.determinate and bracket.contains(2.0)
+        bracket = br_bracket(BRACKET_SPECS["sym14"], tol=0.01)
+        assert bracket.lo <= 2.0 <= bracket.hi
 
     def test_finite_spec_rejected(self):
         with pytest.raises(SpecError):
             br_bracket(PeriodicSpec(states={"A": ()}, root="A"), tol=0.1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(SpecError, match="tol must be positive"):
+            br_bracket(binary_spec(), tol=tol)
+
     def test_probes_recorded(self):
         bracket = br_bracket(binary_spec(), tol=0.05)
         assert bracket.probes
-        for lam, verdict, _depth in bracket.probes:
-            assert verdict in ("decays", "stabilises", "indeterminate")
+        for lam, verdict in bracket.probes:
+            assert verdict in ("decays", "stabilises")
             if verdict == "decays":
                 assert lam >= bracket.lo
             if verdict == "stabilises":
                 assert lam <= bracket.hi
 
-    @pytest.mark.parametrize("tol", [0.05, 1e-4])
-    def test_decay_probe_depth_names_the_truncation(self, tol):
-        # above 2 the binary min-cut weight at depth d is (2/lam)**d, so a
-        # decays probe's depth is the first one below the floor
-        bracket = br_bracket(binary_spec(), tol=tol)
-        decays = [(lam, d) for lam, verdict, d in bracket.probes if verdict == "decays"]
-        assert decays
-        for lam, d in decays:
-            assert lam > 2
-            assert (2 / lam) ** d < DECAY_FLOOR <= (2 / lam) ** (d - 1)
+    @pytest.mark.parametrize("name", BRACKET_SPECS)
+    @pytest.mark.parametrize("tol", [0.05, 0.01])
+    def test_probes_match_golden(self, name, tol):
+        # rows written by the float decay classifier that exact comparisons
+        # replaced; it classified every probe of these brackets
+        with open(DATA / "br_bracket_golden.json", encoding="utf-8") as fh:
+            golden = json.load(fh)[f"{name} {tol}"]
+        bracket = br_bracket(BRACKET_SPECS[name], tol=tol)
+        assert [list(p) for p in bracket.probes] == golden["probes"]
+        assert (bracket.lo, bracket.hi) == (golden["lo"], golden["hi"])
 
-    def test_heuristic_flag_when_probes_cannot_classify(self):
-        # probes within ~1e-9 of the threshold need more depth than the
-        # cap allows; the bracket must say so rather than pretend
-        bracket = br_bracket(binary_spec(), tol=1e-9, depth_max=2000)
-        assert not bracket.determinate
-        assert any(v == "indeterminate" for _l, v, _d in bracket.probes)
-        assert bracket.contains(2.0)
+    def test_fine_brackets_hold_br_exactly(self):
+        # identities in Fractions, read without compare_to_br
+        def bounds(spec):
+            bracket = br_bracket(spec, tol=1e-12)
+            assert bracket.width <= 1e-12
+            return Fraction(bracket.lo), Fraction(bracket.hi)
+
+        lo, hi = bounds(fibonacci_spec())
+        assert lo * lo < lo + 1 and hi * hi > hi + 1
+        lo, hi = bounds(sqrt2_spec())
+        assert lo * lo < 2 < hi * hi
+        lo, hi = bounds(SymmetricSpec(preperiod=(), period=(2, 3)))
+        assert lo * lo < 6 < hi * hi
+        for spec in (binary_spec(), REDUCIBLE):
+            lo, hi = bounds(spec)
+            assert lo < 2 < hi
+        assert bounds(ray_spec())[0] == 1
+
+    @pytest.mark.parametrize("name", BRACKET_SPECS)
+    def test_tiny_tol_stops_at_adjacent_floats(self, name):
+        spec = BRACKET_SPECS[name]
+        bracket = br_bracket(spec, tol=1e-300)
+        assert math.nextafter(bracket.lo, math.inf) == bracket.hi
+        assert len(bracket.probes) <= 60
+        assert compare_to_br(spec, bracket.lo) <= 0 < compare_to_br(spec, bracket.hi)
 
 
 def fraction_perron_vector(kids, comp, rate):

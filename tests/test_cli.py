@@ -7,6 +7,7 @@ or a resource cap reached, 3 strategy fault.
 import hashlib
 import io
 import random
+import sys
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -86,11 +87,38 @@ class TestBr:
         assert "csv cuts" in out
         assert "3,3,8/27,8/27" in out  # lambda, depth, min_cut, flow_value
 
-    def test_heuristic_bracket_exits_two(self, spec_dir):
-        code, out = run(["br", str(spec_dir / "binary.tree"),
-                         "--tol", "1e-9", "--D-max", "2000"])
-        assert code == 2
-        assert "result.bracket_determinate = false" in out
+    def test_fine_bracket_exits_zero(self, spec_dir):
+        code, out = run(["br", str(spec_dir / "binary.tree"), "--tol", "1e-9"])
+        assert code == 0
+        assert "bracket_determinate" not in out and "result.note" not in out
+        lo = float(out.split("result.bracket_lo = ")[1].splitlines()[0])
+        hi = float(out.split("result.bracket_hi = ")[1].splitlines()[0])
+        assert lo < 2 < hi and hi - lo <= 1e-9
+        assert csv_rows(out, "probes")[-1] in ([repr(lo), "stabilises"], [repr(hi), "decays"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--lambda", "3", "--cut-depths", "1001"],
+         "--cut-depths 1001 is past CUT_DEPTHS_MAX = 1000"),
+        (["--lambda", "3", "--cut-depths", "100000000"],
+         "--cut-depths 100000000 is past CUT_DEPTHS_MAX = 1000"),
+    ], ids=["just-past", "far-past"])
+    def test_cut_depths_past_the_bound_exit_two(self, argv, message, spec_dir, capsys):
+        code, out = run(["br", str(spec_dir / "binary.tree")] + argv)
+        assert code == 2 and out == ""
+        assert f"firebreak: {message}" in capsys.readouterr().err
+
+    def test_weight_past_the_digit_limit_exits_two(self, spec_dir, capsys):
+        # 123457**d has more than 4300 digits from d = 845 on
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out = run(["br", str(spec_dir / "ray.tree"), "--lambda", "123457/100000",
+                             "--cut-depths", "1000"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        assert ("firebreak: the min-cut weight at depth 845 has more than 4300 digits, "
+                "past sys.get_int_max_str_digits() = 4300") in capsys.readouterr().err
 
     def test_cuts_table_builds_no_truncation(self, spec_dir, monkeypatch):
         # depth 8 has 511 vertices; the table reads the recursion instead
@@ -109,7 +137,7 @@ class TestBr:
         for lam in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)):
             code, out = run(["br", str(path), "--tol", "0.1",
                              "--lambda", _fmt(lam), "--cut-depths", "6"])
-            assert code in (0, 2)
+            assert code == 0
             expected = []
             for depth in range(1, 7):
                 trunc = expand(spec, depth)
@@ -358,14 +386,17 @@ class TestRejectedInput:
          "--cut-depths must be >= 1"),
         (["br", "{d}/binary.tree", "--lambda", "3", "--cut-depths", "-1"],
          "--cut-depths must be >= 1"),
-        (["br", "{d}/binary.tree", "--D-max", "0"], "depth_max must be >= 1"),
+        (["br", "{d}/binary.tree", "--D-max", "0"],
+         "error: unrecognized arguments: --D-max 0"),
+        (["br", "{d}/fib.tree", "--tol", "nan"], "tol must be positive"),
         (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1",
           "--depth", "3", "--horizon", "-1"], "horizon must be >= 0"),
         (["oracle", "{d}/ray5.tree", "--budget", "const:1", "--horizon", "-1"],
          "horizon must be >= 0"),
     ], ids=["surround-no-lambda", "polyprobe-bad-c", "evidence-depths-0",
             "evidence-depths-negative", "cut-depths-0", "cut-depths-negative",
-            "br-depth-max-0", "simulate-negative-horizon", "oracle-negative-horizon"])
+            "br-depth-max-0", "br-tol-nan", "simulate-negative-horizon",
+            "oracle-negative-horizon"])
     def test_bad_option_exits_one(self, argv, message, spec_dir, capsys):
         code, _out = run([a.format(d=spec_dir) for a in argv])
         assert code == 1
