@@ -154,6 +154,8 @@ def cmd_br(args) -> int:
     tables = []
     if args.cut_depths < 1:
         raise SpecError("--cut-depths must be >= 1")
+    if not args.tol > 0:  # checked here too, as a finite spec never reaches br_bracket
+        raise SpecError("tol must be positive")
     if getattr(args, "lambda") is not None:
         lam = _rational(getattr(args, "lambda"), "--lambda")
         config["lambda"] = lam

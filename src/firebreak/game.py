@@ -27,7 +27,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate, islice, pairwise
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -398,11 +398,27 @@ def parse_trace(text: str, source: str = "trace") -> tuple[dict[int, tuple[int, 
 # (each cut vertex must be protected before the fire front, which advances
 # one level per round, reaches it; protection precedes spread, so level n
 # must be bought by round n-k).  Vertices of one automaton state at one
-# level root isomorphic subtrees, so off the level-regular fast path the
-# decision is an exact memoised recursion on live counts per (level,
-# state): a vertex is live when its subtree reaches the boundary and no
-# ancestor of it is cut.  Both paths pick, among the feasible cuts, the
+# level root isomorphic subtrees, so the decision runs on live counts per
+# (level, state): a vertex is live when its subtree reaches the boundary
+# and no ancestor of it is cut.  Among the feasible cuts it picks the
 # lexicographically minimal cumulative level-count profile.
+#
+# Two exchange arguments settle most levels without search:
+#   1. spending headroom early is never worse: a later cut vertex in the
+#      subtree of a live vertex v can be swapped for v itself;
+#   2. when the live subtree of s embeds into t's, leaving s live is never
+#      worse than leaving t live: a cut below t maps back to one below s.
+# The live states of a level are ranked by embedding from the ranks of
+# their live children (_chain_ranks).  On a level whose states form a
+# chain, above levels that all do, the cut vector is fixed by its size:
+# cut the highest-ranked states first.  So one greedy pass that spends the
+# whole headroom at every level decides feasibility, and the lex-min
+# profile takes at each level the least size whose greedy completion
+# succeeds (a bisection, as a larger size never hurts).  Deadline cuts are
+# NP-hard on general trees (Finbow, King, MacGillivray and Rizzi 2007):
+# levels with incomparable states keep an exact memoised recursion over
+# their cut vectors, which hands over to the greedy at the first level
+# below which every level is a chain.
 
 FEASIBILITY_WORK_MAX = 1_000_000  # cut choices the count recursion may try
 
@@ -416,118 +432,6 @@ class FeasibilityResult:
     witness_levels: tuple[tuple[int, int], ...] | None = None  # (level, count)
 
 
-# -- level-regular fast path -------------------------------------------------
-#
-# When every vertex at a level has the same child count, per-level kill
-# counts characterise cuts completely: killing s vertices at level j
-# removes exactly s/M_j of the boundary, whatever the positions.  Spending
-# the whole budget headroom as early as possible is then optimal (early
-# kills cover at least as much per unit and cumulative budgets only grow),
-# so a single greedy sweep decides feasibility, in O(depth) big-int steps.
-# The witness refines the greedy counts to the lexicographically minimal
-# cumulative profile, matching what the count recursion would pick.
-
-
-def _regular_profile(spec: TreeSpec, depth: int):
-    """Per-level child counts (levels 0..depth-1) plus whether level-depth
-    vertices continue, when the tree is level-regular; None otherwise."""
-    auto = compile(spec)
-    levels = auto.level_states(depth)
-    counts = []
-    for states in levels[:depth]:
-        sizes = {len(auto.children[s]) for s in states}
-        if len(sizes) > 1:
-            return None
-        counts.append(max(sizes, default=0))
-    counts += [0] * (depth - len(counts))
-    continues = {auto.continues(s) for s in levels[-1]}  # levels[-1] is level depth or empty
-    if len(continues) > 1:
-        return None
-    return counts, continues == {True}
-
-
-def _feasibility_regular(counts: list[int], continues: bool, radius: int,
-                         caps: list[int], depth: int) -> FeasibilityResult:
-    if any(c == 0 for c in counts[:depth]) or not continues:
-        return FeasibilityResult(feasible=True, depth=depth, radius=radius,
-                                 witness_paths=(), witness_levels=())
-
-    width0 = 1
-    for j in range(radius + 1):
-        width0 *= counts[j]
-
-    def cap(j: int) -> int:
-        return caps[j - radius - 1]
-
-    def suffix_covers(j: int, spent: int, width: int) -> bool:
-        while j <= depth:
-            s = min(cap(j) - spent, width)
-            if s < 0:
-                s = 0
-            spent += s
-            width -= s
-            if width == 0:
-                return True
-            if j < depth:
-                width *= counts[j]
-            j += 1
-        return False
-
-    if not suffix_covers(radius + 1, 0, width0):
-        return FeasibilityResult(feasible=False, depth=depth, radius=radius)
-
-    # lexicographically minimal cumulative profile: smallest kill count per
-    # level, earliest level first, keeping the remainder coverable
-    kills: list[int] = []
-    spent = 0
-    width = width0
-    for j in range(radius + 1, depth + 1):
-        hi = min(cap(j) - spent, width)
-        if j == depth:
-            s = width  # everything uncovered must be killed at the horizon
-        else:
-            lo = 0
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if suffix_covers(j + 1, spent + mid, (width - mid) * counts[j]):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            s = lo
-        kills.append(s)
-        spent += s
-        width -= s
-        if width == 0:
-            break
-        width *= counts[j] if j < depth else 1
-
-    witness_levels = tuple(
-        (radius + 1 + i, s) for i, s in enumerate(kills) if s > 0
-    )
-    total = sum(s for _lv, s in witness_levels)
-    paths: tuple[tuple[int, ...], ...] | None
-    if total > 100_000:
-        paths = None
-    else:
-        out = []
-        covered = 0  # covered positions at the current level
-        width = width0
-        for i, s in enumerate(kills):
-            level = radius + 1 + i
-            strides = []
-            acc = 1
-            for b in reversed(counts[:level]):
-                strides.append(acc)
-                acc *= b
-            strides.reverse()
-            for p in range(covered, covered + s):
-                out.append(tuple((p // strides[d]) % counts[d] for d in range(level)))
-            covered = (covered + s) * (counts[level] if level < depth else 1)
-        paths = tuple(sorted(out))
-    return FeasibilityResult(feasible=True, depth=depth, radius=radius,
-                             witness_paths=paths, witness_levels=witness_levels)
-
-
 def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
                       depth: int) -> FeasibilityResult:
     """Decide whether a deadline-respecting vertex cut exists within the
@@ -538,47 +442,58 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
     if depth <= radius:
         raise SpecError("depth must exceed the initial radius")
     caps = list(accumulate(budget(j) for j in range(1, depth - radius + 1)))  # cumulative budgets
-    regular = _regular_profile(spec, depth)  # (counts, continues) on level-regular trees
-    if regular is not None:
-        return _feasibility_regular(*regular, radius, caps, depth)
     return _feasibility_counts(compile(spec), radius, caps, depth)
 
 
-# -- live counts per (level, state) ------------------------------------------
-#
-# best(L, counts, spent) is the lex-min tuple of per-level cut counts for
-# levels L..depth that completes a cut, given the live count per state at
-# level L and the cut vertices already spent; lex-min per-level counts are
-# lex-min cumulative counts.  It tries cut vectors x <= counts in order of
-# sum(x) and stops at the first sum that completes: a larger sum at level L
-# loses on the first coordinate.  A successor whose live count exceeds what
-# the horizon deadline leaves is dropped, since every live vertex needs a
-# cut vertex of its own, and so is a state whose boundary vertices no
-# affordable cut could cover.
+def _chain_ranks(child_ranks: list[tuple[int, ...]]) -> list[int] | None:
+    """Embedding ranks of a level's live states, from each state's live-child
+    ranks sorted decreasing: s <= t when s's tuple is no longer than t's and
+    pointwise <= it, that is when s's live subtree embeds into t's, matching
+    children largest to largest.  None when two states are incomparable."""
+    shapes = sorted(set(child_ranks), key=lambda r: (len(r), r))  # extends the order
+    if any(x > y for a, b in pairwise(shapes) for x, y in zip(a, b)):
+        return None
+    rank = {r: i for i, r in enumerate(shapes)}
+    return [rank[r] for r in child_ranks]
 
 
 def _feasibility_counts(auto, radius: int, caps: list[int],
                         depth: int) -> FeasibilityResult:
     succ = auto.children
-    levels = auto.level_states(depth)
-    levels += [()] * (depth + 1 - len(levels))  # the tree may end before the horizon
-    # per level L, for the live states (those whose subtrees reach the
-    # boundary): live[L] the states, kids[L] the (child position, index in
-    # live[L + 1]) of their live children, reach[L] their boundary vertices
-    live = [tuple(s for s in levels[depth] if auto.continues(s))]
-    kids, reach = [[()] * len(live[0])], [[1] * len(live[0])]
-    for lv in range(depth - 1, -1, -1):
-        index = {t: j for j, t in enumerate(live[0])}
-        rows = [(s, tuple((c, index[t]) for c, t in enumerate(succ[s]) if t in index))
-                for s in levels[lv]]
-        rows = [(s, ks) for s, ks in rows if ks]
-        live.insert(0, tuple(s for s, _ks in rows))
-        kids.insert(0, [ks for _s, ks in rows])
-        reach.insert(0, [sum(reach[0][j] for _c, j in ks) for _s, ks in rows])
-    if not live[0]:
+    # the state counts at levels radius+1..depth: nothing is cut within the ball
+    forward = list(islice(auto.iter_state_counts(), radius + 1, depth + 1))
+    # per level L below the ball, for the live states (those whose subtrees
+    # reach the boundary): live[L] the states and kids[L] the (child
+    # position, index in live[L + 1]) of their live children
+    live = {depth: tuple(s for s in sorted(forward[-1]) if auto.continues(s))}
+    kids = {depth: [()] * len(live[depth])}
+
+    def rows(lv: int, states) -> None:  # live[lv] and kids[lv], from live[lv + 1]
+        index = {t: j for j, t in enumerate(live[lv + 1])}
+        found = [(s, tuple((c, index[t]) for c, t in enumerate(succ[s]) if t in index))
+                 for s in states]
+        found = [(s, ks) for s, ks in found if ks]
+        live[lv], kids[lv] = tuple(s for s, _ks in found), [ks for _s, ks in found]
+
+    for lv in range(depth - 1, radius, -1):
+        rows(lv, sorted(forward[lv - radius - 1]))
+    counts = tuple(forward[0][s] for s in live[radius + 1])
+    if not counts:
         return FeasibilityResult(feasible=True, depth=depth, radius=radius,
                                  witness_paths=(), witness_levels=())
-    peak = list(accumulate([max(r) for r in reversed(reach)], max))[::-1]  # max reach, L on
+    # every live vertex needs a cut vertex of its own: most evidence rows
+    # below br fail this at once, before any ranking
+    if sum(counts) > caps[-1]:
+        return FeasibilityResult(feasible=False, depth=depth, radius=radius)
+    # reach[L] the boundary vertices below each live state, rank[L] their
+    # embedding ranks (None off a chain)
+    reach = {depth: [1] * len(live[depth])}
+    rank = {depth: _chain_ranks([()] * len(live[depth]))}
+    for lv in range(depth - 1, radius, -1):
+        reach[lv] = [sum(reach[lv + 1][j] for _c, j in ks) for ks in kids[lv]]
+        below = rank[lv + 1]
+        rank[lv] = None if below is None else _chain_ranks(
+            [tuple(sorted((below[j] for _c, j in ks), reverse=True)) for ks in kids[lv]])
 
     def descend(lv: int, uncut) -> tuple[int, ...]:
         out = [0] * len(live[lv + 1]) if lv < depth else []
@@ -587,9 +502,55 @@ def _feasibility_counts(auto, radius: int, caps: list[int],
                 out[j] += n
         return tuple(out)
 
-    counts: tuple[int, ...] = (1,)
-    for lv in range(radius + 1):  # no cuts within the fire's ball
-        counts = descend(lv, counts)
+    def keep(lv: int, counts: tuple[int, ...], size: int) -> list[int]:
+        """The live counts left at level lv after cutting size of them,
+        the highest-ranked states first."""
+        left = list(counts)
+        for i in sorted(range(len(left)), key=rank[lv].__getitem__, reverse=True):
+            cut = min(left[i], size)
+            left[i] -= cut
+            size -= cut
+        return left
+
+    def completes(lv: int, counts: tuple[int, ...], spent: int) -> bool:
+        """Whether the greedy, spending the whole headroom at every level
+        from lv on, cuts every live vertex in time."""
+        while any(counts):
+            total = sum(counts)
+            if spent + total > caps[-1]:  # every live vertex needs a cut vertex of its own
+                return False
+            if lv == depth:
+                return True
+            size = min(caps[lv - radius - 1] - spent, total)
+            counts, spent, lv = descend(lv, keep(lv, counts, size)), spent + size, lv + 1
+        return True
+
+    def settle(lv: int, counts: tuple[int, ...], spent: int):
+        """best() from a level whose states and those below form chains."""
+        if not completes(lv, counts, spent):
+            return None
+        sizes, cuts = [], []
+        while any(counts):
+            size = min(caps[lv - radius - 1] - spent, sum(counts))
+            if lv < depth:  # the least size whose greedy completion succeeds
+                size = _least(lambda s: completes(lv + 1, descend(lv, keep(lv, counts, s)),
+                                                  spent + s), size)
+            left = keep(lv, counts, size)
+            sizes.append(size)
+            cuts.append(tuple(n - x for n, x in zip(counts, left)))
+            counts, spent, lv = descend(lv, left), spent + size, lv + 1
+        return tuple(sizes), tuple(cuts)
+
+    # best(L, counts, spent) is the lex-min tuple of per-level cut counts for
+    # levels L..depth that completes a cut, with its cut vectors, given the
+    # live count per state at level L and the cut vertices already spent;
+    # lex-min per-level counts are lex-min cumulative counts.  Off a chain it
+    # tries cut vectors x <= counts in order of sum(x) and stops at the first
+    # sum that completes: a larger sum at level L loses on the first
+    # coordinate.  A successor whose live count exceeds what the horizon
+    # deadline leaves is dropped, and so is a state whose boundary vertices
+    # no affordable cut could cover.
+    peak = list(accumulate((max(reach[lv]) for lv in range(depth, radius, -1)), max))[::-1]
     memo: dict = {}
     work = 0
 
@@ -598,10 +559,14 @@ def _feasibility_counts(auto, radius: int, caps: list[int],
         key = (lv, counts, spent)
         if key in memo:
             return memo[key]
+        if rank[lv] is not None:
+            memo[key] = settle(lv, counts, spent)
+            return memo[key]
         # hopeless: were each cut vertex affordable from level j on to cover
         # peak[j] boundary vertices, the live ones would still not be covered
         ahead = caps[lv - radius - 1:]
-        covered = sum((b - a) * p for a, b, p in zip([spent] + ahead, ahead, peak[lv:]))
+        covered = sum((b - a) * p for a, b, p in zip([spent] + ahead, ahead,
+                                                      peak[lv - radius - 1:]))
         if covered < sum(n * r for n, r in zip(counts, reach[lv])):
             return None
         total = sum(counts)
@@ -635,9 +600,15 @@ def _feasibility_counts(auto, radius: int, caps: list[int],
         return FeasibilityResult(feasible=False, depth=depth, radius=radius)
     sizes, cuts = chosen
     witness_levels = tuple((radius + 1 + i, n) for i, n in enumerate(sizes) if n)
-    paths: list = []  # stays empty, and is reported None, past 100,000 cut vertices
+    if sum(sizes) > 100_000:
+        return FeasibilityResult(feasible=True, depth=depth, radius=radius,
+                                 witness_levels=witness_levels)
+    ball = auto.level_states(radius)
+    for lv in range(radius, -1, -1):  # the ball states that lead to a live state below it
+        rows(lv, ball[lv])
+    paths: list = []
     plan = dict(enumerate(cuts, start=radius + 1))
-    frontier = [((), 0)] if sum(sizes) <= 100_000 else []  # (path, index into live[lv])
+    frontier = [((), 0)]  # (path, index into live[lv])
     for lv in range(depth + 1):
         left = list(plan.get(lv, [0] * len(live[lv])))  # cut the first left[i] of live[lv][i]
         uncut = []
@@ -649,8 +620,23 @@ def _feasibility_counts(auto, radius: int, caps: list[int],
                 uncut.append((path, i))
         frontier = [(path + (c,), j) for path, i in uncut for c, j in kids[lv][i]]
     return FeasibilityResult(feasible=True, depth=depth, radius=radius,
-                             witness_paths=tuple(sorted(paths)) if paths else None,
-                             witness_levels=witness_levels)
+                             witness_paths=tuple(sorted(paths)), witness_levels=witness_levels)
+
+
+def _least(ok, hi: int) -> int:
+    """The least s in 0..hi with ok(s), for ok monotone and ok(hi) true:
+    probes 0, 1, 3, 7, ... and then bisects, so a small answer is cheap."""
+    lo = probe = 0
+    while probe < hi and not ok(probe):
+        lo, probe = probe + 1, min(hi, 2 * probe + 1)
+    hi = probe
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _splits(counts: tuple[int, ...], size: int):

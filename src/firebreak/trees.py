@@ -181,9 +181,13 @@ class Automaton:
     def iter_level_counts(self) -> Iterator[int]:
         """Vertices per level 0, 1, 2, ..., without end; a caller that
         bounds a running total stops as soon as it passes."""
+        return (sum(counts.values()) for counts in self.iter_state_counts())
+
+    def iter_state_counts(self) -> Iterator[dict[int, int]]:
+        """Vertices per state at levels 0, 1, 2, ..., without end."""
         counts = {self.root: 1}
         while True:
-            yield sum(counts.values())
+            yield counts
             nxt: dict[int, int] = {}
             for state, n in counts.items():
                 for child in self.children[state]:

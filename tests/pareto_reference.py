@@ -2,9 +2,10 @@
 
 A bottom-up dynamic program over Pareto-minimal cumulative level-count
 profiles, memoised per (level, automaton state) for the states that occur
-at each level.  It decides every tree (no level-regular dispatch) and picks
-the lexicographically minimal profile among the feasible ones, so its
-``feasible`` and ``witness_levels`` must equal ``feasibility_check``'s.
+at each level.  It decides every tree by one search (no greedy on chain
+levels) and picks the lexicographically minimal profile among the
+feasible ones, so its ``feasible`` and ``witness_levels`` must equal
+``feasibility_check``'s.
 Its frontier grows about 6x per extra level on the Fibonacci tree, which is
 why the library decides feasibility on per-(level, state) live counts
 instead.

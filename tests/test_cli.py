@@ -389,13 +389,16 @@ class TestRejectedInput:
         (["br", "{d}/binary.tree", "--D-max", "0"],
          "error: unrecognized arguments: --D-max 0"),
         (["br", "{d}/fib.tree", "--tol", "nan"], "tol must be positive"),
+        (["br", "{d}/ray5.tree", "--tol", "nan"], "tol must be positive"),
+        (["br", "{d}/ray5.tree", "--tol", "-1"], "tol must be positive"),
         (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1",
           "--depth", "3", "--horizon", "-1"], "horizon must be >= 0"),
         (["oracle", "{d}/ray5.tree", "--budget", "const:1", "--horizon", "-1"],
          "horizon must be >= 0"),
     ], ids=["surround-no-lambda", "polyprobe-bad-c", "evidence-depths-0",
             "evidence-depths-negative", "cut-depths-0", "cut-depths-negative",
-            "br-depth-max-0", "br-tol-nan", "simulate-negative-horizon",
+            "br-depth-max-0", "br-tol-nan", "br-finite-tol-nan", "br-finite-tol-negative",
+            "simulate-negative-horizon",
             "oracle-negative-horizon"])
     def test_bad_option_exits_one(self, argv, message, spec_dir, capsys):
         code, _out = run([a.format(d=spec_dir) for a in argv])
@@ -515,9 +518,11 @@ class TestCayley:
         assert "result.feasible = true" in out
 
     def test_feasibility_work_cap_exits_two_naming_it(self, monkeypatch, capsys):
+        # the acceptor of freeprod:2,3 has incomparable subtrees from height
+        # 2 on, so the count recursion runs above them
         import firebreak.game as game_mod
-        monkeypatch.setattr(game_mod, "FEASIBILITY_WORK_MAX", 10)  # this probe tries 69
-        code, out = run(["cayley", "zd:3", "--mode", "polyprobe", "--R", "7",
+        monkeypatch.setattr(game_mod, "FEASIBILITY_WORK_MAX", 5)  # this probe tries 6
+        code, out = run(["cayley", "freeprod:2,3", "--mode", "polyprobe", "--R", "9",
                          "--k", "1", "--c", "2", "--d", "2"])
         assert code == 2 and not out
         assert "FEASIBILITY_WORK_MAX" in capsys.readouterr().err

@@ -16,10 +16,12 @@ Claims covered:
       and never reports containment when the fire can reach the horizon
     - canonical strategies pick closest-first with deterministic ties
     - feasibility matches hand arithmetic, is monotone in budgets, and the
-      regular-tree fast path agrees with the count recursion; both agree
-      with the Pareto profile program (tests/pareto_reference.py) on
+      greedy on chain-ordered levels agrees with the count recursion; both
+      agree with the Pareto profile program (tests/pareto_reference.py) on
       feasibility and witness profile, and every witness separates the
-      root from the boundary within its deadlines
+      root from the boundary within its deadlines; Fibonacci near its
+      threshold keeps the profiles the count recursion found and decides
+      at depth 40 at once
     - synthesized cutset strategies stay within budget, play level n at
       round n - k, and contain; synthesis materialises only the truncation
       it returns, so a cut past the vertex cap fails at once
@@ -66,8 +68,7 @@ from firebreak import (
     synthesize_cutset_strategy,
 )
 import firebreak.game as game_mod
-from firebreak.game import (BURNING, PROTECTED, UNTOUCHED, _regular_profile,
-                            cut_weight_target)
+from firebreak.game import BURNING, PROTECTED, UNTOUCHED, cut_weight_target
 from firebreak.trees import ExplicitSpec, PeriodicSpec
 from conftest import (
     binary_spec,
@@ -472,44 +473,95 @@ class TestFeasibility:
             if r1.feasible:
                 assert r2.feasible
 
-    def test_regular_path_agrees_with_count_recursion(self, monkeypatch):
-        # run the same regular instances through both routes: the greedy
-        # sweep (production path for level-regular trees) and the recursion
-        # on live counts per (level, state), forced by disabling regularity
-        # detection
-        import firebreak.game as game_mod
+    @staticmethod
+    def routes(monkeypatch) -> list[bool]:
+        """Record, per _chain_ranks call, whether the level formed a chain;
+        no call means the live count alone refuted the cut."""
+        seen: list[bool] = []
+        real = game_mod._chain_ranks
+
+        def spy(child_ranks):
+            ranks = real(child_ranks)
+            seen.append(ranks is not None)
+            return ranks
+        monkeypatch.setattr(game_mod, "_chain_ranks", spy)
+        return seen
+
+    def test_greedy_agrees_with_count_recursion(self, monkeypatch):
+        # run the same chain-ordered instances through both routes: the
+        # greedy (production path when every level below the ball is a
+        # chain) and the recursion on live counts per (level, state), forced
+        # by reporting every level incomparable
+        from firebreak import SymmetricSpec
 
         rng = random.Random(23)
-        checked = 0
-        while checked < 40:
-            pre = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
-            per = tuple(rng.randint(1, 3) for _ in range(1, rng.randint(2, 3)))
-            from firebreak import SymmetricSpec, level_counts
-            spec = SymmetricSpec(preperiod=pre, period=per)
-            depth = rng.randint(2, 5)
-            if sum(level_counts(spec, depth)) > 100:
+        kinds = Counter()
+        while sum(kinds.values()) < 120:
+            kind = ("symmetric", "periodic", "explicit")[sum(kinds.values()) % 3]
+            if kind == "symmetric":
+                pre = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+                per = tuple(rng.randint(1, 3) for _ in range(1, rng.randint(2, 3)))
+                spec = SymmetricSpec(preperiod=pre, period=per)
+                depth = rng.randint(2, 5)
+            elif kind == "periodic":
+                spec = random_periodic_spec(rng, allow_dead=rng.random() < 0.5)
+                depth = rng.randint(2, 6)
+            else:
+                spec = random_explicit_tree(rng, max_vertices=rng.randint(6, 40))
+                depth = spec.height()
+            if depth < 1 or sum(level_counts(spec, depth)) > 100:
                 continue
             budget = rng.choice(budget_catalogue())
-            k = rng.choice([0, 1])
-            fast = feasibility_check(spec, k, budget, depth)
+            k = rng.randrange(min(depth, 2))
             with monkeypatch.context() as m:
-                m.setattr(game_mod, "_regular_profile", lambda s, d: None)
+                chains = self.routes(m)
+                fast = feasibility_check(spec, k, budget, depth)
+            if not chains or not all(chains):
+                continue  # refuted before ranking, or the recursion decides it
+            with monkeypatch.context() as m:
+                m.setattr(game_mod, "_chain_ranks", lambda child_ranks: None)
                 slow = feasibility_check(spec, k, budget, depth)
             assert fast.feasible == slow.feasible, (spec, k, budget.describe())
             if fast.feasible:
                 # both routes pick the lexicographically minimal cumulative
                 # profile, so the witness level counts agree
                 assert fast.witness_levels == slow.witness_levels
-            checked += 1
+                assert_valid_witness(spec, k, budget, depth, fast)
+            kinds[kind] += 1
+        assert min(kinds.values()) == 40, kinds
 
-    def test_fibonacci_uses_count_recursion(self):
-        assert _regular_profile(fibonacci_spec(), 4) is None
+    def test_fibonacci_takes_the_greedy(self, monkeypatch):
+        # fib's two states form a chain at every level: no cut vector is
+        # enumerated
+        def no_search(counts, size):
+            raise AssertionError("the count recursion ran on a chain-ordered tree")
+        monkeypatch.setattr(game_mod, "_splits", no_search)
         r = feasibility_check(fibonacci_spec(), 0, BudgetSequence.constant(1), 6)
         assert r.feasible  # golden ratio < 2: one guard per round wins eventually
         t = expand(fibonacci_spec(), 6)
         ids = witness_vertices(r, t)
         v = simulate(t, 0, CanonicalStrategy(ids), BudgetSequence.constant(1))
         assert v.contained
+
+    @pytest.mark.parametrize("depth, levels", [
+        (14, ((12, 35), (13, 342), (14, 198))),
+        (18, ((15, 280), (16, 1022), (17, 657), (18, 985))),
+    ])
+    def test_fibonacci_near_its_threshold_keeps_its_profile(self, depth, levels):
+        # the lex-min profiles the count recursion found, at 49,233 and
+        # 664,749 cut choices
+        budget = BudgetSequence.exponential(Fraction(3, 2))
+        r = feasibility_check(fibonacci_spec(), 1, budget, depth)
+        assert r.feasible and r.witness_levels == levels
+        assert_valid_witness(fibonacci_spec(), 1, budget, depth, r)
+
+    def test_fibonacci_at_depth_40_decides_at_once(self):
+        budget = BudgetSequence.exponential(Fraction(3, 2))
+        t0 = time.perf_counter()
+        r = feasibility_check(fibonacci_spec(), 1, budget, 40)
+        assert time.perf_counter() - t0 < 1
+        assert r.feasible and r.witness_paths is None  # past 100,000 cut vertices
+        assert r.witness_levels[-1] == (40, 7371554)
 
     def test_greedy_miss_is_feasible(self):
         # a heaviest-subtree-first greedy spends level 1 on X, whose chain
@@ -526,7 +578,6 @@ class TestFeasibility:
     def test_witness_past_100k_vertices_is_levels_only(self):
         # all 4**9 boundary vertices are cut at the horizon, the lex-min profile
         spec = PeriodicSpec(states={"A": ("A", "A", "A", "A", "B"), "B": ()}, root="A")
-        assert _regular_profile(spec, 9) is None
         r = feasibility_check(spec, 0, BudgetSequence.constant(300_000), 9)
         assert r.feasible and r.witness_paths is None
         assert r.witness_levels == ((9, 4 ** 9),)
@@ -541,12 +592,15 @@ class TestFeasibility:
         assert r.feasible and r.witness_levels == ((1200, 1),)
         assert sys.getrecursionlimit() == limit
 
-    def test_matches_the_profile_program(self):
+    def test_matches_the_profile_program(self, monkeypatch):
         # the Pareto profile program, kept in tests/ as the slow reference,
-        # decides the same instances and picks the same witness profile
+        # decides the same instances and picks the same witness profile,
+        # whether the greedy decides them or the count recursion runs
         rng = random.Random(41)
         budgets = budget_catalogue() + [BudgetSequence.polynomial(1, 1)]
         kinds = {"periodic": 0, "symmetric": 0, "explicit": 0}
+        routes = Counter()
+        chains = self.routes(monkeypatch)
         t0 = time.perf_counter()
         while sum(kinds.values()) < 300:
             kind = rng.choice(sorted(kinds))
@@ -565,7 +619,9 @@ class TestFeasibility:
                 continue
             k = rng.randrange(min(depth, 3))
             budget = rng.choice(budgets)
+            chains.clear()
             fast = feasibility_check(spec, k, budget, depth)
+            routes["recursion" if not all(chains) else "greedy" if chains else "count"] += 1
             slow = pareto_feasibility(spec, k, budget, depth)
             assert (fast.feasible, fast.witness_levels) == \
                 (slow.feasible, slow.witness_levels), (spec, k, budget.describe(), depth)
@@ -573,6 +629,7 @@ class TestFeasibility:
                 assert_valid_witness(spec, k, budget, depth, fast)
             kinds[kind] += 1
         assert min(kinds.values()) >= 80, kinds
+        assert routes["greedy"] >= 100 and routes["recursion"] >= 10, routes
         assert time.perf_counter() - t0 < 5
 
     def test_no_boundary_is_trivially_feasible(self):

@@ -273,10 +273,10 @@ class TestOneRepresentation:
             (b.parent, b.children, b.level, b.boundary)
         budget = rng.choice(budget_catalogue())
         k = rng.randrange(depth)
-        for regular in (True, False):  # greedy sweep, then the count recursion
+        for greedy in (True, False):  # the greedy, then the count recursion
             with monkeypatch.context() as m:
-                if not regular:
-                    m.setattr(game_mod, "_regular_profile", lambda s, d: None)
+                if not greedy:
+                    m.setattr(game_mod, "_chain_ranks", lambda child_ranks: None)
                 ra = feasibility_check(sym, k, budget, depth)
                 rb = feasibility_check(cycle, k, budget, depth)
             assert (ra.feasible, ra.witness_levels, ra.witness_paths) == \
