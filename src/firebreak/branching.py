@@ -11,12 +11,18 @@ min-cut weights at every depth with no truncation built, min cutsets and
 the lower bounds of certificates.  ``max_flow`` and ``cut_weight``, which
 walk a truncation, check it in tests.
 
+Cut arithmetic runs on integers.  For a rate p/q the recursion keeps the
+values at height n as numerators over one common denominator D_0 * p**n,
+so a step is a few integer sums and a min, with no gcd; a cut weight is
+one numerator over p**depth.  Comparisons are integer cross-products, and
+a ``fractions.Fraction`` is built only where a value leaves the layer: a
+reported weight, a table row, a certificate's y.  A float rate is read as
+the rational it is, and its values are handed out as the nearest floats.
+
 For a spec the branching number is the Perron root of its automaton's
 count matrix.  ``compare_to_br`` says exactly on which side of it a rate
 lies, ``br_bracket`` bisects on that sign, and certificates below it are
-built and checked exactly.  Rates may be ``fractions.Fraction`` (or int),
-in which case all cut and flow arithmetic is exact, or float, in which
-case documented tolerances apply.
+built and checked exactly.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import islice, pairwise
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -62,27 +68,54 @@ def exact_rate(rate: Rate) -> Rate:
     raise SpecError(f"unsupported rate type {type(rate).__name__}")
 
 
-def edge_weight(rate: Rate, level: int):
-    """rate**(-level), exact for Fraction rates."""
-    if isinstance(rate, Fraction):
-        return rate ** (-level)
-    return float(rate) ** (-level)
+def _split_rate(rate: Rate) -> tuple[Rate, int, int]:
+    """(rate, p, q): the rate after exact_rate and a positivity check, and
+    p/q in lowest terms, the rational it is (a float rate is read exactly)."""
+    rate = exact_rate(rate)
+    if not rate > 0:
+        raise SpecError("rate must be positive")
+    return rate, *rate.as_integer_ratio()
 
 
-@dataclass(frozen=True)
+def as_rate_type(num: int, den: int, rate: Rate):
+    """num / den in the rate's type: a Fraction, or the nearest float for a
+    float rate.  Cut arithmetic runs on integers at every rate; this is
+    where a float rate's values become floats."""
+    return num / den if isinstance(rate, float) else Fraction(num, den)
+
+
 class Cutset:
     """A set of truncation edges, identified by their child endpoints.
     Valid when removing them leaves the root separated from every boundary
-    vertex."""
+    vertex.  Built from any collection of ids, or by min_cutset from one
+    sorted id array: ``ids`` holds the ids sorted, and ``edges`` the same
+    ids as a frozenset, built on first use."""
 
-    edges: frozenset[int]
+    def __init__(self, edges: Iterable[int] = (), *, ids: np.ndarray | None = None):
+        if ids is None:
+            self.edges = frozenset(edges)
+            ids = np.sort(np.fromiter(self.edges, np.int64, len(self.edges)))
+        self.ids = ids
+
+    @cached_property
+    def edges(self) -> frozenset[int]:
+        return frozenset(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Cutset) and np.array_equal(self.ids, other.ids)
+
+    def __hash__(self) -> int:
+        return hash(self.edges)
 
     def separates(self, trunc: Truncation) -> bool:
         """No boundary vertex is reached from the root once the edges are
         cut; a vertex is reached when its parent is, level by level."""
-        ids = np.fromiter(self.edges, np.int64, len(self.edges))
+        ids = self.ids
         reached = np.ones(trunc.n_vertices, bool)
-        reached[ids[(ids > 0) & (ids < trunc.n_vertices)]] = False
+        reached[ids[np.searchsorted(ids, 1):np.searchsorted(ids, trunc.n_vertices)]] = False
         parent = view(trunc.parent)
         for a, b in pairwise(trunc.level_starts[1:]):
             reached[a:b] &= reached[parent[a:b]]
@@ -90,78 +123,84 @@ class Cutset:
 
 
 def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
-    """Sum of rate**(-level) over the cut edges, one power per level.
+    """Sum of rate**(-level) over the cut edges.  For the rate p/q it is one
+    numerator over p**depth: the level-L count times q**L * p**(depth-L).
     Rejects edge sets that do not separate the root from the boundary."""
-    rate = exact_rate(rate)
-    if float(rate) <= 0:
-        raise SpecError("rate must be positive")
-    edges, n = cutset.edges, trunc.n_vertices
-    if edges and not 1 <= min(edges) <= max(edges) < n:
-        raise SpecError(f"edge id {next(v for v in edges if not 1 <= v < n)} out of range")
+    rate, p, q = _split_rate(rate)
+    ids, n = cutset.ids, trunc.n_vertices
+    if len(ids) and not 1 <= ids[0] <= ids[-1] < n:
+        raise SpecError(f"edge id {next(v for v in cutset.edges if not 1 <= v < n)} out of range")
     if not cutset.separates(trunc):
         raise SpecError("edge set does not separate the root from the boundary")
-    ids = np.fromiter(edges, np.intp, len(edges))
-    per_level = np.bincount(view(trunc.level)[ids], minlength=trunc.depth + 1).tolist()
-    return sum(count * edge_weight(rate, lv) for lv, count in enumerate(per_level) if count)
+    num, q_power = 0, 1
+    for count in np.bincount(view(trunc.level)[ids], minlength=trunc.depth + 1).tolist():
+        num, q_power = num * p + count * q_power, q_power * q
+    return as_rate_type(num, p ** trunc.depth, rate)
 
 
-def _state_recursion(auto: Automaton, rate: Rate, y=None):
-    """The min-cut recursion on the spec's automaton.  Yields (y_n, W(n+1))
-    for n = 0, 1, ... forever, where y_0(s) = 1 if state s continues and 0
-    otherwise (or the given start vector), and y_n(s) = min(1, sum of
-    y_{n-1} over the children of s, divided by the rate), or 0 for a state
-    without children.
+def _state_recursion(auto: Automaton, p: int, q: int, nums=None, den: int = 1):
+    """The min-cut recursion on the spec's automaton at the rate p/q, on
+    integer numerators over one common denominator.  Yields (N_n, D_n, w_n)
+    for n = 0, 1, ... forever: y_n(s) = N_n(s) / D_n and W(n) = w_n / D_n,
+    with D_n = den * p**n.  N_0 is the given numerators, or 1 where state s
+    continues and 0 otherwise, and N_n(s) = min(D_n, q * sum of N_{n-1} over
+    the children of s); that is y_n(s) = min(1, sum of y_{n-1} over the
+    children of s, divided by the rate), or 0 for a state without children.
 
     A level-L vertex in state s of a depth-D truncation has min-cut value
-    c(v) = rate**(-L) * y_{D-L}(s): the cheapest cut below it, capped by
-    the edge above it.  The root has no edge above it, so the depth-D
-    min-cut weight W(D) is the sum of y_{D-1} over the root's children
-    divided by the rate, and y_0 at the root for D = 0.  Arithmetic stays
-    in the rate's type: Fraction rates give exact values."""
-    one = edge_weight(rate, 0)
-    zero = one - one
+    c(v) = rate**(-L) * y_{D-L}(s) = q**L * N_{D-L}(s) / D_D: the cheapest
+    cut below it, capped by the edge above it.  The root has no edge above
+    it, so the depth-D min-cut weight W(D) is the sum of y_{D-1} over the
+    root's children divided by the rate, w_D = q * (sum of N_{D-1} over
+    them), and W(0) is y_0 at the root."""
     kids, root_kids = auto.children, auto.children[auto.root]
-    if y is None:
-        y = [one if auto.continues(s) else zero for s in range(len(kids))]
+    if nums is None:
+        nums = [int(auto.continues(s)) for s in range(len(kids))]
+    weight = nums[auto.root]
     while True:
-        yield y, sum(y[t] for t in root_kids) / rate
-        y = [min(one, sum(y[t] for t in k) / rate) if k else zero for k in kids]
+        yield nums, den, weight
+        weight = q * sum(nums[t] for t in root_kids)
+        den *= p
+        nums = [min(den, q * sum(nums[t] for t in k)) for k in kids]
 
 
 def cut_recursion(spec: TreeSpec, rate: Rate):
-    """The one reader of W(1), W(2), ... per spec and rate: the rate, after
-    exact_rate and a positivity check, and _state_recursion in its type."""
-    rate = exact_rate(rate)
-    if float(rate) <= 0:
-        raise SpecError("rate must be positive")
-    return rate, _state_recursion(compile(spec), rate)
+    """The one reader of the recursion per spec and rate: (rate, steps),
+    the rate after _split_rate and _state_recursion's steps at p/q."""
+    rate, p, q = _split_rate(rate)
+    return rate, _state_recursion(compile(spec), p, q)
 
 
 def _truncation_recursion(trunc: Truncation, rate: Rate):
-    """(rate, ys = y_0..y_D, W(D)) for a depth-D truncation."""
-    rate, steps = cut_recursion(trunc.spec, rate)
-    ys, weights = zip(*islice(steps, trunc.depth + 1))
-    return rate, ys, weights[trunc.depth - 1] if trunc.depth else ys[0][trunc.state[0]]
+    """(rate, q, the steps 0..D) for a depth-D truncation at the rate p/q."""
+    rate, p, q = _split_rate(rate)
+    return rate, q, list(islice(_state_recursion(compile(trunc.spec), p, q), trunc.depth + 1))
 
 
 def min_cut_weight(trunc: Truncation, rate: Rate):
     """Minimum cutset weight over all cutsets of the truncation, read from
     the per-state recursion without visiting a vertex; non-increasing in
     the truncation depth."""
-    return _truncation_recursion(trunc, rate)[2]
+    rate, _, steps = _truncation_recursion(trunc, rate)
+    _, den, weight = steps[-1]
+    return as_rate_type(weight, den, rate)
 
 
-def min_cutset(trunc: Truncation, rate: Rate) -> Cutset:
+def min_cutset(trunc: Truncation, rate: Rate, steps=None) -> Cutset:
     """A cutset attaining min_cut_weight: v is cut exactly when its
     recursion value is 1, i.e. when cutting the edge above it costs no more
     than the best cut inside its subtree, so ties go to the shallower cut.
     Subtrees of value 0 reach no boundary vertex and are skipped.  Values
     are classified exactly per (level, state), and the vertices whose
-    ancestors all lie strictly between 0 and 1 are carried down by level."""
-    _, ys, _ = _truncation_recursion(trunc, rate)
+    ancestors all lie strictly between 0 and 1 are carried down by level.
+    ``steps`` are the recursion's steps 0..depth at this rate, as
+    cut_recursion yields them, which synthesis has already stepped
+    through; without them the recursion runs here."""
     depth = trunc.depth
-    table = np.array([[1 if y == 1 else 2 if y else 0 for y in ys[depth - lv]]
-                      for lv in range(depth + 1)], np.int8)  # 2: strictly between
+    if steps is None:
+        _, _, steps = _truncation_recursion(trunc, rate)
+    table = np.array([[1 if n == den else 2 if n else 0 for n in nums]  # 2: strictly between
+                      for nums, den, _ in reversed(steps[:depth + 1])], np.int8)
     kind = table[view(trunc.level), view(trunc.state)]
     parent = view(trunc.parent)
     cut, opened = np.zeros(trunc.n_vertices, bool), kind == 2
@@ -170,7 +209,7 @@ def min_cutset(trunc: Truncation, rate: Rate) -> Cutset:
         reached = opened[parent[a:b]]
         cut[a:b] = reached & (kind[a:b] == 1)
         opened[a:b] &= reached
-    return Cutset(edges=frozenset(np.flatnonzero(cut).tolist()))
+    return Cutset(ids=np.flatnonzero(cut))
 
 
 @dataclass
@@ -187,12 +226,14 @@ class FlowAssignment:
 def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
     """A maximum feasible flow from the root to the boundary, built
     top-down by splitting each vertex's inflow over its children up to
-    their min-cut values c, read from a per-(level, state) table.  Its
-    value equals min_cut_weight exactly."""
-    rate, ys, value = _truncation_recursion(trunc, rate)
+    their min-cut values c, read from a per-(level, state) table of
+    numerators over the recursion's denominator at the truncation depth.
+    Its value equals min_cut_weight exactly."""
+    rate, q, steps = _truncation_recursion(trunc, rate)
     depth, level, state = trunc.depth, trunc.level, trunc.state
-    c = [[edge_weight(rate, lv) * y for y in ys[depth - lv]] for lv in range(depth + 1)]
-    flows: dict[int, Rate] = {}
+    _, den, value = steps[depth]
+    c = [[q ** lv * n for n in steps[depth - lv][0]] for lv in range(depth + 1)]
+    flows: dict[int, int] = {}
     for v in range(trunc.n_vertices):
         remaining = flows.get(v, 0) if v else value
         for w in trunc.children[v]:
@@ -201,8 +242,9 @@ def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
             x = min(c[level[w]][state[w]], remaining)
             if x > 0:
                 flows[w] = x
-                remaining = remaining - x
-    return FlowAssignment(flows=flows, value=value, rate=rate)
+                remaining -= x
+    return FlowAssignment(flows={w: as_rate_type(x, den, rate) for w, x in flows.items()},
+                          value=as_rate_type(value, den, rate), rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +471,9 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
     bound, v = max(_perron_vector(kids, c, rate) for c in above)
     mu = ((rate + bound) / 2).limit_denominator(math.ceil(2 ** 12 / (bound - rate)))
     top = max(v)
-    steps = _state_recursion(auto, mu, [Fraction(x, top) for x in v])
-    y, weight = next(islice(steps, 2 * len(kids), None))
+    steps = _state_recursion(auto, mu.numerator, mu.denominator, v, top)
+    (nums, den, _), (_, den_next, w) = islice(steps, 2 * len(kids), 2 * len(kids) + 2)
+    y, weight = tuple(Fraction(n, den) for n in nums), Fraction(w, den_next)
     coeff = rate / (rate - 1) if rate > 1 else Fraction(1)
     floor = Fraction(9, 10) * weight
     ratio = rate / mu
@@ -447,7 +490,7 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
         raise ResourceLimitError(f"certificate radius (estimate {estimate:,.0f}) is past "
                                  f"CERTIFICATE_RADIUS_MAX = {CERTIFICATE_RADIUS_MAX}")
     return LowerBoundCertificate(spec, rate, mu, coeff, floor, radius,
-                                 br_exact_periodic(spec), tuple(y))
+                                 br_exact_periodic(spec), y)
 
 
 def check_certificate(cert: LowerBoundCertificate) -> dict[str, bool]:

@@ -15,6 +15,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import __version__
 from .branching import (
@@ -137,7 +138,8 @@ def _cut_rows(spec, lam: Fraction, depths: int):
     too_long = 10 ** digits if digits else None
     _, steps = cut_recursion(spec, lam)
     rows = []
-    for depth, (_, w) in zip(range(1, depths + 1), steps):
+    for depth, (_, den, weight) in zip(range(1, depths + 1), islice(steps, 1, None)):
+        w = Fraction(weight, den)
         if too_long is not None and max(w.numerator, w.denominator) >= too_long:
             raise ResourceLimitError(
                 f"the min-cut weight at depth {depth} has more than {digits} digits, "
@@ -200,7 +202,7 @@ def cmd_contain(args) -> int:
         result.update(
             epsilon=float(synth.epsilon),
             cut_depth=synth.depth,
-            cut_size=len(synth.cutset.edges),
+            cut_size=len(synth.cutset),
             cut_weight=cut_weight(synth.trunc, synth.cutset, lam),
             flow_value=synth.weight,
             verdict=verdict.kind,
@@ -226,8 +228,9 @@ def cmd_contain(args) -> int:
         )
         budget = BudgetSequence.exponential(lam)
         evidence_rows = []
+        sphere = next(islice(compile(spec).iter_state_counts(), cert.radius, None))
         for depth in range(cert.radius + 1, cert.radius + 1 + args.evidence_depths):
-            fr = feasibility_check(spec, cert.radius, budget, depth)
+            fr = feasibility_check(spec, cert.radius, budget, depth, sphere_counts=sphere)
             evidence_rows.append((depth, "feasible" if fr.feasible else "infeasible"))
         result["all_probed_depths_infeasible"] = all(
             row[1] == "infeasible" for row in evidence_rows

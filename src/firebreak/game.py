@@ -12,12 +12,14 @@ An *arena* is an undirected graph with ``n_vertices``, ``neighbors(v)``
 non-decreasing in vertex order), ``depth``, ``boundary`` (vertices whose
 burning makes the outcome inconclusive at this truncation depth, all at
 level ``depth``) and ``is_boundary(v)``, the test for one, which
-``run_game`` asks only of frontier ids at level ``depth``.  It may also
-expose flat ``rows`` (numpy row offsets and column ids, row v listing
-``neighbors(v)``), which large rounds read.  Tree truncations and Cayley
-balls qualify.  ``run_game`` plays the whole game on one status
-array that it changes in place, so the ``GameState.statuses`` a strategy
-sees is live; ``step`` copies it and leaves its input alone.
+``run_game`` asks only of frontier ids at level ``depth``.  It also
+exposes flat ``rows`` (numpy row offsets and column ids, row v listing
+``neighbors(v)``), which large rounds read, and so does the check that a
+contained fire has no untouched neighbour, except on a truncation, where
+it reads the parent links.  Tree truncations and Cayley balls qualify.
+``run_game`` plays the whole game on one status array that it changes in
+place, so the ``GameState.statuses`` a strategy sees is live; ``step``
+copies it and leaves its input alone.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .branching import (compare_to_br, cut_recursion, edge_weight, exact_rate, min_cutset,
-                        Cutset)
+from .branching import (Cutset, as_rate_type, compare_to_br, cut_recursion, exact_rate,
+                        min_cutset)
 from .errors import ResourceLimitError, SpecError, StrategyFault, SynthesisError
 from .trees import TreeSpec, Truncation, compile, expand
 
@@ -224,13 +226,18 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int],
 def _spread_rows(statuses: bytearray, frontier, offsets, columns) -> tuple[int, ...]:
     """Mark the frontier's untouched row entries burning, sorted and unique."""
     view, front = np.frombuffer(statuses, np.uint8), np.fromiter(frontier, np.intp)
-    starts, lengths = offsets[front], offsets[front + 1] - offsets[front]
-    reached = columns[np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-                      + np.arange(lengths.sum())]
+    reached = _row_entries(offsets, columns, front)
     reached = np.sort(reached[view[reached] == UNTOUCHED])  # sort and diff: cheaper than unique
     reached = reached[np.diff(reached, prepend=-1) != 0]
     view[reached] = BURNING
     return tuple(reached.tolist())
+
+
+def _row_entries(offsets, columns, ids) -> np.ndarray:
+    """The row entries of the given vertices, row after row."""
+    starts, lengths = offsets[ids], offsets[ids + 1] - offsets[ids]
+    return columns[np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+                   + np.arange(lengths.sum())]
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +334,20 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
 
 
 def _separated(state: GameState) -> bool:
-    """No burning vertex has an untouched neighbour: checked from whichever
-    of the two is fewer, as the arena's graph is undirected."""
-    statuses, neighbors = state.statuses, state.arena.neighbors
+    """No burning vertex has an untouched neighbour, in one numpy pass over
+    the edges: a tree arena's parent links, or the rows of any other arena,
+    read from whichever of the two statuses is fewer, as its graph is
+    undirected."""
+    statuses, arena = state.statuses, state.arena
     side, other = sorted((BURNING, UNTOUCHED), key=statuses.count)
-    checked = np.flatnonzero(np.frombuffer(statuses, np.uint8) == side).tolist()
-    return not any(other in map(statuses.__getitem__, neighbors(v)) for v in checked)
+    if not statuses.count(side):
+        return True
+    status = np.frombuffer(statuses, np.uint8)
+    if isinstance(arena, Truncation):
+        ends = np.stack((status[1:], status[np.frombuffer(arena.parent, np.intc)[1:]]))
+        return not ((ends.min(0) == UNTOUCHED) & (ends.max(0) == BURNING)).any()
+    reached = _row_entries(*arena.rows, np.flatnonzero(status == side))
+    return not (status[reached] == other).any()
 
 
 def simulate(trunc, radius: int, strategy, budget: BudgetSequence,
@@ -433,16 +448,23 @@ class FeasibilityResult:
 
 
 def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
-                      depth: int) -> FeasibilityResult:
+                      depth: int, sphere_counts: dict[int, int] | None = None
+                      ) -> FeasibilityResult:
     """Decide whether a deadline-respecting vertex cut exists within the
     given depth.  Feasible results carry a witness (paths from the root);
-    infeasible at one depth is evidence only, since deeper cuts may exist."""
+    infeasible at one depth is evidence only, since deeper cuts may exist.
+    ``sphere_counts`` are the vertices per automaton state at level radius,
+    as ``Automaton.iter_state_counts`` yields them, which a caller probing
+    several depths walks once; without them they are walked from the root."""
     if radius < 0:
         raise SpecError("initial radius must be >= 0")
     if depth <= radius:
         raise SpecError("depth must exceed the initial radius")
+    auto = compile(spec)
+    if sphere_counts is None:
+        sphere_counts = next(islice(auto.iter_state_counts(), radius, None))
     caps = list(accumulate(budget(j) for j in range(1, depth - radius + 1)))  # cumulative budgets
-    return _feasibility_counts(compile(spec), radius, caps, depth)
+    return _feasibility_counts(auto, radius, caps, depth, sphere_counts)
 
 
 def _chain_ranks(child_ranks: list[tuple[int, ...]]) -> list[int] | None:
@@ -457,11 +479,11 @@ def _chain_ranks(child_ranks: list[tuple[int, ...]]) -> list[int] | None:
     return [rank[r] for r in child_ranks]
 
 
-def _feasibility_counts(auto, radius: int, caps: list[int],
-                        depth: int) -> FeasibilityResult:
+def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
+                        sphere_counts: dict[int, int]) -> FeasibilityResult:
     succ = auto.children
     # the state counts at levels radius+1..depth: nothing is cut within the ball
-    forward = list(islice(auto.iter_state_counts(), radius + 1, depth + 1))
+    forward = list(islice(auto.iter_state_counts(sphere_counts), 1, depth - radius + 1))
     # per level L below the ball, for the live states (those whose subtrees
     # reach the boundary): live[L] the states and kids[L] the (child
     # position, index in live[L + 1]) of their live children
@@ -670,21 +692,28 @@ class SynthesisResult:
 def cut_weight_target(rate, radius: int, probe_range: int = 120):
     """Largest eps such that any cutset lighter than eps schedules within
     budgets floor(rate**n): eps <= floor(rate**(n-radius)) / rate**n for
-    every n > radius.  The head is minimised over one running power of
-    the rate, until floor(x) / x > 1 - 1/x can no longer go below it; past
-    the probe range the floor loss is bounded analytically."""
+    every n > radius.  For the rate p/q the head is the least
+    floor(P/Q) * Q / P over P = p**m, Q = q**m, in integers.  That ratio is
+    at least 1 - (Q-1)/P, a bound that never falls as m grows, so the scan
+    stops once the bound reaches the head (at m = 1 for an integer rate);
+    past the probe range the floor loss is bounded analytically."""
     rate = exact_rate(rate)
     if rate <= 1:
         raise SynthesisError("budget rate must exceed 1 for cutset synthesis")
-    power = head = edge_weight(rate, 0)  # rate**m; floor(x) / x <= 1
+    p, q = rate.as_integer_ratio()
+    big_p = big_q = num = den = 1  # the head is num / den
     for _ in range(probe_range):
-        power *= rate
-        head = min(head, math.floor(power) / power)
-        if power * (1 - head) >= 1:  # 1 - 1/x >= head, and x only grows
+        big_p, big_q = big_p * p, big_q * q
+        if (big_p // big_q) * big_q * den < num * big_p:
+            num, den = (big_p // big_q) * big_q, big_p
+        if (big_p - big_q + 1) * den >= num * big_p:
             break
-    head *= edge_weight(rate, radius)
-    tail = edge_weight(rate, radius) * (1 - edge_weight(rate, probe_range + 1))
-    return min(head, tail) * (1 if isinstance(rate, Fraction) else 0.5)  # halved for float rounding
+    top = p ** (probe_range + 1)  # the tail: 1 - rate**-(probe_range + 1)
+    if num * top > (top - q ** (probe_range + 1)) * den:
+        num, den = top - q ** (probe_range + 1), top
+    if isinstance(rate, float):
+        den *= 2  # halved, as float budgets round their powers
+    return as_rate_type(num * q ** radius, den * p ** radius, rate)
 
 
 def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
@@ -704,18 +733,22 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
         raise SpecError(f"rate {float(rate_x)} is not above the branching number")
     probe_range = max(depth_max + 40, 120)
     eps = cut_weight_target(rate_x, radius, probe_range=probe_range)
-    for depth, (_, weight) in zip(range(1, depth_max + 1), steps):
-        if depth > radius and weight < eps:
+    eps_x = Fraction(eps)
+    seen = [next(steps)]  # the steps 0..depth, which min_cutset reads
+    for depth, (nums, den, weight) in zip(range(1, depth_max + 1), steps):
+        seen.append((nums, den, weight))
+        if depth > radius and weight * eps_x.denominator < eps_x.numerator * den:
             trunc = expand(spec, depth)
-            cut = min_cutset(trunc, rate_x)
-            ids = np.sort(np.fromiter(cut.edges, np.intc, len(cut.edges)))
+            cut = min_cutset(trunc, rate_x, steps=seen)
+            ids = cut.ids
             bounds = np.searchsorted(ids, trunc.level_starts).tolist()  # level n: round n - radius
             strategy = ScheduleStrategy({lv - radius: tuple(ids[a:b].tolist()) for lv, (a, b)
                                          in enumerate(pairwise(bounds)) if a < b})
-            return SynthesisResult(strategy=strategy, trunc=trunc, cutset=cut,
-                                   epsilon=eps, weight=weight, depth=depth, radius=radius)
+            return SynthesisResult(strategy=strategy, trunc=trunc, cutset=cut, epsilon=eps,
+                                   weight=as_rate_type(weight, den, rate_x), depth=depth,
+                                   radius=radius)
     raise SynthesisError(
         f"no cutset of weight < {float(eps):.6g} within depth {depth_max} "
-        f"(last min-cut weight {float(weight):.6g}); the rate may not exceed "
+        f"(last min-cut weight {weight / den:.6g}); the rate may not exceed "
         f"the branching number, or depth_max is too small"
     )

@@ -183,9 +183,11 @@ class Automaton:
         bounds a running total stops as soon as it passes."""
         return (sum(counts.values()) for counts in self.iter_state_counts())
 
-    def iter_state_counts(self) -> Iterator[dict[int, int]]:
-        """Vertices per state at levels 0, 1, 2, ..., without end."""
-        counts = {self.root: 1}
+    def iter_state_counts(self, counts: dict[int, int] | None = None) -> Iterator[dict[int, int]]:
+        """Vertices per state at levels 0, 1, 2, ..., without end; or, from
+        the given counts at some level, at that level and those below it."""
+        if counts is None:
+            counts = {self.root: 1}
         while True:
             yield counts
             nxt: dict[int, int] = {}

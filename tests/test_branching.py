@@ -24,6 +24,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +46,12 @@ from firebreak import (
     min_cutset,
 )
 from firebreak.branching import (CERTIFICATE_RADIUS_MAX, _compare_component,
-                                  _components, _perron_vector, br_enclosure, compare_to_br,
-                                  cut_recursion)
+                                  _components, _perron_vector, as_rate_type, br_enclosure,
+                                  compare_to_br, cut_recursion, exact_rate)
+from firebreak.game import cut_weight_target, synthesize_cutset_strategy
 from firebreak.errors import ResourceLimitError
-from firebreak.trees import compile
+from firebreak.trees import compile, level_counts
+import trees_reference
 from conftest import (
     binary_spec,
     enumerate_cutsets,
@@ -56,7 +59,9 @@ from conftest import (
     is_antichain,
     ray_spec,
     sqrt2_spec,
+    random_explicit_tree,
     random_periodic_spec,
+    random_symmetric_spec,
     random_truncation,
     ternary_spec,
 )
@@ -166,12 +171,13 @@ class TestMinCut:
     def test_cut_recursion_matches_the_references(self, seed):
         # W(d) read without a truncation equals the materialised min cut
         # and max flow, as the same Fraction and, at a float rate, the same
-        # float that check_certificate used to recompute
+        # float
         rng = random.Random(3000 + seed)
         spec = random_periodic_spec(rng, allow_dead=seed % 2 == 1)
         for rate in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2), 1.75):
-            _, steps = cut_recursion(spec, rate)
-            for depth, (_, weight) in zip(range(1, 7), steps):
+            rate_x, steps = cut_recursion(spec, rate)
+            for depth, (_, den, w) in zip(range(1, 7), islice(steps, 1, None)):
+                weight = as_rate_type(w, den, rate_x)
                 trunc = expand(spec, depth)
                 reference = min_cut_weight(trunc, rate)
                 assert weight == reference and type(weight) is type(reference)
@@ -196,6 +202,124 @@ class TestMinCut:
         t = expand(binary_spec(), 4)
         cut = min_cutset(t, Fraction(2))
         assert sorted(t.level[v] for v in cut.edges) == [1, 1]
+
+
+class TestIntegerRecursion:
+    """The recursion on integer numerators over p**n against the one in the
+    rate's own type that it replaced (tests/trees_reference.py), which
+    also serves every float rate read as the rational it is."""
+
+    RATES = [Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(3), Fraction(7, 3),
+             Fraction(200001, 100000), 0.625, 1.75, 2.5]
+
+    @staticmethod
+    def specs(seed):
+        rng = random.Random(4100 + seed)
+        return [random_periodic_spec(rng, allow_dead=True),
+                random_periodic_spec(rng, allow_dead=True),
+                random_symmetric_spec(rng),
+                random_explicit_tree(rng, max_vertices=20),
+                REDUCIBLE]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_steps_match_the_reference(self, seed):
+        # y_n = N_n / D_n and W(n) = w_n / D_n equal the reference's y_n and
+        # W(n) exactly; at a float rate they equal the reference at the
+        # rational the float is, and round to within 1e-12 of the float
+        # reference
+        for spec in self.specs(seed):
+            root = compile(spec).root
+            for rate in self.RATES:
+                rate_x, steps = cut_recursion(spec, rate)
+                # the reference yields (y_n, W(n + 1)); W(0) is y_0 at the root
+                _, ref = trees_reference.cut_recursion(spec, Fraction(rate))
+                ys, weights = zip(*islice(ref, 9))
+                weights = (ys[0][root],) + weights
+                ys_f, weights_f = zip(*islice(trees_reference.cut_recursion(spec, rate)[1], 9))
+                weights_f = (ys_f[0][root],) + weights_f
+                for n, (nums, den, w) in enumerate(islice(steps, 9)):
+                    assert [Fraction(x, den) for x in nums] == list(ys[n])
+                    assert Fraction(w, den) == weights[n]
+                    value = as_rate_type(w, den, rate_x)
+                    assert type(value) is type(rate_x)
+                    if isinstance(rate, float):
+                        assert value == pytest.approx(weights_f[n], rel=1e-12)
+                        assert [as_rate_type(x, den, rate) for x in nums] == \
+                            pytest.approx(list(ys_f[n]), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cuts_and_weights_match_the_reference(self, seed):
+        # min_cutset picks the reference's edges, and cut_weight and
+        # min_cut_weight give the reference's Fraction (at a float rate, the
+        # nearest float to the reference's value at the rational it is)
+        for spec in self.specs(seed):
+            for depth in range(1, 7):
+                if sum(level_counts(spec, depth)) > 3000:
+                    break
+                got, ref = expand(spec, depth), trees_reference.expand(spec, depth)
+                for rate in self.RATES:
+                    exact = Fraction(rate)
+                    cut, ref_cut = min_cutset(got, rate), trees_reference.min_cutset(ref, exact)
+                    assert cut == ref_cut and cut.edges == ref_cut.edges
+                    weight = trees_reference.cut_weight(ref, cut, exact)
+                    assert weight == trees_reference.min_cut_weight(ref, exact)
+                    for value in (cut_weight(got, cut, rate), min_cut_weight(got, rate)):
+                        assert value == (float(weight) if isinstance(rate, float) else weight)
+                        assert type(value) is type(exact_rate(rate))
+                    if isinstance(rate, float):
+                        assert cut_weight(got, cut, rate) == pytest.approx(
+                            trees_reference.cut_weight(ref, cut, rate), rel=1e-12)
+
+    @pytest.mark.parametrize("rate", [Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 3),
+                                      Fraction(200001, 100000), Fraction(1999, 1000), 1.75, 2.5,
+                                      3.0])
+    @pytest.mark.parametrize("radius", [0, 1, 4])
+    @pytest.mark.parametrize("probe_range", [120, 200])
+    def test_cut_weight_target_matches_the_reference(self, rate, radius, probe_range):
+        # exact for a rational rate; a float rate gets half the reference's
+        # value at the rational it is, as the nearest float, within 1e-12 of
+        # the float reference
+        got = cut_weight_target(rate, radius, probe_range)
+        want = trees_reference.cut_weight_target(Fraction(rate), radius, probe_range)
+        if isinstance(rate, float):
+            assert got == float(want / 2)
+            assert got == pytest.approx(
+                trees_reference.cut_weight_target(rate, radius, probe_range), rel=1e-12)
+        else:
+            assert got == want and type(got) is Fraction
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_certificate_y_matches_the_reference(self, seed):
+        # the certificate's y and cut floor, stepped on integers from the
+        # Perron vector over its largest entry, are the reference's
+        checked = 0
+        for spec in self.specs(seed) + [binary_spec(), fibonacci_spec(), SYMMETRIC]:
+            for rate in (Fraction(1, 2), Fraction(5, 4), Fraction(3, 2), 1.25, Fraction(19, 10)):
+                if compile(spec).is_finite() or compare_to_br(spec, rate) >= 0:
+                    continue
+                try:
+                    cert = lower_bound_certificate(spec, rate)
+                except ResourceLimitError:
+                    continue
+                y, weight = trees_reference.certificate_y(spec, Fraction(rate), cert.mid_rate)
+                assert cert.y == y
+                assert cert.cut_weight_floor == Fraction(9, 10) * weight
+                checked += 1
+        assert checked >= 5
+
+    def test_synthesis_runs_the_recursion_once(self, monkeypatch):
+        # min_cutset reads the steps synthesis has already taken
+        import firebreak.branching
+        real, calls = firebreak.branching._state_recursion, []
+        monkeypatch.setattr(firebreak.branching, "_state_recursion",
+                            lambda *args: calls.append(args[1:3]) or real(*args))
+        for spec, rate, k in [(fibonacci_spec(), Fraction(2), 1), (binary_spec(), 3, 1),
+                              (ternary_spec(), Fraction(7, 2), 1)]:
+            calls.clear()
+            res = synthesize_cutset_strategy(spec, rate, k)
+            assert calls == [Fraction(rate).as_integer_ratio()]
+            # called alone, min_cutset runs the recursion itself, to the same cut
+            assert res.cutset == min_cutset(res.trunc, rate) and len(calls) == 2
 
 
 class TestMaxFlow:

@@ -17,6 +17,7 @@ import pytest
 
 from firebreak import expand, format_tree_spec, max_flow, min_cut_weight
 from firebreak.cli import _fmt, build_parser, main
+from firebreak.trees import Automaton
 from conftest import random_periodic_spec
 
 BINARY = "variant: periodic\nroot: A\nstates: A -> A A\n"
@@ -157,6 +158,18 @@ class TestContain:
         assert "result.burnt = 7" in out
         assert "2,9,7 8 9 10 11 12 13 14" in out  # round, budget, protect set
 
+    def test_above_threshold_runs_the_recursion_once(self, spec_dir, monkeypatch):
+        # synthesis steps it to the cut depth, the min cutset reads those
+        # steps and cut_weight sums the cut on integers
+        import firebreak.branching
+        real, calls = firebreak.branching._state_recursion, []
+        monkeypatch.setattr(firebreak.branching, "_state_recursion",
+                            lambda *args: calls.append(args[1:3]) or real(*args))
+        code, out = run(["contain", str(spec_dir / "fib.tree"), "--lambda", "5/2", "--k", "2"])
+        assert code == 0
+        assert "result.regime = above" in out and "result.verdict = contained" in out
+        assert calls == [(5, 2)]
+
     def test_below_threshold(self, spec_dir):
         code, out = run(["contain", str(spec_dir / "binary.tree"),
                          "--lambda", "1.5"])
@@ -239,6 +252,22 @@ class TestContain:
         assert code == 0
         assert "result.certificate_radius = 36356" in out
         assert "result.all_probed_depths_infeasible = true" in out
+
+    def test_evidence_rows_walk_the_ball_once(self, spec_dir, monkeypatch):
+        # the state counts at the certificate radius are walked once for
+        # all eight rows, not once per row
+        real, levels = Automaton.iter_state_counts, []
+
+        def counted(auto, counts=None):
+            for level in real(auto, counts):
+                levels.append(1)
+                yield level
+
+        monkeypatch.setattr(Automaton, "iter_state_counts", counted)
+        code, out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "1999/1000"])
+        assert code == 0
+        assert "result.certificate_radius = 36356" in out
+        assert 36356 < len(levels) < 2 * 36356
 
     def test_long_period_symmetric_certificate_is_quick(self, tmp_path):
         # period 20 with br = 5**(1/20) ~ 1.0838: radius 5,654 at 27/25

@@ -36,6 +36,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,7 @@ from firebreak import (
     expand,
     feasibility_check,
     format_trace,
+    GameState,
     infinite_dihedral,
     initial_state,
     level_counts,
@@ -69,7 +71,7 @@ from firebreak import (
 )
 import firebreak.game as game_mod
 from firebreak.game import BURNING, PROTECTED, UNTOUCHED, cut_weight_target
-from firebreak.trees import ExplicitSpec, PeriodicSpec
+from firebreak.trees import ExplicitSpec, PeriodicSpec, compile
 from conftest import (
     binary_spec,
     budget_catalogue,
@@ -288,6 +290,32 @@ class TestInPlaceEngine:
             random_truncation(rng, max_depth=7, size_limit=400) for _ in range(300)))
         self.test_matches_copy_per_round_reference()
         assert calls["spread"] > 100, calls
+
+    def test_containment_check_matches_the_loop(self):
+        # the one-pass check (parent links of a truncation, rows of a ball)
+        # against the per-vertex loop: on fires whose untouched neighbours
+        # are all protected, or all but some, and on random statuses
+        rng = random.Random(59)
+        seen = Counter()
+        for arena in self.arenas(rng):
+            n = arena.n_vertices
+            for _ in range(6):
+                radius = rng.randrange(arena.depth + 1)
+                statuses = bytearray(BURNING if arena.level[v] <= radius else UNTOUCHED
+                                     for v in range(n))
+                keep = rng.choice((1.0, 1.0, 0.9, 0.5))
+                for v in range(bisect.bisect_right(arena.level, radius)):
+                    for w in arena.neighbors(v):
+                        if statuses[w] == UNTOUCHED and rng.random() < keep:
+                            statuses[w] = PROTECTED
+                randoms = bytearray(rng.choices((UNTOUCHED, PROTECTED, BURNING),
+                                                [rng.random() for _ in range(3)], k=n))
+                for status in (statuses, randoms, bytearray(n), bytearray([BURNING]) * n):
+                    state = GameState(arena, status, 0, ())
+                    want = game_reference._separated(state)
+                    assert game_mod._separated(state) == want
+                    seen[want, type(arena).__name__] += 1
+        assert min(seen.values()) > 100 and len(seen) == 4, seen
 
     def test_large_protect_sets_fail_as_the_reference(self):
         # protect sets past SPREAD_VECTOR_MIN mixing a negative id, a burning
@@ -631,6 +659,21 @@ class TestFeasibility:
         assert min(kinds.values()) >= 80, kinds
         assert routes["greedy"] >= 100 and routes["recursion"] >= 10, routes
         assert time.perf_counter() - t0 < 5
+
+    def test_given_sphere_counts_decide_as_the_walk(self):
+        # counts at the fire's radius handed in, as contain's evidence rows
+        # walk them once, give the result of a walk from the root
+        rng = random.Random(83)
+        budgets = budget_catalogue()
+        for _ in range(150):
+            spec = (random_periodic_spec(rng, allow_dead=True) if rng.random() < 0.6
+                    else random_explicit_tree(rng, max_vertices=14))
+            k = rng.randrange(3)
+            sphere = next(islice(compile(spec).iter_state_counts(), k, None))
+            for depth in range(k + 1, k + 4):
+                budget = rng.choice(budgets)
+                assert feasibility_check(spec, k, budget, depth, sphere_counts=sphere) == \
+                    feasibility_check(spec, k, budget, depth)
 
     def test_no_boundary_is_trivially_feasible(self):
         spec = ExplicitSpec(parents=(0, 0))
