@@ -16,8 +16,9 @@ values at height n as numerators over one common denominator D_0 * p**n,
 so a step is a few integer sums and a min, with no gcd; a cut weight is
 one numerator over p**depth.  Comparisons are integer cross-products, and
 a ``fractions.Fraction`` is built only where a value leaves the layer: a
-reported weight, a table row, a certificate's y.  A float rate is read as
-the rational it is, and its values are handed out as the nearest floats.
+reported weight, a table row, a certificate's y.  Every rate is read by
+``exact_rate`` as the rational it is, a float included, so every value
+handed out is a Fraction.
 
 For a spec the branching number is the Perron root of its automaton's
 count matrix.  ``compare_to_br`` says exactly on which side of it a rate
@@ -46,42 +47,32 @@ from .trees import (
     view,
 )
 
-Rate = Union[Fraction, int, float]
+Rate = Union[Fraction, int, float, str]  # what exact_rate reads
 
 CERTIFICATE_RADIUS_MAX = 100_000  # largest certificate radius built
 
 
-def exact_rate(rate: Rate) -> Rate:
-    """Normalise a rate: ints and strings become Fractions (exact
-    arithmetic), floats stay floats."""
-    if isinstance(rate, bool):
-        raise SpecError("rate must be a number")
-    if isinstance(rate, int):
-        return Fraction(rate)
-    if isinstance(rate, str):
-        try:
-            return Fraction(rate)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecError(f"rate {rate!r} is not a rational number") from exc
-    if isinstance(rate, (Fraction, float)):
+def exact_rate(rate: Rate) -> Fraction:
+    """The rate as the exact rational it is: a Fraction passes through, and
+    an int, a rational string or a float (read exactly, not rounded)
+    becomes one.  Rejects bool, other types, nan and infinities."""
+    if isinstance(rate, Fraction):
         return rate
-    raise SpecError(f"unsupported rate type {type(rate).__name__}")
+    if isinstance(rate, bool) or not isinstance(rate, (int, float, str)):
+        raise SpecError(f"rate must be a number, not {type(rate).__name__}")
+    try:
+        return Fraction(rate)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SpecError(f"rate {rate!r} is not a rational number") from exc
 
 
-def _split_rate(rate: Rate) -> tuple[Rate, int, int]:
+def _split_rate(rate: Rate) -> tuple[Fraction, int, int]:
     """(rate, p, q): the rate after exact_rate and a positivity check, and
-    p/q in lowest terms, the rational it is (a float rate is read exactly)."""
+    p/q in lowest terms."""
     rate = exact_rate(rate)
     if not rate > 0:
         raise SpecError("rate must be positive")
-    return rate, *rate.as_integer_ratio()
-
-
-def as_rate_type(num: int, den: int, rate: Rate):
-    """num / den in the rate's type: a Fraction, or the nearest float for a
-    float rate.  Cut arithmetic runs on integers at every rate; this is
-    where a float rate's values become floats."""
-    return num / den if isinstance(rate, float) else Fraction(num, den)
+    return rate, rate.numerator, rate.denominator
 
 
 class Cutset:
@@ -126,7 +117,7 @@ def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
     """Sum of rate**(-level) over the cut edges.  For the rate p/q it is one
     numerator over p**depth: the level-L count times q**L * p**(depth-L).
     Rejects edge sets that do not separate the root from the boundary."""
-    rate, p, q = _split_rate(rate)
+    _, p, q = _split_rate(rate)
     ids, n = cutset.ids, trunc.n_vertices
     if len(ids) and not 1 <= ids[0] <= ids[-1] < n:
         raise SpecError(f"edge id {next(v for v in cutset.edges if not 1 <= v < n)} out of range")
@@ -135,7 +126,7 @@ def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
     num, q_power = 0, 1
     for count in np.bincount(view(trunc.level)[ids], minlength=trunc.depth + 1).tolist():
         num, q_power = num * p + count * q_power, q_power * q
-    return as_rate_type(num, p ** trunc.depth, rate)
+    return Fraction(num, p ** trunc.depth)
 
 
 def _state_recursion(auto: Automaton, p: int, q: int, nums=None, den: int = 1):
@@ -181,9 +172,9 @@ def min_cut_weight(trunc: Truncation, rate: Rate):
     """Minimum cutset weight over all cutsets of the truncation, read from
     the per-state recursion without visiting a vertex; non-increasing in
     the truncation depth."""
-    rate, _, steps = _truncation_recursion(trunc, rate)
+    _, _, steps = _truncation_recursion(trunc, rate)
     _, den, weight = steps[-1]
-    return as_rate_type(weight, den, rate)
+    return Fraction(weight, den)
 
 
 def min_cutset(trunc: Truncation, rate: Rate, steps=None) -> Cutset:
@@ -218,9 +209,9 @@ class FlowAssignment:
     root.  Satisfies the capacity bound rate**(-level) on every edge and
     conservation at internal vertices."""
 
-    flows: dict[int, Rate]
-    value: Rate
-    rate: Rate
+    flows: dict[int, Fraction]
+    value: Fraction
+    rate: Fraction
 
 
 def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
@@ -243,8 +234,8 @@ def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
             if x > 0:
                 flows[w] = x
                 remaining -= x
-    return FlowAssignment(flows={w: as_rate_type(x, den, rate) for w, x in flows.items()},
-                          value=as_rate_type(value, den, rate), rate=rate)
+    return FlowAssignment(flows={w: Fraction(x, den) for w, x in flows.items()},
+                          value=Fraction(value, den), rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +314,9 @@ def _compare_component(kids, comp: list[int], rate: Fraction) -> int:
 def compare_to_br(spec: TreeSpec, rate: Rate) -> int:
     """The sign (-1, 0 or 1) of rate - br, exactly: br is the largest
     Perron root over the strongly connected components of the automaton's
-    count matrix (0 for an acyclic automaton), and float rates are read as
-    the rationals they are."""
-    rate = Fraction(exact_rate(rate))
+    count matrix (0 for an acyclic automaton), and the rate is read by
+    exact_rate."""
+    rate = exact_rate(rate)
     kids = compile(spec).children
     return min(_compare_component(kids, comp, rate) for comp in _components(kids))
 
@@ -387,7 +378,7 @@ def br_bracket(spec: TreeSpec, tol: float) -> BracketResult:
 @dataclass(frozen=True)
 class LowerBoundCertificate:
     """Witness that budgets floor(rate**n) cannot contain a fire starting
-    on the ball of the given radius.  Every number but br_value is exact.
+    on the ball of the given radius.  Every number is exact.
     With M the automaton's count matrix, the three facts it certifies:
       1. rate < mid_rate < br, and sum_{i<=n} floor(rate**i) <=
          budget_coeff * rate**n for every n >= 1;
@@ -406,7 +397,6 @@ class LowerBoundCertificate:
     budget_coeff: Fraction
     cut_weight_floor: Fraction
     radius: int
-    br_value: float
     y: tuple[Fraction, ...]
 
 
@@ -446,7 +436,7 @@ def _tail_below(ratio: Fraction, scale: Fraction, radius: int) -> bool:
 
 def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate:
     """Build a non-containment certificate for budgets floor(rate**n), in
-    exact arithmetic (float rates are read as the rationals they are).
+    exact arithmetic (the rate is read by exact_rate).
 
     Requires rate < branching number.  On the component with the best
     Collatz-Wielandt bound, a power of M_C + I gives y with mid_rate * y <=
@@ -457,7 +447,7 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
     rate/(rate-1) (1 below rate 1, where every budget is 0), and the radius
     the least closing the geometric tail; a radius past
     CERTIFICATE_RADIUS_MAX, estimated or exact, raises ResourceLimitError."""
-    rate = Fraction(exact_rate(rate))
+    rate = exact_rate(rate)
     if rate <= 0:
         raise SpecError("rate must be positive")
     if rate == 1:
@@ -489,8 +479,7 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
     if estimate > CERTIFICATE_RADIUS_MAX + 1 or radius > CERTIFICATE_RADIUS_MAX:
         raise ResourceLimitError(f"certificate radius (estimate {estimate:,.0f}) is past "
                                  f"CERTIFICATE_RADIUS_MAX = {CERTIFICATE_RADIUS_MAX}")
-    return LowerBoundCertificate(spec, rate, mu, coeff, floor, radius,
-                                 br_exact_periodic(spec), y)
+    return LowerBoundCertificate(spec, rate, mu, coeff, floor, radius, y)
 
 
 def check_certificate(cert: LowerBoundCertificate) -> dict[str, bool]:

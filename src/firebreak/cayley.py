@@ -59,7 +59,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .branching import exact_rate
 from .errors import ResourceLimitError, SpecError, SurroundCapError
 from .game import (
     BudgetSequence,
@@ -369,10 +368,10 @@ class CayleyBall:
         return self.word_strings[v]
 
 
-def _sphere_sizes(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[int]:
+def _sphere_sizes(model, radius: int) -> list[int]:
     """|S(0)|, ..., |S(radius)| from the word acceptor's level counts.  The
     ball cap is decided here, before anything is built: it fails at the
-    least radius 1..R whose ball has more than ``cap`` elements."""
+    least radius 1..R whose ball has more than DEFAULT_BALL_CAP elements."""
     if radius < 0:
         raise SpecError("ball radius must be >= 0")
     spheres: list[int] = []
@@ -380,19 +379,19 @@ def _sphere_sizes(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[int]:
     for r, size in zip(range(radius + 1), model.acceptor[1].iter_level_counts()):
         spheres.append(size)
         total += size
-        if r and total > cap:
+        if r and total > DEFAULT_BALL_CAP:
             raise ResourceLimitError(
-                f"ball of radius {r} has {total} elements, the ball cap is {cap}"
+                f"ball of radius {r} has {total} elements, the ball cap is {DEFAULT_BALL_CAP}"
             )
     return spheres
 
 
-def ball(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
+def ball(model, radius: int) -> CayleyBall:
     """The ball around the identity, unfolded from the word acceptor: the
     children of a vertex are the one-letter extensions of its normal form,
     in generator order, so vertices are numbered as a breadth-first search
     in generator order numbers them."""
-    _sphere_sizes(model, radius, cap)
+    _sphere_sizes(model, radius)
     _spec, auto, entering = model.acceptor
     state, parent, level, _first_child, starts = unfold(auto, radius)
     return CayleyBall(model=model, radius=radius, level=packed(level),
@@ -502,8 +501,7 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
         raise SpecError("initial radius must be >= 0")
     if ball_radius <= radius + 1:
         raise SpecError("ball radius must exceed the initial radius + 1")
-    rate_x = exact_rate(rate)
-    budget = BudgetSequence.exponential(rate_x)
+    budget = BudgetSequence.exponential(rate)
     spheres = _sphere_sizes(model, ball_radius)
     trace = []
     trigger = None

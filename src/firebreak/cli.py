@@ -67,6 +67,7 @@ EXIT_INDETERMINATE = 2
 EXIT_FAULT = 3
 
 CUT_DEPTHS_MAX = 1000  # most rows of br's cuts table
+EVIDENCE_DEPTHS_MAX = 100  # most rows of contain's feasibility evidence table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,6 +191,9 @@ def cmd_contain(args) -> int:
         raise SpecError("initial radius must be >= 0")
     if args.evidence_depths < 1:
         raise SpecError("--evidence-depths must be >= 1")
+    if args.evidence_depths > EVIDENCE_DEPTHS_MAX:
+        raise ResourceLimitError(f"--evidence-depths {args.evidence_depths} is past "
+                                 f"EVIDENCE_DEPTHS_MAX = {EVIDENCE_DEPTHS_MAX}")
 
     br, lo, hi = br_enclosure(spec)
     result.update(br_exact=br, bracket_lo=lo, bracket_hi=hi)

@@ -34,8 +34,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .branching import (Cutset, as_rate_type, compare_to_br, cut_recursion, exact_rate,
-                        min_cutset)
+from .branching import Cutset, compare_to_br, cut_recursion, exact_rate, min_cutset
 from .errors import ResourceLimitError, SpecError, StrategyFault, SynthesisError
 from .trees import TreeSpec, Truncation, compile, expand
 
@@ -59,8 +58,8 @@ class BudgetSequence:
 
     kind: str
     value: int = 0
-    rate: Fraction | float = Fraction(0)
-    coeff: Fraction | float = Fraction(0)
+    rate: Fraction = Fraction(0)
+    coeff: Fraction = Fraction(0)
     degree: int = 0
     values: tuple[int, ...] = ()
 
@@ -683,13 +682,13 @@ class SynthesisResult:
     strategy: ScheduleStrategy
     trunc: Truncation
     cutset: Cutset
-    epsilon: object
-    weight: object  # the cutset's weight, W(depth) from the per-state recursion
+    epsilon: Fraction
+    weight: Fraction  # the cutset's weight, W(depth) from the per-state recursion
     depth: int
     radius: int
 
 
-def cut_weight_target(rate, radius: int, probe_range: int = 120):
+def cut_weight_target(rate, radius: int, probe_range: int = 120) -> Fraction:
     """Largest eps such that any cutset lighter than eps schedules within
     budgets floor(rate**n): eps <= floor(rate**(n-radius)) / rate**n for
     every n > radius.  For the rate p/q the head is the least
@@ -711,9 +710,7 @@ def cut_weight_target(rate, radius: int, probe_range: int = 120):
     top = p ** (probe_range + 1)  # the tail: 1 - rate**-(probe_range + 1)
     if num * top > (top - q ** (probe_range + 1)) * den:
         num, den = top - q ** (probe_range + 1), top
-    if isinstance(rate, float):
-        den *= 2  # halved, as float budgets round their powers
-    return as_rate_type(num * q ** radius, den * p ** radius, rate)
+    return Fraction(num * q ** radius, den * p ** radius)
 
 
 def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
@@ -728,24 +725,23 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
         raise SpecError("initial radius must be >= 0")
     if depth_max <= radius:
         raise SpecError("depth_max must exceed the initial radius")
-    rate_x, steps = cut_recursion(spec, rate)
-    if compare_to_br(spec, rate_x) <= 0:
-        raise SpecError(f"rate {float(rate_x)} is not above the branching number")
+    rate, steps = cut_recursion(spec, rate)
+    if compare_to_br(spec, rate) <= 0:
+        raise SpecError(f"rate {float(rate)} is not above the branching number")
     probe_range = max(depth_max + 40, 120)
-    eps = cut_weight_target(rate_x, radius, probe_range=probe_range)
-    eps_x = Fraction(eps)
+    eps = cut_weight_target(rate, radius, probe_range=probe_range)
     seen = [next(steps)]  # the steps 0..depth, which min_cutset reads
     for depth, (nums, den, weight) in zip(range(1, depth_max + 1), steps):
         seen.append((nums, den, weight))
-        if depth > radius and weight * eps_x.denominator < eps_x.numerator * den:
+        if depth > radius and weight * eps.denominator < eps.numerator * den:
             trunc = expand(spec, depth)
-            cut = min_cutset(trunc, rate_x, steps=seen)
+            cut = min_cutset(trunc, rate, steps=seen)
             ids = cut.ids
             bounds = np.searchsorted(ids, trunc.level_starts).tolist()  # level n: round n - radius
             strategy = ScheduleStrategy({lv - radius: tuple(ids[a:b].tolist()) for lv, (a, b)
                                          in enumerate(pairwise(bounds)) if a < b})
             return SynthesisResult(strategy=strategy, trunc=trunc, cutset=cut, epsilon=eps,
-                                   weight=as_rate_type(weight, den, rate_x), depth=depth,
+                                   weight=Fraction(weight, den), depth=depth,
                                    radius=radius)
     raise SynthesisError(
         f"no cutset of weight < {float(eps):.6g} within depth {depth_max} "

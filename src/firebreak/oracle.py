@@ -49,12 +49,11 @@ class OracleDecision:
 def brute_force_containment(trunc: Truncation, x0: Iterable[int],
                             budget: BudgetSequence,
                             horizon: int | None = None,
-                            restrict: bool = True,
-                            free_cap: int | None = None) -> OracleDecision:
+                            restrict: bool = True) -> OracleDecision:
     """Exact existence of a containment strategy, with a witness schedule
-    when one exists.  ``free_cap`` guards against runaway searches; raise
-    it deliberately for larger instances (the restricted search copes with
-    more than the default on narrow trees)."""
+    when one exists.  The free-vertex cap, DEFAULT_FREE_CAP for the
+    restricted search and STRICT_FREE_CAP otherwise, guards against
+    runaway searches."""
     if horizon is not None and horizon < 0:
         raise SpecError("horizon must be >= 0")
     fire = frozenset(x0)
@@ -62,9 +61,7 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
         if not 0 <= v < trunc.n_vertices:
             raise SpecError(f"initial fire vertex {v} out of range")
     free = trunc.n_vertices - len(fire)
-    cap = free_cap if free_cap is not None else (
-        DEFAULT_FREE_CAP if restrict else STRICT_FREE_CAP
-    )
+    cap = DEFAULT_FREE_CAP if restrict else STRICT_FREE_CAP
     if free > cap:
         raise ResourceLimitError(
             f"{free} vertices outside the fire exceed the oracle cap {cap}"

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import firebreak.oracle
 from firebreak import (
     BudgetSequence,
     FreeAbelian,
@@ -182,7 +183,7 @@ def test_criterion_4_synthesis_above_threshold():
               "synthesize, stay within budget and contain")
 
 
-def test_criterion_5_certificates_below_threshold():
+def test_criterion_5_certificates_below_threshold(monkeypatch):
     spec = binary_spec()
     for lam in (1.2, 1.5, 1.9):
         cert = lower_bound_certificate(spec, lam)
@@ -199,9 +200,10 @@ def test_criterion_5_certificates_below_threshold():
     one = BudgetSequence.constant(1)
     for depth in range(1, 21):
         assert not feasibility_check(spec, 0, one, depth).feasible
+    monkeypatch.setattr(firebreak.oracle, "DEFAULT_FREE_CAP", 130)
     for depth in range(1, 7):
         trunc = expand(spec, depth)
-        assert not brute_force_containment(trunc, [0], one, free_cap=130).feasible
+        assert not brute_force_containment(trunc, [0], one).feasible
     report(5, "certificates at rates 1.2/1.5/1.9 re-validate; budgets "
               "floor(rate**n) infeasible for 20 depths past each radius; "
               "one guard per round brute-force refuted to depth 6")

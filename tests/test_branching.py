@@ -8,7 +8,9 @@ Claims covered:
     - bracket probes are exact: the rows match the float classifier's
       wherever it classified, and fine brackets hold br by exact identities
     - flows satisfy capacity and conservation and attain the min cut,
-      exactly for rational rates
+      exactly at every rate
+    - every rate is read as the exact rational it is, a float included;
+      nan, infinities and non-numbers are SpecErrors
     - min-cut weights are non-increasing in the depth
     - the Perron root matches numpy's eigenvalues (independent oracle) and
       the known closed forms (2, 3, golden ratio, sqrt 2)
@@ -31,6 +33,7 @@ import numpy as np
 import pytest
 
 from firebreak import (
+    BudgetSequence,
     Cutset,
     PeriodicSpec,
     SpecError,
@@ -46,7 +49,7 @@ from firebreak import (
     min_cutset,
 )
 from firebreak.branching import (CERTIFICATE_RADIUS_MAX, _compare_component,
-                                  _components, _perron_vector, as_rate_type, br_enclosure,
+                                  _components, _perron_vector, br_enclosure,
                                   compare_to_br, cut_recursion, exact_rate)
 from firebreak.game import cut_weight_target, synthesize_cutset_strategy
 from firebreak.errors import ResourceLimitError
@@ -170,14 +173,13 @@ class TestMinCut:
     @pytest.mark.parametrize("seed", range(8))
     def test_cut_recursion_matches_the_references(self, seed):
         # W(d) read without a truncation equals the materialised min cut
-        # and max flow, as the same Fraction and, at a float rate, the same
-        # float
+        # and max flow, as the same Fraction, at a float rate too
         rng = random.Random(3000 + seed)
         spec = random_periodic_spec(rng, allow_dead=seed % 2 == 1)
         for rate in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2), 1.75):
-            rate_x, steps = cut_recursion(spec, rate)
+            _, steps = cut_recursion(spec, rate)
             for depth, (_, den, w) in zip(range(1, 7), islice(steps, 1, None)):
-                weight = as_rate_type(w, den, rate_x)
+                weight = Fraction(w, den)
                 trunc = expand(spec, depth)
                 reference = min_cut_weight(trunc, rate)
                 assert weight == reference and type(weight) is type(reference)
@@ -205,9 +207,9 @@ class TestMinCut:
 
 
 class TestIntegerRecursion:
-    """The recursion on integer numerators over p**n against the one in the
-    rate's own type that it replaced (tests/trees_reference.py), which
-    also serves every float rate read as the rational it is."""
+    """The recursion on integer numerators over p**n against the Fraction
+    one that it replaced (tests/trees_reference.py).  A float rate gives
+    exactly the Fractions that Fraction(rate) gives."""
 
     RATES = [Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(3), Fraction(7, 3),
              Fraction(200001, 100000), 0.625, 1.75, 2.5]
@@ -224,34 +226,24 @@ class TestIntegerRecursion:
     @pytest.mark.parametrize("seed", range(6))
     def test_steps_match_the_reference(self, seed):
         # y_n = N_n / D_n and W(n) = w_n / D_n equal the reference's y_n and
-        # W(n) exactly; at a float rate they equal the reference at the
-        # rational the float is, and round to within 1e-12 of the float
-        # reference
+        # W(n) at Fraction(rate) exactly, and the rate read is Fraction(rate)
         for spec in self.specs(seed):
             root = compile(spec).root
             for rate in self.RATES:
                 rate_x, steps = cut_recursion(spec, rate)
+                assert rate_x == Fraction(rate) and type(rate_x) is Fraction
                 # the reference yields (y_n, W(n + 1)); W(0) is y_0 at the root
                 _, ref = trees_reference.cut_recursion(spec, Fraction(rate))
                 ys, weights = zip(*islice(ref, 9))
                 weights = (ys[0][root],) + weights
-                ys_f, weights_f = zip(*islice(trees_reference.cut_recursion(spec, rate)[1], 9))
-                weights_f = (ys_f[0][root],) + weights_f
                 for n, (nums, den, w) in enumerate(islice(steps, 9)):
                     assert [Fraction(x, den) for x in nums] == list(ys[n])
                     assert Fraction(w, den) == weights[n]
-                    value = as_rate_type(w, den, rate_x)
-                    assert type(value) is type(rate_x)
-                    if isinstance(rate, float):
-                        assert value == pytest.approx(weights_f[n], rel=1e-12)
-                        assert [as_rate_type(x, den, rate) for x in nums] == \
-                            pytest.approx(list(ys_f[n]), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cuts_and_weights_match_the_reference(self, seed):
         # min_cutset picks the reference's edges, and cut_weight and
-        # min_cut_weight give the reference's Fraction (at a float rate, the
-        # nearest float to the reference's value at the rational it is)
+        # min_cut_weight give the reference's Fraction at Fraction(rate)
         for spec in self.specs(seed):
             for depth in range(1, 7):
                 if sum(level_counts(spec, depth)) > 3000:
@@ -264,11 +256,7 @@ class TestIntegerRecursion:
                     weight = trees_reference.cut_weight(ref, cut, exact)
                     assert weight == trees_reference.min_cut_weight(ref, exact)
                     for value in (cut_weight(got, cut, rate), min_cut_weight(got, rate)):
-                        assert value == (float(weight) if isinstance(rate, float) else weight)
-                        assert type(value) is type(exact_rate(rate))
-                    if isinstance(rate, float):
-                        assert cut_weight(got, cut, rate) == pytest.approx(
-                            trees_reference.cut_weight(ref, cut, rate), rel=1e-12)
+                        assert value == weight and type(value) is Fraction
 
     @pytest.mark.parametrize("rate", [Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 3),
                                       Fraction(200001, 100000), Fraction(1999, 1000), 1.75, 2.5,
@@ -276,17 +264,10 @@ class TestIntegerRecursion:
     @pytest.mark.parametrize("radius", [0, 1, 4])
     @pytest.mark.parametrize("probe_range", [120, 200])
     def test_cut_weight_target_matches_the_reference(self, rate, radius, probe_range):
-        # exact for a rational rate; a float rate gets half the reference's
-        # value at the rational it is, as the nearest float, within 1e-12 of
-        # the float reference
+        # the reference's Fraction at Fraction(rate), for a float rate too
         got = cut_weight_target(rate, radius, probe_range)
         want = trees_reference.cut_weight_target(Fraction(rate), radius, probe_range)
-        if isinstance(rate, float):
-            assert got == float(want / 2)
-            assert got == pytest.approx(
-                trees_reference.cut_weight_target(rate, radius, probe_range), rel=1e-12)
-        else:
-            assert got == want and type(got) is Fraction
+        assert got == want and type(got) is Fraction
 
     @pytest.mark.parametrize("seed", range(6))
     def test_certificate_y_matches_the_reference(self, seed):
@@ -322,6 +303,34 @@ class TestIntegerRecursion:
             assert res.cutset == min_cutset(res.trunc, rate) and len(calls) == 2
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda rate: min_cut_weight(expand(binary_spec(), 2), rate),
+    lambda rate: BudgetSequence.exponential(rate),
+    lambda rate: cut_weight_target(rate, 1),
+    lambda rate: lower_bound_certificate(binary_spec(), rate),
+    lambda rate: synthesize_cutset_strategy(binary_spec(), rate, 1),
+], ids=["min_cut_weight", "exponential", "cut_weight_target", "certificate", "synthesize"])
+def test_non_finite_rates_are_spec_errors(call, rate):
+    with pytest.raises(SpecError, match="is not a rational number"):
+        call(rate)
+
+
+@pytest.mark.parametrize("rate", [True, None, [2], 1j])
+def test_non_number_rates_are_spec_errors(rate):
+    with pytest.raises(SpecError, match="rate must be a number"):
+        exact_rate(rate)
+
+
+def test_exact_rate_reads_the_rational():
+    third = Fraction(1, 3)
+    assert exact_rate(third) is third
+    for rate, want in [(2, Fraction(2)), ("7/4", Fraction(7, 4)), (0.1, Fraction(0.1))]:
+        got = exact_rate(rate)
+        assert got == want and type(got) is Fraction
+    assert exact_rate(0.1) != Fraction(1, 10)  # read exactly, not rounded
+
+
 class TestMaxFlow:
     def test_binary_depth2_saturates(self):
         t = expand(binary_spec(), 2)
@@ -340,23 +349,25 @@ class TestMaxFlow:
     def test_fibonacci_duality_float(self):
         t = expand(fibonacci_spec(), 6)
         flow = max_flow(t, 1.2)
-        assert abs(flow.value - min_cut_weight(t, 1.2)) < 1e-9
+        assert flow.value == min_cut_weight(t, 1.2) == min_cut_weight(t, Fraction(1.2))
+        assert type(flow.value) is Fraction
 
     @staticmethod
     def check_flow_valid(t, flow, rate):
+        # exact at every rate: a float rate is read as Fraction(rate)
+        assert flow.rate == Fraction(rate) and type(flow.rate) is Fraction
         boundary = set(t.boundary)
-        slop = 0 if isinstance(rate, Fraction) else 1e-12
         for v, f in flow.flows.items():
             assert f >= 0
-            assert f <= rate ** -t.level[v] + slop
+            assert f <= flow.rate ** -t.level[v]
         for v in range(t.n_vertices):
             if v == 0 or v in boundary:
                 continue
             inflow = flow.flows.get(v, 0)
             outflow = sum(flow.flows.get(w, 0) for w in t.children[v])
-            assert abs(inflow - outflow) <= slop
+            assert inflow == outflow
         root_out = sum(flow.flows.get(w, 0) for w in t.children[0])
-        assert abs(root_out - flow.value) <= slop
+        assert root_out == flow.value
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_flows_valid(self, seed):
@@ -365,11 +376,7 @@ class TestMaxFlow:
         for rate in (Fraction(1, 2), Fraction(2), 1.7, 2.718281828459045):
             flow = max_flow(t, rate)
             self.check_flow_valid(t, flow, rate)
-            target = min_cut_weight(t, rate)
-            if isinstance(rate, Fraction):
-                assert flow.value == target
-            else:
-                assert abs(flow.value - target) < 1e-9
+            assert flow.value == min_cut_weight(t, rate)
 
 
 class TestBranchingNumber:
@@ -586,7 +593,7 @@ class TestCertificate:
     @pytest.mark.parametrize("lam", [1.2, 1.5, 1.9])
     def test_binary_certificates_validate(self, lam):
         cert = lower_bound_certificate(binary_spec(), lam)
-        assert cert.rate < cert.mid_rate < cert.br_value
+        assert cert.rate < cert.mid_rate and compare_to_br(cert.spec, cert.mid_rate) < 0
         checks = check_certificate(cert)
         assert all(checks.values()), checks
 

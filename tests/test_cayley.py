@@ -142,12 +142,13 @@ class TestBalls:
         for v in range(1, b.n_vertices):
             assert min(b.level[w] for w in b.neighbors(v)) == b.level[v] - 1
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         from firebreak import ResourceLimitError
         # fires once a completed layer passes the cap: |B(5)| = 485, |B(6)| = 1457
+        monkeypatch.setattr(cayley_mod, "DEFAULT_BALL_CAP", 1000)
         with pytest.raises(ResourceLimitError,
                            match="ball of radius 6 has 1457 elements, the ball cap is 1000"):
-            cayley_ball(FreeGroup(2), 8, cap=1000)
+            cayley_ball(FreeGroup(2), 8)
 
 
 class TestLexMinWords:

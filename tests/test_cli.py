@@ -253,6 +253,27 @@ class TestContain:
         assert "result.certificate_radius = 36356" in out
         assert "result.all_probed_depths_infeasible = true" in out
 
+    @pytest.mark.parametrize("depths", ["101", "100000"])
+    def test_evidence_depths_past_the_bound_exit_two(self, depths, spec_dir, capsys,
+                                                     monkeypatch):
+        # refused before br_enclosure: no row, and no bracket, is computed
+        import firebreak.cli
+        monkeypatch.setattr(firebreak.cli, "br_enclosure", None)
+        t0 = time.perf_counter()
+        code, out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "3/2",
+                         "--evidence-depths", depths])
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == ""
+        assert (f"firebreak: --evidence-depths {depths} is past EVIDENCE_DEPTHS_MAX = 100"
+                in capsys.readouterr().err)
+
+    def test_evidence_depths_at_the_bound_decide(self, spec_dir):
+        code, out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "3/2",
+                         "--evidence-depths", "100"])
+        assert code == 0
+        assert len(csv_rows(out, "feasibility_evidence")) == 100
+        assert "result.all_probed_depths_infeasible = true" in out
+
     def test_evidence_rows_walk_the_ball_once(self, spec_dir, monkeypatch):
         # the state counts at the certificate radius are walked once for
         # all eight rows, not once per row

@@ -767,10 +767,16 @@ class TestSynthesis:
         with pytest.raises(ResourceLimitError, match="FIREBREAK_VERTEX_CAP"):
             synthesize_cutset_strategy(fibonacci_spec(), Fraction(17, 10), 2)
 
-    def test_float_rate_keeps_margin(self):
-        res = synthesize_cutset_strategy(binary_spec(), 3.0, 1, depth_max=12)
-        assert abs(res.weight - cut_weight(res.trunc, res.cutset, 3.0)) < 1e-12
-        verdict = simulate(res.trunc, 1, res.strategy, BudgetSequence.exponential(3.0))
+    @pytest.mark.parametrize("rate, depth", [(3.0, 3), (2.5, 6)])
+    def test_float_rate_synthesises_as_its_rational(self, rate, depth):
+        # a float rate is the rational it is: no margin on its weight target
+        res = synthesize_cutset_strategy(binary_spec(), rate, 1, depth_max=12)
+        exact = synthesize_cutset_strategy(binary_spec(), Fraction(rate), 1, depth_max=12)
+        assert res.depth == exact.depth == depth
+        assert res.cutset == exact.cutset
+        assert res.weight == exact.weight == cut_weight(res.trunc, res.cutset, rate)
+        assert type(res.weight) is type(res.epsilon) is Fraction
+        verdict = simulate(res.trunc, 1, res.strategy, BudgetSequence.exponential(rate))
         assert verdict.contained
 
 

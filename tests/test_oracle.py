@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+import firebreak.oracle
 from firebreak import (
     BudgetSequence,
     Cutset,
@@ -62,14 +63,16 @@ class TestBruteForce:
         assert d.feasible
         assert d.schedule == ((1,),)
 
-    def test_binary_depth5_one_guard_loses(self):
+    def test_binary_depth5_one_guard_loses(self, monkeypatch):
+        monkeypatch.setattr(firebreak.oracle, "DEFAULT_FREE_CAP", 70)
         t = expand(binary_spec(), 5)
-        d = brute_force_containment(t, [0], BudgetSequence.constant(1), free_cap=70)
+        d = brute_force_containment(t, [0], BudgetSequence.constant(1))
         assert not d.feasible
 
-    def test_binary_depth4_two_guards_win(self):
+    def test_binary_depth4_two_guards_win(self, monkeypatch):
+        monkeypatch.setattr(firebreak.oracle, "DEFAULT_FREE_CAP", 70)
         t = expand(binary_spec(), 4)
-        d = brute_force_containment(t, [0], BudgetSequence.constant(2), free_cap=70)
+        d = brute_force_containment(t, [0], BudgetSequence.constant(2))
         assert d.feasible
         assert d.schedule[0] == (1, 2)
 
@@ -197,12 +200,13 @@ class TestCache:
         again = OracleCache(str(path))
         assert again.get(key) == decision
 
-    def test_infeasible_roundtrip(self, tmp_path):
+    def test_infeasible_roundtrip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(firebreak.oracle, "DEFAULT_FREE_CAP", 70)
         path = tmp_path / "oracle.cache"
         cache = OracleCache(str(path))
         t = expand(binary_spec(), 5)
         budget = BudgetSequence.constant(1)
-        decision = brute_force_containment(t, [0], budget, free_cap=70)
+        decision = brute_force_containment(t, [0], budget)
         cache.put("somekey", decision)
         assert OracleCache(str(path)).get("somekey") == decision
 

@@ -1,12 +1,12 @@
 """The list-based truncation and cut walks that the numpy unfolding and the
-level-by-level cut walks replaced, and the min-cut recursion in the rate's
-own type (``fractions.Fraction`` or float) that integer numerators over
-p**n replaced, kept verbatim as the reference of the differential tests:
-``expand`` grows Python lists one vertex at a time, ``min_cutset`` and
-``separates`` walk a stack, ``cut_weight`` counts levels with a Counter
-and sums one power per level, ``cut_weight_target`` takes a running power
-of the rate, and ``certificate_y`` steps the recursion from the Perron
-vector as ``lower_bound_certificate`` did."""
+level-by-level cut walks replaced, and the min-cut recursion in
+``fractions.Fraction`` that integer numerators over p**n replaced, kept
+as the reference of the differential tests: ``expand`` grows Python
+lists one vertex at a time, ``min_cutset`` and ``separates`` walk a stack,
+``cut_weight`` counts levels with a Counter and sums one power per level,
+``cut_weight_target`` takes a running power of the rate, and
+``certificate_y`` steps the recursion from the Perron vector as
+``lower_bound_certificate`` did."""
 
 from __future__ import annotations
 
@@ -22,11 +22,9 @@ from firebreak.errors import ResourceLimitError, SpecError, SynthesisError
 from firebreak.trees import VERTEX_CAP_ENV, Automaton, TreeSpec, compile, vertex_cap
 
 
-def edge_weight(rate: Rate, level: int):
-    """rate**(-level), exact for Fraction rates."""
-    if isinstance(rate, Fraction):
-        return rate ** (-level)
-    return float(rate) ** (-level)
+def edge_weight(rate: Fraction, level: int) -> Fraction:
+    """rate**(-level), exact."""
+    return rate ** (-level)
 
 
 def _state_recursion(auto: Automaton, rate: Rate, y=None):
@@ -40,8 +38,8 @@ def _state_recursion(auto: Automaton, rate: Rate, y=None):
     c(v) = rate**(-L) * y_{D-L}(s): the cheapest cut below it, capped by
     the edge above it.  The root has no edge above it, so the depth-D
     min-cut weight W(D) is the sum of y_{D-1} over the root's children
-    divided by the rate, and y_0 at the root for D = 0.  Arithmetic stays
-    in the rate's type: Fraction rates give exact values."""
+    divided by the rate, and y_0 at the root for D = 0.  Arithmetic is
+    exact, in Fractions."""
     one = edge_weight(rate, 0)
     zero = one - one
     kids, root_kids = auto.children, auto.children[auto.root]
@@ -54,9 +52,9 @@ def _state_recursion(auto: Automaton, rate: Rate, y=None):
 
 def cut_recursion(spec: TreeSpec, rate: Rate):
     """The one reader of W(1), W(2), ... per spec and rate: the rate, after
-    exact_rate and a positivity check, and _state_recursion in its type."""
+    exact_rate and a positivity check, and _state_recursion at it."""
     rate = exact_rate(rate)
-    if float(rate) <= 0:
+    if rate <= 0:
         raise SpecError("rate must be positive")
     return rate, _state_recursion(compile(spec), rate)
 
@@ -92,7 +90,7 @@ def cut_weight_target(rate, radius: int, probe_range: int = 120):
             break
     head *= edge_weight(rate, radius)
     tail = edge_weight(rate, radius) * (1 - edge_weight(rate, probe_range + 1))
-    return min(head, tail) * (1 if isinstance(rate, Fraction) else 0.5)  # halved for float rounding
+    return min(head, tail)
 
 
 def certificate_y(spec: TreeSpec, rate: Fraction, mu: Fraction):
@@ -170,7 +168,7 @@ def separates(cutset: Cutset, trunc: Truncation) -> bool:
 
 def cut_weight(trunc: Truncation, cutset: Cutset, rate):
     rate = exact_rate(rate)
-    if float(rate) <= 0:
+    if rate <= 0:
         raise SpecError("rate must be positive")
     for v in cutset.edges:
         if not 1 <= v < trunc.n_vertices:
