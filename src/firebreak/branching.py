@@ -20,19 +20,22 @@ reported weight, a table row, a certificate's y.  Every rate is read by
 ``exact_rate`` as the rational it is, a float included, so every value
 handed out is a Fraction.
 
-For a spec the branching number is the Perron root of its automaton's
-count matrix.  ``compare_to_br`` says exactly on which side of it a rate
-lies, ``br_bracket`` bisects on that sign, and certificates below it are
-built and checked exactly.
+For a spec the branching number is the largest Perron root over the
+strongly connected components of its automaton's count matrix.  Each has
+one proposal, an integer Perron vector with exact Collatz-Wielandt bounds
+lo <= br_C <= hi.  ``compare_to_br`` decides a rate outside them at once and
+one inside by exact elimination, ``br_bracket`` bisects on that sign, and
+certificates start from the best proposal and are checked exactly.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import islice, pairwise
 from typing import Iterable, Union
 
@@ -50,6 +53,8 @@ from .trees import (
 Rate = Union[Fraction, int, float, str]  # what exact_rate reads
 
 CERTIFICATE_RADIUS_MAX = 100_000  # largest certificate radius built
+PROPOSAL_SCALE = 2 ** 48  # largest entry of a component's integer Perron vector
+Proposal = namedtuple("Proposal", "comp v root lo hi")  # one per component, see _proposals
 
 
 def exact_rate(rate: Rate) -> Fraction:
@@ -245,69 +250,89 @@ def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
 
 def br_exact_periodic(spec: TreeSpec) -> float:
     """Branching number of the tree unfolded from a spec, as a float for
-    display: the spectral radius of the automaton's state-transition count
-    matrix.  Periodic trees are subperiodic, so growth rate and branching
-    number coincide and both equal this root.  Regime decisions read
-    ``compare_to_br``, which is exact.
-
-    Degenerate specs that unfold to a finite tree report 1.0 with a
-    warning (the convention for finite trees)."""
+    display: the largest float Perron root of the components, the spectral
+    radius of the count matrix (periodic trees are subperiodic, so growth
+    rate and branching number coincide).  Regime decisions read the exact
+    ``compare_to_br``.  A spec that unfolds to a finite tree reports 1.0
+    with a warning (the convention for finite trees)."""
     auto = compile(spec)
     if auto.is_finite():
         warnings.warn("spec unfolds to a finite tree; branching number reported as 1 by convention")
         return 1.0
-    kids = auto.children
-    mat = np.zeros((len(kids), len(kids)))
-    np.add.at(mat, ([s for s, k in enumerate(kids) for _ in k], [t for k in kids for t in k]), 1)
-    return float(max(abs(np.linalg.eigvals(mat))))
+    return max(prop.root for prop in _proposals(auto))
 
 
-def _components(kids) -> list[list[int]]:
-    """Strongly connected components of the automaton graph, each a sorted
-    state list: Tarjan's algorithm with an explicit stack of (state, child
-    iterator, stack height at entry), from a virtual state -1 per root.  A
-    state whose component is done gets index n, which lowers no low link."""
-    n = len(kids)
-    index, low, stack, comps = {}, {-1: n}, [], []
-    for root in range(n):
-        work = [(-1, iter((root,)), 0)]
-        while work:
-            v, todo, at = work[-1]
-            for w in todo:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    work.append((w, iter(kids[w]), len(stack)))
-                    stack.append(w)
-                    break
-                low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if v >= 0 and low[v] == index[v]:
-                    comps.append(sorted(stack[at:]))
-                    index.update(dict.fromkeys(stack[at:], n))
-                    del stack[at:]
+def _components(kids, root: int) -> list[list[int]]:
+    """Strongly connected components of an automaton graph whose states are
+    all reachable from the root, each a sorted state list: Tarjan's
+    algorithm with an explicit stack of (state, child iterator, stack height
+    at entry).  A state whose component is done gets index len(kids), which
+    lowers no low link."""
+    index, low, stack, comps = {root: 0}, {root: 0}, [root], []
+    work = [(root, iter(kids[root]), 0)]
+    while work:
+        v, todo, at = work[-1]
+        for w in todo:
+            if w not in index:
+                index[w] = low[w] = len(index)
+                work.append((w, iter(kids[w]), len(stack)))
+                stack.append(w)
+                break
+            low[v] = min(low[v], index[w])
+        else:
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                comps.append(sorted(stack[at:]))
+                index.update(dict.fromkeys(stack[at:], len(kids)))
+                del stack[at:]
     return comps
 
 
-def _compare_component(kids, comp: list[int], rate: Fraction) -> int:
-    """Sign of rate - br_C on a strongly connected component C, from the
-    leading principal minors of q * (rate * I - M_C), rate = p/q: the
-    pivots of fraction-free (Bareiss) elimination.  All positive means a
-    nonsingular M-matrix, br_C < rate; all proper ones positive and a zero
-    determinant means br_C = rate; else br_C > rate (Berman & Plemmons 1994)."""
-    p, q, n = rate.numerator, rate.denominator, len(comp)
-    a = [[p * (s == t) - q * kids[s].count(t) for t in comp] for s in comp]
-    prev = 1
-    for k in range(n):
-        pivot = a[k][k]
+def _proposals(auto: Automaton) -> list[Proposal]:
+    """Per strongly connected component C: its states, numpy's Perron vector
+    from one ``np.linalg.eig`` of M_C + I (the same vectors, and no other
+    root as large) rounded to integers v (PROPOSAL_SCALE at its largest
+    entry, at least 1 on C, 0 off C), the float Perron root of M_C, and v's
+    exact Collatz-Wielandt bounds lo <= br_C <= hi, the least and largest
+    (M v)_s / v_s over C.  Kept on the automaton, a value, as ``compile``
+    keeps the automaton on its spec."""
+    props = auto.__dict__.get("_proposals")
+    if props is None:
+        kids, props = auto.children, []
+        for comp in _components(kids, auto.root):
+            mat = np.eye(len(comp)) + [[kids[s].count(t) for t in comp] for s in comp]
+            roots, vectors = np.linalg.eig(mat) if len(comp) > 1 else (mat[0], np.ones((1, 1)))
+            top = int(np.argmax(roots.real))
+            x = np.abs(vectors[:, top])
+            on = dict(zip(comp, np.maximum(np.rint(x / x.max() * PROPOSAL_SCALE), 1).tolist()))
+            v = [int(on.get(s, 0)) for s in range(len(kids))]
+            ratios = [Fraction(sum(v[t] for t in kids[s]), v[s]) for s in comp]
+            props.append(Proposal(comp, v, float(roots[top].real) - 1, min(ratios), max(ratios)))
+        object.__setattr__(auto, "_proposals", props)
+    return props
+
+
+def _compare_component(kids, prop: Proposal, rate: Fraction) -> int:
+    """Sign of rate - br_C on a component C: -1 below the proposal's lo, 1
+    above its hi, else from the pivots of Gaussian elimination on sparse
+    rows of rate * I - M_C, skipping rows whose multiplier is zero.  All
+    positive means a nonsingular M-matrix, br_C < rate; all but a zero last
+    one means br_C = rate; else br_C > rate (Berman & Plemmons 1994)."""
+    if not prop.lo <= rate <= prop.hi:
+        return -1 if rate < prop.lo else 1
+    at = {s: i for i, s in enumerate(prop.comp)}
+    rows = [{at[t]: rate * (s == t) - kids[s].count(t) for t in {s, *kids[s]} if t in at}
+            for s in prop.comp]
+    for k, pivot_row in enumerate(rows):  # row k holds no column left of k
+        pivot = pivot_row.pop(k)
         if pivot <= 0:
-            return 0 if k == n - 1 and pivot == 0 else -1
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
+            return 0 if k == len(rows) - 1 and pivot == 0 else -1
+        for row in rows[k + 1:]:
+            if m := row.pop(k, 0):
+                for j, x in pivot_row.items():
+                    row[j] = row.get(j, 0) - m * x / pivot
     return 1
 
 
@@ -317,19 +342,17 @@ def compare_to_br(spec: TreeSpec, rate: Rate) -> int:
     count matrix (0 for an acyclic automaton), and the rate is read by
     exact_rate."""
     rate = exact_rate(rate)
-    kids = compile(spec).children
-    return min(_compare_component(kids, comp, rate) for comp in _components(kids))
+    auto = compile(spec)
+    return min(_compare_component(auto.children, prop, rate) for prop in _proposals(auto))
 
 
 def br_enclosure(spec: TreeSpec) -> tuple[float, float, float]:
     """(br, lo, hi) for an infinite spec: the float root of br_exact_periodic
-    and lo < br < hi, exactly.  The bracket is the float root widened by a
-    relative 2**-30, doubled until compare_to_br confirms both sides."""
-    br = br_exact_periodic(spec)
-    widen = 2.0 ** -30
-    while not compare_to_br(spec, br * (1 - widen)) < 0 < compare_to_br(spec, br * (1 + widen)):
-        widen *= 2
-    return br, br * (1 - widen), br * (1 + widen)
+    and lo < br < hi, exactly: the largest lower and upper Collatz-Wielandt
+    bounds over the components, widened by a relative 2**-30."""
+    props = _proposals(compile(spec))
+    return (br_exact_periodic(spec), float(max(prop.lo for prop in props)) * (1 - 2.0 ** -30),
+            float(max(prop.hi for prop in props)) * (1 + 2.0 ** -30))
 
 
 @dataclass(frozen=True)
@@ -363,10 +386,7 @@ def br_bracket(spec: TreeSpec, tol: float) -> BracketResult:
     while hi - lo > tol and lo < (mid := (lo + hi) / 2.0) < hi:
         decays = compare_to_br(spec, mid) > 0
         probes.append((mid, "decays" if decays else "stabilises"))
-        if decays:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if decays else (mid, hi)
     return BracketResult(lo=lo, hi=hi, probes=tuple(probes))
 
 
@@ -400,27 +420,6 @@ class LowerBoundCertificate:
     y: tuple[Fraction, ...]
 
 
-def _perron_vector(kids, comp: list[int], rate: Fraction):
-    """(bound, v) for a component C with br_C > rate: v is (M_C + I)**j
-    applied to the all-ones vector on C (0 off C), and bound is its lower
-    Collatz-Wielandt bound min over C of (M v)_s / v_s <= br_C.  The lower
-    and upper (max) bounds both tend to br_C, since M_C + I is primitive, so
-    j grows until the bound exceeds the rate by 2**20 times their gap.
-    Ratios are compared by integer cross-multiplication (v > 0 on C)."""
-    inside = set(comp)
-    p, q = rate.numerator, rate.denominator
-    v = [int(s in inside) for s in range(len(kids))]
-    while True:
-        mv = [sum(v[t] for t in k) for k in kids]
-        by_ratio = cmp_to_key(lambda s, t: mv[s] * v[t] - mv[t] * v[s])
-        lo, hi = min(comp, key=by_ratio), max(comp, key=by_ratio)
-        a, b, c, d = mv[lo], v[lo], mv[hi], v[hi]  # bound a/b, largest ratio c/d
-        # bound > rate and (c/d - a/b) * 2**20 <= a/b - p/q, times b*d*q > 0
-        if a * q > p * b and (c * b - a * d) * q * 2 ** 20 <= (a * q - p * b) * d:
-            return Fraction(a, b), v
-        v = [v[s] + mv[s] if s in inside else 0 for s in range(len(kids))]
-
-
 def _log(x: Fraction) -> float:
     """Natural log of a positive rational: no float overflow, precise near 1."""
     if Fraction(1, 2) < x < 2:
@@ -438,30 +437,30 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
     """Build a non-containment certificate for budgets floor(rate**n), in
     exact arithmetic (the rate is read by exact_rate).
 
-    Requires rate < branching number.  On the component with the best
-    Collatz-Wielandt bound, a power of M_C + I gives y with mid_rate * y <=
+    Requires rate < branching number.  The proposal with the largest lower
+    Collatz-Wielandt bound gives y = v / PROPOSAL_SCALE with mid_rate * y <=
     M y; 2n steps of y -> min(1, M y / mid_rate) keep that and raise y.  The
     mid rate is the midpoint of the rate and that bound moved by at most
     gap / 2**13 to a short denominator, so the tail powers stay small.  The
     cut floor is 9/10 of the weight y bounds, the budget coefficient
     rate/(rate-1) (1 below rate 1, where every budget is 0), and the radius
-    the least closing the geometric tail; a radius past
-    CERTIFICATE_RADIUS_MAX, estimated or exact, raises ResourceLimitError."""
-    rate = exact_rate(rate)
-    if rate <= 0:
-        raise SpecError("rate must be positive")
+    the least closing the geometric tail.  ResourceLimitError: a bound at or
+    below the rate (within PROPOSAL_SCALE's resolution of br), or a radius
+    past CERTIFICATE_RADIUS_MAX, estimated or exact."""
+    rate, _, _ = _split_rate(rate)
     if rate == 1:
         # floor(1**i) sums to n, which no constant times 1**n dominates
         raise SpecError("no finite budget coefficient exists at rate exactly 1")
     auto = compile(spec)
     kids = auto.children
-    above = [c for c in _components(kids) if _compare_component(kids, c, rate) < 0]
-    if not above:
+    _, v, _, bound, _ = max(_proposals(auto), key=lambda prop: (prop.lo, prop.v))
+    if bound <= rate and compare_to_br(spec, rate) >= 0:
         raise SpecError(f"rate {float(rate)} is not below the branching number")
-    bound, v = max(_perron_vector(kids, c, rate) for c in above)
+    if bound <= rate:
+        raise ResourceLimitError(f"rate {float(rate)} is below the branching number by less than "
+                                 f"the resolution of its Perron vector at PROPOSAL_SCALE = 2**48")
     mu = ((rate + bound) / 2).limit_denominator(math.ceil(2 ** 12 / (bound - rate)))
-    top = max(v)
-    steps = _state_recursion(auto, mu.numerator, mu.denominator, v, top)
+    steps = _state_recursion(auto, mu.numerator, mu.denominator, v, PROPOSAL_SCALE)
     (nums, den, _), (_, den_next, w) = islice(steps, 2 * len(kids), 2 * len(kids) + 2)
     y, weight = tuple(Fraction(n, den) for n in nums), Fraction(w, den_next)
     coeff = rate / (rate - 1) if rate > 1 else Fraction(1)
@@ -470,13 +469,12 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
     scale = coeff / ((1 - ratio) * floor)
     gain = _log(mu / rate)  # the tail shrinks by this log factor a level
     estimate = _log(scale) / gain - 1 if gain > 0 else math.inf
-    if estimate <= CERTIFICATE_RADIUS_MAX + 1:
-        radius = max(0, math.ceil(estimate))
-        while not _tail_below(ratio, scale, radius):
-            radius += 1
-        while radius > 0 and _tail_below(ratio, scale, radius - 1):
-            radius -= 1
-    if estimate > CERTIFICATE_RADIUS_MAX + 1 or radius > CERTIFICATE_RADIUS_MAX:
+    radius = max(0, math.ceil(min(estimate, CERTIFICATE_RADIUS_MAX + 1)))
+    while radius <= CERTIFICATE_RADIUS_MAX and not _tail_below(ratio, scale, radius):
+        radius += 1
+    while 0 < radius <= CERTIFICATE_RADIUS_MAX and _tail_below(ratio, scale, radius - 1):
+        radius -= 1
+    if radius > CERTIFICATE_RADIUS_MAX:
         raise ResourceLimitError(f"certificate radius (estimate {estimate:,.0f}) is past "
                                  f"CERTIFICATE_RADIUS_MAX = {CERTIFICATE_RADIUS_MAX}")
     return LowerBoundCertificate(spec, rate, mu, coeff, floor, radius, y)

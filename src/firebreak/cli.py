@@ -187,6 +187,8 @@ def cmd_contain(args) -> int:
 
     if compile(spec).is_finite():
         raise SpecError("contain needs an infinite tree spec")
+    if lam <= 0:
+        raise SpecError("rate must be positive")
     if args.k < 0:
         raise SpecError("initial radius must be >= 0")
     if args.evidence_depths < 1:
@@ -195,13 +197,14 @@ def cmd_contain(args) -> int:
         raise ResourceLimitError(f"--evidence-depths {args.evidence_depths} is past "
                                  f"EVIDENCE_DEPTHS_MAX = {EVIDENCE_DEPTHS_MAX}")
 
+    side = compare_to_br(spec, lam)
+    cert = lower_bound_certificate(spec, lam) if side < 0 else None  # its refusals come first
     br, lo, hi = br_enclosure(spec)
     result.update(br_exact=br, bracket_lo=lo, bracket_hi=hi)
-    side = compare_to_br(spec, lam)
+    budget = BudgetSequence.exponential(lam)
     if side > 0:
         result["regime"] = "above"
         synth = synthesize_cutset_strategy(spec, lam, args.k, depth_max=args.D_max)
-        budget = BudgetSequence.exponential(lam)
         verdict = simulate(synth.trunc, args.k, synth.strategy, budget)
         result.update(
             epsilon=float(synth.epsilon),
@@ -222,7 +225,6 @@ def cmd_contain(args) -> int:
         ))
     elif side < 0:
         result["regime"] = "below"
-        cert = lower_bound_certificate(spec, lam)
         result.update(
             certificate_mid_rate=float(cert.mid_rate),
             certificate_budget_coeff=float(cert.budget_coeff),
@@ -230,7 +232,6 @@ def cmd_contain(args) -> int:
             certificate_radius=cert.radius,
             certificate_valid=all(check_certificate(cert).values()),
         )
-        budget = BudgetSequence.exponential(lam)
         evidence_rows = []
         sphere = next(islice(compile(spec).iter_state_counts(), cert.radius, None))
         for depth in range(cert.radius + 1, cert.radius + 1 + args.evidence_depths):

@@ -15,9 +15,14 @@ Claims covered:
     - the Perron root matches numpy's eigenvalues (independent oracle) and
       the known closed forms (2, 3, golden ratio, sqrt 2)
     - brackets contain the exact values; finite specs are rejected
+    - each component's proposal (numpy's Perron vector rounded to integers)
+      has exact Collatz-Wielandt bounds that hold br_C; a rate outside them
+      is decided with no elimination, and the sparse elimination inside
+      them, forced or not, agrees with dense Bareiss elimination
+      (tests/trees_reference.py) on random, reducible and Jordan specs
     - certificates re-validate independently and their budgets cross-check;
-      the Perron vector compares its ratios in integers, with the same
-      steps and result as the Fraction formula
+      a rate within the proposal's resolution of br is refused, naming
+      PROPOSAL_SCALE
     - results are invariant under reordering children in the spec
 """
 
@@ -48,9 +53,9 @@ from firebreak import (
     min_cut_weight,
     min_cutset,
 )
-from firebreak.branching import (CERTIFICATE_RADIUS_MAX, _compare_component,
-                                  _components, _perron_vector, br_enclosure,
-                                  compare_to_br, cut_recursion, exact_rate)
+from firebreak.branching import (CERTIFICATE_RADIUS_MAX, PROPOSAL_SCALE, _compare_component,
+                                  _components, _proposals, br_enclosure, compare_to_br,
+                                  cut_recursion, exact_rate)
 from firebreak.game import cut_weight_target, synthesize_cutset_strategy
 from firebreak.errors import ResourceLimitError
 from firebreak.trees import compile, level_counts
@@ -473,6 +478,108 @@ class TestCompareToBr:
         assert compare_to_br(spec, lo) == -1 and compare_to_br(spec, hi) == 1
 
 
+class TestProposal:
+    """The proposals and the exact comparison that reads them, against the
+    dense Bareiss elimination (tests/trees_reference.py)."""
+
+    @staticmethod
+    def specs(seed):
+        rng = random.Random(6100 + seed)
+        return rng, [random_automaton(rng), random_automaton(rng),
+                     random_periodic_spec(rng, allow_dead=True), random_symmetric_spec(rng),
+                     random_explicit_tree(rng, max_vertices=20), REDUCIBLE]
+
+    @staticmethod
+    def reference(spec, rate):
+        auto = compile(spec)
+        return min(trees_reference.compare_component(auto.children, comp, rate)
+                   for comp in _components(auto.children, auto.root))
+
+    @staticmethod
+    def rates(rng, prop):
+        """Random rates, the integers, the bounds and rationals next to them."""
+        near = [Fraction(prop.root).limit_denominator(10 ** 6), prop.lo, prop.hi,
+                prop.lo - Fraction(1, 10 ** 30), prop.hi + Fraction(1, 10 ** 30)]
+        return [Fraction(rng.randint(0, 400), 100) for _ in range(6)] + \
+            [Fraction(n) for n in range(5)] + near
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_vectors_and_bounds(self, seed):
+        _, specs = self.specs(seed)
+        for spec in specs:
+            kids = compile(spec).children
+            for prop in _proposals(compile(spec)):
+                inside = set(prop.comp)
+                assert max(prop.v) == PROPOSAL_SCALE
+                assert all((x >= 1) == (s in inside) for s, x in enumerate(prop.v))
+                ratios = [Fraction(sum(prop.v[t] for t in kids[s]), prop.v[s]) for s in prop.comp]
+                assert (prop.lo, prop.hi) == (min(ratios), max(ratios))
+                # lo <= br_C <= hi, exactly, and the float root lies between
+                assert trees_reference.compare_component(kids, prop.comp, prop.lo) <= 0
+                assert trees_reference.compare_component(kids, prop.comp, prop.hi) >= 0
+                assert float(prop.lo) - 1e-9 <= prop.root <= float(prop.hi) + 1e-9
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_forced_elimination_matches_dense_bareiss(self, seed):
+        # bounds that hold every rate send every comparison to elimination
+        rng, specs = self.specs(seed)
+        for spec in specs:
+            kids = compile(spec).children
+            for prop in _proposals(compile(spec)):
+                forced = prop._replace(lo=-1, hi=10 ** 6)
+                for rate in self.rates(rng, prop):
+                    assert _compare_component(kids, forced, rate) == \
+                        trees_reference.compare_component(kids, prop.comp, rate), (spec, rate)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_compare_to_br_matches_dense_bareiss(self, seed):
+        rng, specs = self.specs(seed)
+        for spec in specs:
+            for prop in _proposals(compile(spec)):
+                for rate in self.rates(rng, prop):
+                    assert compare_to_br(spec, rate) == self.reference(spec, rate), (spec, rate)
+
+    @pytest.mark.parametrize("spec,br", [
+        (binary_spec(), 2), (ternary_spec(), 3), (ray_spec(), 1), (REDUCIBLE, 2),
+        (SymmetricSpec(preperiod=(3,), period=(2, 2)), 2),
+        (SymmetricSpec(preperiod=(), period=(1, 4)), 2),
+    ], ids=["binary", "ternary", "ray", "jordan", "sym322", "sym14"])
+    def test_integer_br_is_decided_by_elimination(self, spec, br):
+        # lo <= br <= hi, so the bounds of a top component cannot decide
+        # rate = br, and elimination must find the zero last pivot
+        props = _proposals(compile(spec))
+        assert any(prop.lo <= br <= prop.hi and prop.root == pytest.approx(br) for prop in props)
+        assert compare_to_br(spec, br) == 0 == self.reference(spec, Fraction(br))
+
+    @pytest.mark.parametrize("spec,rates", [
+        (fibonacci_spec(), (Fraction(3, 2), Fraction(17, 10))),
+        (SymmetricSpec(preperiod=(2,), period=(1,) * 199 + (5,)),
+         (Fraction(201, 200), Fraction(101, 100))),
+        (SYMMETRIC, (Fraction(7, 5), Fraction(3, 2))),
+    ], ids=["fib", "c200", "symmetric"])
+    def test_rates_outside_the_bounds_need_no_elimination(self, spec, rates):
+        props = _proposals(compile(spec))
+        assert all(not prop.lo <= rate <= prop.hi for prop in props for rate in rates)
+        assert [compare_to_br(spec, rate) for rate in rates] == [-1, 1]
+
+    def test_proposals_are_kept_on_the_automaton(self, monkeypatch):
+        # built once per automaton and kept on it; a new spec, even an equal
+        # one, compiles to a new automaton that builds its own
+        import firebreak.branching
+        calls = []
+        real = firebreak.branching._components
+        monkeypatch.setattr(firebreak.branching, "_components",
+                            lambda *args: calls.append(1) or real(*args))
+        spec = fibonacci_spec()
+        for rate in (Fraction(3, 2), Fraction(2), Fraction(1618034, 1000000)):
+            compare_to_br(spec, rate)
+        br_enclosure(spec)
+        lower_bound_certificate(spec, Fraction(3, 2))
+        assert len(calls) == 1
+        compare_to_br(fibonacci_spec(), Fraction(3, 2))
+        assert len(calls) == 2
+
+
 BRACKET_SPECS = {
     "binary": binary_spec(), "fib": fibonacci_spec(), "sqrt2": sqrt2_spec(),
     "ray": ray_spec(), "jordan": REDUCIBLE,
@@ -559,37 +666,7 @@ class TestBracket:
         assert compare_to_br(spec, bracket.lo) <= 0 < compare_to_br(spec, bracket.hi)
 
 
-def fraction_perron_vector(kids, comp, rate):
-    """_perron_vector with every Collatz-Wielandt ratio a Fraction."""
-    inside = set(comp)
-    v = [int(s in inside) for s in range(len(kids))]
-    while True:
-        mv = [sum(v[t] for t in k) for k in kids]
-        ratios = [Fraction(mv[s], v[s]) for s in comp]
-        bound = min(ratios)
-        if bound > rate and (max(ratios) - bound) * 2 ** 20 <= bound - rate:
-            return bound, v
-        v = [v[s] + mv[s] if s in inside else 0 for s in range(len(kids))]
-
-
 class TestCertificate:
-    def test_perron_vector_matches_fraction_ratios(self):
-        # the integer cross-multiplied comparisons take the same steps and
-        # return the same (bound, v) as the Fraction formula
-        rng = random.Random(71)
-        specs = [SymmetricSpec(preperiod=(2,), period=(1,) * 7 + (5,)), REDUCIBLE,
-                 fibonacci_spec()] + [random_automaton(rng) for _ in range(40)]
-        checked = 0
-        for spec in specs:
-            kids = compile(spec).children
-            for comp in _components(kids):
-                for rate in (Fraction(1, 2), Fraction(21, 20), Fraction(3, 2)):
-                    if _compare_component(kids, comp, rate) < 0:
-                        assert _perron_vector(kids, comp, rate) == \
-                            fraction_perron_vector(kids, comp, rate)
-                        checked += 1
-        assert checked >= 30
-
     @pytest.mark.parametrize("lam", [1.2, 1.5, 1.9])
     def test_binary_certificates_validate(self, lam):
         cert = lower_bound_certificate(binary_spec(), lam)
@@ -683,6 +760,14 @@ class TestCertificate:
         cert = lower_bound_certificate(SYMMETRIC, Fraction(13, 10))
         assert cert.rate < cert.mid_rate < math.sqrt(2)
         assert all(check_certificate(cert).values())
+
+    def test_rate_within_the_proposal_resolution_is_refused(self):
+        # F(52)/F(51) lies about 1e-21 below the golden ratio: below br, but
+        # above the proposal's lower bound, so no certificate is built
+        rate = Fraction(32951280099, 20365011074)
+        assert compare_to_br(fibonacci_spec(), rate) == -1
+        with pytest.raises(ResourceLimitError, match="PROPOSAL_SCALE = 2\\*\\*48"):
+            lower_bound_certificate(fibonacci_spec(), rate)
 
     def test_reducible_spec_just_below_two(self):
         # the Perron root 2 is a 2x2 Jordan block; below it a certificate

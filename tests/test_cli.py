@@ -6,6 +6,7 @@ or a resource cap reached, 3 strategy fault.
 
 import hashlib
 import io
+import math
 import random
 import sys
 import time
@@ -24,6 +25,8 @@ BINARY = "variant: periodic\nroot: A\nstates: A -> A A\n"
 FIB = "variant: periodic\nroot: A\nstates: A -> A B ; B -> A\n"
 RAY = "variant: periodic\nroot: A\nstates: A -> A\n"
 RAY5 = "variant: explicit\nparents: 0 1 2 3 4\n"
+# a 200-level cycle of 199 ones and a 5 after a 2: br = 5**(1/200), about 1.00808
+C200 = "variant: symmetric\nlevels: 2 | " + "1 " * 199 + "5\n"
 REDUCIBLE = "variant: periodic\nroot: A\nstates: A -> A B A ; B -> B B\n"
 DATA = Path(__file__).parent / "data"
 
@@ -31,7 +34,7 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture
 def spec_dir(tmp_path):
     for name, text in [("binary.tree", BINARY), ("fib.tree", FIB),
-                       ("ray.tree", RAY), ("ray5.tree", RAY5)]:
+                       ("ray.tree", RAY), ("ray5.tree", RAY5), ("c200.tree", C200)]:
         (tmp_path / name).write_text(text)
     return tmp_path
 
@@ -146,6 +149,17 @@ class TestBr:
                 assert max_flow(trunc, lam).value == weight
                 expected.append([_fmt(lam), str(depth), _fmt(weight), _fmt(weight)])
             assert csv_rows(out, "cuts") == expected
+
+
+    def test_long_cycle_bracket_reaches_adjacent_floats(self, spec_dir):
+        t0 = time.perf_counter()
+        code, out = run(["br", str(spec_dir / "c200.tree"), "--tol", "1e-300"])
+        assert time.perf_counter() - t0 < 5
+        assert code == 0
+        lo = float(out.split("result.bracket_lo = ")[1].splitlines()[0])
+        hi = float(out.split("result.bracket_hi = ")[1].splitlines()[0])
+        assert math.nextafter(lo, math.inf) == hi
+        assert Fraction(lo) ** 200 < 5 < Fraction(hi) ** 200
 
 
 class TestContain:
@@ -266,6 +280,50 @@ class TestContain:
         assert code == 2 and out == ""
         assert (f"firebreak: --evidence-depths {depths} is past EVIDENCE_DEPTHS_MAX = 100"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("lam,message", [
+        ("0", "rate must be positive"),
+        ("-3/2", "rate must be positive"),
+        ("1", "no finite budget coefficient exists at rate exactly 1"),
+    ])
+    def test_rates_without_a_certificate_are_refused_before_the_bracket(
+            self, lam, message, spec_dir, capsys, monkeypatch):
+        # a rate <= 0 is refused with the argument checks, and rate 1 below
+        # br right after the exact comparison: no bracket is computed
+        import firebreak.cli
+        monkeypatch.setattr(firebreak.cli, "br_enclosure", None)
+        t0 = time.perf_counter()
+        code, out = run(["contain", str(spec_dir / "c200.tree"), f"--lambda={lam}"])
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and out == ""
+        assert f"firebreak: {message}" in capsys.readouterr().err
+
+    def test_rate_one_at_br_one_is_undetermined(self, spec_dir):
+        code, out = run(["contain", str(spec_dir / "ray.tree"), "--lambda", "1"])
+        assert code == 2
+        assert "result.regime = undetermined" in out
+
+    def test_long_cycle_below_br_gets_a_certificate(self, spec_dir):
+        # the power iteration this replaced did not end here: a long cycle's
+        # other roots are nearly as large as its Perron root
+        t0 = time.perf_counter()
+        code, out = run(["contain", str(spec_dir / "c200.tree"), "--lambda", "201/200"])
+        assert time.perf_counter() - t0 < 5
+        assert code == 0
+        assert "result.regime = below" in out
+        assert "result.certificate_valid = true" in out
+        assert "result.certificate_radius = 8165" in out
+        assert "result.all_probed_depths_infeasible = true" in out
+
+    def test_rate_within_the_proposal_resolution_exits_two(self, spec_dir, capsys):
+        # F(52)/F(51) lies about 1e-21 below the golden ratio, far inside the
+        # Collatz-Wielandt bounds of a vector rounded at 2**48
+        t0 = time.perf_counter()
+        code, out = run(["contain", str(spec_dir / "fib.tree"),
+                         "--lambda", "32951280099/20365011074"])
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == ""
+        assert "PROPOSAL_SCALE = 2**48" in capsys.readouterr().err
 
     def test_evidence_depths_at_the_bound_decide(self, spec_dir):
         code, out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "3/2",

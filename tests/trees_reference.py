@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from firebreak.branching import (Cutset, Rate, _compare_component, _components, _perron_vector,
-                                 exact_rate)
+from firebreak.branching import PROPOSAL_SCALE, Cutset, Rate, _proposals, exact_rate
 from firebreak.errors import ResourceLimitError, SpecError, SynthesisError
 from firebreak.trees import VERTEX_CAP_ENV, Automaton, TreeSpec, compile, vertex_cap
 
@@ -95,16 +94,33 @@ def cut_weight_target(rate, radius: int, probe_range: int = 120):
 
 def certificate_y(spec: TreeSpec, rate: Fraction, mu: Fraction):
     """(y, W) as lower_bound_certificate stepped them at the mid rate mu:
-    y_0 the best component's Perron vector over its largest entry, and
-    (y_{2n}, W(2n+1)) for n states."""
+    y_0 the vector over PROPOSAL_SCALE of the proposal with the largest
+    lower Collatz-Wielandt bound, and (y_{2n}, W(2n+1)) for n states."""
     auto = compile(spec)
-    kids = auto.children
-    above = [c for c in _components(kids) if _compare_component(kids, c, rate) < 0]
-    bound, v = max(_perron_vector(kids, c, rate) for c in above)
-    top = max(v)
-    steps = _state_recursion(auto, mu, [Fraction(x, top) for x in v])
-    y, weight = next(islice(steps, 2 * len(kids), None))
+    v = max(_proposals(auto), key=lambda prop: (prop.lo, prop.v)).v
+    steps = _state_recursion(auto, mu, [Fraction(x, PROPOSAL_SCALE) for x in v])
+    y, weight = next(islice(steps, 2 * len(auto.children), None))
     return tuple(y), weight
+
+
+def compare_component(kids, comp: list[int], rate: Fraction) -> int:
+    """Sign of rate - br_C on a strongly connected component C, from the
+    leading principal minors of q * (rate * I - M_C), rate = p/q: the
+    pivots of dense fraction-free (Bareiss) elimination.  All positive means
+    a nonsingular M-matrix, br_C < rate; all proper ones positive and a zero
+    determinant means br_C = rate; else br_C > rate (Berman & Plemmons 1994)."""
+    p, q, n = rate.numerator, rate.denominator, len(comp)
+    a = [[p * (s == t) - q * kids[s].count(t) for t in comp] for s in comp]
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return 0 if k == n - 1 and pivot == 0 else -1
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return 1
 
 
 @dataclass
