@@ -470,10 +470,13 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
     gain = _log(mu / rate)  # the tail shrinks by this log factor a level
     estimate = _log(scale) / gain - 1 if gain > 0 else math.inf
     radius = max(0, math.ceil(min(estimate, CERTIFICATE_RADIUS_MAX + 1)))
-    while radius <= CERTIFICATE_RADIUS_MAX and not _tail_below(ratio, scale, radius):
-        radius += 1
-    while 0 < radius <= CERTIFICATE_RADIUS_MAX and _tail_below(ratio, scale, radius - 1):
-        radius -= 1
+    if radius <= CERTIFICATE_RADIUS_MAX:  # _tail_below's two sides, stepped a factor a radius
+        p, q = ratio.numerator, ratio.denominator
+        lhs, rhs = scale.numerator * p ** (radius + 1), scale.denominator * q ** (radius + 1)
+        while radius <= CERTIFICATE_RADIUS_MAX and lhs >= rhs:
+            radius, lhs, rhs = radius + 1, lhs * p, rhs * q
+        while 0 < radius <= CERTIFICATE_RADIUS_MAX and lhs * q < rhs * p:
+            radius, lhs, rhs = radius - 1, lhs // p, rhs // q
     if radius > CERTIFICATE_RADIUS_MAX:
         raise ResourceLimitError(f"certificate radius (estimate {estimate:,.0f}) is past "
                                  f"CERTIFICATE_RADIUS_MAX = {CERTIFICATE_RADIUS_MAX}")

@@ -277,6 +277,7 @@ class CayleyBall:
     tree_parent: array
     tree_generator: array  # generator from tree_parent[v] to v; -1 at the root
     state: array  # the word acceptor's (compiled) state at each vertex
+    first_child: array  # each vertex's first child id (unfold's CSR offsets)
 
     @property
     def n_vertices(self) -> int:
@@ -305,21 +306,22 @@ class CayleyBall:
         _spec, auto, entering = self.model.acceptor
         model, n, n_gens = self.model, self.n_vertices, len(self.model.generators)
         n_inner = n - len(self.layers[self.radius])  # with children in the ball
-        state, parent = view(self.state), view(self.tree_parent)
+        state, parent, first = view(self.state), view(self.tree_parent), view(self.first_child)
         child = [{entering[t]: k for k, t in enumerate(kids)} for kids in auto.children]
         kid = np.array([[c.get(g, -1) for g in range(n_gens)] for c in child + [{}]], np.int32)
         inner = np.full(n + 1, len(child), np.int32)  # kid's row: none past n_inner and at -1
         inner[:n_inner] = state[:n_inner]
-        n_kids = (kid >= 0).sum(1, dtype=np.int32)[inner]
-        first = np.cumsum(n_kids, dtype=np.int32) - n_kids + 1  # first child of each vertex
 
         def down(t, g):  # the child of t entered by g, -1 outside the ball
             k = kid[inner[t], g]
             return np.where(k >= 0, first[t] + k, -1)
 
-        cols = down(np.arange(n)[:, None], np.arange(n_gens))
+        # child ids; past n_inner all -1, and an inner row's other entries are set below
+        cols = np.take(kid, inner[:n], axis=0)
+        cols[:n_inner] += first[:n_inner, None]
+        flat = cols.reshape(-1)
         up = [-1 if s == auto.root else model.inverse_index(entering[s]) for s in range(len(child))]
-        cols[np.arange(1, n), np.array(up, np.int32)[state[1:]]] = parent[1:]
+        flat[np.array(up, np.intp)[state[1:]] + np.arange(n_gens, n * n_gens, n_gens)] = parent[1:]
         commute = np.zeros(kid.shape, bool)
         for s, g in ((s, g) for s, c in enumerate(child) for g in range(n_gens)
                      if g not in c and g != up[s]):
@@ -334,14 +336,14 @@ class CayleyBall:
                 cols[vs, g] = t
         if commute.any():  # level by level, as parent*g is set a level up
             rows, gs = np.nonzero(commute[state])
-            at, of, flat = rows * n_gens + gs, parent[rows] * n_gens + gs, cols.reshape(-1)
+            at, of = rows * n_gens + gs, parent[rows] * n_gens + gs
             hs = np.array(entering, np.int32)[state[rows]]
             for a, b in pairwise(np.searchsorted(rows, np.cumsum(self.sphere_sizes()))):
                 flat[at[a:b]] = down(flat[of[a:b]], hs[a:b])
         present = cols >= 0
-        offsets = np.zeros(n + 1, np.int32)
-        np.cumsum(present.sum(1), out=offsets[1:])
-        return array("i", offsets.tobytes()), array("i", cols[present].tobytes())
+        columns = array("i", cols[present].tobytes())
+        np.cumsum(present.reshape(-1), dtype=np.int32, out=flat)  # row v ends at cols[v, -1]
+        return array("i", np.concatenate((np.zeros(1, np.int32), cols[:, -1])).tobytes()), columns
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -393,11 +395,11 @@ def ball(model, radius: int) -> CayleyBall:
     in generator order numbers them."""
     _sphere_sizes(model, radius)
     _spec, auto, entering = model.acceptor
-    state, parent, level, _first_child, starts = unfold(auto, radius)
+    state, parent, level, first_child, starts = unfold(auto, radius)
     return CayleyBall(model=model, radius=radius, level=packed(level),
                       layers=list(map(range, starts[:-1], starts[1:])), tree_parent=packed(parent),
                       tree_generator=packed(np.array(entering, np.intc)[state]),
-                      state=packed(state))
+                      state=packed(state), first_child=packed(first_child))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +484,7 @@ class SurroundResult:
     verdict: Verdict
     trigger_round: int
     sphere_index: int
-    sphere: tuple[int, ...]
+    sphere: range  # the protected layer's ids
     budget_trace: tuple[tuple[int, int, int], ...]  # (round, budget, sphere size)
     ball: CayleyBall
 
@@ -524,8 +526,8 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
         )
     sphere_index = radius + trigger + 1
     b = ball(model, sphere_index)
-    sphere = tuple(b.layers[sphere_index])
-    strategy = ScheduleStrategy({trigger: sphere})
+    sphere = b.layers[sphere_index]
+    strategy = ScheduleStrategy({trigger: np.arange(sphere.start, sphere.stop)})
     verdict = simulate(b, radius, strategy, budget, horizon=trigger + 2)
     return SurroundResult(strategy=strategy, verdict=verdict, trigger_round=trigger,
                           sphere_index=sphere_index, sphere=sphere,

@@ -219,7 +219,7 @@ def cmd_contain(args) -> int:
         tables.append((
             "schedule", ("round", "budget", "protect"),
             [
-                (r, budget(r), " ".join(map(str, vs)))
+                (r, budget(r), " ".join(map(str, vs if isinstance(vs, tuple) else vs.tolist())))
                 for r, vs in sorted(synth.strategy.schedule.items())
             ],
         ))

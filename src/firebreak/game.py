@@ -19,7 +19,9 @@ contained fire has no untouched neighbour, except on a truncation, where
 it reads the parent links.  Tree truncations and Cayley balls qualify.
 ``run_game`` plays the whole game on one status array that it changes in
 place, so the ``GameState.statuses`` a strategy sees is live; ``step``
-copies it and leaves its input alone.
+copies it and leaves its input alone.  A large round (SPREAD_VECTOR_MIN ids
+or more) carries its protect set and frontier as sorted int arrays from the
+strategy to the trace, whose rounds read them as tuples of ints.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class GameState:
     arena: object
     statuses: bytearray  # live during run_game
     round_no: int
-    frontier: tuple[int, ...]  # vertices that started burning last round
+    frontier: tuple[int, ...] | np.ndarray  # vertices that started burning last round
 
     def burning_count(self) -> int:
         return self.statuses.count(BURNING)
@@ -180,29 +182,39 @@ def step(state: GameState, protect: Iterable[int], budget: int) -> GameState:
     """Protect, then spread, on a copy of the statuses."""
     statuses = bytearray(state.statuses)
     return GameState(arena=state.arena, statuses=statuses, round_no=state.round_no + 1,
-                     frontier=_advance(state, statuses, protect, budget)[1])
+                     frontier=_as_tuple(_advance(state, statuses, protect, budget)[1]))
 
 
-def _advance(state: GameState, statuses: bytearray, protect: Iterable[int],
-             budget: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Play round ``state.round_no + 1`` on ``statuses`` in place; return the
-    sorted protect set and the vertices that start burning.  Protecting a burning
-    vertex or overspending the budget is a strategy fault, not a silent clip."""
+def _as_tuple(ids) -> tuple[int, ...]:
+    return tuple(ids.tolist()) if isinstance(ids, np.ndarray) else tuple(ids)
+
+
+def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budget: int):
+    """Play round ``state.round_no + 1`` on ``statuses`` in place; return the sorted protect
+    set and the new burning vertices, int arrays from SPREAD_VECTOR_MIN ids on, else tuples.
+    Protecting a burning vertex or overspending the budget is a strategy fault, no silent clip."""
     round_no = state.round_no + 1
-    protect = tuple(sorted(set(protect)))
+    if isinstance(protect, np.ndarray):  # sort and diff: cheaper than unique
+        protect = np.sort(protect)
+        protect = protect[np.diff(protect, prepend=protect[:1] - 1) != 0]
+    else:
+        protect = sorted(set(protect))
     if len(protect) > budget:
         raise StrategyFault(round_no, f"protect set of size {len(protect)} exceeds budget {budget}")
     if len(protect) >= SPREAD_VECTOR_MIN:  # the loop's checks, in its order, in one pass
         if protect[0] < 0:
             raise SpecError(f"vertex {protect[0]} is not in the arena")
         inside = bisect_left(protect, len(statuses))  # only these become numpy integers
-        ids, view = np.fromiter(protect, np.intp, inside), np.frombuffer(statuses, np.uint8)
+        ids = (np.asarray(protect[:inside], np.intp) if isinstance(protect, np.ndarray)
+               else np.fromiter(protect, np.intp, inside))
+        view = np.frombuffer(statuses, np.uint8)
         if (burning := np.flatnonzero(view[ids] == BURNING)).size:
             raise StrategyFault(round_no,
                                 f"vertex {ids[burning[0]]} is burning and cannot be protected")
         if inside < len(protect):
             raise SpecError(f"vertex {protect[inside]} is not in the arena")
         view[ids] = PROTECTED
+        protect = ids
     else:
         for v in protect:
             if not 0 <= v < len(statuses):
@@ -210,6 +222,7 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int],
             if statuses[v] == BURNING:
                 raise StrategyFault(round_no, f"vertex {v} is burning and cannot be protected")
             statuses[v] = PROTECTED
+        protect = _as_tuple(protect)
     if len(state.frontier) >= SPREAD_VECTOR_MIN and hasattr(state.arena, "rows"):
         return protect, _spread_rows(statuses, state.frontier, *state.arena.rows)
     newly = []
@@ -222,14 +235,14 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int],
     return protect, tuple(sorted(newly))
 
 
-def _spread_rows(statuses: bytearray, frontier, offsets, columns) -> tuple[int, ...]:
-    """Mark the frontier's untouched row entries burning, sorted and unique."""
-    view, front = np.frombuffer(statuses, np.uint8), np.fromiter(frontier, np.intp)
-    reached = _row_entries(offsets, columns, front)
+def _spread_rows(statuses: bytearray, frontier, offsets, columns):
+    """Mark the frontier's untouched row entries burning; return them as _advance does."""
+    view = np.frombuffer(statuses, np.uint8)
+    reached = _row_entries(offsets, columns, np.asarray(frontier, np.intp))
     reached = np.sort(reached[view[reached] == UNTOUCHED])  # sort and diff: cheaper than unique
     reached = reached[np.diff(reached, prepend=-1) != 0]
     view[reached] = BURNING
-    return tuple(reached.tolist())
+    return reached if len(reached) >= SPREAD_VECTOR_MIN else tuple(reached.tolist())
 
 
 def _row_entries(offsets, columns, ids) -> np.ndarray:
@@ -247,12 +260,14 @@ def _row_entries(offsets, columns, ids) -> np.ndarray:
 class ScheduleStrategy:
     """Fixed map round -> protect set.  Synthesis plays the cut vertices at
     level n in round n - radius; wait-and-surround plays one sphere in its
-    trigger round."""
+    trigger round.  An array round of SPREAD_VECTOR_MIN ids or more stays an
+    array; every other round becomes a tuple of ints."""
 
     def __init__(self, schedule: Mapping[int, Iterable[int]]):
-        self.schedule = {int(r): tuple(vs) for r, vs in schedule.items()}
+        self.schedule = {int(r): vs if isinstance(vs, np.ndarray) and len(vs) >= SPREAD_VECTOR_MIN
+                         else _as_tuple(vs) for r, vs in schedule.items()}
 
-    def protect_for(self, state: GameState, round_no: int, budget: int) -> tuple[int, ...]:
+    def protect_for(self, state: GameState, round_no: int, budget: int) -> Iterable[int]:
         return self.schedule.get(round_no, ())
 
 
@@ -280,11 +295,30 @@ BOUNDARY_REACHED = "boundary_reached"
 ESCAPED_HORIZON = "escaped_horizon"
 
 
-@dataclass(frozen=True)
 class TraceRound:
-    round_no: int
-    protected: tuple[int, ...]
-    burnt: tuple[int, ...]
+    """One played round: its sorted protect set and the vertices that
+    started burning.  A large round keeps the int arrays it was played with;
+    each becomes a tuple of ints on first read, as play reads neither."""
+
+    def __init__(self, round_no: int, protected, burnt):
+        self.round_no, self._ids = round_no, [protected, burnt]
+
+    def _read(self, i: int) -> tuple[int, ...]:
+        self._ids[i] = _as_tuple(self._ids[i])
+        return self._ids[i]
+
+    protected = property(lambda self: self._read(0))
+    burnt = property(lambda self: self._read(1))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TraceRound) and (self.round_no, self.protected, self.burnt) == (
+            other.round_no, other.protected, other.burnt)
+
+    def __hash__(self) -> int:
+        return hash((self.round_no, self.protected, self.burnt))
+
+    def __repr__(self) -> str:
+        return f"TraceRound({self.round_no}, protected={self.protected}, burnt={self.burnt})"
 
 
 @dataclass(frozen=True)
@@ -309,8 +343,8 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
     state = state_from_fire(arena, fire)
     deepest = bisect_left(arena.level, arena.depth)  # the first id that may be on the boundary
 
-    def reached(frontier: tuple[int, ...]) -> bool:
-        return any(map(arena.is_boundary, frontier[bisect_left(frontier, deepest):]))
+    def reached(frontier) -> bool:  # an array's tail is read one int at a time
+        return any(map(arena.is_boundary, map(int, frontier[bisect_left(frontier, deepest):])))
 
     if reached(state.frontier):
         return Verdict(kind=BOUNDARY_REACHED, round_no=0, burnt=None, trace=())
@@ -325,7 +359,7 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
         trace.append(TraceRound(n, protect, frontier))
         if reached(frontier):
             return Verdict(kind=BOUNDARY_REACHED, round_no=n, burnt=None, trace=tuple(trace))
-        if not state.frontier:
+        if not len(frontier):
             assert _separated(state), "contained state has an exposed untouched vertex"
             return Verdict(kind=CONTAINED, round_no=n, burnt=state.burning_count(),
                            trace=tuple(trace))
@@ -738,7 +772,7 @@ def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
             cut = min_cutset(trunc, rate, steps=seen)
             ids = cut.ids
             bounds = np.searchsorted(ids, trunc.level_starts).tolist()  # level n: round n - radius
-            strategy = ScheduleStrategy({lv - radius: tuple(ids[a:b].tolist()) for lv, (a, b)
+            strategy = ScheduleStrategy({lv - radius: ids[a:b] for lv, (a, b)
                                          in enumerate(pairwise(bounds)) if a < b})
             return SynthesisResult(strategy=strategy, trunc=trunc, cutset=cut, epsilon=eps,
                                    weight=Fraction(weight, den), depth=depth,

@@ -315,7 +315,7 @@ class TestWaitAndSurround:
         # the protected sphere is two steps ahead of the fire at play time
         res = wait_and_surround(FreeAbelian(1), 0, 2, 8)
         played = res.verdict.trace[res.trigger_round - 1]
-        assert played.protected == res.sphere
+        assert played.protected == tuple(res.sphere)
 
 
 class TestPolynomialProbe:

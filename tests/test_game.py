@@ -12,6 +12,11 @@ Claims covered:
       protect sets past SPREAD_VECTOR_MIN that mix negative, burning,
       out-of-ball and huge ids fail with the reference's fault, message and
       round, and a trace records each protect set once, sorted
+    - protect sets given as int32 or int64 arrays, of any size and with
+      duplicates, negative, out-of-arena and burning ids, play as the same
+      sets given as tuples, at the default SPREAD_VECTOR_MIN and at 1: equal
+      verdicts and traces, the same faults, messages and rounds; tuple ids
+      past int64 fail as the reference's do
     - simulate reproduces the hand-traced verdicts (ray, binary cut play)
       and never reports containment when the fire can reach the horizon
     - canonical strategies pick closest-first with deterministic ties
@@ -26,7 +31,9 @@ Claims covered:
       round n - k, and contain; synthesis materialises only the truncation
       it returns, so a cut past the vertex cap fails at once
     - traces round-trip through the text format (golden file); malformed
-      trace lines are rejected by line number
+      trace lines are rejected by line number; a trace with large rounds
+      reads as Python ints, round-trips and replays, and one id apart in a
+      large round makes two verdicts unequal
 """
 
 import bisect
@@ -39,6 +46,7 @@ from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from firebreak import (
@@ -70,7 +78,7 @@ from firebreak import (
     synthesize_cutset_strategy,
 )
 import firebreak.game as game_mod
-from firebreak.game import BURNING, PROTECTED, UNTOUCHED, cut_weight_target
+from firebreak.game import BURNING, PROTECTED, UNTOUCHED, TraceRound, Verdict, cut_weight_target
 from firebreak.trees import ExplicitSpec, PeriodicSpec, compile
 from conftest import (
     binary_spec,
@@ -368,6 +376,83 @@ class TestInPlaceEngine:
                 assert got.round_no == round_no
                 assert (got.frontier, got.statuses) == (want.frontier, want.statuses)
                 state, ref = got, want
+
+
+class _RoundsAsGiven:
+    """A schedule whose rounds reach the engine exactly as given, arrays of
+    any size included (ScheduleStrategy makes a small array a tuple)."""
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+
+    def protect_for(self, state, round_no, budget):
+        return self.schedule.get(round_no, ())
+
+
+class TestArrayRounds:
+    """Schedules given as int arrays against the same schedules given as
+    tuples, at the default SPREAD_VECTOR_MIN and at 1, and against the
+    copy-per-round reference."""
+
+    def arenas(self, rng):
+        yield from (random_truncation(rng, max_depth=7, size_limit=400) for _ in range(30))
+        yield from (cayley_ball(model, r) for model in ENGINE_MODELS for r in (3, 5))
+        for _ in range(4):  # rounds past 1024
+            yield from (expand(ternary_spec(), 8), expand(binary_spec(), 11),
+                        cayley_ball(FreeGroup(2), 7))
+
+    def schedules(self, rng, arena):
+        """(radius, schedule, budget): rounds of one, many or a whole layer of
+        unburnt ids, some with duplicates; at times one round carries a
+        negative, out-of-arena, burning or past-int64 id."""
+        n, level = arena.n_vertices, arena.level
+        for _ in range(4):
+            radius, schedule = rng.randrange(arena.depth), {}
+            for r in range(1, arena.depth + 2):
+                lo = bisect.bisect_right(level, radius + r - 1)  # not burning in round r
+                if rng.random() < 0.5 and lo < n:
+                    size = rng.choice((1, rng.randint(0, n - lo), None))  # None: the layer
+                    ids = (list(range(lo, bisect.bisect_right(level, radius + r))) if size is None
+                           else rng.sample(range(lo, n), size))
+                    schedule[r] = ids + (rng.choices(ids, k=rng.choice((0, 0, 3))) if ids else [])
+            if schedule and rng.random() < 0.5:
+                r = rng.choice(list(schedule))
+                burning = bisect.bisect_right(level, radius + r - 1)
+                schedule[r].append(rng.choice((-rng.randint(1, 3), n + rng.randint(0, 3),
+                                               rng.randrange(burning), 2 ** 63 + rng.randrange(9))))
+            size = max(map(len, schedule.values()), default=0)
+            budget = rng.choice((n + 10, size, max(0, size - 1)))
+            yield radius, schedule, BudgetSequence.constant(budget)
+
+    def test_arrays_play_as_tuples(self, monkeypatch):
+        rng, kinds, default = random.Random(71), Counter(), game_mod.SPREAD_VECTOR_MIN
+        for arena in self.arenas(rng):
+            for radius, schedule, budget in self.schedules(rng, arena):
+                tuples = {r: tuple(ids) for r, ids in schedule.items()}
+                want = _engine_outcome(game_reference.simulate, arena, radius,
+                                       ScheduleStrategy(tuples), budget)
+                huge = any(v >= 2 ** 63 for ids in tuples.values() for v in ids)
+                dtype = rng.choice((np.int64, np.int32))
+                arrays = {} if huge else {r: np.array(ids, dtype) for r, ids in schedule.items()}
+                for threshold in (default, 1):
+                    monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", threshold)
+                    plays = [ScheduleStrategy(tuples)]
+                    if not huge:
+                        plays += [ScheduleStrategy(arrays), _RoundsAsGiven(arrays)]
+                    for strategy in plays:
+                        got = _engine_outcome(simulate, arena, radius, strategy, budget)
+                        assert got == want
+                        if not isinstance(got, tuple):
+                            assert all(type(v) is int for r in got.trace
+                                       for v in r.protected + r.burnt)
+                    large = max(map(len, schedule.values()), default=0) >= default
+                    kinds[got[0] if isinstance(got, tuple) else got.kind, large, huge] += 1
+                for r, ids in arrays.items():  # the engine leaves a strategy's arrays alone
+                    assert ids.tolist() == schedule[r]
+        seen = {kind for kind, _large, _huge in kinds}
+        assert seen == {"contained", "boundary_reached", "StrategyFault", "SpecError"}, kinds
+        assert {(kind, True, False) for kind in seen} <= set(kinds), kinds
+        assert kinds["SpecError", False, True] and kinds["SpecError", True, True], kinds
 
 
 class TestSimulate:
@@ -822,6 +907,31 @@ class TestTraceFormat:
         schedule, summary = parse_trace(text)
         assert schedule == {1: (), 2: level3}
         assert summary == {"kind": "contained", "round_no": 2, "burnt": 7}
+
+    def test_large_rounds_read_as_ints(self):
+        # level 11 of a depth-12 binary tree, protected in round 1 from an
+        # array: the protect set (2048 ids) and round 9's frontier (level 10,
+        # 1024 ids) are large rounds
+        t = expand(binary_spec(), 12)
+        level11 = np.arange(t.level_starts[11], t.level_starts[12])
+        play = lambda ids: simulate(t, 1, ScheduleStrategy({1: ids}), BudgetSequence.constant(4096))
+        verdict, again = play(level11), play(level11)
+        assert (verdict.kind, verdict.round_no, verdict.burnt) == ("contained", 10, 2047)
+        assert len(verdict.trace[0].protected) >= game_mod.SPREAD_VECTOR_MIN
+        assert len(verdict.trace[-2].burnt) >= game_mod.SPREAD_VECTOR_MIN
+        assert all(type(v) is int for r in verdict.trace for v in r.protected + r.burnt)
+        schedule, summary = parse_trace(format_trace(verdict))
+        assert schedule == {r.round_no: r.protected for r in verdict.trace}
+        assert schedule == {1: tuple(level11.tolist()), **{r: () for r in range(2, 11)}}
+        assert summary == {"kind": "contained", "round_no": 10, "burnt": 2047}
+        assert simulate(t, 1, ScheduleStrategy(schedule), BudgetSequence.constant(4096)) == verdict
+        assert verdict == again  # read against not yet read
+        # one protected id apart in round 1, both still arrays: unequal
+        fresh, moved = play(level11), level11.copy()
+        moved[-1] += 1
+        first_moved = TraceRound(1, moved, fresh.trace[0].burnt)
+        assert fresh != Verdict(fresh.kind, fresh.round_no, fresh.burnt,
+                                (first_moved,) + fresh.trace[1:])
 
     @pytest.mark.parametrize("bad", ["round x | protect 1 | burn 2",
                                      "round 2 | protect 1 y | burn -",
