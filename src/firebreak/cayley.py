@@ -68,8 +68,7 @@ from .game import (
     feasibility_check,
     simulate,
 )
-from .trees import (Automaton, ExplicitSpec, PeriodicSpec, compile, packed, truncation_shapes,
-                    unfold, view)
+from .trees import Automaton, ExplicitSpec, PeriodicSpec, compile, packed, unfold, view
 
 _LETTERS = "abcdefghij"
 
@@ -557,10 +556,7 @@ def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> Prob
     asymptotic statement."""
     spheres = _sphere_sizes(model, depth)
     budget = BudgetSequence.polynomial(coeff, degree)
-    # on the subtree shapes, as on the materialised tree: states that agree
-    # to the depth share one count, which keeps the count vectors short
-    result = feasibility_check(truncation_shapes(model.acceptor[0], depth), radius,
-                               budget, depth)
+    result = feasibility_check(model.acceptor[0], radius, budget, depth)
     rows = tuple(
         (n, budget.cumulative(n), spheres[n + 1])
         for n in range(1, depth)

@@ -59,6 +59,7 @@ from .trees import (
     expand,
     format_tree_spec,
     load_tree_spec,
+    read_text,
 )
 
 EXIT_OK = 0
@@ -259,8 +260,7 @@ def cmd_simulate(args) -> int:
     tables = []
 
     if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            schedule, claimed = parse_trace(fh.read(), args.replay)
+        schedule, claimed = parse_trace(read_text(args.replay), args.replay)
         strategy = ScheduleStrategy(schedule)
         config["replay"] = args.replay
     elif args.protect:
@@ -465,9 +465,10 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", required=True)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--protect", help="comma-separated ids for a canonical strategy")
-    p.add_argument("--schedule", help="round:ids;round:ids explicit schedule")
-    p.add_argument("--replay", help="trace file to replay and verify")
+    play = p.add_mutually_exclusive_group()  # one strategy per run
+    play.add_argument("--protect", help="comma-separated ids for a canonical strategy")
+    play.add_argument("--schedule", help="round:ids;round:ids explicit schedule")
+    play.add_argument("--replay", help="trace file to replay and verify")
     p.add_argument("--trace-out")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
@@ -507,7 +508,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SpecError, FileNotFoundError) as exc:
+    except (SpecError, OSError) as exc:
         sys.stderr.write(f"firebreak: {exc}\n")
         return EXIT_USAGE
     except StrategyFault as exc:

@@ -445,28 +445,33 @@ def parse_trace(text: str, source: str = "trace") -> tuple[dict[int, tuple[int, 
 #     |{v in V' : level(v) <= n}| <= f(1) + ... + f(n-k)
 # (each cut vertex must be protected before the fire front, which advances
 # one level per round, reaches it; protection precedes spread, so level n
-# must be bought by round n-k).  Vertices of one automaton state at one
-# level root isomorphic subtrees, so the decision runs on live counts per
-# (level, state): a vertex is live when its subtree reaches the boundary
-# and no ancestor of it is cut.  Among the feasible cuts it picks the
-# lexicographically minimal cumulative level-count profile.
+# must be bought by round n-k).  A vertex is live when its subtree reaches
+# the boundary and no ancestor of it is cut, and its class at its level is
+# the isomorphism class of its live subtree (Aho, Hopcroft and Ullman's
+# level-by-level canonical numbering, read off the automaton: vertices of
+# one state at one level share a class, and so do states the spec writes
+# twice).  The decision runs on live counts per (level, class), so it and
+# its witness depend on the tree, not on how the spec writes it down.
+# Among the feasible cuts it picks the lexicographically minimal cumulative
+# level-count profile.
 #
 # Two exchange arguments settle most levels without search:
 #   1. spending headroom early is never worse: a later cut vertex in the
 #      subtree of a live vertex v can be swapped for v itself;
 #   2. when the live subtree of s embeds into t's, leaving s live is never
 #      worse than leaving t live: a cut below t maps back to one below s.
-# The live states of a level are ranked by embedding from the ranks of
-# their live children (_chain_ranks).  On a level whose states form a
-# chain, above levels that all do, the cut vector is fixed by its size:
-# cut the highest-ranked states first.  So one greedy pass that spends the
+# The classes of a level are ranked by embedding from the ranks of their
+# live children (_chain_ranks).  On a level whose classes form a chain,
+# above levels that all do, the cut vector is fixed by its size: cut the
+# highest-ranked classes first.  So one greedy pass that spends the
 # whole headroom at every level decides feasibility, and the lex-min
 # profile takes at each level the least size whose greedy completion
 # succeeds (a bisection, as a larger size never hurts).  Deadline cuts are
 # NP-hard on general trees (Finbow, King, MacGillivray and Rizzi 2007):
-# levels with incomparable states keep an exact memoised recursion over
+# levels with incomparable classes keep an exact memoised recursion over
 # their cut vectors, which hands over to the greedy at the first level
-# below which every level is a chain.
+# below which every level is a chain.  The witness cuts, at each level, the
+# first live vertices of each class in path order.
 
 FEASIBILITY_WORK_MAX = 1_000_000  # cut choices the count recursion may try
 
@@ -501,10 +506,10 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
 
 
 def _chain_ranks(child_ranks: list[tuple[int, ...]]) -> list[int] | None:
-    """Embedding ranks of a level's live states, from each state's live-child
+    """Embedding ranks of a level's classes, from each class's live-child
     ranks sorted decreasing: s <= t when s's tuple is no longer than t's and
     pointwise <= it, that is when s's live subtree embeds into t's, matching
-    children largest to largest.  None when two states are incomparable."""
+    children largest to largest.  None when two classes are incomparable."""
     shapes = sorted(set(child_ranks), key=lambda r: (len(r), r))  # extends the order
     if any(x > y for a, b in pairwise(shapes) for x, y in zip(a, b)):
         return None
@@ -517,22 +522,27 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
     succ = auto.children
     # the state counts at levels radius+1..depth: nothing is cut within the ball
     forward = list(islice(auto.iter_state_counts(sphere_counts), 1, depth - radius + 1))
-    # per level L below the ball, for the live states (those whose subtrees
-    # reach the boundary): live[L] the states and kids[L] the (child
-    # position, index in live[L + 1]) of their live children
-    live = {depth: tuple(s for s in sorted(forward[-1]) if auto.continues(s))}
-    kids = {depth: [()] * len(live[depth])}
+    # per level L, the classes of the live vertices (those whose subtrees
+    # reach the boundary), numbered in sorted order of their signatures: the
+    # sorted classes of their live children, so sig[L][c] lists the children
+    # of class c by their index at L + 1; cls[L] maps each state with live
+    # vertices at L to its class
+    cls = {depth: {s: 0 for s in forward[-1] if auto.continues(s)}}
+    sig = {depth: [()] if cls[depth] else []}
 
-    def rows(lv: int, states) -> None:  # live[lv] and kids[lv], from live[lv + 1]
-        index = {t: j for j, t in enumerate(live[lv + 1])}
-        found = [(s, tuple((c, index[t]) for c, t in enumerate(succ[s]) if t in index))
-                 for s in states]
-        found = [(s, ks) for s, ks in found if ks]
-        live[lv], kids[lv] = tuple(s for s, _ks in found), [ks for _s, ks in found]
+    def rows(lv: int, states) -> None:  # sig[lv] and cls[lv], from cls[lv + 1]
+        below = cls[lv + 1]
+        found = {s: tuple(sorted(below[t] for t in succ[s] if t in below)) for s in states}
+        sig[lv] = sorted({g for g in found.values() if g})
+        number = {g: c for c, g in enumerate(sig[lv])}
+        cls[lv] = {s: number[g] for s, g in found.items() if g}
 
     for lv in range(depth - 1, radius, -1):
-        rows(lv, sorted(forward[lv - radius - 1]))
-    counts = tuple(forward[0][s] for s in live[radius + 1])
+        rows(lv, forward[lv - radius - 1])
+    counts = [0] * len(sig[radius + 1])
+    for s, c in cls[radius + 1].items():
+        counts[c] += forward[0][s]
+    counts = tuple(counts)
     if not counts:
         return FeasibilityResult(feasible=True, depth=depth, radius=radius,
                                  witness_paths=(), witness_levels=())
@@ -540,26 +550,26 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
     # below br fail this at once, before any ranking
     if sum(counts) > caps[-1]:
         return FeasibilityResult(feasible=False, depth=depth, radius=radius)
-    # reach[L] the boundary vertices below each live state, rank[L] their
+    # reach[L] the boundary vertices below each class, rank[L] their
     # embedding ranks (None off a chain)
-    reach = {depth: [1] * len(live[depth])}
-    rank = {depth: _chain_ranks([()] * len(live[depth]))}
+    reach = {depth: [1] * len(sig[depth])}
+    rank = {depth: _chain_ranks(sig[depth])}
     for lv in range(depth - 1, radius, -1):
-        reach[lv] = [sum(reach[lv + 1][j] for _c, j in ks) for ks in kids[lv]]
+        reach[lv] = [sum(reach[lv + 1][j] for j in g) for g in sig[lv]]
         below = rank[lv + 1]
         rank[lv] = None if below is None else _chain_ranks(
-            [tuple(sorted((below[j] for _c, j in ks), reverse=True)) for ks in kids[lv]])
+            [tuple(sorted((below[j] for j in g), reverse=True)) for g in sig[lv]])
 
     def descend(lv: int, uncut) -> tuple[int, ...]:
-        out = [0] * len(live[lv + 1]) if lv < depth else []
-        for i, n in enumerate(uncut):
-            for _c, j in kids[lv][i]:
+        out = [0] * len(sig[lv + 1]) if lv < depth else []
+        for g, n in zip(sig[lv], uncut):
+            for j in g:
                 out[j] += n
         return tuple(out)
 
     def keep(lv: int, counts: tuple[int, ...], size: int) -> list[int]:
         """The live counts left at level lv after cutting size of them,
-        the highest-ranked states first."""
+        the highest-ranked classes first."""
         left = list(counts)
         for i in sorted(range(len(left)), key=rank[lv].__getitem__, reverse=True):
             cut = min(left[i], size)
@@ -581,7 +591,7 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
         return True
 
     def settle(lv: int, counts: tuple[int, ...], spent: int):
-        """best() from a level whose states and those below form chains."""
+        """best() from a level whose classes and those below form chains."""
         if not completes(lv, counts, spent):
             return None
         sizes, cuts = [], []
@@ -598,12 +608,12 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
 
     # best(L, counts, spent) is the lex-min tuple of per-level cut counts for
     # levels L..depth that completes a cut, with its cut vectors, given the
-    # live count per state at level L and the cut vertices already spent;
+    # live count per class at level L and the cut vertices already spent;
     # lex-min per-level counts are lex-min cumulative counts.  Off a chain it
     # tries cut vectors x <= counts in order of sum(x) and stops at the first
     # sum that completes: a larger sum at level L loses on the first
     # coordinate.  A successor whose live count exceeds what the horizon
-    # deadline leaves is dropped, and so is a state whose boundary vertices
+    # deadline leaves is dropped, and so is a class whose boundary vertices
     # no affordable cut could cover.
     peak = list(accumulate((max(reach[lv]) for lv in range(depth, radius, -1)), max))[::-1]
     memo: dict = {}
@@ -659,21 +669,23 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
         return FeasibilityResult(feasible=True, depth=depth, radius=radius,
                                  witness_levels=witness_levels)
     ball = auto.level_states(radius)
-    for lv in range(radius, -1, -1):  # the ball states that lead to a live state below it
+    for lv in range(radius, -1, -1):  # the ball states that lead to a live vertex below it
         rows(lv, ball[lv])
     paths: list = []
     plan = dict(enumerate(cuts, start=radius + 1))
-    frontier = [((), 0)]  # (path, index into live[lv])
+    frontier = [((), auto.root)]  # (path, state) of the uncut live vertices, in path order
     for lv in range(depth + 1):
-        left = list(plan.get(lv, [0] * len(live[lv])))  # cut the first left[i] of live[lv][i]
+        left = list(plan.get(lv, [0] * len(sig[lv])))  # cut the first left[c] of class c
         uncut = []
-        for path, i in frontier:
-            if left[i]:
-                left[i] -= 1
+        for path, s in frontier:
+            if left[c := cls[lv][s]]:
+                left[c] -= 1
                 paths.append(path)
             else:
-                uncut.append((path, i))
-        frontier = [(path + (c,), j) for path, i in uncut for c, j in kids[lv][i]]
+                uncut.append((path, s))
+        live = cls.get(lv + 1, {})
+        frontier = [(path + (c,), t) for path, s in uncut for c, t in enumerate(succ[s])
+                    if t in live]
     return FeasibilityResult(feasible=True, depth=depth, radius=radius,
                              witness_paths=tuple(sorted(paths)), witness_levels=witness_levels)
 

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError, SpecError
 from .game import BURNING, PROTECTED, UNTOUCHED, BudgetSequence
-from .trees import Truncation
+from .trees import Truncation, read_text
 
 DEFAULT_FREE_CAP = 20
 STRICT_FREE_CAP = 12
@@ -189,19 +189,19 @@ class OracleCache:
         self.path = path
         self.entries: dict[str, OracleDecision] = {}
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    key, _, rest = line.partition(" ")
-                    try:
-                        self.entries[key] = _decision_from_text(rest)
-                    except ValueError as exc:
-                        raise SpecError(
-                            f"{path}: line {lineno}: malformed cache entry {line!r}") from exc
+            text = read_text(path)
         except FileNotFoundError:
-            pass
+            text = ""
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            key, _, rest = line.partition(" ")
+            try:
+                self.entries[key] = _decision_from_text(rest)
+            except ValueError as exc:
+                raise SpecError(
+                    f"{path}: line {lineno}: malformed cache entry {line!r}") from exc
 
     def get(self, key: str) -> OracleDecision | None:
         return self.entries.get(key)

@@ -16,8 +16,7 @@ interned subtree shapes, with children in spec order.  Level counts,
 expansion, finiteness, the per-state min-cut recursion, the Perron root,
 regime decisions, certificates and the feasibility program read only the
 automaton.  Besides ``compile`` and the spec file format, only the
-symmetric closed-form bracket and the explicit-only oracle ask which
-variant they were given.
+explicit-only oracle asks which variant it was given.
 
 A ``Truncation`` is the finite tree of all vertices at levels 0..D, in a
 deterministic level-major order (children in spec order), unfolded one
@@ -231,30 +230,6 @@ def _build_automaton(spec: TreeSpec) -> Automaton:
     for v in range(spec.n_vertices - 1, -1, -1):
         state[v] = shapes.setdefault(tuple(state[w] for w in kids[v]), len(shapes))
     return Automaton(tuple(shapes), state[0], escape_leaves=True)
-
-
-def truncation_shapes(spec: TreeSpec, depth: int) -> PeriodicSpec:
-    """The depth-D truncation as an automaton of its subtree shapes: the
-    states that compiling it as an explicit tree would intern, found
-    without materialising it.  A vertex at level L roots a subtree of
-    height D - L, and two states give equal subtrees of height h when
-    their children do at height h - 1, position by position; at height 0
-    a vertex continues or it does not.  State ``h.c`` is shape class c at
-    height h; a continuing height-0 shape loops on itself, so its
-    level-D vertices continue in the infinite tree."""
-    if depth < 0:
-        raise SpecError("depth must be >= 0")
-    auto = compile(spec)
-    shape = [[int(auto.continues(s)) for s in range(len(auto.children))]]
-    for _ in range(depth):
-        below: dict = {}
-        shape.append([below.setdefault(tuple(shape[-1][t] for t in kids), len(below))
-                      for kids in auto.children])
-    states = {"0.1": ("0.1",), "0.0": ()}
-    for h in range(1, depth + 1):
-        for s, kids in enumerate(auto.children):
-            states[f"{h}.{shape[h][s]}"] = tuple(f"{h - 1}.{shape[h - 1][t]}" for t in kids)
-    return PeriodicSpec(states=states, root=f"{depth}.{shape[depth][auto.root]}")
 
 
 def level_counts(spec: TreeSpec, depth: int) -> list[int]:
@@ -496,5 +471,13 @@ def format_tree_spec(spec: TreeSpec) -> str:
 
 
 def load_tree_spec(path: str) -> TreeSpec:
+    return parse_tree_spec(read_text(path))
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 text file's contents; SpecError naming the file when it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_tree_spec(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -18,7 +18,8 @@ Claims covered:
     - wait-and-surround triggers by the budget-vs-sphere rule, simulates to
       containment, and reports cap exhaustion with a trace
     - polynomial probes are infeasible on exponential-growth trees and the
-      budget-vs-sphere table matches the cumulative sums
+      budget-vs-sphere table matches the cumulative sums, and a raw
+      acceptor with redundant states decides at once
     - the word acceptors have the stated state counts and unfold to the
       balls of the breadth-first reference (tests/cayley_reference.py):
       every field and every adjacency row equal at every radius up to 24
@@ -32,6 +33,7 @@ Claims covered:
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -339,6 +341,15 @@ class TestPolynomialProbe:
     def test_z_constant_budget_feasible(self):
         rep = polynomial_probe(FreeGroup(1), 1, 0, 5, 8)
         assert rep.feasibility.feasible
+
+    def test_raw_acceptor_with_redundant_states_decides(self):
+        # freeprod:5,7's acceptor has 11 states but 6 subtree classes; keyed
+        # on its states, the count recursion passed FEASIBILITY_WORK_MAX here
+        t0 = time.perf_counter()
+        result = feasibility_check(group_from_name("freeprod:5,7").word_acceptor(), 0,
+                                   BudgetSequence.polynomial(3, 1), 6)
+        assert time.perf_counter() - t0 < 2
+        assert result.witness_levels == ((2, 4), (3, 13), (4, 13), (5, 13), (6, 20))
 
 
 class TestGrowthConsistency:

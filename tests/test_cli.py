@@ -539,6 +539,42 @@ class TestRejectedInput:
         assert code == 1
         assert f"firebreak: {cache}: line 2: malformed cache entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["br", "{d}"], "{d}"),
+        (["br", "{d}/binary.tree", "--out", "{d}"], "{d}"),
+        (["cayley", "free:2", "--mode", "tree", "--R", "2", "--out", "{d}"], "{d}"),
+        (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
+          "--trace-out", "{d}"], "{d}"),
+        (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
+          "--replay", "{d}"], "{d}"),
+        (["oracle", "{d}/ray5.tree", "--budget", "const:1", "--cache", "{d}"], "{d}"),
+        (["br", "{d}/latin1.tree"], "{d}/latin1.tree: not UTF-8 text"),
+        (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
+          "--replay", "{d}/latin1.trace"], "{d}/latin1.trace: not UTF-8 text"),
+        (["oracle", "{d}/ray5.tree", "--budget", "const:1", "--cache", "{d}/latin1.cache"],
+         "{d}/latin1.cache: not UTF-8 text"),
+    ], ids=["spec-dir", "out-dir", "tree-out-dir", "trace-out-dir", "replay-dir", "cache-dir",
+            "spec-latin1", "replay-latin1", "cache-latin1"])
+    def test_unreadable_or_unwritable_file_exits_one(self, argv, named, spec_dir, capsys):
+        (spec_dir / "latin1.tree").write_bytes(b"variant: periodic\nroot: \xe9\n")
+        (spec_dir / "latin1.trace").write_bytes(b"round 1 | protect \xff | burn -\n")
+        (spec_dir / "latin1.cache").write_bytes(b"\xff feasible 1:-\n")
+        code, _out = run([a.format(d=spec_dir) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("firebreak: ") and named.format(d=spec_dir) in err
+
+    @pytest.mark.parametrize("strategies", [
+        ["--protect", "1", "--schedule", "1:2"],
+        ["--protect", "1", "--replay", "{d}/any.trace"],
+        ["--schedule", "1:2", "--replay", "{d}/any.trace"],
+    ], ids=["protect-schedule", "protect-replay", "schedule-replay"])
+    def test_two_strategies_exit_one(self, strategies, spec_dir, capsys):
+        code, out = run(["simulate", str(spec_dir / "binary.tree"), "--k", "0", "--budget",
+                         "const:1", "--depth", "3"] + [a.format(d=spec_dir) for a in strategies])
+        assert code == 1 and not out
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_depth_max_not_above_radius_exits_one(self, spec_dir, capsys):
         code, _out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "3",
                           "--k", "2", "--D-max", "2"])
