@@ -29,7 +29,6 @@ from .cayley import (
     FreeGroup,
     FreeProductCyclic,
     GrowthEstimate,
-    LexMinTree,
     ProbeReport,
     SurroundResult,
     ball as cayley_ball,

@@ -33,19 +33,21 @@ there, and as all words of a layer have the same length that (parent word,
 generator) pair is the least geodesic word, whose prefix is the parent's
 normal form.  So the acceptor's level counts are the sphere sizes, which
 growth, the surround trigger, the ball cap and the polynomial probes read
-with nothing built (a model builds its acceptor once), and ``ball``
-unfolds the acceptor (``trees.unfold``, which also builds truncations)
-into int32 arrays of vertices whose tree edges are known without building
-an element; each vertex's word is its parent's plus one letter.
-Its adjacency, built on first use in one vectorised pass into flat row
-offsets and an ``array('i')`` of column ids (large game rounds read numpy
-views), reads every product off the tree too: a free product's same-factor
-move goes up the current run and down the new syllable's letters, and an
-earlier axis g of Z^d commutes with the letter h entering v, so v*g is the
-h-child of parent*g.  Joining each element to its tree parent gives a
-spanning tree of the ball whose levels are the Cayley distances -- the
-depth-R slice of the acceptor's tree, which carries the graph's growth and
-hands every tree algorithm in this package a Cayley question.
+with nothing built (a model builds its acceptor once).
+
+A ``CayleyBall`` is the depth-R truncation of the acceptor (a
+``trees.Truncation``, unfolded as ``trees.expand`` unfolds any), so its
+``parent`` is the lex-min geodesic spanning tree, its levels are the
+Cayley distances and its boundary is the radius-R sphere; each vertex's
+word is its parent's plus one letter, and no element is built.  It adds
+its model and the Cayley graph's adjacency, built on first use in one
+vectorised pass into flat row offsets and an ``array('i')`` of column ids
+(large game rounds read numpy views), which reads every product off the
+tree too: a free product's same-factor move goes up the current run and
+down the new syllable's letters, and an earlier axis g of Z^d commutes
+with the letter h entering v, so v*g is the h-child of parent*g.  So the
+game plays the ball and its spanning tree on one vertex numbering with
+different rows, and every tree algorithm here answers a Cayley question.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 from string import digits
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,7 +70,8 @@ from .game import (
     feasibility_check,
     simulate,
 )
-from .trees import Automaton, ExplicitSpec, PeriodicSpec, compile, packed, unfold, view
+from .trees import (BURNING, UNTOUCHED, Automaton, PeriodicSpec, Truncation, compile, packed,
+                    row_entries, view)
 
 _LETTERS = "abcdefghij"
 
@@ -259,41 +262,22 @@ def group_from_name(name: str):
 
 
 @dataclass
-class CayleyBall:
-    """Ball of a Cayley graph: elements grouped into distance layers,
-    adjacency restricted to the ball, and the lex-min geodesic spanning
-    tree (each element's parent and the generator joining them).  Vertex
-    order is layer-major, shortlex by word within a layer, so construction
-    is canonical; the per-vertex fields are ``array('i')``s and each layer
-    a ``range``.  Quacks like a game arena: the radius-R sphere is the
-    boundary.  Words and adjacency are derived from the tree on first use;
-    no element is built."""
+class CayleyBall(Truncation):
+    """Ball of a Cayley graph: the depth-R truncation of the model's word
+    acceptor, whose ``parent`` is the lex-min geodesic spanning tree and
+    whose levels are the Cayley distances, with the graph's adjacency in
+    place of the tree's.  Vertex order is layer-major, shortlex by word
+    within a layer, so construction is canonical; the radius-R sphere is
+    the boundary.  Words and adjacency are derived from the tree on first
+    use; no element is built."""
 
     model: object
-    radius: int
-    level: array
-    layers: list[range]
-    tree_parent: array
-    tree_generator: array  # generator from tree_parent[v] to v; -1 at the root
-    state: array  # the word acceptor's (compiled) state at each vertex
-    first_child: array  # each vertex's first child id (unfold's CSR offsets)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.tree_parent)
-
-    @property
-    def depth(self) -> int:
-        return self.radius
-
-    @property
-    def boundary(self) -> tuple[int, ...]:
-        return tuple(self.layers[self.radius])
 
     @cached_property
-    def is_boundary(self) -> Callable[[int], bool]:
-        """The boundary test: membership in the radius-R layer's range."""
-        return self.layers[self.radius].__contains__
+    def tree_generator(self) -> array:
+        """The generator from each vertex's tree parent to it (-1 at the
+        root): the letter entering its acceptor state."""
+        return packed(np.array(self.model.acceptor[2], np.intc)[view(self.state)])
 
     @cached_property
     def _rows(self) -> tuple[array, array]:
@@ -304,8 +288,8 @@ class CayleyBall:
         Z^d commutes with the letter h entering v)."""
         _spec, auto, entering = self.model.acceptor
         model, n, n_gens = self.model, self.n_vertices, len(self.model.generators)
-        n_inner = n - len(self.layers[self.radius])  # with children in the ball
-        state, parent, first = view(self.state), view(self.tree_parent), view(self.first_child)
+        n_inner = self.level_starts[self.depth]  # with children in the ball
+        state, parent, first = view(self.state), view(self.parent), view(self.first_child)
         child = [{entering[t]: k for k, t in enumerate(kids)} for kids in auto.children]
         kid = np.array([[c.get(g, -1) for g in range(n_gens)] for c in child + [{}]], np.int32)
         inner = np.full(n + 1, len(child), np.int32)  # kid's row: none past n_inner and at -1
@@ -337,7 +321,7 @@ class CayleyBall:
             rows, gs = np.nonzero(commute[state])
             at, of = rows * n_gens + gs, parent[rows] * n_gens + gs
             hs = np.array(entering, np.int32)[state[rows]]
-            for a, b in pairwise(np.searchsorted(rows, np.cumsum(self.sphere_sizes()))):
+            for a, b in pairwise(np.searchsorted(rows, self.level_starts[1:])):
                 flat[at[a:b]] = down(flat[of[a:b]], hs[a:b])
         present = cols >= 0
         columns = array("i", cols[present].tobytes())
@@ -354,14 +338,22 @@ class CayleyBall:
         offsets, columns = self._rows
         return columns[offsets[v]:offsets[v + 1]]
 
+    def separated(self, statuses: bytes | bytearray) -> bool:
+        """No burning vertex has an untouched neighbour, read off the rows of
+        whichever of the two statuses is fewer, as the graph is undirected."""
+        side, other = sorted((BURNING, UNTOUCHED), key=statuses.count)
+        status = np.frombuffer(statuses, np.uint8)
+        reached = row_entries(*self.rows, np.flatnonzero(status == side))
+        return not (status[reached] == other).any()
+
     def sphere_sizes(self) -> list[int]:
-        return [len(layer) for layer in self.layers]
+        return [b - a for a, b in pairwise(self.level_starts)]
 
     @cached_property
     def word_strings(self) -> list[str]:
         """Every element's lex-min word: its tree parent's plus one letter."""
         letters, strings = self.model.generators, [""]
-        for p, g in zip(self.tree_parent[1:], self.tree_generator[1:]):
+        for p, g in zip(self.parent[1:], self.tree_generator[1:]):
             strings.append(strings[p] + letters[g])
         return strings
 
@@ -393,38 +385,13 @@ def ball(model, radius: int) -> CayleyBall:
     in generator order, so vertices are numbered as a breadth-first search
     in generator order numbers them."""
     _sphere_sizes(model, radius)
-    _spec, auto, entering = model.acceptor
-    state, parent, level, first_child, starts = unfold(auto, radius)
-    return CayleyBall(model=model, radius=radius, level=packed(level),
-                      layers=list(map(range, starts[:-1], starts[1:])), tree_parent=packed(parent),
-                      tree_generator=packed(np.array(entering, np.intc)[state]),
-                      state=packed(state), first_child=packed(first_child))
+    return CayleyBall._unfolded(model.acceptor[0], radius, model=model)
 
 
-# ---------------------------------------------------------------------------
-# Lex-min geodesic spanning tree
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LexMinTree:
-    """Spanning tree of a ball joining each element to its word's prefix;
-    tree vertex i is ball vertex i, so levels equal Cayley distances."""
-
-    spec: ExplicitSpec
-    ball: CayleyBall
-
-    def level_counts(self) -> list[int]:
-        return self.ball.sphere_sizes()
-
-
-def lex_min_tree(model, radius: int) -> LexMinTree:
-    return lex_min_tree_of_ball(ball(model, radius))
-
-
-def lex_min_tree_of_ball(b: CayleyBall) -> LexMinTree:
-    spec = ExplicitSpec(parents=tuple(b.tree_parent[1:]))
-    return LexMinTree(spec=spec, ball=b)
+def lex_min_tree(model, radius: int) -> CayleyBall:
+    """The lex-min geodesic spanning tree of the radius-R ball: the ball
+    itself, whose ``parent`` joins each element to its word's prefix."""
+    return ball(model, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +492,7 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
         )
     sphere_index = radius + trigger + 1
     b = ball(model, sphere_index)
-    sphere = b.layers[sphere_index]
+    sphere = range(*b.level_starts[sphere_index:])
     strategy = ScheduleStrategy({trigger: np.arange(sphere.start, sphere.stop)})
     verdict = simulate(b, radius, strategy, budget, horizon=trigger + 2)
     return SurroundResult(strategy=strategy, verdict=verdict, trigger_round=trigger,
@@ -550,10 +517,21 @@ def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> Prob
     lex-min spanning tree, with the cumulative-budget-vs-sphere table;
     both read the word acceptor, which unfolds to that tree, so no ball
     is built (the ball cap still bounds the depth).
-    An infeasible spanning tree is evidence (not proof) against containment
-    on the Cayley graph itself: containment passes to subgraphs in the
-    direction asserted here, and a finite-depth probe cannot settle an
-    asymptotic statement."""
+
+    Containment passes from the ball B to its spanning tree T (the ball's
+    own ``parent`` links): play on both the same protect sets, each legal
+    on B.  The burning set of T is a subset of B's after every round, by
+    induction on the round.  Both start on the same fire, as T spans B and
+    has its levels.  A protect set legal on B avoids B's burning vertices,
+    hence T's, so it is legal on T and both graphs have the same protected
+    set.  A vertex w that starts burning on T is untouched there, so not
+    protected on B, and has a T-neighbour v burning on T, hence on B;
+    the edge vw is an edge of B, so w is burning on B by the end of the
+    round.  A strategy that contains the fire on B therefore keeps T's
+    fire inside B's contained burning set, away from the boundary, so no
+    containing strategy on the tree means none on the ball.  An infeasible
+    finite-depth probe is still evidence, not proof, against containment
+    on the Cayley graph itself: it cannot settle an asymptotic statement."""
     spheres = _sphere_sizes(model, depth)
     budget = BudgetSequence.polynomial(coeff, degree)
     result = feasibility_check(model.acceptor[0], radius, budget, depth)

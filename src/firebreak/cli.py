@@ -46,6 +46,7 @@ from .game import (
     BudgetSequence,
     CanonicalStrategy,
     ScheduleStrategy,
+    add_round,
     feasibility_check,
     format_trace,
     parse_trace,
@@ -274,8 +275,8 @@ def cmd_simulate(args) -> int:
         schedule = {}
         for chunk in args.schedule.split(";"):
             r, _, ids = chunk.partition(":")
-            schedule[_int(r, "--schedule")] = tuple(
-                _int(t, "--schedule") for t in ids.split(",") if t)
+            add_round(schedule, _int(r, "--schedule"),
+                      tuple(_int(t, "--schedule") for t in ids.split(",") if t), "--schedule")
         strategy = ScheduleStrategy(schedule)
         config["schedule"] = args.schedule
     else:
@@ -328,7 +329,7 @@ def cmd_oracle(args) -> int:
     result: dict = {}
 
     cache = OracleCache(args.cache) if args.cache else None
-    key = oracle_key(format_tree_spec(spec), fire, budget, args.horizon,
+    key = oracle_key(format_tree_spec(spec), depth, fire, budget, args.horizon,
                      restrict=not args.strict) if cache else None
     decision = cache.get(key) if cache else None
     result["cache_hit"] = decision is not None
@@ -417,13 +418,12 @@ def cmd_cayley(args) -> int:
         if not args.out:
             raise SpecError("--out is required for mode tree")
         tree = lex_min_tree(model, args.R)
-        text = format_tree_spec(tree.spec)
-        words = "".join(f"# vertex {v} = {w or 'id'}\n"
-                        for v, w in enumerate(tree.ball.word_strings))
+        text = format_tree_spec(ExplicitSpec(parents=tuple(tree.parent[1:])))
+        words = "".join(f"# vertex {v} = {w or 'id'}\n" for v, w in enumerate(tree.word_strings))
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(words + text)
-        result.update(vertices=tree.ball.n_vertices, out=args.out,
-                      level_counts=tuple(tree.level_counts()))
+        result.update(vertices=tree.n_vertices, out=args.out,
+                      level_counts=tuple(tree.sphere_sizes()))
         emit_report(config, result, tables, None)
         return EXIT_OK
     else:

@@ -1,22 +1,24 @@
-"""The firefighting game on truncations (and any graph arena that exposes
-the same surface): per-round protection budgets, fire spread, strategies,
-the exact deadline-feasibility decision, and cutset-strategy synthesis.
+"""The firefighting game on arenas: per-round protection budgets, fire
+spread, strategies, the exact deadline-feasibility decision, and
+cutset-strategy synthesis.
 
 Game rules per round: the player marks at most f_n non-burning vertices as
 protected, then fire spreads to every untouched neighbour of a burning
 vertex.  Statuses are permanent.  The fire is contained once a round adds
 no new burning vertex.
 
-An *arena* is an undirected graph with ``n_vertices``, ``neighbors(v)``
-(an iterable of vertex ids), ``level`` (distance from the root/identity,
-non-decreasing in vertex order), ``depth``, ``boundary`` (vertices whose
-burning makes the outcome inconclusive at this truncation depth, all at
-level ``depth``) and ``is_boundary(v)``, the test for one, which
-``run_game`` asks only of frontier ids at level ``depth``.  It also
-exposes flat ``rows`` (numpy row offsets and column ids, row v listing
-``neighbors(v)``), which large rounds read, and so does the check that a
-contained fire has no untouched neighbour, except on a truncation, where
-it reads the parent links.  Tree truncations and Cayley balls qualify.
+An *arena* is a ``trees.Truncation``: a tree truncation, or a Cayley ball
+(the truncation of a word acceptor with the Cayley graph's adjacency).
+The game reads only this surface of it and asks no arena its class:
+``n_vertices``; ``level``, the distance from the root, non-decreasing in
+vertex order; ``depth``; ``boundary``, the vertices whose burning makes
+the outcome inconclusive at this depth, all at level ``depth``, and
+``is_boundary(v)``, the test for one, asked only of frontier ids at level
+``depth``; ``neighbors(v)``, an iterable of ids, and ``rows``, numpy row
+offsets and column ids with row v listing ``neighbors(v)``, which large
+rounds read; and ``separated(statuses)``, the check that a contained fire
+has no untouched neighbour.
+
 ``run_game`` plays the whole game on one status array that it changes in
 place, so the ``GameState.statuses`` a strategy sees is live; ``step``
 copies it and leaves its input alone.  A large round (SPREAD_VECTOR_MIN ids
@@ -38,9 +40,8 @@ import numpy as np
 
 from .branching import Cutset, compare_to_br, cut_recursion, exact_rate, min_cutset
 from .errors import ResourceLimitError, SpecError, StrategyFault, SynthesisError
-from .trees import TreeSpec, Truncation, compile, expand
-
-UNTOUCHED, PROTECTED, BURNING = 0, 1, 2
+from .trees import (BURNING, PROTECTED, UNTOUCHED, TreeSpec, Truncation, compile, expand,
+                    row_entries)
 
 # Protect sets and frontiers of this size or more take one numpy pass: it costs
 # 30-70 us and wins past ~64 free:2 vertices; 1024 kept every small job flat.
@@ -223,7 +224,7 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budg
                 raise StrategyFault(round_no, f"vertex {v} is burning and cannot be protected")
             statuses[v] = PROTECTED
         protect = _as_tuple(protect)
-    if len(state.frontier) >= SPREAD_VECTOR_MIN and hasattr(state.arena, "rows"):
+    if len(state.frontier) >= SPREAD_VECTOR_MIN:
         return protect, _spread_rows(statuses, state.frontier, *state.arena.rows)
     newly = []
     arena = state.arena
@@ -238,18 +239,11 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budg
 def _spread_rows(statuses: bytearray, frontier, offsets, columns):
     """Mark the frontier's untouched row entries burning; return them as _advance does."""
     view = np.frombuffer(statuses, np.uint8)
-    reached = _row_entries(offsets, columns, np.asarray(frontier, np.intp))
+    reached = row_entries(offsets, columns, np.asarray(frontier, np.intp))
     reached = np.sort(reached[view[reached] == UNTOUCHED])  # sort and diff: cheaper than unique
     reached = reached[np.diff(reached, prepend=-1) != 0]
     view[reached] = BURNING
     return reached if len(reached) >= SPREAD_VECTOR_MIN else tuple(reached.tolist())
-
-
-def _row_entries(offsets, columns, ids) -> np.ndarray:
-    """The row entries of the given vertices, row after row."""
-    starts, lengths = offsets[ids], offsets[ids + 1] - offsets[ids]
-    return columns[np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-                   + np.arange(lengths.sum())]
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +263,18 @@ class ScheduleStrategy:
 
     def protect_for(self, state: GameState, round_no: int, budget: int) -> Iterable[int]:
         return self.schedule.get(round_no, ())
+
+
+def add_round(schedule: dict[int, tuple[int, ...]], round_no: int, ids: tuple[int, ...],
+              where: str) -> None:
+    """Add one round read from ``where`` to a schedule.  A round below 1 is
+    never played and a repeated one would replace the first, so both raise
+    SpecError naming the round."""
+    if round_no < 1:
+        raise SpecError(f"{where}: round {round_no} is never played; rounds start at 1")
+    if round_no in schedule:
+        raise SpecError(f"{where}: round {round_no} is given twice")
+    schedule[round_no] = ids
 
 
 class CanonicalStrategy:
@@ -360,27 +366,11 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
         if reached(frontier):
             return Verdict(kind=BOUNDARY_REACHED, round_no=n, burnt=None, trace=tuple(trace))
         if not len(frontier):
-            assert _separated(state), "contained state has an exposed untouched vertex"
+            assert arena.separated(state.statuses), \
+                "contained state has an exposed untouched vertex"
             return Verdict(kind=CONTAINED, round_no=n, burnt=state.burning_count(),
                            trace=tuple(trace))
     return Verdict(kind=ESCAPED_HORIZON, round_no=horizon, burnt=None, trace=tuple(trace))
-
-
-def _separated(state: GameState) -> bool:
-    """No burning vertex has an untouched neighbour, in one numpy pass over
-    the edges: a tree arena's parent links, or the rows of any other arena,
-    read from whichever of the two statuses is fewer, as its graph is
-    undirected."""
-    statuses, arena = state.statuses, state.arena
-    side, other = sorted((BURNING, UNTOUCHED), key=statuses.count)
-    if not statuses.count(side):
-        return True
-    status = np.frombuffer(statuses, np.uint8)
-    if isinstance(arena, Truncation):
-        ends = np.stack((status[1:], status[np.frombuffer(arena.parent, np.intc)[1:]]))
-        return not ((ends.min(0) == UNTOUCHED) & (ends.max(0) == BURNING)).any()
-    reached = _row_entries(*arena.rows, np.flatnonzero(status == side))
-    return not (status[reached] == other).any()
 
 
 def simulate(trunc, radius: int, strategy, budget: BudgetSequence,
@@ -413,7 +403,8 @@ def format_trace(verdict: Verdict) -> str:
 
 def parse_trace(text: str, source: str = "trace") -> tuple[dict[int, tuple[int, ...]], dict]:
     """Returns (schedule, verdict summary) from a trace file.  A malformed
-    round or verdict line raises SpecError naming the source and line."""
+    round or verdict line, or a round below 1 or given twice, raises
+    SpecError naming the source and line."""
     schedule: dict[int, tuple[int, ...]] = {}
     summary: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -423,13 +414,16 @@ def parse_trace(text: str, source: str = "trace") -> tuple[dict[int, tuple[int, 
         parts = [p.strip() for p in line.split("|")]
         try:
             if parts[0].startswith("round"):
-                schedule[int(parts[0].split()[1])] = tuple(
-                    int(t) for t in parts[1].split()[1:] if t != "-")
+                add_round(schedule, int(parts[0].split()[1]),
+                          tuple(int(t) for t in parts[1].split()[1:] if t != "-"),
+                          f"{source}: line {lineno}")
             elif parts[0].startswith("verdict"):
                 summary["kind"] = parts[0].split()[1]
                 summary["round_no"] = int(parts[1].split()[1])
                 burnt = parts[2].split()[1]
                 summary["burnt"] = None if burnt == "-" else int(burnt)
+        except SpecError:  # a ValueError, but it names its line already
+            raise
         except (ValueError, IndexError) as exc:
             raise SpecError(f"{source}: line {lineno}: malformed trace line {raw!r}") from exc
     return schedule, summary

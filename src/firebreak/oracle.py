@@ -169,10 +169,12 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
 # ---------------------------------------------------------------------------
 
 
-def oracle_key(spec_text: str, x0: Iterable[int], budget: BudgetSequence,
+def oracle_key(spec_text: str, depth: int, x0: Iterable[int], budget: BudgetSequence,
                horizon: int | None, restrict: bool) -> str:
+    """The hash of one question: truncation (spec, depth), fire, budget, horizon, mode."""
     payload = "|".join([
         spec_text,
+        str(depth),
         ",".join(str(v) for v in sorted(set(x0))),
         budget.describe(),
         str(horizon),

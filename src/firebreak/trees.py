@@ -20,10 +20,12 @@ explicit-only oracle asks which variant it was given.
 
 A ``Truncation`` is the finite tree of all vertices at levels 0..D, in a
 deterministic level-major order (children in spec order), unfolded one
-numpy pass a level by ``unfold``, which also builds Cayley balls.  Its
-``parent``, ``level`` and ``state`` are ``array('i')``s (numpy reads them
-as zero-copy views), ``children[v]`` is a ``range`` and ``rows`` the flat
-adjacency that large game rounds read.  The level of a vertex is its
+numpy pass a level by ``unfold``.  Its ``parent``, ``level`` and ``state``
+are ``array('i')``s (numpy reads them as zero-copy views), ``children[v]``
+is a ``range`` and ``rows`` the flat adjacency that large game rounds read.
+It is the one game arena: a Cayley ball (``cayley.CayleyBall``) is the
+truncation of its group's word acceptor with the Cayley graph's rows in
+place of the tree's.  The level of a vertex is its
 distance from the root; the level of an edge is the level of its child
 endpoint.  Level-D vertices that continue in the infinite tree form the
 truncation *boundary*: separating the root from them is what a cutset must
@@ -48,6 +50,8 @@ from .errors import ResourceLimitError, SpecError
 
 DEFAULT_VERTEX_CAP = 10_000_000
 VERTEX_CAP_ENV = "FIREBREAK_VERTEX_CAP"
+
+UNTOUCHED, PROTECTED, BURNING = 0, 1, 2  # a game's vertex statuses, one byte each
 
 
 def vertex_cap() -> int:
@@ -321,6 +325,13 @@ class Truncation:
         kids = range(self.first_child[v], self.first_child[v + 1])
         return kids if v == 0 else [self.parent[v], *kids]
 
+    def separated(self, statuses: bytes | bytearray) -> bool:
+        """No burning vertex has an untouched neighbour: no parent link joins
+        the two, checked in one numpy pass."""
+        status = np.frombuffer(statuses, np.uint8)
+        ends = np.stack((status[1:], status[view(self.parent)[1:]]))
+        return not ((ends.min(0) == UNTOUCHED) & (ends.max(0) == BURNING)).any()
+
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Row offsets and column ids, row v listing ``neighbors(v)``: row v
@@ -335,6 +346,20 @@ class Truncation:
         columns[parent[1:] + ids[1:-1] - 1] = ids[1:-1]
         return offsets, columns
 
+    @classmethod
+    def _unfolded(cls, spec: TreeSpec, depth: int, **fields) -> "Truncation":
+        """The depth-D truncation of the spec's tree; the caller applies its cap."""
+        state, parent, level, first_child, starts = unfold(compile(spec), depth)
+        return cls(spec, depth, packed(parent), packed(level), packed(state),
+                   packed(first_child), tuple(starts), **fields)
+
+
+def row_entries(offsets, columns, ids) -> np.ndarray:
+    """The row entries of the given vertices, row after row."""
+    starts, lengths = offsets[ids], offsets[ids + 1] - offsets[ids]
+    return columns[np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+                   + np.arange(lengths.sum())]
+
 
 def expand(spec: TreeSpec, depth: int) -> Truncation:
     """Materialise the truncation of all vertices at levels 0..depth.
@@ -347,15 +372,12 @@ def expand(spec: TreeSpec, depth: int) -> Truncation:
     if depth < 0:
         raise SpecError("depth must be >= 0")
     limit = vertex_cap()
-    auto = compile(spec)
-    total = sum(auto.level_counts(depth))
+    total = sum(compile(spec).level_counts(depth))
     if total > limit:
         raise ResourceLimitError(
             f"truncation would have {total} vertices, cap is {limit} ({VERTEX_CAP_ENV})"
         )
-    state, parent, level, first_child, starts = unfold(auto, depth)
-    return Truncation(spec, depth, packed(parent), packed(level), packed(state),
-                      packed(first_child), tuple(starts))
+    return Truncation._unfolded(spec, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ class ReferenceBall:
     elements: list
     level: list[int]
     layers: list[list[int]]
-    tree_parent: list[int]
+    parent: list[int]
     tree_generator: list[int]
     adjacency: list[list[int]] = field(default_factory=list)
     _index: dict = field(default_factory=dict, repr=False)
@@ -43,7 +43,7 @@ def reference_ball(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> Reference
     index = {model.identity: 0}
     level = [0]
     layers = [[0]] + [[] for _ in range(radius)]
-    tree_parent = [-1]
+    parent = [-1]
     tree_generator = [-1]
     adjacency = []
     for v, elem in enumerate(elements):
@@ -65,10 +65,10 @@ def reference_ball(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> Reference
                 elements.append(w)
                 level.append(dist + 1)
                 layers[dist + 1].append(u)
-                tree_parent.append(v)
+                parent.append(v)
                 tree_generator.append(g)
             row.append(u)
         adjacency.append(row)
     return ReferenceBall(model=model, radius=radius, elements=elements, level=level,
-                         layers=layers, tree_parent=tree_parent,
+                         layers=layers, parent=parent,
                          tree_generator=tree_generator, adjacency=adjacency, _index=index)

@@ -220,7 +220,7 @@ def ball_elements(b) -> tuple[list, dict]:
     if "_test_elements" not in vars(b):
         elements = [b.model.identity]
         for v in range(1, b.n_vertices):
-            elements.append(b.model.multiply(elements[b.tree_parent[v]], b.tree_generator[v]))
+            elements.append(b.model.multiply(elements[b.parent[v]], b.tree_generator[v]))
         b._test_elements = elements, {elem: v for v, elem in enumerate(elements)}
     return b._test_elements
 
@@ -231,8 +231,14 @@ def ball_words(b) -> list[tuple[int, ...]]:
     them."""
     words: list[tuple[int, ...]] = [()]
     for v in range(1, b.n_vertices):
-        words.append(words[b.tree_parent[v]] + (b.tree_generator[v],))
+        words.append(words[b.parent[v]] + (b.tree_generator[v],))
     return words
+
+
+def tree_export(b) -> ExplicitSpec:
+    """The lex-min tree of a Cayley ball as the explicit spec that
+    ``cayley --mode tree`` writes."""
+    return ExplicitSpec(parents=tuple(b.parent[1:]))
 
 
 def enumerate_geodesic_words(b, v: int) -> list[tuple[int, ...]]:

@@ -38,7 +38,6 @@ from firebreak import (
     synthesize_cutset_strategy,
     wait_and_surround,
 )
-from firebreak.cayley import lex_min_tree_of_ball
 from firebreak.cli import main as cli_main
 from conftest import (
     ball_words,
@@ -50,6 +49,7 @@ from conftest import (
     random_explicit_tree,
     sqrt2_spec,
     ternary_spec,
+    tree_export,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -220,11 +220,11 @@ def test_criterion_6_cayley_growth(free2_ball_12):
               FreeProductCyclic((3, 3))]
     for model in models:
         tree = lex_min_tree(model, 8)
-        trunc = expand(tree.spec, 8)
-        assert trunc.n_vertices == tree.ball.n_vertices          # spanning
-        assert trunc.level == tree.ball.level                    # geodesic
-        for v in range(1, tree.ball.n_vertices):                 # Cayley edges
-            assert tree.ball.tree_parent[v] in tree.ball.neighbors(v)
+        trunc = expand(tree_export(tree), 8)
+        assert trunc.n_vertices == tree.n_vertices               # spanning
+        assert trunc.level == tree.level                         # geodesic
+        for v in range(1, tree.n_vertices):                      # Cayley edges
+            assert tree.parent[v] in tree.neighbors(v)
     z2_small = cayley_ball(FreeAbelian(2), 5)
     words = ball_words(z2_small)
     for v in range(z2_small.n_vertices):
@@ -251,12 +251,12 @@ def test_criterion_7_wait_and_surround():
 
 
 def test_criterion_8_polynomial_budgets_refuted(free2_ball_12):
-    tree = lex_min_tree_of_ball(free2_ball_12)
+    tree = tree_export(free2_ball_12)  # built once: its compiled automaton is kept on it
     spheres = free2_ball_12.sphere_sizes()
     for degree in (1, 2, 3):
         budget = BudgetSequence.polynomial(1, degree)
         for depth in range(3, 13):
-            assert not feasibility_check(tree.spec, 2, budget, depth).feasible, \
+            assert not feasibility_check(tree, 2, budget, depth).feasible, \
                 (degree, depth)
         for n in range(1, 12):
             assert budget.cumulative(n) < spheres[n + 1]

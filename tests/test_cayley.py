@@ -27,14 +27,20 @@ Claims covered:
       most 200) whose ball has at most 50k, and their level counts are
       the sphere sizes
     - probes on the acceptor decide as the materialised lex-min tree does
+    - the ball is its acceptor's truncation in every Truncation field, and
+      under the same protect sets, legal on the ball, the tree burns a
+      subset of what the ball burns after every round (subgraph transfer)
     - a surround without trigger is decided with no ball, and a triggered
       one builds the ball only out to the protected sphere and its model's
       word acceptor once
 """
 
+import bisect
 import random
 import time
+from dataclasses import fields
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 
@@ -46,20 +52,24 @@ from firebreak import (
     FreeProductCyclic,
     SpecError,
     SurroundCapError,
+    Truncation,
     cayley_ball,
     expand,
     feasibility_check,
     group_from_name,
     growth_rate_estimate,
     infinite_dihedral,
+    initial_state,
     level_counts,
     lex_min_tree,
     polynomial_probe,
+    step,
     wait_and_surround,
 )
 from firebreak.cli import main as cli_main
+from firebreak.game import BURNING, PROTECTED
 from cayley_reference import reference_ball
-from conftest import ball_elements, ball_words, enumerate_geodesic_words
+from conftest import ball_elements, ball_words, enumerate_geodesic_words, tree_export
 
 ALL_MODELS = [
     FreeGroup(1),
@@ -198,38 +208,35 @@ class TestLexMinWords:
 class TestLexMinTree:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_spanning_geodesic_cayley_edges(self, model):
-        tree = lex_min_tree(model, 5)
-        b = tree.ball
-        trunc = expand(tree.spec, 5)
+        b = lex_min_tree(model, 5)
+        trunc = expand(tree_export(b), 5)
         assert trunc.n_vertices == b.n_vertices
         # tree levels equal Cayley distances
         assert trunc.level == b.level
         # every tree edge is a ball edge
         for v in range(1, b.n_vertices):
-            assert b.tree_parent[v] in b.neighbors(v)
+            assert b.parent[v] in b.neighbors(v)
 
     def test_z_two_rays(self):
         tree = lex_min_tree(FreeAbelian(1), 4)
-        trunc = expand(tree.spec, 4)
+        trunc = expand(tree_export(tree), 4)
         assert all(len(trunc.children[v]) <= 2 for v in range(trunc.n_vertices))
         assert len(trunc.children[0]) == 2
 
     def test_z2_level_counts_are_sphere_sizes(self):
         tree = lex_min_tree(FreeAbelian(2), 4)
-        assert tree.level_counts() == [1, 4, 8, 12, 16]
+        assert tree.sphere_sizes() == [1, 4, 8, 12, 16]
 
     def test_free_tree_equals_ball(self):
-        tree = lex_min_tree(FreeGroup(2), 4)
-        b = tree.ball
+        b = lex_min_tree(FreeGroup(2), 4)
         ball_edges = sum(len(b.neighbors(v)) for v in range(b.n_vertices)) // 2
         assert ball_edges == b.n_vertices - 1
 
     def test_parent_word_is_prefix(self):
-        tree = lex_min_tree(FreeProductCyclic((2, 3)), 5)
-        b = tree.ball
+        b = lex_min_tree(FreeProductCyclic((2, 3)), 5)
         words = ball_words(b)
         for v in range(1, b.n_vertices):
-            assert words[b.tree_parent[v]] == words[v][:-1]
+            assert words[b.parent[v]] == words[v][:-1]
 
 
 class TestGrowth:
@@ -297,9 +304,9 @@ class TestWaitAndSurround:
 
     def test_ball_ends_at_the_protected_sphere(self):
         res = wait_and_surround(FreeAbelian(2), 1, Fraction(3, 2), 12)
-        assert res.ball.radius == res.sphere_index == 12
+        assert res.ball.depth == res.sphere_index == 12
         res = wait_and_surround(FreeAbelian(1), 1, Fraction(3, 2), 30)
-        assert res.ball.radius == res.sphere_index == 4
+        assert res.ball.depth == res.sphere_index == 4
         assert res.verdict.contained and res.verdict.burnt == 7
 
     def test_acceptor_built_once_per_model(self, monkeypatch):
@@ -335,7 +342,7 @@ class TestPolynomialProbe:
     def test_z2_affine_budget_feasible(self):
         tree = lex_min_tree(FreeAbelian(2), 6)
         budget = BudgetSequence.explicit([4 * n + 8 for n in range(1, 7)])
-        result = feasibility_check(tree.spec, 1, budget, 6)
+        result = feasibility_check(tree_export(tree), 1, budget, 6)
         assert result.feasible
 
     def test_z_constant_budget_feasible(self):
@@ -364,7 +371,7 @@ class TestGrowthConsistency:
                 root="R",
             )
             tree = lex_min_tree(FreeGroup(rank), 6)
-            assert tree.level_counts() == [
+            assert tree.sphere_sizes() == [
                 1 if n == 0 else 2 * rank * (2 * rank - 1) ** (n - 1)
                 for n in range(7)
             ]
@@ -393,7 +400,7 @@ class TestDeterminism:
         for model in ALL_MODELS:
             b = cayley_ball(model, 4)
             every = ball_words(b)
-            for layer in b.layers:
+            for layer in map(range, b.level_starts, b.level_starts[1:]):
                 words = [every[v] for v in layer]
                 assert all(x < y for x, y in zip(words, words[1:])), model.name
 
@@ -401,7 +408,7 @@ class TestDeterminism:
 # the built-in models plus free products with an order-4 factor and two
 # factors whose runs reach two and three letters
 DIFFERENTIAL_MODELS = ALL_MODELS + [FreeProductCyclic((2, 3, 4)), FreeProductCyclic((5, 7))]
-BALL_FIELDS = ("level", "tree_parent", "tree_generator")  # arrays; each layer is a range
+BALL_FIELDS = ("level", "parent", "tree_generator")  # arrays; layers are level_starts
 
 
 def differential_radii(model, dense: int = 24, every: int = 5_000, most: int = 50_000,
@@ -439,7 +446,8 @@ class TestWordAcceptors:
             got, ref = cayley_ball(model, radius), reference_ball(model, radius)
             for name in BALL_FIELDS:
                 assert list(getattr(got, name)) == getattr(ref, name), (radius, name)
-            assert [list(layer) for layer in got.layers] == ref.layers, (radius, "layers")
+            assert [list(range(a, b)) for a, b in pairwise(got.level_starts)] == ref.layers, (
+                radius, "layers")
             assert ball_elements(got) == (ref.elements, ref._index), radius
             for v in range(got.n_vertices):
                 assert list(got.neighbors(v)) == ref.adjacency[v], (radius, v)
@@ -447,8 +455,12 @@ class TestWordAcceptors:
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
     def test_unfolding_numbers_vertices_as_the_ball(self, model):
-        trunc = expand(model.word_acceptor(), 6)
-        assert trunc.parent == cayley_ball(model, 6).tree_parent
+        # the ball is the acceptor's truncation, with other rows
+        for radius in range(7):
+            trunc, b = expand(model.word_acceptor(), radius), cayley_ball(model, radius)
+            for field in fields(Truncation):
+                assert getattr(b, field.name) == getattr(trunc, field.name), (radius, field.name)
+            assert b.boundary_mask == trunc.boundary_mask and b.boundary == trunc.boundary
 
     def test_probe_on_acceptor_matches_materialised_tree(self):
         rng = random.Random(8)
@@ -461,7 +473,41 @@ class TestWordAcceptors:
             rep = polynomial_probe(model, coeff, degree, radius, depth)
             tree = lex_min_tree(model, depth)
             budget = BudgetSequence.polynomial(coeff, degree)
-            assert rep.feasibility == feasibility_check(tree.spec, radius, budget, depth)
-            assert [s for _n, _c, s in rep.budget_vs_sphere] == tree.level_counts()[2:]
+            assert rep.feasibility == feasibility_check(tree_export(tree), radius, budget, depth)
+            assert [s for _n, _c, s in rep.budget_vs_sphere] == tree.sphere_sizes()[2:]
             seen.add(rep.feasibility.feasible)
         assert seen == {True, False}
+
+
+
+def _ids(state, status) -> set[int]:
+    return {v for v, s in enumerate(state.statuses) if s == status}
+
+
+class TestSubgraphTransfer:
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_tree_burns_inside_the_ball(self, model):
+        # seeded random protect sets, legal on the ball, played on the ball and
+        # on the acceptor's truncation (the ball's lex-min spanning tree): after
+        # every round both have the same protected set and the tree's burning
+        # set is a subset of the ball's, as polynomial_probe's docstring argues
+        rng = random.Random(71)
+        smaller = 0
+        for _ in range(20):
+            radius = rng.randint(2, 5)
+            b, t = cayley_ball(model, radius), expand(model.word_acceptor(), radius)
+            fire = rng.randrange(radius)
+            on_ball, on_tree = initial_state(b, fire), initial_state(t, fire)
+            for round_no in range(1, radius + 3):
+                near = bisect.bisect_right(b.level, fire + round_no + 1)
+                legal = [v for v in range(near) if on_ball.statuses[v] != BURNING]
+                protect = rng.sample(legal, min(len(legal), rng.randint(0, 4)))
+                on_ball = step(on_ball, protect, len(protect))
+                on_tree = step(on_tree, protect, len(protect))
+                assert _ids(on_tree, BURNING) <= _ids(on_ball, BURNING), (radius, fire, round_no)
+                assert _ids(on_tree, PROTECTED) == _ids(on_ball, PROTECTED)
+                smaller += _ids(on_tree, BURNING) < _ids(on_ball, BURNING)
+        # Z^2 and Z^3 have squares that the fire goes round; every cycle of
+        # the other balls is a triangle x, xg, xg^-1 whose far corners are
+        # tree children of x, so the fire reaches them alike on both graphs
+        assert bool(smaller) == (model.name in ("zd:2", "zd:3")), smaller

@@ -530,6 +530,31 @@ class TestRejectedInput:
         assert code == 1
         assert f"firebreak: {trace}: line 2: malformed trace line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schedule, message", [
+        ("1:1;1:2", "round 1 is given twice"),
+        ("2:1;3:2;2:3", "round 2 is given twice"),
+        ("0:1", "round 0 is never played; rounds start at 1"),
+        ("-2:1", "round -2 is never played; rounds start at 1"),
+    ], ids=["repeated", "repeated-later", "zero", "negative"])
+    def test_unplayable_schedule_round_exits_one(self, schedule, message, spec_dir, capsys):
+        code, _out = run(["simulate", str(spec_dir / "binary.tree"), "--k", "0",
+                          "--budget", "const:1", "--depth", "4", f"--schedule={schedule}"])
+        assert code == 1
+        assert f"firebreak: --schedule: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("round 1 | protect 1 | burn 2\nround 1 | protect 2 | burn -\n",
+         "line 2: round 1 is given twice"),
+        ("round 0 | protect 1 | burn 2\n", "line 1: round 0 is never played"),
+    ], ids=["repeated", "zero"])
+    def test_unplayable_replay_round_names_file_and_line(self, text, message, spec_dir, capsys):
+        trace = spec_dir / "bad.trace"
+        trace.write_text(text)
+        code, _out = run(["simulate", str(spec_dir / "binary.tree"), "--k", "0",
+                          "--budget", "const:1", "--depth", "4", "--replay", str(trace)])
+        assert code == 1
+        assert f"firebreak: {trace}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["nospace", "abc feasible 1:x", "abc maybe"])
     def test_malformed_cache_names_file_and_line(self, entry, spec_dir, capsys):
         cache = spec_dir / "o.cache"
@@ -597,6 +622,18 @@ class TestOracle:
         assert "result.cache_hit = false" in first
         _code, second = run(argv)
         assert "result.cache_hit = true" in second
+
+    def test_cache_keys_on_the_depth(self, tmp_path):
+        # one guard a round cannot hold the depth-1 truncation of this tree
+        # but holds the depth-2 one: a cached depth-1 answer is not reused
+        spec = tmp_path / "t.tree"
+        spec.write_text("variant: explicit\nparents: 0 0 2\n")
+        argv = ["oracle", str(spec), "--budget", "const:1", "--cache", str(tmp_path / "o.cache")]
+        _code, shallow = run(argv + ["--depth", "1"])
+        assert "result.feasible = false" in shallow
+        for hit in ("false", "true"):
+            _code, deep = run(argv + ["--depth", "2"])
+            assert f"result.cache_hit = {hit}" in deep and "result.feasible = true" in deep
 
     def test_periodic_spec_rejected(self, spec_dir):
         code, _out = run(["oracle", str(spec_dir / "binary.tree"),

@@ -193,7 +193,7 @@ class TestCache:
         cache = OracleCache(str(path))
         t = expand(ray_spec(), 4)
         budget = BudgetSequence.constant(1)
-        key = oracle_key(format_tree_spec(ray_spec()), [0], budget, None, True)
+        key = oracle_key(format_tree_spec(ray_spec()), 4, [0], budget, None, True)
         assert cache.get(key) is None
         decision = brute_force_containment(t, [0], budget)
         cache.put(key, decision)
@@ -212,7 +212,8 @@ class TestCache:
 
     def test_distinct_keys(self):
         spec_text = format_tree_spec(ray_spec())
-        k1 = oracle_key(spec_text, [0], BudgetSequence.constant(1), None, True)
-        k2 = oracle_key(spec_text, [0], BudgetSequence.constant(2), None, True)
-        k3 = oracle_key(spec_text, [0], BudgetSequence.constant(1), None, False)
-        assert len({k1, k2, k3}) == 3
+        k1 = oracle_key(spec_text, 4, [0], BudgetSequence.constant(1), None, True)
+        k2 = oracle_key(spec_text, 4, [0], BudgetSequence.constant(2), None, True)
+        k3 = oracle_key(spec_text, 4, [0], BudgetSequence.constant(1), None, False)
+        k4 = oracle_key(spec_text, 5, [0], BudgetSequence.constant(1), None, True)
+        assert len({k1, k2, k3, k4}) == 4
