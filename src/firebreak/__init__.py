@@ -55,6 +55,7 @@ from .game import (
     SynthesisResult,
     Verdict,
     feasibility_check,
+    feasibility_rows,
     format_trace,
     initial_state,
     parse_trace,

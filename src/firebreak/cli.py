@@ -47,7 +47,7 @@ from .game import (
     CanonicalStrategy,
     ScheduleStrategy,
     add_round,
-    feasibility_check,
+    feasibility_rows,
     format_trace,
     parse_trace,
     simulate,
@@ -234,11 +234,10 @@ def cmd_contain(args) -> int:
             certificate_radius=cert.radius,
             certificate_valid=all(check_certificate(cert).values()),
         )
-        evidence_rows = []
         sphere = next(islice(compile(spec).iter_state_counts(), cert.radius, None))
-        for depth in range(cert.radius + 1, cert.radius + 1 + args.evidence_depths):
-            fr = feasibility_check(spec, cert.radius, budget, depth, sphere_counts=sphere)
-            evidence_rows.append((depth, "feasible" if fr.feasible else "infeasible"))
+        depths = range(cert.radius + 1, cert.radius + 1 + args.evidence_depths)
+        evidence_rows = [(depth, "feasible" if ok else "infeasible") for depth, ok in zip(
+            depths, feasibility_rows(spec, cert.radius, budget, depths, sphere_counts=sphere))]
         result["all_probed_depths_infeasible"] = all(
             row[1] == "infeasible" for row in evidence_rows
         )

@@ -109,6 +109,8 @@ class BudgetSequence:
                 return cls.polynomial(Fraction(coeff), int(degree))
             if kind == "list":
                 return cls.explicit(int(v) for v in params.split(","))
+        except SpecError:  # a ValueError, but it gives its own reason
+            raise
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecError(f"bad budget parameters in {text!r}") from exc
         raise SpecError(f"unknown budget kind {kind!r}")
@@ -255,11 +257,14 @@ class ScheduleStrategy:
     """Fixed map round -> protect set.  Synthesis plays the cut vertices at
     level n in round n - radius; wait-and-surround plays one sphere in its
     trigger round.  An array round of SPREAD_VECTOR_MIN ids or more stays an
-    array; every other round becomes a tuple of ints."""
+    array; every other round becomes a tuple of ints.  A round below 1 is
+    never played, so it raises SpecError as ``add_round`` does."""
 
     def __init__(self, schedule: Mapping[int, Iterable[int]]):
-        self.schedule = {int(r): vs if isinstance(vs, np.ndarray) and len(vs) >= SPREAD_VECTOR_MIN
-                         else _as_tuple(vs) for r, vs in schedule.items()}
+        self.schedule: dict = {}
+        for r, vs in schedule.items():
+            add_round(self.schedule, int(r), vs if isinstance(vs, np.ndarray)
+                      and len(vs) >= SPREAD_VECTOR_MIN else _as_tuple(vs), "schedule")
 
     def protect_for(self, state: GameState, round_no: int, budget: int) -> Iterable[int]:
         return self.schedule.get(round_no, ())
@@ -449,6 +454,11 @@ def parse_trace(text: str, source: str = "trace") -> tuple[dict[int, tuple[int, 
 # Among the feasible cuts it picks the lexicographically minimal cumulative
 # level-count profile.
 #
+# Before any class table, a depth whose live level-(k+1) vertices
+# outnumber f(1) + ... + f(D-k) is refused: each needs a cut vertex of its
+# own.  Feasibility is monotone in D, as a cut that blocks the depth-D
+# boundary blocks the depth-(D+1) one (``feasibility_rows`` bisects on it).
+#
 # Two exchange arguments settle most levels without search:
 #   1. spending headroom early is never worse: a later cut vertex in the
 #      subtree of a live vertex v can be swapped for v itself;
@@ -499,6 +509,34 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
     return _feasibility_counts(auto, radius, caps, depth, sphere_counts)
 
 
+def feasibility_rows(spec: TreeSpec, radius: int, budget: BudgetSequence,
+                     depths: Iterable[int], sphere_counts: dict[int, int] | None = None
+                     ) -> list[bool]:
+    """``feasibility_check(spec, radius, budget, D).feasible`` for each of
+    the increasing depths D.  Feasibility is monotone in D, so the deepest
+    depth is decided, and only when it is feasible are the others bisected
+    for the first feasible one."""
+    depths = list(depths)
+    if radius < 0:
+        raise SpecError("initial radius must be >= 0")
+    if depths and depths[0] <= radius:
+        raise SpecError("depth must exceed the initial radius")
+    if any(a >= b for a, b in pairwise(depths)):
+        raise SpecError("depths must increase")
+    if not depths:
+        return []
+    if sphere_counts is None:
+        sphere_counts = next(islice(compile(spec).iter_state_counts(), radius, None))
+
+    def feasible(i: int) -> bool:
+        return feasibility_check(spec, radius, budget, depths[i], sphere_counts).feasible
+
+    if not feasible(len(depths) - 1):
+        return [False] * len(depths)
+    first = bisect_left(range(len(depths) - 1), True, key=feasible)
+    return [i >= first for i in range(len(depths))]
+
+
 def _chain_ranks(child_ranks: list[tuple[int, ...]]) -> list[int] | None:
     """Embedding ranks of a level's classes, from each class's live-child
     ranks sorted decreasing: s <= t when s's tuple is no longer than t's and
@@ -515,7 +553,20 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
                         sphere_counts: dict[int, int]) -> FeasibilityResult:
     succ = auto.children
     # the state counts at levels radius+1..depth: nothing is cut within the ball
-    forward = list(islice(auto.iter_state_counts(sphere_counts), 1, depth - radius + 1))
+    walk = auto.iter_state_counts(sphere_counts)
+    next(walk)
+    forward = [next(walk)]
+    # the level-(k+1) vertices with a descendant that continues at the boundary
+    heights = auto.live_heights
+    live = sum(n for s, n in forward[0].items() if heights[s] >= depth - radius - 1)
+    if not live:
+        return FeasibilityResult(feasible=True, depth=depth, radius=radius,
+                                 witness_paths=(), witness_levels=())
+    # every live vertex needs a cut vertex of its own: most decisions below
+    # br fail this at once, before any level is walked
+    if live > caps[-1]:
+        return FeasibilityResult(feasible=False, depth=depth, radius=radius)
+    forward += islice(walk, depth - radius - 1)
     # per level L, the classes of the live vertices (those whose subtrees
     # reach the boundary), numbered in sorted order of their signatures: the
     # sorted classes of their live children, so sig[L][c] lists the children
@@ -537,13 +588,6 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
     for s, c in cls[radius + 1].items():
         counts[c] += forward[0][s]
     counts = tuple(counts)
-    if not counts:
-        return FeasibilityResult(feasible=True, depth=depth, radius=radius,
-                                 witness_paths=(), witness_levels=())
-    # every live vertex needs a cut vertex of its own: most evidence rows
-    # below br fail this at once, before any ranking
-    if sum(counts) > caps[-1]:
-        return FeasibilityResult(feasible=False, depth=depth, radius=radius)
     # reach[L] the boundary vertices below each class, rank[L] their
     # embedding ranks (None off a chain)
     reach = {depth: [1] * len(sig[depth])}

@@ -169,6 +169,33 @@ class Automaton:
     def continues(self, state: int) -> bool:
         return bool(self.children[state]) or self.escape_leaves
 
+    @cached_property
+    def live_heights(self) -> tuple[float, ...]:
+        """Per state s, the greatest h such that a vertex of state s has a
+        descendant h levels down that continues: -1 when not even the
+        vertex itself continues, infinity when s reaches a cycle.  This is
+        the table live_0(s) = continues(s), live_h(s) = some child has
+        live_{h-1}, kept as the height at which each state leaves it: only
+        a state with children has a live child, so the table shrinks with h
+        and stops changing within len(children) heights."""
+        kids = self.children
+        parents: list[list[int]] = [[] for _ in kids]
+        for s, ks in enumerate(kids):
+            for t in ks:
+                parents[t].append(s)
+        waiting = [len(ks) for ks in kids]  # children whose height is still open
+        ready = [s for s, ks in enumerate(kids) if not ks]
+        height: list[float] = [float("inf")] * len(kids)
+        for s in ready:
+            height[s] = 0 if self.escape_leaves else -1
+        while ready:  # a state every child of which is settled, bottom-up
+            for s in parents[ready.pop()]:
+                waiting[s] -= 1
+                if not waiting[s]:
+                    height[s] = 1 + max(height[t] for t in kids[s])
+                    ready.append(s)
+        return tuple(height)
+
     def level_states(self, depth: int) -> list[tuple[int, ...]]:
         """The states occurring at each level 0..depth, sorted; stops early
         (shorter list) once a level is empty."""

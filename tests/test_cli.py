@@ -348,6 +348,20 @@ class TestContain:
         assert "result.certificate_radius = 36356" in out
         assert 36356 < len(levels) < 2 * 36356
 
+    def test_evidence_rows_make_few_full_decisions(self, spec_dir, monkeypatch):
+        # feasibility is monotone in the depth: below br the deepest row
+        # decides all 100, and only a feasible one is bisected
+        import firebreak.game as game_mod
+        real, calls = game_mod._feasibility_counts, []
+        monkeypatch.setattr(game_mod, "_feasibility_counts",
+                            lambda *args: calls.append(args[3]) or real(*args))
+        code, out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "3/2",
+                         "--evidence-depths", "100"])
+        assert code == 0
+        assert len(csv_rows(out, "feasibility_evidence")) == 100
+        assert "result.all_probed_depths_infeasible = true" in out
+        assert 1 <= len(calls) <= math.ceil(math.log2(100)) + 1
+
     def test_long_period_symmetric_certificate_is_quick(self, tmp_path):
         # period 20 with br = 5**(1/20) ~ 1.0838: radius 5,654 at 27/25
         path = tmp_path / "period20.tree"
@@ -480,6 +494,18 @@ class TestRejectedInput:
         code, _out = run([a.format(d=spec_dir) for a in argv] + ["--k", "-1"])
         assert code == 1
         assert "initial radius must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget, message", [
+        ("const:-1", "budget must be non-negative"),
+        ("exp:0", "budget rate must be positive"),
+        ("poly:1,-1", "polynomial budget needs coeff >= 0 and degree >= 0"),
+        ("list:1,-2", "budgets must be non-negative"),
+    ])
+    def test_budget_refusals_give_their_reason(self, budget, message, spec_dir, capsys):
+        code, out = run(["simulate", str(spec_dir / "binary.tree"), "--k", "0", "--budget", budget,
+                         "--depth", "3"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.strip() == f"firebreak: {message}"
 
     @pytest.mark.parametrize("argv, message", [
         (["cayley", "zd:2", "--mode", "surround", "--R", "5"],

@@ -65,6 +65,7 @@ from firebreak import (
     cut_weight,
     expand,
     feasibility_check,
+    feasibility_rows,
     format_trace,
     GameState,
     infinite_dihedral,
@@ -488,6 +489,13 @@ class TestSimulate:
         v = simulate(t, 0, ScheduleStrategy({1: (2, 1, 2)}), BudgetSequence.constant(2))
         assert v.contained and v.trace[0].protected == (1, 2)
 
+    @pytest.mark.parametrize("round_no", [0, -2])
+    def test_schedule_round_below_one_is_refused(self, round_no):
+        # such a round would never be played: the library refuses it as the
+        # trace and --schedule parsers do
+        with pytest.raises(SpecError, match=f"schedule: round {round_no} is never played"):
+            ScheduleStrategy({round_no: (1, 2), 2: (3,)})
+
     def test_escaped_horizon(self):
         t = expand(ray_spec(), 9)
         v = simulate(t, 0, ScheduleStrategy({}), BudgetSequence.constant(0), horizon=4)
@@ -764,6 +772,93 @@ class TestFeasibility:
         spec = ExplicitSpec(parents=(0, 0))
         r = feasibility_check(spec, 0, BudgetSequence.constant(0), 5)
         assert r.feasible and r.witness_paths == ()
+
+
+def _row_family(seed: int, cases: int):
+    """Random (spec, k, budget, depths): periodic specs with leaf and
+    dead-end states, symmetric and explicit specs, k = 0..2, every budget
+    kind, and a range of depths that need not start at k + 1."""
+    rng = random.Random(seed)
+    budgets = budget_catalogue() + [BudgetSequence.polynomial(1, 1),
+                                    BudgetSequence.polynomial(Fraction(1, 2), 2)]
+    drawn = 0
+    while drawn < cases:
+        kind = drawn % 3
+        if kind == 0:  # a dead-end state: children, yet a finite subtree
+            spec = random_periodic_spec(rng, allow_dead=True)
+            if rng.random() < 0.5:
+                states = dict(spec.states, D=("E",) * rng.randint(1, 2), E=())
+                states["A"] += ("D",)
+                spec = PeriodicSpec(states=states, root="A")
+        elif kind == 1:
+            spec = random_symmetric_spec(rng)
+        else:
+            spec = random_explicit_tree(rng, max_vertices=rng.randint(4, 30))
+        k = rng.randrange(3)
+        lo = k + 1 + rng.randrange(3)
+        hi = lo + rng.randrange(7)
+        while hi > lo and sum(level_counts(spec, hi)) > 300:
+            hi -= 1
+        if sum(level_counts(spec, hi)) > 300:
+            continue
+        drawn += 1
+        yield spec, k, rng.choice(budgets), range(lo, hi + 1)
+
+
+class TestFeasibilityRows:
+    def test_rows_decide_as_one_check_per_depth(self):
+        straddled = refused = 0
+        for spec, k, budget, depths in _row_family(5, 600):
+            want = [feasibility_check(spec, k, budget, d).feasible for d in depths]
+            assert feasibility_rows(spec, k, budget, depths) == want, (
+                spec, k, budget.describe(), depths)
+            sphere = next(islice(compile(spec).iter_state_counts(), k, None))
+            assert feasibility_rows(spec, k, budget, depths, sphere_counts=sphere) == want
+            straddled += want[0] != want[-1]  # the bisection ran
+            refused += not want[-1]
+        assert straddled >= 40 and refused >= 100, (straddled, refused)
+
+    def test_feasibility_is_monotone_in_depth(self):
+        for spec, k, budget, depths in _row_family(7, 600):
+            rows = [feasibility_check(spec, k, budget, d).feasible for d in depths]
+            assert rows == sorted(rows), (spec, k, budget.describe(), depths)
+
+    def test_live_heights_are_the_liveness_table(self):
+        # live_0(s) = continues(s); live_h(s) when some child has live_{h-1}
+        for spec, _k, _budget, _depths in _row_family(9, 300):
+            auto = compile(spec)
+            live = [auto.continues(s) for s in range(len(auto.children))]
+            for h in range(len(auto.children) + 2):
+                assert live == [h <= x for x in auto.live_heights], (spec, h)
+                live = [any(live[t] for t in kids) for kids in auto.children]
+
+    def test_a_state_with_children_need_not_be_live(self):
+        # B continues, yet its subtree ends one level down: a level-1 B is
+        # live only for a boundary at level 1
+        spec = PeriodicSpec(states={"A": ("A", "B"), "B": ("C",), "C": ()}, root="A")
+        assert compile(spec).live_heights == (math.inf, 0, -1)
+        budget = BudgetSequence.constant(1)
+        assert feasibility_rows(spec, 0, budget, range(1, 6)) == \
+            [feasibility_check(spec, 0, budget, d).feasible for d in range(1, 6)]
+
+    def test_rows_below_br_make_one_decision(self, monkeypatch):
+        # every row is infeasible: the deepest is decided, the rest follow
+        calls = []
+        real = game_mod._feasibility_counts
+        monkeypatch.setattr(game_mod, "_feasibility_counts",
+                            lambda *args: calls.append(args[3]) or real(*args))
+        budget = BudgetSequence.exponential(Fraction(3, 2))
+        assert feasibility_rows(binary_spec(), 19, budget, range(20, 120)) == [False] * 100
+        assert calls == [119]
+
+    @pytest.mark.parametrize("radius, depths, message", [
+        (-1, range(1, 3), "initial radius must be >= 0"),
+        (2, range(2, 5), "depth must exceed the initial radius"),
+        (0, (3, 2), "depths must increase"),
+    ])
+    def test_bad_arguments(self, radius, depths, message):
+        with pytest.raises(SpecError, match=message):
+            feasibility_rows(binary_spec(), radius, BudgetSequence.constant(1), depths)
 
 
 class TestSynthesis:
