@@ -40,14 +40,15 @@ A ``CayleyBall`` is the depth-R truncation of the acceptor (a
 ``parent`` is the lex-min geodesic spanning tree, its levels are the
 Cayley distances and its boundary is the radius-R sphere; each vertex's
 word is its parent's plus one letter, and no element is built.  It adds
-its model and the Cayley graph's adjacency, built on first use in one
-vectorised pass into flat row offsets and an ``array('i')`` of column ids
-(large game rounds read numpy views), which reads every product off the
-tree too: a free product's same-factor move goes up the current run and
-down the new syllable's letters, and an earlier axis g of Z^d commutes
-with the letter h entering v, so v*g is the h-child of parent*g.  So the
-game plays the ball and its spanning tree on one vertex numbering with
-different rows, and every tree algorithm here answers a Cayley question.
+its model and overrides only ``_rows``, which gives the Cayley graph's rows,
+built on first use in one vectorised pass into the ``array('i')`` row
+offsets and column ids that the truncation's ``neighbors``, ``rows`` and
+``separated`` read.  That pass reads every product off the tree too: a
+free product's same-factor move goes up the current run and down the new
+syllable's letters, and an earlier axis g of Z^d commutes with the letter
+h entering v, so v*g is the h-child of parent*g.  So the game plays the
+ball and its spanning tree on one vertex numbering with different rows,
+and every tree algorithm here answers a Cayley question.
 """
 
 from __future__ import annotations
@@ -70,8 +71,7 @@ from .game import (
     feasibility_check,
     simulate,
 )
-from .trees import (BURNING, UNTOUCHED, Automaton, PeriodicSpec, Truncation, compile, packed,
-                    row_entries, view)
+from .trees import Automaton, PeriodicSpec, Truncation, compile, packed, view
 
 _LETTERS = "abcdefghij"
 
@@ -265,10 +265,10 @@ def group_from_name(name: str):
 class CayleyBall(Truncation):
     """Ball of a Cayley graph: the depth-R truncation of the model's word
     acceptor, whose ``parent`` is the lex-min geodesic spanning tree and
-    whose levels are the Cayley distances, with the graph's adjacency in
-    place of the tree's.  Vertex order is layer-major, shortlex by word
-    within a layer, so construction is canonical; the radius-R sphere is
-    the boundary.  Words and adjacency are derived from the tree on first
+    whose levels are the Cayley distances; its ``_rows`` list the graph's
+    adjacency in place of the tree's.  Vertex order is layer-major,
+    shortlex by word within a layer, so construction is canonical; the
+    radius-R sphere is the boundary.  Words and adjacency are derived from the tree on first
     use; no element is built."""
 
     model: object
@@ -324,27 +324,9 @@ class CayleyBall(Truncation):
             for a, b in pairwise(np.searchsorted(rows, self.level_starts[1:])):
                 flat[at[a:b]] = down(flat[of[a:b]], hs[a:b])
         present = cols >= 0
-        columns = array("i", cols[present].tobytes())
+        columns = packed(cols[present])
         np.cumsum(present.reshape(-1), dtype=np.int32, out=flat)  # row v ends at cols[v, -1]
-        return array("i", np.concatenate((np.zeros(1, np.int32), cols[:, -1])).tobytes()), columns
-
-    @cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numpy views of the same row buffers, which large game rounds read."""
-        return tuple(np.frombuffer(a, np.intc) for a in self._rows)
-
-    def neighbors(self, v: int) -> array:
-        """The in-ball products v*g, in generator order."""
-        offsets, columns = self._rows
-        return columns[offsets[v]:offsets[v + 1]]
-
-    def separated(self, statuses: bytes | bytearray) -> bool:
-        """No burning vertex has an untouched neighbour, read off the rows of
-        whichever of the two statuses is fewer, as the graph is undirected."""
-        side, other = sorted((BURNING, UNTOUCHED), key=statuses.count)
-        status = np.frombuffer(statuses, np.uint8)
-        reached = row_entries(*self.rows, np.flatnonzero(status == side))
-        return not (status[reached] == other).any()
+        return packed(np.concatenate((np.zeros(1, np.int32), cols[:, -1]))), columns
 
     def sphere_sizes(self) -> list[int]:
         return [b - a for a, b in pairwise(self.level_starts)]
@@ -541,7 +523,7 @@ def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> Prob
     )
     return ProbeReport(
         feasibility=result, budget_vs_sphere=rows,
-        note=("evidence only: finite-depth probe on the spanning tree; "
-              "non-containment transfers to the ambient graph via subgraph "
-              "monotonicity, which is asserted, not proven here"),
+        note=("finite-depth probe on the spanning tree: infeasible rules out "
+              f"containment within the radius-{depth} ball (proven by subgraph "
+              "monotonicity); for the whole Cayley graph it is evidence only"),
     )

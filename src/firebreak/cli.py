@@ -234,10 +234,9 @@ def cmd_contain(args) -> int:
             certificate_radius=cert.radius,
             certificate_valid=all(check_certificate(cert).values()),
         )
-        sphere = next(islice(compile(spec).iter_state_counts(), cert.radius, None))
         depths = range(cert.radius + 1, cert.radius + 1 + args.evidence_depths)
         evidence_rows = [(depth, "feasible" if ok else "infeasible") for depth, ok in zip(
-            depths, feasibility_rows(spec, cert.radius, budget, depths, sphere_counts=sphere))]
+            depths, feasibility_rows(spec, cert.radius, budget, depths))]
         result["all_probed_depths_infeasible"] = all(
             row[1] == "infeasible" for row in evidence_rows
         )

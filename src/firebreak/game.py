@@ -8,16 +8,17 @@ vertex.  Statuses are permanent.  The fire is contained once a round adds
 no new burning vertex.
 
 An *arena* is a ``trees.Truncation``: a tree truncation, or a Cayley ball
-(the truncation of a word acceptor with the Cayley graph's adjacency).
+(the truncation of a word acceptor whose rows list the Cayley graph's
+adjacency).
 The game reads only this surface of it and asks no arena its class:
 ``n_vertices``; ``level``, the distance from the root, non-decreasing in
 vertex order; ``depth``; ``boundary``, the vertices whose burning makes
 the outcome inconclusive at this depth, all at level ``depth``, and
 ``is_boundary(v)``, the test for one, asked only of frontier ids at level
-``depth``; ``neighbors(v)``, an iterable of ids, and ``rows``, numpy row
-offsets and column ids with row v listing ``neighbors(v)``, which large
-rounds read; and ``separated(statuses)``, the check that a contained fire
-has no untouched neighbour.
+``depth``; ``neighbors(v)``, row v of the arena's one adjacency, and
+``rows``, numpy views of its row offsets and column ids, which large
+rounds read; and ``separated(statuses)``, the check on the same rows that
+a contained fire has no untouched neighbour.
 
 ``run_game`` plays the whole game on one status array that it changes in
 place, so the ``GameState.statuses`` a strategy sees is live; ``step``
@@ -510,8 +511,7 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
 
 
 def feasibility_rows(spec: TreeSpec, radius: int, budget: BudgetSequence,
-                     depths: Iterable[int], sphere_counts: dict[int, int] | None = None
-                     ) -> list[bool]:
+                     depths: Iterable[int]) -> list[bool]:
     """``feasibility_check(spec, radius, budget, D).feasible`` for each of
     the increasing depths D.  Feasibility is monotone in D, so the deepest
     depth is decided, and only when it is feasible are the others bisected
@@ -525,8 +525,7 @@ def feasibility_rows(spec: TreeSpec, radius: int, budget: BudgetSequence,
         raise SpecError("depths must increase")
     if not depths:
         return []
-    if sphere_counts is None:
-        sphere_counts = next(islice(compile(spec).iter_state_counts(), radius, None))
+    sphere_counts = next(islice(compile(spec).iter_state_counts(), radius, None))
 
     def feasible(i: int) -> bool:
         return feasibility_check(spec, radius, budget, depths[i], sphere_counts).feasible
@@ -575,7 +574,7 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
     cls = {depth: {s: 0 for s in forward[-1] if auto.continues(s)}}
     sig = {depth: [()] if cls[depth] else []}
 
-    def rows(lv: int, states) -> None:  # sig[lv] and cls[lv], from cls[lv + 1]
+    def classify(lv: int, states) -> None:  # sig[lv] and cls[lv], from cls[lv + 1]
         below = cls[lv + 1]
         found = {s: tuple(sorted(below[t] for t in succ[s] if t in below)) for s in states}
         sig[lv] = sorted({g for g in found.values() if g})
@@ -583,7 +582,7 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
         cls[lv] = {s: number[g] for s, g in found.items() if g}
 
     for lv in range(depth - 1, radius, -1):
-        rows(lv, forward[lv - radius - 1])
+        classify(lv, forward[lv - radius - 1])
     counts = [0] * len(sig[radius + 1])
     for s, c in cls[radius + 1].items():
         counts[c] += forward[0][s]
@@ -708,7 +707,7 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
                                  witness_levels=witness_levels)
     ball = auto.level_states(radius)
     for lv in range(radius, -1, -1):  # the ball states that lead to a live vertex below it
-        rows(lv, ball[lv])
+        classify(lv, ball[lv])
     paths: list = []
     plan = dict(enumerate(cuts, start=radius + 1))
     frontier = [((), auto.root)]  # (path, state) of the uncut live vertices, in path order

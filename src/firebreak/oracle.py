@@ -76,7 +76,7 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
     for v in fire:
         statuses[v] = BURNING
 
-    memo: dict[tuple, tuple[bool, tuple[int, ...] | None]] = {}
+    memo: dict[tuple, tuple[tuple[int, ...], ...] | None] = {}
     vertices = range(trunc.n_vertices)
     neighbors = [list(trunc.neighbors(v)) for v in vertices]  # read at every node
 
@@ -112,18 +112,19 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
             for size in range(min(f_n, len(cands)), -1, -1):
                 yield from combinations(cands, size)
 
-    def search(st: bytearray, round_no: int) -> tuple[bool, tuple[int, ...] | None]:
+    def search(st: bytearray, round_no: int) -> tuple[tuple[int, ...], ...] | None:
+        """A winning schedule from this state on, None when there is none."""
         if round_no > horizon:
-            return False, None
+            return None
         key_round = round_no if stab is None else min(round_no, stab)
         key = (bytes(st), key_round)
         if key in memo:
             return memo[key]
         if not live_front(st):
-            memo[key] = (True, ())  # nothing can spread: already contained
+            memo[key] = ()  # nothing can spread: already contained
             return memo[key]
         f_n = budget(round_no)
-        result: tuple[bool, tuple[int, ...] | None] = (False, None)
+        result = None
         for protect in candidate_sets(st, f_n):
             child = bytearray(st)
             for v in protect:
@@ -131,37 +132,15 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
             newly = spread(child)
             if any(map(trunc.is_boundary, newly)):
                 continue
-            if not newly:
-                result = (True, tuple(protect))
-                break
-            win, _ = search(child, round_no + 1)
-            if win:
-                result = (True, tuple(protect))
+            tail = search(child, round_no + 1) if newly else ()
+            if tail is not None:
+                result = (protect, *tail)
                 break
         memo[key] = result
         return result
 
-    win, _ = search(statuses, 1)
-    if not win:
-        return OracleDecision(feasible=False, schedule=None)
-
-    # replay the memoised winning choices into a schedule
-    schedule: list[tuple[int, ...]] = []
-    st = bytearray(statuses)
-    round_no = 1
-    while True:
-        if not live_front(st):
-            break
-        key_round = round_no if stab is None else min(round_no, stab)
-        _, choice = memo[(bytes(st), key_round)]
-        schedule.append(choice)
-        for v in choice:
-            st[v] = PROTECTED
-        newly = spread(st)
-        if not newly:
-            break
-        round_no += 1
-    return OracleDecision(feasible=True, schedule=tuple(schedule))
+    schedule = search(statuses, 1)
+    return OracleDecision(feasible=schedule is not None, schedule=schedule)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,14 @@ explicit-only oracle asks which variant it was given.
 A ``Truncation`` is the finite tree of all vertices at levels 0..D, in a
 deterministic level-major order (children in spec order), unfolded one
 numpy pass a level by ``unfold``.  Its ``parent``, ``level`` and ``state``
-are ``array('i')``s (numpy reads them as zero-copy views), ``children[v]``
-is a ``range`` and ``rows`` the flat adjacency that large game rounds read.
-It is the one game arena: a Cayley ball (``cayley.CayleyBall``) is the
-truncation of its group's word acceptor with the Cayley graph's rows in
-place of the tree's.  The level of a vertex is its
+are ``array('i')``s (numpy reads them as zero-copy views) and
+``children[v]`` is a ``range``.  It is the one game arena and holds the
+one adjacency: flat rows, offsets and column ids built once as
+``array('i')``s, which ``neighbors(v)`` slices, ``rows`` views for large
+game rounds and ``separated`` checks a contained fire on.  A tree's row
+lists the parent, then the children; a Cayley ball (``cayley.CayleyBall``)
+is the truncation of its group's word acceptor whose ``_rows`` list the
+Cayley graph's neighbours instead.  The level of a vertex is its
 distance from the root; the level of an edge is the level of its child
 endpoint.  Level-D vertices that continue in the infinite tree form the
 truncation *boundary*: separating the root from them is what a cutset must
@@ -227,9 +230,9 @@ class Automaton:
             counts = nxt
 
     def is_finite(self) -> bool:
-        """No cycle: an acyclic automaton has no state deeper than its
-        state count, a cyclic one has states at every level."""
-        return not self.level_states(len(self.children))[-1]
+        """No cycle is reachable from the root: the root's live height is
+        infinite exactly when one is."""
+        return self.live_heights[self.root] < float("inf")
 
 
 def compile(spec: TreeSpec) -> Automaton:
@@ -348,22 +351,12 @@ class Truncation:
     def is_boundary(self) -> Callable[[int], int]:
         return self.boundary_mask.__getitem__  # one C call an id
 
-    def neighbors(self, v: int) -> range | list[int]:
-        kids = range(self.first_child[v], self.first_child[v + 1])
-        return kids if v == 0 else [self.parent[v], *kids]
-
-    def separated(self, statuses: bytes | bytearray) -> bool:
-        """No burning vertex has an untouched neighbour: no parent link joins
-        the two, checked in one numpy pass."""
-        status = np.frombuffer(statuses, np.uint8)
-        ends = np.stack((status[1:], status[view(self.parent)[1:]]))
-        return not ((ends.min(0) == UNTOUCHED) & (ends.max(0) == BURNING)).any()
-
     @cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row offsets and column ids, row v listing ``neighbors(v)``: row v
-        starts after v - 1 parents and first_child[v] - 1 children, and
-        child w sits in its parent's row at parent[w] + w - 1."""
+    def _rows(self) -> tuple[array, array]:
+        """Row offsets and column ids, row v listing v's parent, then its
+        children: row v starts after v - 1 parents and first_child[v] - 1
+        children, and child w sits in its parent's row at parent[w] + w - 1.
+        A Cayley ball lists its graph's rows here instead."""
         parent, first = view(self.parent), view(self.first_child)
         ids = np.arange(self.n_vertices + 1, dtype=np.intc)
         offsets = first + ids - 2
@@ -371,7 +364,24 @@ class Truncation:
         columns = np.empty(offsets[-1], np.intc)
         columns[offsets[1:-1]] = parent[1:]
         columns[parent[1:] + ids[1:-1] - 1] = ids[1:-1]
-        return offsets, columns
+        return packed(offsets), packed(columns)
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numpy views of the row buffers, which large game rounds read."""
+        return tuple(map(view, self._rows))
+
+    def neighbors(self, v: int) -> array:
+        offsets, columns = self._rows
+        return columns[offsets[v]:offsets[v + 1]]
+
+    def separated(self, statuses: bytes | bytearray) -> bool:
+        """No burning vertex has an untouched neighbour, read off the rows of
+        whichever of the two statuses is fewer, as the graph is undirected."""
+        side, other = sorted((BURNING, UNTOUCHED), key=statuses.count)
+        status = np.frombuffer(statuses, np.uint8)
+        reached = row_entries(*self.rows, np.flatnonzero(status == side))
+        return not (status[reached] == other).any()
 
     @classmethod
     def _unfolded(cls, spec: TreeSpec, depth: int, **fields) -> "Truncation":

@@ -715,6 +715,11 @@ class TestCayley:
                          "--d", "2", "--k", "2"])
         assert code == 0
         assert "result.feasible = false" in out
+        # the transfer from the spanning tree to the ball is proven; only
+        # the step to the whole Cayley graph stays evidence
+        assert ("result.note = finite-depth probe on the spanning tree: infeasible rules out "
+                "containment within the radius-8 ball (proven by subgraph monotonicity); for "
+                "the whole Cayley graph it is evidence only\n") in out
 
     def test_polyprobe_on_a_lex_min_tree_that_is_not_level_regular(self):
         t0 = time.perf_counter()

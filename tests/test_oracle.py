@@ -14,6 +14,7 @@ Claims covered:
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -77,18 +78,29 @@ class TestBruteForce:
         assert d.schedule[0] == (1, 2)
 
     def test_witness_replays_to_containment(self):
+        # restricted and strict, fires on and off the root, truncations at
+        # and past the tree's height, with and without a horizon: every
+        # witness replays to containment within the horizon
         rng = random.Random(41)
-        found = 0
-        while found < 10:
-            spec = random_explicit_tree(rng, max_vertices=12)
-            t = expand(spec, spec.height() or 1)
+        found = Counter()
+        for _ in range(400):
+            spec = random_explicit_tree(rng, max_vertices=rng.randint(3, 12))
+            t = expand(spec, spec.height() + rng.choice((0, 0, 1, 2)))
+            off_root = rng.random() < 0.5
+            fire = rng.sample(range(1, t.n_vertices), min(2, t.n_vertices - 1)) if off_root else [0]
+            horizon = rng.choice((None, 1, 2, 3))
+            restrict = rng.random() < 0.5
             budget = rng.choice(budget_catalogue())
-            d = brute_force_containment(t, [0], budget)
+            d = brute_force_containment(t, fire, budget, horizon, restrict)
             if not d.feasible:
                 continue
-            verdict = run_game(t, [0], ScheduleStrategy(d.schedule_map()), budget)
-            assert verdict.contained
-            found += 1
+            verdict = run_game(t, fire, ScheduleStrategy(d.schedule_map()), budget, horizon)
+            assert verdict.contained, (spec, t.depth, fire, horizon, restrict, budget.describe())
+            found.update(["restricted" if restrict else "strict",
+                          "off root" if off_root else "root",
+                          "past height" if t.depth > spec.height() else "at height",
+                          "no horizon" if horizon is None else "horizon"])
+        assert len(found) == 8 and min(found.values()) >= 20, found
 
     def test_fire_on_boundary_is_lost(self):
         t = expand(ray_spec(), 2)
