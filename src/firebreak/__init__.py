@@ -26,12 +26,12 @@ from .branching import (
 from .cayley import (
     CayleyBall,
     FreeAbelian,
-    FreeGroup,
     FreeProductCyclic,
     GrowthEstimate,
     ProbeReport,
     SurroundResult,
     ball as cayley_ball,
+    free_group,
     group_from_name,
     growth_rate_estimate,
     infinite_dihedral,

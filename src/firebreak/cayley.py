@@ -4,9 +4,10 @@ wait-and-surround containment strategy, and polynomial budget probes.
 
 Generating sets are symmetric (closed under inverses) with a fixed total
 order that includes the inverses; the order drives all lexicographic
-comparisons.  Built-in models: free groups (reduced words), free abelian
-groups (integer vectors), the infinite dihedral group and free products
-of finite cyclic groups (alternating syllable normal forms).
+comparisons.  Built-in models: free abelian groups (integer vectors) and
+free products of cyclic groups (alternating syllable normal forms), where
+C_0 = Z, so free groups (Z * ... * Z, reduced words) and the infinite
+dihedral group (C_2 * C_2) are free products too.
 
 Every element has one shortlex normal form: its lexicographically least
 geodesic word.  Each model's ``word_acceptor()`` is a ``PeriodicSpec``
@@ -15,13 +16,13 @@ whose unfolding is the tree of these words (Cannon 1984; Epstein et al.,
 needs to know about its last syllable, and its name gives the letter that
 enters it:
 
-* free groups: the last letter; any letter but its inverse follows;
 * Z^d: the last letter; the same letter or any letter of a later axis
   follows, since a shortlex word has its letters sorted;
-* free products (``dinf`` included): the last letter and its run length;
-  on a factor of order m a run of the generator grows while 2*run <= m
-  and a run of its inverse while 2*run < m, since a tie goes to the
-  smaller letter.
+* free products (``free:R`` and ``dinf`` included): the last letter and
+  its run length; on a factor of order m a run of the generator grows
+  while 2*run <= m and a run of its inverse while 2*run < m, since a tie
+  goes to the smaller letter, and on C_0 = Z a run is one state that
+  loops to itself, so any letter but the inverse of the last follows.
 
 Children follow generator order, so unfolding the acceptor level by level
 numbers every layer in shortlex order -- the order in which a
@@ -44,9 +45,10 @@ its model and overrides only ``_rows``, which gives the Cayley graph's rows,
 built on first use in one vectorised pass into the ``array('i')`` row
 offsets and column ids that the truncation's ``neighbors``, ``rows`` and
 ``separated`` read.  That pass reads every product off the tree too: a
-free product's same-factor move goes up the current run and down the new
-syllable's letters, and an earlier axis g of Z^d commutes with the letter
-h entering v, so v*g is the h-child of parent*g.  So the game plays the
+same-factor move on a finite factor of a free product goes up the current
+run and down the new syllable's letters (on Z each is a child or the
+parent), and an earlier axis g of Z^d commutes with the letter h entering
+v, so v*g is the h-child of parent*g.  So the game plays the
 ball and its spanning tree on one vertex numbering with different rows,
 and every tree algorithm here answers a Cayley question.
 """
@@ -100,38 +102,6 @@ class _GroupModel:
         return spec, auto, entering
 
 
-class FreeGroup(_GroupModel):
-    """Free group of the given rank; elements are reduced words, stored as
-    tuples of generator indices.  Generator order: a < A < b < B < ..."""
-
-    def __init__(self, rank: int):
-        if rank < 1:
-            raise SpecError("free group rank must be >= 1")
-        self.rank = rank
-        self.name = f"free:{rank}"
-        self.generators = tuple(
-            _letter(i, inv) for i in range(rank) for inv in (False, True)
-        )
-        self.identity = ()
-
-    def inverse_index(self, g: int) -> int:
-        return g ^ 1
-
-    def multiply(self, elem: tuple, g: int) -> tuple:
-        if elem and elem[-1] == (g ^ 1):
-            return elem[:-1]
-        return elem + (g,)
-
-    def word_acceptor(self) -> PeriodicSpec:
-        """Reduced words: a state is the last letter, and any letter but
-        its inverse follows it."""
-        gens = self.generators
-        states = {_ROOT_STATE: gens}
-        for g, name in enumerate(gens):
-            states[name] = tuple(h for i, h in enumerate(gens) if i != g ^ 1)
-        return PeriodicSpec(states=states, root=_ROOT_STATE)
-
-
 class FreeAbelian(_GroupModel):
     """Z^d with generator order a < A < b < B < ... (a = +e1, A = -e1)."""
 
@@ -167,18 +137,20 @@ class FreeAbelian(_GroupModel):
 
 
 class FreeProductCyclic(_GroupModel):
-    """Free product of finite cyclic groups C_m1 * C_m2 * ...; elements
-    are alternating syllables (factor, exponent) with 1 <= exponent <
-    order.  Each factor contributes its generator, followed immediately by
-    the inverse when the order exceeds 2 (order-2 generators are their own
-    inverses)."""
+    """Free product of cyclic groups C_m1 * C_m2 * ..., where C_0 = Z;
+    elements are alternating syllables (factor, exponent), with 1 <=
+    exponent < order on a finite factor and any nonzero exponent on an
+    infinite one.
+    Each factor contributes its generator, followed immediately by the
+    inverse unless the order is 2 (order-2 generators are their own
+    inverses).  One infinite factor alone is Z, the free group of rank 1."""
 
     def __init__(self, orders: Sequence[int], name: str | None = None):
         orders = tuple(int(m) for m in orders)
-        if len(orders) < 2:
+        if any(m < 0 or m == 1 for m in orders):
+            raise SpecError("cyclic factor orders must be 0 (infinite) or >= 2")
+        if len(orders) < 2 and orders != (0,):
             raise SpecError("free products need at least two factors")
-        if any(m < 2 for m in orders):
-            raise SpecError("cyclic factor orders must be >= 2")
         self.orders = orders
         self.name = name or ("freeprod:" + ",".join(str(m) for m in orders))
         gens: list[str] = []
@@ -186,33 +158,29 @@ class FreeProductCyclic(_GroupModel):
         for i, m in enumerate(orders):
             gens.append(_letter(i, False))
             moves.append((i, 1))
-            if m > 2:
+            if m != 2:
                 gens.append(_letter(i, True))
-                moves.append((i, m - 1))
+                moves.append((i, -1))
         self.generators = tuple(gens)
         self._moves = tuple(moves)
         self.identity = ()
 
     def inverse_index(self, g: int) -> int:
         factor, delta = self._moves[g]
-        if self.orders[factor] == 2:
-            return g
-        inverse = (factor, self.orders[factor] - delta)
-        return self._moves.index(inverse)
+        return g if self.orders[factor] == 2 else self._moves.index((factor, -delta))
 
     def multiply(self, elem: tuple, g: int) -> tuple:
-        factor, delta = self._moves[g]
-        m = self.orders[factor]
+        factor, exp = self._moves[g]
         if elem and elem[-1][0] == factor:
-            exp = (elem[-1][1] + delta) % m
-            if exp == 0:
-                return elem[:-1]
-            return elem[:-1] + ((factor, exp),)
-        return elem + ((factor, delta),)
+            elem, exp = elem[:-1], elem[-1][1] + exp
+        if m := self.orders[factor]:
+            exp %= m
+        return elem + ((factor, exp),) if exp else elem
 
     def syllable(self, h: int, run: int, g: int) -> tuple[int, ...]:
-        """The shortlex letters of h**run * g for g of h's factor: the
-        generator while 2 * exponent <= order, else its inverse."""
+        """The shortlex letters of h**run * g for g of h's finite factor:
+        the generator while 2 * exponent <= order, else its inverse.  On an
+        infinite factor every same-factor letter is a child or the parent."""
         factor, delta = self._moves[h]
         m = self.orders[factor]
         exp = (run * delta + self._moves[g][1]) % m
@@ -223,19 +191,29 @@ class FreeProductCyclic(_GroupModel):
         """Syllables written shortlex: a state is the last letter and its
         run length, named like ``a2``.  On a factor of order m a run of
         the generator grows while 2 * run <= m, a run of its inverse while
-        2 * run < m (a tie goes to the smaller letter), and any letter of
+        2 * run < m (a tie goes to the smaller letter); on an infinite
+        factor a run is one state that loops to itself.  Any letter of
         another factor starts a new run."""
         gens = self.generators
         states = {_ROOT_STATE: tuple(f"{name}1" for name in gens)}
         for g, (factor, delta) in enumerate(self._moves):
             m = self.orders[factor]
             longest = m // 2 if delta == 1 else (m - 1) // 2
-            for run in range(1, longest + 1):
+            for run in range(1, max(longest, 1) + 1):  # one looping run on Z
                 nxt = [(h, 1) for h, (f, _d) in enumerate(self._moves) if f != factor]
-                if run < longest:
-                    nxt.append((g, run + 1))
+                if run < longest or not m:
+                    nxt.append((g, run + 1 if m else run))
                 states[f"{gens[g]}{run}"] = tuple(f"{gens[h]}{r}" for h, r in sorted(nxt))
         return PeriodicSpec(states=states, root=_ROOT_STATE)
+
+
+def free_group(rank: int) -> FreeProductCyclic:
+    """The free group of the given rank is the free product of that many
+    copies of Z; its normal forms are the reduced words, in generator order
+    a < A < b < B < ..."""
+    if rank < 1:
+        raise SpecError("free group rank must be >= 1")
+    return FreeProductCyclic((0,) * rank, name=f"free:{rank}")
 
 
 def infinite_dihedral() -> FreeProductCyclic:
@@ -245,17 +223,20 @@ def infinite_dihedral() -> FreeProductCyclic:
 
 
 def group_from_name(name: str):
-    """CLI names: free:R, zd:D, dinf, freeprod:M1,M2[,...]"""
+    """CLI names: free:R, zd:D, dinf, freeprod:M1,M2[,...] (orders >= 2)"""
     kind, _, params = name.partition(":")
     try:
         if kind == "free":
-            return FreeGroup(int(params))
+            return free_group(int(params))
         if kind == "zd":
             return FreeAbelian(int(params))
         if kind == "dinf" and not params:
             return infinite_dihedral()
         if kind == "freeprod":
-            return FreeProductCyclic([int(m) for m in params.split(",")])
+            orders = [int(m) for m in params.split(",")]
+            if 0 in orders:
+                raise ValueError
+            return FreeProductCyclic(orders)
     except ValueError as exc:
         raise SpecError(f"bad group parameters in {name!r}") from exc
     raise SpecError(f"unknown group {name!r}")
@@ -283,8 +264,8 @@ class CayleyBall(Truncation):
     def _rows(self) -> tuple[array, array]:
         """Row offsets and column ids of the in-ball products v*g, in
         generator order, read off the tree in one numpy pass: child k, the
-        parent, up the run and down the new syllable (a free product's
-        same-factor move), or the h-child of parent*g (an earlier axis g of
+        parent, up the run and down the new syllable (a same-factor move on
+        a finite factor), or the h-child of parent*g (an earlier axis g of
         Z^d commutes with the letter h entering v)."""
         _spec, auto, entering = self.model.acceptor
         model, n, n_gens = self.model, self.n_vertices, len(self.model.generators)
@@ -338,9 +319,6 @@ class CayleyBall(Truncation):
         for p, g in zip(self.parent[1:], self.tree_generator[1:]):
             strings.append(strings[p] + letters[g])
         return strings
-
-    def word_str(self, v: int) -> str:
-        return self.word_strings[v]
 
 
 def _sphere_sizes(model, radius: int) -> list[int]:
@@ -517,10 +495,8 @@ def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> Prob
     spheres = _sphere_sizes(model, depth)
     budget = BudgetSequence.polynomial(coeff, degree)
     result = feasibility_check(model.acceptor[0], radius, budget, depth)
-    rows = tuple(
-        (n, budget.cumulative(n), spheres[n + 1])
-        for n in range(1, depth)
-    )
+    rows = tuple((n, total, spheres[n + 1])
+                 for n, total in enumerate(budget.prefix_sums(depth - 1), 1))
     return ProbeReport(
         feasibility=result, budget_vs_sphere=rows,
         note=("finite-depth probe on the spanning tree: infeasible rules out "

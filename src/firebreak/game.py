@@ -129,8 +129,9 @@ class BudgetSequence:
             return 0
         return self.values[n - 1] if n <= len(self.values) else self.values[-1]
 
-    def cumulative(self, m: int) -> int:
-        return sum(self(i) for i in range(1, m + 1))
+    def prefix_sums(self, m: int) -> list[int]:
+        """f(1) + ... + f(j) for j = 1..m, in one walk."""
+        return list(accumulate(map(self, range(1, m + 1))))
 
     def stabilization_round(self) -> int | None:
         """Round from which f is constant, or None when it never is
@@ -506,8 +507,8 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
     auto = compile(spec)
     if sphere_counts is None:
         sphere_counts = next(islice(auto.iter_state_counts(), radius, None))
-    caps = list(accumulate(budget(j) for j in range(1, depth - radius + 1)))  # cumulative budgets
-    return _feasibility_counts(auto, radius, caps, depth, sphere_counts)
+    return _feasibility_counts(auto, radius, budget.prefix_sums(depth - radius), depth,
+                               sphere_counts)
 
 
 def feasibility_rows(spec: TreeSpec, radius: int, budget: BudgetSequence,

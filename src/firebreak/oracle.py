@@ -38,12 +38,7 @@ STRICT_FREE_CAP = 12
 @dataclass(frozen=True)
 class OracleDecision:
     feasible: bool
-    schedule: tuple[tuple[int, ...], ...] | None  # protect set per round, 1-based
-
-    def schedule_map(self) -> dict[int, tuple[int, ...]]:
-        if self.schedule is None:
-            raise SpecError("infeasible decision carries no schedule")
-        return {r + 1: vs for r, vs in enumerate(self.schedule)}
+    schedule: tuple[tuple[int, ...], ...] | None  # protect set per round, from round 1
 
 
 def brute_force_containment(trunc: Truncation, x0: Iterable[int],

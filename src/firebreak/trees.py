@@ -95,11 +95,6 @@ class PeriodicSpec:
                     stack.append(child)
         return tuple(sorted(seen))
 
-    def is_finite(self) -> bool:
-        """True when the unfolded tree has finitely many vertices, i.e. no
-        cycle of the automaton is reachable from the root."""
-        return compile(self).is_finite()
-
 
 @dataclass(frozen=True)
 class SymmetricSpec:

@@ -11,6 +11,8 @@ why the library decides feasibility on per-(level, state) live counts
 instead.
 """
 
+from itertools import accumulate
+
 from firebreak.errors import SpecError
 from firebreak.game import FeasibilityResult
 from firebreak.trees import compile
@@ -33,7 +35,7 @@ def pareto_feasibility(spec, radius, budget, depth) -> FeasibilityResult:
     if depth <= radius:
         raise SpecError("depth must exceed the initial radius")
     ncoords = depth - radius
-    caps = [budget.cumulative(j + 1) for j in range(ncoords)]
+    caps = list(accumulate(budget(j) for j in range(1, ncoords + 1)))
 
     zero = (0,) * ncoords
 

@@ -3,6 +3,9 @@
 Claims covered:
     - normal forms: generator then inverse is the identity map; products
       associate with word evaluation
+    - free products take order 0 for a factor Z (one factor alone only if
+      it is Z), while ``freeprod:`` names refuse it; free:R is R factors Z,
+      whose acceptor lets every letter but the last one's inverse follow
     - ball layers match the closed-form sphere sizes (Z, Z^2, free rank 2,
       infinite dihedral, C2*C3)
     - breadth-first lex-min words equal the minimum over exhaustively
@@ -48,7 +51,6 @@ import firebreak.cayley as cayley_mod
 from firebreak import (
     BudgetSequence,
     FreeAbelian,
-    FreeGroup,
     FreeProductCyclic,
     SpecError,
     SurroundCapError,
@@ -56,6 +58,7 @@ from firebreak import (
     cayley_ball,
     expand,
     feasibility_check,
+    free_group,
     group_from_name,
     growth_rate_estimate,
     infinite_dihedral,
@@ -72,8 +75,8 @@ from cayley_reference import reference_ball
 from conftest import ball_elements, ball_words, enumerate_geodesic_words, tree_export
 
 ALL_MODELS = [
-    FreeGroup(1),
-    FreeGroup(2),
+    free_group(1),
+    free_group(2),
     FreeAbelian(1),
     FreeAbelian(2),
     FreeAbelian(3),
@@ -104,9 +107,18 @@ class TestGroupModels:
         assert group_from_name("freeprod:2,3").generators == ("a", "b", "B")
 
     def test_bad_names_rejected(self):
-        for name in ("free:x", "zd:", "so3", "freeprod:1,2", "freeprod:4"):
-            with pytest.raises(SpecError):
+        # the model takes order 0 for Z, but freeprod: names only finite factors
+        for name in ("free:x", "zd:", "so3", "freeprod:1,2", "freeprod:4", "freeprod:0,3",
+                     "freeprod:0", "free:0"):
+            with pytest.raises(SpecError, match="bad group parameters|unknown group"):
                 group_from_name(name)
+
+    def test_factor_orders(self):
+        assert FreeProductCyclic((0,)).generators == ("a", "A")
+        assert FreeProductCyclic((0, 2)).generators == ("a", "A", "b")
+        for orders in ((1, 2), (-1, 3), (3,), (2,), ()):
+            with pytest.raises(SpecError):
+                FreeProductCyclic(orders)
 
 
 class TestBalls:
@@ -121,7 +133,7 @@ class TestBalls:
         assert b.n_vertices == 25  # 2R^2 + 2R + 1
 
     def test_free2_spheres(self):
-        b = cayley_ball(FreeGroup(2), 3)
+        b = cayley_ball(free_group(2), 3)
         assert b.sphere_sizes() == [1, 4, 12, 36]
         assert b.n_vertices == 53
 
@@ -150,7 +162,7 @@ class TestBalls:
                 assert v in b.neighbors(w)
 
     def test_distances_via_neighbors(self):
-        b = cayley_ball(FreeGroup(2), 4)
+        b = cayley_ball(free_group(2), 4)
         for v in range(1, b.n_vertices):
             assert min(b.level[w] for w in b.neighbors(v)) == b.level[v] - 1
 
@@ -160,7 +172,7 @@ class TestBalls:
         monkeypatch.setattr(cayley_mod, "DEFAULT_BALL_CAP", 1000)
         with pytest.raises(ResourceLimitError,
                            match="ball of radius 6 has 1457 elements, the ball cap is 1000"):
-            cayley_ball(FreeGroup(2), 8)
+            cayley_ball(free_group(2), 8)
 
 
 class TestLexMinWords:
@@ -201,8 +213,8 @@ class TestLexMinWords:
     def test_z_gen_before_inverse(self):
         b = cayley_ball(FreeAbelian(1), 2)
         _elements, index = ball_elements(b)
-        assert b.word_str(index[(2,)]) == "aa"
-        assert b.word_str(index[(-2,)]) == "AA"
+        assert b.word_strings[index[(2,)]] == "aa"
+        assert b.word_strings[index[(-2,)]] == "AA"
 
 
 class TestLexMinTree:
@@ -228,7 +240,7 @@ class TestLexMinTree:
         assert tree.sphere_sizes() == [1, 4, 8, 12, 16]
 
     def test_free_tree_equals_ball(self):
-        b = lex_min_tree(FreeGroup(2), 4)
+        b = lex_min_tree(free_group(2), 4)
         ball_edges = sum(len(b.neighbors(v)) for v in range(b.n_vertices)) // 2
         assert ball_edges == b.n_vertices - 1
 
@@ -241,7 +253,7 @@ class TestLexMinTree:
 
 class TestGrowth:
     def test_free2_ratio_exact(self):
-        est = growth_rate_estimate(FreeGroup(2), 10)
+        est = growth_rate_estimate(free_group(2), 10)
         assert est.sphere_ratio == 3.0
         assert all(r == 3.0 for r in est.sphere_ratio_sequence[1:])
 
@@ -288,7 +300,7 @@ class TestWaitAndSurround:
 
     def test_free2_rate_below_growth_exhausts(self):
         with pytest.raises(SurroundCapError) as err:
-            wait_and_surround(FreeGroup(2), 1, Fraction(5, 2), 8)
+            wait_and_surround(free_group(2), 1, Fraction(5, 2), 8)
         assert err.value.trace
         for _n, f_n, size in err.value.trace:
             assert f_n < size
@@ -299,7 +311,7 @@ class TestWaitAndSurround:
 
         monkeypatch.setattr(cayley_mod, "ball", no_ball)
         with pytest.raises(SurroundCapError) as err:
-            wait_and_surround(FreeGroup(2), 1, Fraction(5, 2), 8)
+            wait_and_surround(free_group(2), 1, Fraction(5, 2), 8)
         assert [size for _n, _f, size in err.value.trace] == [36, 108, 324, 972, 2916, 8748]
 
     def test_ball_ends_at_the_protected_sphere(self):
@@ -312,7 +324,7 @@ class TestWaitAndSurround:
     def test_acceptor_built_once_per_model(self, monkeypatch):
         # a triggered surround reads the acceptor for its trigger, its ball
         # and its adjacency: the model builds and compiles it once
-        model = FreeGroup(2)
+        model = free_group(2)
         built = []
         acceptor = model.word_acceptor
         monkeypatch.setattr(model, "word_acceptor", lambda: built.append(1) or acceptor())
@@ -329,12 +341,12 @@ class TestWaitAndSurround:
 
 class TestPolynomialProbe:
     def test_free2_quadratic_infeasible(self):
-        rep = polynomial_probe(FreeGroup(2), 1, 2, 2, 8)
+        rep = polynomial_probe(free_group(2), 1, 2, 2, 8)
         assert not rep.feasibility.feasible
         budget = BudgetSequence.polynomial(1, 2)
         spheres = rep.budget_vs_sphere
         for n, cum, sphere in spheres:
-            assert cum == budget.cumulative(n)
+            assert cum == sum(budget(i) for i in range(1, n + 1))
             assert sphere == 4 * 3 ** n
             assert cum < sphere
         assert "evidence" in rep.note
@@ -346,7 +358,7 @@ class TestPolynomialProbe:
         assert result.feasible
 
     def test_z_constant_budget_feasible(self):
-        rep = polynomial_probe(FreeGroup(1), 1, 0, 5, 8)
+        rep = polynomial_probe(free_group(1), 1, 0, 5, 8)
         assert rep.feasibility.feasible
 
     def test_raw_acceptor_with_redundant_states_decides(self):
@@ -370,7 +382,7 @@ class TestGrowthConsistency:
                 states={"R": ("A",) * (2 * rank), "A": ("A",) * (2 * rank - 1)},
                 root="R",
             )
-            tree = lex_min_tree(FreeGroup(rank), 6)
+            tree = lex_min_tree(free_group(rank), 6)
             assert tree.sphere_sizes() == [
                 1 if n == 0 else 2 * rank * (2 * rank - 1) ** (n - 1)
                 for n in range(7)
@@ -379,7 +391,7 @@ class TestGrowthConsistency:
             assert bracket.lo <= 2 * rank - 1 <= bracket.hi
 
     def test_sphere_sizes_nondecreasing_in_generators(self):
-        for small, large in [(FreeGroup(1), FreeGroup(2)),
+        for small, large in [(free_group(1), free_group(2)),
                              (FreeAbelian(1), FreeAbelian(2)),
                              (FreeAbelian(2), FreeAbelian(3))]:
             a = cayley_ball(small, 6).sphere_sizes()
@@ -407,7 +419,8 @@ class TestDeterminism:
 
 # the built-in models plus free products with an order-4 factor and two
 # factors whose runs reach two and three letters
-DIFFERENTIAL_MODELS = ALL_MODELS + [FreeProductCyclic((2, 3, 4)), FreeProductCyclic((5, 7))]
+DIFFERENTIAL_MODELS = ALL_MODELS + [FreeProductCyclic((2, 3, 4)), FreeProductCyclic((5, 7)),
+                                    FreeProductCyclic((0, 3))]  # Z * C3
 BALL_FIELDS = ("level", "parent", "tree_generator")  # arrays; layers are level_starts
 
 
@@ -429,6 +442,16 @@ class TestWordAcceptors:
     ])
     def test_state_counts(self, name, n_states):
         assert len(group_from_name(name).word_acceptor().states) == n_states
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_free_group_runs(self, rank):
+        # a run on Z is one state looping to itself: every letter but the
+        # inverse of the last follows, in generator order
+        spec = group_from_name(f"free:{rank}").word_acceptor()
+        gens = tuple(g for a in "abc"[:rank] for g in (a, a.upper()))
+        assert spec.states[spec.root] == tuple(f"{g}1" for g in gens)
+        for g in gens:
+            assert spec.states[f"{g}1"] == tuple(f"{h}1" for h in gens if h != g.swapcase())
 
     def test_free_product_runs(self):
         # order 4: a, aa (a tie goes to a) and A; order 5: two of either

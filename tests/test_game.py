@@ -1,7 +1,8 @@
 """Game engine, strategies, deadline feasibility and synthesis.
 
 Claims covered:
-    - budgets that only a float would call constant are not constant
+    - budgets that only a float would call constant are not constant, and
+      prefix sums give the exact cumulative budgets
     - step applies protection before spread, rejects faults, keeps statuses
       monotone and disjoint, and leaves its input state alone
     - the in-place engine plays as the copy-per-round reference
@@ -53,7 +54,6 @@ from firebreak import (
     BudgetSequence,
     CanonicalStrategy,
     FreeAbelian,
-    FreeGroup,
     FreeProductCyclic,
     Cutset,
     ResourceLimitError,
@@ -67,6 +67,7 @@ from firebreak import (
     feasibility_check,
     feasibility_rows,
     format_trace,
+    free_group,
     GameState,
     infinite_dihedral,
     initial_state,
@@ -109,7 +110,7 @@ def assert_valid_witness(spec, k, budget, depth, result):
     levels = [t.level[v] for v in cut]
     assert all(lv > k for lv in levels)
     for n in range(k + 1, depth + 1):
-        assert sum(lv <= n for lv in levels) <= budget.cumulative(n - k)
+        assert sum(lv <= n for lv in levels) <= sum(budget(j) for j in range(1, n - k + 1))
     assert result.witness_levels == tuple(sorted(Counter(levels).items()))
 
 
@@ -127,6 +128,14 @@ class TestBudgets:
         # floor((3/2)**n) computed exactly: no float drift at large n
         exp = BudgetSequence.exponential(Fraction(3, 2))
         assert exp(40) == (Fraction(3, 2) ** 40).__floor__()
+
+    def test_prefix_sums(self):
+        # f(1) + ... + f(j) for j = 1..m, exact, and empty for m = 0
+        for text, want in (("const:3", [3, 6, 9]), ("exp:3/2", [1, 3, 6, 11]),
+                           ("poly:1,2", [1, 5, 14]), ("list:3,0", [3, 3, 3])):
+            b = BudgetSequence.parse(text)
+            assert b.prefix_sums(len(want)) == want, text
+            assert b.prefix_sums(0) == []
 
     def test_parse_roundtrip(self):
         for text in ("const:2", "exp:3/2", "exp:1.5", "poly:2,3", "list:1,0,2"):
@@ -233,7 +242,7 @@ def _engine_outcome(play, *args):
         return type(exc).__name__, str(exc), getattr(exc, "round_no", None)
 
 
-ENGINE_MODELS = [FreeGroup(1), FreeGroup(2), FreeAbelian(1), FreeAbelian(2), FreeAbelian(3),
+ENGINE_MODELS = [free_group(1), free_group(2), FreeAbelian(1), FreeAbelian(2), FreeAbelian(3),
                  infinite_dihedral(), FreeProductCyclic((2, 3)), FreeProductCyclic((3, 3))]
 
 
@@ -329,7 +338,7 @@ class TestInPlaceEngine:
     def test_large_protect_sets_fail_as_the_reference(self):
         # protect sets past SPREAD_VECTOR_MIN mixing a negative id, a burning
         # id, an id past the ball and 10**30: same fault, message and round
-        b = cayley_ball(FreeGroup(2), 7)
+        b = cayley_ball(free_group(2), 7)
         n, size, rng = b.n_vertices, game_mod.SPREAD_VECTOR_MIN, random.Random(67)
         budget, kinds = BudgetSequence.constant(n), Counter()
         for _ in range(60):
@@ -400,7 +409,7 @@ class TestArrayRounds:
         yield from (cayley_ball(model, r) for model in ENGINE_MODELS for r in (3, 5))
         for _ in range(4):  # rounds past 1024
             yield from (expand(ternary_spec(), 8), expand(binary_spec(), 11),
-                        cayley_ball(FreeGroup(2), 7))
+                        cayley_ball(free_group(2), 7))
 
     def schedules(self, rng, arena):
         """(radius, schedule, budget): rounds of one, many or a whole layer of

@@ -94,7 +94,8 @@ class TestBruteForce:
             d = brute_force_containment(t, fire, budget, horizon, restrict)
             if not d.feasible:
                 continue
-            verdict = run_game(t, fire, ScheduleStrategy(d.schedule_map()), budget, horizon)
+            strategy = ScheduleStrategy(dict(enumerate(d.schedule, 1)))
+            verdict = run_game(t, fire, strategy, budget, horizon)
             assert verdict.contained, (spec, t.depth, fire, horizon, restrict, budget.describe())
             found.update(["restricted" if restrict else "strict",
                           "off root" if off_root else "root",

@@ -37,6 +37,7 @@ from firebreak import (
     parse_tree_spec,
 )
 from firebreak import Cutset, cut_weight, feasibility_check, min_cutset
+from firebreak.trees import compile
 import trees_reference
 from conftest import (
     ball,
@@ -219,8 +220,8 @@ class TestSpecFormat:
 class TestDegenerate:
     def test_finite_periodic_detected(self):
         spec = PeriodicSpec(states={"A": ("B", "B"), "B": ()}, root="A")
-        assert spec.is_finite()
-        assert not fibonacci_spec().is_finite()
+        assert compile(spec).is_finite()
+        assert not compile(fibonacci_spec()).is_finite()
 
     def test_zero_child_state_allowed(self):
         # one live branch, one dead leaf per level
