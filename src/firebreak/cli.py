@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 
@@ -319,7 +320,7 @@ def cmd_oracle(args) -> int:
     if args.x0:
         fire = sorted({_int(t, "--x0") for t in args.x0.split(",") if t})
     else:
-        fire = [v for v in range(trunc.n_vertices) if trunc.level[v] <= args.k]
+        fire = range(bisect_right(trunc.level, args.k))
     config = _base_config("oracle")
     config.update(spec=args.spec, k=args.k, x0=",".join(str(v) for v in fire),
                   budget=budget.describe(), depth=depth, strict=args.strict,

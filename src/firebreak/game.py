@@ -133,17 +133,6 @@ class BudgetSequence:
         """f(1) + ... + f(j) for j = 1..m, in one walk."""
         return list(accumulate(map(self, range(1, m + 1))))
 
-    def stabilization_round(self) -> int | None:
-        """Round from which f is constant, or None when it never is
-        (memoisation of game searches is only merged beyond this point)."""
-        if self.kind == "constant":
-            return 1
-        if self.kind == "exponential":
-            return 1 if self.rate <= 1 else None
-        if self.kind == "polynomial":
-            return 1 if (self.degree == 0 or self.coeff == 0) else None
-        return max(1, len(self.values))
-
     def describe(self) -> str:
         if self.kind == "constant":
             return f"const:{self.value}"

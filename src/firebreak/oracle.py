@@ -1,10 +1,12 @@
 """Brute-force ground truth on small instances: exhaustive game search for
 containment.
 
-The search enumerates protect-sets round by round with a transposition
-table keyed on the status vector and the (budget-stabilised) round.  Fire
-reaching a truncation-boundary vertex is a loss: those vertices stand in
-for the infinite continuation of the tree.
+The search enumerates protect-sets round by round, playing each through
+``game.step`` from ``game.state_from_fire``, with a transposition table
+keyed on the status vector alone: a vertex burns in the round equal to its
+distance from the fire through burning vertices, so the statuses fix the
+round.  Fire reaching a truncation-boundary vertex is a loss: those
+vertices stand in for the infinite continuation of the tree.
 
 Two candidate modes:
 
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator
+from itertools import chain, combinations
+from typing import Iterable
 
 from .errors import ResourceLimitError, SpecError
-from .game import BURNING, PROTECTED, UNTOUCHED, BudgetSequence
+from .game import UNTOUCHED, BudgetSequence, GameState, state_from_fire, step
 from .trees import Truncation, read_text
 
 DEFAULT_FREE_CAP = 20
@@ -65,76 +67,46 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
         return OracleDecision(feasible=False, schedule=None)
     if horizon is None:
         horizon = trunc.n_vertices + 2
-    stab = budget.stabilization_round()
 
-    statuses = bytearray(trunc.n_vertices)
-    for v in fire:
-        statuses[v] = BURNING
+    # A vertex burns in the round equal to its distance from the fire through
+    # burning vertices, and every round searched burns at least one vertex, so
+    # the statuses fix the round and key the memo alone.  Only the frontier can
+    # have untouched neighbours: older burning vertices spread to all of theirs.
+    memo: dict[bytes, tuple[tuple[int, ...], ...] | None] = {}
 
-    memo: dict[tuple, tuple[tuple[int, ...], ...] | None] = {}
-    vertices = range(trunc.n_vertices)
-    neighbors = [list(trunc.neighbors(v)) for v in vertices]  # read at every node
-
-    def live_front(st: bytearray) -> bool:
-        """Whether some burning vertex has an untouched neighbour."""
-        return any(st[v] == BURNING and any(st[w] == UNTOUCHED for w in neighbors[v])
-                   for v in vertices)
-
-    def spread(st: bytearray) -> list[int]:
-        # synchronous step: only vertices burning before the round ignite
-        # their neighbours
-        newly = sorted({
-            w
-            for v in vertices
-            if st[v] == BURNING
-            for w in neighbors[v]
-            if st[w] == UNTOUCHED
-        })
-        for w in newly:
-            st[w] = BURNING
-        return newly
-
-    def candidate_sets(st: bytearray, f_n: int) -> Iterator[tuple[int, ...]]:
-        if restrict:
-            cands = [
-                v for v in vertices
-                if st[v] == UNTOUCHED
-                and any(st[w] == BURNING for w in neighbors[v])
-            ]
-            yield from combinations(cands, min(f_n, len(cands)))
-        else:
-            cands = [v for v in vertices if st[v] == UNTOUCHED]
-            for size in range(min(f_n, len(cands)), -1, -1):
-                yield from combinations(cands, size)
-
-    def search(st: bytearray, round_no: int) -> tuple[tuple[int, ...], ...] | None:
+    def search(state: GameState) -> tuple[tuple[int, ...], ...] | None:
         """A winning schedule from this state on, None when there is none."""
-        if round_no > horizon:
+        if state.round_no >= horizon:
             return None
-        key_round = round_no if stab is None else min(round_no, stab)
-        key = (bytes(st), key_round)
+        st = state.statuses
+        key = bytes(st)
         if key in memo:
             return memo[key]
-        if not live_front(st):
+        front = sorted({w for v in state.frontier for w in trunc.neighbors(v)
+                        if st[w] == UNTOUCHED})
+        if not front:
             memo[key] = ()  # nothing can spread: already contained
             return memo[key]
-        f_n = budget(round_no)
+        f_n = budget(state.round_no + 1)
+        if restrict:
+            candidates = combinations(front, min(f_n, len(front)))
+        else:
+            untouched = [v for v, s in enumerate(st) if s == UNTOUCHED]
+            candidates = chain.from_iterable(
+                combinations(untouched, size) for size in range(min(f_n, len(untouched)), -1, -1))
         result = None
-        for protect in candidate_sets(st, f_n):
-            child = bytearray(st)
-            for v in protect:
-                child[v] = PROTECTED
-            newly = spread(child)
-            if any(map(trunc.is_boundary, newly)):
+        for protect in candidates:
+            child = step(state, protect, f_n)
+            if any(map(trunc.is_boundary, child.frontier)):
                 continue
-            tail = search(child, round_no + 1) if newly else ()
+            tail = search(child) if child.frontier else ()
             if tail is not None:
                 result = (protect, *tail)
                 break
         memo[key] = result
         return result
 
-    schedule = search(statuses, 1)
+    schedule = search(state_from_fire(trunc, fire))
     return OracleDecision(feasible=schedule is not None, schedule=schedule)
 
 
@@ -207,7 +179,9 @@ def _decision_from_text(text: str) -> OracleDecision:
     if body in ("", "-"):
         return OracleDecision(feasible=True, schedule=())
     schedule = []
-    for chunk in body.split(";"):
-        _r, _, ids = chunk.partition(":")
+    for r, chunk in enumerate(body.split(";"), start=1):
+        label, _, ids = chunk.partition(":")
+        if label != str(r):
+            raise ValueError(f"round label {label!r} where {r} belongs")
         schedule.append(tuple(int(t) for t in ids.split(",")) if ids != "-" else ())
     return OracleDecision(feasible=True, schedule=tuple(schedule))

@@ -4,12 +4,16 @@ in-place stepping, kept as the slow reference of a differential test.
 ``step`` copies the whole status array every round and returns a fresh
 immutable state; ``run_game`` threads those states through the rounds,
 and ``simulate`` finds the initial fire by scanning every vertex's level.
+``brute_force_containment`` is the oracle's exhaustive search without its
+memo: it plays every candidate through ``step`` and finds the vertices
+next to the fire by scanning every vertex.
 Rules, fault checks and verdicts are those of ``firebreak.game``, whose
 value types this module reuses.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable
 
 from firebreak.errors import SpecError, StrategyFault
@@ -89,3 +93,40 @@ def simulate(trunc, radius: int, strategy, budget, horizon: int | None = None) -
         raise SpecError("initial radius must be smaller than the truncation depth")
     fire = [v for v in range(trunc.n_vertices) if trunc.level[v] <= radius]
     return run_game(trunc, fire, strategy, budget, horizon)
+
+
+def brute_force_containment(trunc, fire: Iterable[int], budget, horizon: int | None = None,
+                            restrict: bool = True) -> tuple[tuple[int, ...], ...] | None:
+    """The first winning schedule in ``firebreak.oracle``'s candidate order, or None."""
+    state = state_from_fire(trunc, fire)
+    boundary = set(trunc.boundary)
+    if boundary & set(state.frontier):
+        return None
+    if horizon is None:
+        horizon = trunc.n_vertices + 2
+
+    def search(state: GameState, n: int):  # n: the round about to be played
+        if n > horizon:
+            return None
+        st = state.statuses
+        exposed = sorted({w for v in range(trunc.n_vertices) if st[v] == BURNING
+                          for w in trunc.neighbors(v) if st[w] == UNTOUCHED})
+        if not exposed:
+            return ()
+        f_n = budget(n)
+        if restrict:
+            candidates = combinations(exposed, min(f_n, len(exposed)))
+        else:
+            untouched = [v for v in range(trunc.n_vertices) if st[v] == UNTOUCHED]
+            candidates = (c for size in range(min(f_n, len(untouched)), -1, -1)
+                          for c in combinations(untouched, size))
+        for protect in candidates:
+            child = step(state, protect, f_n)
+            if boundary & set(child.frontier):
+                continue
+            tail = search(child, n + 1) if child.frontier else ()
+            if tail is not None:
+                return (protect, *tail)
+        return None
+
+    return search(state, 1)

@@ -581,7 +581,9 @@ class TestRejectedInput:
         assert code == 1
         assert f"firebreak: {trace}: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", ["nospace", "abc feasible 1:x", "abc maybe"])
+    @pytest.mark.parametrize("entry", ["nospace", "abc feasible 1:x", "abc maybe",
+                                       "abc feasible 2:1", "abc feasible x:1",
+                                       "abc feasible 1:1;1:2"])
     def test_malformed_cache_names_file_and_line(self, entry, spec_dir, capsys):
         cache = spec_dir / "o.cache"
         cache.write_text("\n" + entry + "\n")

@@ -1,7 +1,7 @@
 """Game engine, strategies, deadline feasibility and synthesis.
 
 Claims covered:
-    - budgets that only a float would call constant are not constant, and
+    - budgets that only a float would call constant keep exact values, and
       prefix sums give the exact cumulative budgets
     - step applies protection before spread, rejects faults, keeps statuses
       monotone and disjoint, and leaves its input state alone
@@ -128,6 +128,11 @@ class TestBudgets:
         # floor((3/2)**n) computed exactly: no float drift at large n
         exp = BudgetSequence.exponential(Fraction(3, 2))
         assert exp(40) == (Fraction(3, 2) ** 40).__floor__()
+        # both budgets read as constant through a float, and neither is
+        tiny = BudgetSequence.parse("poly:1/1" + "0" * 400 + ",1")
+        assert float(tiny.coeff) == 0 and tiny(1) == 0 and tiny(10 ** 401) == 10
+        barely = BudgetSequence.exponential(1 + Fraction(1, 10 ** 20))  # floor(rate**n) grows
+        assert float(barely.rate) == 1 and barely.rate > 1
 
     def test_prefix_sums(self):
         # f(1) + ... + f(j) for j = 1..m, exact, and empty for m = 0
@@ -146,23 +151,6 @@ class TestBudgets:
         for text in ("", "exp", "exp:zero", "q:1", "const:-1"):
             with pytest.raises(SpecError):
                 BudgetSequence.parse(text)
-
-    def test_stabilization(self):
-        assert BudgetSequence.constant(1).stabilization_round() == 1
-        assert BudgetSequence.explicit([3, 1, 1]).stabilization_round() == 3
-        assert BudgetSequence.exponential(2).stabilization_round() is None
-        assert BudgetSequence.exponential(Fraction(1, 2)).stabilization_round() == 1
-        assert BudgetSequence.exponential(1).stabilization_round() == 1
-        assert BudgetSequence.polynomial(0, 3).stabilization_round() == 1
-
-    def test_stabilization_is_exact(self):
-        # both budgets read as constant through a float, and neither is
-        tiny = BudgetSequence.parse("poly:1/1" + "0" * 400 + ",1")
-        assert float(tiny.coeff) == 0 and tiny(1) == 0 and tiny(10 ** 401) == 10
-        assert tiny.stabilization_round() is None
-        barely = BudgetSequence.exponential(1 + Fraction(1, 10 ** 20))  # floor(rate**n) grows
-        assert float(barely.rate) == 1 and barely.rate > 1
-        assert barely.stabilization_round() is None
 
 
 class TestStep:

@@ -6,6 +6,8 @@ Claims covered:
     - the search reproduces the known small verdicts and its witness
       schedules replay to containment
     - restricted and strict candidate enumeration agree on small trees
+    - decisions and witnesses equal those of a memo-free exhaustive search
+      (tests/game_reference.py) on random small instances
     - cutset enumeration yields each antichain cutset exactly once with
       the hand-counted totals, and its minimum weight equals the recursion
     - the brute-force / feasibility / canonical triangle closes on a
@@ -39,6 +41,7 @@ from firebreak import (
 from firebreak.trees import ExplicitSpec, format_tree_spec
 from conftest import (binary_spec, budget_catalogue, enumerate_cutsets, is_antichain,
                       random_explicit_tree, ray_spec)
+import game_reference
 
 
 def ball_ids(trunc, k):
@@ -102,6 +105,41 @@ class TestBruteForce:
                           "past height" if t.depth > spec.height() else "at height",
                           "no horizon" if horizon is None else "horizon"])
         assert len(found) == 8 and min(found.values()) >= 20, found
+
+    def test_matches_memo_free_reference(self):
+        # the memo keyed on the statuses alone changes no decision and no
+        # witness: restricted and strict search, fires on and off the root,
+        # horizons None and 1-3, budgets that are eventually constant and
+        # budgets that never are
+        rng = random.Random(53)
+        budgets = [BudgetSequence.parse(text) for text in
+                   ("const:1", "const:2", "list:2,0", "list:0,2,1", "exp:3/2", "poly:1,1")]
+        found = Counter()
+        for _ in range(300):
+            restrict = rng.random() < 0.5
+            spec = random_explicit_tree(rng, max_vertices=rng.randint(3, 13 if restrict else 9))
+            t = expand(spec, spec.height() + rng.choice((0, 1)))
+            off_root = rng.random() < 0.5
+            fire = rng.sample(range(1, t.n_vertices), min(2, t.n_vertices - 1)) if off_root else [0]
+            horizon = rng.choice((None, 1, 2, 3))
+            budget = rng.choice(budgets)
+            d = brute_force_containment(t, fire, budget, horizon, restrict)
+            want = game_reference.brute_force_containment(t, fire, budget, horizon, restrict)
+            assert (d.feasible, d.schedule) == (want is not None, want), (
+                spec, t.depth, fire, horizon, restrict, budget.describe())
+            found.update(["feasible" if d.feasible else "infeasible",
+                          "restricted" if restrict else "strict",
+                          "off root" if off_root else "root",
+                          "no horizon" if horizon is None else "horizon",
+                          budget.describe()])
+        assert len(found) == 14 and min(found.values()) >= 20, found
+        # protecting 0 or 1 in round 1 burns the same vertices: a memo blind
+        # to the protected statuses skips the first witness and finds ((4,),)
+        t = expand(ExplicitSpec(parents=(0, 0, 0, 1, 3, 4, 4)), 5)
+        budget = BudgetSequence.parse("list:1")
+        d = brute_force_containment(t, [6], budget, 2, restrict=False)
+        want = game_reference.brute_force_containment(t, [6], budget, 2, restrict=False)
+        assert d.schedule == want == ((1,), (7,))
 
     def test_fire_on_boundary_is_lost(self):
         t = expand(ray_spec(), 2)
