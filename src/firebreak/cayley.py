@@ -41,10 +41,12 @@ A ``CayleyBall`` is the depth-R truncation of the acceptor (a
 ``parent`` is the lex-min geodesic spanning tree, its levels are the
 Cayley distances and its boundary is the radius-R sphere; each vertex's
 word is its parent's plus one letter, and no element is built.  It adds
-its model and overrides only ``_rows``, which gives the Cayley graph's rows,
-built on first use in one vectorised pass into the ``array('i')`` row
-offsets and column ids that the truncation's ``neighbors``, ``rows`` and
-``separated`` read.  That pass reads every product off the tree too: a
+its model and overrides only ``_rows(n)``, which gives the Cayley graph's
+rows of the first n vertices in one vectorised pass into the ``array('i')``
+row offsets and column ids that the truncation's ``neighbors``, ``rows``
+and ``separated`` read; the truncation asks for the interior rows first and
+for the radius-R sphere's only when play reads one of them, which a
+surround never does.  That pass reads every product off the tree too: a
 same-factor move on a finite factor of a free product goes up the current
 run and down the new syllable's letters (on Z each is a child or the
 parent), and an earlier axis g of Z^d commutes with the letter h entering
@@ -73,7 +75,7 @@ from .game import (
     feasibility_check,
     simulate,
 )
-from .trees import Automaton, PeriodicSpec, Truncation, compile, packed, view
+from .trees import Automaton, PeriodicSpec, Truncation, compile, packed, view, zeroed
 
 _LETTERS = "abcdefghij"
 
@@ -249,8 +251,8 @@ class CayleyBall(Truncation):
     whose levels are the Cayley distances; its ``_rows`` list the graph's
     adjacency in place of the tree's.  Vertex order is layer-major,
     shortlex by word within a layer, so construction is canonical; the
-    radius-R sphere is the boundary.  Words and adjacency are derived from the tree on first
-    use; no element is built."""
+    radius-R sphere is the boundary.  Words and adjacency are derived from
+    the tree as they are read; no element is built."""
 
     model: object
 
@@ -260,29 +262,29 @@ class CayleyBall(Truncation):
         root): the letter entering its acceptor state."""
         return packed(np.array(self.model.acceptor[2], np.intc)[view(self.state)])
 
-    @cached_property
-    def _rows(self) -> tuple[array, array]:
-        """Row offsets and column ids of the in-ball products v*g, in
-        generator order, read off the tree in one numpy pass: child k, the
-        parent, up the run and down the new syllable (a same-factor move on
-        a finite factor), or the h-child of parent*g (an earlier axis g of
-        Z^d commutes with the letter h entering v)."""
+    def _rows(self, n: int) -> tuple[array, array]:
+        """Row offsets and column ids of the in-ball products v*g of the
+        first n vertices, in generator order, read off the tree in one numpy
+        pass: child k, the parent, up the run and down the new syllable (a
+        same-factor move on a finite factor), or the h-child of parent*g (an
+        earlier axis g of Z^d commutes with the letter h entering v)."""
         _spec, auto, entering = self.model.acceptor
-        model, n, n_gens = self.model, self.n_vertices, len(self.model.generators)
+        model, n_gens = self.model, len(self.model.generators)
         n_inner = self.level_starts[self.depth]  # with children in the ball
         state, parent, first = view(self.state), view(self.parent), view(self.first_child)
         child = [{entering[t]: k for k, t in enumerate(kids)} for kids in auto.children]
         kid = np.array([[c.get(g, -1) for g in range(n_gens)] for c in child + [{}]], np.int32)
-        inner = np.full(n + 1, len(child), np.int32)  # kid's row: none past n_inner and at -1
-        inner[:n_inner] = state[:n_inner]
+        inner = np.full(self.n_vertices + 1, len(child), np.int32)  # kid's row: none at -1
+        inner[:n_inner] = state[:n_inner]  # and none past n_inner
 
         def down(t, g):  # the child of t entered by g, -1 outside the ball
             k = kid[inner[t], g]
             return np.where(k >= 0, first[t] + k, -1)
 
         # child ids; past n_inner all -1, and an inner row's other entries are set below
+        state, parent = state[:n], parent[:n]
         cols = np.take(kid, inner[:n], axis=0)
-        cols[:n_inner] += first[:n_inner, None]
+        cols[:n_inner] += first[:min(n, n_inner), None]
         flat = cols.reshape(-1)
         up = [-1 if s == auto.root else model.inverse_index(entering[s]) for s in range(len(child))]
         flat[np.array(up, np.intp)[state[1:]] + np.arange(n_gens, n * n_gens, n_gens)] = parent[1:]
@@ -305,9 +307,10 @@ class CayleyBall(Truncation):
             for a, b in pairwise(np.searchsorted(rows, self.level_starts[1:])):
                 flat[at[a:b]] = down(flat[of[a:b]], hs[a:b])
         present = cols >= 0
-        columns = packed(cols[present])
-        np.cumsum(present.reshape(-1), dtype=np.int32, out=flat)  # row v ends at cols[v, -1]
-        return packed(np.concatenate((np.zeros(1, np.int32), cols[:, -1]))), columns
+        offsets, ends = zeroed(n + 1)
+        present.sum(axis=1, dtype=np.intc, out=ends[1:])
+        np.cumsum(ends, out=ends)  # row v ends where row v + 1 starts
+        return offsets, packed(cols[present])
 
     def sphere_sizes(self) -> list[int]:
         return [b - a for a, b in pairwise(self.level_starts)]
@@ -422,7 +425,8 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
     S(radius+n+1) in round n leaves a one-sphere guard band and blocks all
     further spread.  The trigger is read from the acceptor's sphere sizes,
     and the ball is built only out to the protected sphere, which the fire
-    never passes.  Runs out of ball (SurroundCapError, with nothing built)
+    never passes, so the game reads no row of that sphere and the ball
+    builds none.  Runs out of ball (SurroundCapError, with nothing built)
     when the rate does not outgrow the spheres within the given ball
     radius; the ball cap applies to that radius."""
     if radius < 0:
@@ -453,7 +457,7 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
     sphere_index = radius + trigger + 1
     b = ball(model, sphere_index)
     sphere = range(*b.level_starts[sphere_index:])
-    strategy = ScheduleStrategy({trigger: np.arange(sphere.start, sphere.stop)})
+    strategy = ScheduleStrategy({trigger: np.arange(sphere.start, sphere.stop, dtype=np.intc)})
     verdict = simulate(b, radius, strategy, budget, horizon=trigger + 2)
     return SurroundResult(strategy=strategy, verdict=verdict, trigger_round=trigger,
                           sphere_index=sphere_index, sphere=sphere,

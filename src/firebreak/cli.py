@@ -3,7 +3,9 @@
 Subcommands: ``br``, ``contain``, ``simulate``, ``oracle``, ``cayley``.
 Every run prints a structured-text report (sorted ``config.*`` and
 ``result.*`` lines, then CSV blocks); identical configurations produce
-byte-identical reports.  Exit codes: 0 determinate result (every ``br`` run
+byte-identical reports.  Timings and peak RSS, which are not deterministic,
+go only to the JSON file of ``--metrics FILE``, which every subcommand
+accepts.  Exit codes: 0 determinate result (every ``br`` run
 on an infinite spec: its bracket is exact), 1 usage or parse error, 2
 indeterminate result or a resource cap reached (the message names the
 cap), 3 strategy fault.
@@ -13,7 +15,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
+import resource
 import sys
+import time
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
@@ -59,6 +64,7 @@ from .trees import (
     ExplicitSpec,
     compile,
     expand,
+    format_parents,
     format_tree_spec,
     load_tree_spec,
     read_text,
@@ -417,10 +423,10 @@ def cmd_cayley(args) -> int:
         if not args.out:
             raise SpecError("--out is required for mode tree")
         tree = lex_min_tree(model, args.R)
-        text = format_tree_spec(ExplicitSpec(parents=tuple(tree.parent[1:])))
-        words = "".join(f"# vertex {v} = {w or 'id'}\n" for v, w in enumerate(tree.word_strings))
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(words + text)
+            fh.write("".join(f"# vertex {v} = {w or 'id'}\n"
+                             for v, w in enumerate(tree.word_strings)))
+            fh.write(format_parents(tree.parent[1:]))
         result.update(vertices=tree.n_vertices, out=args.out,
                       level_counts=tuple(tree.sphere_sizes()))
         emit_report(config, result, tables, None)
@@ -497,6 +503,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_cayley)
 
+    for p in sub.choices.values():
+        p.add_argument("--metrics", help="write wall time and peak RSS as JSON to this file")
     return parser
 
 
@@ -505,6 +513,18 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    start = time.perf_counter()
+    code = _run(args)
+    if args.metrics:
+        try:
+            _write_metrics(args.metrics, time.perf_counter() - start)
+        except OSError as exc:
+            sys.stderr.write(f"firebreak: {exc}\n")
+            return EXIT_USAGE
+    return code
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except (SpecError, OSError) as exc:
@@ -516,6 +536,16 @@ def main(argv=None) -> int:
     except (SynthesisError, ResourceLimitError) as exc:
         sys.stderr.write(f"firebreak: {exc}\n")
         return EXIT_INDETERMINATE
+
+
+def _write_metrics(path: str, wall_s: float) -> None:
+    """The run's wall time around the command and the process's peak RSS,
+    as JSON; ru_maxrss counts bytes on macOS and KiB elsewhere."""
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_rss_mb = rss / 2 ** (20 if sys.platform == "darwin" else 10)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"peak_rss_mb": peak_rss_mb, "wall_s": wall_s}, fh)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

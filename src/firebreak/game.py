@@ -16,9 +16,12 @@ vertex order; ``depth``; ``boundary``, the vertices whose burning makes
 the outcome inconclusive at this depth, all at level ``depth``, and
 ``is_boundary(v)``, the test for one, asked only of frontier ids at level
 ``depth``; ``neighbors(v)``, row v of the arena's one adjacency, and
-``rows``, numpy views of its row offsets and column ids, which large
-rounds read; and ``separated(statuses)``, the check on the same rows that
-a contained fire has no untouched neighbour.
+``rows(last)``, numpy views of its row offsets and column ids holding rows
+0..last, which large rounds read up to their sorted frontier's last id;
+and ``separated(statuses)``, the check on the same rows that a contained
+fire has no untouched neighbour.  The arena builds rows only as far as
+these reads reach, so a game whose fire stays off level ``depth`` never
+builds that level's rows on a Cayley ball.
 
 ``run_game`` plays the whole game on one status array that it changes in
 place, so the ``GameState.statuses`` a strategy sees is live; ``step``
@@ -208,7 +211,7 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budg
         if inside < len(protect):
             raise SpecError(f"vertex {protect[inside]} is not in the arena")
         view[ids] = PROTECTED
-        protect = ids
+        protect = protect if isinstance(protect, np.ndarray) else ids  # the trace keeps its dtype
     else:
         for v in protect:
             if not 0 <= v < len(statuses):
@@ -217,8 +220,9 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budg
                 raise StrategyFault(round_no, f"vertex {v} is burning and cannot be protected")
             statuses[v] = PROTECTED
         protect = _as_tuple(protect)
-    if len(state.frontier) >= SPREAD_VECTOR_MIN:
-        return protect, _spread_rows(statuses, state.frontier, *state.arena.rows)
+    if len(state.frontier) >= SPREAD_VECTOR_MIN:  # the frontier is sorted: rows up to its last
+        frontier = state.frontier
+        return protect, _spread_rows(statuses, frontier, *state.arena.rows(int(frontier[-1])))
     newly = []
     arena = state.arena
     for v in state.frontier:

@@ -23,12 +23,17 @@ deterministic level-major order (children in spec order), unfolded one
 numpy pass a level by ``unfold``.  Its ``parent``, ``level`` and ``state``
 are ``array('i')``s (numpy reads them as zero-copy views) and
 ``children[v]`` is a ``range``.  It is the one game arena and holds the
-one adjacency: flat rows, offsets and column ids built once as
-``array('i')``s, which ``neighbors(v)`` slices, ``rows`` views for large
-game rounds and ``separated`` checks a contained fire on.  A tree's row
-lists the parent, then the children; a Cayley ball (``cayley.CayleyBall``)
-is the truncation of its group's word acceptor whose ``_rows`` list the
-Cayley graph's neighbours instead.  The level of a vertex is its
+one adjacency: flat rows, offsets and column ids as ``array('i')``s, which
+``neighbors(v)`` slices, ``rows(last)`` views for large game rounds and
+``separated`` checks a contained fire on.  Rows are built only as far as
+play reads them: the interior rows (ids below ``level_starts[D]``) on
+first use, and level D's only once one of them is asked for, by
+``neighbors``, by ``rows`` up to a frontier's last id or by ``separated``
+up to the last id of the side it reads.  A tree's row lists the parent,
+then the children, and as tree rows are cheap a tree builds them all at
+once; a Cayley ball (``cayley.CayleyBall``) is the truncation of its
+group's word acceptor whose ``_rows(n)`` list the Cayley graph's
+neighbours of the first n vertices instead.  The level of a vertex is its
 distance from the root; the level of an edge is the level of its child
 endpoint.  Level-D vertices that continue in the infinite tree form the
 truncation *boundary*: separating the root from them is what a cutset must
@@ -45,7 +50,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -275,37 +280,51 @@ def view(values: array) -> np.ndarray:
 
 
 def packed(values: np.ndarray) -> array:
-    """An ``np.intc`` array as an ``array('i')``, which indexes to ints."""
+    """An ``np.intc`` array as an ``array('i')``, which indexes to ints,
+    copied once straight from its memory."""
     assert values.dtype == np.intc, values.dtype
-    return array("i", values.tobytes())
+    out = array("i")
+    out.frombytes(memoryview(values).cast("B"))
+    return out
 
 
-def unfold(auto: Automaton, depth: int) -> tuple[np.ndarray, ...]:
+def zeroed(size: int) -> tuple[array, np.ndarray]:
+    """A zeroed ``array('i')`` of the given size and its numpy view, to fill in place."""
+    values = array("i", [0]) * size
+    return values, view(values)
+
+
+def unfold(auto: Automaton, depth: int) -> tuple:
     """The automaton's tree to the given depth, level-major with children in
-    spec order: each vertex's state, parent and level and the CSR child
-    offsets ``first_child`` (level-D vertices have no children), all int32,
-    and the first id of each level 0..depth followed by the vertex count."""
+    spec order, as a truncation's fields: each vertex's parent, level and
+    state and the CSR child offsets ``first_child`` (level-D vertices have no
+    children), ``array('i')``s each packed as soon as it is made, and the
+    first id of each level 0..depth followed by the vertex count.  Values
+    are int32 throughout; the slots, which index, stay intp."""
     # each vertex is unfolded as a slot of a child table whose slot 0 holds the
     # root: the children of the state in slot p fill ends[p] - n_kids[p] ..
     # ends[p] - 1, and the table gives the state in each slot
     table = np.array([auto.root] + [t for kids in auto.children for t in kids], np.intc)
-    counts = np.array([len(kids) for kids in auto.children])
-    ends, n_kids = (counts.cumsum() + 1)[table], counts[table]
+    counts = np.array([len(kids) for kids in auto.children], np.intc)
+    ends, n_kids = (counts.cumsum(dtype=np.intc) + 1)[table], counts[table]
     slots, sizes = [np.zeros(1, np.intp)], [1]
     for _ in range(depth):  # array methods: np.cumsum and np.repeat cost twice the call
         counts = n_kids[slots[-1]]
         # a vertex's n children fill places last - n .. last - 1 of the next
         # level (last: the running child count), so place i is slot ends - last + i
-        at = (ends[slots[-1]] - counts.cumsum()).repeat(counts)
+        at = (ends[slots[-1]] - counts.cumsum()).repeat(counts)  # an intp cumsum
         at += np.arange(at.size)
         slots.append(at)
         sizes.append(at.size)
-    slot, starts = np.concatenate(slots), [0, *accumulate(sizes)]
-    kids = np.concatenate(([1], n_kids[slot]))  # the root is the child of a vertex -1
+    slot, starts = np.concatenate(slots), (0, *accumulate(sizes))
+    del slots
+    state = packed(table[slot])
+    kids = np.concatenate(([1], n_kids[slot]), dtype=np.intc)  # the root: child of a vertex -1
+    del slot
     kids[starts[depth] + 1:] = 0
-    parent = np.arange(-1, len(slot), dtype=np.intc).repeat(kids)
-    level = np.arange(depth + 1, dtype=np.intc).repeat(sizes)
-    return table[slot], parent, level, kids.cumsum(dtype=np.intc), starts
+    parent = packed(np.arange(-1, len(state), dtype=np.intc).repeat(kids))
+    level = packed(np.arange(depth + 1, dtype=np.intc).repeat(sizes))
+    return parent, level, state, packed(kids.cumsum(dtype=np.intc)), starts
 
 
 @dataclass
@@ -346,51 +365,70 @@ class Truncation:
     def is_boundary(self) -> Callable[[int], int]:
         return self.boundary_mask.__getitem__  # one C call an id
 
-    @cached_property
-    def _rows(self) -> tuple[array, array]:
+    def _rows(self, n: int) -> tuple[array, array]:
         """Row offsets and column ids, row v listing v's parent, then its
         children: row v starts after v - 1 parents and first_child[v] - 1
         children, and child w sits in its parent's row at parent[w] + w - 1.
-        A Cayley ball lists its graph's rows here instead."""
+        A tree's rows are cheap, so every row is built, whatever the n asked
+        for; a Cayley ball builds its graph's rows for the first n vertices."""
         parent, first = view(self.parent), view(self.first_child)
         ids = np.arange(self.n_vertices + 1, dtype=np.intc)
-        offsets = first + ids - 2
-        offsets[0] = 0
-        columns = np.empty(offsets[-1], np.intc)
-        columns[offsets[1:-1]] = parent[1:]
-        columns[parent[1:] + ids[1:-1] - 1] = ids[1:-1]
-        return packed(offsets), packed(columns)
+        offsets, at = zeroed(self.n_vertices + 1)
+        np.add(first, ids, out=at)
+        at -= 2
+        at[0] = 0
+        columns, cols = zeroed(int(at[-1]))
+        cols[at[1:-1]] = parent[1:]
+        cols[parent[1:] + ids[1:-1] - 1] = ids[1:-1]
+        return offsets, columns
 
-    @cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numpy views of the row buffers, which large game rounds read."""
-        return tuple(map(view, self._rows))
+    _built_rows = (array("i", [0]), array("i"))  # no row yet: the first ask builds some
+
+    def _rows_through(self, last: int) -> tuple[array, array]:
+        """Row buffers holding rows 0..last: the interior rows (ids below
+        ``level_starts[depth]``) on first use, and level D's rows too only
+        once one of them is asked for."""
+        if len(self._built_rows[0]) <= last + 1:
+            inner = self.level_starts[self.depth]
+            self._built_rows = self._rows(inner if last < inner else self.n_vertices)
+        return self._built_rows
+
+    def rows(self, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """Numpy views of row buffers holding rows 0..last, which large game
+        rounds read up to their frontier's last id."""
+        return tuple(map(view, self._rows_through(last)))
 
     def neighbors(self, v: int) -> array:
-        offsets, columns = self._rows
+        offsets, columns = self._built_rows
+        if len(offsets) <= v + 1:  # _rows_through's test, inline on this hot path
+            offsets, columns = self._rows_through(v)
         return columns[offsets[v]:offsets[v + 1]]
 
     def separated(self, statuses: bytes | bytearray) -> bool:
         """No burning vertex has an untouched neighbour, read off the rows of
-        whichever of the two statuses is fewer, as the graph is undirected."""
+        whichever of the two statuses is fewer, as the graph is undirected;
+        rows are built only up to that side's last id."""
         side, other = sorted((BURNING, UNTOUCHED), key=statuses.count)
         status = np.frombuffer(statuses, np.uint8)
-        reached = row_entries(*self.rows, np.flatnonzero(status == side))
+        ids = np.flatnonzero(status == side)
+        if not ids.size:
+            return True
+        reached = row_entries(*self.rows(int(ids[-1])), ids)
         return not (status[reached] == other).any()
 
     @classmethod
     def _unfolded(cls, spec: TreeSpec, depth: int, **fields) -> "Truncation":
         """The depth-D truncation of the spec's tree; the caller applies its cap."""
-        state, parent, level, first_child, starts = unfold(compile(spec), depth)
-        return cls(spec, depth, packed(parent), packed(level), packed(state),
-                   packed(first_child), tuple(starts), **fields)
+        return cls(spec, depth, *unfold(compile(spec), depth), **fields)
 
 
 def row_entries(offsets, columns, ids) -> np.ndarray:
-    """The row entries of the given vertices, row after row."""
+    """The row entries of the given vertices, row after row: the offset
+    arithmetic runs in int32, and only the index into ``columns`` is intp."""
     starts, lengths = offsets[ids], offsets[ids + 1] - offsets[ids]
-    return columns[np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-                   + np.arange(lengths.sum())]
+    at = np.arange(lengths.sum())
+    at += np.repeat(starts - np.cumsum(lengths, dtype=np.intc) + lengths, lengths)
+    return columns[at]
 
 
 def expand(spec: TreeSpec, depth: int) -> Truncation:
@@ -515,11 +553,17 @@ def format_tree_spec(spec: TreeSpec) -> str:
         per = " ".join(str(c) for c in spec.period)
         head = f"{pre} | {per}" if pre else f"| {per}"
         return f"variant: symmetric\nlevels: {head}\n"
+    return format_parents(spec.parents)
+
+
+def format_parents(parents: Sequence[int]) -> str:
+    """The explicit spec of a parent list, 16 ids a line: ``format_tree_spec``
+    of an ``ExplicitSpec``, and a Cayley ball's tree export straight from its
+    ``parent`` array."""
     lines = ["variant: explicit"]
-    row = spec.parents
-    for i in range(0, len(row), 16):
-        lines.append("parents: " + " ".join(str(p) for p in row[i:i + 16]))
-    if not row:
+    for i in range(0, len(parents), 16):
+        lines.append("parents: " + " ".join(map(str, parents[i:i + 16])))
+    if not parents:
         lines.append("parents:")
     return "\n".join(lines) + "\n"
 

@@ -35,7 +35,9 @@ Claims covered:
       subset of what the ball burns after every round (subgraph transfer)
     - a surround without trigger is decided with no ball, and a triggered
       one builds the ball only out to the protected sphere and its model's
-      word acceptor once
+      word acceptor once, and rows for the ball's interior only
+    - the rows built for a ball's interior are the first rows of its full
+      build, on every differential model at radii 1-6
 """
 
 import bisect
@@ -305,6 +307,15 @@ class TestWaitAndSurround:
         for _n, f_n, size in err.value.trace:
             assert f_n < size
 
+    def test_surround_builds_the_interior_rows_only(self):
+        # trigger 5 on B(7): the game reads no level-7 row, so the ball holds
+        # the rows of its 1,457 interior vertices, not all 4,373
+        res = wait_and_surround(free_group(2), 1, Fraction(5), 7)
+        offsets, columns = res.ball._built_rows
+        assert (res.trigger_round, res.ball.n_vertices, res.verdict.kind) == (5, 4373, "contained")
+        assert len(offsets) - 1 == res.ball.level_starts[7] == 1457
+        assert len(columns) == offsets[-1]
+
     def test_no_trigger_builds_no_ball(self, monkeypatch):
         def no_ball(*_args, **_kw):
             raise AssertionError("a ball was built")
@@ -475,6 +486,18 @@ class TestWordAcceptors:
             for v in range(got.n_vertices):
                 assert list(got.neighbors(v)) == ref.adjacency[v], (radius, v)
             assert level_counts(acceptor, radius) == got.sphere_sizes()
+
+    @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
+    def test_interior_rows_are_a_prefix_of_all_rows(self, model):
+        # the rows built for the vertices below level R alone, as a game
+        # that stays inside builds them, are the first rows of the full build
+        for radius in range(1, 7):
+            b = cayley_ball(model, radius)
+            inner = b.level_starts[radius]
+            (offsets, columns), (every, all_columns) = b._rows(inner), b._rows(b.n_vertices)
+            assert len(offsets) == inner + 1 and len(every) == b.n_vertices + 1
+            assert offsets == every[:inner + 1], radius
+            assert columns == all_columns[:every[inner]], radius
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
     def test_unfolding_numbers_vertices_as_the_ball(self, model):

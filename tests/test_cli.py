@@ -6,6 +6,7 @@ or a resource cap reached, 3 strategy fault.
 
 import hashlib
 import io
+import json
 import math
 import random
 import sys
@@ -601,13 +602,16 @@ class TestRejectedInput:
         (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
           "--replay", "{d}"], "{d}"),
         (["oracle", "{d}/ray5.tree", "--budget", "const:1", "--cache", "{d}"], "{d}"),
+        (["br", "{d}/binary.tree", "--metrics", "{d}"], "{d}"),
+        (["cayley", "free:2", "--mode", "growth", "--R", "3", "--metrics", "{d}/no/m.json"],
+         "{d}/no/m.json"),
         (["br", "{d}/latin1.tree"], "{d}/latin1.tree: not UTF-8 text"),
         (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
           "--replay", "{d}/latin1.trace"], "{d}/latin1.trace: not UTF-8 text"),
         (["oracle", "{d}/ray5.tree", "--budget", "const:1", "--cache", "{d}/latin1.cache"],
          "{d}/latin1.cache: not UTF-8 text"),
     ], ids=["spec-dir", "out-dir", "tree-out-dir", "trace-out-dir", "replay-dir", "cache-dir",
-            "spec-latin1", "replay-latin1", "cache-latin1"])
+            "metrics-dir", "metrics-no-dir", "spec-latin1", "replay-latin1", "cache-latin1"])
     def test_unreadable_or_unwritable_file_exits_one(self, argv, named, spec_dir, capsys):
         (spec_dir / "latin1.tree").write_bytes(b"variant: periodic\nroot: \xe9\n")
         (spec_dir / "latin1.trace").write_bytes(b"round 1 | protect \xff | burn -\n")
@@ -796,3 +800,23 @@ class TestDeterminism:
         assert code1 == code2
         assert out1 == out2
         assert out1  # non-empty report
+
+    @pytest.mark.parametrize("argv", CASES + [
+        ["cayley", "free:2", "--mode", "tree", "--R", "3"],
+        ["cayley", "free:2", "--mode", "surround", "--R", "4", "--lambda", "2", "--k", "0"],
+    ], ids=["br", "contain-above", "contain-below", "simulate", "oracle", "growth", "surround",
+            "polyprobe", "tree", "surround-cap"])
+    def test_metrics_leave_reports_alone(self, argv, spec_dir, tmp_path):
+        # --metrics writes both keys as positive numbers and changes neither
+        # the exit code, nor stdout, nor the --out file; the last case runs
+        # out of ball and exits 2, with its metrics written all the same
+        argv = [a.format(d=spec_dir) for a in argv] + ["--out", str(tmp_path / "report")]
+        code1, out1 = run(argv)
+        written = (tmp_path / "report").read_bytes()
+        code2, out2 = run(argv + ["--metrics", str(tmp_path / "metrics.json")])
+        assert (code1, out1) == (code2, out2)
+        assert code1 == (2 if "result.regime = cap_exhausted" in out1 else 0)
+        assert (tmp_path / "report").read_bytes() == written
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert sorted(metrics) == ["peak_rss_mb", "wall_s"]
+        assert all(isinstance(v, float) and v > 0 for v in metrics.values()), metrics

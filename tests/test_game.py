@@ -12,7 +12,10 @@ Claims covered:
       forced through the numpy pass;
       protect sets past SPREAD_VECTOR_MIN that mix negative, burning,
       out-of-ball and huge ids fail with the reference's fault, message and
-      round, and a trace records each protect set once, sorted
+      round, and a trace records each protect set once, sorted;
+      rows built on demand: the first separated, neighbors and numpy-round
+      reads of a fresh ball or tree, level-D rows included, agree with the
+      reference
     - protect sets given as int32 or int64 arrays, of any size and with
       duplicates, negative, out-of-arena and burning ids, play as the same
       sets given as tuples, at the default SPREAD_VECTOR_MIN and at 1: equal
@@ -81,7 +84,7 @@ from firebreak import (
 )
 import firebreak.game as game_mod
 from firebreak.game import BURNING, PROTECTED, UNTOUCHED, TraceRound, Verdict, cut_weight_target
-from firebreak.trees import ExplicitSpec, PeriodicSpec, compile
+from firebreak.trees import ExplicitSpec, PeriodicSpec, Truncation, compile
 from conftest import (
     binary_spec,
     budget_catalogue,
@@ -95,6 +98,8 @@ from conftest import (
     witness_vertices,
 )
 import game_reference
+import trees_reference
+from cayley_reference import reference_ball
 from pareto_reference import pareto_feasibility
 
 DATA = Path(__file__).parent / "data"
@@ -296,6 +301,69 @@ class TestInPlaceEngine:
             random_truncation(rng, max_depth=7, size_limit=400) for _ in range(300)))
         self.test_matches_copy_per_round_reference()
         assert calls["spread"] > 100, calls
+
+    def test_rows_built_on_demand_match_the_reference(self, monkeypatch):
+        # every read that builds rows, made first on a fresh arena and
+        # checked against the reference on another fresh copy: separated on
+        # statuses whose rarer side holds a level-D id (before anything that
+        # builds every row), neighbors of an interior or a level-D id, and
+        # games whose every round reads the numpy rows up to its frontier's
+        # last id; a ball builds its interior rows first and level D's only
+        # once one of them is read, a tree all of them at once
+        monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", 1)
+        rng = random.Random(61)
+        arenas = [((lambda m=model, r=r: cayley_ball(m, r)), reference_ball(model, r).adjacency)
+                  for model in ENGINE_MODELS for r in (2, 3, 4)]
+        for _ in range(80):
+            t = random_truncation(rng, max_depth=6, size_limit=300)
+            ref = trees_reference.expand(t.spec, t.depth)
+            arenas.append(((lambda s=t.spec, d=t.depth: expand(s, d)),
+                           [([ref.parent[v]] if v else []) + ref.children[v]
+                            for v in range(ref.n_vertices)]))
+        seen = Counter()
+
+        def built(a):
+            return len(a._built_rows[0]) - 1
+
+        for make, adjacency in arenas:
+            arena = make()
+            n, inner = arena.n_vertices, arena.level_starts[arena.depth]
+            if inner == n:  # a finite tree ended above depth D
+                continue
+            every = type(arena) is Truncation  # a tree builds every row at once
+            deep, rare = rng.randrange(inner, n), rng.choice((BURNING, UNTOUCHED))
+            statuses = bytearray([BURNING + UNTOUCHED - rare]) * n
+            for v in rng.sample(range(n), rng.randint(0, n // 4)):
+                statuses[v] = rng.choice((rare, PROTECTED))
+            statuses[deep] = rare
+            if rng.random() < 0.5:  # guard every rare vertex: separated
+                for v in [v for v in range(n) if statuses[v] == rare]:
+                    for w in adjacency[v]:
+                        statuses[w] = statuses[w] if statuses[w] == rare else PROTECTED
+            want = game_reference._separated(GameState(make(), statuses, 0, ()))
+            assert arena.separated(statuses) == want
+            if statuses.count(rare) < n - statuses.count(rare) - statuses.count(PROTECTED):
+                assert built(arena) == n
+                seen["separated", want] += 1
+
+            arena, first = make(), rng.choice((deep, rng.randrange(inner)))
+            assert list(arena.neighbors(first)) == adjacency[first]
+            assert built(arena) == (n if every or first >= inner else inner)
+            assert [list(arena.neighbors(v)) for v in range(n)] == adjacency
+            seen["neighbors", every, first >= inner] += 1
+
+            arena, fire = make(), rng.sample(range(inner), rng.randint(1, min(inner, 3)))
+            schedule = {r: rng.sample(range(n), rng.randint(0, min(n, 3))) for r in (1, 2, 3)}
+            budget = BudgetSequence.constant(3)
+            got = _engine_outcome(run_game, arena, fire, ScheduleStrategy(schedule), budget)
+            want = _engine_outcome(game_reference.run_game, make(), fire,
+                                   ScheduleStrategy(schedule), budget)
+            assert got == want
+            seen[got[0] if isinstance(got, tuple) else got.kind] += 1
+        assert seen["separated", True] > 20 and seen["separated", False] > 20, seen
+        assert min(seen["neighbors", every, deep] for every in (False, True)
+                   for deep in (False, True)) > 5, seen
+        assert {"contained", "boundary_reached", "StrategyFault"} <= set(seen), seen
 
     def test_containment_check_matches_the_loop(self):
         # the one-pass check over the rows, a tree's or a ball's, against

@@ -354,7 +354,7 @@ class TestNumpyUnfolding:
             assert [list(kids) for kids in got.children] == ref.children
             assert got.boundary == ref.boundary
             assert [v for v in range(got.n_vertices) if got.is_boundary(v)] == list(ref.boundary)
-            offsets, columns = got.rows
+            offsets, columns = got.rows(got.n_vertices - 1)
             for v in range(ref.n_vertices):
                 want = ([ref.parent[v]] if v else []) + ref.children[v]
                 assert list(got.neighbors(v)) == want
