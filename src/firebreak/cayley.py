@@ -75,7 +75,8 @@ from .game import (
     feasibility_check,
     simulate,
 )
-from .trees import Automaton, PeriodicSpec, Truncation, compile, packed, view, zeroed
+from .trees import (Automaton, PeriodicSpec, Truncation, compile, format_parents, packed, view,
+                    zeroed)
 
 _LETTERS = "abcdefghij"
 
@@ -315,13 +316,91 @@ class CayleyBall(Truncation):
     def sphere_sizes(self) -> list[int]:
         return [b - a for a, b in pairwise(self.level_starts)]
 
-    @cached_property
-    def word_strings(self) -> list[str]:
-        """Every element's lex-min word: its tree parent's plus one letter."""
-        letters, strings = self.model.generators, [""]
-        for p, g in zip(self.parent[1:], self.tree_generator[1:]):
-            strings.append(strings[p] + letters[g])
-        return strings
+
+# From the first sphere of at least this many vertices on, the export is
+# written as byte records from numpy passes, and before it from Python
+# strings.  Measured sphere by sphere on zd:2, zd:3, free:2, freeprod:3,3
+# and dinf balls (2-CPU VM), the numpy pass costs about 18 us a sphere more
+# than the strings' fixed cost, and the two cross between 70 and 130
+# vertices (free:2's 108-vertex sphere: 73 us against 48; freeprod:3,3's
+# 128: 48 against 61).  The parent lines' digit pass crosses Python strings
+# between 120 and 220 parents (dinf at R = 60: 47 us against 35; zd:2 at
+# R = 10: 57 against 67), so it takes over at the same size.
+EXPORT_SPHERE_MIN = 128
+
+
+def write_tree_export(tree: CayleyBall, fh) -> None:
+    """Write the ball's lex-min spanning tree to the binary file ``fh`` as an
+    explicit tree spec: a ``# vertex v = word`` comment per vertex (``id``
+    for the root), then ``trees.format_parents``'s lines of ``parent[1:]``.
+    A word is its tree parent's plus one letter.  The spheres before the
+    first one of EXPORT_SPHERE_MIN vertices are written from Python
+    strings, a word and a line a vertex.  From there on, as every generator
+    name is one letter, the words of sphere L are an (|S(L)|, L) byte
+    matrix gathered from sphere L - 1's plus the entering letters, and its
+    lines are fixed-width byte records, one block per run of ids of one
+    digit width."""
+    names, starts = tree.model.generators, tree.level_starts
+    first = next((lv for lv in range(1, tree.depth + 1)
+                  if starts[lv + 1] - starts[lv] >= EXPORT_SPHERE_MIN), tree.depth + 1)
+    words = [""]
+    for p, g in zip(tree.parent[1:starts[first]], tree.tree_generator[1:starts[first]]):
+        words.append(words[p] + names[g])
+    fh.write("".join(f"# vertex {v} = {w or 'id'}\n" for v, w in enumerate(words)).encode())
+    parent, entering = view(tree.parent), view(tree.tree_generator)
+    letters = np.frombuffer("".join(names).encode(), np.uint8)
+    if first <= tree.depth:
+        up = starts[first - 1]
+        words = np.frombuffer("".join(words[up:]).encode(), np.uint8)
+        words = words.reshape(starts[first] - up, first - 1)
+    for lv in range(first, tree.depth + 1):
+        a, b, up = starts[lv], starts[lv + 1], starts[lv - 1]
+        grown = np.empty((b - a, lv), np.uint8)
+        grown[:, :-1] = words[parent[a:b] - up]
+        grown[:, -1] = letters[entering[a:b]]
+        words = grown
+        cuts = [10 ** k for k in range(len(str(a)), len(str(b - 1)))]  # where the width grows
+        for lo, hi in pairwise([a, *cuts, b]):
+            width = len(str(lo))
+            rec = np.empty((hi - lo, 13 + width + lv), np.uint8)
+            rec[:, :9] = np.frombuffer(b"# vertex ", np.uint8)
+            _digits(np.arange(lo, hi, dtype=np.intc), rec[:, 9:9 + width])
+            rec[:, 9 + width:12 + width] = np.frombuffer(b" = ", np.uint8)
+            rec[:, 12 + width:-1] = words[lo - a:hi - a]
+            rec[:, -1] = ord("\n")
+            fh.write(rec)
+    fh.write(_parent_lines(parent[1:]))
+
+
+def _parent_lines(parents: np.ndarray):
+    """``format_parents(parents)``, encoded: from Python strings when there
+    are fewer than EXPORT_SPHERE_MIN parents or none, else from one digit
+    pass."""
+    if len(parents) < max(EXPORT_SPHERE_MIN, 1):
+        return format_parents(parents.tolist()).encode()
+    # one record per id: "parents: " (kept at the head of a line of 16), its
+    # digits right-aligned (the leading zeros dropped) and a space or newline
+    width = len(str(int(parents.max())))
+    rec = np.empty((len(parents), 10 + width), np.uint8)
+    keep = np.ones(rec.shape, bool)
+    rec[:, :9] = np.frombuffer(b"parents: ", np.uint8)
+    keep[:, :9] = False
+    keep[::16, :9] = True
+    _digits(parents.copy(), rec[:, 9:-1])
+    for k in range(1, width):  # the digit standing for 10**k, kept from 10**k on
+        np.greater_equal(parents, 10 ** k, out=keep[:, 9 + width - 1 - k])
+    rec[:, -1] = ord(" ")
+    rec[15::16, -1] = rec[-1, -1] = ord("\n")
+    return b"variant: explicit\n" + rec[keep].tobytes()
+
+
+def _digits(ids: np.ndarray, out: np.ndarray) -> None:
+    """Write the ids' decimal digits, zero-padded to out's width, into the
+    (len(ids), width) byte matrix out; ids is consumed."""
+    for k in range(out.shape[1] - 1, -1, -1):
+        out[:, k] = ids % 10
+        ids //= 10
+    out += ord("0")
 
 
 def _sphere_sizes(model, radius: int) -> list[int]:

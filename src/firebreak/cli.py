@@ -40,6 +40,7 @@ from .cayley import (
     lex_min_tree,
     polynomial_probe,
     wait_and_surround,
+    write_tree_export,
 )
 from .errors import (
     ResourceLimitError,
@@ -64,7 +65,6 @@ from .trees import (
     ExplicitSpec,
     compile,
     expand,
-    format_parents,
     format_tree_spec,
     load_tree_spec,
     read_text,
@@ -423,10 +423,8 @@ def cmd_cayley(args) -> int:
         if not args.out:
             raise SpecError("--out is required for mode tree")
         tree = lex_min_tree(model, args.R)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("".join(f"# vertex {v} = {w or 'id'}\n"
-                             for v, w in enumerate(tree.word_strings)))
-            fh.write(format_parents(tree.parent[1:]))
+        with open(args.out, "wb") as fh:
+            write_tree_export(tree, fh)
         result.update(vertices=tree.n_vertices, out=args.out,
                       level_counts=tuple(tree.sphere_sizes()))
         emit_report(config, result, tables, None)

@@ -17,11 +17,19 @@ the outcome inconclusive at this depth, all at level ``depth``, and
 ``is_boundary(v)``, the test for one, asked only of frontier ids at level
 ``depth``; ``neighbors(v)``, row v of the arena's one adjacency, and
 ``rows(last)``, numpy views of its row offsets and column ids holding rows
-0..last, which large rounds read up to their sorted frontier's last id;
-and ``separated(statuses)``, the check on the same rows that a contained
-fire has no untouched neighbour.  The arena builds rows only as far as
-these reads reach, so a game whose fire stays off level ``depth`` never
-builds that level's rows on a Cayley ball.
+0..last, which a round that spreads in one numpy pass reads up to its
+sorted frontier's last id; and ``separated(statuses)``, the check on the
+same rows that a contained fire has no untouched neighbour.  The arena
+builds rows only as far as these reads reach, so a game whose fire stays
+off level ``depth`` never builds that level's rows on a Cayley ball.
+
+A round spreads from its frontier, which is sorted and unique, in one of
+three ways.  A frontier that is one run of ids (its ends ``len - 1``
+apart), as a sphere of a level-major arena is, and whose rows hold at
+least SPREAD_SLICE_MIN entries spreads from the one slice
+``columns[offsets[first]:offsets[last + 1]]``; any other frontier of
+SPREAD_VECTOR_MIN ids or more gathers its rows' entries through
+``trees.row_entries``; the rest call ``neighbors(v)`` a vertex at a time.
 
 ``run_game`` plays the whole game on one status array that it changes in
 place, so the ``GameState.statuses`` a strategy sees is live; ``step``
@@ -50,6 +58,12 @@ from .trees import (BURNING, PROTECTED, UNTOUCHED, TreeSpec, Truncation, compile
 # Protect sets and frontiers of this size or more take one numpy pass: it costs
 # 30-70 us and wins past ~64 free:2 vertices; 1024 kept every small job flat.
 SPREAD_VECTOR_MIN = 1024
+# A frontier that is one run of ids whose rows hold this many entries or more
+# spreads from one slice of the columns, whatever its size.  Measured on
+# sphere and level frontiers of free:2, zd:2, zd:3, binary and ternary arenas
+# (2-CPU VM), the slice pass costs about 21 us plus 0.03 us an entry, the
+# neighbors loop about 7 us plus 0.3 us an entry: they cross near 50 entries.
+SPREAD_SLICE_MIN = 64
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +203,11 @@ def _as_tuple(ids) -> tuple[int, ...]:
 def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budget: int):
     """Play round ``state.round_no + 1`` on ``statuses`` in place; return the sorted protect
     set and the new burning vertices, int arrays from SPREAD_VECTOR_MIN ids on, else tuples.
-    Protecting a burning vertex or overspending the budget is a strategy fault, no silent clip."""
+    Protecting a burning vertex or overspending the budget is a strategy fault, no silent clip.
+    The frontier spreads by the one-run rule of the module docstring."""
     round_no = state.round_no + 1
-    if isinstance(protect, np.ndarray):  # sort and diff: cheaper than unique
-        protect = np.sort(protect)
-        protect = protect[np.diff(protect, prepend=protect[:1] - 1) != 0]
+    if isinstance(protect, np.ndarray):
+        protect = _sorted_unique(protect)
     else:
         protect = sorted(set(protect))
     if len(protect) > budget:
@@ -220,12 +234,21 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budg
                 raise StrategyFault(round_no, f"vertex {v} is burning and cannot be protected")
             statuses[v] = PROTECTED
         protect = _as_tuple(protect)
-    if len(state.frontier) >= SPREAD_VECTOR_MIN:  # the frontier is sorted: rows up to its last
-        frontier = state.frontier
-        return protect, _spread_rows(statuses, frontier, *state.arena.rows(int(frontier[-1])))
+    frontier, arena = state.frontier, state.arena
+    if len(frontier):  # sorted and unique: one run when its ends are len - 1 apart
+        first, last = frontier[0], frontier[-1]
+        run = last - first + 1 == len(frontier)
+        if run or len(frontier) >= SPREAD_VECTOR_MIN:
+            offsets, columns = arena.rows(last)
+            if run:
+                lo, hi = offsets.item(first), offsets.item(last + 1)
+                if hi - lo >= SPREAD_SLICE_MIN:
+                    return protect, _spread_rows(statuses, columns[lo:hi])
+            if len(frontier) >= SPREAD_VECTOR_MIN:
+                ids = np.asarray(frontier, np.intp)
+                return protect, _spread_rows(statuses, row_entries(offsets, columns, ids))
     newly = []
-    arena = state.arena
-    for v in state.frontier:
+    for v in frontier:
         for w in arena.neighbors(v):
             if statuses[w] == UNTOUCHED:
                 statuses[w] = BURNING
@@ -233,14 +256,24 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budg
     return protect, tuple(sorted(newly))
 
 
-def _spread_rows(statuses: bytearray, frontier, offsets, columns):
-    """Mark the frontier's untouched row entries burning; return them as _advance does."""
+def _spread_rows(statuses: bytearray, reached: np.ndarray):
+    """Mark the untouched ones of the frontier's row entries burning (one slice of the
+    columns when the frontier is one run, else row_entries' gather); return them as
+    _advance does."""
     view = np.frombuffer(statuses, np.uint8)
-    reached = row_entries(offsets, columns, np.asarray(frontier, np.intp))
-    reached = np.sort(reached[view[reached] == UNTOUCHED])  # sort and diff: cheaper than unique
-    reached = reached[np.diff(reached, prepend=-1) != 0]
+    reached = _sorted_unique(reached[view[reached] == UNTOUCHED])
     view[reached] = BURNING
     return reached if len(reached) >= SPREAD_VECTOR_MIN else tuple(reached.tolist())
+
+
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """The ids sorted, each once: a sort and one neighbour comparison, a quarter
+    of what np.unique or np.diff with prepend cost on a few hundred ids."""
+    ids = np.sort(ids)
+    keep = np.empty(len(ids), bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,13 @@ numpy pass a level by ``unfold``.  Its ``parent``, ``level`` and ``state``
 are ``array('i')``s (numpy reads them as zero-copy views) and
 ``children[v]`` is a ``range``.  It is the one game arena and holds the
 one adjacency: flat rows, offsets and column ids as ``array('i')``s, which
-``neighbors(v)`` slices, ``rows(last)`` views for large game rounds and
-``separated`` checks a contained fire on.  Rows are built only as far as
-play reads them: the interior rows (ids below ``level_starts[D]``) on
-first use, and level D's only once one of them is asked for, by
-``neighbors``, by ``rows`` up to a frontier's last id or by ``separated``
-up to the last id of the side it reads.  A tree's row lists the parent,
+``neighbors(v)`` slices, ``rows(last)`` views for the game rounds that
+spread in one numpy pass and ``separated`` checks a contained fire on (one
+slice of the columns when the side it reads is one run of ids).  Rows are
+built only as far as play reads them: the interior rows (ids below
+``level_starts[D]``) on first use, and level D's only once one of them is
+asked for, by ``neighbors``, by ``rows`` up to a frontier's last id or by
+``separated`` up to the last id of the side it reads.  A tree's row lists the parent,
 then the children, and as tree rows are cheap a tree builds them all at
 once; a Cayley ball (``cayley.CayleyBall``) is the truncation of its
 group's word acceptor whose ``_rows(n)`` list the Cayley graph's
@@ -383,6 +384,7 @@ class Truncation:
         return offsets, columns
 
     _built_rows = (array("i", [0]), array("i"))  # no row yet: the first ask builds some
+    _row_views = tuple(map(view, _built_rows))  # their numpy views, made once per build
 
     def _rows_through(self, last: int) -> tuple[array, array]:
         """Row buffers holding rows 0..last: the interior rows (ids below
@@ -391,12 +393,15 @@ class Truncation:
         if len(self._built_rows[0]) <= last + 1:
             inner = self.level_starts[self.depth]
             self._built_rows = self._rows(inner if last < inner else self.n_vertices)
+            self._row_views = tuple(map(view, self._built_rows))
         return self._built_rows
 
     def rows(self, last: int) -> tuple[np.ndarray, np.ndarray]:
-        """Numpy views of row buffers holding rows 0..last, which large game
-        rounds read up to their frontier's last id."""
-        return tuple(map(view, self._rows_through(last)))
+        """Numpy views of row buffers holding rows 0..last, which game rounds
+        that spread in one numpy pass read up to their frontier's last id."""
+        if len(self._built_rows[0]) <= last + 1:
+            self._rows_through(last)
+        return self._row_views
 
     def neighbors(self, v: int) -> array:
         offsets, columns = self._built_rows
@@ -407,13 +412,21 @@ class Truncation:
     def separated(self, statuses: bytes | bytearray) -> bool:
         """No burning vertex has an untouched neighbour, read off the rows of
         whichever of the two statuses is fewer, as the graph is undirected;
-        rows are built only up to that side's last id."""
-        side, other = sorted((BURNING, UNTOUCHED), key=statuses.count)
-        status = np.frombuffer(statuses, np.uint8)
-        ids = np.flatnonzero(status == side)
-        if not ids.size:
+        rows are built only up to that side's last id.  When that side's ids
+        are one run (a contained ball fire is ids 0..m-1), its rows are one
+        slice of the columns."""
+        burning, untouched = statuses.count(BURNING), statuses.count(UNTOUCHED)
+        side, other, size = ((BURNING, UNTOUCHED, burning) if burning <= untouched
+                             else (UNTOUCHED, BURNING, untouched))
+        if not size:
             return True
-        reached = row_entries(*self.rows(int(ids[-1])), ids)
+        first, last = statuses.find(side), statuses.rfind(side)
+        offsets, columns = self.rows(last)
+        status = np.frombuffer(statuses, np.uint8)
+        if last - first + 1 == size:
+            reached = columns[offsets[first]:offsets[last + 1]]
+        else:
+            reached = row_entries(offsets, columns, np.flatnonzero(status == side))
         return not (status[reached] == other).any()
 
     @classmethod

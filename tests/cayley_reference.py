@@ -1,16 +1,22 @@
-"""The breadth-first Cayley ball that the word acceptors replaced, kept as
-the slow reference of a differential test.
+"""The breadth-first Cayley ball that the word acceptors replaced, and the
+string-per-vertex tree export that ``cayley.write_tree_export`` replaced,
+kept as the slow references of differential tests.
 
-It hashes every element of the ball with every generator: vertices are
-taken in index order and, at each vertex, the generators in order, and
-``elements`` is its own queue.  Every layer is then numbered in shortlex
-order of its elements' lex-min geodesic words, which is what
-``firebreak.cayley.ball`` reads off the acceptor instead.
+The ball hashes every element with every generator: vertices are taken in
+index order and, at each vertex, the generators in order, and ``elements``
+is its own queue.  Every layer is then numbered in shortlex order of its
+elements' lex-min geodesic words, which is what ``firebreak.cayley.ball``
+reads off the acceptor instead.
+
+The export builds every vertex's word as a Python string, its tree
+parent's plus one letter, and formats one f-string line per vertex and the
+parent lines 16 ids at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from firebreak.cayley import DEFAULT_BALL_CAP
 from firebreak.errors import ResourceLimitError, SpecError
@@ -72,3 +78,23 @@ def reference_ball(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> Reference
     return ReferenceBall(model=model, radius=radius, elements=elements, level=level,
                          layers=layers, parent=parent,
                          tree_generator=tree_generator, adjacency=adjacency, _index=index)
+
+
+def tree_export_text(tree) -> str:
+    """The text ``cayley --mode tree`` writes for a ball: a ``# vertex v =
+    word`` line per vertex, then the explicit spec of its parent list."""
+    letters, words = tree.model.generators, [""]
+    for p, g in zip(tree.parent[1:], tree.tree_generator[1:]):
+        words.append(words[p] + letters[g])
+    return ("".join(f"# vertex {v} = {w or 'id'}\n" for v, w in enumerate(words))
+            + format_parents(tree.parent[1:]))
+
+
+def format_parents(parents: Sequence[int]) -> str:
+    """The explicit spec of a parent list, 16 ids a line."""
+    lines = ["variant: explicit"]
+    for i in range(0, len(parents), 16):
+        lines.append("parents: " + " ".join(map(str, parents[i:i + 16])))
+    if not parents:
+        lines.append("parents:")
+    return "\n".join(lines) + "\n"

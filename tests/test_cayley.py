@@ -11,7 +11,10 @@ Claims covered:
     - breadth-first lex-min words equal the minimum over exhaustively
       enumerated geodesic words, and each layer is in increasing word order
     - every ``# vertex v = w`` line of a tree export spells vertex v's word
-      in generator letters, on every model
+      in generator letters, on every model, and the export's bytes equal
+      the string-per-vertex writer's (tests/cayley_reference.py) on free,
+      dihedral, Z^d and free-product balls, with the sphere crossover at
+      its default and forced both ways
     - adjacency rows list the in-ball products v*g in generator order
     - the lex-min tree is spanning, geodesic, uses only Cayley edges, and
       equals the ball on free groups
@@ -41,8 +44,10 @@ Claims covered:
 """
 
 import bisect
+import io
 import random
 import time
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import pairwise
@@ -73,7 +78,7 @@ from firebreak import (
 )
 from firebreak.cli import main as cli_main
 from firebreak.game import BURNING, PROTECTED
-from cayley_reference import reference_ball
+from cayley_reference import reference_ball, tree_export_text
 from conftest import ball_elements, ball_words, enumerate_geodesic_words, tree_export
 
 ALL_MODELS = [
@@ -212,11 +217,54 @@ class TestLexMinWords:
             lines = out.read_text().splitlines()
             assert [line for line in lines if line.startswith("# vertex")] == want, radius
 
-    def test_z_gen_before_inverse(self):
+    def test_z_gen_before_inverse(self, tmp_path, capsys):
         b = cayley_ball(FreeAbelian(1), 2)
         _elements, index = ball_elements(b)
-        assert b.word_strings[index[(2,)]] == "aa"
-        assert b.word_strings[index[(-2,)]] == "AA"
+        out = tmp_path / "z.tree"
+        assert cli_main(["cayley", "zd:1", "--mode", "tree", "--R", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        assert lines[index[(2,)]] == f"# vertex {index[(2,)]} = aa"
+        assert lines[index[(-2,)]] == f"# vertex {index[(-2,)]} = AA"
+
+
+EXPORT_CASES = ([("free:1", 60)] + [("free:2", r) for r in range(10)]
+                + [("free:3", 6), ("dinf", 60), ("zd:2", 40), ("zd:3", 12), ("freeprod:3,3", 10)])
+
+
+class TestTreeExport:
+    """The sphere-by-sphere byte writer against the string-per-vertex one
+    (tests/cayley_reference.py), byte for byte, at the default sphere
+    crossover and forced both ways: every sphere and the parent lines from
+    numpy passes, or all from Python strings."""
+
+    @pytest.mark.parametrize("threshold", [None, 0, 10 ** 9])
+    def test_bytes_match_the_reference(self, threshold, monkeypatch):
+        if threshold is not None:
+            monkeypatch.setattr(cayley_mod, "EXPORT_SPHERE_MIN", threshold)
+        paths = Counter()
+        for name, radius in EXPORT_CASES:
+            tree = lex_min_tree(group_from_name(name), radius)
+            got = io.BytesIO()
+            cayley_mod.write_tree_export(tree, got)
+            assert got.getvalue() == tree_export_text(tree).encode(), (name, radius)
+            numpy = False  # from the first sphere of EXPORT_SPHERE_MIN vertices on
+            for a, b in pairwise(tree.level_starts[1:]):
+                numpy = numpy or b - a >= cayley_mod.EXPORT_SPHERE_MIN
+                paths[numpy, len(str(a)) < len(str(b - 1))] += 1
+        # both paths ran unless forced, and spheres whose ids cross a power
+        # of ten took the byte records
+        assert paths[True, True] > 0 or threshold == 10 ** 9, paths
+        assert paths[False, False] > 0 or threshold == 0, paths
+
+    def test_cli_file_matches_the_reference(self, tmp_path, capsys):
+        out = tmp_path / "ball.tree"
+        for name, radius in (("free:2", 9), ("dinf", 60), ("zd:2", 40)):
+            assert cli_main(["cayley", name, "--mode", "tree", "--R", str(radius),
+                             "--out", str(out)]) == 0
+            capsys.readouterr()
+            want = tree_export_text(lex_min_tree(group_from_name(name), radius))
+            assert out.read_bytes() == want.encode(), (name, radius)
 
 
 class TestLexMinTree:

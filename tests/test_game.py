@@ -9,7 +9,8 @@ Claims covered:
       (tests/game_reference.py) on random truncations and Cayley balls of
       every model: same traces, verdicts, faults and fault rounds, also
       with every round and protect set, of balls and of truncations,
-      forced through the numpy pass;
+      forced through the numpy pass, and with every one-run frontier forced
+      to spread from one slice of the columns, or none;
       protect sets past SPREAD_VECTOR_MIN that mix negative, burning,
       out-of-ball and huge ids fail with the reference's fault, message and
       round, and a trace records each protect set once, sorted;
@@ -301,6 +302,22 @@ class TestInPlaceEngine:
             random_truncation(rng, max_depth=7, size_limit=400) for _ in range(300)))
         self.test_matches_copy_per_round_reference()
         assert calls["spread"] > 100, calls
+
+    @pytest.mark.parametrize("crossover", [0, 10 ** 9])
+    def test_one_run_slices_match_copy_per_round_reference(self, crossover, monkeypatch):
+        # at crossover 0 every one-run round spreads from one slice of the
+        # columns, at 10**9 none does; a spread that reads no row_entries
+        # index is a slice
+        spread, entries, calls = game_mod._spread_rows, game_mod.row_entries, Counter()
+        monkeypatch.setattr(game_mod, "SPREAD_SLICE_MIN", crossover)
+        monkeypatch.setattr(game_mod, "_spread_rows",
+                            lambda *args: calls.update(["spread"]) or spread(*args))
+        monkeypatch.setattr(game_mod, "row_entries",
+                            lambda *args: calls.update(["entries"]) or entries(*args))
+        self.test_matches_copy_per_round_reference()
+        self.test_step_leaves_its_input_alone()
+        slices = calls["spread"] - calls["entries"]
+        assert (slices > 100) if crossover == 0 else (slices == 0), calls
 
     def test_rows_built_on_demand_match_the_reference(self, monkeypatch):
         # every read that builds rows, made first on a fresh arena and
