@@ -3,7 +3,7 @@
 Core surfaces: finite tree descriptions and truncations (``trees``), cut
 and flow machinery with branching numbers and non-containment certificates
 (``branching``), the game engine with feasibility decisions and strategy
-synthesis (``game``), brute-force oracles (``oracle``), group models and
+synthesis (``game``), brute-force oracles (``oracle``), the group model and
 growth (``cayley``), and the command-line front end (``cli``).
 """
 
@@ -25,16 +25,13 @@ from .branching import (
 )
 from .cayley import (
     CayleyBall,
-    FreeAbelian,
-    FreeProductCyclic,
+    GraphProduct,
     GrowthEstimate,
     ProbeReport,
     SurroundResult,
     ball as cayley_ball,
-    free_group,
     group_from_name,
     growth_rate_estimate,
-    infinite_dihedral,
     lex_min_tree,
     polynomial_probe,
     wait_and_surround,

@@ -1,56 +1,44 @@
-"""Group models with computable normal forms, Cayley balls, the
+"""One group model with computable normal forms, Cayley balls, the
 lexicographically-minimal geodesic spanning tree, growth estimates, the
 wait-and-surround containment strategy, and polynomial budget probes.
 
-Generating sets are symmetric (closed under inverses) with a fixed total
-order that includes the inverses; the order drives all lexicographic
-comparisons.  Built-in models: free abelian groups (integer vectors) and
-free products of cyclic groups (alternating syllable normal forms), where
-C_0 = Z, so free groups (Z * ... * Z, reduced words) and the infinite
-dihedral group (C_2 * C_2) are free products too.
+Every group is a graph product of cyclic groups C_m, where C_0 = Z (Green,
+*Graph products of groups*, 1990): the generators of two factors commute
+when that pair of factors is joined.  ``zd:D`` joins every pair, and
+``free:R``, ``dinf`` (C_2 * C_2) and ``freeprod:M1,M2,...`` none;
+``gp:ORDERS/PAIRS`` names any, its factors lettered a, b, c, ...
+(``gp:0,0,0/ac,bc`` is F2 x Z).  Each factor contributes its generator,
+followed by the inverse unless the order is 2; this order drives all
+lexicographic comparisons.
 
 Every element has one shortlex normal form: its lexicographically least
-geodesic word.  Each model's ``word_acceptor()`` is a ``PeriodicSpec``
-whose unfolding is the tree of these words (Cannon 1984; Epstein et al.,
-*Word Processing in Groups*, 1992).  A state records what the normal form
-needs to know about its last syllable, and its name gives the letter that
-enters it:
+geodesic word.  ``word_acceptor()`` is a ``PeriodicSpec`` whose unfolding
+is the tree of these words (Cannon 1984; Epstein et al., *Word Processing
+in Groups*, 1992).  A state is the last letter, its run and the set of
+factors that may start the next syllable.  After a syllable of factor x:
 
-* Z^d: the last letter; the same letter or any letter of a later axis
-  follows, since a shortlex word has its letters sorted;
-* free products (``free:R`` and ``dinf`` included): the last letter and
-  its run length; on a factor of order m a run of the generator grows
-  while 2*run <= m and a run of its inverse while 2*run < m, since a tie
-  goes to the smaller letter, and on C_0 = Z a run is one state that
-  loops to itself, so any letter but the inverse of the last follows.
+* a letter of a factor not joined to x may start a syllable;
+* a letter of a factor joined to x may start one if it could before and
+  its factor comes after x (else it would shuffle in front of x, or onto
+  an earlier syllable of its own factor);
+* x's own letters only extend the run: on a factor of order m a run of
+  the generator grows while 2*run <= m and one of its inverse while
+  2*run < m, since a tie goes to the smaller letter, and on C_0 = Z a run
+  is one state that loops to itself.
 
 Children follow generator order, so unfolding the acceptor level by level
 numbers every layer in shortlex order -- the order in which a
 breadth-first search that takes vertices in index order and, at each
-vertex, the generators in order first reaches them.  By induction on the
-distance: the search first reaches an element at distance n from its
-least-indexed neighbour at distance n-1, by the least generator leading
-there, and as all words of a layer have the same length that (parent word,
-generator) pair is the least geodesic word, whose prefix is the parent's
-normal form.  So the acceptor's level counts are the sphere sizes, which
-growth, the surround trigger, the ball cap and the polynomial probes read
-with nothing built (a model builds its acceptor once).
-
-A ``CayleyBall`` is the depth-R truncation of the acceptor (a
-``trees.Truncation``, unfolded as ``trees.expand`` unfolds any), so its
-``parent`` is the lex-min geodesic spanning tree, its levels are the
-Cayley distances and its boundary is the radius-R sphere; each vertex's
-word is its parent's plus one letter, and no element is built.  It adds
-its model and overrides only ``_rows(n)``, which gives the Cayley graph's
-rows of the first n vertices in one vectorised pass into the ``array('i')``
-row offsets and column ids that the truncation's ``neighbors``, ``rows``
-and ``separated`` read; the truncation asks for the interior rows first and
-for the radius-R sphere's only when play reads one of them, which a
-surround never does.  That pass reads every product off the tree too: a
-same-factor move on a finite factor of a free product goes up the current
-run and down the new syllable's letters (on Z each is a child or the
-parent), and an earlier axis g of Z^d commutes with the letter h entering
-v, so v*g is the h-child of parent*g.  So the game plays the
+vertex, the generators in order first reaches them: it first reaches an
+element at distance n from its least-indexed neighbour at distance n-1, by
+the least generator leading there, which is the least geodesic word, whose
+prefix is the parent's normal form.  So the acceptor's level counts are
+the sphere sizes, which growth, the surround trigger, the ball cap and the
+polynomial probes read with nothing built (a model builds its acceptor
+once).  A ``CayleyBall`` is the depth-R truncation of the acceptor, so its
+``parent`` is the lex-min geodesic spanning tree and its levels are the
+Cayley distances; it overrides only ``_rows(n)``, which reads the Cayley
+graph's rows off that tree with no element built.  So the game plays the
 ball and its spanning tree on one vertex numbering with different rows,
 and every tree algorithm here answers a Cayley question.
 """
@@ -60,9 +48,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
-from string import digits
-from typing import Sequence
+from itertools import combinations, pairwise
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,103 +69,80 @@ _LETTERS = "abcdefghij"
 
 DEFAULT_BALL_CAP = 2_000_000
 
-_ROOT_STATE = "id"  # acceptor state of the empty word; no letter enters it
+
+def _pair(x: int, y: int) -> str:  # a pair of factor indices as letters
+    return "".join(_LETTERS[i] if 0 <= i < len(_LETTERS) else "?" for i in (x, y))
 
 
-def _letter(i: int, inverse: bool) -> str:
-    if i >= len(_LETTERS):
-        raise SpecError(f"at most {len(_LETTERS)} generator letters supported")
-    return _LETTERS[i].upper() if inverse else _LETTERS[i]
+class GraphProduct:
+    """Graph product of cyclic groups C_m1, C_m2, ..., where C_0 = Z, with
+    factors lettered a, b, c, ... and ``joined`` naming the pairs of factor
+    indices whose generators commute (``(0, 2)`` for a and c); the group
+    must be infinite.  An element is its syllables (factor, exponent), with
+    1 <= exponent < order on a finite factor and any nonzero exponent on Z,
+    in the lexicographically least order of factors that shuffling joined
+    neighbours reaches."""
 
-
-class _GroupModel:
-    """What every model shares: its word acceptor, built once per model."""
-
-    @cached_property
-    def acceptor(self) -> tuple[PeriodicSpec, Automaton, list[int]]:
-        """The word acceptor, its compiled automaton and the generator
-        entering each state (-1 at the root), which the state's name gives."""
-        spec = self.word_acceptor()
-        auto = compile(spec)
-        entering = [-1 if name == spec.root else self.generators.index(name.rstrip(digits))
-                    for name in auto.names]
-        return spec, auto, entering
-
-
-class FreeAbelian(_GroupModel):
-    """Z^d with generator order a < A < b < B < ... (a = +e1, A = -e1)."""
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise SpecError("dimension must be >= 1")
-        self.dim = dim
-        self.name = f"zd:{dim}"
-        self.generators = tuple(
-            _letter(i, inv) for i in range(dim) for inv in (False, True)
-        )
-        self.identity = (0,) * dim
-
-    def inverse_index(self, g: int) -> int:
-        return g ^ 1
-
-    def multiply(self, elem: tuple, g: int) -> tuple:
-        axis, sign = divmod(g, 2)
-        delta = -1 if sign else 1
-        out = list(elem)
-        out[axis] += delta
-        return tuple(out)
-
-    def word_acceptor(self) -> PeriodicSpec:
-        """Shortlex words have their letters sorted: a state is the last
-        letter, and the same letter or any letter of a later axis follows
-        it."""
-        gens = self.generators
-        states = {_ROOT_STATE: gens}
-        for g, name in enumerate(gens):
-            states[name] = (name,) + gens[2 * (g // 2 + 1):]
-        return PeriodicSpec(states=states, root=_ROOT_STATE)
-
-
-class FreeProductCyclic(_GroupModel):
-    """Free product of cyclic groups C_m1 * C_m2 * ..., where C_0 = Z;
-    elements are alternating syllables (factor, exponent), with 1 <=
-    exponent < order on a finite factor and any nonzero exponent on an
-    infinite one.
-    Each factor contributes its generator, followed immediately by the
-    inverse unless the order is 2 (order-2 generators are their own
-    inverses).  One infinite factor alone is Z, the free group of rank 1."""
-
-    def __init__(self, orders: Sequence[int], name: str | None = None):
-        orders = tuple(int(m) for m in orders)
-        if any(m < 0 or m == 1 for m in orders):
+    def __init__(self, orders: Sequence[int], joined: Iterable[tuple[int, int]] = (),
+                 name: str | None = None):
+        orders = tuple(map(int, orders))
+        if 1 in orders or min(orders, default=0) < 0:
             raise SpecError("cyclic factor orders must be 0 (infinite) or >= 2")
-        if len(orders) < 2 and orders != (0,):
-            raise SpecError("free products need at least two factors")
+        if len(orders) > len(_LETTERS):
+            raise SpecError(f"at most {len(_LETTERS)} factors supported")
+        gens, moves, inverse = [], [], []  # moves: (factor, exponent delta)
+        for x, m in enumerate(orders):
+            if m == 2:
+                inverse.append(len(gens))
+                gens.append(_LETTERS[x])
+                moves.append((x, 1))
+            else:
+                inverse += (len(gens) + 1, len(gens))
+                gens += (_LETTERS[x], _LETTERS[x].upper())
+                moves += ((x, 1), (x, -1))
+        links = [0] * len(orders)  # per factor, the bitmask of factors joined to it
+        joined = tuple(joined)
+        for x, y in joined:
+            if not (0 <= x < len(orders) and 0 <= y < len(orders)):
+                raise SpecError(f"pair {_pair(x, y)} names a letter past the {len(orders)} factors")
+            if x == y:
+                raise SpecError(f"pair {_pair(x, y)} joins a factor to itself")
+            if links[x] >> y & 1:
+                raise SpecError(f"pair {_pair(x, y)} is repeated")
+            links[x] |= 1 << y
+            links[y] |= 1 << x
+        if all(orders) and all(lk | 1 << x == (1 << len(orders)) - 1 for x, lk in enumerate(links)):
+            raise SpecError("the group is finite: it needs a factor Z or two factors not joined")
         self.orders = orders
-        self.name = name or ("freeprod:" + ",".join(str(m) for m in orders))
-        gens: list[str] = []
-        moves: list[tuple[int, int]] = []  # (factor, exponent delta)
-        for i, m in enumerate(orders):
-            gens.append(_letter(i, False))
-            moves.append((i, 1))
-            if m != 2:
-                gens.append(_letter(i, True))
-                moves.append((i, -1))
+        self.name = name or f"gp:{','.join(map(str, orders))}/{','.join(_pair(*p) for p in joined)}"
         self.generators = tuple(gens)
-        self._moves = tuple(moves)
         self.identity = ()
+        self._moves = tuple(moves)
+        self._links = tuple(links)
+        self._inverse = tuple(inverse)
 
     def inverse_index(self, g: int) -> int:
-        factor, delta = self._moves[g]
-        return g if self.orders[factor] == 2 else self._moves.index((factor, -delta))
+        return self._inverse[g]
 
     def multiply(self, elem: tuple, g: int) -> tuple:
-        factor, exp = self._moves[g]
-        if elem and elem[-1][0] == factor:
-            elem, exp = elem[:-1], elem[-1][1] + exp
-        if m := self.orders[factor]:
+        """elem * g: merged into the last syllable of g's factor if the
+        syllables after it commute with g, else a new syllable.  That one
+        goes as far left as the joined syllables at the end let it, then
+        right past those of earlier factors, which keeps the order least."""
+        x, exp = self._moves[g]
+        links, i = self._links[x], len(elem)
+        while i and elem[i - 1][0] != x and links >> elem[i - 1][0] & 1:
+            i -= 1
+        if i and elem[i - 1][0] == x:
+            i, exp = i - 1, elem[i - 1][1] + exp
+            rest = elem[i + 1:]
+        else:
+            while i < len(elem) and elem[i][0] < x:
+                i += 1
+            rest = elem[i:]
+        if m := self.orders[x]:
             exp %= m
-        return elem + ((factor, exp),) if exp else elem
+        return elem[:i] + ((x, exp),) * bool(exp) + rest
 
     def syllable(self, h: int, run: int, g: int) -> tuple[int, ...]:
         """The shortlex letters of h**run * g for g of h's finite factor:
@@ -188,58 +152,91 @@ class FreeProductCyclic(_GroupModel):
         m = self.orders[factor]
         exp = (run * delta + self._moves[g][1]) % m
         letter = self._moves.index((factor, 1))
-        return (letter,) * exp if 2 * exp <= m else (self.inverse_index(letter),) * (m - exp)
+        return (letter,) * exp if 2 * exp <= m else (self._inverse[letter],) * (m - exp)
+
+    @cached_property
+    def acceptor(self) -> tuple[PeriodicSpec, Automaton, list[int], list[int]]:
+        """The word acceptor, its compiled automaton, and each state's
+        entering generator (-1 at the root) and run, built once per model.
+        A state is its letter, its run and the bitmask of the factors that
+        may start the next syllable, named by its letter and run plus, where
+        they differ from the root's, those factors' letters."""
+        gens, moves, orders = self.generators, self._moves, self.orders
+        everyone = (1 << len(orders)) - 1
+        # per factor x: the factors that may start a syllable after x's from
+        # any state (not joined to x) and if they could before (joined, after x)
+        free = [everyone & ~links & ~(1 << x) for x, links in enumerate(self._links)]
+        keep = [links & -(2 << x) for x, links in enumerate(self._links)]
+        first = [[] for _ in orders]  # per factor, its letters' states at the root
+        data = {"id": (-1, 0, everyone, "")}  # name: letter, run, bitmask, tag
+        for h, (x, _d) in enumerate(moves):
+            first[x].append(gens[h] + "1")
+            data[first[x][-1]] = h, 1, free[x] | keep[x], ""
+        queue, states, starts = list(data), {}, {}
+        for name in queue:
+            g, run, allowed, tag = data[name]
+            if allowed not in starts:  # the syllables it starts, and where each
+                kids, cuts = [], []  # factor's would stand among them
+                for x in range(len(orders)):
+                    cuts.append(len(kids))
+                    if not allowed >> x & 1:
+                        continue
+                    if (after := free[x] | allowed & keep[x]) == free[x] | keep[x]:
+                        kids += first[x]
+                        continue
+                    kid_tag = "/" + "".join(_LETTERS[y] for y in range(len(orders)) if after >> y & 1)
+                    for kid in first[x]:
+                        kids.append(kid + kid_tag)
+                        if kids[-1] not in data:
+                            data[kids[-1]] = data[kid][0], 1, after, kid_tag
+                            queue.append(kids[-1])
+                starts[allowed] = tuple(kids), cuts
+            kids, cuts = starts[allowed]
+            if g >= 0:  # a run of the generator grows while 2 * run <= m, one of
+                # its inverse while 2 * run < m (a tie goes to the smaller letter)
+                x, delta = moves[g]
+                if not (m := orders[x]) or run < (m if delta == 1 else m - 1) // 2:
+                    kid = f"{gens[g]}{run + 1}{tag}" if m else name  # on Z a run loops
+                    if kid not in data:
+                        data[kid] = g, run + 1, allowed, tag
+                        queue.append(kid)
+                    kids = kids[:cuts[x]] + (kid,) + kids[cuts[x]:]
+            states[name] = kids
+        spec = PeriodicSpec(states=states, root="id")
+        auto = compile(spec)
+        return (spec, auto, [data[name][0] for name in auto.names],
+                [data[name][1] for name in auto.names])
 
     def word_acceptor(self) -> PeriodicSpec:
-        """Syllables written shortlex: a state is the last letter and its
-        run length, named like ``a2``.  On a factor of order m a run of
-        the generator grows while 2 * run <= m, a run of its inverse while
-        2 * run < m (a tie goes to the smaller letter); on an infinite
-        factor a run is one state that loops to itself.  Any letter of
-        another factor starts a new run."""
-        gens = self.generators
-        states = {_ROOT_STATE: tuple(f"{name}1" for name in gens)}
-        for g, (factor, delta) in enumerate(self._moves):
-            m = self.orders[factor]
-            longest = m // 2 if delta == 1 else (m - 1) // 2
-            for run in range(1, max(longest, 1) + 1):  # one looping run on Z
-                nxt = [(h, 1) for h, (f, _d) in enumerate(self._moves) if f != factor]
-                if run < longest or not m:
-                    nxt.append((g, run + 1 if m else run))
-                states[f"{gens[g]}{run}"] = tuple(f"{gens[h]}{r}" for h, r in sorted(nxt))
-        return PeriodicSpec(states=states, root=_ROOT_STATE)
+        return self.acceptor[0]
 
 
-def free_group(rank: int) -> FreeProductCyclic:
-    """The free group of the given rank is the free product of that many
-    copies of Z; its normal forms are the reduced words, in generator order
-    a < A < b < B < ..."""
-    if rank < 1:
-        raise SpecError("free group rank must be >= 1")
-    return FreeProductCyclic((0,) * rank, name=f"free:{rank}")
-
-
-def infinite_dihedral() -> FreeProductCyclic:
-    """Two involutions a, b generate the infinite dihedral group; it is
-    the free product C2 * C2 and shares its normal forms."""
-    return FreeProductCyclic((2, 2), name="dinf")
-
-
-def group_from_name(name: str):
-    """CLI names: free:R, zd:D, dinf, freeprod:M1,M2[,...] (orders >= 2)"""
+def group_from_name(name: str) -> GraphProduct:
+    """CLI names: free:R, zd:D, dinf, freeprod:M1,M2[,...] (orders >= 2)
+    and gp:M1,M2[,...]/PAIRS (orders 0 for Z or >= 2, PAIRS like ab,bc)"""
     kind, _, params = name.partition(":")
     try:
         if kind == "free":
-            return free_group(int(params))
+            if (rank := int(params)) < 1:
+                raise SpecError("free group rank must be >= 1")
+            return GraphProduct((0,) * rank, name=f"free:{rank}")
         if kind == "zd":
-            return FreeAbelian(int(params))
+            if (dim := int(params)) < 1:
+                raise SpecError("dimension must be >= 1")
+            return GraphProduct((0,) * dim, combinations(range(dim), 2), name=f"zd:{dim}")
         if kind == "dinf" and not params:
-            return infinite_dihedral()
+            return GraphProduct((2, 2), name="dinf")
         if kind == "freeprod":
             orders = [int(m) for m in params.split(",")]
-            if 0 in orders:
-                raise ValueError
-            return FreeProductCyclic(orders)
+            if min(orders) < 2:
+                raise SpecError("freeprod factor orders must be >= 2")
+            return GraphProduct(orders, name="freeprod:" + ",".join(map(str, orders)))
+        if kind == "gp":
+            orders, _, pairs = params.partition("/")
+            return GraphProduct([int(m) for m in orders.split(",")],
+                                [tuple(map(_LETTERS.index, p)) for p in pairs.split(",") if p])
+    except SpecError:  # a ValueError, but it gives its own reason
+        raise
     except ValueError as exc:
         raise SpecError(f"bad group parameters in {name!r}") from exc
     raise SpecError(f"unknown group {name!r}")
@@ -255,7 +252,7 @@ class CayleyBall(Truncation):
     radius-R sphere is the boundary.  Words and adjacency are derived from
     the tree as they are read; no element is built."""
 
-    model: object
+    model: GraphProduct
 
     @cached_property
     def tree_generator(self) -> array:
@@ -265,11 +262,15 @@ class CayleyBall(Truncation):
 
     def _rows(self, n: int) -> tuple[array, array]:
         """Row offsets and column ids of the in-ball products v*g of the
-        first n vertices, in generator order, read off the tree in one numpy
-        pass: child k, the parent, up the run and down the new syllable (a
-        same-factor move on a finite factor), or the h-child of parent*g (an
-        earlier axis g of Z^d commutes with the letter h entering v)."""
-        _spec, auto, entering = self.model.acceptor
+        first n vertices (n a level start), in generator order, read off the
+        tree in one numpy pass: child k, the parent, up the run and down the
+        new syllable (a same-factor move on a finite factor), or, for g of a
+        factor joined to that of the letter h entering v = parent*h,
+        parent*g's row entry for h, as g and h commute.  That entry is the
+        h-child of parent*g, since g merges into or shuffles in front of
+        parent's syllables and leaves h free to follow; they are filled
+        level by level, as parent*g may be such an entry a level up."""
+        _spec, auto, entering, runs = self.model.acceptor
         model, n_gens = self.model, len(self.model.generators)
         n_inner = self.level_starts[self.depth]  # with children in the ball
         state, parent, first = view(self.state), view(self.parent), view(self.first_child)
@@ -289,24 +290,25 @@ class CayleyBall(Truncation):
         flat = cols.reshape(-1)
         up = [-1 if s == auto.root else model.inverse_index(entering[s]) for s in range(len(child))]
         flat[np.array(up, np.intp)[state[1:]] + np.arange(n_gens, n * n_gens, n_gens)] = parent[1:]
+        factor = [x for x, _d in model._moves]
         commute = np.zeros(kid.shape, bool)
         for s, g in ((s, g) for s, c in enumerate(child) for g in range(n_gens)
                      if g not in c and g != up[s]):
-            if isinstance(model, FreeAbelian):
+            if factor[g] != factor[entering[s]]:
                 commute[s, g] = True
             elif (vs := np.flatnonzero(state == s)).size:
-                run, t = int(auto.names[s][1:]), vs  # a state name is its letter and run length
-                for _ in range(run):
+                t = vs
+                for _ in range(runs[s]):
                     t = parent[t]
-                for h in model.syllable(entering[s], run, g):
+                for h in model.syllable(entering[s], runs[s], g):
                     t = down(t, h)
                 cols[vs, g] = t
-        if commute.any():  # level by level, as parent*g is set a level up
+        if commute.any():
             rows, gs = np.nonzero(commute[state])
             at, of = rows * n_gens + gs, parent[rows] * n_gens + gs
             hs = np.array(entering, np.int32)[state[rows]]
             for a, b in pairwise(np.searchsorted(rows, self.level_starts[1:])):
-                flat[at[a:b]] = down(flat[of[a:b]], hs[a:b])
+                flat[at[a:b]] = flat[flat[of[a:b]] * n_gens + hs[a:b]]
         present = cols >= 0
         offsets, ends = zeroed(n + 1)
         present.sum(axis=1, dtype=np.intc, out=ends[1:])

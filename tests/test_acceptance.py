@@ -18,18 +18,15 @@ import pytest
 import firebreak.oracle
 from firebreak import (
     BudgetSequence,
-    FreeAbelian,
-    FreeProductCyclic,
     brute_force_containment,
     br_bracket,
     br_exact_periodic,
     CanonicalStrategy,
     cayley_ball,
+    group_from_name,
     check_certificate,
     expand,
     feasibility_check,
-    free_group,
-    infinite_dihedral,
     lex_min_tree,
     lower_bound_certificate,
     max_flow,
@@ -61,7 +58,7 @@ def report(criterion: int, text: str) -> None:
 
 @pytest.fixture(scope="session")
 def free2_ball_12():
-    return cayley_ball(free_group(2), 12)
+    return cayley_ball(group_from_name("free:2"), 12)
 
 
 def test_criterion_1_branching_number_exactness():
@@ -213,11 +210,10 @@ def test_criterion_6_cayley_growth(free2_ball_12):
     spheres = free2_ball_12.sphere_sizes()
     for n in range(1, 11):
         assert spheres[n] == 4 * 3 ** (n - 1)
-    z2 = cayley_ball(FreeAbelian(2), 20)
+    z2 = cayley_ball(group_from_name("zd:2"), 20)
     assert z2.sphere_sizes() == [1] + [4 * n for n in range(1, 21)]
-    models = [free_group(1), free_group(2), FreeAbelian(1), FreeAbelian(2),
-              FreeAbelian(3), infinite_dihedral(), FreeProductCyclic((2, 3)),
-              FreeProductCyclic((3, 3))]
+    models = [group_from_name(name) for name in ("free:1", "free:2", "zd:1", "zd:2", "zd:3",
+                                                 "dinf", "freeprod:2,3", "freeprod:3,3")]
     for model in models:
         tree = lex_min_tree(model, 8)
         trunc = expand(tree_export(tree), 8)
@@ -225,7 +221,7 @@ def test_criterion_6_cayley_growth(free2_ball_12):
         assert trunc.level == tree.level                         # geodesic
         for v in range(1, tree.n_vertices):                      # Cayley edges
             assert tree.parent[v] in tree.neighbors(v)
-    z2_small = cayley_ball(FreeAbelian(2), 5)
+    z2_small = cayley_ball(group_from_name("zd:2"), 5)
     words = ball_words(z2_small)
     for v in range(z2_small.n_vertices):
         assert words[v] == min(enumerate_geodesic_words(z2_small, v))
@@ -234,14 +230,14 @@ def test_criterion_6_cayley_growth(free2_ball_12):
 
 
 def test_criterion_7_wait_and_surround():
-    z2 = wait_and_surround(FreeAbelian(2), 1, Fraction(3, 2), 12)
+    z2 = wait_and_surround(group_from_name("zd:2"), 1, Fraction(3, 2), 12)
     least = next(n for n in range(1, 50)
                  if math.floor(Fraction(3, 2) ** n) >= 4 * (n + 2))
     assert z2.trigger_round == least == 10
     assert z2.verdict.contained
-    z = wait_and_surround(FreeAbelian(1), 1, Fraction(3, 2), 6)
+    z = wait_and_surround(group_from_name("zd:1"), 1, Fraction(3, 2), 6)
     assert z.verdict.contained and z.trigger_round == 2
-    f2 = wait_and_surround(free_group(2), 1, 4, 11)
+    f2 = wait_and_surround(group_from_name("free:2"), 1, 4, 11)
     computed = next(n for n in range(1, 50)
                     if 4 ** n >= 4 * 3 ** (n + 1))
     assert f2.trigger_round == computed == 9

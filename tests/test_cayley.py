@@ -1,11 +1,19 @@
 """Group models, balls, lex-min spanning trees, growth, surround, probes.
 
 Claims covered:
-    - normal forms: generator then inverse is the identity map; products
-      associate with word evaluation
-    - free products take order 0 for a factor Z (one factor alone only if
-      it is Z), while ``freeprod:`` names refuse it; free:R is R factors Z,
-      whose acceptor lets every letter but the last one's inverse follow
+    - normal forms: generator then inverse is the identity map, on joined
+      factors too; products associate with word evaluation
+    - one graph-product model: order 0 is a factor Z, a finite group is
+      refused, ``freeprod:`` names refuse order 0, and a malformed name
+      gives its own reason (bad ``gp:`` pairs among them); free:R is R
+      factors Z, whose acceptor lets every letter but the last one's
+      inverse follow; after a syllable, a joined factor may start one only
+      if it could before and comes later
+    - the acceptors' sphere sizes follow Chiswell's formula for graph
+      products, written out here, on the named groups, F2 x Z, the
+      pentagon Coxeter group and seeded graphs of up to five factors, whose
+      balls also equal the breadth-first reference; every cayley mode runs
+      on a ``gp:`` group
     - ball layers match the closed-form sphere sizes (Z, Z^2, free rank 2,
       infinite dihedral, C2*C3)
     - breadth-first lex-min words equal the minimum over exhaustively
@@ -26,6 +34,9 @@ Claims covered:
     - polynomial probes are infeasible on exponential-growth trees and the
       budget-vs-sphere table matches the cumulative sums, and a raw
       acceptor with redundant states decides at once
+    - the ball's elements follow the reference's own graph-product group
+      law (tests/cayley_reference.py), which orders syllables by another
+      route than ``GraphProduct.multiply``
     - the word acceptors have the stated state counts and unfold to the
       balls of the breadth-first reference (tests/cayley_reference.py):
       every field and every adjacency row equal at every radius up to 24
@@ -50,25 +61,22 @@ import time
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
-from itertools import pairwise
+from itertools import combinations, pairwise
 
 import pytest
 
 import firebreak.cayley as cayley_mod
 from firebreak import (
     BudgetSequence,
-    FreeAbelian,
-    FreeProductCyclic,
+    GraphProduct,
     SpecError,
     SurroundCapError,
     Truncation,
     cayley_ball,
     expand,
     feasibility_check,
-    free_group,
     group_from_name,
     growth_rate_estimate,
-    infinite_dihedral,
     initial_state,
     level_counts,
     lex_min_tree,
@@ -78,24 +86,22 @@ from firebreak import (
 )
 from firebreak.cli import main as cli_main
 from firebreak.game import BURNING, PROTECTED
-from cayley_reference import reference_ball, tree_export_text
+from cayley_reference import ReferenceGraphProduct, reference_ball, tree_export_text
 from conftest import ball_elements, ball_words, enumerate_geodesic_words, tree_export
 
-ALL_MODELS = [
-    free_group(1),
-    free_group(2),
-    FreeAbelian(1),
-    FreeAbelian(2),
-    FreeAbelian(3),
-    infinite_dihedral(),
-    FreeProductCyclic((2, 3)),
-    FreeProductCyclic((3, 3)),
-]
+ALL_MODELS = [group_from_name(name) for name in (
+    "free:1", "free:2", "zd:1", "zd:2", "zd:3", "dinf", "freeprod:2,3", "freeprod:3,3")]
+# F2 x Z (a and b joined to c but not to each other) and the right-angled
+# Coxeter group of the pentagon (five involutions, each joined to its two
+# neighbours round the cycle)
+GP_MODELS = [group_from_name("gp:0,0,0/ac,bc"), group_from_name("gp:2,2,2,2,2/ab,bc,cd,de,ae")]
 
 
 class TestGroupModels:
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", ALL_MODELS + GP_MODELS, ids=lambda m: m.name)
     def test_generator_inverse_cancels(self, model):
+        # zd:D and the gp: groups join factors, so products shuffle syllables
+        # past each other and must come back to the same normal form
         rng = random.Random(5)
         elems = [model.identity]
         for _ in range(30):
@@ -107,51 +113,81 @@ class TestGroupModels:
                 inv = model.inverse_index(g)
                 assert model.multiply(model.multiply(e, g), inv) == e
 
+    def test_joined_factors_commute(self):
+        # one normal form for ab and ba on zd:2, and for ac and ca on F2 x Z,
+        # but not for ab and ba there
+        for name, (g, h), commute in (("zd:2", (0, 2), True), ("gp:0,0,0/ac,bc", (0, 4), True),
+                                      ("gp:0,0,0/ac,bc", (0, 2), False)):
+            model = group_from_name(name)
+            e = model.identity
+            gh = model.multiply(model.multiply(e, g), h)
+            hg = model.multiply(model.multiply(e, h), g)
+            assert (gh == hg) == commute, name
+
     def test_names(self):
         assert group_from_name("free:2").generators == ("a", "A", "b", "B")
         assert group_from_name("zd:2").generators == ("a", "A", "b", "B")
         assert group_from_name("dinf").generators == ("a", "b")
         assert group_from_name("freeprod:2,3").generators == ("a", "b", "B")
+        assert group_from_name("gp:0,2,3/ab").generators == ("a", "A", "b", "c", "C")
+        assert group_from_name("gp:0,0,0/ac,bc").name == "gp:0,0,0/ac,bc"
 
-    def test_bad_names_rejected(self):
-        # the model takes order 0 for Z, but freeprod: names only finite factors
-        for name in ("free:x", "zd:", "so3", "freeprod:1,2", "freeprod:4", "freeprod:0,3",
-                     "freeprod:0", "free:0"):
-            with pytest.raises(SpecError, match="bad group parameters|unknown group"):
+    def test_bad_names_rejected(self, capsys):
+        # the model's own reason reaches the caller, and the CLI exits 1 with
+        # it; only a name that does not parse reads "bad group parameters"
+        for name, reason in [
+            ("free:x", "bad group parameters"), ("zd:", "bad group parameters"),
+            ("so3", "unknown group"), ("free:0", "free group rank must be >= 1"),
+            ("zd:0", "dimension must be >= 1"), ("zd:11", "at most 10 factors supported"),
+            ("freeprod:1,2", "freeprod factor orders must be >= 2"),
+            ("freeprod:0,3", "freeprod factor orders must be >= 2"),
+            ("freeprod:0", "freeprod factor orders must be >= 2"),
+            ("freeprod:4", "the group is finite"),
+            ("gp:0,0/aa", "pair aa joins a factor to itself"),
+            ("gp:0,0/ac", "pair ac names a letter past the 2 factors"),
+            ("gp:0,0,0/ab,ba", "pair ba is repeated"), ("gp:0,0/ab,ab", "pair ab is repeated"),
+            ("gp:2,3/ab", "the group is finite"), ("gp:0,1", "cyclic factor orders"),
+            ("gp:0,0/aB", "bad group parameters"), ("gp:0,0/abc", "bad group parameters"),
+            ("gp:", "bad group parameters"),
+        ]:
+            with pytest.raises(SpecError, match=reason):
                 group_from_name(name)
+            assert cli_main(["cayley", name, "--mode", "growth", "--R", "3"]) == 1, name
+            assert f"firebreak: {reason}" in capsys.readouterr().err, name
 
     def test_factor_orders(self):
-        assert FreeProductCyclic((0,)).generators == ("a", "A")
-        assert FreeProductCyclic((0, 2)).generators == ("a", "A", "b")
+        assert GraphProduct((0,)).generators == ("a", "A")
+        assert GraphProduct((0, 2)).generators == ("a", "A", "b")
+        assert GraphProduct((0, 2)).name == "gp:0,2/"
         for orders in ((1, 2), (-1, 3), (3,), (2,), ()):
             with pytest.raises(SpecError):
-                FreeProductCyclic(orders)
+                GraphProduct(orders)
 
 
 class TestBalls:
     def test_z_spheres(self):
-        b = cayley_ball(FreeAbelian(1), 3)
+        b = cayley_ball(group_from_name("zd:1"), 3)
         assert b.sphere_sizes() == [1, 2, 2, 2]
         assert b.n_vertices == 7
 
     def test_z2_spheres(self):
-        b = cayley_ball(FreeAbelian(2), 3)
+        b = cayley_ball(group_from_name("zd:2"), 3)
         assert b.sphere_sizes() == [1, 4, 8, 12]
         assert b.n_vertices == 25  # 2R^2 + 2R + 1
 
     def test_free2_spheres(self):
-        b = cayley_ball(free_group(2), 3)
+        b = cayley_ball(group_from_name("free:2"), 3)
         assert b.sphere_sizes() == [1, 4, 12, 36]
         assert b.n_vertices == 53
 
     def test_dinf_linear(self):
-        b = cayley_ball(infinite_dihedral(), 8)
+        b = cayley_ball(group_from_name("dinf"), 8)
         assert b.sphere_sizes() == [1] + [2] * 8
 
     def test_c2_c3_spheres(self):
         # syllable count recurrence: ends-in-a and ends-in-b counts give
         # 3, 4, 6, 8, 12 for radii 1..5
-        b = cayley_ball(FreeProductCyclic((2, 3)), 5)
+        b = cayley_ball(group_from_name("freeprod:2,3"), 5)
         assert b.sphere_sizes() == [1, 3, 4, 6, 8, 12]
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
@@ -163,13 +199,13 @@ class TestBalls:
             assert list(b.neighbors(v)) == [index[w] for w in products if w in index]
 
     def test_adjacency_is_symmetric(self):
-        b = cayley_ball(FreeAbelian(2), 4)
+        b = cayley_ball(group_from_name("zd:2"), 4)
         for v in range(b.n_vertices):
             for w in b.neighbors(v):
                 assert v in b.neighbors(w)
 
     def test_distances_via_neighbors(self):
-        b = cayley_ball(free_group(2), 4)
+        b = cayley_ball(group_from_name("free:2"), 4)
         for v in range(1, b.n_vertices):
             assert min(b.level[w] for w in b.neighbors(v)) == b.level[v] - 1
 
@@ -179,7 +215,7 @@ class TestBalls:
         monkeypatch.setattr(cayley_mod, "DEFAULT_BALL_CAP", 1000)
         with pytest.raises(ResourceLimitError,
                            match="ball of radius 6 has 1457 elements, the ball cap is 1000"):
-            cayley_ball(free_group(2), 8)
+            cayley_ball(group_from_name("free:2"), 8)
 
 
 class TestLexMinWords:
@@ -218,14 +254,15 @@ class TestLexMinWords:
             assert [line for line in lines if line.startswith("# vertex")] == want, radius
 
     def test_z_gen_before_inverse(self, tmp_path, capsys):
-        b = cayley_ball(FreeAbelian(1), 2)
+        b = cayley_ball(group_from_name("zd:1"), 2)
         _elements, index = ball_elements(b)
         out = tmp_path / "z.tree"
         assert cli_main(["cayley", "zd:1", "--mode", "tree", "--R", "2", "--out", str(out)]) == 0
         capsys.readouterr()
         lines = out.read_text().splitlines()
-        assert lines[index[(2,)]] == f"# vertex {index[(2,)]} = aa"
-        assert lines[index[(-2,)]] == f"# vertex {index[(-2,)]} = AA"
+        a2, a_2 = index[((0, 2),)], index[((0, -2),)]  # a**2 and a**-2
+        assert lines[a2] == f"# vertex {a2} = aa"
+        assert lines[a_2] == f"# vertex {a_2} = AA"
 
 
 EXPORT_CASES = ([("free:1", 60)] + [("free:2", r) for r in range(10)]
@@ -280,22 +317,22 @@ class TestLexMinTree:
             assert b.parent[v] in b.neighbors(v)
 
     def test_z_two_rays(self):
-        tree = lex_min_tree(FreeAbelian(1), 4)
+        tree = lex_min_tree(group_from_name("zd:1"), 4)
         trunc = expand(tree_export(tree), 4)
         assert all(len(trunc.children[v]) <= 2 for v in range(trunc.n_vertices))
         assert len(trunc.children[0]) == 2
 
     def test_z2_level_counts_are_sphere_sizes(self):
-        tree = lex_min_tree(FreeAbelian(2), 4)
+        tree = lex_min_tree(group_from_name("zd:2"), 4)
         assert tree.sphere_sizes() == [1, 4, 8, 12, 16]
 
     def test_free_tree_equals_ball(self):
-        b = lex_min_tree(free_group(2), 4)
+        b = lex_min_tree(group_from_name("free:2"), 4)
         ball_edges = sum(len(b.neighbors(v)) for v in range(b.n_vertices)) // 2
         assert ball_edges == b.n_vertices - 1
 
     def test_parent_word_is_prefix(self):
-        b = lex_min_tree(FreeProductCyclic((2, 3)), 5)
+        b = lex_min_tree(group_from_name("freeprod:2,3"), 5)
         words = ball_words(b)
         for v in range(1, b.n_vertices):
             assert words[b.parent[v]] == words[v][:-1]
@@ -303,35 +340,35 @@ class TestLexMinTree:
 
 class TestGrowth:
     def test_free2_ratio_exact(self):
-        est = growth_rate_estimate(free_group(2), 10)
+        est = growth_rate_estimate(group_from_name("free:2"), 10)
         assert est.sphere_ratio == 3.0
         assert all(r == 3.0 for r in est.sphere_ratio_sequence[1:])
 
     def test_z2_ball_root_trends_down(self):
-        est = growth_rate_estimate(FreeAbelian(2), 10)
+        est = growth_rate_estimate(group_from_name("zd:2"), 10)
         assert est.ball_sizes[-1] == 221
         assert est.ball_root == pytest.approx(221 ** 0.1)
         seq = est.ball_root_sequence
         assert all(seq[i + 1] <= seq[i] for i in range(2, len(seq) - 1))
 
     def test_dinf_ratio_one(self):
-        est = growth_rate_estimate(infinite_dihedral(), 10)
+        est = growth_rate_estimate(group_from_name("dinf"), 10)
         assert est.sphere_ratio == 1.0
 
     def test_radius_too_small(self):
         with pytest.raises(SpecError):
-            growth_rate_estimate(FreeAbelian(1), 1)
+            growth_rate_estimate(group_from_name("zd:1"), 1)
 
 
 class TestWaitAndSurround:
     def test_z_triggers_at_two(self):
-        res = wait_and_surround(FreeAbelian(1), 1, Fraction(3, 2), 6)
+        res = wait_and_surround(group_from_name("zd:1"), 1, Fraction(3, 2), 6)
         assert res.trigger_round == 2
         assert res.sphere_index == 4 and len(res.sphere) == 2
         assert res.verdict.contained and res.verdict.round_no == 3
 
     def test_z2_triggers_at_ten(self):
-        res = wait_and_surround(FreeAbelian(2), 1, Fraction(3, 2), 12)
+        res = wait_and_surround(group_from_name("zd:2"), 1, Fraction(3, 2), 12)
         # least n with floor(1.5**n) >= 4(n+2)
         assert res.trigger_round == 10
         assert len(res.sphere) == 48
@@ -340,7 +377,7 @@ class TestWaitAndSurround:
         assert res.verdict.burnt == 2 * 11 * 11 + 2 * 11 + 1
 
     def test_trigger_rule_is_least_round(self):
-        res = wait_and_surround(FreeAbelian(2), 1, Fraction(3, 2), 12)
+        res = wait_and_surround(group_from_name("zd:2"), 1, Fraction(3, 2), 12)
         budget = BudgetSequence.exponential(Fraction(3, 2))
         for n, f_n, size in res.budget_trace[:-1]:
             assert f_n < size
@@ -350,7 +387,7 @@ class TestWaitAndSurround:
 
     def test_free2_rate_below_growth_exhausts(self):
         with pytest.raises(SurroundCapError) as err:
-            wait_and_surround(free_group(2), 1, Fraction(5, 2), 8)
+            wait_and_surround(group_from_name("free:2"), 1, Fraction(5, 2), 8)
         assert err.value.trace
         for _n, f_n, size in err.value.trace:
             assert f_n < size
@@ -358,7 +395,7 @@ class TestWaitAndSurround:
     def test_surround_builds_the_interior_rows_only(self):
         # trigger 5 on B(7): the game reads no level-7 row, so the ball holds
         # the rows of its 1,457 interior vertices, not all 4,373
-        res = wait_and_surround(free_group(2), 1, Fraction(5), 7)
+        res = wait_and_surround(group_from_name("free:2"), 1, Fraction(5), 7)
         offsets, columns = res.ball._built_rows
         assert (res.trigger_round, res.ball.n_vertices, res.verdict.kind) == (5, 4373, "contained")
         assert len(offsets) - 1 == res.ball.level_starts[7] == 1457
@@ -370,37 +407,37 @@ class TestWaitAndSurround:
 
         monkeypatch.setattr(cayley_mod, "ball", no_ball)
         with pytest.raises(SurroundCapError) as err:
-            wait_and_surround(free_group(2), 1, Fraction(5, 2), 8)
+            wait_and_surround(group_from_name("free:2"), 1, Fraction(5, 2), 8)
         assert [size for _n, _f, size in err.value.trace] == [36, 108, 324, 972, 2916, 8748]
 
     def test_ball_ends_at_the_protected_sphere(self):
-        res = wait_and_surround(FreeAbelian(2), 1, Fraction(3, 2), 12)
+        res = wait_and_surround(group_from_name("zd:2"), 1, Fraction(3, 2), 12)
         assert res.ball.depth == res.sphere_index == 12
-        res = wait_and_surround(FreeAbelian(1), 1, Fraction(3, 2), 30)
+        res = wait_and_surround(group_from_name("zd:1"), 1, Fraction(3, 2), 30)
         assert res.ball.depth == res.sphere_index == 4
         assert res.verdict.contained and res.verdict.burnt == 7
 
     def test_acceptor_built_once_per_model(self, monkeypatch):
         # a triggered surround reads the acceptor for its trigger, its ball
         # and its adjacency: the model builds and compiles it once
-        model = free_group(2)
+        model = group_from_name("free:2")
         built = []
-        acceptor = model.word_acceptor
-        monkeypatch.setattr(model, "word_acceptor", lambda: built.append(1) or acceptor())
+        compile_spec = cayley_mod.compile  # the acceptor's build ends by compiling it
+        monkeypatch.setattr(cayley_mod, "compile", lambda spec: built.append(1) or compile_spec(spec))
         res = wait_and_surround(model, 1, 5, 8)  # triggers in round 5
         assert res.verdict.contained and len(built) == 1
-        assert cayley_mod.compile(model.acceptor[0]) is model.acceptor[1]
+        assert compile_spec(model.acceptor[0]) is model.acceptor[1]
 
     def test_no_fault_on_trigger_round(self):
         # the protected sphere is two steps ahead of the fire at play time
-        res = wait_and_surround(FreeAbelian(1), 0, 2, 8)
+        res = wait_and_surround(group_from_name("zd:1"), 0, 2, 8)
         played = res.verdict.trace[res.trigger_round - 1]
         assert played.protected == tuple(res.sphere)
 
 
 class TestPolynomialProbe:
     def test_free2_quadratic_infeasible(self):
-        rep = polynomial_probe(free_group(2), 1, 2, 2, 8)
+        rep = polynomial_probe(group_from_name("free:2"), 1, 2, 2, 8)
         assert not rep.feasibility.feasible
         budget = BudgetSequence.polynomial(1, 2)
         spheres = rep.budget_vs_sphere
@@ -411,13 +448,13 @@ class TestPolynomialProbe:
         assert "evidence" in rep.note
 
     def test_z2_affine_budget_feasible(self):
-        tree = lex_min_tree(FreeAbelian(2), 6)
+        tree = lex_min_tree(group_from_name("zd:2"), 6)
         budget = BudgetSequence.explicit([4 * n + 8 for n in range(1, 7)])
         result = feasibility_check(tree_export(tree), 1, budget, 6)
         assert result.feasible
 
     def test_z_constant_budget_feasible(self):
-        rep = polynomial_probe(free_group(1), 1, 0, 5, 8)
+        rep = polynomial_probe(group_from_name("free:1"), 1, 0, 5, 8)
         assert rep.feasibility.feasible
 
     def test_raw_acceptor_with_redundant_states_decides(self):
@@ -441,7 +478,7 @@ class TestGrowthConsistency:
                 states={"R": ("A",) * (2 * rank), "A": ("A",) * (2 * rank - 1)},
                 root="R",
             )
-            tree = lex_min_tree(free_group(rank), 6)
+            tree = lex_min_tree(group_from_name(f"free:{rank}"), 6)
             assert tree.sphere_sizes() == [
                 1 if n == 0 else 2 * rank * (2 * rank - 1) ** (n - 1)
                 for n in range(7)
@@ -450,18 +487,16 @@ class TestGrowthConsistency:
             assert bracket.lo <= 2 * rank - 1 <= bracket.hi
 
     def test_sphere_sizes_nondecreasing_in_generators(self):
-        for small, large in [(free_group(1), free_group(2)),
-                             (FreeAbelian(1), FreeAbelian(2)),
-                             (FreeAbelian(2), FreeAbelian(3))]:
-            a = cayley_ball(small, 6).sphere_sizes()
-            b = cayley_ball(large, 6).sphere_sizes()
+        for small, large in [("free:1", "free:2"), ("zd:1", "zd:2"), ("zd:2", "zd:3")]:
+            a = cayley_ball(group_from_name(small), 6).sphere_sizes()
+            b = cayley_ball(group_from_name(large), 6).sphere_sizes()
             assert all(x <= y for x, y in zip(a, b))
 
 
 class TestDeterminism:
     def test_ball_reconstruction_identical(self):
-        a = cayley_ball(FreeProductCyclic((2, 3)), 5)
-        b = cayley_ball(FreeProductCyclic((2, 3)), 5)
+        a = cayley_ball(group_from_name("freeprod:2,3"), 5)
+        b = cayley_ball(group_from_name("freeprod:2,3"), 5)
         assert ball_elements(a) == ball_elements(b)
         assert ball_words(a) == ball_words(b)
         for v in range(a.n_vertices):
@@ -476,11 +511,22 @@ class TestDeterminism:
                 assert all(x < y for x, y in zip(words, words[1:])), model.name
 
 
-# the built-in models plus free products with an order-4 factor and two
-# factors whose runs reach two and three letters
-DIFFERENTIAL_MODELS = ALL_MODELS + [FreeProductCyclic((2, 3, 4)), FreeProductCyclic((5, 7)),
-                                    FreeProductCyclic((0, 3))]  # Z * C3
+# the built-in models, free products with an order-4 factor and two
+# factors whose runs reach two and three letters, Z * C3, and the gp: models
+DIFFERENTIAL_MODELS = ALL_MODELS + [group_from_name("freeprod:2,3,4"),
+                                    group_from_name("freeprod:5,7"),
+                                    GraphProduct((0, 3), name="freeprod:0,3")] + GP_MODELS
 BALL_FIELDS = ("level", "parent", "tree_generator")  # arrays; layers are level_starts
+
+
+def joined_pairs(model) -> set[tuple[int, int]]:
+    """The joined pairs of a model's factors, read off its name: every pair
+    on zd:D, those listed on gp: names, and none on the free products."""
+    k = len(model.orders)
+    if model.name.startswith("zd:"):
+        return set(combinations(range(k), 2))
+    letters = model.name.partition("/")[2] if model.name.startswith("gp:") else ""
+    return {tuple(sorted("abcdefghij".index(c) for c in p)) for p in letters.split(",") if p}
 
 
 def differential_radii(model, dense: int = 24, every: int = 5_000, most: int = 50_000,
@@ -496,11 +542,15 @@ def differential_radii(model, dense: int = 24, every: int = 5_000, most: int = 5
 
 class TestWordAcceptors:
     @pytest.mark.parametrize("name, n_states", [
-        ("free:1", 3), ("free:2", 5), ("free:3", 7), ("zd:1", 3), ("zd:2", 5), ("zd:3", 7),
+        *((f"zd:{d}", 2 * d + 1) for d in range(1, 5)),
+        *((f"free:{r}", 2 * r + 1) for r in range(1, 5)),
         ("dinf", 3), ("freeprod:2,3", 4), ("freeprod:3,3", 5), ("freeprod:5,7", 11),
+        ("freeprod:4,5,6", 13),
     ])
     def test_state_counts(self, name, n_states):
-        assert len(group_from_name(name).word_acceptor().states) == n_states
+        # as the two models that the graph product replaced had them
+        model = group_from_name(name)
+        assert len(model.word_acceptor().states) == len(model.acceptor[1].children) == n_states
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_free_group_runs(self, rank):
@@ -514,12 +564,31 @@ class TestWordAcceptors:
 
     def test_free_product_runs(self):
         # order 4: a, aa (a tie goes to a) and A; order 5: two of either
-        states = FreeProductCyclic((4, 5)).word_acceptor().states
+        states = GraphProduct((4, 5)).word_acceptor().states
         assert states["a1"] == ("a2", "b1", "B1")
         assert states["a2"] == states["A1"] == ("b1", "B1")
         assert states["b1"] == ("a1", "A1", "b2")
         assert states["B1"] == ("a1", "A1", "B2")
         assert states["B2"] == ("a1", "A1")
+
+    def test_joined_factors_follow_in_order(self):
+        # F2 x Z: c commutes with a and b, so a shortlex word has no a or b
+        # after a c; after a or b, the letters of the other free factor and
+        # of c may start a syllable
+        states = group_from_name("gp:0,0,0/ac,bc").word_acceptor().states
+        assert states["id"] == ("a1", "A1", "b1", "B1", "c1", "C1")
+        assert states["a1"] == ("a1", "b1", "B1", "c1", "C1")
+        assert states["b1"] == ("a1", "A1", "b1", "c1", "C1")
+        assert states["c1"] == ("c1",) and states["C1"] == ("C1",)
+
+    def test_a_state_keeps_what_could_start_before(self):
+        # the pentagon: after c, b (joined to c, and before it) may not start
+        # a syllable, and after c then a it still may not, though a syllable
+        # of a read at the root lets b follow; that a state is named apart
+        states = GP_MODELS[1].word_acceptor().states
+        assert states["a1"] == ("b1", "c1", "d1", "e1")
+        assert states["c1"] == ("a1/cde", "d1", "e1")
+        assert states["a1/cde"] == ("c1", "d1", "e1")
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
     def test_ball_equals_breadth_first_reference(self, model):
@@ -534,6 +603,19 @@ class TestWordAcceptors:
             for v in range(got.n_vertices):
                 assert list(got.neighbors(v)) == ref.adjacency[v], (radius, v)
             assert level_counts(acceptor, radius) == got.sphere_sizes()
+
+    @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
+    def test_elements_follow_the_reference_group_law(self, model):
+        # the breadth-first ball of the reference's own group law, at the
+        # largest radius whose ball has at most 3k vertices: the same tree,
+        # rows and elements, so two normal-form routines agree
+        radius = differential_radii(model, most=3_000)[-1]
+        group = ReferenceGraphProduct(model.orders, joined_pairs(model))
+        got, ref = cayley_ball(model, radius), reference_ball(group, radius)
+        for name in BALL_FIELDS:
+            assert list(getattr(got, name)) == getattr(ref, name), name
+        assert ball_elements(got) == (ref.elements, ref._index)
+        assert [list(got.neighbors(v)) for v in range(got.n_vertices)] == ref.adjacency
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
     def test_interior_rows_are_a_prefix_of_all_rows(self, model):
@@ -572,6 +654,115 @@ class TestWordAcceptors:
             seen.add(rep.feasibility.feasible)
         assert seen == {True, False}
 
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """The product of two power series, to a's length."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _reciprocal(a: list[int]) -> list[int]:
+    """1 / a for a power series with a[0] = 1, to a's length."""
+    out = [1]
+    for k in range(1, len(a)):
+        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)))
+    return out
+
+
+def chiswell_spheres(orders, pairs, n: int) -> list[int]:
+    """Sphere sizes 0..n of a graph product of cyclic groups C_m (C_0 = Z)
+    on its factors' generators and inverses, from Chiswell's formula
+    ("The growth series of a graph product", Bull. LMS 1994):
+    1/W = sum over the cliques s of the graph, the empty one included, of
+    the product over the factors v in s of (1/W_v - 1), where W_v is the
+    sphere series of C_m: 1 + 2t + 2t^2 + ... on Z, and on C_m a 2 for each
+    exponent up to (m - 1) / 2 and a 1 at m / 2 when m is even."""
+    factors = []
+    for m in orders:
+        w = [1] + [2 if not m or 2 * k < m else int(2 * k == m) for k in range(1, n + 1)]
+        factors.append([0] + _reciprocal(w)[1:])
+    total = [0] * (n + 1)
+    for size in range(len(orders) + 1):
+        for clique in combinations(range(len(orders)), size):
+            if all(pair in pairs for pair in combinations(clique, 2)):
+                term = [1] + [0] * n
+                for v in clique:
+                    term = _times(term, factors[v])
+                total = [x + y for x, y in zip(total, term)]
+    return _reciprocal(total)
+
+
+def seeded_graph_products(seed: int, count: int) -> list[GraphProduct]:
+    """Infinite graph products of 2 to 5 cyclic factors of orders 0 (Z) and
+    2 to 5, each pair of factors joined with probability 1/2."""
+    rng, models = random.Random(seed), []
+    while len(models) < count:
+        k = rng.randint(2, 5)
+        orders = [rng.choice((0, 0, 2, 3, 4, 5)) for _ in range(k)]
+        joined = [pair for pair in combinations(range(k), 2) if rng.random() < 0.5]
+        if not all(orders) or len(joined) < k * (k - 1) // 2:  # else the group is finite
+            models.append(GraphProduct(orders, joined))
+    return models
+
+
+SEEDED_MODELS = seeded_graph_products(26, 12)
+
+
+class TestGraphProducts:
+    """gp: groups: sphere sizes against Chiswell's formula, which shares no
+    code with the package, and balls against the breadth-first ball of the
+    reference group law; every cayley mode runs on them."""
+
+    def test_formula_gives_the_stated_spheres(self):
+        # F2 x Z: each sphere is F2's 4 * 3**(k-1) sizes convolved with Z's 2
+        assert chiswell_spheres((0, 0, 0), {(0, 2), (1, 2)}, 6) == [1, 6, 22, 70, 214, 646, 1942]
+        pentagon = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+        assert chiswell_spheres((2,) * 5, pentagon, 6) == [1, 5, 15, 40, 105, 275, 720]
+        assert chiswell_spheres((0, 0), {(0, 1)}, 4) == [1, 4, 8, 12, 16]  # Z^2
+        assert chiswell_spheres((2, 3), set(), 5) == [1, 3, 4, 6, 8, 12]  # C2 * C3
+
+    @pytest.mark.parametrize("name", [
+        "zd:1", "zd:2", "zd:3", "zd:4", "free:1", "free:2", "free:3", "dinf", "freeprod:2,3",
+        "freeprod:3,3", "freeprod:5,7", "freeprod:2,3,4", "freeprod:4,5,6", "freeprod:2,2,2",
+        "gp:0,0,0/ac,bc", "gp:2,2,2,2,2/ab,bc,cd,de,ae", "gp:0,2,3,0/ab,bd,cd",
+    ])
+    def test_acceptor_spheres_follow_the_formula(self, name):
+        model = group_from_name(name)
+        assert (level_counts(model.word_acceptor(), 12)
+                == chiswell_spheres(model.orders, joined_pairs(model), 12))
+
+    @pytest.mark.parametrize("model", SEEDED_MODELS, ids=lambda m: m.name)
+    def test_seeded_graph_products(self, model):
+        # the acceptor's spheres are Chiswell's, and every ball of at most 1k
+        # vertices, and the largest of at most 3k, has the tree, rows and
+        # elements of the reference's own group law
+        assert (level_counts(model.word_acceptor(), 12)
+                == chiswell_spheres(model.orders, joined_pairs(model), 12))
+        group = ReferenceGraphProduct(model.orders, joined_pairs(model))
+        for radius in differential_radii(model, dense=12, every=1_000, most=3_000):
+            got, ref = cayley_ball(model, radius), reference_ball(group, radius)
+            for name in BALL_FIELDS:
+                assert list(getattr(got, name)) == getattr(ref, name), (radius, name)
+            assert ball_elements(got) == (ref.elements, ref._index), radius
+            for v in range(got.n_vertices):
+                assert list(got.neighbors(v)) == ref.adjacency[v], (radius, v)
+
+    def test_every_mode_runs(self, tmp_path, capsys):
+        out = tmp_path / "gp.tree"
+        runs = [
+            (["gp:0,0,0/ac,bc", "--mode", "growth", "--R", "8"], "result.ball_size = 26225"),
+            (["gp:2,2,2,2,2/ab,bc,cd,de,ae", "--mode", "surround", "--R", "9", "--lambda", "4",
+              "--k", "1"], "result.verdict = contained"),
+            (["gp:0,0,0/ac,bc", "--mode", "polyprobe", "--R", "6", "--k", "1", "--c", "2",
+              "--d", "2"], "5,110,1942\n"),  # |S(6)| = 1942 against 110 in five rounds
+            (["gp:2,2,2,2,2/ab,bc,cd,de,ae", "--mode", "tree", "--R", "4", "--out", str(out)],
+             "result.level_counts = 1 5 15 40 105"),
+        ]
+        for argv, line in runs:
+            assert cli_main(["cayley", *argv]) == 0, argv
+            assert line in capsys.readouterr().out, argv
+        tree = lex_min_tree(GP_MODELS[1], 4)
+        assert out.read_bytes() == tree_export_text(tree).encode()
 
 
 def _ids(state, status) -> set[int]:

@@ -57,8 +57,6 @@ import pytest
 from firebreak import (
     BudgetSequence,
     CanonicalStrategy,
-    FreeAbelian,
-    FreeProductCyclic,
     Cutset,
     ResourceLimitError,
     ScheduleStrategy,
@@ -66,14 +64,13 @@ from firebreak import (
     StrategyFault,
     SynthesisError,
     cayley_ball,
+    group_from_name,
     cut_weight,
     expand,
     feasibility_check,
     feasibility_rows,
     format_trace,
-    free_group,
     GameState,
-    infinite_dihedral,
     initial_state,
     level_counts,
     max_flow,
@@ -236,8 +233,8 @@ def _engine_outcome(play, *args):
         return type(exc).__name__, str(exc), getattr(exc, "round_no", None)
 
 
-ENGINE_MODELS = [free_group(1), free_group(2), FreeAbelian(1), FreeAbelian(2), FreeAbelian(3),
-                 infinite_dihedral(), FreeProductCyclic((2, 3)), FreeProductCyclic((3, 3))]
+ENGINE_MODELS = [group_from_name(name) for name in ("free:1", "free:2", "zd:1", "zd:2", "zd:3", "dinf",
+                                                     "freeprod:2,3", "freeprod:3,3")]
 
 
 class TestInPlaceEngine:
@@ -411,7 +408,7 @@ class TestInPlaceEngine:
     def test_large_protect_sets_fail_as_the_reference(self):
         # protect sets past SPREAD_VECTOR_MIN mixing a negative id, a burning
         # id, an id past the ball and 10**30: same fault, message and round
-        b = cayley_ball(free_group(2), 7)
+        b = cayley_ball(group_from_name("free:2"), 7)
         n, size, rng = b.n_vertices, game_mod.SPREAD_VECTOR_MIN, random.Random(67)
         budget, kinds = BudgetSequence.constant(n), Counter()
         for _ in range(60):
@@ -482,7 +479,7 @@ class TestArrayRounds:
         yield from (cayley_ball(model, r) for model in ENGINE_MODELS for r in (3, 5))
         for _ in range(4):  # rounds past 1024
             yield from (expand(ternary_spec(), 8), expand(binary_spec(), 11),
-                        cayley_ball(free_group(2), 7))
+                        cayley_ball(group_from_name("free:2"), 7))
 
     def schedules(self, rng, arena):
         """(radius, schedule, budget): rounds of one, many or a whole layer of
