@@ -36,7 +36,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, pairwise
+from itertools import count, islice, pairwise, takewhile
 from typing import Iterable, Union
 
 import numpy as np
@@ -54,6 +54,8 @@ Rate = Union[Fraction, int, float, str]  # what exact_rate reads
 
 CERTIFICATE_RADIUS_MAX = 100_000  # largest certificate radius built
 PROPOSAL_SCALE = 2 ** 48  # largest entry of a component's integer Perron vector
+PERRON_WIDTH = 2.0 ** -40  # relative width of the float ratios at which _perron stops
+PERRON_ITERATIONS_MAX = 100  # most solves _perron makes for one component
 Proposal = namedtuple("Proposal", "comp v root lo hi")  # one per component, see _proposals
 
 
@@ -291,9 +293,8 @@ def _components(kids, root: int) -> list[list[int]]:
 
 
 def _proposals(auto: Automaton) -> list[Proposal]:
-    """Per strongly connected component C: its states, numpy's Perron vector
-    from one ``np.linalg.eig`` of M_C + I (the same vectors, and no other
-    root as large) rounded to integers v (PROPOSAL_SCALE at its largest
+    """Per strongly connected component C: its states, its Perron vector
+    from ``_perron`` rounded to integers v (PROPOSAL_SCALE at its largest
     entry, at least 1 on C, 0 off C), the float Perron root of M_C, and v's
     exact Collatz-Wielandt bounds lo <= br_C <= hi, the least and largest
     (M v)_s / v_s over C.  Kept on the automaton, a value, as ``compile``
@@ -302,37 +303,83 @@ def _proposals(auto: Automaton) -> list[Proposal]:
     if props is None:
         kids, props = auto.children, []
         for comp in _components(kids, auto.root):
-            mat = np.eye(len(comp)) + [[kids[s].count(t) for t in comp] for s in comp]
-            roots, vectors = np.linalg.eig(mat) if len(comp) > 1 else (mat[0], np.ones((1, 1)))
-            top = int(np.argmax(roots.real))
-            x = np.abs(vectors[:, top])
-            on = dict(zip(comp, np.maximum(np.rint(x / x.max() * PROPOSAL_SCALE), 1).tolist()))
-            v = [int(on.get(s, 0)) for s in range(len(kids))]
+            x, root = _perron(kids, comp)
+            on = {s: max(round(x_s * PROPOSAL_SCALE), 1) for s, x_s in zip(comp, x)}
+            v = [on.get(s, 0) for s in range(len(kids))]
             ratios = [Fraction(sum(v[t] for t in kids[s]), v[s]) for s in comp]
-            props.append(Proposal(comp, v, float(roots[top].real) - 1, min(ratios), max(ratios)))
+            props.append(Proposal(comp, v, root, min(ratios), max(ratios)))
         object.__setattr__(auto, "_proposals", props)
     return props
 
 
+def _perron(kids, comp: list[int]) -> tuple[list[float], float]:
+    """M_C's float Perron vector, largest entry 1, and root by Noda's inverse
+    iteration (Noda 1971): x becomes (hi * I - M_C)^-1 x, scaled, where hi >
+    br_C is x's largest ratio (M x)_s / x_s, so every pivot is positive (an
+    M-matrix).  x is kept one solve after the ratios lie within PERRON_WIDTH
+    of each other, or at a pivot no longer positive; ResourceLimitError
+    past PERRON_ITERATIONS_MAX solves."""
+    n, at = len(comp), {s: i for i, s in enumerate(comp)}
+    out = [[at[t] for t in kids[s] if t in at] for s in comp]
+    x, settled, minus = [1.0] * n, False, _shifted_rows(kids, comp, 0.0)  # -M_C
+    for solves in count():
+        ratios = [sum(x[j] for j in js) / x_i for js, x_i in zip(out, x)]
+        lo, hi = min(ratios), max(ratios)
+        if settled or lo == hi:
+            return x, (lo + hi) / 2
+        settled = hi - lo <= PERRON_WIDTH * hi
+        if solves == PERRON_ITERATIONS_MAX:
+            raise ResourceLimitError(f"the Perron vector of a {n}-state component needs more "
+                                     f"than PERRON_ITERATIONS_MAX = {PERRON_ITERATIONS_MAX} solves")
+        # hi * I - M_C, with x as the right-hand side in column n, which no pivot reaches
+        rows = [{**row, i: row[i] + hi, n: x_i} for i, (row, x_i) in enumerate(zip(minus, x))]
+        pivots = list(takewhile(lambda pivot: pivot > 0, _pivots(rows)))
+        if len(pivots) < n:
+            return x, (lo + hi) / 2
+        for k in reversed(range(n)):  # row k holds the columns right of k
+            x[k] = (rows[k].pop(n) - sum(a * x[j] for j, a in rows[k].items())) / pivots[k]
+        top = max(x)
+        x = [x_i / top for x_i in x]
+
+
+def _shifted_rows(kids, comp: list[int], rate) -> list[dict]:
+    """The sparse rows (column -> entry) of rate * I - M_C, columns in comp's order."""
+    at = {s: i for i, s in enumerate(comp)}
+    return [{at[t]: rate * (s == t) - kids[s].count(t) for t in {s, *kids[s]} if t in at}
+            for s in comp]
+
+
+def _pivots(rows: list[dict]):
+    """Gaussian elimination without pivoting on sparse rows, in place:
+    yields each pivot, then subtracts its row from the rows below that hold
+    its column, which a column index lists (fill-in included)."""
+    below = [[] for _ in rows]
+    for i, j in ((i, j) for i, row in enumerate(rows) for j in row if j < i):
+        below[j].append(i)
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row.pop(k)
+        yield pivot
+        for i in below[k]:
+            row = rows[i]
+            if m := row.pop(k):
+                m /= pivot
+                for j, x in pivot_row.items():
+                    if j < i and j not in row:
+                        below[j].append(i)
+                    row[j] = row.get(j, 0) - m * x
+
+
 def _compare_component(kids, prop: Proposal, rate: Fraction) -> int:
     """Sign of rate - br_C on a component C: -1 below the proposal's lo, 1
-    above its hi, else from the pivots of Gaussian elimination on sparse
-    rows of rate * I - M_C, skipping rows whose multiplier is zero.  All
-    positive means a nonsingular M-matrix, br_C < rate; all but a zero last
-    one means br_C = rate; else br_C > rate (Berman & Plemmons 1994)."""
+    above its hi, else from the pivots of Gaussian elimination on the sparse
+    rows of rate * I - M_C.  All positive means a nonsingular M-matrix,
+    br_C < rate; all but a zero last one means br_C = rate; else br_C > rate
+    (Berman & Plemmons 1994)."""
     if not prop.lo <= rate <= prop.hi:
         return -1 if rate < prop.lo else 1
-    at = {s: i for i, s in enumerate(prop.comp)}
-    rows = [{at[t]: rate * (s == t) - kids[s].count(t) for t in {s, *kids[s]} if t in at}
-            for s in prop.comp]
-    for k, pivot_row in enumerate(rows):  # row k holds no column left of k
-        pivot = pivot_row.pop(k)
+    for k, pivot in enumerate(_pivots(_shifted_rows(kids, prop.comp, rate))):
         if pivot <= 0:
-            return 0 if k == len(rows) - 1 and pivot == 0 else -1
-        for row in rows[k + 1:]:
-            if m := row.pop(k, 0):
-                for j, x in pivot_row.items():
-                    row[j] = row.get(j, 0) - m * x / pivot
+            return 0 if k == len(prop.comp) - 1 and pivot == 0 else -1
     return 1
 
 

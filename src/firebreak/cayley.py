@@ -48,7 +48,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, pairwise
+from itertools import accumulate, combinations, pairwise
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,8 +62,7 @@ from .game import (
     feasibility_check,
     simulate,
 )
-from .trees import (Automaton, PeriodicSpec, Truncation, compile, format_parents, packed, view,
-                    zeroed)
+from .trees import Automaton, PeriodicSpec, Truncation, compile, format_ids, packed, view, zeroed
 
 _LETTERS = "abcdefghij"
 
@@ -325,23 +324,22 @@ class CayleyBall(Truncation):
 # and dinf balls (2-CPU VM), the numpy pass costs about 18 us a sphere more
 # than the strings' fixed cost, and the two cross between 70 and 130
 # vertices (free:2's 108-vertex sphere: 73 us against 48; freeprod:3,3's
-# 128: 48 against 61).  The parent lines' digit pass crosses Python strings
-# between 120 and 220 parents (dinf at R = 60: 47 us against 35; zd:2 at
-# R = 10: 57 against 67), so it takes over at the same size.
+# 128: 48 against 61).
 EXPORT_SPHERE_MIN = 128
+EXPORT_CHUNK = 2 ** 16  # most ids one digit pass writes, so the export runs in fixed memory
 
 
 def write_tree_export(tree: CayleyBall, fh) -> None:
     """Write the ball's lex-min spanning tree to the binary file ``fh`` as an
     explicit tree spec: a ``# vertex v = word`` comment per vertex (``id``
-    for the root), then ``trees.format_parents``'s lines of ``parent[1:]``.
+    for the root), then ``trees.format_parents(parent[1:])``, encoded.
     A word is its tree parent's plus one letter.  The spheres before the
     first one of EXPORT_SPHERE_MIN vertices are written from Python
     strings, a word and a line a vertex.  From there on, as every generator
     name is one letter, the words of sphere L are an (|S(L)|, L) byte
     matrix gathered from sphere L - 1's plus the entering letters, and its
-    lines are fixed-width byte records, one block per run of ids of one
-    digit width."""
+    lines are fixed-width byte records, one block per run of at most
+    EXPORT_CHUNK ids of one digit width, as are the parent lines."""
     names, starts = tree.model.generators, tree.level_starts
     first = next((lv for lv in range(1, tree.depth + 1)
                   if starts[lv + 1] - starts[lv] >= EXPORT_SPHERE_MIN), tree.depth + 1)
@@ -361,48 +359,19 @@ def write_tree_export(tree: CayleyBall, fh) -> None:
         grown[:, :-1] = words[parent[a:b] - up]
         grown[:, -1] = letters[entering[a:b]]
         words = grown
-        cuts = [10 ** k for k in range(len(str(a)), len(str(b - 1)))]  # where the width grows
-        for lo, hi in pairwise([a, *cuts, b]):
+        cuts = {10 ** k for k in range(len(str(a)), len(str(b - 1)))}  # where the width grows
+        for lo, hi in pairwise(sorted({a, b, *cuts, *range(a, b, EXPORT_CHUNK)})):
             width = len(str(lo))
             rec = np.empty((hi - lo, 13 + width + lv), np.uint8)
-            rec[:, :9] = np.frombuffer(b"# vertex ", np.uint8)
-            _digits(np.arange(lo, hi, dtype=np.intc), rec[:, 9:9 + width])
+            heads = format_ids(np.arange(lo, hi, dtype=np.intc), 1, b"# vertex ")
+            rec[:, :9 + width] = np.frombuffer(heads, np.uint8).reshape(hi - lo, -1)[:, :-1]
             rec[:, 9 + width:12 + width] = np.frombuffer(b" = ", np.uint8)
             rec[:, 12 + width:-1] = words[lo - a:hi - a]
             rec[:, -1] = ord("\n")
             fh.write(rec)
-    fh.write(_parent_lines(parent[1:]))
-
-
-def _parent_lines(parents: np.ndarray):
-    """``format_parents(parents)``, encoded: from Python strings when there
-    are fewer than EXPORT_SPHERE_MIN parents or none, else from one digit
-    pass."""
-    if len(parents) < max(EXPORT_SPHERE_MIN, 1):
-        return format_parents(parents.tolist()).encode()
-    # one record per id: "parents: " (kept at the head of a line of 16), its
-    # digits right-aligned (the leading zeros dropped) and a space or newline
-    width = len(str(int(parents.max())))
-    rec = np.empty((len(parents), 10 + width), np.uint8)
-    keep = np.ones(rec.shape, bool)
-    rec[:, :9] = np.frombuffer(b"parents: ", np.uint8)
-    keep[:, :9] = False
-    keep[::16, :9] = True
-    _digits(parents.copy(), rec[:, 9:-1])
-    for k in range(1, width):  # the digit standing for 10**k, kept from 10**k on
-        np.greater_equal(parents, 10 ** k, out=keep[:, 9 + width - 1 - k])
-    rec[:, -1] = ord(" ")
-    rec[15::16, -1] = rec[-1, -1] = ord("\n")
-    return b"variant: explicit\n" + rec[keep].tobytes()
-
-
-def _digits(ids: np.ndarray, out: np.ndarray) -> None:
-    """Write the ids' decimal digits, zero-padded to out's width, into the
-    (len(ids), width) byte matrix out; ids is consumed."""
-    for k in range(out.shape[1] - 1, -1, -1):
-        out[:, k] = ids % 10
-        ids //= 10
-    out += ord("0")
+    fh.write(b"variant: explicit\n" + b"parents:\n" * (len(parent) == 1))
+    for a in range(1, len(parent), EXPORT_CHUNK):
+        fh.write(format_ids(parent[a:a + EXPORT_CHUNK], 16, b"parents: "))
 
 
 def _sphere_sizes(model, radius: int) -> list[int]:
@@ -428,8 +397,8 @@ def ball(model, radius: int) -> CayleyBall:
     children of a vertex are the one-letter extensions of its normal form,
     in generator order, so vertices are numbered as a breadth-first search
     in generator order numbers them."""
-    _sphere_sizes(model, radius)
-    return CayleyBall._unfolded(model.acceptor[0], radius, model=model)
+    size = sum(_sphere_sizes(model, radius))
+    return CayleyBall._unfolded(model.acceptor[0], radius, size, model=model)
 
 
 def lex_min_tree(model, radius: int) -> CayleyBall:
@@ -468,11 +437,7 @@ def growth_rate_estimate(model, radius: int) -> GrowthEstimate:
     if radius < 2:
         raise SpecError("growth estimates need radius >= 2")
     spheres = _sphere_sizes(model, radius)
-    balls = []
-    total = 0
-    for s in spheres:
-        total += s
-        balls.append(total)
+    balls = list(accumulate(spheres))
     roots = tuple(balls[n] ** (1.0 / n) for n in range(1, radius + 1))
     ratios = tuple(
         spheres[n] / spheres[n - 1] if spheres[n - 1] else float("inf")
@@ -516,18 +481,10 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
         raise SpecError("ball radius must exceed the initial radius + 1")
     budget = BudgetSequence.exponential(rate)
     spheres = _sphere_sizes(model, ball_radius)
-    trace = []
-    trigger = None
-    n = 0
-    while True:
-        n += 1
-        sphere_index = radius + n + 1
-        if sphere_index > ball_radius:
-            break
-        f_n = budget(n)
-        size = spheres[sphere_index]
-        trace.append((n, f_n, size))
-        if f_n >= size:
+    trace, trigger = [], None
+    for n in range(1, ball_radius - radius):  # protecting S(radius + n + 1) in round n
+        trace.append((n, budget(n), spheres[radius + n + 1]))
+        if trace[-1][1] >= trace[-1][2]:
             trigger = n
             break
     if trigger is None:

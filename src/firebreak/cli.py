@@ -65,6 +65,7 @@ from .trees import (
     ExplicitSpec,
     compile,
     expand,
+    format_ids,
     format_tree_spec,
     load_tree_spec,
     read_text,
@@ -225,13 +226,9 @@ def cmd_contain(args) -> int:
             verdict_round=verdict.round_no,
             burnt=verdict.burnt,
         )
-        tables.append((
-            "schedule", ("round", "budget", "protect"),
-            [
-                (r, budget(r), " ".join(map(str, vs if isinstance(vs, tuple) else vs.tolist())))
-                for r, vs in sorted(synth.strategy.schedule.items())
-            ],
-        ))
+        tables.append(("schedule", ("round", "budget", "protect"), [  # no round is empty
+            (r, budget(r), vs if isinstance(vs, tuple) else format_ids(vs).decode())
+            for r, vs in sorted(synth.strategy.schedule.items())]))
     elif side < 0:
         result["regime"] = "below"
         result.update(
@@ -407,9 +404,7 @@ def cmd_cayley(args) -> int:
         if not res.verdict.contained:
             code = EXIT_INDETERMINATE
     elif args.mode == "polyprobe":
-        config["k"] = args.k
-        config["c"] = args.c
-        config["d"] = args.d
+        config.update(k=args.k, c=args.c, d=args.d)
         report = polynomial_probe(model, _rational(args.c, "--c"), args.d, args.k, args.R)
         result.update(
             feasible=report.feasibility.feasible,

@@ -19,8 +19,8 @@ automaton.  Besides ``compile`` and the spec file format, only the
 explicit-only oracle asks which variant it was given.
 
 A ``Truncation`` is the finite tree of all vertices at levels 0..D, in a
-deterministic level-major order (children in spec order), unfolded one
-numpy pass a level by ``unfold``.  Its ``parent``, ``level`` and ``state``
+deterministic level-major order (children in spec order), unfolded by
+substitution (``unfold``).  Its ``parent``, ``level`` and ``state``
 are ``array('i')``s (numpy reads them as zero-copy views) and
 ``children[v]`` is a ``range``.  It is the one game arena and holds the
 one adjacency: flat rows, offsets and column ids as ``array('i')``s, which
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice
@@ -295,37 +296,55 @@ def zeroed(size: int) -> tuple[array, np.ndarray]:
     return values, view(values)
 
 
-def unfold(auto: Automaton, depth: int) -> tuple:
-    """The automaton's tree to the given depth, level-major with children in
-    spec order, as a truncation's fields: each vertex's parent, level and
-    state and the CSR child offsets ``first_child`` (level-D vertices have no
-    children), ``array('i')``s each packed as soon as it is made, and the
-    first id of each level 0..depth followed by the vertex count.  Values
-    are int32 throughout; the slots, which index, stay intp."""
-    # each vertex is unfolded as a slot of a child table whose slot 0 holds the
-    # root: the children of the state in slot p fill ends[p] - n_kids[p] ..
-    # ends[p] - 1, and the table gives the state in each slot
-    table = np.array([auto.root] + [t for kids in auto.children for t in kids], np.intc)
-    counts = np.array([len(kids) for kids in auto.children], np.intc)
-    ends, n_kids = (counts.cumsum(dtype=np.intc) + 1)[table], counts[table]
-    slots, sizes = [np.zeros(1, np.intp)], [1]
-    for _ in range(depth):  # array methods: np.cumsum and np.repeat cost twice the call
-        counts = n_kids[slots[-1]]
-        # a vertex's n children fill places last - n .. last - 1 of the next
-        # level (last: the running child count), so place i is slot ends - last + i
-        at = (ends[slots[-1]] - counts.cumsum()).repeat(counts)  # an intp cumsum
-        at += np.arange(at.size)
-        slots.append(at)
-        sizes.append(at.size)
-    slot, starts = np.concatenate(slots), (0, *accumulate(sizes))
-    del slots
-    state = packed(table[slot])
-    kids = np.concatenate(([1], n_kids[slot]), dtype=np.intc)  # the root: child of a vertex -1
-    del slot
-    kids[starts[depth] + 1:] = 0
-    parent = packed(np.arange(-1, len(state), dtype=np.intc).repeat(kids))
+# A join of unfold's substitution costs what its level walk spends on 25
+# vertices, and a level of the walk 45 (timeit on cycles, chains, free:2, 2-CPU VM)
+JOIN_COST, LEVEL_COST = 25, 45
+
+
+def unfold(auto: Automaton, depth: int, n_vertices: int) -> tuple:
+    """The automaton's tree of ``n_vertices`` vertices to the given depth,
+    level-major with children in spec order, as a truncation's fields: each
+    vertex's parent, level and state and the CSR child offsets
+    ``first_child`` (level-D vertices have no children), ``array('i')``s,
+    and the first id of each level 0..depth followed by the vertex count.
+
+    Level L is the substitution s -> children(s) applied L times to the
+    root, so a state's level-i word (its subtree's level i, as ``array('i')``
+    bytes) is its children's level-(i - 1) words joined, built only while
+    its distance from the root is at most depth - i.  Where those joins cost
+    more (JOIN_COST, LEVEL_COST), as on long cycles and deep explicit trees,
+    each level is its predecessor's child words joined.  The parents, levels
+    and child offsets each come from one repeat or cumsum."""
+    kids = auto.children
+    order, dist = [auto.root], {auto.root: 0}  # breadth-first, as far as the depth
+    for s in order:
+        for t in kids[s] if dist[s] < depth else ():
+            if t not in dist:
+                dist[t] = dist[s] + 1
+                order.append(t)
+    reach, levels = [dist[s] for s in order], [array("i", [auto.root]).tobytes()]
+    if JOIN_COST * ((depth + 1) * len(order) - sum(reach)) > n_vertices + LEVEL_COST * depth:
+        words = {s: array("i", kids[s]).tobytes() for s in order}
+        for _ in range(depth):
+            levels.append(b"".join(map(words.__getitem__, array("i", levels[-1]))))
+    else:
+        words = {s: array("i", [s]).tobytes() for s in order}
+        for i in range(1, depth + 1):
+            near = order[:bisect_right(reach, depth - i)]
+            made = [b"".join(map(words.__getitem__, kids[s])) for s in near]
+            words.update(zip(near, made))
+            levels.append(words[auto.root])
+    state = array("i", b"".join(levels))
+    sizes = [len(word) // state.itemsize for word in levels]
+    del levels, words  # the state array holds them now
+    starts = (0, *accumulate(sizes))
+    counts = np.array([len(ks) for ks in kids], np.intc)  # n_kids: the root is a vertex -1's child
+    n_kids = np.concatenate(([1], counts[view(state)[:starts[depth]]]), dtype=np.intc)
+    parent = packed(np.arange(-1, starts[depth], dtype=np.intc).repeat(n_kids))
     level = packed(np.arange(depth + 1, dtype=np.intc).repeat(sizes))
-    return parent, level, state, packed(kids.cumsum(dtype=np.intc)), starts
+    first_child = packed(np.concatenate((n_kids.cumsum(dtype=np.intc),
+                                         np.full(sizes[depth], len(state), np.intc))))
+    return parent, level, state, first_child, starts
 
 
 @dataclass
@@ -430,9 +449,9 @@ class Truncation:
         return not (status[reached] == other).any()
 
     @classmethod
-    def _unfolded(cls, spec: TreeSpec, depth: int, **fields) -> "Truncation":
-        """The depth-D truncation of the spec's tree; the caller applies its cap."""
-        return cls(spec, depth, *unfold(compile(spec), depth), **fields)
+    def _unfolded(cls, spec: TreeSpec, depth: int, n_vertices: int, **fields) -> "Truncation":
+        """The depth-D truncation of the spec's tree; the caller counts it for its cap."""
+        return cls(spec, depth, *unfold(compile(spec), depth, n_vertices), **fields)
 
 
 def row_entries(offsets, columns, ids) -> np.ndarray:
@@ -460,7 +479,7 @@ def expand(spec: TreeSpec, depth: int) -> Truncation:
         raise ResourceLimitError(
             f"truncation would have {total} vertices, cap is {limit} ({VERTEX_CAP_ENV})"
         )
-    return Truncation._unfolded(spec, depth)
+    return Truncation._unfolded(spec, depth, total)
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +590,36 @@ def format_tree_spec(spec: TreeSpec) -> str:
 
 def format_parents(parents: Sequence[int]) -> str:
     """The explicit spec of a parent list, 16 ids a line: ``format_tree_spec``
-    of an ``ExplicitSpec``, and a Cayley ball's tree export straight from its
-    ``parent`` array."""
-    lines = ["variant: explicit"]
-    for i in range(0, len(parents), 16):
-        lines.append("parents: " + " ".join(map(str, parents[i:i + 16])))
-    if not parents:
-        lines.append("parents:")
-    return "\n".join(lines) + "\n"
+    of an ``ExplicitSpec``, which a Cayley ball's tree export writes a chunk
+    of lines at a time."""
+    lines = format_ids(np.array(parents, np.int64), 16, b"parents: ")
+    return "variant: explicit\n" + (lines or b"parents:\n").decode()
+
+
+def format_ids(ids: np.ndarray, line: int = 0, head: bytes = b"") -> bytes:
+    """Non-negative ids as the bytes of ``" ".join(map(str, ids))`` or, with
+    ``line``, as lines of ``line`` ids, each headed by ``head``: a record an
+    id of the head, the widest id's digits and a separator, from which a
+    keep mask drops the leading zeros and the heads inside a line."""
+    if not len(ids):
+        return b""
+    at, width = len(head), len(str(int(ids.max())))
+    rec = np.empty((len(ids), at + width + 1), np.uint8)
+    rec[:, :at] = np.frombuffer(head, np.uint8)
+    rest = ids.copy()
+    for k in range(at + width - 1, at - 1, -1):
+        rec[:, k] = rest % 10 + ord("0")
+        rest //= 10
+    rec[:, -1] = ord(" ")
+    if line:
+        rec[line - 1::line, -1] = rec[-1, -1] = ord("\n")
+    keep = np.ones(rec.shape, bool)
+    keep[:, :at] = False
+    keep[::line or len(ids), :at] = True
+    keep[-1, -1] = bool(line)
+    for k in range(1, width):  # the digit standing for 10**k, kept from 10**k on
+        np.greater_equal(ids, 10 ** k, out=keep[:, at + width - 1 - k])
+    return rec.tobytes() if keep.all() else rec[keep].tobytes()
 
 
 def load_tree_spec(path: str) -> TreeSpec:

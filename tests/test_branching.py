@@ -15,11 +15,15 @@ Claims covered:
     - the Perron root matches numpy's eigenvalues (independent oracle) and
       the known closed forms (2, 3, golden ratio, sqrt 2)
     - brackets contain the exact values; finite specs are rejected
-    - each component's proposal (numpy's Perron vector rounded to integers)
-      has exact Collatz-Wielandt bounds that hold br_C; a rate outside them
+    - each component's proposal (its Perron vector from Noda's inverse
+      iteration, rounded to integers) has exact Collatz-Wielandt bounds that
+      hold br_C, and a float root that matches numpy's eigenvalues and the
+      cycles' closed forms with no LAPACK call; a rate outside the bounds
       is decided with no elimination, and the sparse elimination inside
       them, forced or not, agrees with dense Bareiss elimination
-      (tests/trees_reference.py) on random, reducible and Jordan specs
+      (tests/trees_reference.py) on random, reducible and Jordan specs and
+      a 200-state cycle, and the exact signs on a 1,000-state cycle; the
+      iteration's bound exits 2 naming PERRON_ITERATIONS_MAX
     - certificates re-validate independently and their budgets cross-check;
       a rate within the proposal's resolution of br is refused, naming
       PROPOSAL_SCALE
@@ -578,6 +582,97 @@ class TestProposal:
         assert len(calls) == 1
         compare_to_br(fibonacci_spec(), Fraction(3, 2))
         assert len(calls) == 2
+
+
+C200 = SymmetricSpec(preperiod=(2,), period=(1,) * 199 + (5,))  # br = 5**(1/200)
+C1000 = SymmetricSpec(preperiod=(2,), period=(1,) * 999 + (5,))  # br = 5**(1/1000)
+
+
+class TestPerron:
+    """The proposals' float Perron roots and vectors come from Noda's
+    inverse iteration on sparse rows, with no LAPACK call: the roots match
+    numpy's eigenvalues (an oracle kept to the tests) and the closed forms
+    of the cycles, and compare_to_br's signs, with the sparse elimination
+    forced, match dense Bareiss elimination, or on the 1,000-state cycle
+    the exact sign of rate**1000 - 5."""
+
+    @staticmethod
+    def numpy_root(kids, comp):
+        mat = np.array([[kids[s].count(t) for t in comp] for s in comp], float)
+        return max(abs(np.linalg.eigvals(mat)))
+
+    @staticmethod
+    def specs():
+        rng = random.Random(8100)
+        reducible = [random_automaton(rng) for _ in range(30)]
+        reducible += [random_periodic_spec(rng, allow_dead=True) for _ in range(10)]
+        return reducible + [REDUCIBLE, C200]
+
+    def test_roots_match_numpy_eigenvalues(self):
+        for spec in self.specs() + [C1000]:
+            kids = compile(spec).children
+            for prop in _proposals(compile(spec)):
+                assert prop.root == pytest.approx(self.numpy_root(kids, prop.comp),
+                                                  rel=1e-12, abs=1e-12), spec
+                assert float(prop.lo) * (1 - 1e-15) <= prop.root <= float(prop.hi) * (1 + 1e-15)
+
+    @pytest.mark.parametrize("spec,value", [
+        (C200, 5 ** (1 / 200)), (C1000, 5 ** (1 / 1000)), (fibonacci_spec(), GOLDEN),
+        (sqrt2_spec(), math.sqrt(2)), (SYMMETRIC, math.sqrt(2)),
+    ], ids=["c200", "c1000", "fib", "sqrt2", "symmetric"])
+    def test_roots_are_the_closed_forms_to_float_precision(self, spec, value):
+        root = max(prop.root for prop in _proposals(compile(spec)))
+        assert root == pytest.approx(value, rel=4 * 2.0 ** -52, abs=0)
+
+    def test_signs_match_dense_bareiss(self):
+        rng = random.Random(8200)
+        for spec in self.specs():
+            kids = compile(spec).children
+            for prop in _proposals(compile(spec)):
+                forced = prop._replace(lo=-1, hi=10 ** 6)
+                if len(prop.comp) < 50:
+                    root = Fraction(prop.root).limit_denominator(10 ** 9)
+                    rates = [prop.lo, prop.hi, root, root + Fraction(1, 10 ** 7),
+                             root - Fraction(1, 10 ** 7)]
+                    rates += [Fraction(rng.randint(0, 400), 100) for _ in range(4)]
+                else:  # dense Bareiss takes seconds a rate with long denominators
+                    root = Fraction(prop.root).limit_denominator(10 ** 6)
+                    rates = [root + Fraction(1, 10 ** 6), root - Fraction(1, 10 ** 6)]
+                for rate in rates:
+                    want = trees_reference.compare_component(kids, prop.comp, rate)
+                    assert _compare_component(kids, forced, rate) == want, (spec, rate)
+                    assert _compare_component(kids, prop, rate) == want, (spec, rate)
+
+    def test_c1000_signs_are_exact(self):
+        auto = compile(C1000)
+        prop = max(_proposals(auto), key=lambda prop: len(prop.comp))
+        forced = prop._replace(lo=-1, hi=10 ** 6)
+        root = Fraction(prop.root)
+        for rate in (prop.lo, prop.hi, root, root * (1 + Fraction(1, 10 ** 12)),
+                     root * (1 - Fraction(1, 10 ** 12)), Fraction(1001, 1000), Fraction(1)):
+            want = (rate ** 1000 > 5) - (rate ** 1000 < 5)
+            assert _compare_component(auto.children, forced, rate) == want, rate
+            assert compare_to_br(C1000, rate) == want, rate
+
+    def test_no_lapack_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg was called")
+
+        for name in ("eig", "eigvals", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        spec = SymmetricSpec(preperiod=(2,), period=(1,) * 49 + (5,))
+        assert compare_to_br(spec, Fraction(104, 100)) == 1
+        assert br_exact_periodic(spec) == pytest.approx(5 ** (1 / 50))
+
+    def test_iteration_bound_exits_two_naming_it(self, tmp_path, monkeypatch, capsys):
+        import firebreak.branching
+        from firebreak.cli import main
+        monkeypatch.setattr(firebreak.branching, "PERRON_ITERATIONS_MAX", 2)
+        path = tmp_path / "c200.tree"
+        path.write_text("variant: symmetric\nlevels: 2 | " + "1 " * 199 + "5\n")
+        assert main(["br", str(path)]) == 2
+        assert ("the Perron vector of a 200-state component needs more than "
+                "PERRON_ITERATIONS_MAX = 2 solves") in capsys.readouterr().err
 
 
 BRACKET_SPECS = {

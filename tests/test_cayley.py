@@ -272,8 +272,18 @@ EXPORT_CASES = ([("free:1", 60)] + [("free:2", r) for r in range(10)]
 class TestTreeExport:
     """The sphere-by-sphere byte writer against the string-per-vertex one
     (tests/cayley_reference.py), byte for byte, at the default sphere
-    crossover and forced both ways: every sphere and the parent lines from
-    numpy passes, or all from Python strings."""
+    crossover and forced both ways: every sphere from numpy passes, or all
+    from Python strings (the parent lines always come from
+    ``trees.format_ids``), and in chunks small enough to split spheres and
+    parent lines."""
+
+    def test_chunked_bytes_match_the_reference(self, monkeypatch):
+        monkeypatch.setattr(cayley_mod, "EXPORT_CHUNK", 32)  # two 16-id lines
+        for name, radius in (("free:2", 6), ("zd:2", 12), ("free:1", 60), ("dinf", 0)):
+            tree = lex_min_tree(group_from_name(name), radius)
+            got = io.BytesIO()
+            cayley_mod.write_tree_export(tree, got)
+            assert got.getvalue() == tree_export_text(tree).encode(), (name, radius)
 
     @pytest.mark.parametrize("threshold", [None, 0, 10 ** 9])
     def test_bytes_match_the_reference(self, threshold, monkeypatch):

@@ -8,6 +8,9 @@ Claims covered:
     - balls are level-prefixes of the right size; radius > depth rejected
     - edge levels make level-n weight sums equal M_n * rate**-n
     - the parser round-trips, rejects unknown fields and bad documents
+    - the digit writer gives the bytes of str and join, plain and in the
+      parent lines' 16-id lines, on empty, single and power-of-ten-crossing
+      id arrays, sorted and unsorted
     - the expansion cap raises ResourceLimitError
     - one representation: a periodic truncation re-read as an explicit
       tree, and a symmetric spec written as its cycle automaton, expand to
@@ -15,14 +18,21 @@ Claims covered:
     - the feasibility result, witness paths included, depends on the tree
       and not on the spec: a periodic spec rewritten with twin states
       expands to the same truncation and decides identically
-    - the numpy unfolding and the level-by-level cut walks give the fields,
+    - the unfolding and the level-by-level cut walks give the fields,
       rows, min cutsets, separation answers, weights and error messages of
-      the list-based ones in tests/trees_reference.py
+      the list-based ones in tests/trees_reference.py; the unfolding's
+      fields match byte for byte, by substitution and by level walk, on
+      random specs, every named group's word acceptor, specs whose states
+      the root reaches late or never, a chain, and depths 0 and 1
 """
 
 import random
+from array import array
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from firebreak import (
@@ -37,7 +47,9 @@ from firebreak import (
     parse_tree_spec,
 )
 from firebreak import Cutset, cut_weight, feasibility_check, min_cutset
-from firebreak.trees import compile
+from firebreak import trees as trees_mod
+from firebreak.cayley import group_from_name
+from firebreak.trees import compile, format_ids, format_parents
 import trees_reference
 from conftest import (
     ball,
@@ -324,10 +336,61 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+# The word acceptor of every named group, the pentagon's Coxeter group among them
+NAMED_GROUPS = ["zd:1", "zd:2", "zd:3", "zd:4", "free:1", "free:2", "free:3", "dinf",
+                "freeprod:2,3", "freeprod:3,3", "freeprod:5,7", "gp:0,0,0/ac,bc",
+                "gp:2,2,2,2,2/ab,bc,cd,de,ae"]
+
+
+def late_specs(rng: random.Random):
+    """Specs whose states the root reaches only late or not within a small
+    depth: long preperiods before a branching period, a periodic chain into
+    a ternary state, and a spec whose extra states the root never reaches."""
+    for _ in range(4):
+        pre = tuple(rng.choice((1, 1, 2)) for _ in range(rng.randint(5, 14)))
+        yield SymmetricSpec(preperiod=pre, period=tuple(rng.randint(1, 3) for _ in range(3)))
+    names = [f"S{i}" for i in range(12)]
+    chain = {a: (b,) for a, b in zip(names, names[1:])}
+    yield PeriodicSpec(states={**chain, names[-1]: (names[-1],) * 3}, root=names[0])
+    yield PeriodicSpec(states={"A": ("A", "B"), "B": ("A",), "Z": ("Z", "Z", "Y"), "Y": ()},
+                       root="A")
+
+
+def digit_cases(rng):
+    """Id arrays: none, a single id (0 among them), runs and random draws
+    that cross each power of ten up to 10**9, sorted and unsorted."""
+    yield np.array([], np.intc)
+    for one in (0, 7, 10, 10 ** 9):
+        yield np.array([one], np.intc)
+    for k in range(1, 10):
+        yield np.arange(max(0, 10 ** k - 20), 10 ** k + 20, dtype=np.intc)
+        draw = rng.integers(0, 10 ** k + 50, rng.integers(1, 300))
+        yield draw
+        yield np.sort(draw).astype(np.intc)
+
+
+class TestFormatIds:
+    """The one digit writer against str and join, plain and in lines."""
+
+    def test_matches_str_join(self):
+        rng = np.random.default_rng(9100)
+        for ids in digit_cases(rng):
+            want = " ".join(map(str, ids.tolist()))
+            assert format_ids(ids) == want.encode(), ids
+            lines = ["parents: " + " ".join(map(str, ids[i:i + 16].tolist())) + "\n"
+                     for i in range(0, len(ids), 16)]
+            assert format_ids(ids, 16, b"parents: ") == "".join(lines).encode(), ids
+            assert format_ids(ids, 1) == "".join(f"{v}\n" for v in ids.tolist()).encode()
+            assert format_parents(ids.tolist()) == \
+                "variant: explicit\n" + ("".join(lines) or "parents:\n")
+
+
 class TestNumpyUnfolding:
     """``expand`` and the level-by-level cut walks against the list-based
     ones they replaced (tests/trees_reference.py), on seeded random
-    periodic (with dead states), symmetric and explicit specs."""
+    periodic (with dead states), symmetric and explicit specs.  The
+    unfolding is checked both by substitution and by its level walk, forced
+    each way by its cost constants, on top of the choice the constants make."""
 
     def instances(self, rng, count):
         for i in range(count):
@@ -359,6 +422,38 @@ class TestNumpyUnfolding:
                 want = ([ref.parent[v]] if v else []) + ref.children[v]
                 assert list(got.neighbors(v)) == want
                 assert columns[offsets[v]:offsets[v + 1]].tolist() == want
+
+    @staticmethod
+    def assert_fields_match(spec, depth):
+        """parent, level, state, first_child and level_starts byte for byte."""
+        got, ref = expand(spec, depth), trees_reference.expand(spec, depth)
+        first_child = list(accumulate(map(len, ref.children), initial=1))
+        sizes = Counter(ref.level)
+        starts = (0, *accumulate(sizes[lv] for lv in range(depth + 1)))
+        for name, want in (("parent", ref.parent), ("level", ref.level), ("state", ref.state),
+                           ("first_child", first_child)):
+            assert getattr(got, name).tobytes() == array("i", want).tobytes(), (spec, depth, name)
+        assert got.level_starts == starts, (spec, depth)
+
+    @pytest.mark.parametrize("join_cost", [None, 0, 10 ** 9], ids=["chosen", "words", "walk"])
+    def test_unfold_fields_are_the_lists_byte_for_byte(self, join_cost, monkeypatch):
+        if join_cost is not None:
+            monkeypatch.setattr(trees_mod, "JOIN_COST", join_cost)
+        rng = random.Random(7300)
+        for spec, depth in self.instances(rng, 120):
+            self.assert_fields_match(spec, depth)
+        for name in NAMED_GROUPS:
+            acceptor = group_from_name(name).word_acceptor()
+            for depth in range(6):
+                self.assert_fields_match(acceptor, depth)
+        for spec in late_specs(rng):
+            for depth in (0, 1, 2, 7, 13, 16):
+                self.assert_fields_match(spec, depth)
+        for spec, depths in ((binary_spec(), (0, 1, 3, 9)),
+                             (random_explicit_tree(rng, max_vertices=30), (0, 1, 3, 30)),
+                             (ExplicitSpec(parents=tuple(range(40))), (0, 1, 3, 41))):  # a chain
+            for depth in depths:
+                self.assert_fields_match(spec, depth)
 
     def test_expand_errors_match(self, monkeypatch):
         assert _outcome(expand, binary_spec(), -1) == \
