@@ -49,7 +49,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, pairwise
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -209,6 +209,10 @@ class GraphProduct:
     def word_acceptor(self) -> PeriodicSpec:
         return self.acceptor[0]
 
+    @cached_property
+    def sphere_walk(self) -> tuple[list[int], Iterator[int]]:  # the level counts walked so far
+        return [], self.acceptor[1].iter_level_counts()
+
 
 def group_from_name(name: str) -> GraphProduct:
     """CLI names: free:R, zd:D, dinf, freeprod:M1,M2[,...] (orders >= 2)
@@ -268,7 +272,9 @@ class CayleyBall(Truncation):
         parent*g's row entry for h, as g and h commute.  That entry is the
         h-child of parent*g, since g merges into or shuffles in front of
         parent's syllables and leaves h free to follow; they are filled
-        level by level, as parent*g may be such an entry a level up."""
+        level by level, as parent*g may be such an entry a level up.  Below
+        level R a row holds every product and starts at v*|gens|; only the
+        outer sphere's rows (when n passes level R) drop those outside."""
         _spec, auto, entering, runs = self.model.acceptor
         model, n_gens = self.model, len(self.model.generators)
         n_inner = self.level_starts[self.depth]  # with children in the ball
@@ -308,11 +314,15 @@ class CayleyBall(Truncation):
             hs = np.array(entering, np.int32)[state[rows]]
             for a, b in pairwise(np.searchsorted(rows, self.level_starts[1:])):
                 flat[at[a:b]] = flat[flat[of[a:b]] * n_gens + hs[a:b]]
-        present = cols >= 0
+        dense = min(n, n_inner)
         offsets, ends = zeroed(n + 1)
-        present.sum(axis=1, dtype=np.intc, out=ends[1:])
-        np.cumsum(ends, out=ends)  # row v ends where row v + 1 starts
-        return offsets, packed(cols[present])
+        np.multiply(np.arange(dense + 1, dtype=np.intc), n_gens, out=ends[:dense + 1])
+        present = cols[dense:] >= 0  # the outer sphere's rows, when n takes them in
+        present.sum(axis=1, dtype=np.intc, out=ends[dense + 1:])
+        np.cumsum(ends[dense:], out=ends[dense:])  # row v ends where row v + 1 starts
+        columns = packed(flat[:dense * n_gens])
+        columns.frombytes(memoryview(cols[dense:][present]).cast("B"))
+        return offsets, columns
 
     def sphere_sizes(self) -> list[int]:
         return [b - a for a, b in pairwise(self.level_starts)]
@@ -339,7 +349,8 @@ def write_tree_export(tree: CayleyBall, fh) -> None:
     name is one letter, the words of sphere L are an (|S(L)|, L) byte
     matrix gathered from sphere L - 1's plus the entering letters, and its
     lines are fixed-width byte records, one block per run of at most
-    EXPORT_CHUNK ids of one digit width, as are the parent lines."""
+    EXPORT_CHUNK ids of one digit width, written into the records in place;
+    the parent lines go through ``format_ids``, EXPORT_CHUNK at a time."""
     names, starts = tree.model.generators, tree.level_starts
     first = next((lv for lv in range(1, tree.depth + 1)
                   if starts[lv + 1] - starts[lv] >= EXPORT_SPHERE_MIN), tree.depth + 1)
@@ -363,8 +374,10 @@ def write_tree_export(tree: CayleyBall, fh) -> None:
         for lo, hi in pairwise(sorted({a, b, *cuts, *range(a, b, EXPORT_CHUNK)})):
             width = len(str(lo))
             rec = np.empty((hi - lo, 13 + width + lv), np.uint8)
-            heads = format_ids(np.arange(lo, hi, dtype=np.intc), 1, b"# vertex ")
-            rec[:, :9 + width] = np.frombuffer(heads, np.uint8).reshape(hi - lo, -1)[:, :-1]
+            rec[:, :9] = np.frombuffer(b"# vertex ", np.uint8)
+            ids = np.arange(lo, hi, dtype=np.intc)
+            for k in range(8 + width, 8, -1):  # the id's digits, last first
+                rec[:, k], ids = ids % 10 + ord("0"), ids // 10
             rec[:, 9 + width:12 + width] = np.frombuffer(b" = ", np.uint8)
             rec[:, 12 + width:-1] = words[lo - a:hi - a]
             rec[:, -1] = ord("\n")
@@ -375,21 +388,22 @@ def write_tree_export(tree: CayleyBall, fh) -> None:
 
 
 def _sphere_sizes(model, radius: int) -> list[int]:
-    """|S(0)|, ..., |S(radius)| from the word acceptor's level counts.  The
-    ball cap is decided here, before anything is built: it fails at the
+    """|S(0)|, ..., |S(radius)| from the level counts the model walks once.
+    The ball cap is decided here, before anything is built: it fails at the
     least radius 1..R whose ball has more than DEFAULT_BALL_CAP elements."""
     if radius < 0:
         raise SpecError("ball radius must be >= 0")
-    spheres: list[int] = []
+    walked, walk = model.sphere_walk
     total = 0
-    for r, size in zip(range(radius + 1), model.acceptor[1].iter_level_counts()):
-        spheres.append(size)
-        total += size
+    for r in range(radius + 1):
+        if r == len(walked):
+            walked.append(next(walk))
+        total += walked[r]
         if r and total > DEFAULT_BALL_CAP:
             raise ResourceLimitError(
                 f"ball of radius {r} has {total} elements, the ball cap is {DEFAULT_BALL_CAP}"
             )
-    return spheres
+    return walked[:radius + 1]
 
 
 def ball(model, radius: int) -> CayleyBall:

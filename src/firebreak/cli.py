@@ -88,6 +88,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
+    if type(value) in (int, str):  # most cells, ahead of Fraction's ABCMeta isinstance
+        return str(value)
     if value is None:
         return "-"
     if isinstance(value, bool):
@@ -98,7 +100,7 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
-        return " ".join(str(v) for v in value) if value else "-"
+        return " ".join(map(str, value)) if value else "-"
     return str(value)
 
 
@@ -498,12 +500,23 @@ def build_parser() -> _Parser:
 
     for p in sub.choices.values():
         p.add_argument("--metrics", help="write wall time and peak RSS as JSON to this file")
+    parser.commands = sub.choices  # each subcommand's own parser, by name
     return parser
+
+
+def parse(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, by the named subcommand's parser if it can."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and (command := build_parser().commands.get(argv[0])):
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)  # anything left over, and every usage error
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()

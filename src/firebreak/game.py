@@ -267,11 +267,13 @@ def _spread_rows(statuses: bytearray, reached: np.ndarray):
 
 
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """The ids sorted, each once: a sort and one neighbour comparison, a quarter
-    of what np.unique or np.diff with prepend cost on a few hundred ids."""
-    ids = np.sort(ids)
+    """The ids sorted, each once: a strictly increasing input (a surround's sphere)
+    as it is, else by a sort and a neighbour comparison, a quarter of np.unique's cost."""
     keep = np.empty(len(ids), bool)
     keep[:1] = True
+    if np.greater(ids[1:], ids[:-1], out=keep[1:]).all():
+        return ids
+    ids = np.sort(ids)
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
     return ids[keep]
 
@@ -376,14 +378,15 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
              horizon: int | None = None) -> Verdict:
     """Game engine for an arbitrary initial fire.  Public entry points
     restrict the fire to balls around the root; the oracle uses this
-    directly."""
+    directly.  A fire that stays off level ``depth`` builds no boundary mask."""
     if horizon is not None and horizon < 0:
         raise SpecError("horizon must be >= 0")
     state = state_from_fire(arena, fire)
     deepest = bisect_left(arena.level, arena.depth)  # the first id that may be on the boundary
 
-    def reached(frontier) -> bool:  # an array's tail is read one int at a time
-        return any(map(arena.is_boundary, map(int, frontier[bisect_left(frontier, deepest):])))
+    def reached(frontier) -> bool:  # the boundary is looked up only for ids at the depth
+        tail = frontier[bisect_left(frontier, deepest):]
+        return len(tail) > 0 and any(map(arena.is_boundary, map(int, tail)))
 
     if reached(state.frontier):
         return Verdict(kind=BOUNDARY_REACHED, round_no=0, burnt=None, trace=())

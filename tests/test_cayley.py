@@ -51,7 +51,12 @@ Claims covered:
       one builds the ball only out to the protected sphere and its model's
       word acceptor once, and rows for the ball's interior only
     - the rows built for a ball's interior are the first rows of its full
-      build, on every differential model at radii 1-6
+      build, on every differential model at radii 1-6, and both equal, byte
+      for byte, the next ball's rows masked to the ball's ids, on every
+      named group, the two ``gp:`` examples and the seeded graph products
+      at radii 0-8: every row below level R is full
+    - a surround walks its model's level counts once, and the ball cap
+      fails at the same radius on a model walked further before
 """
 
 import bisect
@@ -63,12 +68,14 @@ from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, pairwise
 
+import numpy as np
 import pytest
 
 import firebreak.cayley as cayley_mod
 from firebreak import (
     BudgetSequence,
     GraphProduct,
+    ResourceLimitError,
     SpecError,
     SurroundCapError,
     Truncation,
@@ -86,6 +93,7 @@ from firebreak import (
 )
 from firebreak.cli import main as cli_main
 from firebreak.game import BURNING, PROTECTED
+from firebreak.trees import Automaton
 from cayley_reference import ReferenceGraphProduct, reference_ball, tree_export_text
 from conftest import ball_elements, ball_words, enumerate_geodesic_words, tree_export
 
@@ -438,6 +446,31 @@ class TestWaitAndSurround:
         assert res.verdict.contained and len(built) == 1
         assert compile_spec(model.acceptor[0]) is model.acceptor[1]
 
+    def test_one_level_count_walk_per_model(self, monkeypatch):
+        # the trigger and the ball read the same walk of the acceptor's
+        # level counts, which the model keeps for its later calls
+        walks = []
+        walk = Automaton.iter_level_counts
+        monkeypatch.setattr(Automaton, "iter_level_counts",
+                            lambda auto: walks.append(1) or walk(auto))
+        model = group_from_name("free:2")
+        res = wait_and_surround(model, 1, 5, 8)
+        assert res.verdict.contained and res.ball.depth == 7 and len(walks) == 1
+        assert growth_rate_estimate(model, 8).sphere_sizes == (1, 4, 12, 36, 108, 324, 972,
+                                                                2916, 8748)
+        assert len(walks) == 1
+
+    def test_cap_radius_after_a_longer_walk(self, monkeypatch):
+        # |B(5)| = 485 and |B(6)| = 1457: the cap fails at radius 6 whether
+        # the model has walked its spheres further before or not
+        model = group_from_name("free:2")
+        assert cayley_ball(model, 9).n_vertices == 39365
+        monkeypatch.setattr(cayley_mod, "DEFAULT_BALL_CAP", 1000)
+        assert cayley_ball(model, 5).n_vertices == 485
+        for radius in (6, 8, 12):
+            with pytest.raises(ResourceLimitError, match="ball of radius 6 has 1457 elements"):
+                cayley_ball(model, radius)
+
     def test_no_fault_on_trigger_round(self):
         # the protected sphere is two steps ahead of the fire at play time
         res = wait_and_surround(group_from_name("zd:1"), 0, 2, 8)
@@ -756,6 +789,34 @@ class TestGraphProducts:
             assert ball_elements(got) == (ref.elements, ref._index), radius
             for v in range(got.n_vertices):
                 assert list(got.neighbors(v)) == ref.adjacency[v], (radius, v)
+
+    @pytest.mark.parametrize("model", ALL_MODELS + GP_MODELS + [
+        group_from_name(name) for name in (
+            "free:3", "zd:4", "freeprod:5,7", "freeprod:2,3,4", "freeprod:4,5,6",
+            "freeprod:2,2,2", "gp:3,0,2/ab", "gp:0,2,3,0/ab,bd,cd")] + SEEDED_MODELS,
+        ids=lambda m: m.name)
+    def test_rows_equal_the_masked_rows_of_the_next_ball(self, model):
+        # B(R) is a prefix of B(R + 1), so masking B(R + 1)'s rows of B(R)'s
+        # vertices to B(R)'s ids gives B(R)'s rows: the interior rows, dense
+        # with offsets v*|gens|, and the full rows, masked on the outer sphere
+        def masked(rows, n, size):  # rows 0..n-1, entries below size
+            offsets, columns = (np.frombuffer(a, np.intc) for a in rows)
+            columns = columns[:offsets[n]]
+            keep = (columns >= 0) & (columns < size)
+            row = np.repeat(np.arange(n), np.diff(offsets[:n + 1]))
+            lengths = np.bincount(row[keep], minlength=n)
+            return (np.concatenate(([0], np.cumsum(lengths))).astype(np.intc).tobytes(),
+                    columns[keep].tobytes())
+
+        for radius in range(9):
+            if sum(level_counts(model.word_acceptor(), radius + 1)) > 40_000:
+                break
+            b, bigger = cayley_ball(model, radius), cayley_ball(model, radius + 1)
+            full = bigger._rows(bigger.n_vertices)
+            for n in (b.level_starts[radius], b.n_vertices):
+                offsets, columns = b._rows(n)
+                assert (offsets.tobytes(), columns.tobytes()) == masked(full, n, b.n_vertices), (radius, n)
+        assert radius >= 3
 
     def test_every_mode_runs(self, tmp_path, capsys):
         out = tmp_path / "gp.tree"

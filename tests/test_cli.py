@@ -11,14 +11,14 @@ import math
 import random
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from firebreak import expand, format_tree_spec, max_flow, min_cut_weight
-from firebreak.cli import _fmt, build_parser, main
+from firebreak.cli import _fmt, build_parser, main, parse
 from firebreak.trees import Automaton
 from conftest import random_periodic_spec
 
@@ -775,6 +775,77 @@ def test_parser_is_built_once_per_process(spec_dir):
     built = build_parser.cache_info().misses
     run(["br", str(spec_dir / "ray.tree")])
     assert build_parser.cache_info().misses == built == 1
+
+
+# per subcommand: its positionals, the options it must have, and the
+# options a seeded argv may add (a tuple of one flag with no value)
+PARSE_SHAPES = {
+    "br": (["t.tree"], [], [("--tol", "0.5"), ("--lambda", "3/2"), ("--cut-depths", "3")]),
+    "contain": (["t.tree"], [("--lambda", "7/2")],
+                [("--k", "2"), ("--D-max", "9"), ("--evidence-depths", "4")]),
+    "simulate": (["t.tree"], [("--k", "1"), ("--budget", "exp:3/2")],
+                 [("--depth", "6"), ("--horizon", "4"), ("--protect", "1,2"),
+                  ("--trace-out", "t.trace")]),
+    "oracle": (["t.tree"], [("--budget", "const:1")],
+               [("--k", "1"), ("--x0", "0,2"), ("--depth", "3"), ("--horizon", "2"),
+                ("--strict",), ("--cache", "c.txt")]),
+    "cayley": (["free:2"], [("--mode", "surround"), ("--R", "8")],
+               [("--lambda", "5"), ("--k", "2"), ("--c", "3"), ("--d", "1")]),
+}
+
+
+def seeded_argv(rng: random.Random, command: str) -> list[str]:
+    positionals, required, optional = PARSE_SHAPES[command]
+    chosen = required + rng.sample(optional, rng.randint(0, len(optional)))
+    chosen += rng.sample([("--out", "o.txt"), ("--metrics", "m.json")], rng.randint(0, 2))
+    rng.shuffle(chosen)
+    words = [[flag + "=" + value[0]] if value and rng.random() < 0.3 else [flag, *value]
+             for flag, *value in chosen]
+    words.insert(rng.randint(0, len(words)), positionals)
+    return [command] + [w for group in words for w in group]
+
+
+def parsed_by_the_whole_parser(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            build_parser().parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParse:
+    """``main`` reads a named subcommand's arguments with that subcommand's
+    parser, and falls back to the whole parser for anything else."""
+
+    @pytest.mark.parametrize("command", sorted(PARSE_SHAPES))
+    def test_seeded_argvs_parse_as_the_whole_parser(self, command, monkeypatch):
+        rng = random.Random(f"parse:{command}")
+        argvs = [seeded_argv(rng, command) for _ in range(40)]
+        expected = [build_parser().parse_args(argv) for argv in argvs]
+        monkeypatch.setattr(build_parser(), "parse_args", None)  # not called on these
+        assert [parse(argv) for argv in argvs] == expected
+
+    def test_report_cells(self):
+        cells = (None, True, False, 0, -12, "x", "", Fraction(3, 2), Fraction(-4), 0.5, 1e300,
+                 (), (1, 2), [3, "a"])
+        assert [_fmt(v) for v in cells] == ["-", "true", "false", "0", "-12", "x", "", "3/2",
+                                            "-4", "0.5", "1e+300", "-", "1 2", "3 a"]
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate", "x"], ["br", "t.tree", "--D-max", "0"], ["br", "a", "b"],
+        ["contain", "t.tree"], ["contain", "t.tree", "--lambda", "3", "--k", "x"],
+        ["cayley", "free:2", "--mode", "spin", "--R", "3"], ["-h"], ["contain", "-h"],
+        ["--metrics", "m.json"],
+    ], ids=lambda argv: " ".join(argv) or "no command")
+    def test_usage_errors_and_help_are_unchanged(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue(), err.getvalue()) == parsed_by_the_whole_parser(argv)
+        assert code in (0, 1) and (out.getvalue() or err.getvalue())
 
 
 class TestDeterminism:

@@ -23,7 +23,11 @@ Claims covered:
       verdicts and traces, the same faults, messages and rounds; tuple ids
       past int64 fail as the reference's do
     - simulate reproduces the hand-traced verdicts (ray, binary cut play)
-      and never reports containment when the fire can reach the horizon
+      and never reports containment when the fire can reach the horizon;
+      the boundary mask is built only by a game whose fire reaches the
+      depth, not by a contained replay or a surround
+    - the sorted-unique pass keeps a strictly increasing input as it is and
+      sorts and deduplicates any other as np.unique does
     - canonical strategies pick closest-first with deterministic ties
     - feasibility matches hand arithmetic, is monotone in budgets, and the
       greedy on chain-ordered levels agrees with the count recursion; both
@@ -79,6 +83,7 @@ from firebreak import (
     simulate,
     step,
     synthesize_cutset_strategy,
+    wait_and_surround,
 )
 import firebreak.game as game_mod
 from firebreak.game import BURNING, PROTECTED, UNTOUCHED, TraceRound, Verdict, cut_weight_target
@@ -592,10 +597,50 @@ class TestSimulate:
             simulate(t, 0, strat, BudgetSequence.constant(1))
         assert err.value.round_no == 2
 
+    def test_boundary_mask_is_built_only_when_the_fire_reaches_the_depth(self):
+        # a contained replay of a synthesized strategy and a surround never
+        # have a frontier id at the depth, so neither builds the mask
+        rate = BudgetSequence.exponential(3)
+        synth = synthesize_cutset_strategy(binary_spec(), 3, 1)
+        schedule, _ = parse_trace(format_trace(simulate(synth.trunc, 1, synth.strategy, rate)))
+        t = expand(binary_spec(), synth.depth)
+        v = simulate(t, 1, ScheduleStrategy(schedule), rate)
+        assert v.contained and "boundary_mask" not in t.__dict__
+        res = wait_and_surround(group_from_name("free:2"), 1, 5, 8)
+        assert res.verdict.contained and "boundary_mask" not in res.ball.__dict__
+        for arena in (expand(binary_spec(), 3), cayley_ball(group_from_name("free:2"), 3)):
+            v = simulate(arena, 0, ScheduleStrategy({}), BudgetSequence.constant(0))
+            assert v.kind == "boundary_reached" and v.round_no == 3
+            assert "boundary_mask" in arena.__dict__
+
     def test_fire_starting_on_boundary_is_inconclusive(self):
         t = expand(ray_spec(), 3)
         v = run_game(t, [0, 1, 2, 3], ScheduleStrategy({}), BudgetSequence.constant(9))
         assert v.kind == "boundary_reached" and v.round_no == 0
+
+
+class TestSortedUnique:
+    def test_cases(self):
+        sorted_unique = game_mod._sorted_unique
+        for ids in (np.array([], np.intc), np.array([7], np.intc),
+                    np.arange(3, 4000, 3, dtype=np.intc)):  # strictly increasing: kept as given
+            assert sorted_unique(ids) is ids
+        assert sorted_unique(np.array([5, 1, 9, 2], np.intc)).tolist() == [1, 2, 5, 9]
+        given = np.array([4, 4, 1, 9, 1, 4])
+        out = sorted_unique(given)
+        assert out.tolist() == [1, 4, 9] and out.dtype == given.dtype
+        assert given.tolist() == [4, 4, 1, 9, 1, 4]  # the input is left alone
+        assert sorted_unique(np.array([1, 2, 2, 3], np.intc)).tolist() == [1, 2, 3]
+        assert sorted_unique(np.array([3, 3], np.intc)).tolist() == [3]
+
+    def test_random_against_unique(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            ids = rng.integers(0, rng.integers(1, 50), rng.integers(0, 40)).astype(np.intc)
+            if rng.random() < 0.3:
+                ids = np.unique(ids)
+            out = game_mod._sorted_unique(ids)
+            assert out.tolist() == np.unique(ids).tolist() and out.dtype == ids.dtype
 
 
 class TestCanonical:
