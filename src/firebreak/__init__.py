@@ -52,6 +52,7 @@ from .game import (
     SynthesisResult,
     Verdict,
     feasibility_check,
+    feasibility_decision,
     feasibility_rows,
     format_trace,
     initial_state,

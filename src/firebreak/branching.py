@@ -131,7 +131,8 @@ def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
     if not cutset.separates(trunc):
         raise SpecError("edge set does not separate the root from the boundary")
     num, q_power = 0, 1
-    for count in np.bincount(view(trunc.level)[ids], minlength=trunc.depth + 1).tolist():
+    at = np.searchsorted(ids, trunc.level_starts)  # ids are sorted: per level, a count
+    for count in (at[1:] - at[:-1]).tolist():
         num, q_power = num * p + count * q_power, q_power * q
     return Fraction(num, p ** trunc.depth)
 

@@ -45,7 +45,6 @@ and every tree algorithm here answers a Cayley question.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, pairwise
@@ -59,7 +58,7 @@ from .game import (
     FeasibilityResult,
     ScheduleStrategy,
     Verdict,
-    feasibility_check,
+    feasibility_decision,
     simulate,
 )
 from .trees import Automaton, PeriodicSpec, Truncation, compile, format_ids, packed, view, zeroed
@@ -258,12 +257,12 @@ class CayleyBall(Truncation):
     model: GraphProduct
 
     @cached_property
-    def tree_generator(self) -> array:
+    def tree_generator(self) -> memoryview:
         """The generator from each vertex's tree parent to it (-1 at the
         root): the letter entering its acceptor state."""
         return packed(np.array(self.model.acceptor[2], np.intc)[view(self.state)])
 
-    def _rows(self, n: int) -> tuple[array, array]:
+    def _rows(self, n: int) -> tuple[memoryview, memoryview]:
         """Row offsets and column ids of the in-ball products v*g of the
         first n vertices (n a level start), in generator order, read off the
         tree in one numpy pass: child k, the parent, up the run and down the
@@ -278,23 +277,25 @@ class CayleyBall(Truncation):
         _spec, auto, entering, runs = self.model.acceptor
         model, n_gens = self.model, len(self.model.generators)
         n_inner = self.level_starts[self.depth]  # with children in the ball
-        state, parent, first = view(self.state), view(self.parent), view(self.first_child)
+        states, parent, first = view(self.state), view(self.parent), view(self.first_child)
         child = [{entering[t]: k for k, t in enumerate(kids)} for kids in auto.children]
-        kid = np.array([[c.get(g, -1) for g in range(n_gens)] for c in child + [{}]], np.int32)
-        inner = np.full(self.n_vertices + 1, len(child), np.int32)  # kid's row: none at -1
-        inner[:n_inner] = state[:n_inner]  # and none past n_inner
+        kid = np.array([[c.get(g, -1) for g in range(n_gens)] for c in child], np.int32)
 
         def down(t, g):  # the child of t entered by g, -1 outside the ball
-            k = kid[inner[t], g]
+            k = np.where((t >= 0) & (t < n_inner), kid[states[t], g], -1)
             return np.where(k >= 0, first[t] + k, -1)
 
         # child ids; past n_inner all -1, and an inner row's other entries are set below
-        state, parent = state[:n], parent[:n]
-        cols = np.take(kid, inner[:n], axis=0)
-        cols[:n_inner] += first[:min(n, n_inner), None]
+        dense, state, parent = min(n, n_inner), states[:n], parent[:n]
+        cols = np.empty((n, n_gens), np.int32)
+        np.take(kid, state[:dense], axis=0, out=cols[:dense], mode="clip")  # "raise" would copy
+        cols[:dense] += first[:dense, None]
+        cols[dense:] = -1
         flat = cols.reshape(-1)
         up = [-1 if s == auto.root else model.inverse_index(entering[s]) for s in range(len(child))]
-        flat[np.array(up, np.intp)[state[1:]] + np.arange(n_gens, n * n_gens, n_gens)] = parent[1:]
+        at = np.array(up, np.int32)[state[1:]]  # each vertex's parent entry, by flat index
+        at += np.arange(n_gens, n * n_gens, n_gens, dtype=np.int32)
+        flat[at] = parent[1:]
         factor = [x for x, _d in model._moves]
         commute = np.zeros(kid.shape, bool)
         for s, g in ((s, g) for s, c in enumerate(child) for g in range(n_gens)
@@ -314,15 +315,15 @@ class CayleyBall(Truncation):
             hs = np.array(entering, np.int32)[state[rows]]
             for a, b in pairwise(np.searchsorted(rows, self.level_starts[1:])):
                 flat[at[a:b]] = flat[flat[of[a:b]] * n_gens + hs[a:b]]
-        dense = min(n, n_inner)
         offsets, ends = zeroed(n + 1)
         np.multiply(np.arange(dense + 1, dtype=np.intc), n_gens, out=ends[:dense + 1])
         present = cols[dense:] >= 0  # the outer sphere's rows, when n takes them in
         present.sum(axis=1, dtype=np.intc, out=ends[dense + 1:])
         np.cumsum(ends[dense:], out=ends[dense:])  # row v ends where row v + 1 starts
-        columns = packed(flat[:dense * n_gens])
-        columns.frombytes(memoryview(cols[dense:][present]).cast("B"))
-        return offsets, columns
+        columns = flat[:dense * n_gens]  # the product table as built, when n stops at level R
+        if dense < n:
+            columns = np.concatenate((columns, cols[dense:][present]))
+        return offsets, packed(columns)
 
     def sphere_sizes(self) -> list[int]:
         return [b - a for a, b in pairwise(self.level_starts)]
@@ -509,7 +510,7 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
     sphere_index = radius + trigger + 1
     b = ball(model, sphere_index)
     sphere = range(*b.level_starts[sphere_index:])
-    strategy = ScheduleStrategy({trigger: np.arange(sphere.start, sphere.stop, dtype=np.intc)})
+    strategy = ScheduleStrategy({trigger: sphere})
     verdict = simulate(b, radius, strategy, budget, horizon=trigger + 2)
     return SurroundResult(strategy=strategy, verdict=verdict, trigger_round=trigger,
                           sphere_index=sphere_index, sphere=sphere,
@@ -530,7 +531,8 @@ class ProbeReport:
 
 def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> ProbeReport:
     """Deadline feasibility of budgets floor(coeff * n**degree) on the
-    lex-min spanning tree, with the cumulative-budget-vs-sphere table;
+    lex-min spanning tree, decided without witness paths
+    (``feasibility_decision``), with the cumulative-budget-vs-sphere table;
     both read the word acceptor, which unfolds to that tree, so no ball
     is built (the ball cap still bounds the depth).
 
@@ -550,7 +552,7 @@ def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> Prob
     on the Cayley graph itself: it cannot settle an asymptotic statement."""
     spheres = _sphere_sizes(model, depth)
     budget = BudgetSequence.polynomial(coeff, degree)
-    result = feasibility_check(model.acceptor[0], radius, budget, depth)
+    result = feasibility_decision(model.acceptor[0], radius, budget, depth)
     rows = tuple((n, total, spheres[n + 1])
                  for n, total in enumerate(budget.prefix_sums(depth - 1), 1))
     return ProbeReport(

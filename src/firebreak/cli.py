@@ -19,7 +19,6 @@ import json
 import resource
 import sys
 import time
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 
@@ -54,6 +53,7 @@ from .game import (
     CanonicalStrategy,
     ScheduleStrategy,
     add_round,
+    ball_ids,
     feasibility_rows,
     format_trace,
     parse_trace,
@@ -325,7 +325,7 @@ def cmd_oracle(args) -> int:
     if args.x0:
         fire = sorted({_int(t, "--x0") for t in args.x0.split(",") if t})
     else:
-        fire = range(bisect_right(trunc.level, args.k))
+        fire = ball_ids(trunc, args.k)
     config = _base_config("oracle")
     config.update(spec=args.spec, k=args.k, x0=",".join(str(v) for v in fire),
                   budget=budget.describe(), depth=depth, strict=args.strict,

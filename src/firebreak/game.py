@@ -11,8 +11,11 @@ An *arena* is a ``trees.Truncation``: a tree truncation, or a Cayley ball
 (the truncation of a word acceptor whose rows list the Cayley graph's
 adjacency).
 The game reads only this surface of it and asks no arena its class:
-``n_vertices``; ``level``, the distance from the root, non-decreasing in
-vertex order; ``depth``; ``boundary``, the vertices whose burning makes
+``n_vertices``; ``level_starts``, the first id of each level (distance
+from the root) 0..``depth`` and the vertex count, which give the initial
+fire and the first id that may be on the boundary (only
+``CanonicalStrategy`` reads the per-vertex ``level``); ``depth``;
+``boundary``, the vertices whose burning makes
 the outcome inconclusive at this depth, all at level ``depth``, and
 ``is_boundary(v)``, the test for one, asked only of frontier ids at level
 ``depth``; ``neighbors(v)``, row v of the arena's one adjacency, and
@@ -34,16 +37,17 @@ SPREAD_VECTOR_MIN ids or more gathers its rows' entries through
 ``run_game`` plays the whole game on one status array that it changes in
 place, so the ``GameState.statuses`` a strategy sees is live; ``step``
 copies it and leaves its input alone.  A large round (SPREAD_VECTOR_MIN ids
-or more) carries its protect set and frontier as sorted int arrays from the
-strategy to the trace, whose rounds read them as tuples of ints.
+or more) carries its protect set and frontier as sorted int arrays (a protect
+set may be a range) from the strategy to the trace, whose rounds read them
+as tuples of ints.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, islice, pairwise
 from typing import Iterable, Mapping
@@ -64,6 +68,11 @@ SPREAD_VECTOR_MIN = 1024
 # (2-CPU VM), the slice pass costs about 21 us plus 0.03 us an entry, the
 # neighbors loop about 7 us plus 0.3 us an entry: they cross near 50 entries.
 SPREAD_SLICE_MIN = 64
+# A protect set that is one run of this many ids or more is checked with one
+# find and marked with one slice: about 0.6 us in all, where the per-id loop
+# costs about 0.1 us an id (timeit, 2-CPU VM); they cross near 8 ids.
+PROTECT_RUN_MIN = 8
+PROTECTED_BYTE = bytes([PROTECTED])
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +185,15 @@ class GameState:
         return self.statuses.count(BURNING)
 
 
+def ball_ids(arena, radius: int) -> range:
+    """The ids at levels 0..radius, read off ``level_starts``: the arena is level-major."""
+    starts = arena.level_starts
+    return range(starts[max(0, min(radius + 1, len(starts) - 1))])
+
+
 def initial_state(arena, radius: int) -> GameState:
     """Fire on the ball of the given radius around the root."""
-    return state_from_fire(arena, range(bisect_right(arena.level, radius)))
+    return state_from_fire(arena, ball_ids(arena, radius))
 
 
 def state_from_fire(arena, fire: Iterable[int]) -> GameState:
@@ -204,15 +219,28 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budg
     """Play round ``state.round_no + 1`` on ``statuses`` in place; return the sorted protect
     set and the new burning vertices, int arrays from SPREAD_VECTOR_MIN ids on, else tuples.
     Protecting a burning vertex or overspending the budget is a strategy fault, no silent clip.
-    The frontier spreads by the one-run rule of the module docstring."""
+    A protect set that is one run of PROTECT_RUN_MIN ids or more is checked with one find and
+    marked with one slice; the frontier spreads by the one-run rule of the module docstring."""
     round_no = state.round_no + 1
     if isinstance(protect, np.ndarray):
         protect = _sorted_unique(protect)
-    else:
+    elif type(protect) is not range or protect.step != 1:  # a range of step 1 is one run
         protect = sorted(set(protect))
-    if len(protect) > budget:
-        raise StrategyFault(round_no, f"protect set of size {len(protect)} exceeds budget {budget}")
-    if len(protect) >= SPREAD_VECTOR_MIN:  # the loop's checks, in its order, in one pass
+    if (size := len(protect)) > budget:
+        raise StrategyFault(round_no, f"protect set of size {size} exceeds budget {budget}")
+    if size >= PROTECT_RUN_MIN and protect[-1] - protect[0] == size - 1:  # sorted: one run
+        first = int(protect[0])  # the loop's checks, in its order, on the run
+        stop = first + size
+        if first < 0:
+            raise SpecError(f"vertex {first} is not in the arena")
+        if (hit := statuses.find(BURNING, first, stop)) >= 0:
+            raise StrategyFault(round_no, f"vertex {hit} is burning and cannot be protected")
+        if stop > len(statuses):
+            raise SpecError(f"vertex {max(first, len(statuses))} is not in the arena")
+        statuses[first:stop] = PROTECTED_BYTE * size
+        if size < SPREAD_VECTOR_MIN:
+            protect = _as_tuple(protect)
+    elif size >= SPREAD_VECTOR_MIN:  # the loop's checks, in its order, in one pass
         if protect[0] < 0:
             raise SpecError(f"vertex {protect[0]} is not in the arena")
         inside = bisect_left(protect, len(statuses))  # only these become numpy integers
@@ -286,14 +314,14 @@ def _sorted_unique(ids: np.ndarray) -> np.ndarray:
 class ScheduleStrategy:
     """Fixed map round -> protect set.  Synthesis plays the cut vertices at
     level n in round n - radius; wait-and-surround plays one sphere in its
-    trigger round.  An array round of SPREAD_VECTOR_MIN ids or more stays an
-    array; every other round becomes a tuple of ints.  A round below 1 is
-    never played, so it raises SpecError as ``add_round`` does."""
+    trigger round.  An array or range round of SPREAD_VECTOR_MIN ids or more
+    stays as it is; every other round becomes a tuple of ints.  A round below
+    1 is never played, so it raises SpecError as ``add_round`` does."""
 
     def __init__(self, schedule: Mapping[int, Iterable[int]]):
         self.schedule: dict = {}
         for r, vs in schedule.items():
-            add_round(self.schedule, int(r), vs if isinstance(vs, np.ndarray)
+            add_round(self.schedule, int(r), vs if isinstance(vs, (np.ndarray, range))
                       and len(vs) >= SPREAD_VECTOR_MIN else _as_tuple(vs), "schedule")
 
     def protect_for(self, state: GameState, round_no: int, budget: int) -> Iterable[int]:
@@ -382,7 +410,7 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
     if horizon is not None and horizon < 0:
         raise SpecError("horizon must be >= 0")
     state = state_from_fire(arena, fire)
-    deepest = bisect_left(arena.level, arena.depth)  # the first id that may be on the boundary
+    deepest = arena.level_starts[arena.depth]  # the first id that may be on the boundary
 
     def reached(frontier) -> bool:  # the boundary is looked up only for ids at the depth
         tail = frontier[bisect_left(frontier, deepest):]
@@ -418,7 +446,7 @@ def simulate(trunc, radius: int, strategy, budget: BudgetSequence,
         raise SpecError("initial radius must be >= 0")
     if radius >= trunc.depth:
         raise SpecError("initial radius must be smaller than the truncation depth")
-    return run_game(trunc, range(bisect_right(trunc.level, radius)), strategy, budget, horizon)
+    return run_game(trunc, ball_ids(trunc, radius), strategy, budget, horizon)
 
 
 # -- trace files -------------------------------------------------------------
@@ -529,6 +557,24 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
     ``sphere_counts`` are the vertices per automaton state at level radius,
     as ``Automaton.iter_state_counts`` yields them, which a caller probing
     several depths walks once; without them they are walked from the root."""
+    result, plan = _decide(spec, radius, budget, depth, sphere_counts)
+    if plan is None:
+        return result
+    return replace(result, witness_paths=_witness_paths(compile(spec), radius, depth, *plan))
+
+
+def feasibility_decision(spec: TreeSpec, radius: int, budget: BudgetSequence,
+                         depth: int, sphere_counts: dict[int, int] | None = None
+                         ) -> FeasibilityResult:
+    """``feasibility_check``'s decision and ``witness_levels`` without its
+    witness paths, which take most of a feasible check's time: for callers
+    that read only the decision.  ``witness_paths`` is None unless the
+    empty cut is the witness."""
+    return _decide(spec, radius, budget, depth, sphere_counts)[0]
+
+
+def _decide(spec, radius, budget, depth, sphere_counts):
+    """The argument checks, then ``_feasibility_counts``' result and plan."""
     if radius < 0:
         raise SpecError("initial radius must be >= 0")
     if depth <= radius:
@@ -542,7 +588,7 @@ def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
 
 def feasibility_rows(spec: TreeSpec, radius: int, budget: BudgetSequence,
                      depths: Iterable[int]) -> list[bool]:
-    """``feasibility_check(spec, radius, budget, D).feasible`` for each of
+    """``feasibility_decision(spec, radius, budget, D).feasible`` for each of
     the increasing depths D.  Feasibility is monotone in D, so the deepest
     depth is decided, and only when it is feasible are the others bisected
     for the first feasible one."""
@@ -558,7 +604,7 @@ def feasibility_rows(spec: TreeSpec, radius: int, budget: BudgetSequence,
     sphere_counts = next(islice(compile(spec).iter_state_counts(), radius, None))
 
     def feasible(i: int) -> bool:
-        return feasibility_check(spec, radius, budget, depths[i], sphere_counts).feasible
+        return feasibility_decision(spec, radius, budget, depths[i], sphere_counts).feasible
 
     if not feasible(len(depths) - 1):
         return [False] * len(depths)
@@ -578,8 +624,19 @@ def _chain_ranks(child_ranks: list[tuple[int, ...]]) -> list[int] | None:
     return [rank[r] for r in child_ranks]
 
 
+def _classify(succ, cls: dict, sig: dict, lv: int, states) -> None:
+    """sig[lv] and cls[lv] for the given states at level lv, from cls[lv + 1]."""
+    below = cls[lv + 1]
+    found = {s: tuple(sorted(below[t] for t in succ[s] if t in below)) for s in states}
+    sig[lv] = sorted({g for g in found.values() if g})
+    number = {g: c for c, g in enumerate(sig[lv])}
+    cls[lv] = {s: number[g] for s, g in found.items() if g}
+
+
 def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
-                        sphere_counts: dict[int, int]) -> FeasibilityResult:
+                        sphere_counts: dict[int, int]):
+    """The decision without witness paths, and what ``_witness_paths``
+    builds them from (cut vectors, class tables), or None for no paths."""
     succ = auto.children
     # the state counts at levels radius+1..depth: nothing is cut within the ball
     walk = auto.iter_state_counts(sphere_counts)
@@ -590,11 +647,11 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
     live = sum(n for s, n in forward[0].items() if heights[s] >= depth - radius - 1)
     if not live:
         return FeasibilityResult(feasible=True, depth=depth, radius=radius,
-                                 witness_paths=(), witness_levels=())
+                                 witness_paths=(), witness_levels=()), None
     # every live vertex needs a cut vertex of its own: most decisions below
     # br fail this at once, before any level is walked
     if live > caps[-1]:
-        return FeasibilityResult(feasible=False, depth=depth, radius=radius)
+        return FeasibilityResult(feasible=False, depth=depth, radius=radius), None
     forward += islice(walk, depth - radius - 1)
     # per level L, the classes of the live vertices (those whose subtrees
     # reach the boundary), numbered in sorted order of their signatures: the
@@ -603,16 +660,8 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
     # vertices at L to its class
     cls = {depth: {s: 0 for s in forward[-1] if auto.continues(s)}}
     sig = {depth: [()] if cls[depth] else []}
-
-    def classify(lv: int, states) -> None:  # sig[lv] and cls[lv], from cls[lv + 1]
-        below = cls[lv + 1]
-        found = {s: tuple(sorted(below[t] for t in succ[s] if t in below)) for s in states}
-        sig[lv] = sorted({g for g in found.values() if g})
-        number = {g: c for c, g in enumerate(sig[lv])}
-        cls[lv] = {s: number[g] for s, g in found.items() if g}
-
     for lv in range(depth - 1, radius, -1):
-        classify(lv, forward[lv - radius - 1])
+        _classify(succ, cls, sig, lv, forward[lv - radius - 1])
     counts = [0] * len(sig[radius + 1])
     for s, c in cls[radius + 1].items():
         counts[c] += forward[0][s]
@@ -729,15 +778,20 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
     finally:
         sys.setrecursionlimit(limit)
     if chosen is None:
-        return FeasibilityResult(feasible=False, depth=depth, radius=radius)
+        return FeasibilityResult(feasible=False, depth=depth, radius=radius), None
     sizes, cuts = chosen
-    witness_levels = tuple((radius + 1 + i, n) for i, n in enumerate(sizes) if n)
-    if sum(sizes) > 100_000:
-        return FeasibilityResult(feasible=True, depth=depth, radius=radius,
-                                 witness_levels=witness_levels)
-    ball = auto.level_states(radius)
+    result = FeasibilityResult(feasible=True, depth=depth, radius=radius,
+                               witness_levels=tuple((radius + 1 + i, n)
+                                                    for i, n in enumerate(sizes) if n))
+    return result, (cuts, cls, sig) if sum(sizes) <= 100_000 else None
+
+
+def _witness_paths(auto, radius: int, depth: int, cuts, cls: dict, sig: dict):
+    """The witness of a feasible decision: at each level, the first live
+    vertices of each class in path order, as many as its cut vector says."""
+    succ, ball = auto.children, auto.level_states(radius)
     for lv in range(radius, -1, -1):  # the ball states that lead to a live vertex below it
-        classify(lv, ball[lv])
+        _classify(succ, cls, sig, lv, ball[lv])
     paths: list = []
     plan = dict(enumerate(cuts, start=radius + 1))
     frontier = [((), auto.root)]  # (path, state) of the uncut live vertices, in path order
@@ -753,8 +807,7 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
         live = cls.get(lv + 1, {})
         frontier = [(path + (c,), t) for path, s in uncut for c, t in enumerate(succ[s])
                     if t in live]
-    return FeasibilityResult(feasible=True, depth=depth, radius=radius,
-                             witness_paths=tuple(sorted(paths)), witness_levels=witness_levels)
+    return tuple(sorted(paths))
 
 
 def _least(ok, hi: int) -> int:

@@ -20,11 +20,18 @@ explicit-only oracle asks which variant it was given.
 
 A ``Truncation`` is the finite tree of all vertices at levels 0..D, in a
 deterministic level-major order (children in spec order), unfolded by
-substitution (``unfold``).  Its ``parent``, ``level`` and ``state``
-are ``array('i')``s (numpy reads them as zero-copy views) and
-``children[v]`` is a ``range``.  It is the one game arena and holds the
-one adjacency: flat rows, offsets and column ids as ``array('i')``s, which
-``neighbors(v)`` slices, ``rows(last)`` views for the game rounds that
+substitution (``unfold``).  Its vertex arrays, ``parent``, ``state`` and
+the child offsets, are memoryviews over the numpy buffers that computed
+them (``packed``): they index, slice and iterate to Python ints, as
+``array('i')`` does, and numpy reads them back as zero-copy views
+(``view``).  ``level_starts`` holds the first id of each level, and the
+per-vertex ``level`` is derived from it on first read by the callers that
+index levels vertex by vertex (``min_cutset``, ``max_flow``, the canonical
+strategy); the game engine, the Cayley rows and the tree export read
+``level_starts`` alone.  ``children[v]`` is a ``range``.  It is the one
+game arena and holds the one adjacency: flat rows, offsets and column ids
+as vertex arrays, which ``neighbors(v)`` slices, ``rows(last)`` views for
+the game rounds that
 spread in one numpy pass and ``separated`` checks a contained fire on (one
 slice of the columns when the side it reads is one run of ids).  Rows are
 built only as far as play reads them: the interior rows (ids below
@@ -51,7 +58,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, islice, pairwise
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -276,24 +283,22 @@ def level_counts(spec: TreeSpec, depth: int) -> list[int]:
     return compile(spec).level_counts(depth)
 
 
-def view(values: array) -> np.ndarray:
-    """A zero-copy numpy view of an ``array('i')``."""
+def view(values: memoryview) -> np.ndarray:
+    """A zero-copy numpy view of a vertex array."""
     return np.frombuffer(values, np.intc)
 
 
-def packed(values: np.ndarray) -> array:
-    """An ``np.intc`` array as an ``array('i')``, which indexes to ints,
-    copied once straight from its memory."""
-    assert values.dtype == np.intc, values.dtype
-    out = array("i")
-    out.frombytes(memoryview(values).cast("B"))
-    return out
+def packed(values: np.ndarray) -> memoryview:
+    """An ``np.intc`` array as a vertex array: a memoryview of its own
+    buffer, which indexes to ints as ``array('i')`` does, with no copy."""
+    assert values.dtype == np.intc and values.flags.c_contiguous, values.dtype
+    return memoryview(values)
 
 
-def zeroed(size: int) -> tuple[array, np.ndarray]:
-    """A zeroed ``array('i')`` of the given size and its numpy view, to fill in place."""
-    values = array("i", [0]) * size
-    return values, view(values)
+def zeroed(size: int) -> tuple[memoryview, np.ndarray]:
+    """A zeroed vertex array of the given size and its numpy buffer, to fill in place."""
+    values = np.zeros(size, np.intc)
+    return memoryview(values), values
 
 
 # A join of unfold's substitution costs what its level walk spends on 25
@@ -304,17 +309,18 @@ JOIN_COST, LEVEL_COST = 25, 45
 def unfold(auto: Automaton, depth: int, n_vertices: int) -> tuple:
     """The automaton's tree of ``n_vertices`` vertices to the given depth,
     level-major with children in spec order, as a truncation's fields: each
-    vertex's parent, level and state and the CSR child offsets
-    ``first_child`` (level-D vertices have no children), ``array('i')``s,
-    and the first id of each level 0..depth followed by the vertex count.
+    vertex's parent and state and the CSR child offsets ``first_child``
+    (level-D vertices have no children), vertex arrays, and the first id of
+    each level 0..depth followed by the vertex count.
 
     Level L is the substitution s -> children(s) applied L times to the
-    root, so a state's level-i word (its subtree's level i, as ``array('i')``
-    bytes) is its children's level-(i - 1) words joined, built only while
-    its distance from the root is at most depth - i.  Where those joins cost
+    root, so a state's level-i word (its subtree's level i, as int32 bytes)
+    is its children's level-(i - 1) words joined, built only while its
+    distance from the root is at most depth - i.  Where those joins cost
     more (JOIN_COST, LEVEL_COST), as on long cycles and deep explicit trees,
-    each level is its predecessor's child words joined.  The parents, levels
-    and child offsets each come from one repeat or cumsum."""
+    each level is its predecessor's child words joined.  The state array
+    reads the joined levels in place; the parents and child offsets each
+    come from one repeat or cumsum."""
     kids = auto.children
     order, dist = [auto.root], {auto.root: 0}  # breadth-first, as far as the depth
     for s in order:
@@ -334,17 +340,16 @@ def unfold(auto: Automaton, depth: int, n_vertices: int) -> tuple:
             made = [b"".join(map(words.__getitem__, kids[s])) for s in near]
             words.update(zip(near, made))
             levels.append(words[auto.root])
-    state = array("i", b"".join(levels))
+    state = memoryview(b"".join(levels)).cast("i")
     sizes = [len(word) // state.itemsize for word in levels]
-    del levels, words  # the state array holds them now
+    del levels, words  # the state bytes hold them now
     starts = (0, *accumulate(sizes))
     counts = np.array([len(ks) for ks in kids], np.intc)  # n_kids: the root is a vertex -1's child
     n_kids = np.concatenate(([1], counts[view(state)[:starts[depth]]]), dtype=np.intc)
     parent = packed(np.arange(-1, starts[depth], dtype=np.intc).repeat(n_kids))
-    level = packed(np.arange(depth + 1, dtype=np.intc).repeat(sizes))
     first_child = packed(np.concatenate((n_kids.cumsum(dtype=np.intc),
                                          np.full(sizes[depth], len(state), np.intc))))
-    return parent, level, state, first_child, starts
+    return parent, state, first_child, starts
 
 
 @dataclass
@@ -356,15 +361,21 @@ class Truncation:
 
     spec: TreeSpec
     depth: int
-    parent: array
-    level: array
-    state: array
-    first_child: array
+    parent: memoryview
+    state: memoryview
+    first_child: memoryview
     level_starts: tuple[int, ...]
 
     @property
     def n_vertices(self) -> int:
         return len(self.parent)
+
+    @cached_property
+    def level(self) -> memoryview:
+        """Each vertex's level, one repeat of the level sizes on first read;
+        the game, the Cayley rows and the export read ``level_starts``."""
+        sizes = [b - a for a, b in pairwise(self.level_starts)]
+        return packed(np.arange(self.depth + 1, dtype=np.intc).repeat(sizes))
 
     @cached_property
     def children(self) -> list[range]:
@@ -385,7 +396,7 @@ class Truncation:
     def is_boundary(self) -> Callable[[int], int]:
         return self.boundary_mask.__getitem__  # one C call an id
 
-    def _rows(self, n: int) -> tuple[array, array]:
+    def _rows(self, n: int) -> tuple[memoryview, memoryview]:
         """Row offsets and column ids, row v listing v's parent, then its
         children: row v starts after v - 1 parents and first_child[v] - 1
         children, and child w sits in its parent's row at parent[w] + w - 1.
@@ -402,10 +413,10 @@ class Truncation:
         cols[parent[1:] + ids[1:-1] - 1] = ids[1:-1]
         return offsets, columns
 
-    _built_rows = (array("i", [0]), array("i"))  # no row yet: the first ask builds some
+    _built_rows = (zeroed(1)[0], zeroed(0)[0])  # no row yet: the first ask builds some
     _row_views = tuple(map(view, _built_rows))  # their numpy views, made once per build
 
-    def _rows_through(self, last: int) -> tuple[array, array]:
+    def _rows_through(self, last: int) -> tuple[memoryview, memoryview]:
         """Row buffers holding rows 0..last: the interior rows (ids below
         ``level_starts[depth]``) on first use, and level D's rows too only
         once one of them is asked for."""
@@ -422,7 +433,7 @@ class Truncation:
             self._rows_through(last)
         return self._row_views
 
-    def neighbors(self, v: int) -> array:
+    def neighbors(self, v: int) -> memoryview:
         offsets, columns = self._built_rows
         if len(offsets) <= v + 1:  # _rows_through's test, inline on this hot path
             offsets, columns = self._rows_through(v)

@@ -57,16 +57,21 @@ Claims covered:
       at radii 0-8: every row below level R is full
     - a surround walks its model's level counts once, and the ball cap
       fails at the same radius on a model walked further before
+    - a ball's vertex and row arrays are memoryviews over numpy buffers that
+      equal the reference's lists and read back Python ints; neither a
+      surround nor a tree export builds the per-vertex level, and the R = 11
+      surround's traced peak stays within 25 bytes a ball vertex
 """
 
 import bisect
 import io
 import random
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
-from itertools import combinations, pairwise
+from itertools import accumulate, combinations, pairwise
 
 import numpy as np
 import pytest
@@ -471,6 +476,34 @@ class TestWaitAndSurround:
             with pytest.raises(ResourceLimitError, match="ball of radius 6 has 1457 elements"):
                 cayley_ball(model, radius)
 
+    def test_surround_and_export_build_no_level(self):
+        # the game reads level_starts and the export the tree: neither builds
+        # the per-vertex level, which is derived only when it is read
+        res = wait_and_surround(group_from_name("free:2"), 1, Fraction(5), 7)
+        assert res.verdict.contained and "level" not in res.ball.__dict__
+        tree = lex_min_tree(group_from_name("free:2"), 6)  # spheres past EXPORT_SPHERE_MIN
+        cayley_mod.write_tree_export(tree, io.BytesIO())
+        assert "level" not in tree.__dict__
+        assert list(tree.level) == [lv for lv, size in enumerate(tree.sphere_sizes())
+                                    for _ in range(size)]
+
+    def test_anchor_surround_peak_per_vertex(self):
+        # numpy reports its buffers to tracemalloc, so the traced peak of the
+        # R = 11 surround repeats to within a few kB: 22.9 bytes a ball
+        # vertex, against 37.0 with a stored level, array('i') copies of the
+        # vertex arrays, the full-ball state map in the rows and the sphere
+        # as an id array
+        model = group_from_name("free:2")
+        assert model.acceptor  # built once per model, outside the count
+        tracemalloc.start()
+        try:
+            res = wait_and_surround(model, 1, 4, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.verdict.contained and res.ball.n_vertices == 354_293
+        assert peak <= 25 * res.ball.n_vertices, peak / res.ball.n_vertices
+
     def test_no_fault_on_trigger_round(self):
         # the protected sphere is two steps ahead of the fire at play time
         res = wait_and_surround(group_from_name("zd:1"), 0, 2, 8)
@@ -681,6 +714,26 @@ class TestWordAcceptors:
                 assert getattr(b, field.name) == getattr(trunc, field.name), (radius, field.name)
             assert b.boundary_mask == trunc.boundary_mask and b.boundary == trunc.boundary
 
+    @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
+    def test_ball_arrays_read_back_python_ints(self, model):
+        # every per-vertex array and both row arrays are memoryviews over
+        # numpy buffers: they equal the reference's lists and read back ints
+        radius = differential_radii(model, most=3_000)[-1]
+        got, ref = cayley_ball(model, radius), reference_ball(model, radius)
+        offsets, columns = got._rows_through(got.n_vertices - 1)
+        lists = [(name, getattr(ref, name)) for name in BALL_FIELDS] + [
+            ("offsets", list(accumulate(map(len, ref.adjacency), initial=0))),
+            ("columns", [w for row in ref.adjacency for w in row])]
+        for name, want in lists:
+            values = getattr(got, name, offsets if name == "offsets" else columns)
+            assert isinstance(values, memoryview) and values.format == "i", name
+            assert values.tolist() == want, name
+            assert {type(v) for v in values} == {int}, name
+            assert {type(values[v]) for v in range(-1, len(values))} == {int}, name
+        for v in range(got.n_vertices):
+            row = got.neighbors(v)
+            assert row.tolist() == ref.adjacency[v] and all(type(w) is int for w in row)
+
     def test_probe_on_acceptor_matches_materialised_tree(self):
         rng = random.Random(8)
         seen = set()
@@ -692,7 +745,12 @@ class TestWordAcceptors:
             rep = polynomial_probe(model, coeff, degree, radius, depth)
             tree = lex_min_tree(model, depth)
             budget = BudgetSequence.polynomial(coeff, degree)
-            assert rep.feasibility == feasibility_check(tree_export(tree), radius, budget, depth)
+            # the probe decides as the materialised tree does, without witness
+            # paths; the acceptor's paths are the materialised tree's
+            export = feasibility_check(tree_export(tree), radius, budget, depth)
+            assert (rep.feasibility.feasible, rep.feasibility.witness_levels) == \
+                (export.feasible, export.witness_levels)
+            assert feasibility_check(model.acceptor[0], radius, budget, depth) == export
             assert [s for _n, _c, s in rep.budget_vs_sphere] == tree.sphere_sizes()[2:]
             seen.add(rep.feasibility.feasible)
         assert seen == {True, False}

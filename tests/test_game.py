@@ -22,6 +22,11 @@ Claims covered:
       sets given as tuples, at the default SPREAD_VECTOR_MIN and at 1: equal
       verdicts and traces, the same faults, messages and rounds; tuple ids
       past int64 fail as the reference's do
+    - a protect set that is one run of 1 to 3,000 ids, given as a list, a
+      range or an array, fails with the reference's first burning id, first
+      id past the arena or budget fault, and plays to its statuses, whether
+      the run check takes it or (short runs) the loop does, as the same ids
+      with a gap do through the gather and the loop paths
     - simulate reproduces the hand-traced verdicts (ray, binary cut play)
       and never reports containment when the fire can reach the horizon;
       the boundary mask is built only by a game whose fire reaches the
@@ -461,6 +466,63 @@ class TestInPlaceEngine:
                 assert got.round_no == round_no
                 assert (got.frontier, got.statuses) == (want.frontier, want.statuses)
                 state, ref = got, want
+
+
+class TestOneRunProtectSets:
+    """A protect set that is one run of PROTECT_RUN_MIN ids or more is
+    checked with one find and marked with one slice: at that threshold and
+    at 1 it fails and plays as the copy-per-round reference's loop, and the
+    same ids with a gap fail and play as the reference through the gather
+    and the loop paths."""
+
+    @staticmethod
+    def outcome(play, state, protect, budget):
+        got = _engine_outcome(play, state, protect, budget)
+        return got if isinstance(got, tuple) else (got.round_no, got.frontier, bytes(got.statuses))
+
+    def test_runs_fail_and_play_as_the_loop_and_gather_paths(self, monkeypatch):
+        b = cayley_ball(group_from_name("free:2"), 7)  # 4,373 vertices
+        n, rng, kinds = b.n_vertices, random.Random(89), Counter()
+        default, default_run = game_mod.SPREAD_VECTOR_MIN, game_mod.PROTECT_RUN_MIN
+        for _ in range(160):
+            # a few burning ids anywhere, some protected ones, and the root
+            # burning as the frontier
+            statuses = bytearray(rng.choices((UNTOUCHED, PROTECTED), (9, 1), k=n))
+            for v in rng.sample(range(n), rng.choice((0, 1, 2, 8))):
+                statuses[v] = BURNING
+            statuses[0] = BURNING
+            state = GameState(b, statuses, rng.randint(0, 3), (0,))
+            size = rng.choice((1, 2, 3, rng.randint(4, 200), rng.randint(200, 3_000)))
+            start = rng.choice((-rng.randint(1, 3), 0, rng.randrange(1, n),  # 0 is burning
+                                n - size + rng.randint(0, 3), rng.randrange(1, max(2, n - size))))
+            run = list(range(start, start + size))
+            budget = rng.choice((n, n, size, size - 1))
+            want = self.outcome(game_reference.step, state, run, budget)
+            for run_min in (1, default_run):  # every run by one find, or short ones looped
+                monkeypatch.setattr(game_mod, "PROTECT_RUN_MIN", run_min)
+                for given in (run, run[::-1] + run[:2], range(start, start + size),
+                              np.array(run, np.int64), np.array(run, np.int32)[::-1]):
+                    assert self.outcome(step, state, given, budget) == want, (start, size)
+            assert bytes(statuses) == bytes(state.statuses)  # step left its input alone
+            if not isinstance(want[0], str):
+                kinds["played"] += 1
+            elif "budget" in want[1]:
+                kinds["budget"] += 1
+            else:  # the vertex named is the run's first id, or one inside it
+                named = int(want[1].split("vertex ")[1].split()[0])
+                kinds[want[0], "first" if named == start else "inside"] += 1
+            if size < 3:
+                continue
+            gapped = run[:size // 2] + run[size // 2 + 1:]
+            want = self.outcome(game_reference.step, state, gapped, budget)
+            for threshold in (default, 1, 10 ** 9):  # as sized, all gathered, all looped
+                monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", threshold)
+                for given in (gapped, np.array(gapped, np.int64)):
+                    assert self.outcome(step, state, given, budget) == want, (start, size)
+            monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", default)
+        assert set(kinds) == {("SpecError", "first"), ("SpecError", "inside"),
+                              ("StrategyFault", "first"), ("StrategyFault", "inside"),
+                              "budget", "played"}, kinds
 
 
 class _RoundsAsGiven:

@@ -24,6 +24,9 @@ Claims covered:
       fields match byte for byte, by substitution and by level walk, on
       random specs, every named group's word acceptor, specs whose states
       the root reaches late or never, a chain, and depths 0 and 1
+    - every vertex array, the level derived from ``level_starts`` on first
+      read among them, is a memoryview over a numpy buffer that equals the
+      reference's lists and reads back Python ints, rows included
 """
 
 import random
@@ -454,6 +457,29 @@ class TestNumpyUnfolding:
                              (ExplicitSpec(parents=tuple(range(40))), (0, 1, 3, 41))):  # a chain
             for depth in depths:
                 self.assert_fields_match(spec, depth)
+
+    def test_vertex_arrays_read_back_python_ints(self):
+        # every per-vertex array, the level derived from level_starts among
+        # them, is a memoryview over a numpy buffer: it equals the lists and
+        # indexes, slices and iterates to Python ints
+        rng = random.Random(7400)
+        cases = [*self.instances(rng, 90),
+                 *((group_from_name(name).word_acceptor(), 5) for name in NAMED_GROUPS)]
+        for spec, depth in cases:
+            got, ref = expand(spec, depth), trees_reference.expand(spec, depth)
+            assert "level" not in got.__dict__, (spec, depth)  # derived on first read
+            first_child = list(accumulate(map(len, ref.children), initial=1))
+            for name, want in (("parent", ref.parent), ("level", ref.level),
+                               ("state", ref.state), ("first_child", first_child)):
+                values = getattr(got, name)
+                assert isinstance(values, memoryview) and values.format == "i", name
+                assert values.tolist() == want, (spec, depth, name)
+                assert {type(v) for v in values} == {int}
+                assert {type(values[v]) for v in range(-1, len(values))} == {int}
+                assert list(values[1:-1]) == want[1:-1], (spec, depth, name)
+            assert all(type(v) is int for v in got.level_starts)
+            for v in range(got.n_vertices):
+                assert all(type(w) is int for w in got.neighbors(v))
 
     def test_expand_errors_match(self, monkeypatch):
         assert _outcome(expand, binary_spec(), -1) == \
