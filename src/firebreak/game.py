@@ -20,26 +20,23 @@ the outcome inconclusive at this depth, all at level ``depth``, and
 ``is_boundary(v)``, the test for one, asked only of frontier ids at level
 ``depth``; ``neighbors(v)``, row v of the arena's one adjacency, and
 ``rows(last)``, numpy views of its row offsets and column ids holding rows
-0..last, which a round that spreads in one numpy pass reads up to its
-sorted frontier's last id; and ``separated(statuses)``, the check on the
-same rows that a contained fire has no untouched neighbour.  The arena
-builds rows only as far as these reads reach, so a game whose fire stays
-off level ``depth`` never builds that level's rows on a Cayley ball.
+0..last; and ``separated(statuses)``, the check on the same rows that a
+contained fire has no untouched neighbour.  The arena builds rows only as
+far as these reads reach, so a game whose fire stays off level ``depth``
+never builds that level's rows on a Cayley ball.
 
-A round spreads from its frontier, which is sorted and unique, in one of
-three ways.  A frontier that is one run of ids (its ends ``len - 1``
-apart), as a sphere of a level-major arena is, and whose rows hold at
-least SPREAD_SLICE_MIN entries spreads from the one slice
-``columns[offsets[first]:offsets[last + 1]]``; any other frontier of
-SPREAD_VECTOR_MIN ids or more gathers its rows' entries through
-``trees.row_entries``; the rest call ``neighbors(v)`` a vertex at a time.
+A round's protect set and frontier are id sets of ``trees.id_set``, and the
+helper there picks each path: ``mark`` checks and marks the protect set and
+reports its first bad id, which ``_advance`` raises as the loop would, and
+``row_entries`` reads a frontier's rows or leaves a small one to
+``_advance``'s loop over ``neighbors``.
 
 ``run_game`` plays the whole game on one status array that it changes in
 place, so the ``GameState.statuses`` a strategy sees is live; ``step``
-copies it and leaves its input alone.  A large round (SPREAD_VECTOR_MIN ids
-or more) carries its protect set and frontier as sorted int arrays (a protect
-set may be a range) from the strategy to the trace, whose rounds read them
-as tuples of ints.
+copies it and leaves its input alone, and gives its frontier as a tuple.
+The trace keeps each round's id sets as they were played, and its rounds
+read them as tuples of ints.  A contained game's burnt count is the fire's
+size plus each frontier's.
 """
 
 from __future__ import annotations
@@ -56,23 +53,8 @@ import numpy as np
 
 from .branching import Cutset, compare_to_br, cut_recursion, exact_rate, min_cutset
 from .errors import ResourceLimitError, SpecError, StrategyFault, SynthesisError
-from .trees import (BURNING, PROTECTED, UNTOUCHED, TreeSpec, Truncation, compile, expand,
-                    row_entries)
-
-# Protect sets and frontiers of this size or more take one numpy pass: it costs
-# 30-70 us and wins past ~64 free:2 vertices; 1024 kept every small job flat.
-SPREAD_VECTOR_MIN = 1024
-# A frontier that is one run of ids whose rows hold this many entries or more
-# spreads from one slice of the columns, whatever its size.  Measured on
-# sphere and level frontiers of free:2, zd:2, zd:3, binary and ternary arenas
-# (2-CPU VM), the slice pass costs about 21 us plus 0.03 us an entry, the
-# neighbors loop about 7 us plus 0.3 us an entry: they cross near 50 entries.
-SPREAD_SLICE_MIN = 64
-# A protect set that is one run of this many ids or more is checked with one
-# find and marked with one slice: about 0.6 us in all, where the per-id loop
-# costs about 0.1 us an id (timeit, 2-CPU VM); they cross near 8 ids.
-PROTECT_RUN_MIN = 8
-PROTECTED_BYTE = bytes([PROTECTED])
+from .trees import (BURNING, PROTECTED, UNTOUCHED, TreeSpec, Truncation, as_tuple, compile,
+                    expand, id_set, mark, row_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +161,7 @@ class GameState:
     arena: object
     statuses: bytearray  # live during run_game
     round_no: int
-    frontier: tuple[int, ...] | np.ndarray  # vertices that started burning last round
-
-    def burning_count(self) -> int:
-        return self.statuses.count(BURNING)
+    frontier: tuple[int, ...] | range | np.ndarray  # vertices that started burning last round
 
 
 def ball_ids(arena, radius: int) -> range:
@@ -197,10 +176,11 @@ def initial_state(arena, radius: int) -> GameState:
 
 
 def state_from_fire(arena, fire: Iterable[int]) -> GameState:
+    """The fire burning on fresh statuses; SpecError names a fire id outside the arena."""
     statuses = bytearray(arena.n_vertices)
-    fire = tuple(sorted(set(fire)))
-    for v in fire:
-        statuses[v] = BURNING
+    fire = id_set(fire)
+    if (bad := mark(statuses, fire, BURNING)) is not None:
+        raise SpecError(f"initial fire vertex {bad} out of range")
     return GameState(arena=arena, statuses=statuses, round_no=0, frontier=fire)
 
 
@@ -208,102 +188,34 @@ def step(state: GameState, protect: Iterable[int], budget: int) -> GameState:
     """Protect, then spread, on a copy of the statuses."""
     statuses = bytearray(state.statuses)
     return GameState(arena=state.arena, statuses=statuses, round_no=state.round_no + 1,
-                     frontier=_as_tuple(_advance(state, statuses, protect, budget)[1]))
-
-
-def _as_tuple(ids) -> tuple[int, ...]:
-    return tuple(ids.tolist()) if isinstance(ids, np.ndarray) else tuple(ids)
+                     frontier=as_tuple(_advance(state, statuses, protect, budget)[1]))
 
 
 def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budget: int):
-    """Play round ``state.round_no + 1`` on ``statuses`` in place; return the sorted protect
-    set and the new burning vertices, int arrays from SPREAD_VECTOR_MIN ids on, else tuples.
-    Protecting a burning vertex or overspending the budget is a strategy fault, no silent clip.
-    A protect set that is one run of PROTECT_RUN_MIN ids or more is checked with one find and
-    marked with one slice; the frontier spreads by the one-run rule of the module docstring."""
+    """Play round ``state.round_no + 1`` on ``statuses`` in place; return the protect set
+    and the new burning vertices as id sets.  Protecting a burning vertex or overspending
+    the budget is a strategy fault, no silent clip; an id outside the arena is a SpecError."""
     round_no = state.round_no + 1
-    if isinstance(protect, np.ndarray):
-        protect = _sorted_unique(protect)
-    elif type(protect) is not range or protect.step != 1:  # a range of step 1 is one run
-        protect = sorted(set(protect))
+    protect = id_set(protect)
     if (size := len(protect)) > budget:
         raise StrategyFault(round_no, f"protect set of size {size} exceeds budget {budget}")
-    if size >= PROTECT_RUN_MIN and protect[-1] - protect[0] == size - 1:  # sorted: one run
-        first = int(protect[0])  # the loop's checks, in its order, on the run
-        stop = first + size
-        if first < 0:
-            raise SpecError(f"vertex {first} is not in the arena")
-        if (hit := statuses.find(BURNING, first, stop)) >= 0:
-            raise StrategyFault(round_no, f"vertex {hit} is burning and cannot be protected")
-        if stop > len(statuses):
-            raise SpecError(f"vertex {max(first, len(statuses))} is not in the arena")
-        statuses[first:stop] = PROTECTED_BYTE * size
-        if size < SPREAD_VECTOR_MIN:
-            protect = _as_tuple(protect)
-    elif size >= SPREAD_VECTOR_MIN:  # the loop's checks, in its order, in one pass
-        if protect[0] < 0:
-            raise SpecError(f"vertex {protect[0]} is not in the arena")
-        inside = bisect_left(protect, len(statuses))  # only these become numpy integers
-        ids = (np.asarray(protect[:inside], np.intp) if isinstance(protect, np.ndarray)
-               else np.fromiter(protect, np.intp, inside))
-        view = np.frombuffer(statuses, np.uint8)
-        if (burning := np.flatnonzero(view[ids] == BURNING)).size:
-            raise StrategyFault(round_no,
-                                f"vertex {ids[burning[0]]} is burning and cannot be protected")
-        if inside < len(protect):
-            raise SpecError(f"vertex {protect[inside]} is not in the arena")
-        view[ids] = PROTECTED
-        protect = protect if isinstance(protect, np.ndarray) else ids  # the trace keeps its dtype
-    else:
-        for v in protect:
-            if not 0 <= v < len(statuses):
-                raise SpecError(f"vertex {v} is not in the arena")
-            if statuses[v] == BURNING:
-                raise StrategyFault(round_no, f"vertex {v} is burning and cannot be protected")
-            statuses[v] = PROTECTED
-        protect = _as_tuple(protect)
+    if (bad := mark(statuses, protect, PROTECTED)) is not None:
+        if 0 <= bad < len(statuses):
+            raise StrategyFault(round_no, f"vertex {bad} is burning and cannot be protected")
+        raise SpecError(f"vertex {bad} is not in the arena")
     frontier, arena = state.frontier, state.arena
-    if len(frontier):  # sorted and unique: one run when its ends are len - 1 apart
-        first, last = frontier[0], frontier[-1]
-        run = last - first + 1 == len(frontier)
-        if run or len(frontier) >= SPREAD_VECTOR_MIN:
-            offsets, columns = arena.rows(last)
-            if run:
-                lo, hi = offsets.item(first), offsets.item(last + 1)
-                if hi - lo >= SPREAD_SLICE_MIN:
-                    return protect, _spread_rows(statuses, columns[lo:hi])
-            if len(frontier) >= SPREAD_VECTOR_MIN:
-                ids = np.asarray(frontier, np.intp)
-                return protect, _spread_rows(statuses, row_entries(offsets, columns, ids))
-    newly = []
-    for v in frontier:
-        for w in arena.neighbors(v):
-            if statuses[w] == UNTOUCHED:
-                statuses[w] = BURNING
-                newly.append(w)
-    return protect, tuple(sorted(newly))
-
-
-def _spread_rows(statuses: bytearray, reached: np.ndarray):
-    """Mark the untouched ones of the frontier's row entries burning (one slice of the
-    columns when the frontier is one run, else row_entries' gather); return them as
-    _advance does."""
+    if (reached := row_entries(arena, frontier)) is None:
+        newly = []
+        for v in frontier:
+            for w in arena.neighbors(v):
+                if statuses[w] == UNTOUCHED:
+                    statuses[w] = BURNING
+                    newly.append(w)
+        return protect, id_set(newly)
     view = np.frombuffer(statuses, np.uint8)
-    reached = _sorted_unique(reached[view[reached] == UNTOUCHED])
+    reached = reached[view[reached] == UNTOUCHED]
     view[reached] = BURNING
-    return reached if len(reached) >= SPREAD_VECTOR_MIN else tuple(reached.tolist())
-
-
-def _sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """The ids sorted, each once: a strictly increasing input (a surround's sphere)
-    as it is, else by a sort and a neighbour comparison, a quarter of np.unique's cost."""
-    keep = np.empty(len(ids), bool)
-    keep[:1] = True
-    if np.greater(ids[1:], ids[:-1], out=keep[1:]).all():
-        return ids
-    ids = np.sort(ids)
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    return ids[keep]
+    return protect, id_set(reached)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +226,14 @@ def _sorted_unique(ids: np.ndarray) -> np.ndarray:
 class ScheduleStrategy:
     """Fixed map round -> protect set.  Synthesis plays the cut vertices at
     level n in round n - radius; wait-and-surround plays one sphere in its
-    trigger round.  An array or range round of SPREAD_VECTOR_MIN ids or more
-    stays as it is; every other round becomes a tuple of ints.  A round below
-    1 is never played, so it raises SpecError as ``add_round`` does."""
+    trigger round.  Each round is kept as an id set (``trees.id_set``).  A
+    round below 1 is never played, so it raises SpecError as ``add_round``
+    does."""
 
     def __init__(self, schedule: Mapping[int, Iterable[int]]):
         self.schedule: dict = {}
         for r, vs in schedule.items():
-            add_round(self.schedule, int(r), vs if isinstance(vs, (np.ndarray, range))
-                      and len(vs) >= SPREAD_VECTOR_MIN else _as_tuple(vs), "schedule")
+            add_round(self.schedule, int(r), id_set(vs), "schedule")
 
     def protect_for(self, state: GameState, round_no: int, budget: int) -> Iterable[int]:
         return self.schedule.get(round_no, ())
@@ -373,7 +284,7 @@ class TraceRound:
         self.round_no, self._ids = round_no, [protected, burnt]
 
     def _read(self, i: int) -> tuple[int, ...]:
-        self._ids[i] = _as_tuple(self._ids[i])
+        self._ids[i] = as_tuple(self._ids[i])
         return self._ids[i]
 
     protected = property(lambda self: self._read(0))
@@ -410,6 +321,7 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
     if horizon is not None and horizon < 0:
         raise SpecError("horizon must be >= 0")
     state = state_from_fire(arena, fire)
+    burnt = len(state.frontier)  # a vertex starts burning once: |fire| + each frontier's size
     deepest = arena.level_starts[arena.depth]  # the first id that may be on the boundary
 
     def reached(frontier) -> bool:  # the boundary is looked up only for ids at the depth
@@ -426,14 +338,14 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
         protect = strategy.protect_for(state, n, f_n)
         protect, frontier = _advance(state, state.statuses, protect, f_n)
         state = GameState(arena, state.statuses, n, frontier)
+        burnt += len(frontier)
         trace.append(TraceRound(n, protect, frontier))
         if reached(frontier):
             return Verdict(kind=BOUNDARY_REACHED, round_no=n, burnt=None, trace=tuple(trace))
         if not len(frontier):
             assert arena.separated(state.statuses), \
                 "contained state has an exposed untouched vertex"
-            return Verdict(kind=CONTAINED, round_no=n, burnt=state.burning_count(),
-                           trace=tuple(trace))
+            return Verdict(kind=CONTAINED, round_no=n, burnt=burnt, trace=tuple(trace))
     return Verdict(kind=ESCAPED_HORIZON, round_no=horizon, burnt=None, trace=tuple(trace))
 
 

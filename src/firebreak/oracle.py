@@ -53,17 +53,14 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
     runaway searches."""
     if horizon is not None and horizon < 0:
         raise SpecError("horizon must be >= 0")
-    fire = frozenset(x0)
-    for v in fire:
-        if not 0 <= v < trunc.n_vertices:
-            raise SpecError(f"initial fire vertex {v} out of range")
-    free = trunc.n_vertices - len(fire)
+    start = state_from_fire(trunc, x0)  # SpecError on a fire id out of range, before the cap
+    free = trunc.n_vertices - len(start.frontier)
     cap = DEFAULT_FREE_CAP if restrict else STRICT_FREE_CAP
     if free > cap:
         raise ResourceLimitError(
             f"{free} vertices outside the fire exceed the oracle cap {cap}"
         )
-    if any(map(trunc.is_boundary, fire)):
+    if any(map(trunc.is_boundary, start.frontier)):
         return OracleDecision(feasible=False, schedule=None)
     if horizon is None:
         horizon = trunc.n_vertices + 2
@@ -106,7 +103,7 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
         memo[key] = result
         return result
 
-    schedule = search(state_from_fire(trunc, fire))
+    schedule = search(start)
     return OracleDecision(feasible=schedule is not None, schedule=schedule)
 
 

@@ -30,14 +30,11 @@ index levels vertex by vertex (``min_cutset``, ``max_flow``, the canonical
 strategy); the game engine, the Cayley rows and the tree export read
 ``level_starts`` alone.  ``children[v]`` is a ``range``.  It is the one
 game arena and holds the one adjacency: flat rows, offsets and column ids
-as vertex arrays, which ``neighbors(v)`` slices, ``rows(last)`` views for
-the game rounds that
-spread in one numpy pass and ``separated`` checks a contained fire on (one
-slice of the columns when the side it reads is one run of ids).  Rows are
-built only as far as play reads them: the interior rows (ids below
+as vertex arrays, which ``neighbors(v)`` slices and ``rows(last)`` views.
+Rows are built only as far as play reads them: the interior rows (ids below
 ``level_starts[D]``) on first use, and level D's only once one of them is
-asked for, by ``neighbors``, by ``rows`` up to a frontier's last id or by
-``separated`` up to the last id of the side it reads.  A tree's row lists the parent,
+asked for, by ``neighbors`` or by ``rows`` up to the last id of a frontier
+or of the side ``separated`` reads.  A tree's row lists the parent,
 then the children, and as tree rows are cheap a tree builds them all at
 once; a Cayley ball (``cayley.CayleyBall``) is the truncation of its
 group's word acceptor whose ``_rows(n)`` list the Cayley graph's
@@ -49,6 +46,12 @@ do, and a fire reaching one of them makes a game verdict inconclusive at
 this depth.  A level-D vertex continues when its state has children, or
 always for an explicit tree (``escape_leaves``): the depth of a finite
 description is the horizon of what it can rule out.
+
+Every set of vertex ids the game plays (a protect set, a frontier, the fire,
+one side of ``separated``'s check) goes through one helper: ``id_set`` sorts
+and deduplicates it and picks its form once; ``mark`` (check and mark of a
+status byte) and ``row_entries`` take the path that form and its being a
+run (PROTECT_RUN_MIN ids or more, the ends len - 1 apart) make cheapest.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice, pairwise
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -440,24 +443,15 @@ class Truncation:
         return columns[offsets[v]:offsets[v + 1]]
 
     def separated(self, statuses: bytes | bytearray) -> bool:
-        """No burning vertex has an untouched neighbour, read off the rows of
-        whichever of the two statuses is fewer, as the graph is undirected;
-        rows are built only up to that side's last id.  When that side's ids
-        are one run (a contained ball fire is ids 0..m-1), its rows are one
-        slice of the columns."""
+        """No burning vertex has an untouched neighbour, read off the row
+        entries of whichever of the two statuses is fewer, as the graph is
+        undirected; rows are built only up to that side's last id."""
         burning, untouched = statuses.count(BURNING), statuses.count(UNTOUCHED)
-        side, other, size = ((BURNING, UNTOUCHED, burning) if burning <= untouched
-                             else (UNTOUCHED, BURNING, untouched))
-        if not size:
+        side, other = (BURNING, UNTOUCHED) if burning <= untouched else (UNTOUCHED, BURNING)
+        if not min(burning, untouched):
             return True
-        first, last = statuses.find(side), statuses.rfind(side)
-        offsets, columns = self.rows(last)
         status = np.frombuffer(statuses, np.uint8)
-        if last - first + 1 == size:
-            reached = columns[offsets[first]:offsets[last + 1]]
-        else:
-            reached = row_entries(offsets, columns, np.flatnonzero(status == side))
-        return not (status[reached] == other).any()
+        return not (status[row_entries(self, np.flatnonzero(status == side))] == other).any()
 
     @classmethod
     def _unfolded(cls, spec: TreeSpec, depth: int, n_vertices: int, **fields) -> "Truncation":
@@ -465,10 +459,103 @@ class Truncation:
         return cls(spec, depth, *unfold(compile(spec), depth, n_vertices), **fields)
 
 
-def row_entries(offsets, columns, ids) -> np.ndarray:
-    """The row entries of the given vertices, row after row: the offset
-    arithmetic runs in int32, and only the index into ``columns`` is intp."""
-    starts, lengths = offsets[ids], offsets[ids + 1] - offsets[ids]
+# ---------------------------------------------------------------------------
+# Id sets
+# ---------------------------------------------------------------------------
+
+# Crossovers against the loops, timeit on free:2, zd:2, zd:3, binary and
+# ternary arenas (2-CPU VM): fancy indexing wins from 64-70 ids, the gather
+# from 32-64 ids, one slice of a run's rows from 35-100 entries.
+SPREAD_VECTOR_MIN = 64
+# One find and one slice check and mark a run in 1.1 us, the loop 0.1 us an
+# id: they cross at 8 ids.  Shorter runs, whose rows hold 64 entries only at
+# degree 9 or more, spread by the loop too.
+PROTECT_RUN_MIN = 8
+
+
+def id_set(ids: Iterable[int]) -> tuple[int, ...] | range | np.ndarray:
+    """The ids sorted, each once: from SPREAD_VECTOR_MIN ids on, a step-1
+    range as it is or an int array (ids given otherwise become one when they
+    fit in int64), and any other set a tuple of ints."""
+    if isinstance(ids, np.ndarray):
+        ids = _sorted_unique(ids)
+    elif type(ids) is not range or ids.step != 1:
+        ids = sorted(set(ids))
+        if len(ids) < SPREAD_VECTOR_MIN or not -2 ** 63 <= ids[0] <= ids[-1] < 2 ** 63:
+            return tuple(ids)
+        ids = np.array(ids, np.int64)
+    return ids if len(ids) >= SPREAD_VECTOR_MIN else as_tuple(ids)
+
+
+def as_tuple(ids) -> tuple[int, ...]:
+    """An id set as a tuple of Python ints."""
+    return tuple(ids.tolist()) if isinstance(ids, np.ndarray) else tuple(ids)
+
+
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """The ids sorted, each once: a strictly increasing input (a surround's sphere)
+    as it is, else by a sort and a neighbour comparison, a quarter of np.unique's cost."""
+    keep = np.empty(len(ids), bool)
+    keep[:1] = True
+    if np.greater(ids[1:], ids[:-1], out=keep[1:]).all():
+        return ids
+    ids = np.sort(ids)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
+def _one_run(ids) -> bool:
+    """Whether an id set is one run of PROTECT_RUN_MIN ids or more: its ends len - 1 apart."""
+    return len(ids) >= PROTECT_RUN_MIN and ids[-1] - ids[0] == len(ids) - 1
+
+
+def mark(statuses: bytearray, ids, byte: int) -> int | None:
+    """Give the ids of an id set the status byte.  The first of them, in
+    sorted order, that is burning or outside the statuses stops the marking
+    (ids before it may be marked) and is returned.  A run takes one find and
+    one slice, an int array one fancy-index pass, and a tuple the loop."""
+    size = len(ids)
+    if _one_run(ids):
+        first, stop = int(ids[0]), int(ids[0]) + size
+        if first < 0:
+            return first
+        if (hit := statuses.find(BURNING, first, stop)) >= 0:
+            return hit
+        if stop > len(statuses):
+            return max(first, len(statuses))
+        statuses[first:stop] = bytes((byte,)) * size
+    elif type(ids) is tuple:
+        for v in ids:
+            if not 0 <= v < len(statuses) or statuses[v] == BURNING:
+                return v
+            statuses[v] = byte
+    else:
+        if ids[0] < 0:
+            return int(ids[0])
+        inside = ids[:np.searchsorted(ids, len(statuses))]
+        view = np.frombuffer(statuses, np.uint8)
+        if (burning := np.flatnonzero(view[inside] == BURNING)).size:
+            return int(inside[burning[0]])
+        if len(inside) < size:
+            return int(ids[len(inside)])
+        view[inside] = byte
+    return None
+
+
+def row_entries(arena, ids) -> np.ndarray | None:
+    """The row entries of an id set of the arena's vertices, row after row,
+    read off ``arena.rows``: one slice of the columns for a run, else a
+    gather whose offset arithmetic runs in int32 (only the index into the
+    columns is intp).  None for a tuple that is not a run whose rows hold
+    SPREAD_VECTOR_MIN entries or more, whose ``neighbors`` loop is cheaper."""
+    if not (run := _one_run(ids)) and type(ids) is tuple:
+        return None
+    offsets, columns = arena.rows(ids[-1])
+    if run:
+        lo, hi = offsets.item(ids[0]), offsets.item(ids[-1] + 1)
+        return columns[lo:hi] if hi - lo >= SPREAD_VECTOR_MIN or type(ids) is not tuple else None
+    starts = offsets[ids]
+    lengths = offsets[1:][ids] - starts
     at = np.arange(lengths.sum())
     at += np.repeat(starts - np.cumsum(lengths, dtype=np.intc) + lengths, lengths)
     return columns[at]

@@ -72,9 +72,13 @@ def run_game(arena, fire: Iterable[int], strategy, budget, horizon: int | None =
             return Verdict(kind=BOUNDARY_REACHED, round_no=n, burnt=None, trace=tuple(trace))
         if not state.frontier:
             assert _separated(state), "contained state has an exposed untouched vertex"
-            return Verdict(kind=CONTAINED, round_no=n, burnt=state.burning_count(),
+            return Verdict(kind=CONTAINED, round_no=n, burnt=burning_count(state),
                            trace=tuple(trace))
     return Verdict(kind=ESCAPED_HORIZON, round_no=horizon, burnt=None, trace=tuple(trace))
+
+
+def burning_count(state: GameState) -> int:
+    return state.statuses.count(BURNING)
 
 
 def _separated(state: GameState) -> bool:

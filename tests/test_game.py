@@ -8,9 +8,9 @@ Claims covered:
     - the in-place engine plays as the copy-per-round reference
       (tests/game_reference.py) on random truncations and Cayley balls of
       every model: same traces, verdicts, faults and fault rounds, also
-      with every round and protect set, of balls and of truncations,
-      forced through the numpy pass, and with every one-run frontier forced
-      to spread from one slice of the columns, or none;
+      with every id set, of balls and of truncations, forced into an int
+      array (the gather and fancy-index paths), and with every one-run
+      frontier forced to spread from one slice of the columns, or none;
       protect sets past SPREAD_VECTOR_MIN that mix negative, burning,
       out-of-ball and huge ids fail with the reference's fault, message and
       round, and a trace records each protect set once, sorted;
@@ -27,6 +27,12 @@ Claims covered:
       id past the arena or budget fault, and plays to its statuses, whether
       the run check takes it or (short runs) the loop does, as the same ids
       with a gap do through the gather and the loop paths
+    - the id-set helper, branch by branch against the reference: check and
+      mark by find-and-slice, fancy index and loop names the reference's
+      first bad id or marks its statuses, and row entries by slice, gather
+      and loop are the reference adjacency's, on tuples, ranges and int32
+      and int64 arrays with repeats and bad ids
+    - a fire id outside the arena is refused, naming it
     - simulate reproduces the hand-traced verdicts (ray, binary cut play)
       and never reports containment when the fire can reach the horizon;
       the boundary mask is built only by a game whose fire reaches the
@@ -91,6 +97,7 @@ from firebreak import (
     wait_and_surround,
 )
 import firebreak.game as game_mod
+import firebreak.trees as trees_mod
 from firebreak.game import BURNING, PROTECTED, UNTOUCHED, TraceRound, Verdict, cut_weight_target
 from firebreak.trees import ExplicitSpec, PeriodicSpec, Truncation, compile
 from conftest import (
@@ -172,7 +179,7 @@ class TestStep:
         state = initial_state(t, 0)
         after = step(state, [1], 1)
         assert after.frontier == ()
-        assert after.burning_count() == 1
+        assert game_reference.burning_count(after) == 1
 
     def test_binary_no_protection_spreads(self):
         t = expand(binary_spec(), 3)
@@ -236,6 +243,31 @@ class RandomStrategy:
         return picks
 
 
+def _count_id_set_paths(monkeypatch) -> Counter:
+    """Count the paths the engine's id sets take, by the rules of the
+    ``trees`` helper: ``row_entries`` calls by what they returned ("slice",
+    a view of the columns; "gather"; "loop", None), and ``mark`` calls by the
+    set's form ("run", "fancy" for an int array, "tuple" for the loop); an
+    empty set counts as "empty"."""
+    entries, marks, calls = game_mod.row_entries, game_mod.mark, Counter()
+
+    def counted_entries(arena, ids):
+        got = entries(arena, ids)
+        calls["empty" if not len(ids) else "loop" if got is None else "slice"
+              if np.may_share_memory(got, arena.rows(ids[-1])[1]) else "gather"] += 1
+        return got
+
+    def counted_mark(statuses, ids, byte):
+        size = len(ids)
+        calls["empty" if not size else "run" if size >= trees_mod.PROTECT_RUN_MIN
+              and ids[-1] - ids[0] == size - 1 else "tuple" if type(ids) is tuple else "fancy"] += 1
+        return marks(statuses, ids, byte)
+
+    monkeypatch.setattr(game_mod, "row_entries", counted_entries)
+    monkeypatch.setattr(game_mod, "mark", counted_mark)
+    return calls
+
+
 def _engine_outcome(play, *args):
     try:
         return play(*args)
@@ -288,43 +320,37 @@ class TestInPlaceEngine:
                               "StrategyFault", "SpecError"}, kinds
 
     def test_numpy_rounds_match_copy_per_round_reference(self, monkeypatch):
-        # with the threshold at 1, every ball round and every protect set
-        # takes the numpy pass
-        spread, calls = game_mod._spread_rows, Counter()
-        monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", 1)
-        monkeypatch.setattr(game_mod, "_spread_rows",
-                            lambda *args: calls.update(["spread"]) or spread(*args))
+        # with the threshold at 1, every id set of a ball game that is not
+        # one run is an int array: every such frontier spreads by the gather
+        # and every such protect set is marked by fancy indexing
+        monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", 1)
+        calls = _count_id_set_paths(monkeypatch)
         self.test_matches_copy_per_round_reference()
-        self.test_step_leaves_its_input_alone()
-        assert calls["spread"] > 100, calls
+        assert calls["gather"] > 100 and calls["fancy"] > 100, calls
+        assert not calls["loop"] and not calls["tuple"], calls
+        self.test_step_leaves_its_input_alone()  # its frontiers are tuples, as step returns them
 
     def test_numpy_rounds_on_truncations_match_reference(self, monkeypatch):
         # truncations have rows too: with the threshold at 1 every round of
-        # a truncation game spreads in the numpy pass
-        spread, calls = game_mod._spread_rows, Counter()
-        monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", 1)
-        monkeypatch.setattr(game_mod, "_spread_rows",
-                            lambda *args: calls.update(["spread"]) or spread(*args))
+        # a truncation game spreads from the numpy rows
+        monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", 1)
+        calls = _count_id_set_paths(monkeypatch)
         monkeypatch.setattr(self, "arenas", lambda rng: (
             random_truncation(rng, max_depth=7, size_limit=400) for _ in range(300)))
         self.test_matches_copy_per_round_reference()
-        assert calls["spread"] > 100, calls
+        assert calls["gather"] > 100 and calls["slice"] > 100 and not calls["loop"], calls
 
     @pytest.mark.parametrize("crossover", [0, 10 ** 9])
     def test_one_run_slices_match_copy_per_round_reference(self, crossover, monkeypatch):
-        # at crossover 0 every one-run round spreads from one slice of the
-        # columns, at 10**9 none does; a spread that reads no row_entries
-        # index is a slice
-        spread, entries, calls = game_mod._spread_rows, game_mod.row_entries, Counter()
-        monkeypatch.setattr(game_mod, "SPREAD_SLICE_MIN", crossover)
-        monkeypatch.setattr(game_mod, "_spread_rows",
-                            lambda *args: calls.update(["spread"]) or spread(*args))
-        monkeypatch.setattr(game_mod, "row_entries",
-                            lambda *args: calls.update(["entries"]) or entries(*args))
+        # at crossover 0 every one-run frontier spreads from one slice of the
+        # columns, at 10**9 none does and the loop takes it (an empty set is
+        # a tuple at any crossover, so 0 stands for 1 there)
+        monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", max(crossover, 1))
+        calls = _count_id_set_paths(monkeypatch)
         self.test_matches_copy_per_round_reference()
         self.test_step_leaves_its_input_alone()
-        slices = calls["spread"] - calls["entries"]
-        assert (slices > 100) if crossover == 0 else (slices == 0), calls
+        assert (calls["slice"] > 100) if crossover == 0 else (
+            calls["slice"] == 0 and calls["loop"] > 100), calls
 
     def test_rows_built_on_demand_match_the_reference(self, monkeypatch):
         # every read that builds rows, made first on a fresh arena and
@@ -334,7 +360,7 @@ class TestInPlaceEngine:
         # games whose every round reads the numpy rows up to its frontier's
         # last id; a ball builds its interior rows first and level D's only
         # once one of them is read, a tree all of them at once
-        monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", 1)
+        monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", 1)
         rng = random.Random(61)
         arenas = [((lambda m=model, r=r: cayley_ball(m, r)), reference_ball(model, r).adjacency)
                   for model in ENGINE_MODELS for r in (2, 3, 4)]
@@ -419,7 +445,7 @@ class TestInPlaceEngine:
         # protect sets past SPREAD_VECTOR_MIN mixing a negative id, a burning
         # id, an id past the ball and 10**30: same fault, message and round
         b = cayley_ball(group_from_name("free:2"), 7)
-        n, size, rng = b.n_vertices, game_mod.SPREAD_VECTOR_MIN, random.Random(67)
+        n, size, rng = b.n_vertices, trees_mod.SPREAD_VECTOR_MIN, random.Random(67)
         budget, kinds = BudgetSequence.constant(n), Counter()
         for _ in range(60):
             round_no = rng.randint(1, 3)  # a radius-1 fire covers B(round_no) as it plays
@@ -483,7 +509,7 @@ class TestOneRunProtectSets:
     def test_runs_fail_and_play_as_the_loop_and_gather_paths(self, monkeypatch):
         b = cayley_ball(group_from_name("free:2"), 7)  # 4,373 vertices
         n, rng, kinds = b.n_vertices, random.Random(89), Counter()
-        default, default_run = game_mod.SPREAD_VECTOR_MIN, game_mod.PROTECT_RUN_MIN
+        default, default_run = trees_mod.SPREAD_VECTOR_MIN, trees_mod.PROTECT_RUN_MIN
         for _ in range(160):
             # a few burning ids anywhere, some protected ones, and the root
             # burning as the frontier
@@ -499,7 +525,7 @@ class TestOneRunProtectSets:
             budget = rng.choice((n, n, size, size - 1))
             want = self.outcome(game_reference.step, state, run, budget)
             for run_min in (1, default_run):  # every run by one find, or short ones looped
-                monkeypatch.setattr(game_mod, "PROTECT_RUN_MIN", run_min)
+                monkeypatch.setattr(trees_mod, "PROTECT_RUN_MIN", run_min)
                 for given in (run, run[::-1] + run[:2], range(start, start + size),
                               np.array(run, np.int64), np.array(run, np.int32)[::-1]):
                     assert self.outcome(step, state, given, budget) == want, (start, size)
@@ -516,10 +542,10 @@ class TestOneRunProtectSets:
             gapped = run[:size // 2] + run[size // 2 + 1:]
             want = self.outcome(game_reference.step, state, gapped, budget)
             for threshold in (default, 1, 10 ** 9):  # as sized, all gathered, all looped
-                monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", threshold)
+                monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", threshold)
                 for given in (gapped, np.array(gapped, np.int64)):
                     assert self.outcome(step, state, given, budget) == want, (start, size)
-            monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", default)
+            monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", default)
         assert set(kinds) == {("SpecError", "first"), ("SpecError", "inside"),
                               ("StrategyFault", "first"), ("StrategyFault", "inside"),
                               "budget", "played"}, kinds
@@ -572,7 +598,7 @@ class TestArrayRounds:
             yield radius, schedule, BudgetSequence.constant(budget)
 
     def test_arrays_play_as_tuples(self, monkeypatch):
-        rng, kinds, default = random.Random(71), Counter(), game_mod.SPREAD_VECTOR_MIN
+        rng, kinds, default = random.Random(71), Counter(), trees_mod.SPREAD_VECTOR_MIN
         for arena in self.arenas(rng):
             for radius, schedule, budget in self.schedules(rng, arena):
                 tuples = {r: tuple(ids) for r, ids in schedule.items()}
@@ -582,7 +608,7 @@ class TestArrayRounds:
                 dtype = rng.choice((np.int64, np.int32))
                 arrays = {} if huge else {r: np.array(ids, dtype) for r, ids in schedule.items()}
                 for threshold in (default, 1):
-                    monkeypatch.setattr(game_mod, "SPREAD_VECTOR_MIN", threshold)
+                    monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", threshold)
                     plays = [ScheduleStrategy(tuples)]
                     if not huge:
                         plays += [ScheduleStrategy(arrays), _RoundsAsGiven(arrays)]
@@ -675,6 +701,14 @@ class TestSimulate:
             assert v.kind == "boundary_reached" and v.round_no == 3
             assert "boundary_mask" in arena.__dict__
 
+    @pytest.mark.parametrize("fire, named", [([-1], -1), ([0, 31], 31), ([0, 10 ** 30], 10 ** 30),
+                                             (range(-2, 40), -2), (np.array([0, 5, 99]), 99)])
+    def test_fire_outside_the_arena_is_refused(self, fire, named):
+        # a fire id outside the 31 vertices is named, as the oracle names it
+        t = expand(binary_spec(), 4)
+        with pytest.raises(SpecError, match=f"^initial fire vertex {named} out of range$"):
+            run_game(t, fire, ScheduleStrategy({}), BudgetSequence.constant(1))
+
     def test_fire_starting_on_boundary_is_inconclusive(self):
         t = expand(ray_spec(), 3)
         v = run_game(t, [0, 1, 2, 3], ScheduleStrategy({}), BudgetSequence.constant(9))
@@ -683,7 +717,7 @@ class TestSimulate:
 
 class TestSortedUnique:
     def test_cases(self):
-        sorted_unique = game_mod._sorted_unique
+        sorted_unique = trees_mod._sorted_unique
         for ids in (np.array([], np.intc), np.array([7], np.intc),
                     np.arange(3, 4000, 3, dtype=np.intc)):  # strictly increasing: kept as given
             assert sorted_unique(ids) is ids
@@ -701,8 +735,126 @@ class TestSortedUnique:
             ids = rng.integers(0, rng.integers(1, 50), rng.integers(0, 40)).astype(np.intc)
             if rng.random() < 0.3:
                 ids = np.unique(ids)
-            out = game_mod._sorted_unique(ids)
+            out = trees_mod._sorted_unique(ids)
             assert out.tolist() == np.unique(ids).tolist() and out.dtype == ids.dtype
+
+
+class TestIdSets:
+    """The id-set helper of ``trees``, one seeded differential test per
+    branch: ``mark`` by find-and-slice, fancy index and loop against the
+    copy-per-round reference's protect loop (tests/game_reference.py), and
+    ``row_entries`` by slice, gather and loop against the reference
+    adjacency, each branch forced by a threshold setting.  Ids come as
+    tuples, step-1 and other ranges and int32 and int64 arrays, with
+    repeats, and with negative, burning, past-the-end and past-int64 ids."""
+
+    @staticmethod
+    def forms(rng, ids: list[int]) -> list:
+        """The ids in every form that holds them: shuffled with repeats as a
+        tuple and as int64 and int32 arrays (when they fit), sorted as a
+        list, and as ranges both ways when they step evenly."""
+        mixed = ids + rng.choices(ids, k=min(len(ids), 3))
+        rng.shuffle(mixed)
+        out = [tuple(mixed), sorted(ids)]
+        for dtype, bits in ((np.int64, 63), (np.int32, 31)):
+            if all(-2 ** bits <= v < 2 ** bits for v in ids):
+                out.append(np.array(mixed, dtype))
+        s = sorted(ids)
+        if len(s) > 1 and all(b - a == s[1] - s[0] for a, b in zip(s, s[1:])):
+            out += [range(s[0], s[-1] + 1, s[1] - s[0]), range(s[-1], s[0] - 1, s[0] - s[1])]
+        return out
+
+    @staticmethod
+    def check_form(given, got, ids):
+        """id_set's form: a step-1 range as given or an int array (of the
+        given dtype, else int64) from SPREAD_VECTOR_MIN ids on, else a tuple."""
+        assert trees_mod.as_tuple(got) == tuple(sorted(set(ids)))
+        large = len(got) >= trees_mod.SPREAD_VECTOR_MIN
+        if large and type(given) is range and given.step == 1:
+            assert got is given
+        elif large and all(-2 ** 63 <= v < 2 ** 63 for v in ids):
+            assert got.dtype == (given.dtype if isinstance(given, np.ndarray) else np.int64)
+        else:
+            assert type(got) is tuple
+
+    def test_mark_matches_the_reference_loop(self, monkeypatch):
+        b = cayley_ball(group_from_name("free:2"), 6)  # 1,457 vertices
+        n, rng, seen = b.n_vertices, random.Random(97), Counter()
+        limits = [(trees_mod.PROTECT_RUN_MIN, trees_mod.SPREAD_VECTOR_MIN), (1, 1),
+                  (10 ** 9, 1), (10 ** 9, 10 ** 9), (1, 10 ** 9)]
+        for _ in range(150):
+            statuses = bytearray(rng.choices((UNTOUCHED, PROTECTED), (9, 1), k=n))
+            burning = rng.sample(range(n), rng.choice((0, 1, 3, 8)))
+            for v in burning:
+                statuses[v] = BURNING
+            size = rng.choice((rng.randint(1, 7), rng.randint(8, 120), rng.randint(120, 400)))
+            if rng.random() < 0.5:  # a run, maybe from a burning id, below 0 or past the end
+                start = rng.choice((rng.randint(-3, n - size + 3), *burning[:1],
+                                    n + rng.randint(0, 3)))
+                ids = list(range(start, start + size))
+            else:
+                ids = rng.sample(range(n), size)
+                for bad in (-rng.randint(1, 3), *burning[:1], n + rng.randint(0, 3),
+                            n + rng.randint(4, 9), 2 ** 63 + rng.randrange(9), 10 ** 30):
+                    if rng.random() < 0.15:
+                        ids.append(bad)
+            want = _engine_outcome(game_reference.step, GameState(b, bytes(statuses), 0, ()),
+                                   ids, len(ids))
+            for given in self.forms(rng, ids):
+                for run_min, vector_min in limits:
+                    monkeypatch.setattr(trees_mod, "PROTECT_RUN_MIN", run_min)
+                    monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", vector_min)
+                    got = trees_mod.id_set(given)
+                    self.check_form(given, got, ids)
+                    path = ("run" if len(got) >= run_min and got[-1] - got[0] == len(got) - 1
+                            else "loop" if type(got) is tuple else "fancy")
+                    marked = bytearray(statuses)
+                    bad = trees_mod.mark(marked, got, PROTECTED)
+                    if isinstance(want, tuple):  # the reference names the first bad id
+                        assert want[1].split("vertex ")[1].split()[0] == str(bad), (want, path)
+                        assert want[0] == ("StrategyFault" if 0 <= bad < n else "SpecError")
+                        seen[path, want[0]] += 1
+                    else:
+                        assert bad is None and marked == want.statuses, path
+                        seen[path, "marked"] += 1
+        assert set(seen) == {(path, kind) for path in ("run", "fancy", "loop")
+                             for kind in ("SpecError", "StrategyFault", "marked")}, seen
+        assert min(seen.values()) > 20, seen
+
+    def test_row_entries_match_the_reference_adjacency(self, monkeypatch):
+        rng, seen, default = random.Random(101), Counter(), trees_mod.SPREAD_VECTOR_MIN
+        arenas = [(cayley_ball(model, r), reference_ball(model, r).adjacency)
+                  for model in ENGINE_MODELS for r in (3, 5)]
+        for _ in range(20):
+            t = random_truncation(rng, max_depth=7, size_limit=400)
+            ref = trees_reference.expand(t.spec, t.depth)
+            arenas.append((t, [([ref.parent[v]] if v else []) + ref.children[v]
+                               for v in range(ref.n_vertices)]))
+        for arena, adjacency in arenas:
+            n = arena.n_vertices
+            for _ in range(8):
+                size = rng.randint(1, min(n, rng.choice((8, 40, 400))))
+                if rng.random() < 0.5:
+                    start = rng.randrange(n - size + 1)
+                    ids = list(range(start, start + size))
+                else:
+                    ids = rng.sample(range(n), size)
+                want = [w for v in sorted(ids) for w in adjacency[v]]
+                run = size >= trees_mod.PROTECT_RUN_MIN and max(ids) - min(ids) == size - 1
+                for given in self.forms(rng, ids):
+                    for vector_min in (default, 1, 10 ** 9):
+                        monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", vector_min)
+                        got_ids = trees_mod.id_set(given)
+                        self.check_form(given, got_ids, ids)
+                        got = trees_mod.row_entries(arena, got_ids)
+                        if got is None:  # left to the loop: a tuple, not a long run
+                            assert type(got_ids) is tuple and not (run and len(want) >= vector_min)
+                            seen["loop"] += 1
+                        else:
+                            assert got.tolist() == want
+                            columns = arena.rows(n - 1)[1]
+                            seen["slice" if np.may_share_memory(got, columns) else "gather"] += 1
+        assert min(seen[path] for path in ("slice", "gather", "loop")) > 100, seen
 
 
 class TestCanonical:
@@ -1196,8 +1348,8 @@ class TestTraceFormat:
         play = lambda ids: simulate(t, 1, ScheduleStrategy({1: ids}), BudgetSequence.constant(4096))
         verdict, again = play(level11), play(level11)
         assert (verdict.kind, verdict.round_no, verdict.burnt) == ("contained", 10, 2047)
-        assert len(verdict.trace[0].protected) >= game_mod.SPREAD_VECTOR_MIN
-        assert len(verdict.trace[-2].burnt) >= game_mod.SPREAD_VECTOR_MIN
+        assert len(verdict.trace[0].protected) >= trees_mod.SPREAD_VECTOR_MIN
+        assert len(verdict.trace[-2].burnt) >= trees_mod.SPREAD_VECTOR_MIN
         assert all(type(v) is int for r in verdict.trace for v in r.protected + r.burnt)
         schedule, summary = parse_trace(format_trace(verdict))
         assert schedule == {r.round_no: r.protected for r in verdict.trace}

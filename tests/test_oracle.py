@@ -6,6 +6,8 @@ Claims covered:
     - the search reproduces the known small verdicts and its witness
       schedules replay to containment
     - restricted and strict candidate enumeration agree on small trees
+    - a fire id out of range is refused, naming it, before the free-vertex
+      cap is checked
     - decisions and witnesses equal those of a memo-free exhaustive search
       (tests/game_reference.py) on random small instances
     - cutset enumeration yields each antichain cutset exactly once with
@@ -28,6 +30,7 @@ from firebreak import (
     OracleCache,
     ResourceLimitError,
     ScheduleStrategy,
+    SpecError,
     brute_force_containment,
     CanonicalStrategy,
     cut_weight,
@@ -150,6 +153,11 @@ class TestBruteForce:
         t = expand(binary_spec(), 6)
         with pytest.raises(ResourceLimitError):
             brute_force_containment(t, [0], BudgetSequence.constant(1))
+
+    def test_fire_out_of_range_is_refused_before_the_cap(self):
+        t = expand(binary_spec(), 6)  # past the cap from a root fire
+        with pytest.raises(SpecError, match="^initial fire vertex 500 out of range$"):
+            brute_force_containment(t, [0, 500], BudgetSequence.constant(1))
 
     def test_restricted_equals_strict_on_small_trees(self):
         rng = random.Random(43)
