@@ -46,6 +46,7 @@ from .trees import (
     Automaton,
     TreeSpec,
     Truncation,
+    _sorted_unique,
     compile,
     view,
 )
@@ -85,15 +86,14 @@ def _split_rate(rate: Rate) -> tuple[Fraction, int, int]:
 class Cutset:
     """A set of truncation edges, identified by their child endpoints.
     Valid when removing them leaves the root separated from every boundary
-    vertex.  Built from any collection of ids, or by min_cutset from one
-    sorted id array: ``ids`` holds the ids sorted, and ``edges`` the same
-    ids as a frozenset, built on first use."""
+    vertex.  Built from any iterable of ids: ``ids`` holds them sorted, each
+    once (min_cutset's strictly increasing array as it is), and ``edges``
+    the same ids as a frozenset, built on first use."""
 
-    def __init__(self, edges: Iterable[int] = (), *, ids: np.ndarray | None = None):
-        if ids is None:
-            self.edges = frozenset(edges)
-            ids = np.sort(np.fromiter(self.edges, np.int64, len(self.edges)))
-        self.ids = ids
+    def __init__(self, edges: Iterable[int] = ()):
+        if not isinstance(edges, np.ndarray):
+            edges = np.fromiter(edges, np.int64)
+        self.ids = _sorted_unique(edges)
 
     @cached_property
     def edges(self) -> frozenset[int]:
@@ -208,7 +208,7 @@ def min_cutset(trunc: Truncation, rate: Rate, steps=None) -> Cutset:
         reached = opened[parent[a:b]]
         cut[a:b] = reached & (kind[a:b] == 1)
         opened[a:b] &= reached
-    return Cutset(ids=np.flatnonzero(cut))
+    return Cutset(np.flatnonzero(cut))
 
 
 @dataclass

@@ -22,6 +22,8 @@ import time
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
+
 from . import __version__
 from .branching import (
     br_bracket,
@@ -52,11 +54,12 @@ from .game import (
     BudgetSequence,
     CanonicalStrategy,
     ScheduleStrategy,
-    add_round,
     ball_ids,
     feasibility_rows,
     format_trace,
+    parse_schedule,
     parse_trace,
+    read_int,
     simulate,
     synthesize_cutset_strategy,
 )
@@ -65,7 +68,7 @@ from .trees import (
     ExplicitSpec,
     compile,
     expand,
-    format_ids,
+    format_id_set,
     format_tree_spec,
     load_tree_spec,
     read_text,
@@ -94,13 +97,17 @@ def _fmt(value) -> str:
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
-            else str(value.numerator)
+    if isinstance(value, Fraction):  # n/d, or n; str() refuses an int past the digit limit
+        try:
+            return str(value)
+        except ValueError:
+            digits = sys.get_int_max_str_digits()
+            raise ResourceLimitError(f"a reported fraction has more than {digits} digits, "
+                                     f"past sys.get_int_max_str_digits() = {digits}") from None
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (list, tuple)):
-        return " ".join(map(str, value)) if value else "-"
+    if isinstance(value, (list, tuple, range, np.ndarray)):
+        return format_id_set(value)
     return str(value)
 
 
@@ -125,13 +132,6 @@ def _rational(text: str, option: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SpecError(f"{option}: {text!r} is not a rational number")
-
-
-def _int(text: str, option: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SpecError(f"{option}: {text!r} is not an integer")
 
 
 def _base_config(command: str) -> dict:
@@ -229,8 +229,7 @@ def cmd_contain(args) -> int:
             burnt=verdict.burnt,
         )
         tables.append(("schedule", ("round", "budget", "protect"), [  # no round is empty
-            (r, budget(r), vs if isinstance(vs, tuple) else format_ids(vs).decode())
-            for r, vs in sorted(synth.strategy.schedule.items())]))
+            (r, budget(r), vs) for r, vs in sorted(synth.strategy.schedule.items())]))
     elif side < 0:
         result["regime"] = "below"
         result.update(
@@ -269,19 +268,14 @@ def cmd_simulate(args) -> int:
         strategy = ScheduleStrategy(schedule)
         config["replay"] = args.replay
     elif args.protect:
-        vprime = [_int(t, "--protect") for t in args.protect.split(",") if t]
+        vprime = [read_int(t, "--protect") for t in args.protect.split(",") if t]
         for v in vprime:
             if not 0 <= v < trunc.n_vertices:
                 raise SpecError(f"vertex {v} is outside the depth-{args.depth} truncation")
         strategy = CanonicalStrategy(vprime)
         config["protect"] = ",".join(str(v) for v in vprime)
     elif args.schedule:
-        schedule = {}
-        for chunk in args.schedule.split(";"):
-            r, _, ids = chunk.partition(":")
-            add_round(schedule, _int(r, "--schedule"),
-                      tuple(_int(t, "--schedule") for t in ids.split(",") if t), "--schedule")
-        strategy = ScheduleStrategy(schedule)
+        strategy = ScheduleStrategy(parse_schedule(args.schedule, "--schedule"))
         config["schedule"] = args.schedule
     else:
         strategy = ScheduleStrategy({})
@@ -289,15 +283,8 @@ def cmd_simulate(args) -> int:
     verdict = simulate(trunc, args.k, strategy, budget, horizon=args.horizon)
     result.update(verdict=verdict.kind, verdict_round=verdict.round_no,
                   burnt=verdict.burnt)
-    tables.append((
-        "trace", ("round", "protect", "burn"),
-        [
-            (r.round_no,
-             " ".join(str(v) for v in r.protected) or "-",
-             " ".join(str(v) for v in r.burnt) or "-")
-            for r in verdict.trace
-        ],
-    ))
+    tables.append(("trace", ("round", "protect", "burn"),
+                   [(r.round_no, *r.played) for r in verdict.trace]))
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             fh.write(format_trace(verdict))
@@ -323,7 +310,7 @@ def cmd_oracle(args) -> int:
     depth = args.depth if args.depth is not None else spec.height()
     trunc = expand(spec, depth)
     if args.x0:
-        fire = sorted({_int(t, "--x0") for t in args.x0.split(",") if t})
+        fire = sorted({read_int(t, "--x0") for t in args.x0.split(",") if t})
     else:
         fire = ball_ids(trunc, args.k)
     config = _base_config("oracle")
@@ -346,13 +333,7 @@ def cmd_oracle(args) -> int:
     result["feasible"] = decision.feasible
     tables = []
     if decision.feasible:
-        tables.append((
-            "witness", ("round", "protect"),
-            [
-                (r, " ".join(str(v) for v in vs) or "-")
-                for r, vs in enumerate(decision.schedule, start=1)
-            ],
-        ))
+        tables.append(("witness", ("round", "protect"), list(enumerate(decision.schedule, 1))))
     emit_report(config, result, tables, args.out)
     return EXIT_OK
 

@@ -13,12 +13,12 @@ adjacency).
 The game reads only this surface of it and asks no arena its class:
 ``n_vertices``; ``level_starts``, the first id of each level (distance
 from the root) 0..``depth`` and the vertex count, which give the initial
-fire and the first id that may be on the boundary (only
-``CanonicalStrategy`` reads the per-vertex ``level``); ``depth``;
+fire and the first id that may be on the boundary; ``depth``;
 ``boundary``, the vertices whose burning makes
 the outcome inconclusive at this depth, all at level ``depth``, and
-``is_boundary(v)``, the test for one, asked only of frontier ids at level
-``depth``; ``neighbors(v)``, row v of the arena's one adjacency, and
+``is_boundary(v)``, the test for one, which ``reached`` asks only of
+frontier ids at level ``depth`` for ``run_game`` and the oracle alike;
+``neighbors(v)``, row v of the arena's one adjacency, and
 ``rows(last)``, numpy views of its row offsets and column ids holding rows
 0..last; and ``separated(statuses)``, the check on the same rows that a
 contained fire has no untouched neighbour.  The arena builds rows only as
@@ -33,10 +33,11 @@ reports its first bad id, which ``_advance`` raises as the loop would, and
 
 ``run_game`` plays the whole game on one status array that it changes in
 place, so the ``GameState.statuses`` a strategy sees is live; ``step``
-copies it and leaves its input alone, and gives its frontier as a tuple.
-The trace keeps each round's id sets as they were played, and its rounds
-read them as tuples of ints.  A contained game's burnt count is the fire's
-size plus each frontier's.
+copies it and leaves its input alone.  Both keep each frontier in the form
+``_advance`` gave it, and so does the trace, whose rounds read their id
+sets as tuples of ints.  A contained game's burnt count is the fire's size
+plus each frontier's.  ``parse_schedule`` and ``format_schedule`` read and
+write the ``r:ids;r:ids`` schedules of the command line and the oracle cache.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 from .branching import Cutset, compare_to_br, cut_recursion, exact_rate, min_cutset
 from .errors import ResourceLimitError, SpecError, StrategyFault, SynthesisError
 from .trees import (BURNING, PROTECTED, UNTOUCHED, TreeSpec, Truncation, as_tuple, compile,
-                    expand, id_set, mark, row_entries)
+                    expand, format_id_set, id_set, mark, row_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,7 @@ def step(state: GameState, protect: Iterable[int], budget: int) -> GameState:
     """Protect, then spread, on a copy of the statuses."""
     statuses = bytearray(state.statuses)
     return GameState(arena=state.arena, statuses=statuses, round_no=state.round_no + 1,
-                     frontier=as_tuple(_advance(state, statuses, protect, budget)[1]))
+                     frontier=_advance(state, statuses, protect, budget)[1])
 
 
 def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budget: int):
@@ -251,19 +252,43 @@ def add_round(schedule: dict[int, tuple[int, ...]], round_no: int, ids: tuple[in
     schedule[round_no] = ids
 
 
+def read_int(text: str, where: str) -> int:
+    """One integer of a schedule or an id list; SpecError names ``where`` and the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(f"{where}: {text!r} is not an integer") from None
+
+
+def parse_schedule(text: str, where: str) -> dict[int, tuple[int, ...]]:
+    """``r:ids;r:ids``, ids comma-separated, ``-`` for an empty round and ``-`` alone
+    for no rounds; each round goes through ``add_round``, so SpecError names ``where``."""
+    schedule: dict[int, tuple[int, ...]] = {}
+    for chunk in text.split(";") if text != "-" else ():
+        r, _, ids = chunk.partition(":")
+        add_round(schedule, read_int(r, where), () if ids == "-" else
+                  tuple(read_int(t, where) for t in ids.split(",") if t), where)
+    return schedule
+
+
+def format_schedule(schedule: Mapping[int, Iterable[int]]) -> str:
+    """The text ``parse_schedule`` reads, rounds in order."""
+    return ";".join(f"{r}:{','.join(map(str, ids)) or '-'}"
+                    for r, ids in sorted(schedule.items())) or "-"
+
+
 class CanonicalStrategy:
     """Given a target set, protect each round the budgeted number of its
     vertices closest to the root among those neither burning nor
-    protected.  Ties at equal level break by vertex order."""
+    protected.  The arena is level-major, so these are the first untouched
+    ids in id order."""
 
     def __init__(self, vprime: Iterable[int]):
         self.vprime = tuple(sorted(set(vprime)))
 
     def protect_for(self, state: GameState, round_no: int, budget: int) -> tuple[int, ...]:
-        level = state.arena.level
-        eligible = [v for v in self.vprime if state.statuses[v] == UNTOUCHED]
-        eligible.sort(key=lambda v: (level[v], v))
-        return tuple(eligible[:budget])
+        statuses = state.statuses
+        return tuple(islice((v for v in self.vprime if statuses[v] == UNTOUCHED), budget))
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +302,15 @@ ESCAPED_HORIZON = "escaped_horizon"
 
 class TraceRound:
     """One played round: its sorted protect set and the vertices that
-    started burning.  A large round keeps the int arrays it was played with;
-    each becomes a tuple of ints on first read, as play reads neither."""
+    started burning, kept in ``played`` as they were played; each becomes a
+    tuple of ints on first read of ``protected`` or ``burnt``."""
 
     def __init__(self, round_no: int, protected, burnt):
-        self.round_no, self._ids = round_no, [protected, burnt]
+        self.round_no, self.played = round_no, [protected, burnt]
 
     def _read(self, i: int) -> tuple[int, ...]:
-        self._ids[i] = as_tuple(self._ids[i])
-        return self._ids[i]
+        self.played[i] = as_tuple(self.played[i])
+        return self.played[i]
 
     protected = property(lambda self: self._read(0))
     burnt = property(lambda self: self._read(1))
@@ -313,22 +338,22 @@ class Verdict:
         return self.kind == CONTAINED
 
 
+def reached(arena, frontier) -> bool:
+    """Whether a frontier holds a boundary vertex, looked up only for its ids at level
+    ``depth``: a fire that stays off that level builds no boundary mask."""
+    at = bisect_left(frontier, arena.level_starts[arena.depth])  # the first id at the depth
+    return at < len(frontier) and any(map(arena.is_boundary, frontier[at:]))
+
+
 def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
              horizon: int | None = None) -> Verdict:
     """Game engine for an arbitrary initial fire.  Public entry points
-    restrict the fire to balls around the root; the oracle uses this
-    directly.  A fire that stays off level ``depth`` builds no boundary mask."""
+    restrict the fire to balls around the root."""
     if horizon is not None and horizon < 0:
         raise SpecError("horizon must be >= 0")
     state = state_from_fire(arena, fire)
     burnt = len(state.frontier)  # a vertex starts burning once: |fire| + each frontier's size
-    deepest = arena.level_starts[arena.depth]  # the first id that may be on the boundary
-
-    def reached(frontier) -> bool:  # the boundary is looked up only for ids at the depth
-        tail = frontier[bisect_left(frontier, deepest):]
-        return len(tail) > 0 and any(map(arena.is_boundary, map(int, tail)))
-
-    if reached(state.frontier):
+    if reached(arena, state.frontier):
         return Verdict(kind=BOUNDARY_REACHED, round_no=0, burnt=None, trace=())
     if horizon is None:
         horizon = arena.n_vertices + 2
@@ -340,7 +365,7 @@ def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,
         state = GameState(arena, state.statuses, n, frontier)
         burnt += len(frontier)
         trace.append(TraceRound(n, protect, frontier))
-        if reached(frontier):
+        if reached(arena, frontier):
             return Verdict(kind=BOUNDARY_REACHED, round_no=n, burnt=None, trace=tuple(trace))
         if not len(frontier):
             assert arena.separated(state.statuses), \
@@ -365,13 +390,8 @@ def simulate(trunc, radius: int, strategy, budget: BudgetSequence,
 
 
 def format_trace(verdict: Verdict) -> str:
-    def ids(vs):
-        return " ".join(str(v) for v in vs) if vs else "-"
-
-    lines = [
-        f"round {r.round_no} | protect {ids(r.protected)} | burn {ids(r.burnt)}"
-        for r in verdict.trace
-    ]
+    lines = [f"round {r.round_no} | protect {format_id_set(r.played[0])} | "
+             f"burn {format_id_set(r.played[1])}" for r in verdict.trace]
     burnt = verdict.burnt if verdict.burnt is not None else "-"
     lines.append(f"verdict {verdict.kind} | round {verdict.round_no} | burnt {burnt}")
     return "\n".join(lines) + "\n"

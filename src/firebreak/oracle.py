@@ -5,8 +5,8 @@ The search enumerates protect-sets round by round, playing each through
 ``game.step`` from ``game.state_from_fire``, with a transposition table
 keyed on the status vector alone: a vertex burns in the round equal to its
 distance from the fire through burning vertices, so the statuses fix the
-round.  Fire reaching a truncation-boundary vertex is a loss: those
-vertices stand in for the infinite continuation of the tree.
+round.  Fire reaching a truncation-boundary vertex (``game.reached``) is
+a loss: those vertices stand in for the infinite continuation of the tree.
 
 Two candidate modes:
 
@@ -30,7 +30,8 @@ from itertools import chain, combinations
 from typing import Iterable
 
 from .errors import ResourceLimitError, SpecError
-from .game import UNTOUCHED, BudgetSequence, GameState, state_from_fire, step
+from .game import (UNTOUCHED, BudgetSequence, GameState, format_schedule, parse_schedule,
+                   reached, state_from_fire, step)
 from .trees import Truncation, read_text
 
 DEFAULT_FREE_CAP = 20
@@ -60,7 +61,7 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
         raise ResourceLimitError(
             f"{free} vertices outside the fire exceed the oracle cap {cap}"
         )
-    if any(map(trunc.is_boundary, start.frontier)):
+    if reached(trunc, start.frontier):
         return OracleDecision(feasible=False, schedule=None)
     if horizon is None:
         horizon = trunc.n_vertices + 2
@@ -94,9 +95,9 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
         result = None
         for protect in candidates:
             child = step(state, protect, f_n)
-            if any(map(trunc.is_boundary, child.frontier)):
+            if reached(trunc, child.frontier):
                 continue
-            tail = search(child) if child.frontier else ()
+            tail = search(child) if len(child.frontier) else ()
             if tail is not None:
                 result = (protect, *tail)
                 break
@@ -127,8 +128,8 @@ def oracle_key(spec_text: str, depth: int, x0: Iterable[int], budget: BudgetSequ
 
 
 class OracleCache:
-    """One decision per line: ``<key> infeasible`` or
-    ``<key> feasible r1:ids;r2:ids`` (ids comma-separated, '-' when empty)."""
+    """One decision per line: ``<key> infeasible`` or ``<key> feasible
+    1:ids;2:ids``, the witness as ``game.format_schedule`` writes it."""
 
     def __init__(self, path: str):
         self.path = path
@@ -160,25 +161,16 @@ class OracleCache:
 def _decision_to_text(decision: OracleDecision) -> str:
     if not decision.feasible:
         return "infeasible"
-    parts = []
-    for r, vs in enumerate(decision.schedule, start=1):
-        ids = ",".join(str(v) for v in vs) if vs else "-"
-        parts.append(f"{r}:{ids}")
-    return "feasible " + (";".join(parts) if parts else "-")
+    return "feasible " + format_schedule(dict(enumerate(decision.schedule, start=1)))
 
 
 def _decision_from_text(text: str) -> OracleDecision:
+    """A line's decision; ValueError (SpecError is one) unless ``_decision_to_text`` writes
+    the line so, which takes the witness's rounds relabelled 1, 2, ... as they are read."""
     if text == "infeasible":
         return OracleDecision(feasible=False, schedule=None)
-    head, _, body = text.partition(" ")
-    if head != "feasible":
-        raise ValueError(f"unknown decision {head!r}")
-    if body in ("", "-"):
-        return OracleDecision(feasible=True, schedule=())
-    schedule = []
-    for r, chunk in enumerate(body.split(";"), start=1):
-        label, _, ids = chunk.partition(":")
-        if label != str(r):
-            raise ValueError(f"round label {label!r} where {r} belongs")
-        schedule.append(tuple(int(t) for t in ids.split(",")) if ids != "-" else ())
-    return OracleDecision(feasible=True, schedule=tuple(schedule))
+    rounds = parse_schedule(text.partition(" ")[2], "cache")
+    decision = OracleDecision(feasible=True, schedule=tuple(rounds.values()))
+    if text != _decision_to_text(decision):
+        raise ValueError(f"{text!r} is not a decision as written")
+    return decision

@@ -26,11 +26,11 @@ them (``packed``): they index, slice and iterate to Python ints, as
 ``array('i')`` does, and numpy reads them back as zero-copy views
 (``view``).  ``level_starts`` holds the first id of each level, and the
 per-vertex ``level`` is derived from it on first read by the callers that
-index levels vertex by vertex (``min_cutset``, ``max_flow``, the canonical
-strategy); the game engine, the Cayley rows and the tree export read
-``level_starts`` alone.  ``children[v]`` is a ``range``.  It is the one
-game arena and holds the one adjacency: flat rows, offsets and column ids
-as vertex arrays, which ``neighbors(v)`` slices and ``rows(last)`` views.
+index levels vertex by vertex (``min_cutset``, ``max_flow``); the game
+engine, the Cayley rows and the tree export read ``level_starts`` alone.
+``children[v]`` is a ``range``.  It is the one game arena and holds the one
+adjacency: flat rows, offsets and column ids as vertex arrays, which
+``neighbors(v)`` slices and ``rows(last)`` views.
 Rows are built only as far as play reads them: the interior rows (ids below
 ``level_starts[D]``) on first use, and level D's only once one of them is
 asked for, by ``neighbors`` or by ``rows`` up to the last id of a frontier
@@ -52,6 +52,7 @@ one side of ``separated``'s check) goes through one helper: ``id_set`` sorts
 and deduplicates it and picks its form once; ``mark`` (check and mark of a
 status byte) and ``row_entries`` take the path that form and its being a
 run (PROTECT_RUN_MIN ids or more, the ends len - 1 apart) make cheapest.
+Every id set a report or a trace prints is written by ``format_id_set``.
 """
 
 from __future__ import annotations
@@ -148,20 +149,10 @@ class ExplicitSpec:
     def n_vertices(self) -> int:
         return len(self.parents) + 1
 
-    def children_lists(self) -> list[list[int]]:
-        kids: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for i, p in enumerate(self.parents):
-            kids[p].append(i + 1)
-        return kids
-
-    def levels(self) -> list[int]:
-        lv = [0] * self.n_vertices
-        for i, p in enumerate(self.parents):
-            lv[i + 1] = lv[p] + 1
-        return lv
-
     def height(self) -> int:
-        return max(self.levels())
+        """The root's live height: every leaf of an explicit tree continues."""
+        auto = compile(self)
+        return auto.live_heights[auto.root]
 
 
 TreeSpec = Union[PeriodicSpec, SymmetricSpec, ExplicitSpec]
@@ -270,7 +261,9 @@ def _build_automaton(spec: TreeSpec) -> Automaton:
         succ = list(range(1, len(counts))) + [len(spec.preperiod)]
         return Automaton(tuple((t,) * c for t, c in zip(succ, counts)), 0)
     # explicit: intern subtree shapes bottom-up (children have larger ids)
-    kids = spec.children_lists()
+    kids: list[list[int]] = [[] for _ in range(spec.n_vertices)]
+    for i, p in enumerate(spec.parents):
+        kids[p].append(i + 1)
     shapes: dict[tuple[int, ...], int] = {}
     state = [0] * spec.n_vertices
     for v in range(spec.n_vertices - 1, -1, -1):
@@ -718,6 +711,18 @@ def format_ids(ids: np.ndarray, line: int = 0, head: bytes = b"") -> bytes:
     for k in range(1, width):  # the digit standing for 10**k, kept from 10**k on
         np.greater_equal(ids, 10 ** k, out=keep[:, at + width - 1 - k])
     return rec.tobytes() if keep.all() else rec[keep].tobytes()
+
+
+def format_id_set(ids) -> str:
+    """An id set as report and trace text, ids space-separated or ``-`` when none: a range
+    or an int array of non-negative ids by ``format_ids``, a tuple or a list joined."""
+    if not len(ids):
+        return "-"
+    if type(ids) is range:
+        ids = np.arange(ids.start, ids.stop, ids.step)
+    if isinstance(ids, np.ndarray):
+        return format_ids(ids).decode()
+    return " ".join(map(str, ids))
 
 
 def load_tree_spec(path: str) -> TreeSpec:

@@ -125,6 +125,21 @@ class TestBr:
         assert ("firebreak: the min-cut weight at depth 845 has more than 4300 digits, "
                 "past sys.get_int_max_str_digits() = 4300") in capsys.readouterr().err
 
+    def test_report_fraction_past_the_digit_limit_exits_two(self, spec_dir, capsys):
+        # a rate just above br on the 200-level cycle: its cut at depth 3000
+        # weighs a fraction of more than 4300 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out = run(["contain", str(spec_dir / "c200.tree"), "--lambda",
+                             "1008100000000000000000000000001/1000000000000000000000000000000",
+                             "--k", "1", "--D-max", "3000"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        assert ("firebreak: a reported fraction has more than 4300 digits, "
+                "past sys.get_int_max_str_digits() = 4300") in capsys.readouterr().err
+
     def test_cuts_table_builds_no_truncation(self, spec_dir, monkeypatch):
         # depth 8 has 511 vertices; the table reads the recursion instead
         monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "10")
@@ -584,7 +599,9 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("entry", ["nospace", "abc feasible 1:x", "abc maybe",
                                        "abc feasible 2:1", "abc feasible x:1",
-                                       "abc feasible 1:1;1:2"])
+                                       "abc feasible 1:1;1:2", "abc feasible 1:",
+                                       "abc feasible 1:1,,2", "abc maybe 1:1",
+                                       "abc feasible 1:-;02:3"])
     def test_malformed_cache_names_file_and_line(self, entry, spec_dir, capsys):
         cache = spec_dir / "o.cache"
         cache.write_text("\n" + entry + "\n")

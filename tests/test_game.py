@@ -4,7 +4,10 @@ Claims covered:
     - budgets that only a float would call constant keep exact values, and
       prefix sums give the exact cumulative budgets
     - step applies protection before spread, rejects faults, keeps statuses
-      monotone and disjoint, and leaves its input state alone
+      monotone and disjoint, and leaves its input state alone; a chain of
+      step calls hands each frontier on in the engine's form, so a
+      1,024-id frontier that is not one run spreads by the gather every
+      round and plays as the reference
     - the in-place engine plays as the copy-per-round reference
       (tests/game_reference.py) on random truncations and Cayley balls of
       every model: same traces, verdicts, faults and fault rounds, also
@@ -53,7 +56,8 @@ Claims covered:
     - traces round-trip through the text format (golden file); malformed
       trace lines are rejected by line number; a trace with large rounds
       reads as Python ints, round-trips and replays, and one id apart in a
-      large round makes two verdicts unequal
+      large round makes two verdicts unequal; schedules round-trip through
+      their ``r:ids;r:ids`` text, empty rounds and no rounds included
 """
 
 import bisect
@@ -98,8 +102,9 @@ from firebreak import (
 )
 import firebreak.game as game_mod
 import firebreak.trees as trees_mod
-from firebreak.game import BURNING, PROTECTED, UNTOUCHED, TraceRound, Verdict, cut_weight_target
-from firebreak.trees import ExplicitSpec, PeriodicSpec, Truncation, compile
+from firebreak.game import (BURNING, PROTECTED, UNTOUCHED, TraceRound, Verdict, cut_weight_target,
+                            format_schedule, parse_schedule, state_from_fire)
+from firebreak.trees import ExplicitSpec, PeriodicSpec, Truncation, as_tuple, compile
 from conftest import (
     binary_spec,
     budget_catalogue,
@@ -328,7 +333,22 @@ class TestInPlaceEngine:
         self.test_matches_copy_per_round_reference()
         assert calls["gather"] > 100 and calls["fancy"] > 100, calls
         assert not calls["loop"] and not calls["tuple"], calls
-        self.test_step_leaves_its_input_alone()  # its frontiers are tuples, as step returns them
+        self.test_step_leaves_its_input_alone()  # step keeps the engine's forms of its frontiers
+
+    def test_step_chains_spread_large_frontiers_by_the_gather(self, monkeypatch):
+        # every other level-11 id of a depth-12 binary tree, 1,024 ids that are
+        # not one run: each step hands the next its frontier in the engine's
+        # form, so every round spreads by the gather, as run_game's rounds do
+        t = expand(binary_spec(), 12)
+        fire = range(t.level_starts[11], t.level_starts[12], 2)
+        state, ref = state_from_fire(t, fire), game_reference.state_from_fire(t, fire)
+        calls = _count_id_set_paths(monkeypatch)
+        for _ in range(3):
+            state, ref = step(state, (), 0), game_reference.step(ref, (), 0)
+            assert len(state.frontier) >= 1024
+            assert (as_tuple(state.frontier), bytes(state.statuses)) == (
+                ref.frontier, bytes(ref.statuses))
+        assert calls["gather"] == 3 and not calls["loop"], calls
 
     def test_numpy_rounds_on_truncations_match_reference(self, monkeypatch):
         # truncations have rows too: with the threshold at 1 every round of
@@ -467,7 +487,7 @@ class TestInPlaceEngine:
                 assert got == want
                 kinds[want[0], want[1].split()[1].startswith("-")] += 1
             else:
-                assert (got.frontier, got.statuses) == (want.frontier, want.statuses)
+                assert (as_tuple(got.frontier), got.statuses) == (want.frontier, want.statuses)
                 kinds["played"] += 1
         assert set(kinds) == {("SpecError", True), ("SpecError", False),
                               ("StrategyFault", False), "played"}, kinds
@@ -490,7 +510,7 @@ class TestInPlaceEngine:
                     assert got == want
                     break
                 assert got.round_no == round_no
-                assert (got.frontier, got.statuses) == (want.frontier, want.statuses)
+                assert (as_tuple(got.frontier), got.statuses) == (want.frontier, want.statuses)
                 state, ref = got, want
 
 
@@ -504,7 +524,8 @@ class TestOneRunProtectSets:
     @staticmethod
     def outcome(play, state, protect, budget):
         got = _engine_outcome(play, state, protect, budget)
-        return got if isinstance(got, tuple) else (got.round_no, got.frontier, bytes(got.statuses))
+        return got if isinstance(got, tuple) else (got.round_no, as_tuple(got.frontier),
+                                                   bytes(got.statuses))
 
     def test_runs_fail_and_play_as_the_loop_and_gather_paths(self, monkeypatch):
         b = cayley_ball(group_from_name("free:2"), 7)  # 4,373 vertices
@@ -1363,6 +1384,14 @@ class TestTraceFormat:
         first_moved = TraceRound(1, moved, fresh.trace[0].burnt)
         assert fresh != Verdict(fresh.kind, fresh.round_no, fresh.burnt,
                                 (first_moved,) + fresh.trace[1:])
+
+    @pytest.mark.parametrize("text, schedule", [
+        ("-", {}), ("1:-", {1: ()}), ("2:5", {2: (5,)}),
+        ("1:3,4;2:-;5:7,6", {1: (3, 4), 2: (), 5: (7, 6)}),
+    ], ids=["no-rounds", "one-empty", "one", "mixed"])
+    def test_schedule_text_round_trips(self, text, schedule):
+        assert parse_schedule(text, "schedule") == schedule
+        assert format_schedule(schedule) == text
 
     @pytest.mark.parametrize("bad", ["round x | protect 1 | burn 2",
                                      "round 2 | protect 1 y | burn -",

@@ -14,7 +14,8 @@ Claims covered:
       the hand-counted totals, and its minimum weight equals the recursion
     - the brute-force / feasibility / canonical triangle closes on a
       corpus of random trees times a budget catalogue
-    - decisions round-trip through the plain-text cache
+    - decisions round-trip through the plain-text cache, each line written
+      as the schedule text, empty rounds and no rounds included
 """
 
 import random
@@ -41,6 +42,7 @@ from firebreak import (
     run_game,
     simulate,
 )
+from firebreak.oracle import OracleDecision
 from firebreak.trees import ExplicitSpec, format_tree_spec
 from conftest import (binary_spec, budget_catalogue, enumerate_cutsets, is_antichain,
                       random_explicit_tree, ray_spec)
@@ -268,6 +270,17 @@ class TestCache:
         decision = brute_force_containment(t, [0], budget)
         cache.put("somekey", decision)
         assert OracleCache(str(path)).get("somekey") == decision
+
+    @pytest.mark.parametrize("schedule, line", [
+        ((), "k feasible -\n"), (((),), "k feasible 1:-\n"),
+        (((3, 4), (), (7,)), "k feasible 1:3,4;2:-;3:7\n"), (None, "k infeasible\n"),
+    ], ids=["no-rounds", "one-empty", "mixed", "infeasible"])
+    def test_lines_read_back_as_written(self, schedule, line, tmp_path):
+        path = tmp_path / "oracle.cache"
+        decision = OracleDecision(feasible=schedule is not None, schedule=schedule)
+        OracleCache(str(path)).put("k", decision)
+        assert path.read_text() == line
+        assert OracleCache(str(path)).get("k") == decision
 
     def test_distinct_keys(self):
         spec_text = format_tree_spec(ray_spec())

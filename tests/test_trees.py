@@ -10,7 +10,9 @@ Claims covered:
     - the parser round-trips, rejects unknown fields and bad documents
     - the digit writer gives the bytes of str and join, plain and in the
       parent lines' 16-id lines, on empty, single and power-of-ten-crossing
-      id arrays, sorted and unsorted
+      id arrays, sorted and unsorted, and the id-set writer gives the join,
+      or "-" for none, on the same ids as int32 and int64 arrays, tuples
+      and ranges
     - the expansion cap raises ResourceLimitError
     - one representation: a periodic truncation re-read as an explicit
       tree, and a symmetric spec written as its cycle automaton, expand to
@@ -52,7 +54,7 @@ from firebreak import (
 from firebreak import Cutset, cut_weight, feasibility_check, min_cutset
 from firebreak import trees as trees_mod
 from firebreak.cayley import group_from_name
-from firebreak.trees import compile, format_ids, format_parents
+from firebreak.trees import compile, format_id_set, format_ids, format_parents
 import trees_reference
 from conftest import (
     ball,
@@ -386,6 +388,13 @@ class TestFormatIds:
             assert format_ids(ids, 1) == "".join(f"{v}\n" for v in ids.tolist()).encode()
             assert format_parents(ids.tolist()) == \
                 "variant: explicit\n" + ("".join(lines) or "parents:\n")
+            # the id-set writer: the join, or "-" for no ids, in every id-set form
+            sets = [ids, ids.astype(np.int64), tuple(ids.tolist())]
+            start = int(ids[0]) if len(ids) else 0
+            if np.array_equal(ids, np.arange(start, start + len(ids))):  # a run, or none
+                sets.append(range(start, start + len(ids)))
+            for given in sets:
+                assert format_id_set(given) == (want or "-"), given
 
 
 class TestNumpyUnfolding:
