@@ -55,7 +55,6 @@ from .game import (
     feasibility_decision,
     feasibility_rows,
     format_trace,
-    initial_state,
     parse_trace,
     run_game,
     simulate,

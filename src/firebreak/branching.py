@@ -35,7 +35,6 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import count, islice, pairwise, takewhile
 from typing import Iterable, Union
 
@@ -87,26 +86,18 @@ class Cutset:
     """A set of truncation edges, identified by their child endpoints.
     Valid when removing them leaves the root separated from every boundary
     vertex.  Built from any iterable of ids: ``ids`` holds them sorted, each
-    once (min_cutset's strictly increasing array as it is), and ``edges``
-    the same ids as a frozenset, built on first use."""
+    once (min_cutset's strictly increasing array as it is)."""
 
     def __init__(self, edges: Iterable[int] = ()):
         if not isinstance(edges, np.ndarray):
             edges = np.fromiter(edges, np.int64)
         self.ids = _sorted_unique(edges)
 
-    @cached_property
-    def edges(self) -> frozenset[int]:
-        return frozenset(self.ids.tolist())
-
     def __len__(self) -> int:
         return len(self.ids)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Cutset) and np.array_equal(self.ids, other.ids)
-
-    def __hash__(self) -> int:
-        return hash(self.edges)
 
     def separates(self, trunc: Truncation) -> bool:
         """No boundary vertex is reached from the root once the edges are
@@ -127,7 +118,7 @@ def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
     _, p, q = _split_rate(rate)
     ids, n = cutset.ids, trunc.n_vertices
     if len(ids) and not 1 <= ids[0] <= ids[-1] < n:
-        raise SpecError(f"edge id {next(v for v in cutset.edges if not 1 <= v < n)} out of range")
+        raise SpecError(f"edge id {next(v for v in ids.tolist() if not 1 <= v < n)} out of range")
     if not cutset.separates(trunc):
         raise SpecError("edge set does not separate the root from the boundary")
     num, q_power = 0, 1

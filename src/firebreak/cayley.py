@@ -12,7 +12,7 @@ followed by the inverse unless the order is 2; this order drives all
 lexicographic comparisons.
 
 Every element has one shortlex normal form: its lexicographically least
-geodesic word.  ``word_acceptor()`` is a ``PeriodicSpec`` whose unfolding
+geodesic word.  ``acceptor[0]`` is a ``PeriodicSpec`` whose unfolding
 is the tree of these words (Cannon 1984; Epstein et al., *Word Processing
 in Groups*, 1992).  A state is the last letter, its run and the set of
 factors that may start the next syllable.  After a syllable of factor x:
@@ -76,10 +76,8 @@ class GraphProduct:
     """Graph product of cyclic groups C_m1, C_m2, ..., where C_0 = Z, with
     factors lettered a, b, c, ... and ``joined`` naming the pairs of factor
     indices whose generators commute (``(0, 2)`` for a and c); the group
-    must be infinite.  An element is its syllables (factor, exponent), with
-    1 <= exponent < order on a finite factor and any nonzero exponent on Z,
-    in the lexicographically least order of factors that shuffling joined
-    neighbours reaches."""
+    must be infinite.  The model builds no element: an element is the
+    vertex of its shortlex word in the unfolding of ``acceptor``."""
 
     def __init__(self, orders: Sequence[int], joined: Iterable[tuple[int, int]] = (),
                  name: str | None = None):
@@ -114,33 +112,12 @@ class GraphProduct:
         self.orders = orders
         self.name = name or f"gp:{','.join(map(str, orders))}/{','.join(_pair(*p) for p in joined)}"
         self.generators = tuple(gens)
-        self.identity = ()
         self._moves = tuple(moves)
         self._links = tuple(links)
         self._inverse = tuple(inverse)
 
     def inverse_index(self, g: int) -> int:
         return self._inverse[g]
-
-    def multiply(self, elem: tuple, g: int) -> tuple:
-        """elem * g: merged into the last syllable of g's factor if the
-        syllables after it commute with g, else a new syllable.  That one
-        goes as far left as the joined syllables at the end let it, then
-        right past those of earlier factors, which keeps the order least."""
-        x, exp = self._moves[g]
-        links, i = self._links[x], len(elem)
-        while i and elem[i - 1][0] != x and links >> elem[i - 1][0] & 1:
-            i -= 1
-        if i and elem[i - 1][0] == x:
-            i, exp = i - 1, elem[i - 1][1] + exp
-            rest = elem[i + 1:]
-        else:
-            while i < len(elem) and elem[i][0] < x:
-                i += 1
-            rest = elem[i:]
-        if m := self.orders[x]:
-            exp %= m
-        return elem[:i] + ((x, exp),) * bool(exp) + rest
 
     def syllable(self, h: int, run: int, g: int) -> tuple[int, ...]:
         """The shortlex letters of h**run * g for g of h's finite factor:
@@ -204,9 +181,6 @@ class GraphProduct:
         auto = compile(spec)
         return (spec, auto, [data[name][0] for name in auto.names],
                 [data[name][1] for name in auto.names])
-
-    def word_acceptor(self) -> PeriodicSpec:
-        return self.acceptor[0]
 
     @cached_property
     def sphere_walk(self) -> tuple[list[int], Iterator[int]]:  # the level counts walked so far

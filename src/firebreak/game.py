@@ -14,10 +14,10 @@ The game reads only this surface of it and asks no arena its class:
 ``n_vertices``; ``level_starts``, the first id of each level (distance
 from the root) 0..``depth`` and the vertex count, which give the initial
 fire and the first id that may be on the boundary; ``depth``;
-``boundary``, the vertices whose burning makes
-the outcome inconclusive at this depth, all at level ``depth``, and
-``is_boundary(v)``, the test for one, which ``reached`` asks only of
-frontier ids at level ``depth`` for ``run_game`` and the oracle alike;
+``boundary_mask``, one byte per vertex, 1 on the vertices whose burning
+makes the outcome inconclusive at this depth, all at level ``depth``,
+which ``reached`` reads only at frontier ids at level ``depth`` for
+``run_game`` and the oracle alike;
 ``neighbors(v)``, row v of the arena's one adjacency, and
 ``rows(last)``, numpy views of its row offsets and column ids holding rows
 0..last; and ``separated(statuses)``, the check on the same rows that a
@@ -65,43 +65,40 @@ from .trees import (BURNING, PROTECTED, UNTOUCHED, TreeSpec, Truncation, as_tupl
 
 @dataclass(frozen=True)
 class BudgetSequence:
-    """f(n) for n >= 1.  Kinds: constant c; exponential floor(rate**n);
-    polynomial floor(coeff * n**degree); explicit list (the last entry
-    repeats forever, so explicit budgets are eventually constant)."""
+    """f(n) for n >= 1, named by the CLI's ``kind`` and its ``params``:
+    ``const`` (c,); ``exp`` (rate,), floor(rate**n); ``poly`` (coeff,
+    degree), floor(coeff * n**degree); ``list`` the values, the last of
+    which repeats forever, so explicit budgets are eventually constant."""
 
     kind: str
-    value: int = 0
-    rate: Fraction = Fraction(0)
-    coeff: Fraction = Fraction(0)
-    degree: int = 0
-    values: tuple[int, ...] = ()
+    params: tuple = ()
 
     @classmethod
     def constant(cls, c: int) -> "BudgetSequence":
         if c < 0:
             raise SpecError("budget must be non-negative")
-        return cls(kind="constant", value=c)
+        return cls("const", (c,))
 
     @classmethod
     def exponential(cls, rate) -> "BudgetSequence":
         rate = exact_rate(rate)
         if rate <= 0:
             raise SpecError("budget rate must be positive")
-        return cls(kind="exponential", rate=rate)
+        return cls("exp", (rate,))
 
     @classmethod
     def polynomial(cls, coeff, degree: int) -> "BudgetSequence":
         coeff = exact_rate(coeff)
         if coeff < 0 or degree < 0:
             raise SpecError("polynomial budget needs coeff >= 0 and degree >= 0")
-        return cls(kind="polynomial", coeff=coeff, degree=degree)
+        return cls("poly", (coeff, degree))
 
     @classmethod
     def explicit(cls, values: Iterable[int]) -> "BudgetSequence":
         vals = tuple(int(v) for v in values)
         if any(v < 0 for v in vals):
             raise SpecError("budgets must be non-negative")
-        return cls(kind="explicit", values=vals)
+        return cls("list", vals)
 
     @classmethod
     def parse(cls, text: str) -> "BudgetSequence":
@@ -128,28 +125,23 @@ class BudgetSequence:
     def __call__(self, n: int) -> int:
         if n < 1:
             raise SpecError("budgets are defined for rounds n >= 1")
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "exponential":
-            return math.floor(self.rate ** n)
-        if self.kind == "polynomial":
-            return math.floor(self.coeff * n ** self.degree)
-        if not self.values:
+        kind, params = self.kind, self.params
+        if kind == "const":
+            return params[0]
+        if kind == "exp":
+            return math.floor(params[0] ** n)
+        if kind == "poly":
+            return math.floor(params[0] * n ** params[1])
+        if not params:
             return 0
-        return self.values[n - 1] if n <= len(self.values) else self.values[-1]
+        return params[n - 1] if n <= len(params) else params[-1]
 
     def prefix_sums(self, m: int) -> list[int]:
         """f(1) + ... + f(j) for j = 1..m, in one walk."""
         return list(accumulate(map(self, range(1, m + 1))))
 
     def describe(self) -> str:
-        if self.kind == "constant":
-            return f"const:{self.value}"
-        if self.kind == "exponential":
-            return f"exp:{self.rate}"
-        if self.kind == "polynomial":
-            return f"poly:{self.coeff},{self.degree}"
-        return "list:" + ",".join(str(v) for v in self.values)
+        return f"{self.kind}:{','.join(map(str, self.params))}"
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +161,6 @@ def ball_ids(arena, radius: int) -> range:
     """The ids at levels 0..radius, read off ``level_starts``: the arena is level-major."""
     starts = arena.level_starts
     return range(starts[max(0, min(radius + 1, len(starts) - 1))])
-
-
-def initial_state(arena, radius: int) -> GameState:
-    """Fire on the ball of the given radius around the root."""
-    return state_from_fire(arena, ball_ids(arena, radius))
 
 
 def state_from_fire(arena, fire: Iterable[int]) -> GameState:
@@ -342,7 +329,7 @@ def reached(arena, frontier) -> bool:
     """Whether a frontier holds a boundary vertex, looked up only for its ids at level
     ``depth``: a fire that stays off that level builds no boundary mask."""
     at = bisect_left(frontier, arena.level_starts[arena.depth])  # the first id at the depth
-    return at < len(frontier) and any(map(arena.is_boundary, frontier[at:]))
+    return at < len(frontier) and any(map(arena.boundary_mask.__getitem__, frontier[at:]))
 
 
 def run_game(arena, fire: Iterable[int], strategy, budget: BudgetSequence,

@@ -63,7 +63,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice, pairwise
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -210,10 +210,6 @@ class Automaton:
             out.append(tuple(sorted({t for s in out[-1] for t in self.children[s]})))
         return out
 
-    def level_counts(self, depth: int) -> list[int]:
-        """Vertices per level 0..depth, from state-count vectors."""
-        return list(islice(self.iter_level_counts(), depth + 1))
-
     def iter_level_counts(self) -> Iterator[int]:
         """Vertices per level 0, 1, 2, ..., without end; a caller that
         bounds a running total stops as soon as it passes."""
@@ -276,7 +272,7 @@ def level_counts(spec: TreeSpec, depth: int) -> list[int]:
     tree (state-count vectors of the spec's automaton)."""
     if depth < 0:
         raise SpecError("depth must be >= 0")
-    return compile(spec).level_counts(depth)
+    return list(islice(compile(spec).iter_level_counts(), depth + 1))
 
 
 def view(values: memoryview) -> np.ndarray:
@@ -387,10 +383,6 @@ class Truncation:
     @property
     def boundary(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(np.frombuffer(self.boundary_mask, bool)).tolist())
-
-    @property
-    def is_boundary(self) -> Callable[[int], int]:
-        return self.boundary_mask.__getitem__  # one C call an id
 
     def _rows(self, n: int) -> tuple[memoryview, memoryview]:
         """Row offsets and column ids, row v listing v's parent, then its
@@ -562,10 +554,8 @@ def expand(spec: TreeSpec, depth: int) -> Truncation:
     Raises ResourceLimitError when the vertex count would exceed the cap
     (``FIREBREAK_VERTEX_CAP`` or 10**7 by default).
     """
-    if depth < 0:
-        raise SpecError("depth must be >= 0")
+    total = sum(level_counts(spec, depth))
     limit = vertex_cap()
-    total = sum(compile(spec).level_counts(depth))
     if total > limit:
         raise ResourceLimitError(
             f"truncation would have {total} vertices, cap is {limit} ({VERTEX_CAP_ENV})"

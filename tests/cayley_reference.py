@@ -7,13 +7,16 @@ The ball hashes every element with every generator: vertices are taken in
 index order and, at each vertex, the generators in order, and ``elements``
 is its own queue.  Every layer is then numbered in shortlex order of its
 elements' lex-min geodesic words, which is what ``firebreak.cayley.ball``
-reads off the acceptor instead.  ``ReferenceGraphProduct`` gives the ball
-its elements by another route than ``GraphProduct.multiply``: it merges a
-new syllable into the last one of its factor that every later syllable
-commutes with, then sorts the syllables by taking, again and again, the
-least factor among those that commute with every syllable before them
-(the lexicographic normal form of a trace; Diekert and Rozenberg eds.,
-*The Book of Traces*, 1995).
+reads off the acceptor instead.  ``ReferenceGraphProduct`` is the group
+law that gives the ball its elements, which the package, building no
+element, does not have: it merges a new syllable into the last one of its
+factor that every later syllable commutes with, then sorts the syllables
+by taking, again and again, the least factor among those that commute
+with every syllable before them (the lexicographic normal form of a
+trace; Diekert and Rozenberg eds., *The Book of Traces*, 1995).
+``joined_pairs`` reads a package model's joined factors off its name, so
+``ReferenceGraphProduct(model.orders, joined_pairs(model))`` is the
+model's group.
 
 The export builds every vertex's word as a Python string, its tree
 parent's plus one letter, and formats one f-string line per vertex and the
@@ -23,6 +26,7 @@ parent lines 16 ids at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 from firebreak.cayley import DEFAULT_BALL_CAP
@@ -31,7 +35,7 @@ from firebreak.errors import ResourceLimitError, SpecError
 
 @dataclass
 class ReferenceBall:
-    model: object
+    group: object
     radius: int
     elements: list
     level: list[int]
@@ -49,57 +53,74 @@ class ReferenceGraphProduct:
     """The graph product of cyclic groups C_m (C_0 = Z) on the given factor
     orders, whose generators commute for each joined pair of factor
     indices; each factor gives its generator, then the inverse unless the
-    order is 2.  Elements are syllable tuples (factor, exponent), as the
-    package writes them."""
+    order is 2.  Elements are syllable tuples (factor, exponent)."""
 
     def __init__(self, orders, joined):
         self.orders = tuple(orders)
-        self.joined = {frozenset(pair) for pair in joined}
+        self.links = [0] * len(self.orders)  # per factor, the factors it commutes with
+        for x, y in joined:
+            self.links[x] |= 1 << y
+            self.links[y] |= 1 << x
         self.letters = [(x, d) for x, m in enumerate(self.orders) for d in (1, -1)[:1 + (m != 2)]]
         self.generators = tuple("abcdefghij"[x].swapcase() if d < 0 else "abcdefghij"[x]
                                 for x, d in self.letters)
         self.identity = ()
 
-    def commute(self, x: int, y: int) -> bool:
-        return frozenset((x, y)) in self.joined
+    def inverse_index(self, g: int) -> int:
+        x, d = self.letters[g]
+        return self.letters.index((x, -d)) if self.orders[x] != 2 else g
 
     def multiply(self, elem: tuple, g: int) -> tuple:
         x, d = self.letters[g]
-        syllables = [list(s) for s in elem]
+        m, links = self.orders[x], self.links
+        syllables = list(elem)  # each exponent reduced, as multiply returns it
         for i in range(len(syllables) - 1, -1, -1):
-            if syllables[i][0] == x:
-                syllables[i][1] += d
+            f, e = syllables[i]
+            if f == x:
+                syllables[i] = (x, (e + d) % m if m else e + d)
                 break
-            if not self.commute(syllables[i][0], x):
-                syllables.append([x, d])
+            if not links[f] >> x & 1:
+                syllables.append((x, d % m if m else d))
                 break
         else:
-            syllables.append([x, d])
-        syllables = [(f, e % self.orders[f] if self.orders[f] else e) for f, e in syllables]
-        syllables = [(f, e) for f, e in syllables if e]
+            syllables.append((x, d % m if m else d))
+        syllables = [s for s in syllables if s[1]]
         ordered = []
         while syllables:  # the least factor free to come first
-            best, open_factors = None, set(range(len(self.orders)))
-            for i, (f, _e) in enumerate(syllables):
+            best, least = 0, syllables[0][0]
+            open_factors = links[least]
+            for i in range(1, len(syllables)):
                 if not open_factors:
                     break
-                if f in open_factors and (best is None or f < syllables[best][0]):
-                    best = i
+                f = syllables[i][0]
+                if open_factors >> f & 1 and f < least:
+                    best, least = i, f
                 # a later syllable comes first only past syllables it commutes with
-                open_factors = {g for g in open_factors if self.commute(f, g)}
+                open_factors &= links[f]
             ordered.append(syllables.pop(best))
         return tuple(ordered)
 
 
-def reference_ball(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> ReferenceBall:
-    """Breadth-first ball around the identity, vertices taken in index
-    order and generators in order; ``elements`` is its own queue."""
+def joined_pairs(model) -> set[tuple[int, int]]:
+    """The joined pairs of a model's factors, read off its name: every pair
+    on zd:D, those listed on gp: names, and none on the free products."""
+    k = len(model.orders)
+    if model.name.startswith("zd:"):
+        return set(combinations(range(k), 2))
+    letters = model.name.partition("/")[2] if model.name.startswith("gp:") else ""
+    return {tuple(sorted("abcdefghij".index(c) for c in p)) for p in letters.split(",") if p}
+
+
+def reference_ball(group: ReferenceGraphProduct, radius: int,
+                   cap: int = DEFAULT_BALL_CAP) -> ReferenceBall:
+    """Breadth-first ball around the identity of the group, vertices taken
+    in index order and generators in order; ``elements`` is its own queue."""
     if radius < 0:
         raise SpecError("ball radius must be >= 0")
-    multiply = model.multiply
-    n_gens = len(model.generators)
-    elements = [model.identity]
-    index = {model.identity: 0}
+    multiply = group.multiply
+    n_gens = len(group.generators)
+    elements = [group.identity]
+    index = {group.identity: 0}
     level = [0]
     layers = [[0]] + [[] for _ in range(radius)]
     parent = [-1]
@@ -128,7 +149,7 @@ def reference_ball(model, radius: int, cap: int = DEFAULT_BALL_CAP) -> Reference
                 tree_generator.append(g)
             row.append(u)
         adjacency.append(row)
-    return ReferenceBall(model=model, radius=radius, elements=elements, level=level,
+    return ReferenceBall(group=group, radius=radius, elements=elements, level=level,
                          layers=layers, parent=parent,
                          tree_generator=tree_generator, adjacency=adjacency, _index=index)
 

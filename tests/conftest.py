@@ -15,6 +15,7 @@ from firebreak import (
     level_counts,
 )
 from firebreak.trees import compile
+from cayley_reference import ReferenceGraphProduct, joined_pairs
 
 
 def binary_spec() -> PeriodicSpec:
@@ -174,10 +175,11 @@ def witness_vertices(result, trunc) -> tuple[int, ...]:
 
 def is_antichain(cut, trunc) -> bool:
     """No vertex of the cutset lies below another one."""
-    for v in cut.edges:
+    edges = set(cut.ids.tolist())
+    for v in edges:
         u = trunc.parent[v]
         while u > 0:
-            if u in cut.edges:
+            if u in edges:
                 return False
             u = trunc.parent[u]
     return True
@@ -215,12 +217,14 @@ def enumerate_cutsets(trunc, max_edges: int = 18):
 
 def ball_elements(b) -> tuple[list, dict]:
     """Every element of a Cayley ball in normal form, multiplied out from
-    its tree parent's, and the vertex of each element; the ball itself
-    builds none.  Kept on the ball, since the oracles ask per vertex."""
+    its tree parent's by the reference group law, and the vertex of each
+    element; the ball itself builds none.  Kept on the ball, since the
+    oracles ask per vertex."""
     if "_test_elements" not in vars(b):
-        elements = [b.model.identity]
+        group = ReferenceGraphProduct(b.model.orders, joined_pairs(b.model))
+        elements = [group.identity]
         for v in range(1, b.n_vertices):
-            elements.append(b.model.multiply(elements[b.parent[v]], b.tree_generator[v]))
+            elements.append(group.multiply(elements[b.parent[v]], b.tree_generator[v]))
         b._test_elements = elements, {elem: v for v, elem in enumerate(elements)}
     return b._test_elements
 
@@ -245,7 +249,7 @@ def enumerate_geodesic_words(b, v: int) -> list[tuple[int, ...]]:
     """Every geodesic word for element v of a Cayley ball, by walking all
     distance-reducing predecessors; exhaustive oracle for the lex-min
     words."""
-    model = b.model
+    group = ReferenceGraphProduct(b.model.orders, joined_pairs(b.model))
     elements, index = ball_elements(b)
     memo: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
@@ -253,8 +257,8 @@ def enumerate_geodesic_words(b, v: int) -> list[tuple[int, ...]]:
         if u in memo:
             return memo[u]
         out = []
-        for g in range(len(model.generators)):
-            prev = model.multiply(elements[u], model.inverse_index(g))
+        for g in range(len(group.generators)):
+            prev = group.multiply(elements[u], group.inverse_index(g))
             p = index.get(prev)
             if p is not None and b.level[p] == b.level[u] - 1:
                 out.extend(w + (g,) for w in rec(p))

@@ -1,7 +1,8 @@
 """Cut weights, min-cuts, flows, branching numbers, certificates.
 
 Claims covered:
-    - cut weights match hand arithmetic; invalid cutsets rejected
+    - cut weights match hand arithmetic; invalid cutsets rejected, an edge
+      set with ids out of range naming the least of them
     - the min-cut recursion matches the hand recursion and, on every small
       tree, the exhaustive cutset enumeration (exact rational equality), and
       so do the weight of min_cutset and the value of max_flow
@@ -106,6 +107,15 @@ class TestCutWeight:
         t = expand(binary_spec(), 3)
         with pytest.raises(SpecError):
             cut_weight(t, Cutset(edges=frozenset({1})), Fraction(2))
+
+    def test_least_bad_id_is_named(self):
+        # the first out-of-range id in sorted order, as mark names one, whatever
+        # order the ids came in and however a set of them would iterate
+        t = expand(binary_spec(), 3)
+        for ids in ([-3, 5, 100], [100, 5, -3], {100, -3, 5}, [5, 100, 15]):
+            bad = min(v for v in ids if not 1 <= v < t.n_vertices)
+            with pytest.raises(SpecError, match=f"^edge id {bad} out of range$"):
+                cut_weight(t, Cutset(ids), 2)
 
     def test_weight_follows_the_truncation_not_its_id(self, monkeypatch):
         # every truncation gets the same id(): a weight keyed on identity
@@ -212,7 +222,7 @@ class TestMinCut:
         # level is optimal; the tie rule picks the shallowest
         t = expand(binary_spec(), 4)
         cut = min_cutset(t, Fraction(2))
-        assert sorted(t.level[v] for v in cut.edges) == [1, 1]
+        assert sorted(t.level[v] for v in cut.ids.tolist()) == [1, 1]
 
 
 class TestIntegerRecursion:
@@ -261,7 +271,7 @@ class TestIntegerRecursion:
                 for rate in self.RATES:
                     exact = Fraction(rate)
                     cut, ref_cut = min_cutset(got, rate), trees_reference.min_cutset(ref, exact)
-                    assert cut == ref_cut and cut.edges == ref_cut.edges
+                    assert cut == ref_cut and cut.ids.tolist() == ref_cut.ids.tolist()
                     weight = trees_reference.cut_weight(ref, cut, exact)
                     assert weight == trees_reference.min_cut_weight(ref, exact)
                     for value in (cut_weight(got, cut, rate), min_cut_weight(got, rate)):

@@ -1,8 +1,10 @@
 """Group models, balls, lex-min spanning trees, growth, surround, probes.
 
 Claims covered:
-    - normal forms: generator then inverse is the identity map, on joined
-      factors too; products associate with word evaluation
+    - the reference group law (tests/cayley_reference.py), which the
+      ball tests build their elements with: generator then inverse is the
+      identity map, on joined factors too, and joined factors commute;
+      products associate with word evaluation
     - one graph-product model: order 0 is a factor Z, a finite group is
       refused, ``freeprod:`` names refuse order 0, and a malformed name
       gives its own reason (bad ``gp:`` pairs among them); free:R is R
@@ -35,8 +37,7 @@ Claims covered:
       budget-vs-sphere table matches the cumulative sums, and a raw
       acceptor with redundant states decides at once
     - the ball's elements follow the reference's own graph-product group
-      law (tests/cayley_reference.py), which orders syllables by another
-      route than ``GraphProduct.multiply``
+      law (tests/cayley_reference.py), the package having none
     - the word acceptors have the stated state counts and unfold to the
       balls of the breadth-first reference (tests/cayley_reference.py):
       every field and every adjacency row equal at every radius up to 24
@@ -89,7 +90,6 @@ from firebreak import (
     feasibility_check,
     group_from_name,
     growth_rate_estimate,
-    initial_state,
     level_counts,
     lex_min_tree,
     polynomial_probe,
@@ -97,9 +97,9 @@ from firebreak import (
     wait_and_surround,
 )
 from firebreak.cli import main as cli_main
-from firebreak.game import BURNING, PROTECTED
+from firebreak.game import BURNING, PROTECTED, ball_ids, state_from_fire
 from firebreak.trees import Automaton
-from cayley_reference import ReferenceGraphProduct, reference_ball, tree_export_text
+from cayley_reference import ReferenceGraphProduct, joined_pairs, reference_ball, tree_export_text
 from conftest import ball_elements, ball_words, enumerate_geodesic_words, tree_export
 
 ALL_MODELS = [group_from_name(name) for name in (
@@ -115,16 +115,18 @@ class TestGroupModels:
     def test_generator_inverse_cancels(self, model):
         # zd:D and the gp: groups join factors, so products shuffle syllables
         # past each other and must come back to the same normal form
+        group = ReferenceGraphProduct(model.orders, joined_pairs(model))
         rng = random.Random(5)
-        elems = [model.identity]
+        elems = [group.identity]
         for _ in range(30):
             e = elems[rng.randrange(len(elems))]
-            g = rng.randrange(len(model.generators))
-            elems.append(model.multiply(e, g))
+            g = rng.randrange(len(group.generators))
+            elems.append(group.multiply(e, g))
         for e in elems:
-            for g in range(len(model.generators)):
-                inv = model.inverse_index(g)
-                assert model.multiply(model.multiply(e, g), inv) == e
+            for g in range(len(group.generators)):
+                inv = group.inverse_index(g)
+                assert inv == model.inverse_index(g)
+                assert group.multiply(group.multiply(e, g), inv) == e
 
     def test_joined_factors_commute(self):
         # one normal form for ab and ba on zd:2, and for ac and ca on F2 x Z,
@@ -132,9 +134,10 @@ class TestGroupModels:
         for name, (g, h), commute in (("zd:2", (0, 2), True), ("gp:0,0,0/ac,bc", (0, 4), True),
                                       ("gp:0,0,0/ac,bc", (0, 2), False)):
             model = group_from_name(name)
-            e = model.identity
-            gh = model.multiply(model.multiply(e, g), h)
-            hg = model.multiply(model.multiply(e, h), g)
+            group = ReferenceGraphProduct(model.orders, joined_pairs(model))
+            e = group.identity
+            gh = group.multiply(group.multiply(e, g), h)
+            hg = group.multiply(group.multiply(e, h), g)
             assert (gh == hg) == commute, name
 
     def test_names(self):
@@ -207,8 +210,9 @@ class TestBalls:
     def test_adjacency_rows_follow_generator_order(self, model):
         b = cayley_ball(model, 4)
         elements, index = ball_elements(b)
+        group = ReferenceGraphProduct(model.orders, joined_pairs(model))
         for v in range(b.n_vertices):
-            products = (model.multiply(elements[v], g) for g in range(len(model.generators)))
+            products = (group.multiply(elements[v], g) for g in range(len(model.generators)))
             assert list(b.neighbors(v)) == [index[w] for w in products if w in index]
 
     def test_adjacency_is_symmetric(self):
@@ -237,10 +241,11 @@ class TestLexMinWords:
         b = cayley_ball(model, 4)
         elements, _index = ball_elements(b)
         words = ball_words(b)
+        group = ReferenceGraphProduct(model.orders, joined_pairs(model))
         for v in range(b.n_vertices):
-            e = model.identity
+            e = group.identity
             for g in words[v]:
-                e = model.multiply(e, g)
+                e = group.multiply(e, g)
             assert e == elements[v]
             assert len(words[v]) == b.level[v]
 
@@ -537,7 +542,7 @@ class TestPolynomialProbe:
         # freeprod:5,7's acceptor has 11 states but 6 subtree classes; keyed
         # on its states, the count recursion passed FEASIBILITY_WORK_MAX here
         t0 = time.perf_counter()
-        result = feasibility_check(group_from_name("freeprod:5,7").word_acceptor(), 0,
+        result = feasibility_check(group_from_name("freeprod:5,7").acceptor[0], 0,
                                    BudgetSequence.polynomial(3, 1), 6)
         assert time.perf_counter() - t0 < 2
         assert result.witness_levels == ((2, 4), (3, 13), (4, 13), (5, 13), (6, 20))
@@ -595,22 +600,12 @@ DIFFERENTIAL_MODELS = ALL_MODELS + [group_from_name("freeprod:2,3,4"),
 BALL_FIELDS = ("level", "parent", "tree_generator")  # arrays; layers are level_starts
 
 
-def joined_pairs(model) -> set[tuple[int, int]]:
-    """The joined pairs of a model's factors, read off its name: every pair
-    on zd:D, those listed on gp: names, and none on the free products."""
-    k = len(model.orders)
-    if model.name.startswith("zd:"):
-        return set(combinations(range(k), 2))
-    letters = model.name.partition("/")[2] if model.name.startswith("gp:") else ""
-    return {tuple(sorted("abcdefghij".index(c) for c in p)) for p in letters.split(",") if p}
-
-
 def differential_radii(model, dense: int = 24, every: int = 5_000, most: int = 50_000,
                        longest: int = 200) -> list[int]:
     """Every radius up to ``dense`` while the ball has at most ``every``
     vertices, and the largest radius whose ball has at most ``most``, but
     none past ``longest``: the words of a ball hold about |B| * R letters."""
-    spheres = level_counts(model.word_acceptor(), longest)
+    spheres = level_counts(model.acceptor[0], longest)
     sizes = [sum(spheres[:r + 1]) for r in range(longest + 1)]
     last = max(r for r, n in enumerate(sizes) if n <= most)
     return [r for r in range(min(last, dense + 1)) if sizes[r] <= every] + [last]
@@ -626,13 +621,13 @@ class TestWordAcceptors:
     def test_state_counts(self, name, n_states):
         # as the two models that the graph product replaced had them
         model = group_from_name(name)
-        assert len(model.word_acceptor().states) == len(model.acceptor[1].children) == n_states
+        assert len(model.acceptor[0].states) == len(model.acceptor[1].children) == n_states
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_free_group_runs(self, rank):
         # a run on Z is one state looping to itself: every letter but the
         # inverse of the last follows, in generator order
-        spec = group_from_name(f"free:{rank}").word_acceptor()
+        spec = group_from_name(f"free:{rank}").acceptor[0]
         gens = tuple(g for a in "abc"[:rank] for g in (a, a.upper()))
         assert spec.states[spec.root] == tuple(f"{g}1" for g in gens)
         for g in gens:
@@ -640,7 +635,7 @@ class TestWordAcceptors:
 
     def test_free_product_runs(self):
         # order 4: a, aa (a tie goes to a) and A; order 5: two of either
-        states = GraphProduct((4, 5)).word_acceptor().states
+        states = GraphProduct((4, 5)).acceptor[0].states
         assert states["a1"] == ("a2", "b1", "B1")
         assert states["a2"] == states["A1"] == ("b1", "B1")
         assert states["b1"] == ("a1", "A1", "b2")
@@ -651,7 +646,7 @@ class TestWordAcceptors:
         # F2 x Z: c commutes with a and b, so a shortlex word has no a or b
         # after a c; after a or b, the letters of the other free factor and
         # of c may start a syllable
-        states = group_from_name("gp:0,0,0/ac,bc").word_acceptor().states
+        states = group_from_name("gp:0,0,0/ac,bc").acceptor[0].states
         assert states["id"] == ("a1", "A1", "b1", "B1", "c1", "C1")
         assert states["a1"] == ("a1", "b1", "B1", "c1", "C1")
         assert states["b1"] == ("a1", "A1", "b1", "c1", "C1")
@@ -661,16 +656,17 @@ class TestWordAcceptors:
         # the pentagon: after c, b (joined to c, and before it) may not start
         # a syllable, and after c then a it still may not, though a syllable
         # of a read at the root lets b follow; that a state is named apart
-        states = GP_MODELS[1].word_acceptor().states
+        states = GP_MODELS[1].acceptor[0].states
         assert states["a1"] == ("b1", "c1", "d1", "e1")
         assert states["c1"] == ("a1/cde", "d1", "e1")
         assert states["a1/cde"] == ("c1", "d1", "e1")
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
     def test_ball_equals_breadth_first_reference(self, model):
-        acceptor = model.word_acceptor()
+        acceptor = model.acceptor[0]
+        group = ReferenceGraphProduct(model.orders, joined_pairs(model))
         for radius in differential_radii(model):
-            got, ref = cayley_ball(model, radius), reference_ball(model, radius)
+            got, ref = cayley_ball(model, radius), reference_ball(group, radius)
             for name in BALL_FIELDS:
                 assert list(getattr(got, name)) == getattr(ref, name), (radius, name)
             assert [list(range(a, b)) for a, b in pairwise(got.level_starts)] == ref.layers, (
@@ -709,7 +705,7 @@ class TestWordAcceptors:
     def test_unfolding_numbers_vertices_as_the_ball(self, model):
         # the ball is the acceptor's truncation, with other rows
         for radius in range(7):
-            trunc, b = expand(model.word_acceptor(), radius), cayley_ball(model, radius)
+            trunc, b = expand(model.acceptor[0], radius), cayley_ball(model, radius)
             for field in fields(Truncation):
                 assert getattr(b, field.name) == getattr(trunc, field.name), (radius, field.name)
             assert b.boundary_mask == trunc.boundary_mask and b.boundary == trunc.boundary
@@ -719,7 +715,8 @@ class TestWordAcceptors:
         # every per-vertex array and both row arrays are memoryviews over
         # numpy buffers: they equal the reference's lists and read back ints
         radius = differential_radii(model, most=3_000)[-1]
-        got, ref = cayley_ball(model, radius), reference_ball(model, radius)
+        group = ReferenceGraphProduct(model.orders, joined_pairs(model))
+        got, ref = cayley_ball(model, radius), reference_ball(group, radius)
         offsets, columns = got._rows_through(got.n_vertices - 1)
         lists = [(name, getattr(ref, name)) for name in BALL_FIELDS] + [
             ("offsets", list(accumulate(map(len, ref.adjacency), initial=0))),
@@ -829,7 +826,7 @@ class TestGraphProducts:
     ])
     def test_acceptor_spheres_follow_the_formula(self, name):
         model = group_from_name(name)
-        assert (level_counts(model.word_acceptor(), 12)
+        assert (level_counts(model.acceptor[0], 12)
                 == chiswell_spheres(model.orders, joined_pairs(model), 12))
 
     @pytest.mark.parametrize("model", SEEDED_MODELS, ids=lambda m: m.name)
@@ -837,7 +834,7 @@ class TestGraphProducts:
         # the acceptor's spheres are Chiswell's, and every ball of at most 1k
         # vertices, and the largest of at most 3k, has the tree, rows and
         # elements of the reference's own group law
-        assert (level_counts(model.word_acceptor(), 12)
+        assert (level_counts(model.acceptor[0], 12)
                 == chiswell_spheres(model.orders, joined_pairs(model), 12))
         group = ReferenceGraphProduct(model.orders, joined_pairs(model))
         for radius in differential_radii(model, dense=12, every=1_000, most=3_000):
@@ -867,7 +864,7 @@ class TestGraphProducts:
                     columns[keep].tobytes())
 
         for radius in range(9):
-            if sum(level_counts(model.word_acceptor(), radius + 1)) > 40_000:
+            if sum(level_counts(model.acceptor[0], radius + 1)) > 40_000:
                 break
             b, bigger = cayley_ball(model, radius), cayley_ball(model, radius + 1)
             full = bigger._rows(bigger.n_vertices)
@@ -909,9 +906,10 @@ class TestSubgraphTransfer:
         smaller = 0
         for _ in range(20):
             radius = rng.randint(2, 5)
-            b, t = cayley_ball(model, radius), expand(model.word_acceptor(), radius)
+            b, t = cayley_ball(model, radius), expand(model.acceptor[0], radius)
             fire = rng.randrange(radius)
-            on_ball, on_tree = initial_state(b, fire), initial_state(t, fire)
+            on_ball = state_from_fire(b, ball_ids(b, fire))
+            on_tree = state_from_fire(t, ball_ids(t, fire))
             for round_no in range(1, radius + 3):
                 near = bisect.bisect_right(b.level, fire + round_no + 1)
                 legal = [v for v in range(near) if on_ball.statuses[v] != BURNING]

@@ -428,7 +428,7 @@ class TestNumpyUnfolding:
                 (ref.parent, ref.level, ref.state)
             assert [list(kids) for kids in got.children] == ref.children
             assert got.boundary == ref.boundary
-            assert [v for v in range(got.n_vertices) if got.is_boundary(v)] == list(ref.boundary)
+            assert [v for v in range(got.n_vertices) if got.boundary_mask[v]] == list(ref.boundary)
             offsets, columns = got.rows(got.n_vertices - 1)
             for v in range(ref.n_vertices):
                 want = ([ref.parent[v]] if v else []) + ref.children[v]
@@ -455,7 +455,7 @@ class TestNumpyUnfolding:
         for spec, depth in self.instances(rng, 120):
             self.assert_fields_match(spec, depth)
         for name in NAMED_GROUPS:
-            acceptor = group_from_name(name).word_acceptor()
+            acceptor = group_from_name(name).acceptor[0]
             for depth in range(6):
                 self.assert_fields_match(acceptor, depth)
         for spec in late_specs(rng):
@@ -473,7 +473,7 @@ class TestNumpyUnfolding:
         # indexes, slices and iterates to Python ints
         rng = random.Random(7400)
         cases = [*self.instances(rng, 90),
-                 *((group_from_name(name).word_acceptor(), 5) for name in NAMED_GROUPS)]
+                 *((group_from_name(name).acceptor[0], 5) for name in NAMED_GROUPS)]
         for spec, depth in cases:
             got, ref = expand(spec, depth), trees_reference.expand(spec, depth)
             assert "level" not in got.__dict__, (spec, depth)  # derived on first read
@@ -510,7 +510,7 @@ class TestNumpyUnfolding:
                 rate = Fraction(rng.randint(1, 40), rng.randint(1, 12))
                 cut = min_cutset(got, rate)
                 assert cut == trees_reference.min_cutset(ref, rate)
-                edges = sorted(cut.edges)
+                edges = cut.ids.tolist()
                 sets = [edges, edges[1:], rng.sample(range(1, n), rng.randint(0, n - 1)),
                         [v for v in range(n) if got.level[v] == 1],
                         edges + rng.sample((0, -1, n, n + 2), rng.randint(1, 3))]

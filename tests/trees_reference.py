@@ -143,7 +143,7 @@ def expand(spec: TreeSpec, depth: int) -> Truncation:
         raise SpecError("depth must be >= 0")
     limit = vertex_cap()
     auto = compile(spec)
-    total = sum(auto.level_counts(depth))
+    total = sum(islice(auto.iter_level_counts(), depth + 1))
     if total > limit:
         raise ResourceLimitError(
             f"truncation would have {total} vertices, cap is {limit} ({VERTEX_CAP_ENV})"
@@ -172,13 +172,13 @@ def expand(spec: TreeSpec, depth: int) -> Truncation:
 
 
 def separates(cutset: Cutset, trunc: Truncation) -> bool:
-    boundary = set(trunc.boundary)
+    boundary, edges = set(trunc.boundary), set(cutset.ids.tolist())
     stack = [0]
     while stack:  # a tree: each vertex is reached once, from its parent
         v = stack.pop()
         if v in boundary:
             return False
-        stack.extend(w for w in trunc.children[v] if w not in cutset.edges)
+        stack.extend(w for w in trunc.children[v] if w not in edges)
     return True
 
 
@@ -186,12 +186,13 @@ def cut_weight(trunc: Truncation, cutset: Cutset, rate):
     rate = exact_rate(rate)
     if rate <= 0:
         raise SpecError("rate must be positive")
-    for v in cutset.edges:
+    edges = cutset.ids.tolist()
+    for v in edges:  # sorted: the least bad id is named
         if not 1 <= v < trunc.n_vertices:
             raise SpecError(f"edge id {v} out of range")
     if not separates(cutset, trunc):
         raise SpecError("edge set does not separate the root from the boundary")
-    per_level = Counter(trunc.level[v] for v in cutset.edges)
+    per_level = Counter(trunc.level[v] for v in edges)
     return sum(n * edge_weight(rate, lv) for lv, n in per_level.items())
 
 
