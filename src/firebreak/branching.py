@@ -96,9 +96,6 @@ class Cutset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Cutset) and np.array_equal(self.ids, other.ids)
-
     def separates(self, trunc: Truncation) -> bool:
         """No boundary vertex is reached from the root once the edges are
         cut; a vertex is reached when its parent is, level by level."""

@@ -12,10 +12,11 @@ followed by the inverse unless the order is 2; this order drives all
 lexicographic comparisons.
 
 Every element has one shortlex normal form: its lexicographically least
-geodesic word.  ``acceptor[0]`` is a ``PeriodicSpec`` whose unfolding
-is the tree of these words (Cannon 1984; Epstein et al., *Word Processing
-in Groups*, 1992).  A state is the last letter, its run and the set of
-factors that may start the next syllable.  After a syllable of factor x:
+geodesic word.  ``acceptor[0]`` is an ``Automaton``, read as any tree spec
+is, whose unfolding is the tree of these words (Cannon 1984; Epstein et
+al., *Word Processing in Groups*, 1992).  A state is the last letter, its
+run and the set of factors that may start the next syllable.  After a
+syllable of factor x:
 
 * a letter of a factor not joined to x may start a syllable;
 * a letter of a factor joined to x may start one if it could before and
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, pairwise
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from .game import (
     feasibility_decision,
     simulate,
 )
-from .trees import Automaton, PeriodicSpec, Truncation, compile, format_ids, packed, view, zeroed
+from .trees import Automaton, Truncation, format_ids, packed, view, zeroed
 
 _LETTERS = "abcdefghij"
 
@@ -130,61 +131,44 @@ class GraphProduct:
         return (letter,) * exp if 2 * exp <= m else (self._inverse[letter],) * (m - exp)
 
     @cached_property
-    def acceptor(self) -> tuple[PeriodicSpec, Automaton, list[int], list[int]]:
-        """The word acceptor, its compiled automaton, and each state's
-        entering generator (-1 at the root) and run, built once per model.
-        A state is its letter, its run and the bitmask of the factors that
-        may start the next syllable, named by its letter and run plus, where
-        they differ from the root's, those factors' letters."""
-        gens, moves, orders = self.generators, self._moves, self.orders
+    def acceptor(self) -> tuple[Automaton, list[int], list[int]]:
+        """The word acceptor and each state's entering generator (-1 at the
+        root) and run, built once per model.  A state is the key (letter,
+        run, bitmask of the factors that may start the next syllable),
+        numbered in the order the breadth-first build first reaches it."""
+        moves, orders = self._moves, self.orders
         everyone = (1 << len(orders)) - 1
         # per factor x: the factors that may start a syllable after x's from
         # any state (not joined to x) and if they could before (joined, after x)
         free = [everyone & ~links & ~(1 << x) for x, links in enumerate(self._links)]
         keep = [links & -(2 << x) for x, links in enumerate(self._links)]
-        first = [[] for _ in orders]  # per factor, its letters' states at the root
-        data = {"id": (-1, 0, everyone, "")}  # name: letter, run, bitmask, tag
-        for h, (x, _d) in enumerate(moves):
-            first[x].append(gens[h] + "1")
-            data[first[x][-1]] = h, 1, free[x] | keep[x], ""
-        queue, states, starts = list(data), {}, {}
-        for name in queue:
-            g, run, allowed, tag = data[name]
+        keys, index, children, starts = [(-1, 0, everyone)], {}, [], {}
+
+        def state(key) -> int:
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+            return index[key]
+
+        for s, (g, run, allowed) in enumerate(keys):  # keys grow as states are reached
             if allowed not in starts:  # the syllables it starts, and where each
                 kids, cuts = [], []  # factor's would stand among them
                 for x in range(len(orders)):
                     cuts.append(len(kids))
-                    if not allowed >> x & 1:
-                        continue
-                    if (after := free[x] | allowed & keep[x]) == free[x] | keep[x]:
-                        kids += first[x]
-                        continue
-                    kid_tag = "/" + "".join(_LETTERS[y] for y in range(len(orders)) if after >> y & 1)
-                    for kid in first[x]:
-                        kids.append(kid + kid_tag)
-                        if kids[-1] not in data:
-                            data[kids[-1]] = data[kid][0], 1, after, kid_tag
-                            queue.append(kids[-1])
-                starts[allowed] = tuple(kids), cuts
+                    if allowed >> x & 1:
+                        after = free[x] | allowed & keep[x]
+                        kids += (state((h, 1, after)) for h, (y, _d) in enumerate(moves) if y == x)
+                starts[allowed] = kids, cuts
             kids, cuts = starts[allowed]
             if g >= 0:  # a run of the generator grows while 2 * run <= m, one of
                 # its inverse while 2 * run < m (a tie goes to the smaller letter)
                 x, delta = moves[g]
                 if not (m := orders[x]) or run < (m if delta == 1 else m - 1) // 2:
-                    kid = f"{gens[g]}{run + 1}{tag}" if m else name  # on Z a run loops
-                    if kid not in data:
-                        data[kid] = g, run + 1, allowed, tag
-                        queue.append(kid)
-                    kids = kids[:cuts[x]] + (kid,) + kids[cuts[x]:]
-            states[name] = kids
-        spec = PeriodicSpec(states=states, root="id")
-        auto = compile(spec)
-        return (spec, auto, [data[name][0] for name in auto.names],
-                [data[name][1] for name in auto.names])
-
-    @cached_property
-    def sphere_walk(self) -> tuple[list[int], Iterator[int]]:  # the level counts walked so far
-        return [], self.acceptor[1].iter_level_counts()
+                    kid = state((g, run + 1, allowed)) if m else s  # on Z a run loops
+                    kids = kids[:cuts[x]] + [kid] + kids[cuts[x]:]
+            children.append(tuple(kids))
+        return (Automaton(tuple(children), 0), [g for g, _r, _a in keys],
+                [run for _g, run, _a in keys])
 
 
 def group_from_name(name: str) -> GraphProduct:
@@ -234,7 +218,7 @@ class CayleyBall(Truncation):
     def tree_generator(self) -> memoryview:
         """The generator from each vertex's tree parent to it (-1 at the
         root): the letter entering its acceptor state."""
-        return packed(np.array(self.model.acceptor[2], np.intc)[view(self.state)])
+        return packed(np.array(self.model.acceptor[1], np.intc)[view(self.state)])
 
     def _rows(self, n: int) -> tuple[memoryview, memoryview]:
         """Row offsets and column ids of the in-ball products v*g of the
@@ -248,7 +232,7 @@ class CayleyBall(Truncation):
         level by level, as parent*g may be such an entry a level up.  Below
         level R a row holds every product and starts at v*|gens|; only the
         outer sphere's rows (when n passes level R) drop those outside."""
-        _spec, auto, entering, runs = self.model.acceptor
+        auto, entering, runs = self.model.acceptor
         model, n_gens = self.model, len(self.model.generators)
         n_inner = self.level_starts[self.depth]  # with children in the ball
         states, parent, first = view(self.state), view(self.parent), view(self.first_child)
@@ -363,22 +347,20 @@ def write_tree_export(tree: CayleyBall, fh) -> None:
 
 
 def _sphere_sizes(model, radius: int) -> list[int]:
-    """|S(0)|, ..., |S(radius)| from the level counts the model walks once.
-    The ball cap is decided here, before anything is built: it fails at the
-    least radius 1..R whose ball has more than DEFAULT_BALL_CAP elements."""
+    """|S(0)|, ..., |S(radius)|, the acceptor's level counts.  The ball cap
+    is decided here, before anything is built: the walk stops at the least
+    radius 1..R whose ball has more than DEFAULT_BALL_CAP elements and fails."""
     if radius < 0:
         raise SpecError("ball radius must be >= 0")
-    walked, walk = model.sphere_walk
-    total = 0
-    for r in range(radius + 1):
-        if r == len(walked):
-            walked.append(next(walk))
-        total += walked[r]
+    spheres, total = [], 0
+    for r, size in zip(range(radius + 1), model.acceptor[0].iter_level_counts()):
+        total += size
         if r and total > DEFAULT_BALL_CAP:
             raise ResourceLimitError(
                 f"ball of radius {r} has {total} elements, the ball cap is {DEFAULT_BALL_CAP}"
             )
-    return walked[:radius + 1]
+        spheres.append(size)
+    return spheres
 
 
 def ball(model, radius: int) -> CayleyBall:

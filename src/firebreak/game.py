@@ -456,6 +456,7 @@ def parse_trace(text: str, source: str = "trace") -> tuple[dict[int, tuple[int, 
 # first live vertices of each class in path order.
 
 FEASIBILITY_WORK_MAX = 1_000_000  # cut choices the count recursion may try
+WITNESS_CUT_MAX = 100_000  # most cut vertices whose witness paths are listed
 
 
 @dataclass(frozen=True)
@@ -468,32 +469,33 @@ class FeasibilityResult:
 
 
 def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
-                      depth: int, sphere_counts: dict[int, int] | None = None
-                      ) -> FeasibilityResult:
+                      depth: int) -> FeasibilityResult:
     """Decide whether a deadline-respecting vertex cut exists within the
-    given depth.  Feasible results carry a witness (paths from the root);
-    infeasible at one depth is evidence only, since deeper cuts may exist.
-    ``sphere_counts`` are the vertices per automaton state at level radius,
-    as ``Automaton.iter_state_counts`` yields them, which a caller probing
-    several depths walks once; without them they are walked from the root."""
-    result, plan = _decide(spec, radius, budget, depth, sphere_counts)
+    given depth.  Feasible results carry a witness: the cut's paths from
+    the root, except that a cut of more than WITNESS_CUT_MAX vertices has
+    only its ``witness_levels`` and ``witness_paths`` None.  Infeasible at
+    one depth is evidence only, since deeper cuts may exist."""
+    auto = compile(spec)
+    result, plan = _decide(auto, radius, budget, depth)
     if plan is None:
         return result
-    return replace(result, witness_paths=_witness_paths(compile(spec), radius, depth, *plan))
+    return replace(result, witness_paths=_witness_paths(auto, radius, depth, *plan))
 
 
 def feasibility_decision(spec: TreeSpec, radius: int, budget: BudgetSequence,
-                         depth: int, sphere_counts: dict[int, int] | None = None
-                         ) -> FeasibilityResult:
+                         depth: int) -> FeasibilityResult:
     """``feasibility_check``'s decision and ``witness_levels`` without its
     witness paths, which take most of a feasible check's time: for callers
     that read only the decision.  ``witness_paths`` is None unless the
     empty cut is the witness."""
-    return _decide(spec, radius, budget, depth, sphere_counts)[0]
+    return _decide(spec, radius, budget, depth)[0]
 
 
-def _decide(spec, radius, budget, depth, sphere_counts):
-    """The argument checks, then ``_feasibility_counts``' result and plan."""
+def _decide(spec, radius, budget, depth, sphere_counts=None):
+    """The argument checks, then ``_feasibility_counts``' result and plan.
+    ``sphere_counts`` are the vertices per automaton state at level radius,
+    as ``Automaton.iter_state_counts`` yields them, which ``feasibility_rows``
+    walks once for all its depths; without them they are walked here."""
     if radius < 0:
         raise SpecError("initial radius must be >= 0")
     if depth <= radius:
@@ -523,7 +525,7 @@ def feasibility_rows(spec: TreeSpec, radius: int, budget: BudgetSequence,
     sphere_counts = next(islice(compile(spec).iter_state_counts(), radius, None))
 
     def feasible(i: int) -> bool:
-        return feasibility_decision(spec, radius, budget, depths[i], sphere_counts).feasible
+        return _decide(spec, radius, budget, depths[i], sphere_counts)[0].feasible
 
     if not feasible(len(depths) - 1):
         return [False] * len(depths)
@@ -702,13 +704,13 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
     result = FeasibilityResult(feasible=True, depth=depth, radius=radius,
                                witness_levels=tuple((radius + 1 + i, n)
                                                     for i, n in enumerate(sizes) if n))
-    return result, (cuts, cls, sig) if sum(sizes) <= 100_000 else None
+    return result, (cuts, cls, sig) if sum(sizes) <= WITNESS_CUT_MAX else None
 
 
 def _witness_paths(auto, radius: int, depth: int, cuts, cls: dict, sig: dict):
     """The witness of a feasible decision: at each level, the first live
     vertices of each class in path order, as many as its cut vector says."""
-    succ, ball = auto.children, auto.level_states(radius)
+    succ, ball = auto.children, list(islice(auto.iter_state_counts(), radius + 1))
     for lv in range(radius, -1, -1):  # the ball states that lead to a live vertex below it
         _classify(succ, cls, sig, lv, ball[lv])
     paths: list = []

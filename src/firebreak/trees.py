@@ -12,11 +12,12 @@ All of them compile to one internal ``Automaton`` (``compile``): int states
 with ordered child-state tuples and a root state.  A periodic spec keeps its
 reachable states; a symmetric spec becomes the cycle of its
 ``len(preperiod) + len(period)`` levels; an explicit tree becomes its
-interned subtree shapes, with children in spec order.  Level counts,
-expansion, finiteness, the per-state min-cut recursion, the Perron root,
-regime decisions, certificates and the feasibility program read only the
-automaton.  Besides ``compile`` and the spec file format, only the
-explicit-only oracle asks which variant it was given.
+interned subtree shapes, with children in spec order.  An ``Automaton``
+built in code, as a Cayley model's word acceptor is, is its own spec.
+Level counts, expansion, finiteness, the per-state min-cut recursion, the
+Perron root, regime decisions, certificates and the feasibility program
+read only the automaton.  Besides ``compile`` and the spec file format,
+only the explicit-only oracle asks which variant it was given.
 
 A ``Truncation`` is the finite tree of all vertices at levels 0..D, in a
 deterministic level-major order (children in spec order), unfolded by
@@ -155,22 +156,17 @@ class ExplicitSpec:
         return auto.live_heights[auto.root]
 
 
-TreeSpec = Union[PeriodicSpec, SymmetricSpec, ExplicitSpec]
-
-
 @dataclass(frozen=True)
 class Automaton:
     """The one internal form of a tree spec.  ``children[s]`` is the ordered
     child-state tuple of state s; the tree unfolds from ``root``.  Every
     state is reachable from the root.  ``escape_leaves`` makes every
     level-D vertex of a truncation continue (explicit trees); otherwise a
-    level-D vertex continues when its state has children.  ``names`` holds
-    the state names of a periodic spec, indexed by state."""
+    level-D vertex continues when its state has children."""
 
     children: tuple[tuple[int, ...], ...]
     root: int
     escape_leaves: bool = False
-    names: tuple[str, ...] | None = None
 
     def continues(self, state: int) -> bool:
         return bool(self.children[state]) or self.escape_leaves
@@ -202,14 +198,6 @@ class Automaton:
                     ready.append(s)
         return tuple(height)
 
-    def level_states(self, depth: int) -> list[tuple[int, ...]]:
-        """The states occurring at each level 0..depth, sorted; stops early
-        (shorter list) once a level is empty."""
-        out = [(self.root,)]
-        while len(out) <= depth and out[-1]:
-            out.append(tuple(sorted({t for s in out[-1] for t in self.children[s]})))
-        return out
-
     def iter_level_counts(self) -> Iterator[int]:
         """Vertices per level 0, 1, 2, ..., without end; a caller that
         bounds a running total stops as soon as it passes."""
@@ -234,10 +222,16 @@ class Automaton:
         return self.live_heights[self.root] < float("inf")
 
 
+TreeSpec = Union[PeriodicSpec, SymmetricSpec, ExplicitSpec, Automaton]
+
+
 def compile(spec: TreeSpec) -> Automaton:
     """The automaton of a spec; the only code that reads a spec's variant.
-    Specs are immutable values, so the automaton is built once and kept on
-    the spec (an explicit tree of 10**6 vertices takes seconds to intern)."""
+    An automaton is its own spec.  Specs are immutable values, so the
+    automaton is built once and kept on the spec (an explicit tree of 10**6
+    vertices takes seconds to intern)."""
+    if isinstance(spec, Automaton):
+        return spec
     auto = spec.__dict__.get("_automaton")
     if auto is None:
         auto = _build_automaton(spec)
@@ -250,7 +244,7 @@ def _build_automaton(spec: TreeSpec) -> Automaton:
         names = spec.reachable_states()
         index = {name: i for i, name in enumerate(names)}
         children = tuple(tuple(index[t] for t in spec.states[name]) for name in names)
-        return Automaton(children, index[spec.root], names=names)
+        return Automaton(children, index[spec.root])
     if isinstance(spec, SymmetricSpec):
         # state i is level i; the last state loops back to the period start
         counts = spec.preperiod + spec.period
@@ -379,10 +373,6 @@ class Truncation:
         auto, first = compile(self.spec), self.level_starts[self.depth]
         continues = np.array([auto.continues(s) for s in range(len(auto.children))])
         return bytes(first) + continues[view(self.state)[first:]].tobytes()
-
-    @property
-    def boundary(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(np.frombuffer(self.boundary_mask, bool)).tolist())
 
     def _rows(self, n: int) -> tuple[memoryview, memoryview]:
         """Row offsets and column ids, row v listing v's parent, then its

@@ -102,13 +102,10 @@ class ReferenceGraphProduct:
 
 
 def joined_pairs(model) -> set[tuple[int, int]]:
-    """The joined pairs of a model's factors, read off its name: every pair
-    on zd:D, those listed on gp: names, and none on the free products."""
-    k = len(model.orders)
-    if model.name.startswith("zd:"):
-        return set(combinations(range(k), 2))
-    letters = model.name.partition("/")[2] if model.name.startswith("gp:") else ""
-    return {tuple(sorted("abcdefghij".index(c) for c in p)) for p in letters.split(",") if p}
+    """The joined pairs of a model's factors, read off its links (per
+    factor, the bitmask of the factors joined to it), whatever its name."""
+    return {(x, y) for x, y in combinations(range(len(model.orders)), 2)
+            if model._links[x] >> y & 1}
 
 
 def reference_ball(group: ReferenceGraphProduct, radius: int,

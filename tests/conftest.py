@@ -14,7 +14,6 @@ from firebreak import (
     expand,
     level_counts,
 )
-from firebreak.trees import compile
 from cayley_reference import ReferenceGraphProduct, joined_pairs
 
 
@@ -142,10 +141,9 @@ def ball(trunc, radius: int) -> tuple[int, ...]:
     return tuple(v for v in range(trunc.n_vertices) if trunc.level[v] <= radius)
 
 
-def states(trunc) -> list[str] | None:
-    """Origin state name per vertex for periodic specs (None otherwise)."""
-    names = compile(trunc.spec).names
-    return None if names is None else [names[s] for s in trunc.state]
+def boundary_ids(trunc) -> tuple[int, ...]:
+    """The boundary's ids, read off ``boundary_mask``."""
+    return tuple(v for v, bit in enumerate(trunc.boundary_mask) if bit)
 
 
 # -- root paths: a vertex as the child indices that lead to it ---------------
@@ -191,7 +189,7 @@ def is_antichain(cut, trunc) -> bool:
 def enumerate_cutsets(trunc, max_edges: int = 18):
     """All antichain cutsets separating the root from the boundary, each
     edge on some root-to-boundary path, each cutset exactly once."""
-    boundary = set(trunc.boundary)
+    boundary = set(boundary_ids(trunc))
     hb = [False] * trunc.n_vertices
     for v in range(trunc.n_vertices - 1, -1, -1):
         hb[v] = v in boundary or any(hb[w] for w in trunc.children[v])

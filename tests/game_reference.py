@@ -57,7 +57,7 @@ def run_game(arena, fire: Iterable[int], strategy, budget, horizon: int | None =
     if horizon is not None and horizon < 0:
         raise SpecError("horizon must be >= 0")
     state = state_from_fire(arena, fire)
-    boundary = set(arena.boundary)
+    boundary = {v for v, bit in enumerate(arena.boundary_mask) if bit}
     if boundary & set(state.frontier):
         return Verdict(kind=BOUNDARY_REACHED, round_no=0, burnt=None, trace=())
     if horizon is None:
@@ -103,7 +103,7 @@ def brute_force_containment(trunc, fire: Iterable[int], budget, horizon: int | N
                             restrict: bool = True) -> tuple[tuple[int, ...], ...] | None:
     """The first winning schedule in ``firebreak.oracle``'s candidate order, or None."""
     state = state_from_fire(trunc, fire)
-    boundary = set(trunc.boundary)
+    boundary = {v for v, bit in enumerate(trunc.boundary_mask) if bit}
     if boundary & set(state.frontier):
         return None
     if horizon is None:

@@ -11,7 +11,7 @@ why the library decides feasibility on per-(level, state) live counts
 instead.
 """
 
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from firebreak.errors import SpecError
 from firebreak.game import FeasibilityResult
@@ -75,7 +75,7 @@ def pareto_feasibility(spec, radius, budget, depth) -> FeasibilityResult:
                 return []
         return partial
 
-    levels = auto.level_states(depth)
+    levels = [sorted(counts) for counts in islice(auto.iter_state_counts(), depth + 1)]
     for level in range(len(levels) - 1, 0, -1):
         for state in levels[level]:
             kids = succ[state]

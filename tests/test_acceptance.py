@@ -38,6 +38,7 @@ from firebreak import (
 from firebreak.cli import main as cli_main
 from conftest import (
     ball_words,
+    boundary_ids,
     binary_spec,
     enumerate_cutsets,
     enumerate_geodesic_words,
@@ -86,7 +87,7 @@ def test_criterion_2_flow_cut_duality():
     checked = 0
     for _ in range(200):
         trunc = random_truncation(rng, max_depth=10)
-        boundary = set(trunc.boundary)
+        boundary = set(boundary_ids(trunc))
         for rate in rates:
             flow = max_flow(trunc, rate)
             target = min_cut_weight(trunc, rate)

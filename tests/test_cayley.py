@@ -10,12 +10,14 @@ Claims covered:
       gives its own reason (bad ``gp:`` pairs among them); free:R is R
       factors Z, whose acceptor lets every letter but the last one's
       inverse follow; after a syllable, a joined factor may start one only
-      if it could before and comes later
+      if it could before and comes later; each state is read as its
+      entering letter and run, reached by a word from the root
     - the acceptors' sphere sizes follow Chiswell's formula for graph
       products, written out here, on the named groups, F2 x Z, the
       pentagon Coxeter group and seeded graphs of up to five factors, whose
-      balls also equal the breadth-first reference; every cayley mode runs
-      on a ``gp:`` group
+      balls also equal the breadth-first reference, which reads a model's
+      joins off its links, not its name; every cayley mode runs on a
+      ``gp:`` group
     - ball layers match the closed-form sphere sizes (Z, Z^2, free rank 2,
       infinite dihedral, C2*C3)
     - breadth-first lex-min words equal the minimum over exhaustively
@@ -44,6 +46,9 @@ Claims covered:
       whose ball has at most 5k vertices and at the largest radius (at
       most 200) whose ball has at most 50k, and their level counts are
       the sphere sizes
+    - each named group's acceptor, handed over as a spec, gives what the
+      periodic spec of its named states gives: truncations, level counts,
+      br comparisons and brackets, certificates and feasibility checks
     - probes on the acceptor decide as the materialised lex-min tree does
     - the ball is its acceptor's truncation in every Truncation field, and
       under the same protect sets, legal on the ball, the tree burns a
@@ -56,8 +61,9 @@ Claims covered:
       for byte, the next ball's rows masked to the ball's ids, on every
       named group, the two ``gp:`` examples and the seeded graph products
       at radii 0-8: every row below level R is full
-    - a surround walks its model's level counts once, and the ball cap
-      fails at the same radius on a model walked further before
+    - the ball cap fails at the same radius after a larger ball was
+      built, and the level-count walk stops at the cap's radius: every
+      cayley mode on free:2 at R = 10**6 exits 2 naming the cap within 1 s
     - a ball's vertex and row arrays are memoryviews over numpy buffers that
       equal the reference's lists and read back Python ints; neither a
       surround nor a tree export builds the per-vertex level, and the R = 11
@@ -70,7 +76,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import accumulate, combinations, pairwise
 
@@ -81,24 +87,29 @@ import firebreak.cayley as cayley_mod
 from firebreak import (
     BudgetSequence,
     GraphProduct,
+    PeriodicSpec,
     ResourceLimitError,
     SpecError,
     SurroundCapError,
     Truncation,
+    br_bracket,
     cayley_ball,
+    check_certificate,
     expand,
     feasibility_check,
     group_from_name,
     growth_rate_estimate,
     level_counts,
     lex_min_tree,
+    lower_bound_certificate,
     polynomial_probe,
     step,
     wait_and_surround,
 )
+from firebreak.branching import compare_to_br
 from firebreak.cli import main as cli_main
 from firebreak.game import BURNING, PROTECTED, ball_ids, state_from_fire
-from firebreak.trees import Automaton
+from firebreak.trees import Automaton, compile
 from cayley_reference import ReferenceGraphProduct, joined_pairs, reference_ball, tree_export_text
 from conftest import ball_elements, ball_words, enumerate_geodesic_words, tree_export
 
@@ -108,6 +119,9 @@ ALL_MODELS = [group_from_name(name) for name in (
 # Coxeter group of the pentagon (five involutions, each joined to its two
 # neighbours round the cycle)
 GP_MODELS = [group_from_name("gp:0,0,0/ac,bc"), group_from_name("gp:2,2,2,2,2/ab,bc,cd,de,ae")]
+NAMED_GROUPS = ["zd:1", "zd:2", "zd:3", "zd:4", "free:1", "free:2", "free:3", "dinf",
+                "freeprod:2,3", "freeprod:3,3", "freeprod:5,7", "gp:0,0,0/ac,bc",
+                "gp:2,2,2,2,2/ab,bc,cd,de,ae"]
 
 
 class TestGroupModels:
@@ -447,32 +461,41 @@ class TestWaitAndSurround:
 
     def test_acceptor_built_once_per_model(self, monkeypatch):
         # a triggered surround reads the acceptor for its trigger, its ball
-        # and its adjacency: the model builds and compiles it once
+        # and its adjacency: the model builds it once, and the ball unfolds
+        # that automaton itself
         model = group_from_name("free:2")
         built = []
-        compile_spec = cayley_mod.compile  # the acceptor's build ends by compiling it
-        monkeypatch.setattr(cayley_mod, "compile", lambda spec: built.append(1) or compile_spec(spec))
+        monkeypatch.setattr(cayley_mod, "Automaton",
+                            lambda *args: built.append(1) or Automaton(*args))
         res = wait_and_surround(model, 1, 5, 8)  # triggers in round 5
         assert res.verdict.contained and len(built) == 1
-        assert compile_spec(model.acceptor[0]) is model.acceptor[1]
+        assert res.ball.spec is model.acceptor[0]
 
-    def test_one_level_count_walk_per_model(self, monkeypatch):
-        # the trigger and the ball read the same walk of the acceptor's
-        # level counts, which the model keeps for its later calls
-        walks = []
+    def test_cap_stops_the_walk(self, monkeypatch):
+        # |B(12)| = 1,062,881 and |B(13)| = 3,188,645: however large the
+        # radius asked for, the walk of the level counts stops at radius 13
+        levels = []
         walk = Automaton.iter_level_counts
         monkeypatch.setattr(Automaton, "iter_level_counts",
-                            lambda auto: walks.append(1) or walk(auto))
-        model = group_from_name("free:2")
-        res = wait_and_surround(model, 1, 5, 8)
-        assert res.verdict.contained and res.ball.depth == 7 and len(walks) == 1
-        assert growth_rate_estimate(model, 8).sphere_sizes == (1, 4, 12, 36, 108, 324, 972,
-                                                                2916, 8748)
-        assert len(walks) == 1
+                            lambda auto: (levels.append(n) or n for n in walk(auto)))
+        with pytest.raises(ResourceLimitError, match="ball of radius 13 has 3188645 elements"):
+            growth_rate_estimate(group_from_name("free:2"), 10 ** 6)
+        assert len(levels) == 14
+
+    @pytest.mark.parametrize("mode", [
+        ["growth"], ["surround", "--lambda", "4", "--k", "1"], ["tree", "--out", "ball.tree"],
+        ["polyprobe", "--k", "1", "--c", "2", "--d", "2"]], ids=lambda mode: mode[0])
+    def test_every_mode_stops_at_the_cap_at_once(self, mode, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        t0 = time.perf_counter()
+        assert cli_main(["cayley", "free:2", "--mode", *mode, "--R", "1000000"]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert "ball of radius 13 has 3188645 elements, the ball cap is 2000000" in \
+            capsys.readouterr().err
 
     def test_cap_radius_after_a_longer_walk(self, monkeypatch):
         # |B(5)| = 485 and |B(6)| = 1457: the cap fails at radius 6 whether
-        # the model has walked its spheres further before or not
+        # a larger ball of the model was built before or not
         model = group_from_name("free:2")
         assert cayley_ball(model, 9).n_vertices == 39365
         monkeypatch.setattr(cayley_mod, "DEFAULT_BALL_CAP", 1000)
@@ -553,7 +576,6 @@ class TestGrowthConsistency:
         # the rank-r free tree is the periodic tree "root spawns 2r copies
         # of a state that spawns 2r-1 of itself"; its branching bracket
         # must contain 2r-1
-        from firebreak import PeriodicSpec, br_bracket
         for rank in (1, 2, 3):
             spec = PeriodicSpec(
                 states={"R": ("A",) * (2 * rank), "A": ("A",) * (2 * rank - 1)},
@@ -611,6 +633,33 @@ def differential_radii(model, dense: int = 24, every: int = 5_000, most: int = 5
     return [r for r in range(min(last, dense + 1)) if sizes[r] <= every] + [last]
 
 
+def state_of(model, word: str = "") -> int:
+    """The acceptor state reached by reading the word's letters from the root."""
+    auto, entering, _runs = model.acceptor
+    s = auto.root
+    for letter in word:
+        s = next(t for t in auto.children[s] if model.generators[entering[t]] == letter)
+    return s
+
+
+def children_of(model, word: str = "") -> list[tuple[str, int]]:
+    """The children of the state that reads the word, each as its
+    entering letter and run."""
+    auto, entering, runs = model.acceptor
+    return [(model.generators[entering[t]], runs[t]) for t in auto.children[state_of(model, word)]]
+
+
+def named_spec(model) -> PeriodicSpec:
+    """The model's acceptor as a periodic spec of named states, each named
+    by its number, entering letter and run, which compile numbers as the
+    acceptor does."""
+    auto, entering, runs = model.acceptor
+    names = [f"{s:03d}{model.generators[g] if g >= 0 else 'id'}{r}"
+             for s, (g, r) in enumerate(zip(entering, runs))]
+    return PeriodicSpec(states={names[s]: tuple(names[t] for t in kids)
+                                for s, kids in enumerate(auto.children)}, root=names[auto.root])
+
+
 class TestWordAcceptors:
     @pytest.mark.parametrize("name, n_states", [
         *((f"zd:{d}", 2 * d + 1) for d in range(1, 5)),
@@ -621,45 +670,76 @@ class TestWordAcceptors:
     def test_state_counts(self, name, n_states):
         # as the two models that the graph product replaced had them
         model = group_from_name(name)
-        assert len(model.acceptor[0].states) == len(model.acceptor[1].children) == n_states
+        assert len(model.acceptor[0].children) == n_states
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_free_group_runs(self, rank):
         # a run on Z is one state looping to itself: every letter but the
         # inverse of the last follows, in generator order
-        spec = group_from_name(f"free:{rank}").acceptor[0]
+        model = group_from_name(f"free:{rank}")
         gens = tuple(g for a in "abc"[:rank] for g in (a, a.upper()))
-        assert spec.states[spec.root] == tuple(f"{g}1" for g in gens)
+        assert children_of(model) == [(g, 1) for g in gens]
         for g in gens:
-            assert spec.states[f"{g}1"] == tuple(f"{h}1" for h in gens if h != g.swapcase())
+            assert children_of(model, g) == [(h, 1) for h in gens if h != g.swapcase()]
+            assert state_of(model, g + g) == state_of(model, g)
 
     def test_free_product_runs(self):
         # order 4: a, aa (a tie goes to a) and A; order 5: two of either
-        states = GraphProduct((4, 5)).acceptor[0].states
-        assert states["a1"] == ("a2", "b1", "B1")
-        assert states["a2"] == states["A1"] == ("b1", "B1")
-        assert states["b1"] == ("a1", "A1", "b2")
-        assert states["B1"] == ("a1", "A1", "B2")
-        assert states["B2"] == ("a1", "A1")
+        model = GraphProduct((4, 5))
+        assert children_of(model, "a") == [("a", 2), ("b", 1), ("B", 1)]
+        assert children_of(model, "aa") == children_of(model, "A") == [("b", 1), ("B", 1)]
+        assert children_of(model, "b") == [("a", 1), ("A", 1), ("b", 2)]
+        assert children_of(model, "B") == [("a", 1), ("A", 1), ("B", 2)]
+        assert children_of(model, "BB") == [("a", 1), ("A", 1)]
 
     def test_joined_factors_follow_in_order(self):
         # F2 x Z: c commutes with a and b, so a shortlex word has no a or b
         # after a c; after a or b, the letters of the other free factor and
         # of c may start a syllable
-        states = group_from_name("gp:0,0,0/ac,bc").acceptor[0].states
-        assert states["id"] == ("a1", "A1", "b1", "B1", "c1", "C1")
-        assert states["a1"] == ("a1", "b1", "B1", "c1", "C1")
-        assert states["b1"] == ("a1", "A1", "b1", "c1", "C1")
-        assert states["c1"] == ("c1",) and states["C1"] == ("C1",)
+        model = group_from_name("gp:0,0,0/ac,bc")
+        assert children_of(model) == [("a", 1), ("A", 1), ("b", 1), ("B", 1), ("c", 1), ("C", 1)]
+        assert children_of(model, "a") == [("a", 1), ("b", 1), ("B", 1), ("c", 1), ("C", 1)]
+        assert children_of(model, "b") == [("a", 1), ("A", 1), ("b", 1), ("c", 1), ("C", 1)]
+        assert children_of(model, "c") == [("c", 1)] and children_of(model, "C") == [("C", 1)]
 
     def test_a_state_keeps_what_could_start_before(self):
         # the pentagon: after c, b (joined to c, and before it) may not start
         # a syllable, and after c then a it still may not, though a syllable
-        # of a read at the root lets b follow; that a state is named apart
-        states = GP_MODELS[1].acceptor[0].states
-        assert states["a1"] == ("b1", "c1", "d1", "e1")
-        assert states["c1"] == ("a1/cde", "d1", "e1")
-        assert states["a1/cde"] == ("c1", "d1", "e1")
+        # of a read at the root lets b follow; so a after c is a state apart
+        # from a at the root, though both enter by a with run 1
+        model = GP_MODELS[1]
+        assert children_of(model, "a") == [("b", 1), ("c", 1), ("d", 1), ("e", 1)]
+        assert children_of(model, "c") == [("a", 1), ("d", 1), ("e", 1)]
+        assert children_of(model, "ca") == [("c", 1), ("d", 1), ("e", 1)]
+        assert state_of(model, "ca") != state_of(model, "a")
+
+    @pytest.mark.parametrize("name", NAMED_GROUPS)
+    def test_acceptor_reads_as_its_named_spec(self, name):
+        # the acceptor handed to every function that takes a spec gives what
+        # the periodic spec of its named states gives
+        model = group_from_name(name)
+        auto, spec = model.acceptor[0], named_spec(model)
+        assert compile(spec) == auto
+        for depth in range(6):
+            got, want = expand(auto, depth), expand(spec, depth)
+            for field in fields(Truncation):
+                if field.name != "spec":
+                    assert getattr(got, field.name) == getattr(want, field.name), field.name
+            assert got.boundary_mask == want.boundary_mask
+        assert level_counts(auto, 12) == level_counts(spec, 12)
+        assert br_bracket(auto, 1e-6) == br_bracket(spec, 1e-6)
+        for rate in (Fraction(1, 2), Fraction(9, 10), Fraction(3, 2), 2, Fraction(5, 2), 3):
+            assert compare_to_br(auto, rate) == compare_to_br(spec, rate)
+            if compare_to_br(auto, rate) < 0:
+                got, want = lower_bound_certificate(auto, rate), lower_bound_certificate(spec, rate)
+                assert replace(got, spec=spec) == want
+                assert check_certificate(got) == check_certificate(want)
+                assert all(check_certificate(got).values())
+        for budget in (BudgetSequence.constant(2), BudgetSequence.polynomial(2, 1),
+                       BudgetSequence.exponential(Fraction(3, 2))):
+            for radius, depth in ((0, 3), (1, 5), (2, 6)):
+                assert feasibility_check(auto, radius, budget, depth) == \
+                    feasibility_check(spec, radius, budget, depth)
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
     def test_ball_equals_breadth_first_reference(self, model):
@@ -671,7 +751,6 @@ class TestWordAcceptors:
                 assert list(getattr(got, name)) == getattr(ref, name), (radius, name)
             assert [list(range(a, b)) for a, b in pairwise(got.level_starts)] == ref.layers, (
                 radius, "layers")
-            assert ball_elements(got) == (ref.elements, ref._index), radius
             for v in range(got.n_vertices):
                 assert list(got.neighbors(v)) == ref.adjacency[v], (radius, v)
             assert level_counts(acceptor, radius) == got.sphere_sizes()
@@ -686,7 +765,6 @@ class TestWordAcceptors:
         got, ref = cayley_ball(model, radius), reference_ball(group, radius)
         for name in BALL_FIELDS:
             assert list(getattr(got, name)) == getattr(ref, name), name
-        assert ball_elements(got) == (ref.elements, ref._index)
         assert [list(got.neighbors(v)) for v in range(got.n_vertices)] == ref.adjacency
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
@@ -708,7 +786,7 @@ class TestWordAcceptors:
             trunc, b = expand(model.acceptor[0], radius), cayley_ball(model, radius)
             for field in fields(Truncation):
                 assert getattr(b, field.name) == getattr(trunc, field.name), (radius, field.name)
-            assert b.boundary_mask == trunc.boundary_mask and b.boundary == trunc.boundary
+            assert b.boundary_mask == trunc.boundary_mask
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
     def test_ball_arrays_read_back_python_ints(self, model):
@@ -841,7 +919,6 @@ class TestGraphProducts:
             got, ref = cayley_ball(model, radius), reference_ball(group, radius)
             for name in BALL_FIELDS:
                 assert list(getattr(got, name)) == getattr(ref, name), (radius, name)
-            assert ball_elements(got) == (ref.elements, ref._index), radius
             for v in range(got.n_vertices):
                 assert list(got.neighbors(v)) == ref.adjacency[v], (radius, v)
 
@@ -872,6 +949,19 @@ class TestGraphProducts:
                 offsets, columns = b._rows(n)
                 assert (offsets.tobytes(), columns.tobytes()) == masked(full, n, b.n_vertices), (radius, n)
         assert radius >= 3
+
+    def test_joins_read_off_the_model_not_its_name(self):
+        # Z^2 under a name that names no join: the reference joins its two
+        # factors all the same, so both balls are Z^2's
+        model = GraphProduct((0, 0), [(0, 1)], name="x")
+        assert joined_pairs(model) == {(0, 1)}
+        group = ReferenceGraphProduct(model.orders, joined_pairs(model))
+        for radius in range(6):
+            got, ref = cayley_ball(model, radius), reference_ball(group, radius)
+            for name in BALL_FIELDS:
+                assert list(getattr(got, name)) == getattr(ref, name), (radius, name)
+            assert [list(got.neighbors(v)) for v in range(got.n_vertices)] == ref.adjacency
+        assert got.sphere_sizes() == [1, 4, 8, 12, 16, 20]
 
     def test_every_mode_runs(self, tmp_path, capsys):
         out = tmp_path / "gp.tree"

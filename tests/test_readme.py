@@ -21,3 +21,4 @@ def test_library_block_gives_the_commented_values():
     assert (verdict.kind, verdict.round_no, verdict.burnt) == ("contained", 2, 7)
     cert = scope["cert"]
     assert cert.mid_rate == Fraction(7, 4) and cert.radius == 19
+    assert scope["spheres"] == [1, 4, 12, 36]
