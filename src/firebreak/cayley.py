@@ -38,7 +38,8 @@ the sphere sizes, which growth, the surround trigger, the ball cap and the
 polynomial probes read with nothing built (a model builds its acceptor
 once).  A ``CayleyBall`` is the depth-R truncation of the acceptor, so its
 ``parent`` is the lex-min geodesic spanning tree and its levels are the
-Cayley distances; it overrides only ``_rows(n)``, which reads the Cayley
+Cayley distances.  It unfolds levels 0..R-1, and the whole ball only when
+one of its vertex arrays is read; its ``_rows(n)`` read the Cayley
 graph's rows off that tree with no element built.  So the game plays the
 ball and its spanning tree on one vertex numbering with different rows,
 and every tree algorithm here answers a Cayley question.
@@ -62,7 +63,7 @@ from .game import (
     feasibility_decision,
     simulate,
 )
-from .trees import Automaton, Truncation, format_ids, packed, view, zeroed
+from .trees import Automaton, Truncation, format_ids, packed, unfold, view, zeroed
 
 _LETTERS = "abcdefghij"
 
@@ -202,7 +203,6 @@ def group_from_name(name: str) -> GraphProduct:
     raise SpecError(f"unknown group {name!r}")
 
 
-@dataclass
 class CayleyBall(Truncation):
     """Ball of a Cayley graph: the depth-R truncation of the model's word
     acceptor, whose ``parent`` is the lex-min geodesic spanning tree and
@@ -210,9 +210,31 @@ class CayleyBall(Truncation):
     adjacency in place of the tree's.  Vertex order is layer-major,
     shortlex by word within a layer, so construction is canonical; the
     radius-R sphere is the boundary.  Words and adjacency are derived from
-    the tree as they are read; no element is built."""
+    the tree as they are read; no element is built.
 
-    model: GraphProduct
+    Unless built whole (``outer``), the ball unfolds levels 0..R-1 only
+    (``trees.unfold`` without ``outer``): the outer sphere is ids, its size
+    in ``level_starts``, and the interior's ``first_child`` runs into it.
+    The first read of the whole ball's ``parent``, ``state`` or
+    ``first_child`` unfolds it whole, and those arrays then stand in for
+    the interior's.  Rows below ``level_starts[R]`` read the interior's
+    arrays, so a game whose fire stops short of the outer sphere, as a
+    contained surround's does, unfolds nothing more."""
+
+    def __init__(self, model: GraphProduct, spheres: Sequence[int], outer: bool = False):
+        self.model, self.spec, self.depth = model, model.acceptor[0], len(spheres) - 1
+        *self._arrays, self.level_starts = unfold(self.spec, spheres, outer)
+
+    def _whole(self) -> list[memoryview]:
+        """The whole ball's parent, state and first_child, unfolded on the
+        first read of any of them."""
+        if len(self._arrays[0]) < self.n_vertices:
+            self._arrays = list(unfold(self.spec, self.sphere_sizes())[:3])
+        return self._arrays
+
+    parent = property(lambda self: self._whole()[0])
+    state = property(lambda self: self._whole()[1])
+    first_child = property(lambda self: self._whole()[2])
 
     @cached_property
     def tree_generator(self) -> memoryview:
@@ -231,11 +253,12 @@ class CayleyBall(Truncation):
         parent's syllables and leaves h free to follow; they are filled
         level by level, as parent*g may be such an entry a level up.  Below
         level R a row holds every product and starts at v*|gens|; only the
-        outer sphere's rows (when n passes level R) drop those outside."""
+        outer sphere's rows (when n passes level R) drop those outside.  Up
+        to level R only the interior's arrays are read."""
         auto, entering, runs = self.model.acceptor
         model, n_gens = self.model, len(self.model.generators)
         n_inner = self.level_starts[self.depth]  # with children in the ball
-        states, parent, first = view(self.state), view(self.parent), view(self.first_child)
+        parent, states, first = map(view, self._whole() if n > n_inner else self._arrays)
         child = [{entering[t]: k for k, t in enumerate(kids)} for kids in auto.children]
         kid = np.array([[c.get(g, -1) for g in range(n_gens)] for c in child], np.int32)
 
@@ -363,19 +386,23 @@ def _sphere_sizes(model, radius: int) -> list[int]:
     return spheres
 
 
-def ball(model, radius: int) -> CayleyBall:
+def ball(model, radius: int, spheres: Sequence[int] | None = None) -> CayleyBall:
     """The ball around the identity, unfolded from the word acceptor: the
     children of a vertex are the one-letter extensions of its normal form,
     in generator order, so vertices are numbered as a breadth-first search
-    in generator order numbers them."""
-    size = sum(_sphere_sizes(model, radius))
-    return CayleyBall._unfolded(model.acceptor[0], radius, size, model=model)
+    in generator order numbers them.  ``spheres`` are the sizes |S(0)|, ...,
+    |S(radius)| as ``_sphere_sizes`` walks them, which the surround has
+    already walked; without them the walk runs here."""
+    if spheres is None:
+        spheres = _sphere_sizes(model, radius)
+    return CayleyBall(model, spheres)
 
 
 def lex_min_tree(model, radius: int) -> CayleyBall:
     """The lex-min geodesic spanning tree of the radius-R ball: the ball
-    itself, whose ``parent`` joins each element to its word's prefix."""
-    return ball(model, radius)
+    itself, whose ``parent`` joins each element to its word's prefix,
+    unfolded whole at once, as its export reads every vertex array."""
+    return CayleyBall(model, _sphere_sizes(model, radius), outer=True)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +468,13 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
     on B(radius) and occupies B(radius+n) after round n, so protecting
     S(radius+n+1) in round n leaves a one-sphere guard band and blocks all
     further spread.  The trigger is read from the acceptor's sphere sizes,
-    and the ball is built only out to the protected sphere, which the fire
-    never passes, so the game reads no row of that sphere and the ball
-    builds none.  Runs out of ball (SurroundCapError, with nothing built)
-    when the rate does not outgrow the spheres within the given ball
-    radius; the ball cap applies to that radius."""
+    which the ball then takes as they were walked, and the ball is built
+    only out to the protected sphere, which the fire never passes: the game
+    reads no row of that sphere, and ``separated`` finds no untouched
+    vertex, so the ball builds neither its rows nor its vertex arrays.
+    Runs out of ball (SurroundCapError, with nothing built) when the rate
+    does not outgrow the spheres within the given ball radius; the ball cap
+    applies to that radius."""
     if radius < 0:
         raise SpecError("initial radius must be >= 0")
     if ball_radius <= radius + 1:
@@ -464,7 +493,7 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
             "the rate may not exceed the growth rate", tuple(trace),
         )
     sphere_index = radius + trigger + 1
-    b = ball(model, sphere_index)
+    b = ball(model, sphere_index, spheres=spheres[:sphere_index + 1])
     sphere = range(*b.level_starts[sphere_index:])
     strategy = ScheduleStrategy({trigger: sphere})
     verdict = simulate(b, radius, strategy, budget, horizon=trigger + 2)

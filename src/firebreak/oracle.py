@@ -24,7 +24,6 @@ Two candidate modes:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable
@@ -116,6 +115,8 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
 def oracle_key(spec_text: str, depth: int, x0: Iterable[int], budget: BudgetSequence,
                horizon: int | None, restrict: bool) -> str:
     """The hash of one question: truncation (spec, depth), fire, budget, horizon, mode."""
+    import hashlib  # here, not at start-up: it loads OpenSSL, which only the --cache path needs
+
     payload = "|".join([
         spec_text,
         str(depth),

@@ -39,7 +39,9 @@ or of the side ``separated`` reads.  A tree's row lists the parent,
 then the children, and as tree rows are cheap a tree builds them all at
 once; a Cayley ball (``cayley.CayleyBall``) is the truncation of its
 group's word acceptor whose ``_rows(n)`` list the Cayley graph's
-neighbours of the first n vertices instead.  The level of a vertex is its
+neighbours of the first n vertices instead.  A ball unfolds levels 0..D-1
+(``unfold`` without ``outer``), and the whole tree only when one of its
+vertex arrays is read.  The level of a vertex is its
 distance from the root; the level of an edge is the level of its child
 endpoint.  Level-D vertices that continue in the infinite tree form the
 truncation *boundary*: separating the root from them is what a cutset must
@@ -292,50 +294,55 @@ def zeroed(size: int) -> tuple[memoryview, np.ndarray]:
 JOIN_COST, LEVEL_COST = 25, 45
 
 
-def unfold(auto: Automaton, depth: int, n_vertices: int) -> tuple:
-    """The automaton's tree of ``n_vertices`` vertices to the given depth,
-    level-major with children in spec order, as a truncation's fields: each
-    vertex's parent and state and the CSR child offsets ``first_child``
-    (level-D vertices have no children), vertex arrays, and the first id of
-    each level 0..depth followed by the vertex count.
+def unfold(auto: Automaton, sizes: Sequence[int], outer: bool = True) -> tuple:
+    """The automaton's tree to depth D = len(sizes) - 1, ``sizes`` its level
+    counts, level-major with children in spec order, as a truncation's
+    fields: each vertex's parent and state and the CSR child offsets
+    ``first_child`` (level-D vertices have no children), vertex arrays, and
+    the first id of each level 0..D followed by the vertex count.  Without
+    ``outer``, the arrays stop above level D: parent and state for the ids
+    below ``level_starts[D]`` and first_child through that id, whose
+    offsets run into level D: the prefixes of the whole tree's arrays.
 
     Level L is the substitution s -> children(s) applied L times to the
     root, so a state's level-i word (its subtree's level i, as int32 bytes)
     is its children's level-(i - 1) words joined, built only while its
-    distance from the root is at most depth - i.  Where those joins cost
-    more (JOIN_COST, LEVEL_COST), as on long cycles and deep explicit trees,
-    each level is its predecessor's child words joined.  The state array
-    reads the joined levels in place; the parents and child offsets each
-    come from one repeat or cumsum."""
-    kids = auto.children
-    order, dist = [auto.root], {auto.root: 0}  # breadth-first, as far as the depth
+    distance from the root is at most the last level's depth - i.  Where
+    those joins cost more (JOIN_COST, LEVEL_COST), as on long cycles and
+    deep explicit trees, each level is its predecessor's child words joined.
+    The state array reads the joined levels in place; the parents and child
+    offsets each come from one repeat or cumsum."""
+    kids, depth = auto.children, len(sizes) - 1
+    starts = (0, *accumulate(sizes))
+    last = depth if outer else depth - 1  # the deepest level unfolded here
+    order, dist = [auto.root], {auto.root: 0}  # breadth-first, as far as that level
     for s in order:
-        for t in kids[s] if dist[s] < depth else ():
+        for t in kids[s] if dist[s] < last else ():
             if t not in dist:
                 dist[t] = dist[s] + 1
                 order.append(t)
     reach, levels = [dist[s] for s in order], [array("i", [auto.root]).tobytes()]
-    if JOIN_COST * ((depth + 1) * len(order) - sum(reach)) > n_vertices + LEVEL_COST * depth:
+    if JOIN_COST * ((last + 1) * len(order) - sum(reach)) > starts[last + 1] + LEVEL_COST * last:
         words = {s: array("i", kids[s]).tobytes() for s in order}
-        for _ in range(depth):
+        for _ in range(last):
             levels.append(b"".join(map(words.__getitem__, array("i", levels[-1]))))
     else:
         words = {s: array("i", [s]).tobytes() for s in order}
-        for i in range(1, depth + 1):
-            near = order[:bisect_right(reach, depth - i)]
+        for i in range(1, last + 1):
+            near = order[:bisect_right(reach, last - i)]
             made = [b"".join(map(words.__getitem__, kids[s])) for s in near]
             words.update(zip(near, made))
             levels.append(words[auto.root])
-    state = memoryview(b"".join(levels)).cast("i")
-    sizes = [len(word) // state.itemsize for word in levels]
+    state = memoryview(b"".join(levels[:last + 1])).cast("i")  # none at depth 0 without outer
     del levels, words  # the state bytes hold them now
-    starts = (0, *accumulate(sizes))
     counts = np.array([len(ks) for ks in kids], np.intc)  # n_kids: the root is a vertex -1's child
     n_kids = np.concatenate(([1], counts[view(state)[:starts[depth]]]), dtype=np.intc)
-    parent = packed(np.arange(-1, starts[depth], dtype=np.intc).repeat(n_kids))
-    first_child = packed(np.concatenate((n_kids.cumsum(dtype=np.intc),
-                                         np.full(sizes[depth], len(state), np.intc))))
-    return parent, state, first_child, starts
+    up = starts[last] if last >= 0 else -1  # ids below it have their children here
+    parent = packed(np.arange(-1, up, dtype=np.intc).repeat(n_kids[:up + 1]))
+    first_child = n_kids.cumsum(dtype=np.intc)
+    if outer:
+        first_child = np.concatenate((first_child, np.full(sizes[depth], starts[-1], np.intc)))
+    return parent, state, packed(first_child), starts
 
 
 @dataclass
@@ -354,7 +361,7 @@ class Truncation:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.parent)
+        return self.level_starts[-1]
 
     @cached_property
     def level(self) -> memoryview:
@@ -427,11 +434,6 @@ class Truncation:
             return True
         status = np.frombuffer(statuses, np.uint8)
         return not (status[row_entries(self, np.flatnonzero(status == side))] == other).any()
-
-    @classmethod
-    def _unfolded(cls, spec: TreeSpec, depth: int, n_vertices: int, **fields) -> "Truncation":
-        """The depth-D truncation of the spec's tree; the caller counts it for its cap."""
-        return cls(spec, depth, *unfold(compile(spec), depth, n_vertices), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +546,13 @@ def expand(spec: TreeSpec, depth: int) -> Truncation:
     Raises ResourceLimitError when the vertex count would exceed the cap
     (``FIREBREAK_VERTEX_CAP`` or 10**7 by default).
     """
-    total = sum(level_counts(spec, depth))
+    sizes = level_counts(spec, depth)
     limit = vertex_cap()
-    if total > limit:
+    if (total := sum(sizes)) > limit:
         raise ResourceLimitError(
             f"truncation would have {total} vertices, cap is {limit} ({VERTEX_CAP_ENV})"
         )
-    return Truncation._unfolded(spec, depth, total)
+    return Truncation(spec, depth, *unfold(compile(spec), sizes))
 
 
 # ---------------------------------------------------------------------------

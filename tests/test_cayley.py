@@ -55,7 +55,18 @@ Claims covered:
       subset of what the ball burns after every round (subgraph transfer)
     - a surround without trigger is decided with no ball, and a triggered
       one builds the ball only out to the protected sphere and its model's
-      word acceptor once, and rows for the ball's interior only
+      word acceptor once, and rows for the ball's interior only; it walks
+      the level counts once, and a contained one builds no outer-sphere
+      vertex array
+    - a ball unfolds levels 0..R-1 and, whichever read completes it first,
+      its parent, state, first_child, level_starts, vertex count, tree
+      generators, boundary mask and rows equal the breadth-first
+      reference's and the eager unfolding's, at radii 0, 1, 2 and the first
+      radius past EXPORT_SPHERE_MIN, on free, Z^d, dihedral, free-product,
+      F2 x Z and pentagon balls; a game that reaches the outer sphere
+      builds its boundary mask and rows on demand, with the verdict, round
+      and trace of a ball built whole before play; a lex-min tree is
+      unfolded whole in one pass
     - the rows built for a ball's interior are the first rows of its full
       build, on every differential model at radii 1-6, and both equal, byte
       for byte, the next ball's rows masked to the ball's ids, on every
@@ -67,7 +78,7 @@ Claims covered:
     - a ball's vertex and row arrays are memoryviews over numpy buffers that
       equal the reference's lists and read back Python ints; neither a
       surround nor a tree export builds the per-vertex level, and the R = 11
-      surround's traced peak stays within 25 bytes a ball vertex
+      surround's traced peak stays within 17 bytes a ball vertex
 """
 
 import bisect
@@ -108,7 +119,7 @@ from firebreak import (
 )
 from firebreak.branching import compare_to_br
 from firebreak.cli import main as cli_main
-from firebreak.game import BURNING, PROTECTED, ball_ids, state_from_fire
+from firebreak.game import BURNING, PROTECTED, ScheduleStrategy, ball_ids, simulate, state_from_fire
 from firebreak.trees import Automaton, compile
 from cayley_reference import ReferenceGraphProduct, joined_pairs, reference_ball, tree_export_text
 from conftest import ball_elements, ball_words, enumerate_geodesic_words, tree_export
@@ -347,6 +358,19 @@ class TestTreeExport:
 
 
 class TestLexMinTree:
+    def test_unfolded_whole_once(self, monkeypatch):
+        # the export reads every vertex array, so the tree is unfolded whole
+        # at once, not its interior first and the whole ball on first read
+        calls = []
+        unfold = cayley_mod.unfold
+        monkeypatch.setattr(cayley_mod, "unfold",
+                            lambda *args: calls.append(args[2:]) or unfold(*args))
+        tree = lex_min_tree(group_from_name("free:2"), 6)
+        cayley_mod.write_tree_export(tree, io.BytesIO())
+        assert calls == [(True,)]
+        n = tree.n_vertices
+        assert [len(values) for values in tree._arrays] == [n, n, n + 1]
+
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_spanning_geodesic_cayley_edges(self, model):
         b = lex_min_tree(model, 5)
@@ -517,10 +541,11 @@ class TestWaitAndSurround:
 
     def test_anchor_surround_peak_per_vertex(self):
         # numpy reports its buffers to tracemalloc, so the traced peak of the
-        # R = 11 surround repeats to within a few kB: 22.9 bytes a ball
-        # vertex, against 37.0 with a stored level, array('i') copies of the
-        # vertex arrays, the full-ball state map in the rows and the sphere
-        # as an id array
+        # R = 11 surround repeats to within a few kB: 14.8 bytes a ball
+        # vertex, against 22.8 with the outer sphere's parent, state and
+        # first_child built and 37.0 with also a stored level, array('i')
+        # copies of the vertex arrays, the full-ball state map in the rows
+        # and the sphere as an id array
         model = group_from_name("free:2")
         assert model.acceptor  # built once per model, outside the count
         tracemalloc.start()
@@ -530,13 +555,102 @@ class TestWaitAndSurround:
         finally:
             tracemalloc.stop()
         assert res.verdict.contained and res.ball.n_vertices == 354_293
-        assert peak <= 25 * res.ball.n_vertices, peak / res.ball.n_vertices
+        assert peak <= 17 * res.ball.n_vertices, peak / res.ball.n_vertices
 
     def test_no_fault_on_trigger_round(self):
         # the protected sphere is two steps ahead of the fire at play time
         res = wait_and_surround(group_from_name("zd:1"), 0, 2, 8)
         played = res.verdict.trace[res.trigger_round - 1]
         assert played.protected == tuple(res.sphere)
+
+    @pytest.mark.parametrize("name, rate, ball_radius", [
+        ("free:2", 4, 9), ("zd:3", Fraction(12, 5), 8), ("freeprod:3,3", Fraction(29, 10), 8)])
+    def test_contained_surround_builds_no_outer_array(self, name, rate, ball_radius):
+        # the fire stops inside the protected sphere and nothing is left
+        # untouched: the ball holds the arrays of levels 0..R-1 alone
+        res = wait_and_surround(group_from_name(name), 0, rate, ball_radius)
+        b = res.ball
+        assert res.verdict.contained
+        inner = b.level_starts[b.depth]
+        assert [len(values) for values in b._arrays] == [inner, inner, inner + 1]
+        assert not {"tree_generator", "boundary_mask"} & set(b.__dict__)
+        assert len(b.parent) == len(b.state) == b.n_vertices == b.level_starts[-1]
+        assert [len(values) for values in b._arrays] == [b.n_vertices] * 2 + [b.n_vertices + 1]
+
+    def test_ball_takes_the_walked_spheres(self, monkeypatch):
+        # the trigger's walk of the level counts is the one walk a surround makes
+        walks = []
+        walk = Automaton.iter_level_counts
+        monkeypatch.setattr(Automaton, "iter_level_counts",
+                            lambda auto: walks.append(1) or walk(auto))
+        res = wait_and_surround(group_from_name("free:2"), 1, 5, 8)
+        assert res.verdict.contained and len(walks) == 1
+
+
+# the groups whose balls are completed against the references: free,
+# Z^d, dihedral, free-product, F2 x Z and the pentagon Coxeter group
+COMPLETION_GROUPS = ["free:1", "free:2", "free:3", "zd:1", "zd:2", "zd:3", "dinf", "freeprod:2,3",
+                     "freeprod:3,3", "gp:0,0,0/ac,bc", "gp:2,2,2,2,2/ab,bc,cd,de,ae"]
+
+
+def export_radius(model) -> int:
+    """The least radius whose outer sphere has EXPORT_SPHERE_MIN vertices, so
+    the export writes it from numpy passes, or one past EXPORT_SPHERE_MIN on
+    groups whose spheres stay smaller."""
+    least = cayley_mod.EXPORT_SPHERE_MIN
+    spheres = level_counts(model.acceptor[0], least + 1)
+    return next((r for r, size in enumerate(spheres) if size >= least), least + 1)
+
+
+class TestOuterSphere:
+    @pytest.mark.parametrize("name", COMPLETION_GROUPS)
+    def test_completed_ball_equals_the_references(self, name):
+        # whichever read completes the ball first, its fields are the
+        # breadth-first reference's, and its states and boundary are the
+        # eager unfolding's, which substitutes the outer level too
+        model = group_from_name(name)
+        group = ReferenceGraphProduct(model.orders, joined_pairs(model))
+        for radius in (0, 1, 2, export_radius(model)):
+            ref, eager = reference_ball(group, radius), expand(model.acceptor[0], radius)
+            kids = Counter(ref.parent[1:])
+            first_child = list(accumulate((kids[v] for v in range(len(ref.parent))), initial=1))
+            for first in ("parent", "state", "first_child", "tree_generator", "boundary_mask",
+                          "rows"):
+                got = cayley_ball(model, radius)
+                assert len(got._arrays[0]) == got.level_starts[radius], radius
+                if first == "rows":
+                    got.neighbors(got.n_vertices - 1)
+                else:
+                    getattr(got, first)
+                assert list(got.parent) == ref.parent, (radius, first)
+                assert list(got.tree_generator) == ref.tree_generator, (radius, first)
+                assert list(got.first_child) == first_child, (radius, first)
+                assert got.level_starts == (0, *accumulate(map(len, ref.layers)))
+                assert got.n_vertices == len(ref.elements)
+                assert [list(got.neighbors(v)) for v in range(got.n_vertices)] == ref.adjacency
+                for field in ("parent", "state", "first_child"):
+                    assert bytes(getattr(got, field)) == bytes(getattr(eager, field)), field
+                assert got.boundary_mask == eager.boundary_mask
+
+    @pytest.mark.parametrize("half", [False, True], ids=["unprotected", "half-protected"])
+    def test_simulate_builds_the_outer_arrays_on_demand(self, half):
+        # the fire reaches the outer sphere, whose boundary mask is built when
+        # the game first reads it; verdict, round and trace are those of a
+        # ball whose arrays and rows were all built before play
+        model = group_from_name("free:2")
+        b, ready = cayley_ball(model, 6), cayley_ball(model, 6)
+        ready.boundary_mask, ready.neighbors(ready.n_vertices - 1)
+        a, z = b.level_starts[6:]
+        protect = range(a, a + (z - a) // 2) if half else range(0)
+        strategy, budget = ScheduleStrategy({1: protect}), BudgetSequence.constant(len(protect))
+        assert "boundary_mask" not in b.__dict__ and len(b._arrays[0]) == a
+        got = simulate(b, 1, strategy, budget)
+        assert (got.kind, got.round_no, got.burnt) == ("boundary_reached", 5, None)
+        assert [len(r.burnt) for r in got.trace] == [12, 36, 108, 324, 486 if half else 972]
+        assert got.trace == simulate(ready, 1, strategy, budget).trace
+        assert "boundary_mask" in b.__dict__ and len(b._built_rows[0]) == a + 1
+        assert [list(b.neighbors(v)) for v in range(a, z)] == \
+            [list(ready.neighbors(v)) for v in range(a, z)]
 
 
 class TestPolynomialProbe:

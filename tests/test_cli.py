@@ -786,6 +786,34 @@ class TestCayley:
         code, _out = run(["cayley", "so3", "--mode", "growth", "--R", "4"])
         assert code == 1
 
+    @pytest.mark.parametrize("radius, words, parents", [
+        (0, ["id"], "parents:\n"),
+        (1, ["id", "a", "A", "b", "B"], "parents: 0 0 0 0\n")])
+    def test_smallest_tree_exports_keep_their_bytes(self, radius, words, parents, tmp_path):
+        # a ball of radius 0 is its outer sphere alone, and one of radius 1
+        # the root and its sphere: the report and the export, byte for byte
+        out_file = tmp_path / "ball.tree"
+        code, out = run(["cayley", "free:2", "--mode", "tree", "--R", str(radius),
+                         "--out", str(out_file)])
+        assert code == 0
+        assert out == (f"config.R = {radius}\nconfig.command = cayley\nconfig.group = free:2\n"
+                       "config.mode = tree\nconfig.version = 0.1.0\n"
+                       f"result.level_counts = {' '.join(['1', '4'][:radius + 1])}\n"
+                       f"result.out = {out_file}\nresult.vertices = {len(words)}\n")
+        assert out_file.read_text() == "".join(
+            f"# vertex {v} = {w}\n" for v, w in enumerate(words)) + "variant: explicit\n" + parents
+
+    def test_smallest_surround_keeps_its_bytes(self):
+        code, out = run(["cayley", "zd:1", "--mode", "surround", "--R", "2", "--lambda", "3",
+                         "--k", "0"])
+        assert code == 0
+        assert out == ("config.R = 2\nconfig.command = cayley\nconfig.group = zd:1\n"
+                       "config.k = 0\nconfig.lambda = 3\nconfig.mode = surround\n"
+                       "config.version = 0.1.0\nresult.burnt = 3\nresult.sphere_index = 2\n"
+                       "result.sphere_size = 2\nresult.trigger_round = 1\n"
+                       "result.verdict = contained\nresult.verdict_round = 2\n"
+                       "csv budget_vs_sphere\nround,budget,sphere\n1,3,2\n")
+
 
 def test_parser_is_built_once_per_process(spec_dir):
     run(["br", str(spec_dir / "binary.tree")])
