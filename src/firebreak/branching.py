@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, pairwise, takewhile
 from typing import Iterable, Union
@@ -45,6 +44,7 @@ from .trees import (
     Automaton,
     TreeSpec,
     Truncation,
+    Value,
     _sorted_unique,
     compile,
     view,
@@ -199,15 +199,15 @@ def min_cutset(trunc: Truncation, rate: Rate, steps=None) -> Cutset:
     return Cutset(np.flatnonzero(cut))
 
 
-@dataclass
-class FlowAssignment:
+class FlowAssignment(Value):
     """Flow per edge (keyed by child endpoint) plus its total value at the
     root.  Satisfies the capacity bound rate**(-level) on every edge and
     conservation at internal vertices."""
 
-    flows: dict[int, Fraction]
-    value: Fraction
-    rate: Fraction
+    _fields = ("flows", "value", "rate")
+
+    def __init__(self, flows: dict[int, Fraction], value: Fraction, rate: Fraction):
+        self.__dict__.update(flows=flows, value=value, rate=rate)
 
 
 def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
@@ -391,11 +391,11 @@ def br_enclosure(spec: TreeSpec) -> tuple[float, float, float]:
             float(max(prop.hi for prop in props)) * (1 + 2.0 ** -30))
 
 
-@dataclass(frozen=True)
-class BracketResult:
-    lo: float
-    hi: float
-    probes: tuple[tuple[float, str], ...]
+class BracketResult(Value):
+    _fields = ("lo", "hi", "probes")
+
+    def __init__(self, lo: float, hi: float, probes: tuple[tuple[float, str], ...]):
+        self.__dict__.update(lo=lo, hi=hi, probes=probes)
 
     @property
     def width(self) -> float:
@@ -431,8 +431,7 @@ def br_bracket(spec: TreeSpec, tol: float) -> BracketResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LowerBoundCertificate:
+class LowerBoundCertificate(Value):
     """Witness that budgets floor(rate**n) cannot contain a fire starting
     on the ball of the given radius.  Every number is exact.
     With M the automaton's count matrix, the three facts it certifies:
@@ -447,13 +446,13 @@ class LowerBoundCertificate:
     than cut_weight_floor, so no containment strategy exists.
     """
 
-    spec: TreeSpec
-    rate: Fraction
-    mid_rate: Fraction
-    budget_coeff: Fraction
-    cut_weight_floor: Fraction
-    radius: int
-    y: tuple[Fraction, ...]
+    _fields = ("spec", "rate", "mid_rate", "budget_coeff", "cut_weight_floor", "radius", "y")
+
+    def __init__(self, spec: TreeSpec, rate: Fraction, mid_rate: Fraction,
+                 budget_coeff: Fraction, cut_weight_floor: Fraction, radius: int,
+                 y: tuple[Fraction, ...]):
+        self.__dict__.update(spec=spec, rate=rate, mid_rate=mid_rate, budget_coeff=budget_coeff,
+                             cut_weight_floor=cut_weight_floor, radius=radius, y=y)
 
 
 def _log(x: Fraction) -> float:
@@ -474,22 +473,24 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
     exact arithmetic (the rate is read by exact_rate).
 
     Requires rate < branching number.  The proposal with the largest lower
-    Collatz-Wielandt bound gives y = v / PROPOSAL_SCALE with mid_rate * y <=
-    M y; 2n steps of y -> min(1, M y / mid_rate) keep that and raise y.  The
-    mid rate is the midpoint of the rate and that bound moved by at most
-    gap / 2**13 to a short denominator, so the tail powers stay small.  The
-    cut floor is 9/10 of the weight y bounds, the budget coefficient
-    rate/(rate-1) (1 below rate 1, where every budget is 0), and the radius
-    the least closing the geometric tail.  ResourceLimitError: a bound at or
-    below the rate (within PROPOSAL_SCALE's resolution of br), or a radius
-    past CERTIFICATE_RADIUS_MAX, estimated or exact."""
+    Collatz-Wielandt bound, the last such in ``_components`` order (which
+    follows the spec's child order, not its state numbers), gives y = v /
+    PROPOSAL_SCALE with mid_rate * y <= M y; 2n steps of y -> min(1, M y /
+    mid_rate) keep that and raise y.  The mid rate is the midpoint of the
+    rate and that bound moved by at most gap / 2**13 to a short denominator,
+    so the tail powers stay small.  The cut floor is 9/10 of the weight y
+    bounds, the budget coefficient rate/(rate-1) (1 below rate 1, where
+    every budget is 0), and the radius the least closing the geometric tail.
+    ResourceLimitError: a bound at or below the rate (within
+    PROPOSAL_SCALE's resolution of br), or a radius past
+    CERTIFICATE_RADIUS_MAX, estimated or exact."""
     rate, _, _ = _split_rate(rate)
     if rate == 1:
         # floor(1**i) sums to n, which no constant times 1**n dominates
         raise SpecError("no finite budget coefficient exists at rate exactly 1")
     auto = compile(spec)
     kids = auto.children
-    _, v, _, bound, _ = max(_proposals(auto), key=lambda prop: (prop.lo, prop.v))
+    _, v, _, bound, _ = max(reversed(_proposals(auto)), key=lambda prop: prop.lo)
     if bound <= rate and compare_to_br(spec, rate) >= 0:
         raise SpecError(f"rate {float(rate)} is not below the branching number")
     if bound <= rate:

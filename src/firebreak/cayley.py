@@ -47,7 +47,6 @@ and every tree algorithm here answers a Cayley question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, pairwise
 from typing import Iterable, Sequence
@@ -63,7 +62,7 @@ from .game import (
     feasibility_decision,
     simulate,
 )
-from .trees import Automaton, Truncation, format_ids, packed, unfold, view, zeroed
+from .trees import Automaton, Truncation, Value, format_ids, packed, unfold, view, zeroed
 
 _LETTERS = "abcdefghij"
 
@@ -410,17 +409,19 @@ def lex_min_tree(model, radius: int) -> CayleyBall:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(Value):
     """Two readings of the growth rate at radius R: the ball root
     |B(R)|**(1/R) and the sphere ratio |S(R)|/|S(R-1)|, with the full
     sequences for smaller radii."""
 
-    radius: int
-    sphere_sizes: tuple[int, ...]
-    ball_sizes: tuple[int, ...]
-    ball_root_sequence: tuple[float, ...]
-    sphere_ratio_sequence: tuple[float, ...]
+    _fields = ("radius", "sphere_sizes", "ball_sizes", "ball_root_sequence",
+               "sphere_ratio_sequence")
+
+    def __init__(self, radius: int, sphere_sizes: tuple[int, ...], ball_sizes: tuple[int, ...],
+                 ball_root_sequence: tuple[float, ...], sphere_ratio_sequence: tuple[float, ...]):
+        self.__dict__.update(radius=radius, sphere_sizes=sphere_sizes, ball_sizes=ball_sizes,
+                             ball_root_sequence=ball_root_sequence,
+                             sphere_ratio_sequence=sphere_ratio_sequence)
 
     @property
     def ball_root(self) -> float:
@@ -451,15 +452,17 @@ def growth_rate_estimate(model, radius: int) -> GrowthEstimate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurroundResult:
-    strategy: ScheduleStrategy
-    verdict: Verdict
-    trigger_round: int
-    sphere_index: int
-    sphere: range  # the protected layer's ids
-    budget_trace: tuple[tuple[int, int, int], ...]  # (round, budget, sphere size)
-    ball: CayleyBall
+class SurroundResult(Value):
+    _fields = ("strategy", "verdict", "trigger_round", "sphere_index", "sphere", "budget_trace",
+               "ball")
+
+    def __init__(self, strategy: ScheduleStrategy, verdict: Verdict, trigger_round: int,
+                 sphere_index: int, sphere: range, budget_trace: tuple[tuple[int, int, int], ...],
+                 ball: CayleyBall):
+        # sphere: the protected layer's ids; budget_trace: (round, budget, sphere size)
+        self.__dict__.update(strategy=strategy, verdict=verdict, trigger_round=trigger_round,
+                             sphere_index=sphere_index, sphere=sphere,
+                             budget_trace=budget_trace, ball=ball)
 
 
 def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundResult:
@@ -507,11 +510,13 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    feasibility: FeasibilityResult
-    budget_vs_sphere: tuple[tuple[int, int, int], ...]  # (n, cum budget, |S(n+1)|)
-    note: str
+class ProbeReport(Value):
+    _fields = ("feasibility", "budget_vs_sphere", "note")
+
+    def __init__(self, feasibility: FeasibilityResult,
+                 budget_vs_sphere: tuple[tuple[int, int, int], ...], note: str):
+        # budget_vs_sphere: (n, cumulative budget, |S(n+1)|)
+        self.__dict__.update(feasibility=feasibility, budget_vs_sphere=budget_vs_sphere, note=note)
 
 
 def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> ProbeReport:

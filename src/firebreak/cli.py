@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import resource
 import sys
 import time
 from fractions import Fraction
@@ -527,7 +525,11 @@ def _run(args) -> int:
 
 def _write_metrics(path: str, wall_s: float) -> None:
     """The run's wall time around the command and the process's peak RSS,
-    as JSON; ru_maxrss counts bytes on macOS and KiB elsewhere."""
+    as JSON; ru_maxrss counts bytes on macOS and KiB elsewhere.  Its modules
+    load here, as only a run with ``--metrics`` writes one."""
+    import json
+    import resource
+
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     peak_rss_mb = rss / 2 ** (20 if sys.platform == "darwin" else 10)
     with open(path, "w", encoding="utf-8") as fh:

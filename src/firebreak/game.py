@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, islice, pairwise
 from typing import Iterable, Mapping
@@ -54,8 +54,8 @@ import numpy as np
 
 from .branching import Cutset, compare_to_br, cut_recursion, exact_rate, min_cutset
 from .errors import ResourceLimitError, SpecError, StrategyFault, SynthesisError
-from .trees import (BURNING, PROTECTED, UNTOUCHED, TreeSpec, Truncation, as_tuple, compile,
-                    expand, format_id_set, id_set, mark, row_entries)
+from .trees import (BURNING, PROTECTED, UNTOUCHED, TreeSpec, Truncation, Value, as_tuple,
+                    compile, expand, format_id_set, id_set, mark, row_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -63,15 +63,16 @@ from .trees import (BURNING, PROTECTED, UNTOUCHED, TreeSpec, Truncation, as_tupl
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BudgetSequence:
+class BudgetSequence(Value):
     """f(n) for n >= 1, named by the CLI's ``kind`` and its ``params``:
     ``const`` (c,); ``exp`` (rate,), floor(rate**n); ``poly`` (coeff,
     degree), floor(coeff * n**degree); ``list`` the values, the last of
     which repeats forever, so explicit budgets are eventually constant."""
 
-    kind: str
-    params: tuple = ()
+    _fields = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple = ()):
+        self.__dict__.update(kind=kind, params=params)
 
     @classmethod
     def constant(cls, c: int) -> "BudgetSequence":
@@ -149,12 +150,15 @@ class BudgetSequence:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GameState:
-    arena: object
-    statuses: bytearray  # live during run_game
-    round_no: int
-    frontier: tuple[int, ...] | range | np.ndarray  # vertices that started burning last round
+    """The arena, its statuses (live during ``run_game``), the round played
+    last and its frontier, the vertices that started burning in it."""
+
+    __slots__ = ("arena", "statuses", "round_no", "frontier")
+
+    def __init__(self, arena, statuses: bytearray, round_no: int,
+                 frontier: tuple[int, ...] | range | np.ndarray):
+        self.arena, self.statuses, self.round_no, self.frontier = arena, statuses, round_no, frontier
 
 
 def ball_ids(arena, radius: int) -> range:
@@ -313,12 +317,12 @@ class TraceRound:
         return f"TraceRound({self.round_no}, protected={self.protected}, burnt={self.burnt})"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    round_no: int
-    burnt: int | None
-    trace: tuple[TraceRound, ...] = field(default=())
+class Verdict(Value):
+    _fields = ("kind", "round_no", "burnt", "trace")
+
+    def __init__(self, kind: str, round_no: int, burnt: int | None,
+                 trace: tuple[TraceRound, ...] = ()):
+        self.__dict__.update(kind=kind, round_no=round_no, burnt=burnt, trace=trace)
 
     @property
     def contained(self) -> bool:
@@ -459,7 +463,7 @@ FEASIBILITY_WORK_MAX = 1_000_000  # cut choices the count recursion may try
 WITNESS_CUT_MAX = 100_000  # most cut vertices whose witness paths are listed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # the one dataclass: feasibility_check ``replace``s its witness
 class FeasibilityResult:
     feasible: bool
     depth: int
@@ -764,15 +768,14 @@ def _splits(counts: tuple[int, ...], size: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
-    strategy: ScheduleStrategy
-    trunc: Truncation
-    cutset: Cutset
-    epsilon: Fraction
-    weight: Fraction  # the cutset's weight, W(depth) from the per-state recursion
-    depth: int
-    radius: int
+class SynthesisResult(Value):
+    _fields = ("strategy", "trunc", "cutset", "epsilon", "weight", "depth", "radius")
+
+    def __init__(self, strategy: ScheduleStrategy, trunc: Truncation, cutset: Cutset,
+                 epsilon: Fraction, weight: Fraction, depth: int, radius: int):
+        # weight: the cutset's weight, W(depth) from the per-state recursion
+        self.__dict__.update(strategy=strategy, trunc=trunc, cutset=cutset, epsilon=epsilon,
+                             weight=weight, depth=depth, radius=radius)
 
 
 def cut_weight_target(rate, radius: int, probe_range: int = 120) -> Fraction:

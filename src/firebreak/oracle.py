@@ -24,23 +24,24 @@ Two candidate modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable
 
 from .errors import ResourceLimitError, SpecError
 from .game import (UNTOUCHED, BudgetSequence, GameState, format_schedule, parse_schedule,
                    reached, state_from_fire, step)
-from .trees import Truncation, read_text
+from .trees import Truncation, Value, read_text
 
 DEFAULT_FREE_CAP = 20
 STRICT_FREE_CAP = 12
 
 
-@dataclass(frozen=True)
-class OracleDecision:
-    feasible: bool
-    schedule: tuple[tuple[int, ...], ...] | None  # protect set per round, from round 1
+class OracleDecision(Value):
+    _fields = ("feasible", "schedule")
+
+    def __init__(self, feasible: bool, schedule: tuple[tuple[int, ...], ...] | None):
+        # schedule: the protect set per round, from round 1
+        self.__dict__.update(feasible=feasible, schedule=schedule)
 
 
 def brute_force_containment(trunc: Truncation, x0: Iterable[int],

@@ -63,7 +63,6 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice, pairwise
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -91,20 +90,51 @@ def vertex_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class PeriodicSpec:
+class Value:
+    """An immutable value, the specs' and the result records' base, with
+    nothing generated for it at import: a subclass's ``__init__`` puts the
+    fields ``_fields`` names in the instance dict once, and any later
+    assignment raises.  Two values of one class are equal when their fields
+    are, and hash by them.  Caches go in the same dict by
+    ``object.__setattr__`` or ``cached_property``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class PeriodicSpec(Value):
     """Automaton description: ``states[s]`` is the ordered child-state tuple."""
 
-    states: Mapping[str, tuple[str, ...]]
-    root: str
+    _fields = ("states", "root")
 
-    def __post_init__(self):
-        if self.root not in self.states:
-            raise SpecError(f"root state {self.root!r} is not defined")
-        for name, children in self.states.items():
+    def __init__(self, states: Mapping[str, tuple[str, ...]], root: str):
+        if root not in states:
+            raise SpecError(f"root state {root!r} is not defined")
+        for name, children in states.items():
             for child in children:
-                if child not in self.states:
+                if child not in states:
                     raise SpecError(f"state {name!r} has unknown child state {child!r}")
+        self.__dict__.update(states=states, root=root)
 
     def reachable_states(self) -> tuple[str, ...]:
         seen = {self.root}
@@ -117,36 +147,35 @@ class PeriodicSpec:
         return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
-class SymmetricSpec:
+class SymmetricSpec(Value):
     """Spherically symmetric tree: child count at level n is
     ``preperiod[n]`` for n < len(preperiod), then the period repeats.
     All counts must be >= 1 (the tree is infinite by construction)."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    _fields = ("preperiod", "period")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        if not period:
             raise SpecError("symmetric spec needs a non-empty period")
-        for c in self.preperiod + self.period:
+        for c in preperiod + period:
             if c < 1:
                 raise SpecError("symmetric child counts must be >= 1")
+        self.__dict__.update(preperiod=preperiod, period=period)
 
 
-@dataclass(frozen=True)
-class ExplicitSpec:
+class ExplicitSpec(Value):
     """Finite rooted tree.  Vertex 0 is the root; ``parents[i]`` is the
     parent of vertex i+1 and must come earlier in the numbering."""
 
-    parents: tuple[int, ...]
+    _fields = ("parents",)
 
-    def __post_init__(self):
-        for i, p in enumerate(self.parents):
+    def __init__(self, parents: tuple[int, ...]):
+        for i, p in enumerate(parents):
             if not 0 <= p <= i:
                 raise SpecError(
                     f"parent of vertex {i + 1} is {p}; parents must precede children"
                 )
+        self.__dict__["parents"] = parents
 
     @property
     def n_vertices(self) -> int:
@@ -158,17 +187,18 @@ class ExplicitSpec:
         return auto.live_heights[auto.root]
 
 
-@dataclass(frozen=True)
-class Automaton:
+class Automaton(Value):
     """The one internal form of a tree spec.  ``children[s]`` is the ordered
     child-state tuple of state s; the tree unfolds from ``root``.  Every
     state is reachable from the root.  ``escape_leaves`` makes every
     level-D vertex of a truncation continue (explicit trees); otherwise a
     level-D vertex continues when its state has children."""
 
-    children: tuple[tuple[int, ...], ...]
-    root: int
-    escape_leaves: bool = False
+    _fields = ("children", "root", "escape_leaves")
+
+    def __init__(self, children: tuple[tuple[int, ...], ...], root: int,
+                 escape_leaves: bool = False):
+        self.__dict__.update(children=children, root=root, escape_leaves=escape_leaves)
 
     def continues(self, state: int) -> bool:
         return bool(self.children[state]) or self.escape_leaves
@@ -345,19 +375,16 @@ def unfold(auto: Automaton, sizes: Sequence[int], outer: bool = True) -> tuple:
     return parent, state, packed(first_child), starts
 
 
-@dataclass
 class Truncation:
     """Depth-D truncation of a tree spec (see the module docstring): the
     children of v are ``first_child[v]`` .. ``first_child[v + 1] - 1``,
     level L holds the ids ``level_starts[L]`` .. ``level_starts[L + 1] - 1``
     and ``state`` is each vertex's automaton state."""
 
-    spec: TreeSpec
-    depth: int
-    parent: memoryview
-    state: memoryview
-    first_child: memoryview
-    level_starts: tuple[int, ...]
+    def __init__(self, spec: TreeSpec, depth: int, parent: memoryview, state: memoryview,
+                 first_child: memoryview, level_starts: tuple[int, ...]):
+        self.spec, self.depth, self.level_starts = spec, depth, level_starts
+        self.parent, self.state, self.first_child = parent, state, first_child
 
     @property
     def n_vertices(self) -> int:

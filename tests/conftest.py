@@ -73,6 +73,12 @@ def budget_catalogue() -> list[BudgetSequence]:
     ]
 
 
+def replaced(value, **changes):
+    """A copy of a spec or result record with some fields changed, built
+    by its own constructor from its ``_fields``."""
+    return type(value)(**{name: changes.get(name, getattr(value, name)) for name in value._fields})
+
+
 def random_explicit_tree(rng: random.Random, max_vertices: int = 16,
                          max_children: int = 3) -> ExplicitSpec:
     """Random rooted tree grown breadth-first with random child counts."""

@@ -28,10 +28,10 @@ Claims covered:
     - certificates re-validate independently and their budgets cross-check;
       a rate within the proposal's resolution of br is refused, naming
       PROPOSAL_SCALE
-    - results are invariant under reordering children in the spec
+    - results are invariant under reordering children in the spec, and
+      certificates under renumbering the automaton's states
 """
 
-import dataclasses
 import json
 import math
 import random
@@ -63,7 +63,8 @@ from firebreak.branching import (CERTIFICATE_RADIUS_MAX, PROPOSAL_SCALE, _compar
                                   cut_recursion, exact_rate)
 from firebreak.game import cut_weight_target, synthesize_cutset_strategy
 from firebreak.errors import ResourceLimitError
-from firebreak.trees import compile, level_counts
+from firebreak.cayley import group_from_name
+from firebreak.trees import Automaton, compile, level_counts
 import trees_reference
 from conftest import (
     binary_spec,
@@ -77,6 +78,7 @@ from conftest import (
     random_periodic_spec,
     random_symmetric_spec,
     random_truncation,
+    replaced,
     ternary_spec,
 )
 
@@ -896,14 +898,14 @@ class TestCertificate:
         assert all(check_certificate(cert).values())
         if corrupt == "floor":
             bound = (cert.y[0] + cert.y[1]) / cert.mid_rate  # root A -> A B
-            bad = dataclasses.replace(cert, cut_weight_floor=bound + Fraction(1, 10**9))
+            bad = replaced(cert, cut_weight_floor=bound + Fraction(1, 10**9))
         elif corrupt == "mid_rate":
-            bad = dataclasses.replace(cert, mid_rate=Fraction(1618034, 1000000))
+            bad = replaced(cert, mid_rate=Fraction(1618034, 1000000))
         else:
             low = min(range(len(cert.y)), key=lambda s: cert.y[s])
             y = list(cert.y)
             y[low] = min(1, y[low] + Fraction(1, 10))
-            bad = dataclasses.replace(cert, y=tuple(y))
+            bad = replaced(cert, y=tuple(y))
         assert not all(check_certificate(bad).values())
 
 
@@ -924,3 +926,53 @@ class TestOrderIndependence:
         for rate in (Fraction(1), Fraction(2)):
             assert min_cut_weight(expand(a, 2), rate) == \
                 min_cut_weight(expand(b, 2), rate)
+
+    @pytest.mark.parametrize("name, rate, radius", [
+        ("jordan", Fraction(19, 10), 172), ("jordan", Fraction(3, 2), 19),
+        ("zd:2", Fraction(1, 2), 2), ("zd:2", Fraction(9, 10), 55), ("zd:3", Fraction(9, 10), 55),
+    ])
+    def test_certificate_does_not_depend_on_state_numbers(self, name, rate, radius):
+        # components whose lower Collatz-Wielandt bounds tie (one-state loops,
+        # each at bound 2 on the Jordan spec and 1 on the zd acceptors): the
+        # certificate starts from the same one, numbered either way
+        if name == "jordan":
+            auto = compile(PeriodicSpec(states={"A": ("A", "B", "A"), "B": ("B", "B")}, root="A"))
+        else:
+            auto = group_from_name(name).acceptor[0]
+        n = len(auto.children)
+        flip = Automaton(tuple(tuple(n - 1 - t for t in auto.children[n - 1 - s])
+                               for s in range(n)), n - 1 - auto.root)
+        got, flipped = lower_bound_certificate(auto, rate), lower_bound_certificate(flip, rate)
+        assert got.radius == radius
+        for field in ("mid_rate", "budget_coeff", "cut_weight_floor", "radius"):
+            assert getattr(got, field) == getattr(flipped, field), field
+        assert got.y == flipped.y[::-1]
+        assert all(check_certificate(got).values()) and all(check_certificate(flipped).values())
+
+    def test_certificate_under_random_renumbering(self):
+        # random specs with states shuffled: the same certificate, y permuted
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(150):
+            auto = compile(random_periodic_spec(rng, max_states=5))
+            if auto.is_finite():
+                continue
+            n = len(auto.children)
+            perm = rng.sample(range(n), n)
+            back = {t: s for s, t in enumerate(perm)}
+            shuffled = Automaton(tuple(tuple(perm[t] for t in auto.children[back[s]])
+                                       for s in range(n)), perm[auto.root])
+            below = Fraction(int(br_exact_periodic(auto) * 80), 100)  # 4/5 of br, rounded down
+            for rate in (Fraction(1, 2), Fraction(9, 10), below):
+                if rate == 1 or compare_to_br(auto, rate) >= 0:
+                    continue
+                try:
+                    got = lower_bound_certificate(auto, rate)
+                except ResourceLimitError:
+                    continue
+                other = lower_bound_certificate(shuffled, rate)
+                assert (got.mid_rate, got.cut_weight_floor, got.radius) == (
+                    other.mid_rate, other.cut_weight_floor, other.radius)
+                assert got.y == tuple(other.y[perm[s]] for s in range(n))
+                checked += 1
+        assert checked > 200, checked

@@ -87,7 +87,6 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import accumulate, combinations, pairwise
 
@@ -102,7 +101,6 @@ from firebreak import (
     ResourceLimitError,
     SpecError,
     SurroundCapError,
-    Truncation,
     br_bracket,
     cayley_ball,
     check_certificate,
@@ -122,7 +120,7 @@ from firebreak.cli import main as cli_main
 from firebreak.game import BURNING, PROTECTED, ScheduleStrategy, ball_ids, simulate, state_from_fire
 from firebreak.trees import Automaton, compile
 from cayley_reference import ReferenceGraphProduct, joined_pairs, reference_ball, tree_export_text
-from conftest import ball_elements, ball_words, enumerate_geodesic_words, tree_export
+from conftest import ball_elements, ball_words, enumerate_geodesic_words, replaced, tree_export
 
 ALL_MODELS = [group_from_name(name) for name in (
     "free:1", "free:2", "zd:1", "zd:2", "zd:3", "dinf", "freeprod:2,3", "freeprod:3,3")]
@@ -734,6 +732,7 @@ DIFFERENTIAL_MODELS = ALL_MODELS + [group_from_name("freeprod:2,3,4"),
                                     group_from_name("freeprod:5,7"),
                                     GraphProduct((0, 3), name="freeprod:0,3")] + GP_MODELS
 BALL_FIELDS = ("level", "parent", "tree_generator")  # arrays; layers are level_starts
+TRUNCATION_FIELDS = ("depth", "parent", "state", "first_child", "level_starts")  # and spec
 
 
 def differential_radii(model, dense: int = 24, every: int = 5_000, most: int = 50_000,
@@ -836,9 +835,8 @@ class TestWordAcceptors:
         assert compile(spec) == auto
         for depth in range(6):
             got, want = expand(auto, depth), expand(spec, depth)
-            for field in fields(Truncation):
-                if field.name != "spec":
-                    assert getattr(got, field.name) == getattr(want, field.name), field.name
+            for name in TRUNCATION_FIELDS:
+                assert getattr(got, name) == getattr(want, name), name
             assert got.boundary_mask == want.boundary_mask
         assert level_counts(auto, 12) == level_counts(spec, 12)
         assert br_bracket(auto, 1e-6) == br_bracket(spec, 1e-6)
@@ -846,7 +844,7 @@ class TestWordAcceptors:
             assert compare_to_br(auto, rate) == compare_to_br(spec, rate)
             if compare_to_br(auto, rate) < 0:
                 got, want = lower_bound_certificate(auto, rate), lower_bound_certificate(spec, rate)
-                assert replace(got, spec=spec) == want
+                assert replaced(got, spec=spec) == want
                 assert check_certificate(got) == check_certificate(want)
                 assert all(check_certificate(got).values())
         for budget in (BudgetSequence.constant(2), BudgetSequence.polynomial(2, 1),
@@ -898,8 +896,8 @@ class TestWordAcceptors:
         # the ball is the acceptor's truncation, with other rows
         for radius in range(7):
             trunc, b = expand(model.acceptor[0], radius), cayley_ball(model, radius)
-            for field in fields(Truncation):
-                assert getattr(b, field.name) == getattr(trunc, field.name), (radius, field.name)
+            for name in ("spec", *TRUNCATION_FIELDS):
+                assert getattr(b, name) == getattr(trunc, name), (radius, name)
             assert b.boundary_mask == trunc.boundary_mask
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)

@@ -4,11 +4,14 @@ Exit code contract: 0 determinate, 1 usage/parse error, 2 indeterminate
 or a resource cap reached, 3 strategy fault.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,9 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from firebreak import expand, format_tree_spec, max_flow, min_cut_weight
+import firebreak
+from firebreak import (BudgetSequence, ExplicitSpec, PeriodicSpec, ScheduleStrategy,
+                       SymmetricSpec, expand, feasibility_check, format_tree_spec, max_flow,
+                       min_cut_weight, simulate, step)
 from firebreak.cli import _fmt, build_parser, main, parse
-from firebreak.trees import Automaton
+from firebreak.game import state_from_fire
+from firebreak.trees import Automaton, compile
 from conftest import random_periodic_spec
 
 BINARY = "variant: periodic\nroot: A\nstates: A -> A A\n"
@@ -813,6 +820,78 @@ class TestCayley:
                        "result.sphere_size = 2\nresult.trigger_round = 1\n"
                        "result.verdict = contained\nresult.verdict_round = 2\n"
                        "csv budget_vs_sphere\nround,budget,sphere\n1,3,2\n")
+
+
+class TestStartUp:
+    """Importing the CLI generates no class but ``FeasibilityResult`` (a
+    dataclass, which ``dataclasses.replace`` reads) and loads neither json
+    nor resource, which only ``--metrics`` needs; the classes written out in
+    its place keep the behaviour callers read.  No time is asserted."""
+
+    @staticmethod
+    def python(code: str, cwd=None) -> list[str]:
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(firebreak.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                              capture_output=True, text=True, timeout=60, check=True)
+        return done.stdout.splitlines()
+
+    def test_import_loads_no_metrics_module_and_one_dataclass(self):
+        assert self.python(
+            "import sys, firebreak.cli\n"
+            "print(sorted(set(sys.modules) & {'json', 'resource'}))\n"
+            "print(sorted({c.__qualname__ for name, mod in list(sys.modules.items())\n"
+            "              if name.startswith('firebreak') for c in vars(mod).values()\n"
+            "              if isinstance(c, type) and hasattr(c, '__dataclass_fields__')}))\n"
+        ) == ["[]", "['FeasibilityResult']"]
+
+    def test_metrics_in_a_fresh_process(self, tmp_path):
+        self.python("import sys, firebreak.cli\n"
+                    "sys.exit(firebreak.cli.main(['cayley', 'zd:2', '--mode', 'growth', '--R', '3',\n"
+                    "                             '--metrics', 'm.json']))\n", cwd=tmp_path)
+        metrics = json.loads((tmp_path / "m.json").read_text())
+        assert sorted(metrics) == ["peak_rss_mb", "wall_s"]
+        assert all(isinstance(v, float) and v > 0 for v in metrics.values()), metrics
+
+    @pytest.mark.parametrize("spec, field", [
+        (PeriodicSpec(states={"A": ("A", "B"), "B": ("A",)}, root="A"), "root"),
+        (SymmetricSpec(preperiod=(2,), period=(1, 3)), "period"),
+        (ExplicitSpec(parents=(0, 0, 1)), "parents"),
+        (Automaton(((0, 1), (0,)), 0), "children"),
+    ], ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
+    def test_specs_are_immutable_values(self, spec, field):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, getattr(spec, field))
+        with pytest.raises(AttributeError):
+            delattr(spec, field)
+        twin = type(spec)(*(getattr(spec, name) for name in spec._fields))
+        assert twin == spec and not twin != spec and twin is not spec
+        assert compile(twin) == compile(spec) and compile(spec) is compile(spec)
+        assert spec != Automaton(((0,),), 0)  # a value of another class
+        if field != "root":  # the periodic spec's states are a dict
+            assert hash(twin) == hash(spec)
+
+    def test_records_reject_assignment(self):
+        verdict = simulate(expand(ExplicitSpec(parents=(0, 0)), 1), 0, ScheduleStrategy({}),
+                           BudgetSequence.constant(1))
+        with pytest.raises(AttributeError):
+            verdict.kind = "contained"
+
+    def test_step_leaves_its_input_alone(self):
+        state = state_from_fire(expand(ExplicitSpec(parents=(0, 0, 1, 1, 2, 2)), 2), [0])
+        before = (state.arena, bytes(state.statuses), state.round_no, state.frontier)
+        after = step(state, [1], 1)
+        assert (state.arena, bytes(state.statuses), state.round_no, state.frontier) == before
+        assert (after.round_no, list(after.frontier), bytes(after.statuses)) == (
+            1, [2], bytes([2, 1, 2, 0, 0, 0, 0]))
+
+    def test_feasibility_result_is_a_dataclass(self):
+        got = feasibility_check(ExplicitSpec(parents=(0, 0, 1, 1, 2, 2)), 0,
+                                BudgetSequence.constant(2), 2)
+        assert got.feasible and got.witness_paths == ((0, 0), (0, 1), (1, 0), (1, 1))
+        bad = dataclasses.replace(got, witness_paths=got.witness_paths[1:])
+        assert bad.witness_paths == got.witness_paths[1:]
+        assert (bad.feasible, bad.depth, bad.radius, bad.witness_levels) == (
+            got.feasible, got.depth, got.radius, got.witness_levels)
 
 
 def test_parser_is_built_once_per_process(spec_dir):
