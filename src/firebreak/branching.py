@@ -37,8 +37,6 @@ from fractions import Fraction
 from itertools import count, islice, pairwise, takewhile
 from typing import Iterable, Union
 
-import numpy as np
-
 from .errors import ResourceLimitError, SpecError
 from .trees import (
     Automaton,
@@ -47,6 +45,7 @@ from .trees import (
     Value,
     _sorted_unique,
     compile,
+    np,
     view,
 )
 

@@ -51,8 +51,6 @@ from functools import cached_property
 from itertools import accumulate, combinations, pairwise
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import ResourceLimitError, SpecError, SurroundCapError
 from .game import (
     BudgetSequence,
@@ -62,7 +60,7 @@ from .game import (
     feasibility_decision,
     simulate,
 )
-from .trees import Automaton, Truncation, Value, format_ids, packed, unfold, view, zeroed
+from .trees import Automaton, Truncation, Value, format_ids, np, packed, unfold, view, zeroed
 
 _LETTERS = "abcdefghij"
 

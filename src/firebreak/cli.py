@@ -20,8 +20,6 @@ import time
 from fractions import Fraction
 from itertools import islice
 
-import numpy as np
-
 from . import __version__
 from .branching import (
     br_bracket,
@@ -104,7 +102,7 @@ def _fmt(value) -> str:
                                      f"past sys.get_int_max_str_digits() = {digits}") from None
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (list, tuple, range, np.ndarray)):
+    if isinstance(value, (list, tuple, range)) or getattr(value, "ndim", 0):  # numpy scalars have ndim 0
         return format_id_set(value)
     return str(value)
 

@@ -50,12 +50,10 @@ from fractions import Fraction
 from itertools import accumulate, islice, pairwise
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .branching import Cutset, compare_to_br, cut_recursion, exact_rate, min_cutset
 from .errors import ResourceLimitError, SpecError, StrategyFault, SynthesisError
 from .trees import (BURNING, PROTECTED, UNTOUCHED, TreeSpec, Truncation, Value, as_tuple,
-                    compile, expand, format_id_set, id_set, mark, row_entries)
+                    compile, expand, format_id_set, id_set, mark, np, row_entries)
 
 
 # ---------------------------------------------------------------------------

@@ -60,16 +60,40 @@ Every id set a report or a trace prints is written by ``format_id_set``.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 from array import array
 from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate, islice, pairwise
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-import numpy as np
-
 from .errors import ResourceLimitError, SpecError
+
+
+def _deferred(name: str):
+    """The module ``name`` as it is in ``sys.modules``, or one that loads on
+    its first attribute read (``importlib.util.LazyLoader``).  ``np`` is numpy
+    so bound, once for the package: ``branching``, ``game`` and ``cayley``
+    take it from here.  numpy loads at the first truncation, Cayley ball or
+    export, so ``br``, ``contain`` at or below br and ``cayley`` growth and
+    polyprobe never load it.  Nothing reads a numpy attribute at import, and
+    no module runs ``import numpy`` after this binding: that statement reads
+    ``__spec__``, which loads it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _deferred("numpy")
 
 DEFAULT_VERTEX_CAP = 10_000_000
 VERTEX_CAP_ENV = "FIREBREAK_VERTEX_CAP"
@@ -425,8 +449,8 @@ class Truncation:
         cols[parent[1:] + ids[1:-1] - 1] = ids[1:-1]
         return offsets, columns
 
-    _built_rows = (zeroed(1)[0], zeroed(0)[0])  # no row yet: the first ask builds some
-    _row_views = tuple(map(view, _built_rows))  # their numpy views, made once per build
+    _built_rows = (array("i", [0]), array("i"))  # no row yet: the first ask builds some
+    _row_views = ()  # their numpy views, made once per build
 
     def _rows_through(self, last: int) -> tuple[memoryview, memoryview]:
         """Row buffers holding rows 0..last: the interior rows (ids below

@@ -4,6 +4,7 @@ Exit code contract: 0 determinate, 1 usage/parse error, 2 indeterminate
 or a resource cap reached, 3 strategy fault.
 """
 
+import ast
 import dataclasses
 import hashlib
 import io
@@ -822,15 +823,40 @@ class TestCayley:
                        "csv budget_vs_sphere\nround,budget,sphere\n1,3,2\n")
 
 
+SRC = os.path.dirname(os.path.dirname(firebreak.__file__))
+
+# runs that build no array: br, contain below br and at it (exit 2,
+# undetermined), cayley growth and polyprobe, and a usage error (exit 1)
+NO_ARRAY_RUNS = [
+    ["br", "binary.tree"],
+    ["br", "fib.tree", "--lambda", "3/2"],
+    ["contain", "fib.tree", "--lambda", "3/2"],
+    ["contain", "c200.tree", "--lambda", "201/200"],
+    ["contain", "binary.tree", "--lambda", "2"],
+    ["contain", "jordan.tree", "--lambda", "2"],
+    ["cayley", "free:2", "--mode", "growth", "--R", "6"],
+    ["cayley", "free:2", "--mode", "polyprobe", "--R", "7", "--k", "1", "--c", "3", "--d", "2"],
+    ["br"],
+]
+
+
+def cli_process(argv, cwd, path=SRC) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr bytes of ``python -m firebreak.cli`` in a fresh process."""
+    done = subprocess.run([sys.executable, "-m", "firebreak.cli", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
 class TestStartUp:
     """Importing the CLI generates no class but ``FeasibilityResult`` (a
     dataclass, which ``dataclasses.replace`` reads) and loads neither json
     nor resource, which only ``--metrics`` needs; the classes written out in
-    its place keep the behaviour callers read.  No time is asserted."""
+    its place keep the behaviour callers read.  numpy loads on the first
+    array: a run that builds none never loads it.  No time is asserted."""
 
     @staticmethod
     def python(code: str, cwd=None) -> list[str]:
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(firebreak.__file__)))
+        env = dict(os.environ, PYTHONPATH=SRC)
         done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                               capture_output=True, text=True, timeout=60, check=True)
         return done.stdout.splitlines()
@@ -843,6 +869,47 @@ class TestStartUp:
             "              if name.startswith('firebreak') for c in vars(mod).values()\n"
             "              if isinstance(c, type) and hasattr(c, '__dataclass_fields__')}))\n"
         ) == ["[]", "['FeasibilityResult']"]
+
+    def test_import_leaves_numpy_unloaded(self):
+        assert self.python("import sys, firebreak.cli\n"
+                           "print('numpy._core' in sys.modules)\n") == ["False"]
+
+    def test_numpy_imported_first_is_the_one_used(self):
+        assert self.python(
+            "import numpy, firebreak.cli\n"
+            "from firebreak import branching, cayley, game, trees\n"
+            "print([m.np is numpy for m in (branching, cayley, game, trees)])\n"
+        ) == ["[True, True, True, True]"]
+
+    @pytest.mark.parametrize("argv", NO_ARRAY_RUNS, ids=" ".join)
+    def test_runs_without_arrays_need_no_numpy(self, spec_dir, argv):
+        """Under a ``numpy.py`` that raises ImportError, the run gives the bytes it gives with numpy."""
+        (spec_dir / "jordan.tree").write_text(REDUCIBLE)
+        blocked = spec_dir / "blocked"
+        blocked.mkdir()
+        (blocked / "numpy.py").write_text("raise ImportError('numpy is blocked')\n")
+        got = cli_process(argv, spec_dir, f"{blocked}{os.pathsep}{SRC}")
+        assert got == cli_process(argv, spec_dir)
+
+    def test_one_process_gives_the_bytes_of_fresh_ones(self, spec_dir):
+        """contain below br (no numpy), then contain above it and a Cayley
+        tree export (numpy loaded between them), as three fresh processes give them."""
+        runs = [["contain", "fib.tree", "--lambda", "3/2"],
+                ["contain", "fib.tree", "--lambda", "17/10", "--k", "1"],
+                ["cayley", "zd:3", "--mode", "tree", "--R", "6", "--out", "zd3.tree"]]
+        together = self.python(
+            "import io, sys, firebreak.cli\n"
+            "from contextlib import redirect_stdout\n"
+            f"for argv in {runs!r}:\n"
+            "    with redirect_stdout(io.StringIO()) as out:\n"
+            "        code = firebreak.cli.main(argv)\n"
+            "    print(repr((code, out.getvalue(), 'numpy._core' in sys.modules)))\n", cwd=spec_dir)
+        exported = (spec_dir / "zd3.tree").read_bytes()
+        fresh = [cli_process(argv, spec_dir) for argv in runs]
+        assert [ast.literal_eval(line) for line in together] == [
+            (code, out.decode(), loaded) for (code, out, _), loaded in zip(fresh, (False, True, True))]
+        assert (spec_dir / "zd3.tree").read_bytes() == exported
+        assert [code for code, _, _ in fresh] == [0, 0, 0]
 
     def test_metrics_in_a_fresh_process(self, tmp_path):
         self.python("import sys, firebreak.cli\n"
