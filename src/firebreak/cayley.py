@@ -42,25 +42,21 @@ Cayley distances.  It unfolds levels 0..R-1, and the whole ball only when
 one of its vertex arrays is read; its ``_rows(n)`` read the Cayley
 graph's rows off that tree with no element built.  So the game plays the
 ball and its spanning tree on one vertex numbering with different rows,
-and every tree algorithm here answers a Cayley question.
+and every tree algorithm here answers a Cayley question.  Only the
+surround and the probes play the game, so only they import ``game``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate, combinations, pairwise
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ResourceLimitError, SpecError, SurroundCapError
-from .game import (
-    BudgetSequence,
-    FeasibilityResult,
-    ScheduleStrategy,
-    Verdict,
-    feasibility_decision,
-    simulate,
-)
 from .trees import Automaton, Truncation, Value, format_ids, np, packed, unfold, view, zeroed
+
+if TYPE_CHECKING:  # the records' annotations; the functions import game when they run
+    from .game import FeasibilityResult, ScheduleStrategy, Verdict
 
 _LETTERS = "abcdefghij"
 
@@ -476,6 +472,8 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
     Runs out of ball (SurroundCapError, with nothing built) when the rate
     does not outgrow the spheres within the given ball radius; the ball cap
     applies to that radius."""
+    from .game import BudgetSequence, ScheduleStrategy, simulate
+
     if radius < 0:
         raise SpecError("initial radius must be >= 0")
     if ball_radius <= radius + 1:
@@ -538,6 +536,8 @@ def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> Prob
     containing strategy on the tree means none on the ball.  An infeasible
     finite-depth probe is still evidence, not proof, against containment
     on the Cayley graph itself: it cannot settle an asymptotic statement."""
+    from .game import BudgetSequence, feasibility_decision
+
     spheres = _sphere_sizes(model, depth)
     budget = BudgetSequence.polynomial(coeff, degree)
     result = feasibility_decision(model.acceptor[0], radius, budget, depth)

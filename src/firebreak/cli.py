@@ -9,6 +9,12 @@ accepts.  Exit codes: 0 determinate result (every ``br`` run
 on an infinite spec: its bracket is exact), 1 usage or parse error, 2
 indeterminate result or a resource cap reached (the message names the
 cap), 3 strategy fault.
+
+Each ``cmd_*`` imports the layers it runs when it starts, so a process
+loads only those: ``br`` trees and branching; ``cayley`` trees and cayley
+(and game, which needs branching, for surround and polyprobe); ``contain``
+and ``simulate`` trees, branching and game; ``oracle`` those and oracle.
+A usage error loads no layer.
 """
 
 from __future__ import annotations
@@ -21,54 +27,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import __version__
-from .branching import (
-    br_bracket,
-    br_enclosure,
-    br_exact_periodic,
-    check_certificate,
-    compare_to_br,
-    cut_recursion,
-    cut_weight,
-    lower_bound_certificate,
-)
-from .cayley import (
-    group_from_name,
-    growth_rate_estimate,
-    lex_min_tree,
-    polynomial_probe,
-    wait_and_surround,
-    write_tree_export,
-)
-from .errors import (
-    ResourceLimitError,
-    SpecError,
-    StrategyFault,
-    SurroundCapError,
-    SynthesisError,
-)
-from .game import (
-    BudgetSequence,
-    CanonicalStrategy,
-    ScheduleStrategy,
-    ball_ids,
-    feasibility_rows,
-    format_trace,
-    parse_schedule,
-    parse_trace,
-    read_int,
-    simulate,
-    synthesize_cutset_strategy,
-)
-from .oracle import OracleCache, brute_force_containment, oracle_key
-from .trees import (
-    ExplicitSpec,
-    compile,
-    expand,
-    format_id_set,
-    format_tree_spec,
-    load_tree_spec,
-    read_text,
-)
+from .errors import ResourceLimitError, SpecError, StrategyFault, SurroundCapError, SynthesisError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,7 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(value) -> str:
+def _fmt(value, id_set=None) -> str:
+    """A report cell's text; a list, tuple, range or array cell by ``id_set``
+    (``trees.format_id_set``, which ``emit_report`` imports once a report)."""
     if type(value) in (int, str):  # most cells, ahead of Fraction's ABCMeta isinstance
         return str(value)
     if value is None:
@@ -103,18 +64,21 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple, range)) or getattr(value, "ndim", 0):  # numpy scalars have ndim 0
-        return format_id_set(value)
+        return id_set(value)
     return str(value)
 
 
 def emit_report(config: dict, result: dict, tables=(), out: str | None = None) -> str:
-    lines = [f"config.{k} = {_fmt(config[k])}" for k in sorted(config)]
-    lines += [f"result.{k} = {_fmt(result[k])}" for k in sorted(result)]
+    from .trees import format_id_set
+
+    fmt = functools.partial(_fmt, id_set=format_id_set)
+    lines = [f"config.{k} = {fmt(config[k])}" for k in sorted(config)]
+    lines += [f"result.{k} = {fmt(result[k])}" for k in sorted(result)]
     for name, header, rows in tables:
         lines.append(f"csv {name}")
         lines.append(",".join(header))
         for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out:
@@ -141,6 +105,8 @@ def _cut_rows(spec, lam: Fraction, depths: int):
     """The cuts table: (lambda, depth, min_cut, flow_value) for depths 1..
     depths, read from the recursion.  ResourceLimitError past CUT_DEPTHS_MAX
     rows, checked first, and at the first weight too long for str()."""
+    from .branching import cut_recursion
+
     if depths > CUT_DEPTHS_MAX:
         raise ResourceLimitError(f"--cut-depths {depths} is past CUT_DEPTHS_MAX = {CUT_DEPTHS_MAX}")
     digits = sys.get_int_max_str_digits()
@@ -158,6 +124,9 @@ def _cut_rows(spec, lam: Fraction, depths: int):
 
 
 def cmd_br(args) -> int:
+    from .branching import br_bracket, br_exact_periodic
+    from .trees import compile, load_tree_spec
+
     spec = load_tree_spec(args.spec)
     config = _base_config("br")
     config.update(spec=args.spec, tol=args.tol)
@@ -186,6 +155,11 @@ def cmd_br(args) -> int:
 
 
 def cmd_contain(args) -> int:
+    from .branching import (br_enclosure, check_certificate, compare_to_br, cut_weight,
+                            lower_bound_certificate)
+    from .game import BudgetSequence, feasibility_rows, simulate, synthesize_cutset_strategy
+    from .trees import compile, load_tree_spec
+
     spec = load_tree_spec(args.spec)
     lam = _rational(getattr(args, "lambda"), "--lambda")
     config = _base_config("contain")
@@ -199,6 +173,8 @@ def cmd_contain(args) -> int:
         raise SpecError("rate must be positive")
     if args.k < 0:
         raise SpecError("initial radius must be >= 0")
+    if args.D_max <= args.k:
+        raise SpecError("depth_max must exceed the initial radius")
     if args.evidence_depths < 1:
         raise SpecError("--evidence-depths must be >= 1")
     if args.evidence_depths > EVIDENCE_DEPTHS_MAX:
@@ -250,6 +226,10 @@ def cmd_contain(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .game import (BudgetSequence, CanonicalStrategy, ScheduleStrategy, format_trace,
+                       parse_schedule, parse_trace, read_int, simulate)
+    from .trees import expand, load_tree_spec, read_text
+
     spec = load_tree_spec(args.spec)
     budget = BudgetSequence.parse(args.budget)
     trunc = expand(spec, args.depth)
@@ -297,6 +277,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .game import BudgetSequence, ball_ids, read_int
+    from .oracle import OracleCache, brute_force_containment, oracle_key
+    from .trees import ExplicitSpec, expand, format_tree_spec, load_tree_spec
+
     spec = load_tree_spec(args.spec)
     if not isinstance(spec, ExplicitSpec):
         raise SpecError("the oracle runs on explicit tree specs only")
@@ -335,6 +319,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_cayley(args) -> int:
+    from .cayley import (group_from_name, growth_rate_estimate, lex_min_tree, polynomial_probe,
+                         wait_and_surround, write_tree_export)
+
     model = group_from_name(args.group)
     config = _base_config("cayley")
     config.update(group=args.group, mode=args.mode, R=args.R)

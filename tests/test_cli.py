@@ -27,7 +27,7 @@ from firebreak import (BudgetSequence, ExplicitSpec, PeriodicSpec, ScheduleStrat
                        min_cut_weight, simulate, step)
 from firebreak.cli import _fmt, build_parser, main, parse
 from firebreak.game import state_from_fire
-from firebreak.trees import Automaton, compile
+from firebreak.trees import Automaton, compile, format_id_set
 from conftest import random_periodic_spec
 
 BINARY = "variant: periodic\nroot: A\nstates: A -> A A\n"
@@ -295,8 +295,8 @@ class TestContain:
     def test_evidence_depths_past_the_bound_exit_two(self, depths, spec_dir, capsys,
                                                      monkeypatch):
         # refused before br_enclosure: no row, and no bracket, is computed
-        import firebreak.cli
-        monkeypatch.setattr(firebreak.cli, "br_enclosure", None)
+        import firebreak.branching
+        monkeypatch.setattr(firebreak.branching, "br_enclosure", None)
         t0 = time.perf_counter()
         code, out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "3/2",
                          "--evidence-depths", depths])
@@ -314,8 +314,8 @@ class TestContain:
             self, lam, message, spec_dir, capsys, monkeypatch):
         # a rate <= 0 is refused with the argument checks, and rate 1 below
         # br right after the exact comparison: no bracket is computed
-        import firebreak.cli
-        monkeypatch.setattr(firebreak.cli, "br_enclosure", None)
+        import firebreak.branching
+        monkeypatch.setattr(firebreak.branching, "br_enclosure", None)
         t0 = time.perf_counter()
         code, out = run(["contain", str(spec_dir / "c200.tree"), f"--lambda={lam}"])
         assert time.perf_counter() - t0 < 1
@@ -564,10 +564,10 @@ class TestRejectedInput:
         assert f"firebreak: {message}" in capsys.readouterr().err
 
     def test_tree_without_out_exits_before_building(self, monkeypatch, capsys):
-        import firebreak.cli
+        import firebreak.cayley
         def no_ball(*_a):
             raise AssertionError("the ball was built before --out was checked")
-        monkeypatch.setattr(firebreak.cli, "lex_min_tree", no_ball)
+        monkeypatch.setattr(firebreak.cayley, "lex_min_tree", no_ball)
         code, _out = run(["cayley", "free:2", "--mode", "tree", "--R", "10"])
         assert code == 1
         assert "--out is required for mode tree" in capsys.readouterr().err
@@ -658,10 +658,13 @@ class TestRejectedInput:
         assert "not allowed with argument" in capsys.readouterr().err
 
     def test_depth_max_not_above_radius_exits_one(self, spec_dir, capsys):
-        code, _out = run(["contain", str(spec_dir / "binary.tree"), "--lambda", "3",
-                          "--k", "2", "--D-max", "2"])
-        assert code == 1
-        assert "depth_max must exceed the initial radius" in capsys.readouterr().err
+        # above br, below it (fib at 3/2) and at it (binary at 2): refused with the argument checks
+        for argv in (["binary.tree", "--lambda", "3", "--k", "2", "--D-max", "2"],
+                     ["fib.tree", "--lambda", "3/2", "--D-max", "-1"],
+                     ["binary.tree", "--lambda", "2", "--k", "0", "--D-max", "0"]):
+            code, out = run(["contain", str(spec_dir / argv[0]), *argv[1:]])
+            assert code == 1 and out == "", argv
+            assert "depth_max must exceed the initial radius" in capsys.readouterr().err
 
 
 class TestOracle:
@@ -847,12 +850,25 @@ def cli_process(argv, cwd, path=SRC) -> tuple[int, bytes, bytes]:
     return done.returncode, done.stdout, done.stderr
 
 
+# the exit code and the layers a fresh CLI process loads for each run:
+# only those its command calls, and none on a usage error
+RUN_LAYERS = [
+    (["br", "fib.tree"], 0, ["branching", "trees"]),
+    (["br", "fib.tree", "--lambda", "3/2"], 0, ["branching", "trees"]),
+    (["cayley", "free:2", "--mode", "growth", "--R", "6"], 0, ["cayley", "trees"]),
+    (["cayley", "free:2", "--mode", "tree", "--R", "4", "--out", "f2.tree"], 0, ["cayley", "trees"]),
+    (["contain", "fib.tree", "--lambda", "3/2"], 0, ["branching", "game", "trees"]),
+    (["contain", "fib.tree", "--lambda", "17/10", "--k", "1"], 0, ["branching", "game", "trees"]),
+    (["br"], 1, []),
+    (["frobnicate", "x"], 1, []),
+]
+
+
 class TestStartUp:
-    """Importing the CLI generates no class but ``FeasibilityResult`` (a
-    dataclass, which ``dataclasses.replace`` reads) and loads neither json
-    nor resource, which only ``--metrics`` needs; the classes written out in
-    its place keep the behaviour callers read.  numpy loads on the first
-    array: a run that builds none never loads it.  No time is asserted."""
+    """Importing the CLI generates no class and loads no layer past
+    ``errors``, nor json or resource, which only ``--metrics`` needs; each
+    command imports the layers it runs.  numpy loads on the first array: a
+    run that builds none never loads it.  No time is asserted."""
 
     @staticmethod
     def python(code: str, cwd=None) -> list[str]:
@@ -861,14 +877,28 @@ class TestStartUp:
                               capture_output=True, text=True, timeout=60, check=True)
         return done.stdout.splitlines()
 
-    def test_import_loads_no_metrics_module_and_one_dataclass(self):
+    def test_import_loads_no_metrics_module_no_layer_and_no_dataclass(self):
         assert self.python(
             "import sys, firebreak.cli\n"
             "print(sorted(set(sys.modules) & {'json', 'resource'}))\n"
+            "print(sorted(name for name in sys.modules if name.startswith('firebreak')))\n"
             "print(sorted({c.__qualname__ for name, mod in list(sys.modules.items())\n"
             "              if name.startswith('firebreak') for c in vars(mod).values()\n"
             "              if isinstance(c, type) and hasattr(c, '__dataclass_fields__')}))\n"
-        ) == ["[]", "['FeasibilityResult']"]
+        ) == ["[]", "['firebreak', 'firebreak.cli', 'firebreak.errors']", "[]"]
+
+    @pytest.mark.parametrize("argv, code, layers", RUN_LAYERS, ids=[
+        " ".join(argv) for argv, _, _ in RUN_LAYERS])
+    def test_a_run_loads_only_its_layers(self, spec_dir, argv, code, layers):
+        assert self.python(
+            "import io, sys, firebreak.cli\n"
+            "from contextlib import redirect_stderr, redirect_stdout\n"
+            "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+            f"    code = firebreak.cli.main({argv!r})\n"
+            "print(code)\n"
+            "print(sorted(name.split('.')[1] for name in sys.modules\n"
+            "             if name.startswith('firebreak.') and name not in\n"
+            "             ('firebreak.cli', 'firebreak.errors')))\n", cwd=spec_dir) == [str(code), repr(layers)]
 
     def test_import_leaves_numpy_unloaded(self):
         assert self.python("import sys, firebreak.cli\n"
@@ -961,6 +991,34 @@ class TestStartUp:
             got.feasible, got.depth, got.radius, got.witness_levels)
 
 
+class TestExports:
+    """The package's names resolve on first access, each to its module's object."""
+
+    def test_every_name_is_its_modules_object(self):
+        assert len(firebreak.__all__) == 57 and firebreak.__all__ == sorted(set(firebreak.__all__))
+        for name in firebreak.__all__:
+            value = getattr(firebreak, name)
+            module = sys.modules[value.__module__]
+            assert module.__name__.startswith("firebreak."), name
+            assert getattr(module, "ball" if name == "cayley_ball" else name) is value, name
+
+    def test_dir_lists_every_name(self):
+        assert set(firebreak.__all__) <= set(dir(firebreak))
+        assert "__version__" in dir(firebreak)
+
+    def test_star_import(self):
+        scope = {}
+        exec("from firebreak import *", scope)
+        assert {name: scope[name] for name in firebreak.__all__} == {
+            name: getattr(firebreak, name) for name in firebreak.__all__}
+
+    def test_unknown_name_raises_naming_it(self):
+        with pytest.raises(AttributeError, match="'firebreak' has no attribute 'no_such_name'"):
+            firebreak.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from firebreak import no_such_name", {})
+
+
 def test_parser_is_built_once_per_process(spec_dir):
     run(["br", str(spec_dir / "binary.tree")])
     built = build_parser.cache_info().misses
@@ -1022,7 +1080,7 @@ class TestParse:
     def test_report_cells(self):
         cells = (None, True, False, 0, -12, "x", "", Fraction(3, 2), Fraction(-4), 0.5, 1e300,
                  (), (1, 2), [3, "a"])
-        assert [_fmt(v) for v in cells] == ["-", "true", "false", "0", "-12", "x", "", "3/2",
+        assert [_fmt(v, format_id_set) for v in cells] == ["-", "true", "false", "0", "-12", "x", "", "3/2",
                                             "-4", "0.5", "1e+300", "-", "1 2", "3 a"]
 
     @pytest.mark.parametrize("argv", [
