@@ -177,8 +177,8 @@ def min_cutset(trunc: Truncation, rate: Rate, steps=None) -> Cutset:
     recursion value is 1, i.e. when cutting the edge above it costs no more
     than the best cut inside its subtree, so ties go to the shallower cut.
     Subtrees of value 0 reach no boundary vertex and are skipped.  Values
-    are classified exactly per (level, state), and the vertices whose
-    ancestors all lie strictly between 0 and 1 are carried down by level.
+    are classified exactly per (level, state), a level's ids at a time, and
+    those whose ancestors all lie strictly between 0 and 1 carried down.
     ``steps`` are the recursion's steps 0..depth at this rate, as
     cut_recursion yields them, which synthesis has already stepped
     through; without them the recursion runs here."""
@@ -187,14 +187,12 @@ def min_cutset(trunc: Truncation, rate: Rate, steps=None) -> Cutset:
         _, _, steps = _truncation_recursion(trunc, rate)
     table = np.array([[1 if n == den else 2 if n else 0 for n in nums]  # 2: strictly between
                       for nums, den, _ in reversed(steps[:depth + 1])], np.int8)
-    kind = table[view(trunc.level), view(trunc.state)]
-    parent = view(trunc.parent)
-    cut, opened = np.zeros(trunc.n_vertices, bool), kind == 2
-    opened[0] = True
-    for a, b in pairwise(trunc.level_starts[1:]):
-        reached = opened[parent[a:b]]
-        cut[a:b] = reached & (kind[a:b] == 1)
-        opened[a:b] &= reached
+    parent, state = view(trunc.parent), view(trunc.state)
+    cut, opened = np.zeros(trunc.n_vertices, bool), np.ones(trunc.n_vertices, bool)
+    for kinds, (a, b) in zip(table[1:], pairwise(trunc.level_starts[1:])):
+        kind, reached = kinds[state[a:b]], opened[parent[a:b]]
+        cut[a:b] = reached & (kind == 1)
+        opened[a:b] = reached & (kind == 2)
     return Cutset(np.flatnonzero(cut))
 
 
@@ -211,24 +209,25 @@ class FlowAssignment(Value):
 
 def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
     """A maximum feasible flow from the root to the boundary, built
-    top-down by splitting each vertex's inflow over its children up to
-    their min-cut values c, read from a per-(level, state) table of
-    numerators over the recursion's denominator at the truncation depth.
-    Its value equals min_cut_weight exactly."""
+    top-down, level by level, by splitting each vertex's inflow over its
+    children (ids ``first_child[v]`` to ``first_child[v + 1]``) up to their
+    min-cut values c, the level's numerators per state over the recursion's
+    denominator at the truncation depth.  Its value equals min_cut_weight."""
     rate, q, steps = _truncation_recursion(trunc, rate)
-    depth, level, state = trunc.depth, trunc.level, trunc.state
+    depth, first, state = trunc.depth, trunc.first_child, trunc.state
     _, den, value = steps[depth]
-    c = [[q ** lv * n for n in steps[depth - lv][0]] for lv in range(depth + 1)]
     flows: dict[int, int] = {}
-    for v in range(trunc.n_vertices):
-        remaining = flows.get(v, 0) if v else value
-        for w in trunc.children[v]:
-            if remaining == 0:
-                break
-            x = min(c[level[w]][state[w]], remaining)
-            if x > 0:
-                flows[w] = x
-                remaining -= x
+    for lv, (a, b) in enumerate(pairwise(trunc.level_starts[:-1]), 1):  # children at level lv
+        c = [q ** lv * n for n in steps[depth - lv][0]]
+        for v in range(a, b):
+            remaining = flows.get(v, 0) if v else value
+            for w in range(first[v], first[v + 1]):
+                if remaining == 0:
+                    break
+                x = min(c[state[w]], remaining)
+                if x > 0:
+                    flows[w] = x
+                    remaining -= x
     return FlowAssignment(flows={w: Fraction(x, den) for w, x in flows.items()},
                           value=Fraction(value, den), rate=rate)
 

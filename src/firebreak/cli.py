@@ -289,8 +289,9 @@ def cmd_oracle(args) -> int:
     budget = BudgetSequence.parse(args.budget)
     depth = args.depth if args.depth is not None else spec.height()
     trunc = expand(spec, depth)
-    if args.x0:
-        fire = sorted({read_int(t, "--x0") for t in args.x0.split(",") if t})
+    if args.x0 is not None:
+        if not (fire := sorted({read_int(t, "--x0") for t in args.x0.split(",") if t})):
+            raise SpecError(f"--x0: {args.x0!r} names no vertex")
     else:
         fire = ball_ids(trunc, args.k)
     config = _base_config("oracle")

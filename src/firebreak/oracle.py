@@ -4,9 +4,12 @@ containment.
 The search enumerates protect-sets round by round, playing each through
 ``game.step`` from ``game.state_from_fire``, with a transposition table
 keyed on the status vector alone: a vertex burns in the round equal to its
-distance from the fire through burning vertices, so the statuses fix the
-round.  Fire reaching a truncation-boundary vertex (``game.reached``) is
-a loss: those vertices stand in for the infinite continuation of the tree.
+distance from the fire through burning vertices, and each round searched
+burns one, so the statuses fix the round.  Only a strict search can hit
+the table: a restricted round leaves its whole front protected or burning,
+so the statuses fix the history and none recurs.  Fire reaching a
+truncation-boundary vertex (``game.reached``) is a loss: those vertices
+stand in for the infinite continuation of the tree.
 
 Two candidate modes:
 
@@ -66,10 +69,7 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
     if horizon is None:
         horizon = trunc.n_vertices + 2
 
-    # A vertex burns in the round equal to its distance from the fire through
-    # burning vertices, and every round searched burns at least one vertex, so
-    # the statuses fix the round and key the memo alone.  Only the frontier can
-    # have untouched neighbours: older burning vertices spread to all of theirs.
+    # Only the frontier can have untouched neighbours: older burning ones spread to all of theirs
     memo: dict[bytes, tuple[tuple[int, ...], ...] | None] = {}
 
     def search(state: GameState) -> tuple[tuple[int, ...], ...] | None:

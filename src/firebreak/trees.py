@@ -25,30 +25,29 @@ substitution (``unfold``).  Its vertex arrays, ``parent``, ``state`` and
 the child offsets, are memoryviews over the numpy buffers that computed
 them (``packed``): they index, slice and iterate to Python ints, as
 ``array('i')`` does, and numpy reads them back as zero-copy views
-(``view``).  ``level_starts`` holds the first id of each level, and the
-per-vertex ``level`` is derived from it on first read by the callers that
-index levels vertex by vertex (``min_cutset``, ``max_flow``); the game
-engine, the Cayley rows and the tree export read ``level_starts`` alone.
-``children[v]`` is a ``range``.  It is the one game arena and holds the one
-adjacency: flat rows, offsets and column ids as vertex arrays, which
-``neighbors(v)`` slices and ``rows(last)`` views.
-Rows are built only as far as play reads them: the interior rows (ids below
-``level_starts[D]``) on first use, and level D's only once one of them is
-asked for, by ``neighbors`` or by ``rows`` up to the last id of a frontier
-or of the side ``separated`` reads.  A tree's row lists the parent,
-then the children, and as tree rows are cheap a tree builds them all at
-once; a Cayley ball (``cayley.CayleyBall``) is the truncation of its
-group's word acceptor whose ``_rows(n)`` list the Cayley graph's
-neighbours of the first n vertices instead.  A ball unfolds levels 0..D-1
-(``unfold`` without ``outer``), and the whole tree only when one of its
-vertex arrays is read.  The level of a vertex is its
-distance from the root; the level of an edge is the level of its child
-endpoint.  Level-D vertices that continue in the infinite tree form the
-truncation *boundary*: separating the root from them is what a cutset must
-do, and a fire reaching one of them makes a game verdict inconclusive at
-this depth.  A level-D vertex continues when its state has children, or
-always for an explicit tree (``escape_leaves``): the depth of a finite
-description is the horizon of what it can rule out.
+(``view``).  ``level_starts`` holds the first id of each level and
+``first_child`` that of each vertex's children, so every reader in the
+package walks a level or a vertex's children as a run of ids (``level``,
+one level per vertex, is for readers outside it).  A truncation is the one
+game arena and holds the one adjacency: flat rows, offsets and column ids
+as vertex arrays, which ``neighbors(v)`` slices and ``rows(last)`` views
+and alone builds, as far as play reads them: the interior rows (ids below
+``level_starts[D]``) on first use, and level D's once one of them is
+asked for, by ``neighbors`` or up to the last id of a frontier or of the
+side ``separated`` reads.  A tree's row lists the parent, then the
+children, and as tree rows are cheap a tree builds them all at once; a
+Cayley ball (``cayley.CayleyBall``) is the truncation of its group's word
+acceptor whose ``_rows(n)`` list the Cayley graph's neighbours of the
+first n vertices instead.  A ball unfolds levels 0..D-1 (``unfold``
+without ``outer``), and the whole tree only when one of its vertex arrays
+is read.  The level of a vertex is its distance from the root; the level
+of an edge is the level of its child endpoint.  Level-D vertices that
+continue in the infinite tree form the truncation *boundary*: separating
+the root from them is what a cutset must do, and a fire reaching one of
+them makes a game verdict inconclusive at this depth.  A level-D vertex
+continues when its state has children, or always for an explicit tree
+(``escape_leaves``): the depth of a finite description is the horizon of
+what it can rule out.
 
 Every set of vertex ids the game plays (a protect set, a frontier, the fire,
 one side of ``separated``'s check) goes through one helper: ``id_set`` sorts
@@ -66,7 +65,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ResourceLimitError, SpecError
@@ -416,14 +415,8 @@ class Truncation:
 
     @cached_property
     def level(self) -> memoryview:
-        """Each vertex's level, one repeat of the level sizes on first read;
-        the game, the Cayley rows and the export read ``level_starts``."""
-        sizes = [b - a for a, b in pairwise(self.level_starts)]
-        return packed(np.arange(self.depth + 1, dtype=np.intc).repeat(sizes))
-
-    @cached_property
-    def children(self) -> list[range]:
-        return list(map(range, self.first_child[:-1], self.first_child[1:]))
+        """Each vertex's level, for readers outside the package (the bench referee)."""
+        return packed(np.arange(self.depth + 1, dtype=np.intc).repeat(np.diff(self.level_starts)))
 
     @cached_property
     def boundary_mask(self) -> bytes:
@@ -452,27 +445,19 @@ class Truncation:
     _built_rows = (array("i", [0]), array("i"))  # no row yet: the first ask builds some
     _row_views = ()  # their numpy views, made once per build
 
-    def _rows_through(self, last: int) -> tuple[memoryview, memoryview]:
-        """Row buffers holding rows 0..last: the interior rows (ids below
-        ``level_starts[depth]``) on first use, and level D's rows too only
-        once one of them is asked for."""
+    def rows(self, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """Numpy views of row buffers holding rows 0..last: the interior rows
+        (ids below ``level_starts[depth]``) are built on first use, and level
+        D's only once one of them is asked for (see the module docstring)."""
         if len(self._built_rows[0]) <= last + 1:
             inner = self.level_starts[self.depth]
             self._built_rows = self._rows(inner if last < inner else self.n_vertices)
             self._row_views = tuple(map(view, self._built_rows))
-        return self._built_rows
-
-    def rows(self, last: int) -> tuple[np.ndarray, np.ndarray]:
-        """Numpy views of row buffers holding rows 0..last, which game rounds
-        that spread in one numpy pass read up to their frontier's last id."""
-        if len(self._built_rows[0]) <= last + 1:
-            self._rows_through(last)
         return self._row_views
 
     def neighbors(self, v: int) -> memoryview:
+        self.rows(v)  # row v built; its memoryview slice iterates to ints
         offsets, columns = self._built_rows
-        if len(offsets) <= v + 1:  # _rows_through's test, inline on this hot path
-            offsets, columns = self._rows_through(v)
         return columns[offsets[v]:offsets[v + 1]]
 
     def separated(self, statuses: bytes | bytearray) -> bool:

@@ -144,7 +144,18 @@ def ball(trunc, radius: int) -> tuple[int, ...]:
         raise SpecError(
             f"ball of radius {radius} is not contained in a depth-{trunc.depth} truncation"
         )
-    return tuple(v for v in range(trunc.n_vertices) if trunc.level[v] <= radius)
+    return tuple(range(trunc.level_starts[radius + 1]))
+
+
+def vertex_levels(trunc) -> list[int]:
+    """Each vertex's level, read off ``level_starts`` as the package reads levels."""
+    starts = trunc.level_starts
+    return [lv for lv in range(len(starts) - 1) for _ in range(starts[lv], starts[lv + 1])]
+
+
+def child_ids(trunc, v: int) -> range:
+    """The children of v, read off ``first_child`` as the package reads them."""
+    return range(trunc.first_child[v], trunc.first_child[v + 1])
 
 
 def boundary_ids(trunc) -> tuple[int, ...]:
@@ -159,7 +170,7 @@ def path_of(trunc, v: int) -> tuple[int, ...]:
     """Root-to-v path as child indices (position among siblings)."""
     rev = []
     while trunc.parent[v] >= 0:
-        rev.append(trunc.children[trunc.parent[v]].index(v))
+        rev.append(child_ids(trunc, trunc.parent[v]).index(v))
         v = trunc.parent[v]
     return tuple(reversed(rev))
 
@@ -167,7 +178,7 @@ def path_of(trunc, v: int) -> tuple[int, ...]:
 def index_of_path(trunc, path) -> int:
     v = 0
     for step in path:
-        v = trunc.children[v][step]
+        v = child_ids(trunc, v)[step]
     return v
 
 
@@ -198,7 +209,7 @@ def enumerate_cutsets(trunc, max_edges: int = 18):
     boundary = set(boundary_ids(trunc))
     hb = [False] * trunc.n_vertices
     for v in range(trunc.n_vertices - 1, -1, -1):
-        hb[v] = v in boundary or any(hb[w] for w in trunc.children[v])
+        hb[v] = v in boundary or any(hb[w] for w in child_ids(trunc, v))
     relevant = sum(1 for v in range(1, trunc.n_vertices) if hb[v])
     if relevant > max_edges:
         raise ResourceLimitError(
@@ -214,9 +225,9 @@ def enumerate_cutsets(trunc, max_edges: int = 18):
     def per_vertex(v: int) -> list[frozenset[int]]:
         if v in boundary:
             return [frozenset((v,))]
-        return [frozenset((v,))] + product([w for w in trunc.children[v] if hb[w]])
+        return [frozenset((v,))] + product([w for w in child_ids(trunc, v) if hb[w]])
 
-    yield from product([w for w in trunc.children[0] if hb[w]])
+    yield from product([w for w in child_ids(trunc, 0) if hb[w]])
 
 
 def ball_elements(b) -> tuple[list, dict]:
@@ -255,6 +266,7 @@ def enumerate_geodesic_words(b, v: int) -> list[tuple[int, ...]]:
     words."""
     group = ReferenceGraphProduct(b.model.orders, joined_pairs(b.model))
     elements, index = ball_elements(b)
+    level = vertex_levels(b)
     memo: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
     def rec(u: int) -> list[tuple[int, ...]]:
@@ -264,7 +276,7 @@ def enumerate_geodesic_words(b, v: int) -> list[tuple[int, ...]]:
         for g in range(len(group.generators)):
             prev = group.multiply(elements[u], group.inverse_index(g))
             p = index.get(prev)
-            if p is not None and b.level[p] == b.level[u] - 1:
+            if p is not None and level[p] == level[u] - 1:
                 out.extend(w + (g,) for w in rec(p))
         memo[u] = sorted(out)
         return memo[u]

@@ -19,6 +19,7 @@ from typing import Iterable
 from firebreak.errors import SpecError, StrategyFault
 from firebreak.game import (BOUNDARY_REACHED, BURNING, CONTAINED, ESCAPED_HORIZON, PROTECTED,
                             UNTOUCHED, GameState, TraceRound, Verdict)
+from conftest import vertex_levels
 
 
 def state_from_fire(arena, fire: Iterable[int]) -> GameState:
@@ -95,7 +96,7 @@ def simulate(trunc, radius: int, strategy, budget, horizon: int | None = None) -
         raise SpecError("initial radius must be >= 0")
     if radius >= trunc.depth:
         raise SpecError("initial radius must be smaller than the truncation depth")
-    fire = [v for v in range(trunc.n_vertices) if trunc.level[v] <= radius]
+    fire = [v for v, lv in enumerate(vertex_levels(trunc)) if lv <= radius]
     return run_game(trunc, fire, strategy, budget, horizon)
 
 

@@ -40,6 +40,7 @@ from conftest import (
     ball_words,
     boundary_ids,
     binary_spec,
+    child_ids,
     enumerate_cutsets,
     enumerate_geodesic_words,
     fibonacci_spec,
@@ -48,6 +49,7 @@ from conftest import (
     sqrt2_spec,
     ternary_spec,
     tree_export,
+    vertex_levels,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -87,7 +89,7 @@ def test_criterion_2_flow_cut_duality():
     checked = 0
     for _ in range(200):
         trunc = random_truncation(rng, max_depth=10)
-        boundary = set(boundary_ids(trunc))
+        boundary, level = set(boundary_ids(trunc)), vertex_levels(trunc)
         for rate in rates:
             flow = max_flow(trunc, rate)
             target = min_cut_weight(trunc, rate)
@@ -98,12 +100,12 @@ def test_criterion_2_flow_cut_duality():
                 assert abs(flow.value - target) < 1e-9
                 slop = 1e-12
             for v, f in flow.flows.items():
-                assert 0 <= f <= rate ** -trunc.level[v] + slop
+                assert 0 <= f <= rate ** -level[v] + slop
             for v in range(1, trunc.n_vertices):
                 if v in boundary:
                     continue
                 inflow = flow.flows.get(v, 0)
-                outflow = sum(flow.flows.get(w, 0) for w in trunc.children[v])
+                outflow = sum(flow.flows.get(w, 0) for w in child_ids(trunc, v))
                 assert abs(inflow - outflow) <= slop
         checked += 1
     assert checked >= 200
@@ -119,7 +121,7 @@ def _triangle_corpus(rng, count):
         if depth <= k:
             continue
         trunc = expand(spec, depth)
-        ball_size = sum(1 for v in range(trunc.n_vertices) if trunc.level[v] <= k)
+        ball_size = sum(1 for lv in vertex_levels(trunc) if lv <= k)
         if trunc.n_vertices - ball_size > 10:
             continue
         corpus.append((spec, trunc, k))
@@ -127,8 +129,9 @@ def _triangle_corpus(rng, count):
 
 
 def _exists_containing_canonical(trunc, k, budget) -> bool:
+    level = vertex_levels(trunc)
     for edges in enumerate_cutsets(trunc):
-        if any(trunc.level[v] <= k for v in edges):
+        if any(level[v] <= k for v in edges):
             continue
         if simulate(trunc, k, CanonicalStrategy(edges), budget).contained:
             return True
@@ -150,7 +153,7 @@ def test_criterion_3_containment_triangle():
     disagreements = []
     triangles = 0
     for spec, trunc, k in corpus:
-        fire = [v for v in range(trunc.n_vertices) if trunc.level[v] <= k]
+        fire = [v for v, lv in enumerate(vertex_levels(trunc)) if lv <= k]
         for budget in budgets:
             brute = brute_force_containment(trunc, fire, budget).feasible
             feas = feasibility_check(spec, k, budget, trunc.depth).feasible
@@ -172,9 +175,10 @@ def test_criterion_4_synthesis_above_threshold():
         for k in radii:
             res = synthesize_cutset_strategy(spec, rate, k)
             # each cut level n is played in round n - k, within budget
+            level = vertex_levels(res.trunc)
             for round_no, vertices in res.strategy.schedule.items():
                 assert len(vertices) <= budget(round_no)
-                assert all(res.trunc.level[v] == round_no + k for v in vertices)
+                assert all(level[v] == round_no + k for v in vertices)
             verdict = simulate(res.trunc, k, res.strategy, budget)
             assert verdict.contained, (rate, k)
     report(4, "binary at rate 3 (k=1..4) and ternary at rate 4 (k=1,2) "
@@ -219,7 +223,7 @@ def test_criterion_6_cayley_growth(free2_ball_12):
         tree = lex_min_tree(model, 8)
         trunc = expand(tree_export(tree), 8)
         assert trunc.n_vertices == tree.n_vertices               # spanning
-        assert trunc.level == tree.level                         # geodesic
+        assert trunc.level_starts == tree.level_starts           # geodesic
         for v in range(1, tree.n_vertices):                      # Cayley edges
             assert tree.parent[v] in tree.neighbors(v)
     z2_small = cayley_ball(group_from_name("zd:2"), 5)

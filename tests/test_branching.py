@@ -69,6 +69,7 @@ import trees_reference
 from conftest import (
     binary_spec,
     boundary_ids,
+    child_ids,
     enumerate_cutsets,
     fibonacci_spec,
     is_antichain,
@@ -80,6 +81,7 @@ from conftest import (
     random_truncation,
     replaced,
     ternary_spec,
+    vertex_levels,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -97,8 +99,7 @@ class TestCutWeight:
 
     def test_binary_level3(self):
         t = expand(binary_spec(), 3)
-        pi = Cutset(edges=frozenset(v for v in range(t.n_vertices)
-                                    if t.level[v] == 3))
+        pi = Cutset(edges=frozenset(v for v, lv in enumerate(vertex_levels(t)) if lv == 3))
         assert cut_weight(t, pi, Fraction(3)) == Fraction(8, 27)
 
     def test_fibonacci_level1_rate1(self):
@@ -225,7 +226,7 @@ class TestMinCut:
         # level is optimal; the tie rule picks the shallowest
         t = expand(binary_spec(), 4)
         cut = min_cutset(t, Fraction(2))
-        assert sorted(t.level[v] for v in cut.ids.tolist()) == [1, 1]
+        assert sorted(vertex_levels(t)[v] for v in cut.ids.tolist()) == [1, 1]
 
 
 class TestIntegerRecursion:
@@ -359,8 +360,8 @@ class TestMaxFlow:
         t = expand(binary_spec(), 2)
         flow = max_flow(t, Fraction(2))
         assert flow.value == 1
-        for v in range(1, t.n_vertices):
-            expected = Fraction(1, 2) if t.level[v] == 1 else Fraction(1, 4)
+        for v, lv in enumerate(vertex_levels(t)[1:], 1):
+            expected = Fraction(1, 2) if lv == 1 else Fraction(1, 4)
             assert flow.flows[v] == expected
 
     def test_ray_bottleneck(self):
@@ -379,17 +380,17 @@ class TestMaxFlow:
     def check_flow_valid(t, flow, rate):
         # exact at every rate: a float rate is read as Fraction(rate)
         assert flow.rate == Fraction(rate) and type(flow.rate) is Fraction
-        boundary = set(boundary_ids(t))
+        boundary, level = set(boundary_ids(t)), vertex_levels(t)
         for v, f in flow.flows.items():
             assert f >= 0
-            assert f <= flow.rate ** -t.level[v]
+            assert f <= flow.rate ** -level[v]
         for v in range(t.n_vertices):
             if v == 0 or v in boundary:
                 continue
             inflow = flow.flows.get(v, 0)
-            outflow = sum(flow.flows.get(w, 0) for w in t.children[v])
+            outflow = sum(flow.flows.get(w, 0) for w in child_ids(t, v))
             assert inflow == outflow
-        root_out = sum(flow.flows.get(w, 0) for w in t.children[0])
+        root_out = sum(flow.flows.get(w, 0) for w in child_ids(t, 0))
         assert root_out == flow.value
 
     @pytest.mark.parametrize("seed", range(10))
@@ -834,6 +835,29 @@ class TestCertificate:
         assert cert.radius > 1000
         assert cert.mid_rate.denominator.bit_length() < 64
         assert all(check_certificate(cert).values())
+
+    @pytest.mark.parametrize("spec, lam", [
+        (binary_spec(), Fraction(3, 2)),
+        (binary_spec(), Fraction(6, 5)),
+        (fibonacci_spec(), Fraction(3, 2)),
+        (sqrt2_spec(), Fraction(6, 5)),
+    ], ids=["binary-3/2", "binary-6/5", "fib-3/2", "sqrt2-6/5"])
+    def test_radius_search_corrects_a_shifted_estimate(self, spec, lam, monkeypatch):
+        # the float estimate lands on the radius, so the exact search steps
+        # only when every log is shifted by an offset: +gain/2 puts the
+        # estimate about a third short of the radius, -gain/2 about twice past it
+        import firebreak.branching as branching
+
+        cert = lower_bound_certificate(spec, lam)
+        ratio = cert.rate / cert.mid_rate
+        scale = cert.budget_coeff / ((1 - ratio) * cert.cut_weight_floor)
+        assert cert.radius >= 10
+        assert branching._tail_below(ratio, scale, cert.radius)
+        assert not branching._tail_below(ratio, scale, cert.radius - 1)
+        log, gain = branching._log, math.log(cert.mid_rate / cert.rate)
+        for offset in (gain / 2, -gain / 2):
+            monkeypatch.setattr(branching, "_log", lambda x: log(x) + offset)
+            assert lower_bound_certificate(spec, lam) == cert, offset
 
     def test_short_midpoint_is_kept(self):
         # the bound is exactly 2 on binary, so the mid rate is the midpoint

@@ -120,7 +120,8 @@ from firebreak.cli import main as cli_main
 from firebreak.game import BURNING, PROTECTED, ScheduleStrategy, ball_ids, simulate, state_from_fire
 from firebreak.trees import Automaton, compile
 from cayley_reference import ReferenceGraphProduct, joined_pairs, reference_ball, tree_export_text
-from conftest import ball_elements, ball_words, enumerate_geodesic_words, replaced, tree_export
+from conftest import (ball_elements, ball_words, child_ids, enumerate_geodesic_words, replaced,
+                      tree_export, vertex_levels)
 
 ALL_MODELS = [group_from_name(name) for name in (
     "free:1", "free:2", "zd:1", "zd:2", "zd:3", "dinf", "freeprod:2,3", "freeprod:3,3")]
@@ -246,8 +247,9 @@ class TestBalls:
 
     def test_distances_via_neighbors(self):
         b = cayley_ball(group_from_name("free:2"), 4)
+        level = vertex_levels(b)
         for v in range(1, b.n_vertices):
-            assert min(b.level[w] for w in b.neighbors(v)) == b.level[v] - 1
+            assert min(level[w] for w in b.neighbors(v)) == level[v] - 1
 
     def test_cap(self, monkeypatch):
         from firebreak import ResourceLimitError
@@ -263,14 +265,14 @@ class TestLexMinWords:
     def test_words_evaluate_to_their_element(self, model):
         b = cayley_ball(model, 4)
         elements, _index = ball_elements(b)
-        words = ball_words(b)
+        words, level = ball_words(b), vertex_levels(b)
         group = ReferenceGraphProduct(model.orders, joined_pairs(model))
         for v in range(b.n_vertices):
             e = group.identity
             for g in words[v]:
                 e = group.multiply(e, g)
             assert e == elements[v]
-            assert len(words[v]) == b.level[v]
+            assert len(words[v]) == level[v]
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_words_minimal_by_enumeration(self, model):
@@ -375,7 +377,7 @@ class TestLexMinTree:
         trunc = expand(tree_export(b), 5)
         assert trunc.n_vertices == b.n_vertices
         # tree levels equal Cayley distances
-        assert trunc.level == b.level
+        assert trunc.level_starts == b.level_starts
         # every tree edge is a ball edge
         for v in range(1, b.n_vertices):
             assert b.parent[v] in b.neighbors(v)
@@ -383,8 +385,8 @@ class TestLexMinTree:
     def test_z_two_rays(self):
         tree = lex_min_tree(group_from_name("zd:1"), 4)
         trunc = expand(tree_export(tree), 4)
-        assert all(len(trunc.children[v]) <= 2 for v in range(trunc.n_vertices))
-        assert len(trunc.children[0]) == 2
+        assert all(len(child_ids(trunc, v)) <= 2 for v in range(trunc.n_vertices))
+        assert len(child_ids(trunc, 0)) == 2
 
     def test_z2_level_counts_are_sphere_sizes(self):
         tree = lex_min_tree(group_from_name("zd:2"), 4)
@@ -907,7 +909,8 @@ class TestWordAcceptors:
         radius = differential_radii(model, most=3_000)[-1]
         group = ReferenceGraphProduct(model.orders, joined_pairs(model))
         got, ref = cayley_ball(model, radius), reference_ball(group, radius)
-        offsets, columns = got._rows_through(got.n_vertices - 1)
+        got.rows(got.n_vertices - 1)  # every row built
+        offsets, columns = got._built_rows
         lists = [(name, getattr(ref, name)) for name in BALL_FIELDS] + [
             ("offsets", list(accumulate(map(len, ref.adjacency), initial=0))),
             ("columns", [w for row in ref.adjacency for w in row])]
@@ -1112,8 +1115,9 @@ class TestSubgraphTransfer:
             fire = rng.randrange(radius)
             on_ball = state_from_fire(b, ball_ids(b, fire))
             on_tree = state_from_fire(t, ball_ids(t, fire))
+            level = vertex_levels(b)
             for round_no in range(1, radius + 3):
-                near = bisect.bisect_right(b.level, fire + round_no + 1)
+                near = bisect.bisect_right(level, fire + round_no + 1)
                 legal = [v for v in range(near) if on_ball.statuses[v] != BURNING]
                 protect = rng.sample(legal, min(len(legal), rng.randint(0, 4)))
                 on_ball = step(on_ball, protect, len(protect))

@@ -486,6 +486,27 @@ class TestSimulate:
         assert code == 0
         assert "result.replay_match = true" in out
 
+    def test_replay_skips_blank_lines_and_flags_a_verdict_that_differs(self, spec_dir, tmp_path):
+        argv = ["simulate", str(spec_dir / "binary.tree"), "--k", "1", "--budget", "exp:3",
+                "--depth", "3"]
+        trace = tmp_path / "run.trace"
+        code, _out = run(argv + ["--schedule", "2:7,8,9,10,11,12,13,14", "--trace-out", str(trace)])
+        assert code == 0
+        text = trace.read_text()
+        assert text.endswith("verdict contained | round 2 | burnt 7\n")
+        spaced = tmp_path / "spaced.trace"
+        spaced.write_text("\n" + text.replace("\n", "\n  \n"))
+        code, out = run(argv + ["--replay", str(spaced)])
+        assert code == 0 and "result.replay_match = true" in out
+        for claim in ("verdict contained | round 2 | burnt 8",
+                      "verdict contained | round 3 | burnt 7",
+                      "verdict boundary_reached | round 2 | burnt 7", ""):
+            claimed = tmp_path / "claimed.trace"
+            claimed.write_text(text.replace("verdict contained | round 2 | burnt 7", claim))
+            code, out = run(argv + ["--replay", str(claimed)])
+            assert code == 2, claim
+            assert "result.replay_match = false" in out and "result.verdict = contained" in out
+
     def test_vertex_cap_exits_two_naming_the_cap(self, spec_dir, monkeypatch, capsys):
         monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "10")
         code, _out = run(["simulate", str(spec_dir / "binary.tree"), "--k", "0",
@@ -553,11 +574,19 @@ class TestRejectedInput:
           "--depth", "3", "--horizon", "-1"], "horizon must be >= 0"),
         (["oracle", "{d}/ray5.tree", "--budget", "const:1", "--horizon", "-1"],
          "horizon must be >= 0"),
+        (["oracle", "{d}/ray5.tree", "--budget", "const:1", "--x0", ","],
+         "--x0: ',' names no vertex"),
+        (["oracle", "{d}/ray5.tree", "--budget", "const:1", "--x0", ""],
+         "--x0: '' names no vertex"),
+        (["contain", "{d}/ray5.tree", "--lambda", "3"], "contain needs an infinite tree spec"),
+        (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
+          "--protect", "1,15"], "vertex 15 is outside the depth-3 truncation"),
     ], ids=["surround-no-lambda", "polyprobe-bad-c", "evidence-depths-0",
             "evidence-depths-negative", "cut-depths-0", "cut-depths-negative",
             "br-depth-max-0", "br-tol-nan", "br-finite-tol-nan", "br-finite-tol-negative",
             "simulate-negative-horizon",
-            "oracle-negative-horizon"])
+            "oracle-negative-horizon", "oracle-x0-comma", "oracle-x0-empty",
+            "contain-finite-spec", "simulate-protect-outside"])
     def test_bad_option_exits_one(self, argv, message, spec_dir, capsys):
         code, _out = run([a.format(d=spec_dir) for a in argv])
         assert code == 1

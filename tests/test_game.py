@@ -114,6 +114,7 @@ from conftest import (
     random_truncation,
     ray_spec,
     ternary_spec,
+    vertex_levels,
     witness_vertices,
 )
 import game_reference
@@ -131,7 +132,8 @@ def assert_valid_witness(spec, k, budget, depth, result):
     t = expand(spec, depth)
     cut = witness_vertices(result, t)
     assert Cutset(frozenset(cut)).separates(t)
-    levels = [t.level[v] for v in cut]
+    level = vertex_levels(t)
+    levels = [level[v] for v in cut]
     assert all(lv > k for lv in levels)
     for n in range(k + 1, depth + 1):
         assert sum(lv <= n for lv in levels) <= sum(budget(j) for j in range(1, n - k + 1))
@@ -443,13 +445,13 @@ class TestInPlaceEngine:
         rng = random.Random(59)
         seen = Counter()
         for arena in self.arenas(rng):
-            n = arena.n_vertices
+            n, level = arena.n_vertices, vertex_levels(arena)
             for _ in range(6):
                 radius = rng.randrange(arena.depth + 1)
-                statuses = bytearray(BURNING if arena.level[v] <= radius else UNTOUCHED
+                statuses = bytearray(BURNING if level[v] <= radius else UNTOUCHED
                                      for v in range(n))
                 keep = rng.choice((1.0, 1.0, 0.9, 0.5))
-                for v in range(bisect.bisect_right(arena.level, radius)):
+                for v in range(bisect.bisect_right(level, radius)):
                     for w in arena.neighbors(v):
                         if statuses[w] == UNTOUCHED and rng.random() < keep:
                             statuses[w] = PROTECTED
@@ -467,17 +469,17 @@ class TestInPlaceEngine:
         # id, an id past the ball and 10**30: same fault, message and round
         b = cayley_ball(group_from_name("free:2"), 7)
         n, size, rng = b.n_vertices, trees_mod.SPREAD_VECTOR_MIN, random.Random(67)
-        budget, kinds = BudgetSequence.constant(n), Counter()
+        budget, kinds, level = BudgetSequence.constant(n), Counter(), vertex_levels(b)
         for _ in range(60):
             round_no = rng.randint(1, 3)  # a radius-1 fire covers B(round_no) as it plays
-            burning = bisect.bisect_right(b.level, round_no)
+            burning = bisect.bisect_right(level, round_no)
             protect = rng.sample(range(burning, n), size + rng.randint(0, 50))
             bad = (-rng.randint(1, 3), rng.randrange(burning), n + rng.randint(0, 3), 10 ** 30)
             protect += [v for v in bad if rng.random() < 0.4]
             rng.shuffle(protect)
             schedule = {round_no: protect}
             if round_no > 1 and rng.random() < 0.5:  # an earlier large round that is valid
-                schedule[1] = rng.sample(range(bisect.bisect_right(b.level, 5), n), size)
+                schedule[1] = rng.sample(range(bisect.bisect_right(level, 5), n), size)
             got, want = (_engine_outcome(play, b, 1, ScheduleStrategy(schedule), budget)
                          for play in (simulate, game_reference.simulate))
             assert got == want
@@ -600,7 +602,7 @@ class TestArrayRounds:
         """(radius, schedule, budget): rounds of one, many or a whole layer of
         unburnt ids, some with duplicates; at times one round carries a
         negative, out-of-arena, burning or past-int64 id."""
-        n, level = arena.n_vertices, arena.level
+        n, level = arena.n_vertices, vertex_levels(arena)
         for _ in range(4):
             radius, schedule = rng.randrange(arena.depth), {}
             for r in range(1, arena.depth + 2):
@@ -661,7 +663,7 @@ class TestSimulate:
         # round 2 under budget floor(3**n); the fire ends as the radius-2
         # ball (7 vertices)
         t = expand(binary_spec(), 3)
-        level3 = tuple(v for v in range(t.n_vertices) if t.level[v] == 3)
+        level3 = tuple(v for v, lv in enumerate(vertex_levels(t)) if lv == 3)
         strat = ScheduleStrategy({2: level3})
         v = simulate(t, 1, strat, BudgetSequence.exponential(3))
         assert v.contained and v.round_no == 2 and v.burnt == 7
@@ -898,7 +900,7 @@ class TestCanonical:
 
     def test_level3_targets_protected_by_round_two(self):
         t = expand(binary_spec(), 3)
-        level3 = [v for v in range(t.n_vertices) if t.level[v] == 3]
+        level3 = [v for v, lv in enumerate(vertex_levels(t)) if lv == 3]
         v = simulate(t, 1, CanonicalStrategy(level3), BudgetSequence.exponential(3))
         assert v.contained
         protected = set(v.trace[0].protected) | set(v.trace[1].protected)
@@ -1235,10 +1237,11 @@ class TestSynthesis:
         budget = BudgetSequence.exponential(3)
         res = synthesize_cutset_strategy(binary_spec(), 3, k)
         self.check_weight(res, 3)
+        level = vertex_levels(res.trunc)
         for round_no, vertices in res.strategy.schedule.items():
             assert len(vertices) <= budget(round_no)
             for v in vertices:
-                assert res.trunc.level[v] == round_no + k
+                assert level[v] == round_no + k
         verdict = simulate(res.trunc, k, res.strategy, budget)
         assert verdict.contained
 
@@ -1341,7 +1344,7 @@ class TestSmallerFiresInherit:
             assert verdict.contained
             schedule = ScheduleStrategy({tr.round_no: tr.protected
                                          for tr in verdict.trace})
-            ball_ids = [v for v in range(t.n_vertices) if t.level[v] <= k]
+            ball_ids = [v for v, lv in enumerate(vertex_levels(t)) if lv <= k]
             for _ in range(3):
                 sub = rng.sample(ball_ids, rng.randint(1, len(ball_ids)))
                 if 0 not in sub:
@@ -1355,7 +1358,7 @@ class TestSmallerFiresInherit:
 class TestTraceFormat:
     def test_roundtrip(self):
         t = expand(binary_spec(), 3)
-        level3 = tuple(v for v in range(t.n_vertices) if t.level[v] == 3)
+        level3 = tuple(v for v, lv in enumerate(vertex_levels(t)) if lv == 3)
         verdict = simulate(t, 1, ScheduleStrategy({2: level3}),
                            BudgetSequence.exponential(3))
         text = format_trace(verdict)

@@ -10,6 +10,9 @@ Claims covered:
       cap is checked
     - decisions and witnesses equal those of a memo-free exhaustive search
       (tests/game_reference.py) on random small instances
+    - only a strict search revisits a status vector and so hits the memo:
+      a restricted one never does on random trees, fires and horizons, and
+      a strict one on a hand-made tree does, deciding as the reference
     - cutset enumeration yields each antichain cutset exactly once with
       the hand-counted totals, and its minimum weight equals the recursion
     - the brute-force / feasibility / canonical triangle closes on a
@@ -45,19 +48,20 @@ from firebreak import (
 from firebreak.oracle import OracleDecision
 from firebreak.trees import ExplicitSpec, format_tree_spec
 from conftest import (binary_spec, budget_catalogue, enumerate_cutsets, is_antichain,
-                      random_explicit_tree, ray_spec)
+                      random_explicit_tree, ray_spec, vertex_levels)
 import game_reference
 
 
 def ball_ids(trunc, k):
-    return [v for v in range(trunc.n_vertices) if trunc.level[v] <= k]
+    return [v for v, lv in enumerate(vertex_levels(trunc)) if lv <= k]
 
 
 def exists_containing_canonical(trunc, k, budget) -> bool:
     """Search canonical strategies over antichain cutsets above the ball.
     Supersets of a cut only delay its protection, so cuts are enough."""
+    level = vertex_levels(trunc)
     for edges in enumerate_cutsets(trunc):
-        if any(trunc.level[v] <= k for v in edges):
+        if any(level[v] <= k for v in edges):
             continue
         verdict = simulate(trunc, k, CanonicalStrategy(edges), budget)
         if verdict.contained:
@@ -145,6 +149,29 @@ class TestBruteForce:
         d = brute_force_containment(t, [6], budget, 2, restrict=False)
         want = game_reference.brute_force_containment(t, [6], budget, 2, restrict=False)
         assert d.schedule == want == ((1,), (7,))
+
+    def test_only_a_strict_search_hits_the_memo(self, monkeypatch):
+        # the search keys the memo by its one call to bytes, so a key seen
+        # twice is a memo hit
+        keys = []
+        spy = lambda statuses: keys.append(bytes(statuses)) or keys[-1]
+        monkeypatch.setattr(firebreak.oracle, "bytes", spy, raising=False)
+        t = expand(ExplicitSpec(parents=(0, 1, 0, 1, 3, 5, 6, 5, 6, 8, 8)), 4)
+        budget = BudgetSequence.parse("const:1")
+        d = brute_force_containment(t, [0], budget, restrict=False)
+        assert len(keys) - len(set(keys)) == 1
+        want = game_reference.brute_force_containment(t, [0], budget, restrict=False)
+        assert (d.feasible, d.schedule) == (True, want) == (True, ((1,), (5,)))
+        rng = random.Random(61)
+        for _ in range(300):
+            spec = random_explicit_tree(rng, max_vertices=rng.randint(3, 13))
+            t = expand(spec, spec.height() + rng.choice((0, 1)))
+            off_root = rng.random() < 0.5
+            fire = rng.sample(range(1, t.n_vertices), min(2, t.n_vertices - 1)) if off_root else [0]
+            keys.clear()
+            brute_force_containment(t, fire, rng.choice(budget_catalogue()),
+                                    rng.choice((None, 1, 2, 3)))
+            assert len(keys) == len(set(keys)), (spec, fire)
 
     def test_fire_on_boundary_is_lost(self):
         t = expand(ray_spec(), 2)

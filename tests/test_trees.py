@@ -26,9 +26,11 @@ Claims covered:
       fields match byte for byte, by substitution and by level walk, on
       random specs, every named group's word acceptor, specs whose states
       the root reaches late or never, a chain, and depths 0 and 1
-    - every vertex array, the level derived from ``level_starts`` on first
-      read among them, is a memoryview over a numpy buffer that equals the
-      reference's lists and reads back Python ints, rows included
+    - every vertex array, and the ``level`` the bench referee reads (derived
+      from ``level_starts`` on first read), is a memoryview over a numpy
+      buffer that equals the reference's lists and reads back Python ints,
+      rows included; the tests read levels and children off
+      ``level_starts`` and ``first_child``, as the package does
 """
 
 import random
@@ -61,6 +63,7 @@ from conftest import (
     binary_spec,
     boundary_ids,
     budget_catalogue,
+    child_ids,
     fibonacci_spec,
     index_of_path,
     path_of,
@@ -68,12 +71,13 @@ from conftest import (
     random_periodic_spec,
     random_symmetric_spec,
     star_spec,
+    vertex_levels,
 )
 
 
 def counts_of(trunc):
     out = [0] * (trunc.depth + 1)
-    for lv in trunc.level:
+    for lv in vertex_levels(trunc):
         out[lv] += 1
     return out
 
@@ -102,10 +106,11 @@ class TestExpand:
 
     def test_levels_and_parents_consistent(self):
         t = expand(fibonacci_spec(), 5)
+        level = vertex_levels(t)
         for v in range(1, t.n_vertices):
-            assert t.level[v] == t.level[t.parent[v]] + 1
-            assert v in t.children[t.parent[v]]
-        assert all(lv <= 5 for lv in t.level)
+            assert level[v] == level[t.parent[v]] + 1
+            assert v in child_ids(t, t.parent[v])
+        assert all(lv <= 5 for lv in level)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_level_counts_match_expansion(self, seed):
@@ -120,7 +125,7 @@ class TestExpand:
         t_shallow = expand(fibonacci_spec(), 4)
         n = t_shallow.n_vertices
         assert t_deep.parent[:n] == t_shallow.parent
-        assert t_deep.level[:n] == t_shallow.level
+        assert t_deep.level_starts[:t_shallow.depth + 2] == t_shallow.level_starts
         assert t_deep.state[:n] == t_shallow.state
 
     def test_vertex_cap(self, monkeypatch):
@@ -134,7 +139,10 @@ class TestExpand:
             expand(binary_spec(), 8)
         expand(binary_spec(), 4)  # 31 vertices, under the cap
         monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "lots")
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="FIREBREAK_VERTEX_CAP must be an integer, got 'lots'"):
+            expand(binary_spec(), 2)
+        monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "0")
+        with pytest.raises(SpecError, match="FIREBREAK_VERTEX_CAP must be positive, got 0"):
             expand(binary_spec(), 2)
 
     def test_paths_roundtrip(self):
@@ -166,11 +174,10 @@ class TestEdgeLevels:
     def test_symmetric_level_weight_sum(self):
         spec = SymmetricSpec(preperiod=(2,), period=(3, 1))
         t = expand(spec, 4)
-        counts = counts_of(t)
+        counts, level = counts_of(t), vertex_levels(t)
         lam = 2.0
         for n in range(1, 5):
-            total = sum(lam ** -t.level[v] for v in range(1, t.n_vertices)
-                        if t.level[v] == n)
+            total = sum(lam ** -level[v] for v in range(1, t.n_vertices) if level[v] == n)
             assert total == pytest.approx(counts[n] * lam ** -n)
 
 
@@ -215,20 +222,33 @@ class TestSpecFormat:
         text = "# a tree\n\nvariant: periodic\nroot: A  # root state\nstates: A -> A\n"
         assert parse_tree_spec(text) == PeriodicSpec(states={"A": ("A",)}, root="A")
 
-    @pytest.mark.parametrize("text", [
-        "variant: periodic\nroot: A\nstates: A -> A\ncolour: blue\n",
-        "variant: hexagonal\n",
-        "variant: periodic\nstates: A -> A\n",              # missing root
-        "variant: periodic\nroot: A\nstates: A -> Z\n",     # unknown child
-        "variant: symmetric\nlevels: 1 2\n",                # missing separator
-        "variant: symmetric\nlevels: 0 | 1\n",              # zero count
-        "variant: explicit\nparents: 5\n",                  # parent after child
-        "just some text\n",
-        "variant: periodic\nroot: A\nroot: B\nstates: A -> A\n",
-    ])
+    BAD_DOCUMENTS = {  # each document and the message it is refused with
+        "variant: periodic\nroot: A\nstates: A -> A\ncolour: blue\n":
+            "line 4: unknown field 'colour'",
+        "variant: hexagonal\n": "unknown variant 'hexagonal'",
+        "variant: periodic\nstates: A -> A\n": "missing required field 'root'",
+        "variant: periodic\nroot: A\nstates: A -> Z\n": "state 'A' has unknown child state 'Z'",
+        "variant: symmetric\nlevels: 1 2\n":
+            "levels must be 'PREPERIOD | PERIOD' (preperiod may be empty)",
+        "variant: symmetric\nlevels: 0 | 1\n": "symmetric child counts must be >= 1",
+        "variant: explicit\nparents: 5\n": "parent of vertex 1 is 5; parents must precede children",
+        "just some text\n": "line 1: expected 'field: value', got 'just some text'",
+        "variant: periodic\nroot: A\nroot: B\nstates: A -> A\n":
+            "field 'root' given more than once",
+        "variant: periodic\nroot: Z\nstates: A -> A\n": "root state 'Z' is not defined",
+        "variant: periodic\nroot: A\nstates: A A\n": "state entry 'A A' needs 'NAME -> children'",
+        "variant: periodic\nroot: A\nstates: A -> A ; A -> A\n": "state 'A' defined twice",
+        "variant: periodic\nroot: A\n": "periodic spec needs a 'states' field",
+        "variant: symmetric\nlevels: 1 |\n": "symmetric spec needs a non-empty period",
+        "variant: symmetric\nlevels: 1 | x\n": "levels entries must be integers: '1 | x'",
+        "variant: explicit\nparents: 0 x\n": "parents entries must be integers: '0 x'",
+    }
+
+    @pytest.mark.parametrize("text", list(BAD_DOCUMENTS))
     def test_rejects_bad_documents(self, text):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError) as exc:
             parse_tree_spec(text)
+        assert str(exc.value) == self.BAD_DOCUMENTS[text]
 
     def test_rejects_fields_of_other_variants(self):
         with pytest.raises(SpecError):
@@ -269,8 +289,8 @@ class TestOneRepresentation:
         t = expand(spec, depth)
         again = expand(ExplicitSpec(parents=tuple(t.parent[1:])), depth)
         assert again.parent == t.parent
-        assert again.children == t.children
-        assert again.level == t.level
+        assert again.first_child == t.first_child
+        assert again.level_starts == t.level_starts
         # explicit level-D vertices always continue, periodic ones only
         # when their state has children
         assert set(boundary_ids(t)) <= set(boundary_ids(again))
@@ -288,8 +308,8 @@ class TestOneRepresentation:
         while sum(level_counts(sym, depth)) > 120:
             depth -= 1
         a, b = expand(sym, depth), expand(cycle, depth)
-        assert (a.parent, a.children, a.level, a.boundary_mask) == \
-            (b.parent, b.children, b.level, b.boundary_mask)
+        assert (a.parent, a.first_child, a.level_starts, a.boundary_mask) == \
+            (b.parent, b.first_child, b.level_starts, b.boundary_mask)
         budget = rng.choice(budget_catalogue())
         k = rng.randrange(depth)
         for greedy in (True, False):  # the greedy, then the count recursion
@@ -313,8 +333,8 @@ class TestOneRepresentation:
             while depth > 1 and sum(level_counts(spec, depth)) > 3000:
                 depth -= 1
             t, again = expand(spec, depth), expand(twins, depth)
-            assert (again.parent, again.level, again.boundary_mask) == \
-                (t.parent, t.level, t.boundary_mask)
+            assert (again.parent, again.level_starts, again.boundary_mask) == \
+                (t.parent, t.level_starts, t.boundary_mask)
             budget, k = rng.choice(budget_catalogue()), rng.randrange(depth)
             with monkeypatch.context() as m:
                 if rng.random() < 0.5:  # the count recursion, not the greedy
@@ -425,9 +445,9 @@ class TestNumpyUnfolding:
         for spec, depth in self.instances(rng, 240):
             got, ref = expand(spec, depth), trees_reference.expand(spec, depth)
             assert got.n_vertices == ref.n_vertices
-            assert (list(got.parent), list(got.level), list(got.state)) == \
+            assert (list(got.parent), vertex_levels(got), list(got.state)) == \
                 (ref.parent, ref.level, ref.state)
-            assert [list(kids) for kids in got.children] == ref.children
+            assert [list(child_ids(got, v)) for v in range(got.n_vertices)] == ref.children
             assert boundary_ids(got) == ref.boundary
             offsets, columns = got.rows(got.n_vertices - 1)
             for v in range(ref.n_vertices):
@@ -437,15 +457,15 @@ class TestNumpyUnfolding:
 
     @staticmethod
     def assert_fields_match(spec, depth):
-        """parent, level, state, first_child and level_starts byte for byte."""
+        """parent, state and first_child byte for byte; level_starts and the levels it gives."""
         got, ref = expand(spec, depth), trees_reference.expand(spec, depth)
         first_child = list(accumulate(map(len, ref.children), initial=1))
         sizes = Counter(ref.level)
         starts = (0, *accumulate(sizes[lv] for lv in range(depth + 1)))
-        for name, want in (("parent", ref.parent), ("level", ref.level), ("state", ref.state),
+        for name, want in (("parent", ref.parent), ("state", ref.state),
                            ("first_child", first_child)):
             assert getattr(got, name).tobytes() == array("i", want).tobytes(), (spec, depth, name)
-        assert got.level_starts == starts, (spec, depth)
+        assert got.level_starts == starts and vertex_levels(got) == ref.level, (spec, depth)
 
     @pytest.mark.parametrize("join_cost", [None, 0, 10 ** 9], ids=["chosen", "words", "walk"])
     def test_unfold_fields_are_the_lists_byte_for_byte(self, join_cost, monkeypatch):
@@ -468,9 +488,9 @@ class TestNumpyUnfolding:
                 self.assert_fields_match(spec, depth)
 
     def test_vertex_arrays_read_back_python_ints(self):
-        # every per-vertex array, the level derived from level_starts among
-        # them, is a memoryview over a numpy buffer: it equals the lists and
-        # indexes, slices and iterates to Python ints
+        # every per-vertex array, the level derived from level_starts for
+        # readers outside the package among them, is a memoryview over a numpy
+        # buffer: it equals the lists and indexes, slices and iterates to Python ints
         rng = random.Random(7400)
         cases = [*self.instances(rng, 90),
                  *((group_from_name(name).acceptor[0], 5) for name in NAMED_GROUPS)]
@@ -512,7 +532,7 @@ class TestNumpyUnfolding:
                 assert cut.ids.tolist() == trees_reference.min_cutset(ref, rate).ids.tolist()
                 edges = cut.ids.tolist()
                 sets = [edges, edges[1:], rng.sample(range(1, n), rng.randint(0, n - 1)),
-                        [v for v in range(n) if got.level[v] == 1],
+                        [v for v, lv in enumerate(vertex_levels(got)) if lv == 1],
                         edges + rng.sample((0, -1, n, n + 2), rng.randint(1, 3))]
                 for edge_set in sets:
                     cutset = Cutset(edges=frozenset(edge_set))
