@@ -6,14 +6,13 @@ infinite tree is the supremum of the rates at which the root still pushes
 a non-zero flow to infinity; equivalently the supremum of the rates for
 which all cutset weights stay bounded away from zero (Lyons 1990).  A
 vertex's min-cut value depends only on its level and automaton state, so
-one per-state recursion, read per spec and rate by ``cut_recursion``, gives
-min-cut weights at every depth with no truncation built, min cutsets and
-the lower bounds of certificates.  ``max_flow`` and ``cut_weight``, which
-walk a truncation, check it in tests.
+one per-state recursion, read by ``cut_recursion`` alone, gives min-cut
+weights at every depth with no truncation built, min cutsets and max
+flows; ``cut_weight``, which walks a truncation, checks it in tests.
 
 Cut arithmetic runs on integers.  For a rate p/q the recursion keeps the
-values at height n as numerators over one common denominator D_0 * p**n,
-so a step is a few integer sums and a min, with no gcd; a cut weight is
+values at height n as numerators over one common denominator p**n, so a
+step is a few integer sums and a min, with no gcd; a cut weight is
 one numerator over p**depth.  Comparisons are integer cross-products, and
 a ``fractions.Fraction`` is built only where a value leaves the layer: a
 reported weight, a table row, a certificate's y.  Every rate is read by
@@ -25,7 +24,8 @@ strongly connected components of its automaton's count matrix.  Each has
 one proposal, an integer Perron vector with exact Collatz-Wielandt bounds
 lo <= br_C <= hi.  ``compare_to_br`` decides a rate outside them at once and
 one inside by exact elimination, ``br_bracket`` bisects on that sign, and
-certificates start from the best proposal and are checked exactly.
+a certificate steps the recursion's map from the best proposal on integers
+over one fixed scale, rounding down, and is checked exactly.
 """
 
 from __future__ import annotations
@@ -124,14 +124,14 @@ def cut_weight(trunc: Truncation, cutset: Cutset, rate: Rate):
     return Fraction(num, p ** trunc.depth)
 
 
-def _state_recursion(auto: Automaton, p: int, q: int, nums=None, den: int = 1):
+def _state_recursion(auto: Automaton, p: int, q: int):
     """The min-cut recursion on the spec's automaton at the rate p/q, on
     integer numerators over one common denominator.  Yields (N_n, D_n, w_n)
     for n = 0, 1, ... forever: y_n(s) = N_n(s) / D_n and W(n) = w_n / D_n,
-    with D_n = den * p**n.  N_0 is the given numerators, or 1 where state s
-    continues and 0 otherwise, and N_n(s) = min(D_n, q * sum of N_{n-1} over
-    the children of s); that is y_n(s) = min(1, sum of y_{n-1} over the
-    children of s, divided by the rate), or 0 for a state without children.
+    with D_n = p**n.  N_0(s) is 1 where state s continues and 0 otherwise,
+    and N_n(s) = min(D_n, q * sum of N_{n-1} over the children of s); that
+    is y_n(s) = min(1, sum of y_{n-1} over the children of s, divided by
+    the rate), or 0 for a state without children.
 
     A level-L vertex in state s of a depth-D truncation has min-cut value
     c(v) = rate**(-L) * y_{D-L}(s) = q**L * N_{D-L}(s) / D_D: the cheapest
@@ -140,8 +140,7 @@ def _state_recursion(auto: Automaton, p: int, q: int, nums=None, den: int = 1):
     root's children divided by the rate, w_D = q * (sum of N_{D-1} over
     them), and W(0) is y_0 at the root."""
     kids, root_kids = auto.children, auto.children[auto.root]
-    if nums is None:
-        nums = [int(auto.continues(s)) for s in range(len(kids))]
+    nums, den = [int(auto.continues(s)) for s in range(len(kids))], 1
     weight = nums[auto.root]
     while True:
         yield nums, den, weight
@@ -151,24 +150,17 @@ def _state_recursion(auto: Automaton, p: int, q: int, nums=None, den: int = 1):
 
 
 def cut_recursion(spec: TreeSpec, rate: Rate):
-    """The one reader of the recursion per spec and rate: (rate, steps),
+    """The one reader of the recursion, per spec and rate: (rate, steps),
     the rate after _split_rate and _state_recursion's steps at p/q."""
     rate, p, q = _split_rate(rate)
     return rate, _state_recursion(compile(spec), p, q)
-
-
-def _truncation_recursion(trunc: Truncation, rate: Rate):
-    """(rate, q, the steps 0..D) for a depth-D truncation at the rate p/q."""
-    rate, p, q = _split_rate(rate)
-    return rate, q, list(islice(_state_recursion(compile(trunc.spec), p, q), trunc.depth + 1))
 
 
 def min_cut_weight(trunc: Truncation, rate: Rate):
     """Minimum cutset weight over all cutsets of the truncation, read from
     the per-state recursion without visiting a vertex; non-increasing in
     the truncation depth."""
-    _, _, steps = _truncation_recursion(trunc, rate)
-    _, den, weight = steps[-1]
+    _, den, weight = next(islice(cut_recursion(trunc.spec, rate)[1], trunc.depth, None))
     return Fraction(weight, den)
 
 
@@ -184,7 +176,7 @@ def min_cutset(trunc: Truncation, rate: Rate, steps=None) -> Cutset:
     through; without them the recursion runs here."""
     depth = trunc.depth
     if steps is None:
-        _, _, steps = _truncation_recursion(trunc, rate)
+        steps = list(islice(cut_recursion(trunc.spec, rate)[1], depth + 1))
     table = np.array([[1 if n == den else 2 if n else 0 for n in nums]  # 2: strictly between
                       for nums, den, _ in reversed(steps[:depth + 1])], np.int8)
     parent, state = view(trunc.parent), view(trunc.state)
@@ -213,8 +205,9 @@ def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
     children (ids ``first_child[v]`` to ``first_child[v + 1]``) up to their
     min-cut values c, the level's numerators per state over the recursion's
     denominator at the truncation depth.  Its value equals min_cut_weight."""
-    rate, q, steps = _truncation_recursion(trunc, rate)
-    depth, first, state = trunc.depth, trunc.first_child, trunc.state
+    rate, steps = cut_recursion(trunc.spec, rate)
+    depth, first, state, q = trunc.depth, trunc.first_child, trunc.state, rate.denominator
+    steps = list(islice(steps, depth + 1))
     _, den, value = steps[depth]
     flows: dict[int, int] = {}
     for lv, (a, b) in enumerate(pairwise(trunc.level_starts[:-1]), 1):  # children at level lv
@@ -473,15 +466,16 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
     Requires rate < branching number.  The proposal with the largest lower
     Collatz-Wielandt bound, the last such in ``_components`` order (which
     follows the spec's child order, not its state numbers), gives y = v /
-    PROPOSAL_SCALE with mid_rate * y <= M y; 2n steps of y -> min(1, M y /
-    mid_rate) keep that and raise y.  The mid rate is the midpoint of the
-    rate and that bound moved by at most gap / 2**13 to a short denominator,
-    so the tail powers stay small.  The cut floor is 9/10 of the weight y
-    bounds, the budget coefficient rate/(rate-1) (1 below rate 1, where
-    every budget is 0), and the radius the least closing the geometric tail.
-    ResourceLimitError: a bound at or below the rate (within
-    PROPOSAL_SCALE's resolution of br), or a radius past
-    CERTIFICATE_RADIUS_MAX, estimated or exact."""
+    PROPOSAL_SCALE with mid_rate * y <= M y.  Up to 2n steps y -> min(1, M y /
+    mid_rate), floored on integers over PROPOSAL_SCALE**2 and stopped at a
+    fixed point, keep that and raise y: a floor of a larger value is no
+    smaller.  The mid rate is the midpoint of the rate and that bound moved by
+    at most gap / 2**13 to a short denominator, so the tail powers stay small.
+    The cut floor is 9/10 of the weight y bounds, the budget coefficient
+    rate/(rate-1) (1 below rate 1, where every budget is 0), and the radius
+    the least closing the geometric tail.  ResourceLimitError: a bound at or
+    below the rate (within PROPOSAL_SCALE's resolution of br), or a radius
+    past CERTIFICATE_RADIUS_MAX, estimated or exact."""
     rate, _, _ = _split_rate(rate)
     if rate == 1:
         # floor(1**i) sums to n, which no constant times 1**n dominates
@@ -495,9 +489,14 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
         raise ResourceLimitError(f"rate {float(rate)} is below the branching number by less than "
                                  f"the resolution of its Perron vector at PROPOSAL_SCALE = 2**48")
     mu = ((rate + bound) / 2).limit_denominator(math.ceil(2 ** 12 / (bound - rate)))
-    steps = _state_recursion(auto, mu.numerator, mu.denominator, v, PROPOSAL_SCALE)
-    (nums, den, _), (_, den_next, w) = islice(steps, 2 * len(kids), 2 * len(kids) + 2)
-    y, weight = tuple(Fraction(n, den) for n in nums), Fraction(w, den_next)
+    p, q, top = mu.numerator, mu.denominator, PROPOSAL_SCALE ** 2
+    nums = [x * PROPOSAL_SCALE for x in v]
+    for _ in range(2 * len(kids)):
+        nums, last = [min(top, q * sum(nums[t] for t in k) // p) for k in kids], nums
+        if nums == last:
+            break
+    y = tuple(Fraction(n, top) for n in nums)
+    weight = Fraction(q * sum(nums[t] for t in kids[auto.root]), top * p)
     coeff = rate / (rate - 1) if rate > 1 else Fraction(1)
     floor = Fraction(9, 10) * weight
     ratio = rate / mu

@@ -239,18 +239,19 @@ def cmd_simulate(args) -> int:
     result: dict = {}
     tables = []
 
-    if args.replay:
+    if args.replay is not None:
         schedule, claimed = parse_trace(read_text(args.replay), args.replay)
         strategy = ScheduleStrategy(schedule)
         config["replay"] = args.replay
-    elif args.protect:
-        vprime = [read_int(t, "--protect") for t in args.protect.split(",") if t]
+    elif args.protect is not None:
+        if not (vprime := [read_int(t, "--protect") for t in args.protect.split(",") if t]):
+            raise SpecError(f"--protect: {args.protect!r} names no vertex")
         for v in vprime:
             if not 0 <= v < trunc.n_vertices:
                 raise SpecError(f"vertex {v} is outside the depth-{args.depth} truncation")
         strategy = CanonicalStrategy(vprime)
         config["protect"] = ",".join(str(v) for v in vprime)
-    elif args.schedule:
+    elif args.schedule is not None:
         strategy = ScheduleStrategy(parse_schedule(args.schedule, "--schedule"))
         config["schedule"] = args.schedule
     else:
@@ -265,7 +266,7 @@ def cmd_simulate(args) -> int:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             fh.write(format_trace(verdict))
     code = EXIT_OK if verdict.contained else EXIT_INDETERMINATE
-    if args.replay:
+    if args.replay is not None:
         match = (claimed.get("kind") == verdict.kind
                  and claimed.get("round_no") == verdict.round_no
                  and claimed.get("burnt") == verdict.burnt)

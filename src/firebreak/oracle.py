@@ -5,9 +5,9 @@ The search enumerates protect-sets round by round, playing each through
 ``game.step`` from ``game.state_from_fire``, with a transposition table
 keyed on the status vector alone: a vertex burns in the round equal to its
 distance from the fire through burning vertices, and each round searched
-burns one, so the statuses fix the round.  Only a strict search can hit
-the table: a restricted round leaves its whole front protected or burning,
-so the statuses fix the history and none recurs.  Fire reaching a
+burns one, so the statuses fix the round.  Only a strict search keeps the
+table: a restricted round leaves its whole front protected or burning, so
+the statuses fix the history and none recurs.  Fire reaching a
 truncation-boundary vertex (``game.reached``) is a loss: those vertices
 stand in for the infinite continuation of the tree.
 
@@ -69,22 +69,26 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
     if horizon is None:
         horizon = trunc.n_vertices + 2
 
-    # Only the frontier can have untouched neighbours: older burning ones spread to all of theirs
-    memo: dict[bytes, tuple[tuple[int, ...], ...] | None] = {}
+    memo: dict[bytes, tuple[tuple[int, ...], ...] | None] = {}  # read by a strict search only
 
     def search(state: GameState) -> tuple[tuple[int, ...], ...] | None:
         """A winning schedule from this state on, None when there is none."""
         if state.round_no >= horizon:
             return None
+        if restrict:
+            return explore(state)
+        if (key := bytes(state.statuses)) not in memo:
+            memo[key] = explore(state)
+        return memo[key]
+
+    def explore(state: GameState) -> tuple[tuple[int, ...], ...] | None:
+        """search within the horizon.  Only the frontier can have untouched
+        neighbours: older burning ones spread to all of theirs."""
         st = state.statuses
-        key = bytes(st)
-        if key in memo:
-            return memo[key]
         front = sorted({w for v in state.frontier for w in trunc.neighbors(v)
                         if st[w] == UNTOUCHED})
         if not front:
-            memo[key] = ()  # nothing can spread: already contained
-            return memo[key]
+            return ()  # nothing can spread: already contained
         f_n = budget(state.round_no + 1)
         if restrict:
             candidates = combinations(front, min(f_n, len(front)))
@@ -92,17 +96,14 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
             untouched = [v for v, s in enumerate(st) if s == UNTOUCHED]
             candidates = chain.from_iterable(
                 combinations(untouched, size) for size in range(min(f_n, len(untouched)), -1, -1))
-        result = None
         for protect in candidates:
             child = step(state, protect, f_n)
             if reached(trunc, child.frontier):
                 continue
             tail = search(child) if len(child.frontier) else ()
             if tail is not None:
-                result = (protect, *tail)
-                break
-        memo[key] = result
-        return result
+                return (protect, *tail)
+        return None
 
     schedule = search(start)
     return OracleDecision(feasible=schedule is not None, schedule=schedule)

@@ -37,6 +37,21 @@ def ray_spec() -> PeriodicSpec:
     return PeriodicSpec(states={"A": ("A",)}, root="A")
 
 
+def three_one_parents(depth: int) -> tuple[int, ...]:
+    """The parents, as ``ExplicitSpec`` reads them, of the depth-``depth``
+    truncation of Lyons and Peres's 3-1 tree (*Probability on Trees and
+    Networks*, ch. 1): the root has 2 children, and at each level n >= 1
+    the first half of the 2**n vertices, left to right, have 3 children and
+    the rest 1.  Ids run level by level, each vertex's children in a row."""
+    parents, level = [], [0]
+    for n in range(depth):
+        counts = [2] if n == 0 else [3 if i < len(level) // 2 else 1 for i in range(len(level))]
+        first = len(parents) + 1
+        parents += [v for v, c in zip(level, counts) for _ in range(c)]
+        level = list(range(first, len(parents) + 1))
+    return tuple(parents)
+
+
 def star_spec() -> SymmetricSpec:
     return SymmetricSpec(preperiod=(3,), period=(1,))
 

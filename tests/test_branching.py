@@ -91,6 +91,13 @@ REDUCIBLE = PeriodicSpec(states={"A": ("A", "B", "A"), "B": ("B", "B")}, root="A
 SYMMETRIC = SymmetricSpec(preperiod=(3, 2), period=(1, 2))  # br = sqrt 2
 
 
+def reverse_numbered(auto: Automaton) -> Automaton:
+    """The same automaton with state s renumbered n - 1 - s."""
+    n = len(auto.children)
+    return Automaton(tuple(tuple(n - 1 - t for t in auto.children[n - 1 - s]) for s in range(n)),
+                     n - 1 - auto.root)
+
+
 class TestCutWeight:
     def test_binary_level1(self):
         t = expand(binary_spec(), 3)
@@ -294,10 +301,12 @@ class TestIntegerRecursion:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_certificate_y_matches_the_reference(self, seed):
-        # the certificate's y and cut floor, stepped on integers from the
-        # Perron vector over its largest entry, are the reference's
+        # the certificate's y and cut floor, stepped on integers over 2**96
+        # from the Perron vector over its largest entry and rounded down, are
+        # the reference's, and lie entrywise below the exact recursion's
         checked = 0
-        for spec in self.specs(seed) + [binary_spec(), fibonacci_spec(), SYMMETRIC]:
+        for spec in self.specs(seed) + [binary_spec(), fibonacci_spec(), SYMMETRIC, REDUCIBLE,
+                                        reverse_numbered(compile(REDUCIBLE))]:
             for rate in (Fraction(1, 2), Fraction(5, 4), Fraction(3, 2), 1.25, Fraction(19, 10)):
                 if compile(spec).is_finite() or compare_to_br(spec, rate) >= 0:
                     continue
@@ -305,11 +314,13 @@ class TestIntegerRecursion:
                     cert = lower_bound_certificate(spec, rate)
                 except ResourceLimitError:
                     continue
-                y, weight = trees_reference.certificate_y(spec, Fraction(rate), cert.mid_rate)
+                y, weight = trees_reference.certificate_y(spec, cert.mid_rate)
                 assert cert.y == y
                 assert cert.cut_weight_floor == Fraction(9, 10) * weight
+                exact = trees_reference.exact_certificate_y(spec, cert.mid_rate)
+                assert all(y_s <= x_s for y_s, x_s in zip(cert.y, exact))
                 checked += 1
-        assert checked >= 5
+        assert checked >= 25
 
     def test_synthesis_runs_the_recursion_once(self, monkeypatch):
         # min_cutset reads the steps synthesis has already taken
@@ -963,10 +974,8 @@ class TestOrderIndependence:
             auto = compile(PeriodicSpec(states={"A": ("A", "B", "A"), "B": ("B", "B")}, root="A"))
         else:
             auto = group_from_name(name).acceptor[0]
-        n = len(auto.children)
-        flip = Automaton(tuple(tuple(n - 1 - t for t in auto.children[n - 1 - s])
-                               for s in range(n)), n - 1 - auto.root)
-        got, flipped = lower_bound_certificate(auto, rate), lower_bound_certificate(flip, rate)
+        got, flipped = (lower_bound_certificate(auto, rate),
+                        lower_bound_certificate(reverse_numbered(auto), rate))
         assert got.radius == radius
         for field in ("mid_rate", "budget_coeff", "cut_weight_floor", "radius"):
             assert getattr(got, field) == getattr(flipped, field), field

@@ -581,12 +581,21 @@ class TestRejectedInput:
         (["contain", "{d}/ray5.tree", "--lambda", "3"], "contain needs an infinite tree spec"),
         (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
           "--protect", "1,15"], "vertex 15 is outside the depth-3 truncation"),
+        (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
+          "--protect", ","], "--protect: ',' names no vertex"),
+        (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
+          "--protect", ""], "--protect: '' names no vertex"),
+        (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
+          "--schedule", ""], "--schedule: '' is not an integer"),
+        (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
+          "--replay", ""], "[Errno 2] No such file or directory: ''"),
     ], ids=["surround-no-lambda", "polyprobe-bad-c", "evidence-depths-0",
             "evidence-depths-negative", "cut-depths-0", "cut-depths-negative",
             "br-depth-max-0", "br-tol-nan", "br-finite-tol-nan", "br-finite-tol-negative",
             "simulate-negative-horizon",
             "oracle-negative-horizon", "oracle-x0-comma", "oracle-x0-empty",
-            "contain-finite-spec", "simulate-protect-outside"])
+            "contain-finite-spec", "simulate-protect-outside", "simulate-protect-comma",
+            "simulate-protect-empty", "simulate-schedule-empty", "simulate-replay-empty"])
     def test_bad_option_exits_one(self, argv, message, spec_dir, capsys):
         code, _out = run([a.format(d=spec_dir) for a in argv])
         assert code == 1

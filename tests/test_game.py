@@ -50,6 +50,10 @@ Claims covered:
       root from the boundary within its deadlines; Fibonacci near its
       threshold keeps the profiles the count recursion found and decides
       at depth 40 at once
+    - on Lyons and Peres's 3-1 tree (growth 2, branching number 1; a
+      generator in tests/conftest.py, depth 16) exp:3/2 and const:3 first
+      contain from k = 0..3 at the measured depths, and each witness plays
+      through simulate to a contained verdict
     - synthesized cutset strategies stay within budget, play level n at
       round n - k, and contain; synthesis materialises only the truncation
       it returns, so a cut past the vertex cap fails at once
@@ -107,6 +111,7 @@ from firebreak.trees import ExplicitSpec, PeriodicSpec, Truncation, as_tuple, co
 from conftest import (
     binary_spec,
     budget_catalogue,
+    child_ids,
     fibonacci_spec,
     random_explicit_tree,
     random_periodic_spec,
@@ -114,6 +119,7 @@ from conftest import (
     random_truncation,
     ray_spec,
     ternary_spec,
+    three_one_parents,
     vertex_levels,
     witness_vertices,
 )
@@ -1221,6 +1227,49 @@ class TestFeasibilityRows:
     def test_bad_arguments(self, radius, depths, message):
         with pytest.raises(SpecError, match=message):
             feasibility_rows(binary_spec(), radius, BudgetSequence.constant(1), depths)
+
+
+class TestThreeOneTree:
+    """Lyons and Peres's 3-1 tree has growth 2 and branching number 1: off
+    its leftmost ray every vertex has finitely many branch points below it.
+    Budgets far below growth 2 contain a fire on it, at the first feasible
+    depths the deadline program finds on the depth-16 truncation; a cut
+    that separates the fire from level D separates it from the infinite
+    tree below (the escape-leaf convention)."""
+
+    DEPTH = 16
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return ExplicitSpec(three_one_parents(self.DEPTH))
+
+    def test_levels_double_and_branching_dies_off_the_leftmost_ray(self, spec):
+        assert spec.n_vertices == 131_071
+        assert level_counts(spec, self.DEPTH) == [2 ** n for n in range(self.DEPTH + 1)]
+        t = expand(spec, self.DEPTH)
+        starts, parent = list(t.level_starts), list(t.parent)
+        top = list(range(starts[5]))  # top[v]: v's ancestor at level 4, from level 4 on
+        for v in range(starts[5], t.n_vertices):
+            top.append(top[parent[v]])
+        branching = [v for v in range(starts[10], starts[self.DEPTH])
+                     if len(child_ids(t, v)) == 3]
+        # past level 9 only the leftmost level-4 vertex has branching descendants,
+        # and the leftmost ray (ids 2**n - 1) branches at every level
+        assert branching and {top[v] for v in branching} == {starts[4]}
+        assert all(len(child_ids(t, 2 ** n - 1)) == 3 for n in range(1, self.DEPTH))
+
+    @pytest.mark.parametrize("budget, k, first", [
+        ("exp:3/2", 0, 2), ("exp:3/2", 1, 4), ("exp:3/2", 2, 8), ("exp:3/2", 3, 12),
+        ("const:3", 0, 1), ("const:3", 1, 3), ("const:3", 2, 6), ("const:3", 3, 15),
+    ])
+    def test_budgets_below_growth_contain(self, spec, budget, k, first):
+        budget = BudgetSequence.parse(budget)
+        depths = range(k + 1, self.DEPTH + 1)
+        assert feasibility_rows(spec, k, budget, depths) == [d >= first for d in depths]
+        result = feasibility_check(spec, k, budget, first)
+        t = expand(spec, first)
+        verdict = simulate(t, k, CanonicalStrategy(witness_vertices(result, t)), budget)
+        assert verdict.kind == "contained"
 
 
 class TestSynthesis:

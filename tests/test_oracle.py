@@ -10,9 +10,10 @@ Claims covered:
       cap is checked
     - decisions and witnesses equal those of a memo-free exhaustive search
       (tests/game_reference.py) on random small instances
-    - only a strict search revisits a status vector and so hits the memo:
-      a restricted one never does on random trees, fires and horizons, and
-      a strict one on a hand-made tree does, deciding as the reference
+    - only a strict search revisits a status vector, seen on the states
+      that step returns, so only it keeps a memo: a restricted one never
+      does on random trees, fires and horizons, deciding as the memo-free
+      reference, and a strict one on a hand-made tree does
     - cutset enumeration yields each antichain cutset exactly once with
       the hand-counted totals, and its minimum weight equals the recursion
     - the brute-force / feasibility / canonical triangle closes on a
@@ -151,15 +152,18 @@ class TestBruteForce:
         assert d.schedule == want == ((1,), (7,))
 
     def test_only_a_strict_search_hits_the_memo(self, monkeypatch):
-        # the search keys the memo by its one call to bytes, so a key seen
-        # twice is a memo hit
-        keys = []
-        spy = lambda statuses: keys.append(bytes(statuses)) or keys[-1]
-        monkeypatch.setattr(firebreak.oracle, "bytes", spy, raising=False)
+        # the status vectors of the states step returns, which the search
+        # plays on: a strict search meets some of them again (101 states, 68
+        # distinct, with its memo), a restricted one never does, so only a
+        # strict search needs the memo
+        seen = []
+        real = firebreak.oracle.step
+        spy = lambda *args: seen.append(bytes((child := real(*args)).statuses)) or child
+        monkeypatch.setattr(firebreak.oracle, "step", spy)
         t = expand(ExplicitSpec(parents=(0, 1, 0, 1, 3, 5, 6, 5, 6, 8, 8)), 4)
         budget = BudgetSequence.parse("const:1")
         d = brute_force_containment(t, [0], budget, restrict=False)
-        assert len(keys) - len(set(keys)) == 1
+        assert (len(seen), len(set(seen))) == (101, 68)
         want = game_reference.brute_force_containment(t, [0], budget, restrict=False)
         assert (d.feasible, d.schedule) == (True, want) == (True, ((1,), (5,)))
         rng = random.Random(61)
@@ -168,10 +172,12 @@ class TestBruteForce:
             t = expand(spec, spec.height() + rng.choice((0, 1)))
             off_root = rng.random() < 0.5
             fire = rng.sample(range(1, t.n_vertices), min(2, t.n_vertices - 1)) if off_root else [0]
-            keys.clear()
-            brute_force_containment(t, fire, rng.choice(budget_catalogue()),
-                                    rng.choice((None, 1, 2, 3)))
-            assert len(keys) == len(set(keys)), (spec, fire)
+            budget, horizon = rng.choice(budget_catalogue()), rng.choice((None, 1, 2, 3))
+            seen.clear()
+            d = brute_force_containment(t, fire, budget, horizon)
+            assert len(seen) == len(set(seen)), (spec, fire)
+            want = game_reference.brute_force_containment(t, fire, budget, horizon)
+            assert (d.feasible, d.schedule) == (want is not None, want)
 
     def test_fire_on_boundary_is_lost(self):
         t = expand(ray_spec(), 2)

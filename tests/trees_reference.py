@@ -5,7 +5,8 @@ as the reference of the differential tests: ``expand`` grows Python
 lists one vertex at a time, ``min_cutset`` and ``separates`` walk a stack,
 ``cut_weight`` counts levels with a Counter and sums one power per level,
 ``cut_weight_target`` takes a running power of the rate, and
-``certificate_y`` steps the recursion from the Perron vector as
+``certificate_y`` steps a certificate's y in Fractions, rounded down to the
+fixed scale, and ``exact_certificate_y`` without rounding, as
 ``lower_bound_certificate`` did."""
 
 from __future__ import annotations
@@ -92,15 +93,36 @@ def cut_weight_target(rate, radius: int, probe_range: int = 120):
     return min(head, tail)
 
 
-def certificate_y(spec: TreeSpec, rate: Fraction, mu: Fraction):
-    """(y, W) as lower_bound_certificate stepped them at the mid rate mu:
-    y_0 the vector over PROPOSAL_SCALE of the proposal with the largest
-    lower Collatz-Wielandt bound, and (y_{2n}, W(2n+1)) for n states."""
+def _certificate_start(auto: Automaton):
+    """y_0 of a certificate: the vector over PROPOSAL_SCALE of the proposal
+    lower_bound_certificate documents, the last one of largest lower
+    Collatz-Wielandt bound in _components order."""
+    props = _proposals(auto)
+    best = max(prop.lo for prop in props)
+    return [Fraction(x, PROPOSAL_SCALE) for x in [p for p in props if p.lo == best][-1].v]
+
+
+def certificate_y(spec: TreeSpec, mu: Fraction):
+    """(y, W) as lower_bound_certificate steps them at the mid rate mu: from
+    y_0, 2n steps for n states of y(s) -> min(1, the sum of y over the
+    children of s divided by mu, rounded down to a multiple of 2**-96), all
+    of them taken, and W the sum of y over the root's children divided by
+    mu."""
     auto = compile(spec)
-    v = max(_proposals(auto), key=lambda prop: (prop.lo, prop.v)).v
-    steps = _state_recursion(auto, mu, [Fraction(x, PROPOSAL_SCALE) for x in v])
-    y, weight = next(islice(steps, 2 * len(auto.children), None))
-    return tuple(y), weight
+    kids, scale = auto.children, PROPOSAL_SCALE ** 2
+    y = _certificate_start(auto)
+    for _ in range(2 * len(kids)):
+        y = [min(Fraction(1), Fraction(math.floor(sum(y[t] for t in k) / mu * scale), scale))
+             for k in kids]
+    return tuple(y), sum(y[t] for t in kids[auto.root]) / mu
+
+
+def exact_certificate_y(spec: TreeSpec, mu: Fraction):
+    """y_{2n} of the exact recursion at mu from the same y_0, which bounds
+    certificate_y's y entrywise from above."""
+    auto = compile(spec)
+    return tuple(next(islice(_state_recursion(auto, mu, _certificate_start(auto)),
+                             2 * len(auto.children), None))[0])
 
 
 def compare_component(kids, comp: list[int], rate: Fraction) -> int:
