@@ -38,16 +38,7 @@ from itertools import count, islice, pairwise, takewhile
 from typing import Iterable, Union
 
 from .errors import ResourceLimitError, SpecError
-from .trees import (
-    Automaton,
-    TreeSpec,
-    Truncation,
-    Value,
-    _sorted_unique,
-    compile,
-    np,
-    view,
-)
+from .trees import Automaton, Truncation, Value, _sorted_unique, np, view
 
 Rate = Union[Fraction, int, float, str]  # what exact_rate reads
 
@@ -149,11 +140,11 @@ def _state_recursion(auto: Automaton, p: int, q: int):
         nums = [min(den, q * sum(nums[t] for t in k)) for k in kids]
 
 
-def cut_recursion(spec: TreeSpec, rate: Rate):
+def cut_recursion(spec: Automaton, rate: Rate):
     """The one reader of the recursion, per spec and rate: (rate, steps),
     the rate after _split_rate and _state_recursion's steps at p/q."""
     rate, p, q = _split_rate(rate)
-    return rate, _state_recursion(compile(spec), p, q)
+    return rate, _state_recursion(spec, p, q)
 
 
 def min_cut_weight(trunc: Truncation, rate: Rate):
@@ -230,18 +221,17 @@ def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
 # ---------------------------------------------------------------------------
 
 
-def br_exact_periodic(spec: TreeSpec) -> float:
+def br_exact_periodic(spec: Automaton) -> float:
     """Branching number of the tree unfolded from a spec, as a float for
     display: the largest float Perron root of the components, the spectral
     radius of the count matrix (periodic trees are subperiodic, so growth
     rate and branching number coincide).  Regime decisions read the exact
     ``compare_to_br``.  A spec that unfolds to a finite tree reports 1.0
     with a warning (the convention for finite trees)."""
-    auto = compile(spec)
-    if auto.is_finite():
+    if spec.is_finite():
         warnings.warn("spec unfolds to a finite tree; branching number reported as 1 by convention")
         return 1.0
-    return max(prop.root for prop in _proposals(auto))
+    return max(prop.root for prop in _proposals(spec))
 
 
 def _components(kids, root: int) -> list[list[int]]:
@@ -277,8 +267,7 @@ def _proposals(auto: Automaton) -> list[Proposal]:
     from ``_perron`` rounded to integers v (PROPOSAL_SCALE at its largest
     entry, at least 1 on C, 0 off C), the float Perron root of M_C, and v's
     exact Collatz-Wielandt bounds lo <= br_C <= hi, the least and largest
-    (M v)_s / v_s over C.  Kept on the automaton, a value, as ``compile``
-    keeps the automaton on its spec."""
+    (M v)_s / v_s over C.  Kept on the automaton, a value."""
     props = auto.__dict__.get("_proposals")
     if props is None:
         kids, props = auto.children, []
@@ -363,21 +352,20 @@ def _compare_component(kids, prop: Proposal, rate: Fraction) -> int:
     return 1
 
 
-def compare_to_br(spec: TreeSpec, rate: Rate) -> int:
+def compare_to_br(spec: Automaton, rate: Rate) -> int:
     """The sign (-1, 0 or 1) of rate - br, exactly: br is the largest
     Perron root over the strongly connected components of the automaton's
     count matrix (0 for an acyclic automaton), and the rate is read by
     exact_rate."""
     rate = exact_rate(rate)
-    auto = compile(spec)
-    return min(_compare_component(auto.children, prop, rate) for prop in _proposals(auto))
+    return min(_compare_component(spec.children, prop, rate) for prop in _proposals(spec))
 
 
-def br_enclosure(spec: TreeSpec) -> tuple[float, float, float]:
+def br_enclosure(spec: Automaton) -> tuple[float, float, float]:
     """(br, lo, hi) for an infinite spec: the float root of br_exact_periodic
     and lo < br < hi, exactly: the largest lower and upper Collatz-Wielandt
     bounds over the components, widened by a relative 2**-30."""
-    props = _proposals(compile(spec))
+    props = _proposals(spec)
     return (br_exact_periodic(spec), float(max(prop.lo for prop in props)) * (1 - 2.0 ** -30),
             float(max(prop.hi for prop in props)) * (1 + 2.0 ** -30))
 
@@ -393,7 +381,7 @@ class BracketResult(Value):
         return self.hi - self.lo
 
 
-def br_bracket(spec: TreeSpec, tol: float) -> BracketResult:
+def br_bracket(spec: Automaton, tol: float) -> BracketResult:
     """Bisect [1, largest out-degree + 1/2] for the branching number on
     exact comparisons: lo <= br <= hi, and hi - lo <= tol unless lo and hi
     are adjacent floats.  compare_to_br reads each float mid as the dyadic
@@ -404,11 +392,10 @@ def br_bracket(spec: TreeSpec, tol: float) -> BracketResult:
     component's Perron vector keeps the weights bounded away from 0."""
     if not tol > 0:
         raise SpecError("tol must be positive")
-    auto = compile(spec)
-    if auto.is_finite():
+    if spec.is_finite():
         raise SpecError("bracket requires an infinite tree spec")
     lo = 1.0
-    hi = max(len(kids) for kids in auto.children) + 0.5
+    hi = max(len(kids) for kids in spec.children) + 0.5
     probes: list[tuple[float, str]] = []
     while hi - lo > tol and lo < (mid := (lo + hi) / 2.0) < hi:
         decays = compare_to_br(spec, mid) > 0
@@ -439,7 +426,7 @@ class LowerBoundCertificate(Value):
 
     _fields = ("spec", "rate", "mid_rate", "budget_coeff", "cut_weight_floor", "radius", "y")
 
-    def __init__(self, spec: TreeSpec, rate: Fraction, mid_rate: Fraction,
+    def __init__(self, spec: Automaton, rate: Fraction, mid_rate: Fraction,
                  budget_coeff: Fraction, cut_weight_floor: Fraction, radius: int,
                  y: tuple[Fraction, ...]):
         self.__dict__.update(spec=spec, rate=rate, mid_rate=mid_rate, budget_coeff=budget_coeff,
@@ -459,7 +446,7 @@ def _tail_below(ratio: Fraction, scale: Fraction, radius: int) -> bool:
             < scale.denominator * ratio.denominator ** (radius + 1))
 
 
-def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate:
+def lower_bound_certificate(spec: Automaton, rate: Rate) -> LowerBoundCertificate:
     """Build a non-containment certificate for budgets floor(rate**n), in
     exact arithmetic (the rate is read by exact_rate).
 
@@ -480,9 +467,8 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
     if rate == 1:
         # floor(1**i) sums to n, which no constant times 1**n dominates
         raise SpecError("no finite budget coefficient exists at rate exactly 1")
-    auto = compile(spec)
-    kids = auto.children
-    _, v, _, bound, _ = max(reversed(_proposals(auto)), key=lambda prop: prop.lo)
+    kids = spec.children
+    _, v, _, bound, _ = max(reversed(_proposals(spec)), key=lambda prop: prop.lo)
     if bound <= rate and compare_to_br(spec, rate) >= 0:
         raise SpecError(f"rate {float(rate)} is not below the branching number")
     if bound <= rate:
@@ -496,7 +482,7 @@ def lower_bound_certificate(spec: TreeSpec, rate: Rate) -> LowerBoundCertificate
         if nums == last:
             break
     y = tuple(Fraction(n, top) for n in nums)
-    weight = Fraction(q * sum(nums[t] for t in kids[auto.root]), top * p)
+    weight = Fraction(q * sum(nums[t] for t in kids[spec.root]), top * p)
     coeff = rate / (rate - 1) if rate > 1 else Fraction(1)
     floor = Fraction(9, 10) * weight
     ratio = rate / mu
@@ -522,15 +508,14 @@ def check_certificate(cert: LowerBoundCertificate) -> dict[str, bool]:
     spec's count matrix and the stored vector y; no cut recursion is read."""
     lam, mu, coeff, floor, y = (cert.rate, cert.mid_rate, cert.budget_coeff,
                                 cert.cut_weight_floor, cert.y)
-    auto = compile(cert.spec)
-    kids = auto.children
+    kids = cert.spec.children
     budget_ok = coeff >= lam / (lam - 1) if lam > 1 else 0 < lam < 1 and coeff >= 0
     ratio = lam / mu if mu > lam else 1
     return {
         "ordered_and_budget_bounded": ratio < 1 and compare_to_br(cert.spec, mu) < 0 and budget_ok,
         "cutsets_above_floor": len(y) == len(kids) and all(
             0 <= y_s <= 1 and mu * y_s <= sum(y[t] for t in k) for y_s, k in zip(y, kids)
-        ) and 0 < floor <= sum(y[t] for t in kids[auto.root]) / mu,
+        ) and 0 < floor <= sum(y[t] for t in kids[cert.spec.root]) / mu,
         "geometric_tail_below_floor": ratio < 1 and floor > 0 and _tail_below(
             ratio, coeff / ((1 - ratio) * floor), cert.radius),
     }

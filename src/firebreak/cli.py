@@ -125,7 +125,7 @@ def _cut_rows(spec, lam: Fraction, depths: int):
 
 def cmd_br(args) -> int:
     from .branching import br_bracket, br_exact_periodic
-    from .trees import compile, load_tree_spec
+    from .trees import load_tree_spec
 
     spec = load_tree_spec(args.spec)
     config = _base_config("br")
@@ -141,7 +141,7 @@ def cmd_br(args) -> int:
         config["lambda"] = lam
         tables.append(("cuts", ("lambda", "depth", "min_cut", "flow_value"),
                        _cut_rows(spec, lam, args.cut_depths)))
-    if compile(spec).is_finite():
+    if spec.is_finite():
         result["br_exact"] = 1.0
         result["note"] = "finite tree; branching number is 1 by convention"
     else:
@@ -158,7 +158,7 @@ def cmd_contain(args) -> int:
     from .branching import (br_enclosure, check_certificate, compare_to_br, cut_weight,
                             lower_bound_certificate)
     from .game import BudgetSequence, feasibility_rows, simulate, synthesize_cutset_strategy
-    from .trees import compile, load_tree_spec
+    from .trees import load_tree_spec
 
     spec = load_tree_spec(args.spec)
     lam = _rational(getattr(args, "lambda"), "--lambda")
@@ -167,7 +167,7 @@ def cmd_contain(args) -> int:
     result: dict = {}
     tables = []
 
-    if compile(spec).is_finite():
+    if spec.is_finite():
         raise SpecError("contain needs an infinite tree spec")
     if lam <= 0:
         raise SpecError("rate must be positive")
@@ -240,7 +240,11 @@ def cmd_simulate(args) -> int:
     tables = []
 
     if args.replay is not None:
-        schedule, claimed = parse_trace(read_text(args.replay), args.replay)
+        try:
+            text = read_text(args.replay)
+        except OSError as exc:
+            raise SpecError(f"--replay: cannot read {args.replay!r} ({exc.strerror})") from exc
+        schedule, claimed = parse_trace(text, args.replay)
         strategy = ScheduleStrategy(schedule)
         config["replay"] = args.replay
     elif args.protect is not None:
@@ -280,15 +284,15 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     from .game import BudgetSequence, ball_ids, read_int
     from .oracle import OracleCache, brute_force_containment, oracle_key
-    from .trees import ExplicitSpec, expand, format_tree_spec, load_tree_spec
+    from .trees import expand, format_tree_spec, load_tree_spec
 
     spec = load_tree_spec(args.spec)
-    if not isinstance(spec, ExplicitSpec):
+    if not spec.escape_leaves:
         raise SpecError("the oracle runs on explicit tree specs only")
     if args.k < 0:
         raise SpecError("initial radius must be >= 0")
     budget = BudgetSequence.parse(args.budget)
-    depth = args.depth if args.depth is not None else spec.height()
+    depth = args.depth if args.depth is not None else spec.live_heights[spec.root]
     trunc = expand(spec, depth)
     if args.x0 is not None:
         if not (fire := sorted({read_int(t, "--x0") for t in args.x0.split(",") if t})):

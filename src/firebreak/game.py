@@ -52,8 +52,8 @@ from typing import Iterable, Mapping
 
 from .branching import Cutset, compare_to_br, cut_recursion, exact_rate, min_cutset
 from .errors import ResourceLimitError, SpecError, StrategyFault, SynthesisError
-from .trees import (BURNING, PROTECTED, UNTOUCHED, TreeSpec, Truncation, Value, as_tuple,
-                    compile, expand, format_id_set, id_set, mark, np, row_entries)
+from .trees import (BURNING, PROTECTED, UNTOUCHED, Automaton, Truncation, Value, as_tuple,
+                    expand, format_id_set, id_set, mark, np, row_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -470,21 +470,20 @@ class FeasibilityResult:
     witness_levels: tuple[tuple[int, int], ...] | None = None  # (level, count)
 
 
-def feasibility_check(spec: TreeSpec, radius: int, budget: BudgetSequence,
+def feasibility_check(spec: Automaton, radius: int, budget: BudgetSequence,
                       depth: int) -> FeasibilityResult:
     """Decide whether a deadline-respecting vertex cut exists within the
     given depth.  Feasible results carry a witness: the cut's paths from
     the root, except that a cut of more than WITNESS_CUT_MAX vertices has
     only its ``witness_levels`` and ``witness_paths`` None.  Infeasible at
     one depth is evidence only, since deeper cuts may exist."""
-    auto = compile(spec)
-    result, plan = _decide(auto, radius, budget, depth)
+    result, plan = _decide(spec, radius, budget, depth)
     if plan is None:
         return result
-    return replace(result, witness_paths=_witness_paths(auto, radius, depth, *plan))
+    return replace(result, witness_paths=_witness_paths(spec, radius, depth, *plan))
 
 
-def feasibility_decision(spec: TreeSpec, radius: int, budget: BudgetSequence,
+def feasibility_decision(spec: Automaton, radius: int, budget: BudgetSequence,
                          depth: int) -> FeasibilityResult:
     """``feasibility_check``'s decision and ``witness_levels`` without its
     witness paths, which take most of a feasible check's time: for callers
@@ -502,14 +501,13 @@ def _decide(spec, radius, budget, depth, sphere_counts=None):
         raise SpecError("initial radius must be >= 0")
     if depth <= radius:
         raise SpecError("depth must exceed the initial radius")
-    auto = compile(spec)
     if sphere_counts is None:
-        sphere_counts = next(islice(auto.iter_state_counts(), radius, None))
-    return _feasibility_counts(auto, radius, budget.prefix_sums(depth - radius), depth,
+        sphere_counts = next(islice(spec.iter_state_counts(), radius, None))
+    return _feasibility_counts(spec, radius, budget.prefix_sums(depth - radius), depth,
                                sphere_counts)
 
 
-def feasibility_rows(spec: TreeSpec, radius: int, budget: BudgetSequence,
+def feasibility_rows(spec: Automaton, radius: int, budget: BudgetSequence,
                      depths: Iterable[int]) -> list[bool]:
     """``feasibility_decision(spec, radius, budget, D).feasible`` for each of
     the increasing depths D.  Feasibility is monotone in D, so the deepest
@@ -524,7 +522,7 @@ def feasibility_rows(spec: TreeSpec, radius: int, budget: BudgetSequence,
         raise SpecError("depths must increase")
     if not depths:
         return []
-    sphere_counts = next(islice(compile(spec).iter_state_counts(), radius, None))
+    sphere_counts = next(islice(spec.iter_state_counts(), radius, None))
 
     def feasible(i: int) -> bool:
         return _decide(spec, radius, budget, depths[i], sphere_counts)[0].feasible
@@ -801,7 +799,7 @@ def cut_weight_target(rate, radius: int, probe_range: int = 120) -> Fraction:
     return Fraction(num * q ** radius, den * p ** radius)
 
 
-def synthesize_cutset_strategy(spec: TreeSpec, rate, radius: int,
+def synthesize_cutset_strategy(spec: Automaton, rate, radius: int,
                                depth_max: int = 40) -> SynthesisResult:
     """Find a cutset light enough that playing its level-n vertices in
     round n - radius always fits the budget floor(rate**n), and wrap it as

@@ -1,23 +1,23 @@
 """Finite descriptions of infinite rooted trees and their depth-D truncations.
 
-Three spec variants are accepted, one per way of writing a tree down:
+A tree spec is an ``Automaton``: int states with ordered child-state tuples,
+unfolded from a root state.  Three constructors build one, one per way of
+writing a tree down, and the spec file format names them as its variants:
 
-* ``PeriodicSpec`` -- a finite automaton: named states with ordered
-  child-state sequences, unfolded from the root state.
-* ``SymmetricSpec`` -- spherically symmetric trees given by per-level child
-  counts, a preperiod followed by a repeating period.
-* ``ExplicitSpec`` -- a finite rooted tree given as a parent list.
+* ``PeriodicSpec`` -- named states with ordered child-state sequences; the
+  states reachable from the root, numbered in name order.
+* ``SymmetricSpec`` -- a spherically symmetric tree given by per-level child
+  counts, a preperiod followed by a repeating period; the cycle of its
+  ``len(preperiod) + len(period)`` levels.
+* ``ExplicitSpec`` -- a finite rooted tree given as a parent list; its
+  interned subtree shapes, with children in the given order and every leaf
+  continuing (``escape_leaves``).
 
-All of them compile to one internal ``Automaton`` (``compile``): int states
-with ordered child-state tuples and a root state.  A periodic spec keeps its
-reachable states; a symmetric spec becomes the cycle of its
-``len(preperiod) + len(period)`` levels; an explicit tree becomes its
-interned subtree shapes, with children in spec order.  An ``Automaton``
-built in code, as a Cayley model's word acceptor is, is its own spec.
-Level counts, expansion, finiteness, the per-state min-cut recursion, the
-Perron root, regime decisions, certificates and the feasibility program
-read only the automaton.  Besides ``compile`` and the spec file format,
-only the explicit-only oracle asks which variant it was given.
+An automaton built in code, as a Cayley model's word acceptor is, is a spec
+as these are.  Level counts, expansion, finiteness, the per-state min-cut
+recursion, the Perron root, regime decisions, certificates, the feasibility
+program and the explicit-only oracle read only the automaton, and
+``format_tree_spec`` writes it back as spec text.
 
 A ``Truncation`` is the finite tree of all vertices at levels 0..D, in a
 deterministic level-major order (children in spec order), unfolded by
@@ -66,7 +66,7 @@ from array import array
 from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate, islice
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitError, SpecError
 
@@ -114,7 +114,7 @@ def vertex_cap() -> int:
 
 
 class Value:
-    """An immutable value, the specs' and the result records' base, with
+    """An immutable value, the automaton's and the result records' base, with
     nothing generated for it at import: a subclass's ``__init__`` puts the
     fields ``_fields`` names in the instance dict once, and any later
     assignment raises.  Two values of one class are equal when their fields
@@ -145,77 +145,12 @@ class Value:
         return f"{type(self).__name__}({fields})"
 
 
-class PeriodicSpec(Value):
-    """Automaton description: ``states[s]`` is the ordered child-state tuple."""
-
-    _fields = ("states", "root")
-
-    def __init__(self, states: Mapping[str, tuple[str, ...]], root: str):
-        if root not in states:
-            raise SpecError(f"root state {root!r} is not defined")
-        for name, children in states.items():
-            for child in children:
-                if child not in states:
-                    raise SpecError(f"state {name!r} has unknown child state {child!r}")
-        self.__dict__.update(states=states, root=root)
-
-    def reachable_states(self) -> tuple[str, ...]:
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            for child in self.states[stack.pop()]:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return tuple(sorted(seen))
-
-
-class SymmetricSpec(Value):
-    """Spherically symmetric tree: child count at level n is
-    ``preperiod[n]`` for n < len(preperiod), then the period repeats.
-    All counts must be >= 1 (the tree is infinite by construction)."""
-
-    _fields = ("preperiod", "period")
-
-    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
-        if not period:
-            raise SpecError("symmetric spec needs a non-empty period")
-        for c in preperiod + period:
-            if c < 1:
-                raise SpecError("symmetric child counts must be >= 1")
-        self.__dict__.update(preperiod=preperiod, period=period)
-
-
-class ExplicitSpec(Value):
-    """Finite rooted tree.  Vertex 0 is the root; ``parents[i]`` is the
-    parent of vertex i+1 and must come earlier in the numbering."""
-
-    _fields = ("parents",)
-
-    def __init__(self, parents: tuple[int, ...]):
-        for i, p in enumerate(parents):
-            if not 0 <= p <= i:
-                raise SpecError(
-                    f"parent of vertex {i + 1} is {p}; parents must precede children"
-                )
-        self.__dict__["parents"] = parents
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.parents) + 1
-
-    def height(self) -> int:
-        """The root's live height: every leaf of an explicit tree continues."""
-        auto = compile(self)
-        return auto.live_heights[auto.root]
-
-
 class Automaton(Value):
-    """The one internal form of a tree spec.  ``children[s]`` is the ordered
-    child-state tuple of state s; the tree unfolds from ``root``.  Every
-    state is reachable from the root.  ``escape_leaves`` makes every
-    level-D vertex of a truncation continue (explicit trees); otherwise a
-    level-D vertex continues when its state has children."""
+    """A tree spec.  ``children[s]`` is the ordered child-state tuple of
+    state s; the tree unfolds from ``root``.  Every state is reachable from
+    the root.  ``escape_leaves`` makes every level-D vertex of a truncation
+    continue (explicit trees); otherwise a level-D vertex continues when its
+    state has children."""
 
     _fields = ("children", "root", "escape_leaves")
 
@@ -277,51 +212,68 @@ class Automaton(Value):
         return self.live_heights[self.root] < float("inf")
 
 
-TreeSpec = Union[PeriodicSpec, SymmetricSpec, ExplicitSpec, Automaton]
+def PeriodicSpec(states: Mapping[str, tuple[str, ...]], root: str) -> Automaton:
+    """The automaton of named states, ``states[s]`` the ordered child-state
+    tuple of s: the states reachable from ``root``, numbered in name order."""
+    if root not in states:
+        raise SpecError(f"root state {root!r} is not defined")
+    for name, children in states.items():
+        for child in children:
+            if child not in states:
+                raise SpecError(f"state {name!r} has unknown child state {child!r}")
+    seen, stack = {root}, [root]
+    while stack:
+        for child in states[stack.pop()]:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    index = {name: i for i, name in enumerate(sorted(seen))}
+    return Automaton(tuple(tuple(map(index.__getitem__, states[name])) for name in index),
+                     index[root])
 
 
-def compile(spec: TreeSpec) -> Automaton:
-    """The automaton of a spec; the only code that reads a spec's variant.
-    An automaton is its own spec.  Specs are immutable values, so the
-    automaton is built once and kept on the spec (an explicit tree of 10**6
-    vertices takes seconds to intern)."""
-    if isinstance(spec, Automaton):
-        return spec
-    auto = spec.__dict__.get("_automaton")
-    if auto is None:
-        auto = _build_automaton(spec)
-        object.__setattr__(spec, "_automaton", auto)
-    return auto
+def SymmetricSpec(preperiod: tuple[int, ...], period: tuple[int, ...]) -> Automaton:
+    """Spherically symmetric tree: child count at level n is
+    ``preperiod[n]`` for n < len(preperiod), then the period repeats.
+    All counts must be >= 1 (the tree is infinite by construction).  State
+    i is level i, and the last state loops back to the period's start."""
+    if not period:
+        raise SpecError("symmetric spec needs a non-empty period")
+    counts = preperiod + period
+    for c in counts:
+        if c < 1:
+            raise SpecError("symmetric child counts must be >= 1")
+    succ = list(range(1, len(counts))) + [len(preperiod)]
+    return Automaton(tuple((t,) * c for t, c in zip(succ, counts)), 0)
 
 
-def _build_automaton(spec: TreeSpec) -> Automaton:
-    if isinstance(spec, PeriodicSpec):
-        names = spec.reachable_states()
-        index = {name: i for i, name in enumerate(names)}
-        children = tuple(tuple(index[t] for t in spec.states[name]) for name in names)
-        return Automaton(children, index[spec.root])
-    if isinstance(spec, SymmetricSpec):
-        # state i is level i; the last state loops back to the period start
-        counts = spec.preperiod + spec.period
-        succ = list(range(1, len(counts))) + [len(spec.preperiod)]
-        return Automaton(tuple((t,) * c for t, c in zip(succ, counts)), 0)
-    # explicit: intern subtree shapes bottom-up (children have larger ids)
-    kids: list[list[int]] = [[] for _ in range(spec.n_vertices)]
-    for i, p in enumerate(spec.parents):
+def ExplicitSpec(parents: tuple[int, ...]) -> Automaton:
+    """Finite rooted tree.  Vertex 0 is the root; ``parents[i]`` is the
+    parent of vertex i+1 and must come earlier in the numbering.  Its
+    states are the interned subtree shapes, children in the given order.
+    A truncation numbers its vertices level-major, so every vertex id a
+    command reads or prints is that level-major id: the numbering given
+    here exactly when the parents never decrease."""
+    kids: list[list[int]] = [[] for _ in range(len(parents) + 1)]
+    for i, p in enumerate(parents):
+        if not 0 <= p <= i:
+            raise SpecError(
+                f"parent of vertex {i + 1} is {p}; parents must precede children"
+            )
         kids[p].append(i + 1)
     shapes: dict[tuple[int, ...], int] = {}
-    state = [0] * spec.n_vertices
-    for v in range(spec.n_vertices - 1, -1, -1):
+    state = [0] * len(kids)
+    for v in range(len(kids) - 1, -1, -1):  # bottom-up: children have larger ids
         state[v] = shapes.setdefault(tuple(state[w] for w in kids[v]), len(shapes))
     return Automaton(tuple(shapes), state[0], escape_leaves=True)
 
 
-def level_counts(spec: TreeSpec, depth: int) -> list[int]:
+def level_counts(spec: Automaton, depth: int) -> list[int]:
     """Number of vertices per level, computed without materialising the
-    tree (state-count vectors of the spec's automaton)."""
+    tree (the automaton's state-count vectors)."""
     if depth < 0:
         raise SpecError("depth must be >= 0")
-    return list(islice(compile(spec).iter_level_counts(), depth + 1))
+    return list(islice(spec.iter_level_counts(), depth + 1))
 
 
 def view(values: memoryview) -> np.ndarray:
@@ -404,7 +356,7 @@ class Truncation:
     level L holds the ids ``level_starts[L]`` .. ``level_starts[L + 1] - 1``
     and ``state`` is each vertex's automaton state."""
 
-    def __init__(self, spec: TreeSpec, depth: int, parent: memoryview, state: memoryview,
+    def __init__(self, spec: Automaton, depth: int, parent: memoryview, state: memoryview,
                  first_child: memoryview, level_starts: tuple[int, ...]):
         self.spec, self.depth, self.level_starts = spec, depth, level_starts
         self.parent, self.state, self.first_child = parent, state, first_child
@@ -421,8 +373,8 @@ class Truncation:
     @cached_property
     def boundary_mask(self) -> bytes:
         """One byte per vertex, 1 at the boundary: the level-D ids that continue."""
-        auto, first = compile(self.spec), self.level_starts[self.depth]
-        continues = np.array([auto.continues(s) for s in range(len(auto.children))])
+        spec, first = self.spec, self.level_starts[self.depth]
+        continues = np.array([spec.continues(s) for s in range(len(spec.children))])
         return bytes(first) + continues[view(self.state)[first:]].tobytes()
 
     def _rows(self, n: int) -> tuple[memoryview, memoryview]:
@@ -574,7 +526,7 @@ def row_entries(arena, ids) -> np.ndarray | None:
     return columns[at]
 
 
-def expand(spec: TreeSpec, depth: int) -> Truncation:
+def expand(spec: Automaton, depth: int) -> Truncation:
     """Materialise the truncation of all vertices at levels 0..depth.
 
     Children appear in spec order; vertex order is level-major, so the
@@ -588,7 +540,7 @@ def expand(spec: TreeSpec, depth: int) -> Truncation:
         raise ResourceLimitError(
             f"truncation would have {total} vertices, cap is {limit} ({VERTEX_CAP_ENV})"
         )
-    return Truncation(spec, depth, *unfold(compile(spec), sizes))
+    return Truncation(spec, depth, *unfold(spec, sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +558,7 @@ def expand(spec: TreeSpec, depth: int) -> Truncation:
 _FIELDS = {"variant", "root", "states", "levels", "parents"}
 
 
-def parse_tree_spec(text: str) -> TreeSpec:
+def parse_tree_spec(text: str) -> Automaton:
     fields: dict[str, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -682,25 +634,26 @@ def _forbid(fields: dict[str, list[str]], *keys: str, variant: str) -> None:
             raise SpecError(f"field {key!r} is not valid for variant {variant!r}")
 
 
-def format_tree_spec(spec: TreeSpec) -> str:
-    if isinstance(spec, PeriodicSpec):
-        lines = ["variant: periodic", f"root: {spec.root}"]
-        for name in sorted(spec.states):
-            kids = " ".join(spec.states[name])
-            lines.append(f"states: {name} -> {kids}".rstrip())
-        return "\n".join(lines) + "\n"
-    if isinstance(spec, SymmetricSpec):
-        pre = " ".join(str(c) for c in spec.preperiod)
-        per = " ".join(str(c) for c in spec.period)
-        head = f"{pre} | {per}" if pre else f"| {per}"
-        return f"variant: symmetric\nlevels: {head}\n"
-    return format_parents(spec.parents)
+def format_tree_spec(spec: Automaton) -> str:
+    """Spec text that parses back to the automaton: a finite tree
+    (``escape_leaves``) as the level-major parents of its whole truncation,
+    any other automaton as a periodic spec whose states ``s0``, ``s1``, ...
+    are zero-padded, so that name order is state order."""
+    if spec.escape_leaves:
+        sizes = list(islice(spec.iter_level_counts(), spec.live_heights[spec.root] + 1))
+        return format_parents(unfold(spec, sizes)[0][1:])
+    width = len(str(len(spec.children) - 1))
+    names = [f"s{s:0{width}}" for s in range(len(spec.children))]
+    lines = ["variant: periodic", f"root: {names[spec.root]}"]
+    for name, kids in zip(names, spec.children):
+        lines.append(f"states: {name} -> {' '.join(names[t] for t in kids)}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def format_parents(parents: Sequence[int]) -> str:
     """The explicit spec of a parent list, 16 ids a line: ``format_tree_spec``
-    of an ``ExplicitSpec``, which a Cayley ball's tree export writes a chunk
-    of lines at a time."""
+    of a finite tree, which a Cayley ball's tree export writes a chunk of
+    lines at a time."""
     lines = format_ids(np.array(parents, np.int64), 16, b"parents: ")
     return "variant: explicit\n" + (lines or b"parents:\n").decode()
 
@@ -743,7 +696,7 @@ def format_id_set(ids) -> str:
     return " ".join(map(str, ids))
 
 
-def load_tree_spec(path: str) -> TreeSpec:
+def load_tree_spec(path: str) -> Automaton:
     return parse_tree_spec(read_text(path))
 
 

@@ -14,26 +14,27 @@ from firebreak import (
     expand,
     level_counts,
 )
+from firebreak.trees import Automaton
 from cayley_reference import ReferenceGraphProduct, joined_pairs
 
 
-def binary_spec() -> PeriodicSpec:
+def binary_spec() -> Automaton:
     return PeriodicSpec(states={"A": ("A", "A")}, root="A")
 
 
-def ternary_spec() -> PeriodicSpec:
+def ternary_spec() -> Automaton:
     return PeriodicSpec(states={"A": ("A", "A", "A")}, root="A")
 
 
-def fibonacci_spec() -> PeriodicSpec:
+def fibonacci_spec() -> Automaton:
     return PeriodicSpec(states={"A": ("A", "B"), "B": ("A",)}, root="A")
 
 
-def sqrt2_spec() -> PeriodicSpec:
+def sqrt2_spec() -> Automaton:
     return PeriodicSpec(states={"A": ("B", "B"), "B": ("A",)}, root="A")
 
 
-def ray_spec() -> PeriodicSpec:
+def ray_spec() -> Automaton:
     return PeriodicSpec(states={"A": ("A",)}, root="A")
 
 
@@ -52,7 +53,12 @@ def three_one_parents(depth: int) -> tuple[int, ...]:
     return tuple(parents)
 
 
-def star_spec() -> SymmetricSpec:
+def height(spec: Automaton) -> int:
+    """An explicit tree's height: its root's live height, as ``oracle`` reads it."""
+    return spec.live_heights[spec.root]
+
+
+def star_spec() -> Automaton:
     return SymmetricSpec(preperiod=(3,), period=(1,))
 
 
@@ -89,13 +95,13 @@ def budget_catalogue() -> list[BudgetSequence]:
 
 
 def replaced(value, **changes):
-    """A copy of a spec or result record with some fields changed, built
-    by its own constructor from its ``_fields``."""
+    """A copy of an automaton or result record with some fields changed,
+    built by its own constructor from its ``_fields``."""
     return type(value)(**{name: changes.get(name, getattr(value, name)) for name in value._fields})
 
 
 def random_explicit_tree(rng: random.Random, max_vertices: int = 16,
-                         max_children: int = 3) -> ExplicitSpec:
+                         max_children: int = 3) -> Automaton:
     """Random rooted tree grown breadth-first with random child counts."""
     parents = []
     frontier = [0]
@@ -113,8 +119,9 @@ def random_explicit_tree(rng: random.Random, max_vertices: int = 16,
     return ExplicitSpec(parents=tuple(parents))
 
 
-def random_periodic_spec(rng: random.Random, max_states: int = 3,
-                         max_children: int = 3, allow_dead: bool = False) -> PeriodicSpec:
+def random_periodic_states(rng: random.Random, max_states: int = 3, max_children: int = 3,
+                           allow_dead: bool = False) -> dict[str, tuple[str, ...]]:
+    """The states of a random periodic spec whose root is A."""
     names = ["A", "B", "C"][: rng.randint(1, max_states)]
     lo = 0 if allow_dead else 1
     states = {
@@ -123,12 +130,24 @@ def random_periodic_spec(rng: random.Random, max_states: int = 3,
     }
     if not allow_dead and not states[names[0]]:
         states[names[0]] = (names[0],)
-    return PeriodicSpec(states=states, root=names[0])
+    return states
 
 
-def random_symmetric_spec(rng: random.Random) -> SymmetricSpec:
+def random_periodic_spec(rng: random.Random, max_states: int = 3,
+                         max_children: int = 3, allow_dead: bool = False) -> Automaton:
+    return PeriodicSpec(states=random_periodic_states(rng, max_states, max_children, allow_dead),
+                        root="A")
+
+
+def random_symmetric_levels(rng: random.Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The preperiod and period of a random symmetric spec."""
     pre = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
     per = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2)))
+    return pre, per
+
+
+def random_symmetric_spec(rng: random.Random) -> Automaton:
+    pre, per = random_symmetric_levels(rng)
     return SymmetricSpec(preperiod=pre, period=per)
 
 
@@ -144,7 +163,7 @@ def random_truncation(rng: random.Random, max_depth: int = 10,
             spec = random_symmetric_spec(rng)
         else:
             spec = random_explicit_tree(rng, max_vertices=24)
-            depth = min(depth, spec.height()) or 1
+            depth = min(depth, height(spec)) or 1
         if sum(level_counts(spec, depth)) <= size_limit:
             return expand(spec, depth)
     raise AssertionError("could not draw a truncation within the size limit")
@@ -269,7 +288,7 @@ def ball_words(b) -> list[tuple[int, ...]]:
     return words
 
 
-def tree_export(b) -> ExplicitSpec:
+def tree_export(b) -> Automaton:
     """The lex-min tree of a Cayley ball as the explicit spec that
     ``cayley --mode tree`` writes."""
     return ExplicitSpec(parents=tuple(b.parent[1:]))

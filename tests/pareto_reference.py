@@ -15,7 +15,6 @@ from itertools import accumulate, islice
 
 from firebreak.errors import SpecError
 from firebreak.game import FeasibilityResult
-from firebreak.trees import compile
 
 
 def _pareto(entries):
@@ -46,8 +45,7 @@ def pareto_feasibility(spec, radius, budget, depth) -> FeasibilityResult:
     def within(p) -> bool:
         return all(a <= c for a, c in zip(p, caps))
 
-    auto = compile(spec)
-    succ = auto.children
+    succ = spec.children
     # keyed by (level, state) for the states occurring at that level
     has_boundary: dict[tuple[int, int], bool] = {}
     frontier: dict[tuple[int, int], list] = {}
@@ -75,12 +73,12 @@ def pareto_feasibility(spec, radius, budget, depth) -> FeasibilityResult:
                 return []
         return partial
 
-    levels = [sorted(counts) for counts in islice(auto.iter_state_counts(), depth + 1)]
+    levels = [sorted(counts) for counts in islice(spec.iter_state_counts(), depth + 1)]
     for level in range(len(levels) - 1, 0, -1):
         for state in levels[level]:
             kids = succ[state]
             if level == depth:
-                hb = auto.continues(state)
+                hb = spec.continues(state)
             else:
                 hb = any(has_boundary[(level + 1, ck)] for ck in kids)
             has_boundary[(level, state)] = hb
@@ -98,7 +96,7 @@ def pareto_feasibility(spec, radius, budget, depth) -> FeasibilityResult:
                 )
             frontier[(level, state)] = _pareto(options)
 
-    root_kids = succ[auto.root]
+    root_kids = succ[spec.root]
     if not any(has_boundary[(1, ck)] for ck in root_kids):
         return FeasibilityResult(feasible=True, depth=depth, radius=radius,
                                  witness_paths=(), witness_levels=())
@@ -123,7 +121,7 @@ def pareto_feasibility(spec, radius, budget, depth) -> FeasibilityResult:
                 child_front = dict(frontier[(level + 1, child)])
                 walk(child, level + 1, child_front[next(choices)], path + (i,))
 
-    walk(auto.root, 0, ("combine", chosen), ())
+    walk(spec.root, 0, ("combine", chosen), ())
     per_level: dict[int, int] = {}
     for path in witness:
         per_level[len(path)] = per_level.get(len(path), 0) + 1

@@ -44,6 +44,7 @@ from conftest import (
     enumerate_cutsets,
     enumerate_geodesic_words,
     fibonacci_spec,
+    height,
     random_truncation,
     random_explicit_tree,
     sqrt2_spec,
@@ -117,7 +118,7 @@ def _triangle_corpus(rng, count):
     while len(corpus) < count:
         spec = random_explicit_tree(rng, max_vertices=14)
         k = rng.choice([0, 1])
-        depth = spec.height()
+        depth = height(spec)
         if depth <= k:
             continue
         trunc = expand(spec, depth)

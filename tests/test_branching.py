@@ -64,7 +64,7 @@ from firebreak.branching import (CERTIFICATE_RADIUS_MAX, PROPOSAL_SCALE, _compar
 from firebreak.game import cut_weight_target, synthesize_cutset_strategy
 from firebreak.errors import ResourceLimitError
 from firebreak.cayley import group_from_name
-from firebreak.trees import Automaton, compile, level_counts
+from firebreak.trees import Automaton, level_counts
 import trees_reference
 from conftest import (
     binary_spec,
@@ -258,7 +258,7 @@ class TestIntegerRecursion:
         # y_n = N_n / D_n and W(n) = w_n / D_n equal the reference's y_n and
         # W(n) at Fraction(rate) exactly, and the rate read is Fraction(rate)
         for spec in self.specs(seed):
-            root = compile(spec).root
+            root = spec.root
             for rate in self.RATES:
                 rate_x, steps = cut_recursion(spec, rate)
                 assert rate_x == Fraction(rate) and type(rate_x) is Fraction
@@ -306,9 +306,9 @@ class TestIntegerRecursion:
         # the reference's, and lie entrywise below the exact recursion's
         checked = 0
         for spec in self.specs(seed) + [binary_spec(), fibonacci_spec(), SYMMETRIC, REDUCIBLE,
-                                        reverse_numbered(compile(REDUCIBLE))]:
+                                        reverse_numbered(REDUCIBLE)]:
             for rate in (Fraction(1, 2), Fraction(5, 4), Fraction(3, 2), 1.25, Fraction(19, 10)):
-                if compile(spec).is_finite() or compare_to_br(spec, rate) >= 0:
+                if spec.is_finite() or compare_to_br(spec, rate) >= 0:
                     continue
                 try:
                     cert = lower_bound_certificate(spec, rate)
@@ -430,14 +430,7 @@ class TestBranchingNumber:
                 for s in names
             }
             spec = PeriodicSpec(states=states, root="A")
-            reach = spec.reachable_states()
-            idx = {s: i for i, s in enumerate(reach)}
-            mat = np.zeros((len(reach), len(reach)))
-            for s in reach:
-                for child in spec.states[s]:
-                    mat[idx[s], idx[child]] += 1
-            rho = max(abs(np.linalg.eigvals(mat)))
-            assert br_exact_periodic(spec) == pytest.approx(rho, abs=1e-8)
+            assert br_exact_periodic(spec) == pytest.approx(spectral_radius(states), abs=1e-8)
 
     def test_reducible_reachable(self):
         spec = PeriodicSpec(states={"A": ("B",), "B": ("B", "B")}, root="A")
@@ -453,25 +446,39 @@ class TestBranchingNumber:
             assert br_exact_periodic(spec) == 1.0
 
 
-def random_automaton(rng: random.Random) -> PeriodicSpec:
-    """1-5 states with 0-3 children each, reducible ones included."""
+def spectral_radius(states: dict[str, tuple[str, ...]], root: str = "A") -> float:
+    """numpy's spectral radius of the count matrix of the states reachable
+    from the root, read off the state dict a test built."""
+    reach, stack = {root}, [root]
+    while stack:
+        for child in states[stack.pop()]:
+            if child not in reach:
+                reach.add(child)
+                stack.append(child)
+    idx = {s: i for i, s in enumerate(reach)}
+    mat = np.zeros((len(reach), len(reach)))
+    for s in reach:
+        for child in states[s]:
+            mat[idx[s], idx[child]] += 1
+    return max(abs(np.linalg.eigvals(mat)))
+
+
+def random_states(rng: random.Random) -> dict[str, tuple[str, ...]]:
+    """1-5 states, root A, with 0-3 children each, reducible ones included."""
     names = "ABCDE"[:rng.randint(1, 5)]
-    states = {s: tuple(rng.choice(names) for _ in range(rng.randint(0, 3))) for s in names}
-    return PeriodicSpec(states=states, root="A")
+    return {s: tuple(rng.choice(names) for _ in range(rng.randint(0, 3))) for s in names}
+
+
+def random_automaton(rng: random.Random) -> Automaton:
+    return PeriodicSpec(states=random_states(rng), root="A")
 
 
 class TestCompareToBr:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_numpy_eigenvalues(self, seed):
         rng = random.Random(5000 + seed)
-        spec = random_automaton(rng)
-        reach = spec.reachable_states()
-        idx = {s: i for i, s in enumerate(reach)}
-        mat = np.zeros((len(reach), len(reach)))
-        for s in reach:
-            for child in spec.states[s]:
-                mat[idx[s], idx[child]] += 1
-        rho = max(abs(np.linalg.eigvals(mat)))
+        states = random_states(rng)
+        spec, rho = PeriodicSpec(states=states, root="A"), spectral_radius(states)
         rates = [Fraction(rng.randint(1, 400), 100) for _ in range(8)]
         rates += [Fraction(n) for n in range(1, 4)]
         for rate in rates:
@@ -521,9 +528,8 @@ class TestProposal:
 
     @staticmethod
     def reference(spec, rate):
-        auto = compile(spec)
-        return min(trees_reference.compare_component(auto.children, comp, rate)
-                   for comp in _components(auto.children, auto.root))
+        return min(trees_reference.compare_component(spec.children, comp, rate)
+                   for comp in _components(spec.children, spec.root))
 
     @staticmethod
     def rates(rng, prop):
@@ -537,8 +543,8 @@ class TestProposal:
     def test_vectors_and_bounds(self, seed):
         _, specs = self.specs(seed)
         for spec in specs:
-            kids = compile(spec).children
-            for prop in _proposals(compile(spec)):
+            kids = spec.children
+            for prop in _proposals(spec):
                 inside = set(prop.comp)
                 assert max(prop.v) == PROPOSAL_SCALE
                 assert all((x >= 1) == (s in inside) for s, x in enumerate(prop.v))
@@ -554,8 +560,8 @@ class TestProposal:
         # bounds that hold every rate send every comparison to elimination
         rng, specs = self.specs(seed)
         for spec in specs:
-            kids = compile(spec).children
-            for prop in _proposals(compile(spec)):
+            kids = spec.children
+            for prop in _proposals(spec):
                 forced = prop._replace(lo=-1, hi=10 ** 6)
                 for rate in self.rates(rng, prop):
                     assert _compare_component(kids, forced, rate) == \
@@ -565,7 +571,7 @@ class TestProposal:
     def test_compare_to_br_matches_dense_bareiss(self, seed):
         rng, specs = self.specs(seed)
         for spec in specs:
-            for prop in _proposals(compile(spec)):
+            for prop in _proposals(spec):
                 for rate in self.rates(rng, prop):
                     assert compare_to_br(spec, rate) == self.reference(spec, rate), (spec, rate)
 
@@ -577,7 +583,7 @@ class TestProposal:
     def test_integer_br_is_decided_by_elimination(self, spec, br):
         # lo <= br <= hi, so the bounds of a top component cannot decide
         # rate = br, and elimination must find the zero last pivot
-        props = _proposals(compile(spec))
+        props = _proposals(spec)
         assert any(prop.lo <= br <= prop.hi and prop.root == pytest.approx(br) for prop in props)
         assert compare_to_br(spec, br) == 0 == self.reference(spec, Fraction(br))
 
@@ -588,7 +594,7 @@ class TestProposal:
         (SYMMETRIC, (Fraction(7, 5), Fraction(3, 2))),
     ], ids=["fib", "c200", "symmetric"])
     def test_rates_outside_the_bounds_need_no_elimination(self, spec, rates):
-        props = _proposals(compile(spec))
+        props = _proposals(spec)
         assert all(not prop.lo <= rate <= prop.hi for prop in props for rate in rates)
         assert [compare_to_br(spec, rate) for rate in rates] == [-1, 1]
 
@@ -636,8 +642,8 @@ class TestPerron:
 
     def test_roots_match_numpy_eigenvalues(self):
         for spec in self.specs() + [C1000]:
-            kids = compile(spec).children
-            for prop in _proposals(compile(spec)):
+            kids = spec.children
+            for prop in _proposals(spec):
                 assert prop.root == pytest.approx(self.numpy_root(kids, prop.comp),
                                                   rel=1e-12, abs=1e-12), spec
                 assert float(prop.lo) * (1 - 1e-15) <= prop.root <= float(prop.hi) * (1 + 1e-15)
@@ -647,14 +653,14 @@ class TestPerron:
         (sqrt2_spec(), math.sqrt(2)), (SYMMETRIC, math.sqrt(2)),
     ], ids=["c200", "c1000", "fib", "sqrt2", "symmetric"])
     def test_roots_are_the_closed_forms_to_float_precision(self, spec, value):
-        root = max(prop.root for prop in _proposals(compile(spec)))
+        root = max(prop.root for prop in _proposals(spec))
         assert root == pytest.approx(value, rel=4 * 2.0 ** -52, abs=0)
 
     def test_signs_match_dense_bareiss(self):
         rng = random.Random(8200)
         for spec in self.specs():
-            kids = compile(spec).children
-            for prop in _proposals(compile(spec)):
+            kids = spec.children
+            for prop in _proposals(spec):
                 forced = prop._replace(lo=-1, hi=10 ** 6)
                 if len(prop.comp) < 50:
                     root = Fraction(prop.root).limit_denominator(10 ** 9)
@@ -670,14 +676,13 @@ class TestPerron:
                     assert _compare_component(kids, prop, rate) == want, (spec, rate)
 
     def test_c1000_signs_are_exact(self):
-        auto = compile(C1000)
-        prop = max(_proposals(auto), key=lambda prop: len(prop.comp))
+        prop = max(_proposals(C1000), key=lambda prop: len(prop.comp))
         forced = prop._replace(lo=-1, hi=10 ** 6)
         root = Fraction(prop.root)
         for rate in (prop.lo, prop.hi, root, root * (1 + Fraction(1, 10 ** 12)),
                      root * (1 - Fraction(1, 10 ** 12)), Fraction(1001, 1000), Fraction(1)):
             want = (rate ** 1000 > 5) - (rate ** 1000 < 5)
-            assert _compare_component(auto.children, forced, rate) == want, rate
+            assert _compare_component(C1000.children, forced, rate) == want, rate
             assert compare_to_br(C1000, rate) == want, rate
 
     def test_no_lapack_call(self, monkeypatch):
@@ -971,7 +976,7 @@ class TestOrderIndependence:
         # each at bound 2 on the Jordan spec and 1 on the zd acceptors): the
         # certificate starts from the same one, numbered either way
         if name == "jordan":
-            auto = compile(PeriodicSpec(states={"A": ("A", "B", "A"), "B": ("B", "B")}, root="A"))
+            auto = PeriodicSpec(states={"A": ("A", "B", "A"), "B": ("B", "B")}, root="A")
         else:
             auto = group_from_name(name).acceptor[0]
         got, flipped = (lower_bound_certificate(auto, rate),
@@ -987,7 +992,7 @@ class TestOrderIndependence:
         rng = random.Random(5)
         checked = 0
         for _ in range(150):
-            auto = compile(random_periodic_spec(rng, max_states=5))
+            auto = random_periodic_spec(rng, max_states=5)
             if auto.is_finite():
                 continue
             n = len(auto.children)

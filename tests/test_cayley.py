@@ -118,7 +118,7 @@ from firebreak import (
 from firebreak.branching import compare_to_br
 from firebreak.cli import main as cli_main
 from firebreak.game import BURNING, PROTECTED, ScheduleStrategy, ball_ids, simulate, state_from_fire
-from firebreak.trees import Automaton, compile
+from firebreak.trees import Automaton
 from cayley_reference import ReferenceGraphProduct, joined_pairs, reference_ball, tree_export_text
 from conftest import (ball_elements, ball_words, child_ids, enumerate_geodesic_words, replaced,
                       tree_export, vertex_levels)
@@ -834,7 +834,7 @@ class TestWordAcceptors:
         # the periodic spec of its named states gives
         model = group_from_name(name)
         auto, spec = model.acceptor[0], named_spec(model)
-        assert compile(spec) == auto
+        assert spec == auto
         for depth in range(6):
             got, want = expand(auto, depth), expand(spec, depth)
             for name in TRUNCATION_FIELDS:

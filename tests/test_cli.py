@@ -24,10 +24,10 @@ import pytest
 import firebreak
 from firebreak import (BudgetSequence, ExplicitSpec, PeriodicSpec, ScheduleStrategy,
                        SymmetricSpec, expand, feasibility_check, format_tree_spec, max_flow,
-                       min_cut_weight, simulate, step)
+                       min_cut_weight, parse_tree_spec, simulate, step)
 from firebreak.cli import _fmt, build_parser, main, parse
 from firebreak.game import state_from_fire
-from firebreak.trees import Automaton, compile, format_id_set
+from firebreak.trees import Automaton, format_id_set
 from conftest import random_periodic_spec
 
 BINARY = "variant: periodic\nroot: A\nstates: A -> A A\n"
@@ -588,7 +588,7 @@ class TestRejectedInput:
         (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
           "--schedule", ""], "--schedule: '' is not an integer"),
         (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
-          "--replay", ""], "[Errno 2] No such file or directory: ''"),
+          "--replay", ""], "--replay: cannot read '' (No such file or directory)"),
     ], ids=["surround-no-lambda", "polyprobe-bad-c", "evidence-depths-0",
             "evidence-depths-negative", "cut-depths-0", "cut-depths-negative",
             "br-depth-max-0", "br-tol-nan", "br-finite-tol-nan", "br-finite-tol-negative",
@@ -737,6 +737,19 @@ class TestOracle:
         code, _out = run(["oracle", str(spec_dir / "binary.tree"),
                           "--k", "0", "--budget", "const:1"])
         assert code == 1
+
+    def test_vertex_ids_are_level_major(self, tmp_path):
+        # parents 0 1 0: the file's vertex 2 is at level 2 and its vertex 3
+        # at level 1, so the truncation numbers them 3 and 2, and --x0 2
+        # burns the level-1 leaf, which protecting the root contains
+        spec = tmp_path / "t.tree"
+        spec.write_text("variant: explicit\nparents: 0 1 0\n")
+        assert list(expand(parse_tree_spec(spec.read_text()), 2).parent) == [-1, 0, 0, 1]
+        code, out = run(["oracle", str(spec), "--budget", "const:1", "--x0", "2"])
+        assert code == 0 and "result.feasible = true" in out
+        assert csv_rows(out, "witness") == [["1", "0"]]
+        _code, out = run(["oracle", str(spec), "--budget", "const:1", "--x0", "3"])
+        assert "result.feasible = false" in out  # the level-2 leaf is on the boundary
 
 
 class TestCayley:
@@ -987,23 +1000,26 @@ class TestStartUp:
         assert sorted(metrics) == ["peak_rss_mb", "wall_s"]
         assert all(isinstance(v, float) and v > 0 for v in metrics.values()), metrics
 
-    @pytest.mark.parametrize("spec, field", [
-        (PeriodicSpec(states={"A": ("A", "B"), "B": ("A",)}, root="A"), "root"),
-        (SymmetricSpec(preperiod=(2,), period=(1, 3)), "period"),
-        (ExplicitSpec(parents=(0, 0, 1)), "parents"),
-        (Automaton(((0, 1), (0,)), 0), "children"),
-    ], ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
-    def test_specs_are_immutable_values(self, spec, field):
-        with pytest.raises(AttributeError):
-            setattr(spec, field, getattr(spec, field))
-        with pytest.raises(AttributeError):
-            delattr(spec, field)
-        twin = type(spec)(*(getattr(spec, name) for name in spec._fields))
+    # each constructor, one of its arguments and a different value for it
+    @pytest.mark.parametrize("make, argument, kwargs, changed", [
+        (PeriodicSpec, "root", dict(states={"A": ("A", "B"), "B": ("A",)}, root="A"), "B"),
+        (SymmetricSpec, "period", dict(preperiod=(2,), period=(1, 3)), (3, 1)),
+        (ExplicitSpec, "parents", dict(parents=(0, 0, 1)), (0, 0, 2)),
+        (Automaton, "children", dict(children=((0, 1), (0,)), root=0), ((0,), (0, 1))),
+    ], ids=["PeriodicSpec-root", "SymmetricSpec-period", "ExplicitSpec-parents",
+            "Automaton-children"])
+    def test_specs_are_immutable_values(self, make, argument, kwargs, changed):
+        spec = make(**kwargs)
+        assert type(spec) is Automaton
+        for field in spec._fields:
+            with pytest.raises(AttributeError):
+                setattr(spec, field, getattr(spec, field))
+            with pytest.raises(AttributeError):
+                delattr(spec, field)
+        twin = make(**kwargs)
         assert twin == spec and not twin != spec and twin is not spec
-        assert compile(twin) == compile(spec) and compile(spec) is compile(spec)
-        assert spec != Automaton(((0,),), 0)  # a value of another class
-        if field != "root":  # the periodic spec's states are a dict
-            assert hash(twin) == hash(spec)
+        assert hash(twin) == hash(spec)
+        assert make(**{**kwargs, argument: changed}) != spec
 
     def test_records_reject_assignment(self):
         verdict = simulate(expand(ExplicitSpec(parents=(0, 0)), 1), 0, ScheduleStrategy({}),

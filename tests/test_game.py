@@ -107,14 +107,16 @@ import firebreak.trees as trees_mod
 from firebreak.game import (BURNING, PROTECTED, UNTOUCHED, TraceRound, Verdict, ball_ids,
                             cut_weight_target, format_schedule, parse_schedule,
                             state_from_fire)
-from firebreak.trees import ExplicitSpec, PeriodicSpec, Truncation, as_tuple, compile
+from firebreak.trees import ExplicitSpec, PeriodicSpec, Truncation, as_tuple
 from conftest import (
     binary_spec,
     budget_catalogue,
     child_ids,
     fibonacci_spec,
+    height,
     random_explicit_tree,
     random_periodic_spec,
+    random_periodic_states,
     random_symmetric_spec,
     random_truncation,
     ray_spec,
@@ -953,7 +955,7 @@ class TestFeasibility:
         rng = random.Random(11)
         for _ in range(25):
             spec = random_explicit_tree(rng, max_vertices=12)
-            depth = spec.height()
+            depth = height(spec)
             if depth < 1:
                 continue
             k = 0
@@ -999,7 +1001,7 @@ class TestFeasibility:
                 depth = rng.randint(2, 6)
             else:
                 spec = random_explicit_tree(rng, max_vertices=rng.randint(6, 40))
-                depth = spec.height()
+                depth = height(spec)
             if depth < 1 or sum(level_counts(spec, depth)) > 100:
                 continue
             budget = rng.choice(budget_catalogue())
@@ -1097,9 +1099,9 @@ class TestFeasibility:
             kind = rng.choice(sorted(kinds))
             if kind == "explicit":
                 spec = random_explicit_tree(rng, max_vertices=rng.randint(6, 90))
-                if spec.height() < 1:
+                if height(spec) < 1:
                     continue
-                depth = rng.randint(1, spec.height() + 2)  # may end before the horizon
+                depth = rng.randint(1, height(spec) + 2)  # may end before the horizon
             else:
                 spec = (random_periodic_spec(rng, allow_dead=rng.random() < 0.3)
                         if kind == "periodic" else random_symmetric_spec(rng))
@@ -1155,11 +1157,11 @@ def _row_family(seed: int, cases: int):
     while drawn < cases:
         kind = drawn % 3
         if kind == 0:  # a dead-end state: children, yet a finite subtree
-            spec = random_periodic_spec(rng, allow_dead=True)
+            states = random_periodic_states(rng, allow_dead=True)
             if rng.random() < 0.5:
-                states = dict(spec.states, D=("E",) * rng.randint(1, 2), E=())
+                states.update(D=("E",) * rng.randint(1, 2), E=())
                 states["A"] += ("D",)
-                spec = PeriodicSpec(states=states, root="A")
+            spec = PeriodicSpec(states=states, root="A")
         elif kind == 1:
             spec = random_symmetric_spec(rng)
         else:
@@ -1194,17 +1196,16 @@ class TestFeasibilityRows:
     def test_live_heights_are_the_liveness_table(self):
         # live_0(s) = continues(s); live_h(s) when some child has live_{h-1}
         for spec, _k, _budget, _depths in _row_family(9, 300):
-            auto = compile(spec)
-            live = [auto.continues(s) for s in range(len(auto.children))]
-            for h in range(len(auto.children) + 2):
-                assert live == [h <= x for x in auto.live_heights], (spec, h)
-                live = [any(live[t] for t in kids) for kids in auto.children]
+            live = [spec.continues(s) for s in range(len(spec.children))]
+            for h in range(len(spec.children) + 2):
+                assert live == [h <= x for x in spec.live_heights], (spec, h)
+                live = [any(live[t] for t in kids) for kids in spec.children]
 
     def test_a_state_with_children_need_not_be_live(self):
         # B continues, yet its subtree ends one level down: a level-1 B is
         # live only for a boundary at level 1
         spec = PeriodicSpec(states={"A": ("A", "B"), "B": ("C",), "C": ()}, root="A")
-        assert compile(spec).live_heights == (math.inf, 0, -1)
+        assert spec.live_heights == (math.inf, 0, -1)
         budget = BudgetSequence.constant(1)
         assert feasibility_rows(spec, 0, budget, range(1, 6)) == \
             [feasibility_check(spec, 0, budget, d).feasible for d in range(1, 6)]
@@ -1244,9 +1245,9 @@ class TestThreeOneTree:
         return ExplicitSpec(three_one_parents(self.DEPTH))
 
     def test_levels_double_and_branching_dies_off_the_leftmost_ray(self, spec):
-        assert spec.n_vertices == 131_071
         assert level_counts(spec, self.DEPTH) == [2 ** n for n in range(self.DEPTH + 1)]
         t = expand(spec, self.DEPTH)
+        assert t.n_vertices == len(three_one_parents(self.DEPTH)) + 1 == 131_071
         starts, parent = list(t.level_starts), list(t.parent)
         top = list(range(starts[5]))  # top[v]: v's ancestor at level 4, from level 4 on
         for v in range(starts[5], t.n_vertices):
@@ -1380,7 +1381,7 @@ class TestSmallerFiresInherit:
         checked = 0
         while checked < 12:
             spec = random_explicit_tree(rng, max_vertices=12)
-            depth = spec.height()
+            depth = height(spec)
             if depth < 2:
                 continue
             k = 1

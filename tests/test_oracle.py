@@ -48,7 +48,7 @@ from firebreak import (
 )
 from firebreak.oracle import OracleDecision
 from firebreak.trees import ExplicitSpec, format_tree_spec
-from conftest import (binary_spec, budget_catalogue, enumerate_cutsets, is_antichain,
+from conftest import (binary_spec, budget_catalogue, enumerate_cutsets, height, is_antichain,
                       random_explicit_tree, ray_spec, vertex_levels)
 import game_reference
 
@@ -98,7 +98,7 @@ class TestBruteForce:
         found = Counter()
         for _ in range(400):
             spec = random_explicit_tree(rng, max_vertices=rng.randint(3, 12))
-            t = expand(spec, spec.height() + rng.choice((0, 0, 1, 2)))
+            t = expand(spec, height(spec) + rng.choice((0, 0, 1, 2)))
             off_root = rng.random() < 0.5
             fire = rng.sample(range(1, t.n_vertices), min(2, t.n_vertices - 1)) if off_root else [0]
             horizon = rng.choice((None, 1, 2, 3))
@@ -112,7 +112,7 @@ class TestBruteForce:
             assert verdict.contained, (spec, t.depth, fire, horizon, restrict, budget.describe())
             found.update(["restricted" if restrict else "strict",
                           "off root" if off_root else "root",
-                          "past height" if t.depth > spec.height() else "at height",
+                          "past height" if t.depth > height(spec) else "at height",
                           "no horizon" if horizon is None else "horizon"])
         assert len(found) == 8 and min(found.values()) >= 20, found
 
@@ -128,7 +128,7 @@ class TestBruteForce:
         for _ in range(300):
             restrict = rng.random() < 0.5
             spec = random_explicit_tree(rng, max_vertices=rng.randint(3, 13 if restrict else 9))
-            t = expand(spec, spec.height() + rng.choice((0, 1)))
+            t = expand(spec, height(spec) + rng.choice((0, 1)))
             off_root = rng.random() < 0.5
             fire = rng.sample(range(1, t.n_vertices), min(2, t.n_vertices - 1)) if off_root else [0]
             horizon = rng.choice((None, 1, 2, 3))
@@ -169,7 +169,7 @@ class TestBruteForce:
         rng = random.Random(61)
         for _ in range(300):
             spec = random_explicit_tree(rng, max_vertices=rng.randint(3, 13))
-            t = expand(spec, spec.height() + rng.choice((0, 1)))
+            t = expand(spec, height(spec) + rng.choice((0, 1)))
             off_root = rng.random() < 0.5
             fire = rng.sample(range(1, t.n_vertices), min(2, t.n_vertices - 1)) if off_root else [0]
             budget, horizon = rng.choice(budget_catalogue()), rng.choice((None, 1, 2, 3))
@@ -199,9 +199,9 @@ class TestBruteForce:
         checked = 0
         while checked < 25:
             spec = random_explicit_tree(rng, max_vertices=9)
-            if spec.height() < 1:
+            if height(spec) < 1:
                 continue
-            t = expand(spec, spec.height())
+            t = expand(spec, height(spec))
             budget = rng.choice(budget_catalogue())
             fast = brute_force_containment(t, [0], budget, restrict=True)
             slow = brute_force_containment(t, [0], budget, restrict=False)
@@ -238,7 +238,7 @@ class TestEnumerateCutsets:
         rng = random.Random(47)
         for _ in range(15):
             spec = random_explicit_tree(rng, max_vertices=14)
-            depth = max(spec.height(), 1)
+            depth = max(height(spec), 1)
             t = expand(spec, depth)
             rate = rng.choice([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)])
             cuts = list(enumerate_cutsets(t, max_edges=17))
@@ -267,7 +267,7 @@ class TestTriangle:
         while checked < 12:
             spec = random_explicit_tree(rng, max_vertices=13)
             k = rng.choice([0, 1])
-            depth = spec.height()
+            depth = height(spec)
             if depth <= k:
                 continue
             t = expand(spec, depth)

@@ -4,6 +4,8 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+from firebreak.trees import Automaton
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -22,3 +24,4 @@ def test_library_block_gives_the_commented_values():
     cert = scope["cert"]
     assert cert.mid_rate == Fraction(7, 4) and cert.radius == 19
     assert scope["spheres"] == [1, 4, 12, 36]
+    assert type(scope["binary"]) is type(scope["free2"]) is Automaton

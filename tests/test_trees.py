@@ -56,7 +56,7 @@ from firebreak import (
 from firebreak import Cutset, cut_weight, feasibility_check, min_cutset
 from firebreak import trees as trees_mod
 from firebreak.cayley import group_from_name
-from firebreak.trees import compile, format_id_set, format_ids, format_parents
+from firebreak.trees import Automaton, format_id_set, format_ids, format_parents
 import trees_reference
 from conftest import (
     ball,
@@ -65,10 +65,13 @@ from conftest import (
     budget_catalogue,
     child_ids,
     fibonacci_spec,
+    height,
     index_of_path,
     path_of,
     random_explicit_tree,
     random_periodic_spec,
+    random_periodic_states,
+    random_symmetric_levels,
     random_symmetric_spec,
     star_spec,
     vertex_levels,
@@ -185,7 +188,7 @@ class TestBoundary:
     def test_periodic_dead_state_not_boundary(self):
         spec = PeriodicSpec(states={"A": ("A", "B"), "B": ()}, root="A")
         t = expand(spec, 3)
-        root = compile(spec).root  # A: every level-3 vertex of state A, none of B
+        root = spec.root  # A: every level-3 vertex of state A, none of B
         assert boundary_ids(t) == tuple(v for v in range(t.level_starts[3], t.n_vertices)
                                         if t.state[v] == root) == (5,)
 
@@ -211,6 +214,33 @@ class TestSpecFormat:
     def test_explicit_roundtrip(self):
         spec = ExplicitSpec(parents=(0, 0, 1, 1, 2, 2))
         assert parse_tree_spec(format_tree_spec(spec)) == spec
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_roundtrip(self, seed):
+        rng = random.Random(7000 + seed)
+        for spec in (random_periodic_spec(rng, allow_dead=True), random_symmetric_spec(rng)):
+            assert parse_tree_spec(format_tree_spec(spec)) == spec
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_roundtrip_past_ten_states(self, seed):
+        # a cycle through every state, so that all of them are reachable;
+        # unpadded names would sort s10 before s2
+        rng = random.Random(7100 + seed)
+        n = rng.randint(11, 30)
+        spec = Automaton(tuple(((s + 1) % n, *rng.choices(range(n), k=rng.randint(0, 2)))
+                               for s in range(n)), rng.randrange(n))
+        assert parse_tree_spec(format_tree_spec(spec)) == spec
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_explicit_roundtrip_keeps_the_truncation(self, seed):
+        # a breadth-first tree, whose ids are level-major already, and one
+        # whose parents go down, which the text writes level-major
+        rng = random.Random(7200 + seed)
+        unordered = ExplicitSpec(parents=tuple(rng.randint(0, i) for i in range(rng.randint(0, 30))))
+        for spec in (random_explicit_tree(rng, max_vertices=30), unordered):
+            again = parse_tree_spec(format_tree_spec(spec))
+            assert again.escape_leaves and height(again) == height(spec)
+            assert expand(again, height(spec)).parent == expand(spec, height(spec)).parent
 
     def test_multiline_states(self):
         spec = parse_tree_spec(
@@ -258,8 +288,8 @@ class TestSpecFormat:
 class TestDegenerate:
     def test_finite_periodic_detected(self):
         spec = PeriodicSpec(states={"A": ("B", "B"), "B": ()}, root="A")
-        assert compile(spec).is_finite()
-        assert not compile(fibonacci_spec()).is_finite()
+        assert spec.is_finite()
+        assert not fibonacci_spec().is_finite()
 
     def test_zero_child_state_allowed(self):
         # one live branch, one dead leaf per level
@@ -268,12 +298,12 @@ class TestDegenerate:
         assert counts_of(t) == [1, 2, 2, 2, 2]
 
 
-def cycle_spec(sym: SymmetricSpec) -> PeriodicSpec:
+def cycle_spec(pre: tuple[int, ...], per: tuple[int, ...]) -> Automaton:
     """The periodic automaton of a symmetric spec: one state per level of
     preperiod + period, the last one looping back to the period start."""
-    counts = sym.preperiod + sym.period
+    counts = pre + per
     names = [f"L{i}" for i in range(len(counts))]
-    succ = names[1:] + [names[len(sym.preperiod)]]
+    succ = names[1:] + [names[len(pre)]]
     return PeriodicSpec(states={n: (t,) * c for n, t, c in zip(names, succ, counts)},
                         root=names[0])
 
@@ -294,7 +324,7 @@ class TestOneRepresentation:
         # explicit level-D vertices always continue, periodic ones only
         # when their state has children
         assert set(boundary_ids(t)) <= set(boundary_ids(again))
-        if all(spec.states[s] for s in spec.reachable_states()):
+        if all(spec.children):  # every state, as every state is reachable
             assert again.boundary_mask == t.boundary_mask
 
     @pytest.mark.parametrize("seed", range(12))
@@ -302,8 +332,8 @@ class TestOneRepresentation:
         import firebreak.game as game_mod
 
         rng = random.Random(5000 + seed)
-        sym = random_symmetric_spec(rng)
-        cycle = cycle_spec(sym)
+        pre, per = random_symmetric_levels(rng)
+        sym, cycle = SymmetricSpec(preperiod=pre, period=per), cycle_spec(pre, per)
         depth = rng.randint(2, 6)
         while sum(level_counts(sym, depth)) > 120:
             depth -= 1
@@ -327,8 +357,8 @@ class TestOneRepresentation:
 
         rng = random.Random(6000 + seed)
         for _ in range(10):
-            spec = random_periodic_spec(rng, allow_dead=rng.random() < 0.5)
-            twins = twin_states(spec, rng)
+            states = random_periodic_states(rng, allow_dead=rng.random() < 0.5)
+            spec, twins = PeriodicSpec(states=states, root="A"), twin_states(states, rng)
             depth = rng.randint(1, 8)
             while depth > 1 and sum(level_counts(spec, depth)) > 3000:
                 depth -= 1
@@ -343,15 +373,16 @@ class TestOneRepresentation:
                     feasibility_check(spec, k, budget, depth)
 
 
-def twin_states(spec: PeriodicSpec, rng: random.Random) -> PeriodicSpec:
-    """The same tree with every state X doubled by a twin X' of the same
-    children, each child reference and the root picking X or X' at random."""
+def twin_states(states: dict[str, tuple[str, ...]], rng: random.Random) -> Automaton:
+    """The tree of the states rooted at A, with every state X doubled by a
+    twin X' of the same children, each child reference and the root picking
+    X or X' at random."""
     def pick(name: str) -> str:
         return name + rng.choice(("", "'"))
 
-    return PeriodicSpec(states={name: tuple(map(pick, spec.states[x]))
-                                for x in spec.states for name in (x, x + "'")},
-                        root=pick(spec.root))
+    return PeriodicSpec(states={name: tuple(map(pick, states[x]))
+                                for x in states for name in (x, x + "'")},
+                        root=pick("A"))
 
 
 def _outcome(fn, *args):
@@ -435,7 +466,7 @@ class TestNumpyUnfolding:
                 spec, depth = random_symmetric_spec(rng), rng.randint(0, 9)
             else:
                 spec = random_explicit_tree(rng, max_vertices=30)
-                depth = rng.randint(0, spec.height() + 1)
+                depth = rng.randint(0, height(spec) + 1)
             while sum(level_counts(spec, depth)) > 3000:
                 depth -= 1
             yield spec, depth

@@ -19,7 +19,7 @@ from itertools import islice
 
 from firebreak.branching import PROPOSAL_SCALE, Cutset, Rate, _proposals, exact_rate
 from firebreak.errors import ResourceLimitError, SpecError, SynthesisError
-from firebreak.trees import VERTEX_CAP_ENV, Automaton, TreeSpec, compile, vertex_cap
+from firebreak.trees import VERTEX_CAP_ENV, Automaton, vertex_cap
 
 
 def edge_weight(rate: Fraction, level: int) -> Fraction:
@@ -50,13 +50,13 @@ def _state_recursion(auto: Automaton, rate: Rate, y=None):
         y = [min(one, sum(y[t] for t in k) / rate) if k else zero for k in kids]
 
 
-def cut_recursion(spec: TreeSpec, rate: Rate):
+def cut_recursion(spec: Automaton, rate: Rate):
     """The one reader of W(1), W(2), ... per spec and rate: the rate, after
     exact_rate and a positivity check, and _state_recursion at it."""
     rate = exact_rate(rate)
     if rate <= 0:
         raise SpecError("rate must be positive")
-    return rate, _state_recursion(compile(spec), rate)
+    return rate, _state_recursion(spec, rate)
 
 
 def _truncation_recursion(trunc: Truncation, rate: Rate):
@@ -102,27 +102,25 @@ def _certificate_start(auto: Automaton):
     return [Fraction(x, PROPOSAL_SCALE) for x in [p for p in props if p.lo == best][-1].v]
 
 
-def certificate_y(spec: TreeSpec, mu: Fraction):
+def certificate_y(spec: Automaton, mu: Fraction):
     """(y, W) as lower_bound_certificate steps them at the mid rate mu: from
     y_0, 2n steps for n states of y(s) -> min(1, the sum of y over the
     children of s divided by mu, rounded down to a multiple of 2**-96), all
     of them taken, and W the sum of y over the root's children divided by
     mu."""
-    auto = compile(spec)
-    kids, scale = auto.children, PROPOSAL_SCALE ** 2
-    y = _certificate_start(auto)
+    kids, scale = spec.children, PROPOSAL_SCALE ** 2
+    y = _certificate_start(spec)
     for _ in range(2 * len(kids)):
         y = [min(Fraction(1), Fraction(math.floor(sum(y[t] for t in k) / mu * scale), scale))
              for k in kids]
-    return tuple(y), sum(y[t] for t in kids[auto.root]) / mu
+    return tuple(y), sum(y[t] for t in kids[spec.root]) / mu
 
 
-def exact_certificate_y(spec: TreeSpec, mu: Fraction):
+def exact_certificate_y(spec: Automaton, mu: Fraction):
     """y_{2n} of the exact recursion at mu from the same y_0, which bounds
     certificate_y's y entrywise from above."""
-    auto = compile(spec)
-    return tuple(next(islice(_state_recursion(auto, mu, _certificate_start(auto)),
-                             2 * len(auto.children), None))[0])
+    return tuple(next(islice(_state_recursion(spec, mu, _certificate_start(spec)),
+                             2 * len(spec.children), None))[0])
 
 
 def compare_component(kids, comp: list[int], rate: Fraction) -> int:
@@ -147,7 +145,7 @@ def compare_component(kids, comp: list[int], rate: Fraction) -> int:
 
 @dataclass
 class Truncation:
-    spec: TreeSpec
+    spec: Automaton
     depth: int
     parent: list[int]
     children: list[list[int]]
@@ -160,22 +158,21 @@ class Truncation:
         return len(self.parent)
 
 
-def expand(spec: TreeSpec, depth: int) -> Truncation:
+def expand(spec: Automaton, depth: int) -> Truncation:
     if depth < 0:
         raise SpecError("depth must be >= 0")
     limit = vertex_cap()
-    auto = compile(spec)
-    total = sum(islice(auto.iter_level_counts(), depth + 1))
+    total = sum(islice(spec.iter_level_counts(), depth + 1))
     if total > limit:
         raise ResourceLimitError(
             f"truncation would have {total} vertices, cap is {limit} ({VERTEX_CAP_ENV})"
         )
 
-    succ = auto.children
+    succ = spec.children
     parent: list[int] = [-1]
     children: list[list[int]] = [[]]
     level: list[int] = [0]
-    state = [auto.root]
+    state = [spec.root]
     frontier = [0]
     for lv in range(1, depth + 1):
         nxt = []
@@ -189,7 +186,7 @@ def expand(spec: TreeSpec, depth: int) -> Truncation:
                 state.append(child_state)
                 nxt.append(w)
         frontier = nxt
-    boundary = tuple(v for v in frontier if auto.continues(state[v]))
+    boundary = tuple(v for v in frontier if spec.continues(state[v]))
     return Truncation(spec, depth, parent, children, level, state, boundary)
 
 
