@@ -10,12 +10,15 @@ one per-state recursion, read by ``cut_recursion`` alone, gives min-cut
 weights at every depth with no truncation built, min cutsets and max
 flows; ``cut_weight``, which walks a truncation, checks it in tests.
 
-Cut arithmetic runs on integers.  For a rate p/q the recursion keeps the
-values at height n as numerators over one common denominator p**n, so a
-step is a few integer sums and a min, with no gcd; a cut weight is
-one numerator over p**depth.  Comparisons are integer cross-products, and
-a ``fractions.Fraction`` is built only where a value leaves the layer: a
-reported weight, a table row, a certificate's y.  Every rate is read by
+Cut and certificate arithmetic runs on integers.  For a rate p/q the
+recursion keeps the values at height n as numerators over one common
+denominator p**n, so a step is a few integer sums and a min, with no gcd;
+a cut weight is one numerator over p**depth.  A certificate carries its
+mid rate, budget coefficient, cut floor and geometric tail as numerator and
+denominator pairs, and its check reads the stored rationals the same way.
+Comparisons are integer cross-products, and a ``fractions.Fraction`` is
+built only where a value leaves the layer: a reported weight, a table row,
+a proposal's bounds, a certificate's fields.  Every rate is read by
 ``exact_rate`` as the rational it is, a float included, so every value
 handed out is a Fraction.
 
@@ -25,7 +28,8 @@ one proposal, an integer Perron vector with exact Collatz-Wielandt bounds
 lo <= br_C <= hi.  ``compare_to_br`` decides a rate outside them at once and
 one inside by exact elimination, ``br_bracket`` bisects on that sign, and
 a certificate steps the recursion's map from the best proposal on integers
-over one fixed scale, rounding down, and is checked exactly.
+over one fixed scale, rounding down, and is checked exactly, by integer
+cross-multiplication.
 """
 
 from __future__ import annotations
@@ -275,8 +279,14 @@ def _proposals(auto: Automaton) -> list[Proposal]:
             x, root = _perron(kids, comp)
             on = {s: max(round(x_s * PROPOSAL_SCALE), 1) for s, x_s in zip(comp, x)}
             v = [on.get(s, 0) for s in range(len(kids))]
-            ratios = [Fraction(sum(v[t] for t in kids[s]), v[s]) for s in comp]
-            props.append(Proposal(comp, v, root, min(ratios), max(ratios)))
+            pairs = [(sum(v[t] for t in kids[s]), v[s]) for s in comp]
+            lo = hi = pairs[0]  # (M v)_s and v_s of the least and the largest ratio
+            for n, d in pairs:
+                if n * lo[1] < lo[0] * d:
+                    lo = n, d
+                elif n * hi[1] > hi[0] * d:
+                    hi = n, d
+            props.append(Proposal(comp, v, root, Fraction(*lo), Fraction(*hi)))
         object.__setattr__(auto, "_proposals", props)
     return props
 
@@ -433,22 +443,31 @@ class LowerBoundCertificate(Value):
                              cut_weight_floor=cut_weight_floor, radius=radius, y=y)
 
 
-def _log(x: Fraction) -> float:
-    """Natural log of a positive rational: no float overflow, precise near 1."""
-    if Fraction(1, 2) < x < 2:
-        return math.log1p(float(x - 1))
-    return math.log(x.numerator) - math.log(x.denominator)
+def _log(n: int, d: int) -> float:
+    """Natural log of the positive rational n/d in lowest terms: no float
+    overflow, precise near 1."""
+    if d < 2 * n and n < 2 * d:
+        return math.log1p((n - d) / d)
+    return math.log(n) - math.log(d)
 
 
-def _tail_below(ratio: Fraction, scale: Fraction, radius: int) -> bool:
-    """scale * ratio**(radius+1) < 1, compared in integers (no large gcd)."""
-    return (scale.numerator * ratio.numerator ** (radius + 1)
-            < scale.denominator * ratio.denominator ** (radius + 1))
+def _tail_below(sn: int, sd: int, p: int, q: int, radius: int) -> bool:
+    """(sn/sd) * (p/q)**(radius+1) < 1 for positive denominators sd and q,
+    with p/q in lowest terms, so that the powers stay small."""
+    return sn * p ** (radius + 1) < sd * q ** (radius + 1)
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, as a pair."""
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def lower_bound_certificate(spec: Automaton, rate: Rate) -> LowerBoundCertificate:
     """Build a non-containment certificate for budgets floor(rate**n), in
-    exact arithmetic (the rate is read by exact_rate).
+    exact arithmetic (the rate is read by exact_rate), on integer numerator
+    and denominator pairs: a Fraction is built for the mid rate, through
+    ``Fraction.limit_denominator``, and for the stored fields only.
 
     Requires rate < branching number.  The proposal with the largest lower
     Collatz-Wielandt bound, the last such in ``_components`` order (which
@@ -460,62 +479,75 @@ def lower_bound_certificate(spec: Automaton, rate: Rate) -> LowerBoundCertificat
     at most gap / 2**13 to a short denominator, so the tail powers stay small.
     The cut floor is 9/10 of the weight y bounds, the budget coefficient
     rate/(rate-1) (1 below rate 1, where every budget is 0), and the radius
-    the least closing the geometric tail.  ResourceLimitError: a bound at or
-    below the rate (within PROPOSAL_SCALE's resolution of br), or a radius
-    past CERTIFICATE_RADIUS_MAX, estimated or exact."""
-    rate, _, _ = _split_rate(rate)
-    if rate == 1:
+    the least closing the geometric tail: a float estimate from ``_log``,
+    corrected by exact steps.  ResourceLimitError: a bound at or below the
+    rate (within PROPOSAL_SCALE's resolution of br), or a radius past
+    CERTIFICATE_RADIUS_MAX, estimated or exact."""
+    rate, a, b = _split_rate(rate)
+    if a == b:
         # floor(1**i) sums to n, which no constant times 1**n dominates
         raise SpecError("no finite budget coefficient exists at rate exactly 1")
     kids = spec.children
     _, v, _, bound, _ = max(reversed(_proposals(spec)), key=lambda prop: prop.lo)
-    if bound <= rate and compare_to_br(spec, rate) >= 0:
+    c, d = bound.numerator, bound.denominator
+    gap = c * b - a * d  # bound - rate = gap / (b * d)
+    if gap <= 0 and compare_to_br(spec, rate) >= 0:
         raise SpecError(f"rate {float(rate)} is not below the branching number")
-    if bound <= rate:
+    if gap <= 0:
         raise ResourceLimitError(f"rate {float(rate)} is below the branching number by less than "
                                  f"the resolution of its Perron vector at PROPOSAL_SCALE = 2**48")
-    mu = ((rate + bound) / 2).limit_denominator(math.ceil(2 ** 12 / (bound - rate)))
+    # the midpoint of rate and bound, to a denominator of at most ceil(2**12 / (bound - rate))
+    mu = Fraction(a * d + c * b, 2 * b * d).limit_denominator(-(-2 ** 12 * b * d // gap))
     p, q, top = mu.numerator, mu.denominator, PROPOSAL_SCALE ** 2
     nums = [x * PROPOSAL_SCALE for x in v]
     for _ in range(2 * len(kids)):
         nums, last = [min(top, q * sum(nums[t] for t in k) // p) for k in kids], nums
         if nums == last:
             break
-    y = tuple(Fraction(n, top) for n in nums)
-    weight = Fraction(q * sum(nums[t] for t in kids[spec.root]), top * p)
-    coeff = rate / (rate - 1) if rate > 1 else Fraction(1)
-    floor = Fraction(9, 10) * weight
-    ratio = rate / mu
-    scale = coeff / ((1 - ratio) * floor)
-    gain = _log(mu / rate)  # the tail shrinks by this log factor a level
-    estimate = _log(scale) / gain - 1 if gain > 0 else math.inf
+    cn, cd = (a, a - b) if a > b else (1, 1)  # the budget coefficient
+    fn, fd = 9 * q * sum(nums[t] for t in kids[spec.root]), 10 * top * p  # the cut floor
+    rn, rd = _reduced(a * q, b * p)  # rate / mu
+    sn, sd = _reduced(cn * rd * fd, cd * (rd - rn) * fn)  # coeff / ((1 - rate / mu) * floor)
+    gain = _log(rd, rn)  # the tail shrinks by this log factor a level
+    estimate = _log(sn, sd) / gain - 1 if gain > 0 else math.inf
     radius = max(0, math.ceil(min(estimate, CERTIFICATE_RADIUS_MAX + 1)))
     if radius <= CERTIFICATE_RADIUS_MAX:  # _tail_below's two sides, stepped a factor a radius
-        p, q = ratio.numerator, ratio.denominator
-        lhs, rhs = scale.numerator * p ** (radius + 1), scale.denominator * q ** (radius + 1)
+        lhs, rhs = sn * rn ** (radius + 1), sd * rd ** (radius + 1)
         while radius <= CERTIFICATE_RADIUS_MAX and lhs >= rhs:
-            radius, lhs, rhs = radius + 1, lhs * p, rhs * q
-        while 0 < radius <= CERTIFICATE_RADIUS_MAX and lhs * q < rhs * p:
-            radius, lhs, rhs = radius - 1, lhs // p, rhs // q
+            radius, lhs, rhs = radius + 1, lhs * rn, rhs * rd
+        while 0 < radius <= CERTIFICATE_RADIUS_MAX and lhs * rd < rhs * rn:
+            radius, lhs, rhs = radius - 1, lhs // rn, rhs // rd
     if radius > CERTIFICATE_RADIUS_MAX:
         raise ResourceLimitError(f"certificate radius (estimate {estimate:,.0f}) is past "
                                  f"CERTIFICATE_RADIUS_MAX = {CERTIFICATE_RADIUS_MAX}")
-    return LowerBoundCertificate(spec, rate, mu, coeff, floor, radius, y)
+    return LowerBoundCertificate(spec, rate, mu, Fraction(cn, cd), Fraction(fn, fd), radius,
+                                 tuple(Fraction(n, top) for n in nums))
 
 
 def check_certificate(cert: LowerBoundCertificate) -> dict[str, bool]:
     """Re-verify the three certificate facts in exact arithmetic from the
-    spec's count matrix and the stored vector y; no cut recursion is read."""
-    lam, mu, coeff, floor, y = (cert.rate, cert.mid_rate, cert.budget_coeff,
-                                cert.cut_weight_floor, cert.y)
-    kids = cert.spec.children
-    budget_ok = coeff >= lam / (lam - 1) if lam > 1 else 0 < lam < 1 and coeff >= 0
-    ratio = lam / mu if mu > lam else 1
+    spec's count matrix and the stored vector y; no cut recursion is read.
+    Each is an integer cross-multiplication: the stored rationals are read
+    as numerator and denominator, and y as numerators over the lcm of its
+    denominators, whose length is tested before any is read by state.  A
+    mid rate at or below 0 certifies no cut floor."""
+    ln, ld = cert.rate.numerator, cert.rate.denominator
+    mn, md = cert.mid_rate.numerator, cert.mid_rate.denominator
+    cn, cd = cert.budget_coeff.numerator, cert.budget_coeff.denominator
+    fn, fd = cert.cut_weight_floor.numerator, cert.cut_weight_floor.denominator
+    kids, y = cert.spec.children, cert.y
+    budget_ok = cn * (ln - ld) >= ln * cd if ln > ld else 0 < ln < ld and cn >= 0
+    below = ln * md < mn * ld  # rate < mid_rate
+    rn, rd = _reduced(ln * md, ld * mn) if below else (1, 1)  # rate / mu
+    den = math.lcm(*(y_s.denominator for y_s in y))
+    ys = [y_s.numerator * (den // y_s.denominator) for y_s in y]  # y over den
     return {
-        "ordered_and_budget_bounded": ratio < 1 and compare_to_br(cert.spec, mu) < 0 and budget_ok,
-        "cutsets_above_floor": len(y) == len(kids) and all(
-            0 <= y_s <= 1 and mu * y_s <= sum(y[t] for t in k) for y_s, k in zip(y, kids)
-        ) and 0 < floor <= sum(y[t] for t in kids[cert.spec.root]) / mu,
-        "geometric_tail_below_floor": ratio < 1 and floor > 0 and _tail_below(
-            ratio, coeff / ((1 - ratio) * floor), cert.radius),
+        "ordered_and_budget_bounded": below and compare_to_br(cert.spec, cert.mid_rate) < 0
+        and budget_ok,
+        "cutsets_above_floor": len(ys) == len(kids) and all(
+            0 <= y_s <= den and mn * y_s <= md * sum(ys[t] for t in k) for y_s, k in zip(ys, kids)
+        ) and 0 < fn and 0 < mn and (
+            fn * den * mn <= fd * md * sum(ys[t] for t in kids[cert.spec.root])),
+        "geometric_tail_below_floor": below and 0 < fn and _tail_below(
+            cn * rd * fd, cd * (rd - rn) * fn, rn, rd, cert.radius),
     }

@@ -42,7 +42,6 @@ write the ``r:ids;r:ids`` schedules of the command line and the oracle cache.
 
 from __future__ import annotations
 
-import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -65,7 +64,10 @@ class BudgetSequence(Value):
     """f(n) for n >= 1, named by the CLI's ``kind`` and its ``params``:
     ``const`` (c,); ``exp`` (rate,), floor(rate**n); ``poly`` (coeff,
     degree), floor(coeff * n**degree); ``list`` the values, the last of
-    which repeats forever, so explicit budgets are eventually constant."""
+    which repeats forever, so explicit budgets are eventually constant.
+    A rate or coefficient is the Fraction exact_rate reads, and a value is
+    a floor division of its numerator's and denominator's integer terms:
+    p**n // q**n for the rate p/q, a * n**degree // b for the coeff a/b."""
 
     _fields = ("kind", "params")
 
@@ -128,9 +130,9 @@ class BudgetSequence(Value):
         if kind == "const":
             return params[0]
         if kind == "exp":
-            return math.floor(params[0] ** n)
+            return params[0].numerator ** n // params[0].denominator ** n
         if kind == "poly":
-            return math.floor(params[0] * n ** params[1])
+            return params[0].numerator * n ** params[1] // params[0].denominator
         if not params:
             return 0
         return params[n - 1] if n <= len(params) else params[-1]

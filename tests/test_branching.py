@@ -58,9 +58,9 @@ from firebreak import (
     min_cut_weight,
     min_cutset,
 )
-from firebreak.branching import (CERTIFICATE_RADIUS_MAX, PROPOSAL_SCALE, _compare_component,
-                                  _components, _proposals, br_enclosure, compare_to_br,
-                                  cut_recursion, exact_rate)
+from firebreak.branching import (CERTIFICATE_RADIUS_MAX, PROPOSAL_SCALE, LowerBoundCertificate,
+                                  _compare_component, _components, _proposals, br_enclosure,
+                                  compare_to_br, cut_recursion, exact_rate)
 from firebreak.game import cut_weight_target, synthesize_cutset_strategy
 from firebreak.errors import ResourceLimitError
 from firebreak.cayley import group_from_name
@@ -550,6 +550,7 @@ class TestProposal:
                 assert all((x >= 1) == (s in inside) for s, x in enumerate(prop.v))
                 ratios = [Fraction(sum(prop.v[t] for t in kids[s]), prop.v[s]) for s in prop.comp]
                 assert (prop.lo, prop.hi) == (min(ratios), max(ratios))
+                assert type(prop.lo) is Fraction and type(prop.hi) is Fraction
                 # lo <= br_C <= hi, exactly, and the float root lies between
                 assert trees_reference.compare_component(kids, prop.comp, prop.lo) <= 0
                 assert trees_reference.compare_component(kids, prop.comp, prop.hi) >= 0
@@ -868,11 +869,10 @@ class TestCertificate:
         ratio = cert.rate / cert.mid_rate
         scale = cert.budget_coeff / ((1 - ratio) * cert.cut_weight_floor)
         assert cert.radius >= 10
-        assert branching._tail_below(ratio, scale, cert.radius)
-        assert not branching._tail_below(ratio, scale, cert.radius - 1)
+        assert scale * ratio ** (cert.radius + 1) < 1 <= scale * ratio ** cert.radius
         log, gain = branching._log, math.log(cert.mid_rate / cert.rate)
         for offset in (gain / 2, -gain / 2):
-            monkeypatch.setattr(branching, "_log", lambda x: log(x) + offset)
+            monkeypatch.setattr(branching, "_log", lambda n, d: log(n, d) + offset)
             assert lower_bound_certificate(spec, lam) == cert, offset
 
     def test_short_midpoint_is_kept(self):
@@ -947,6 +947,107 @@ class TestCertificate:
             y[low] = min(1, y[low] + Fraction(1, 10))
             bad = replaced(cert, y=tuple(y))
         assert not all(check_certificate(bad).values())
+
+
+class TestIntegerCertificate:
+    """The certificate and its check on integer numerator and denominator
+    pairs against the Fraction ones that they replaced
+    (tests/trees_reference.py): equal fields, equal refusals, equal facts."""
+
+    PERIOD_20 = SymmetricSpec(preperiod=(2,), period=(1,) * 19 + (5,))  # br = 5**(1/20)
+
+    @staticmethod
+    def built(build, spec, rate):
+        try:
+            return build(spec, rate)
+        except (SpecError, ResourceLimitError) as exc:
+            return type(exc), str(exc)
+
+    def cases(self, seed):
+        """(spec, rate) on seeded periodic and symmetric specs, the Jordan
+        spec numbered both ways and the period-20 cycle: rates below 1, at
+        1, between 1 and br, 1% and 1e-15 below br (within the proposal's
+        resolution), above br, and one whose radius is past the cap."""
+        rng = random.Random(8100 + seed)
+        specs = [random_periodic_spec(rng, max_states=4), random_periodic_spec(rng, max_states=4),
+                 random_symmetric_spec(rng), REDUCIBLE, reverse_numbered(REDUCIBLE),
+                 self.PERIOD_20]
+        for spec in specs:
+            if spec.is_finite():
+                continue
+            br = Fraction(br_exact_periodic(spec))
+            between = [1 + (br - 1) * Fraction(rng.randint(5, 95), 100)] if br > 1 else []
+            for rate in [Fraction(rng.randint(1, 99), 100), *between, br * Fraction(99, 100)]:
+                yield spec, rate.limit_denominator(10 ** 4)
+            yield spec, (br * (1 - Fraction(1, 10 ** 15))).limit_denominator(10 ** 18)
+            yield spec, br * Fraction(11, 10)
+            yield spec, Fraction(1)
+        yield REDUCIBLE, Fraction(199999, 100000)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_certificates_match_the_reference(self, seed):
+        built = refused = 0
+        for spec, rate in self.cases(seed):
+            got = self.built(lower_bound_certificate, spec, rate)
+            want = self.built(trees_reference.lower_bound_certificate, spec, rate)
+            if isinstance(want, LowerBoundCertificate):
+                for field in LowerBoundCertificate._fields:
+                    assert getattr(got, field) == getattr(want, field), (field, rate)
+                assert all(type(x) is Fraction for x in
+                           (got.mid_rate, got.budget_coeff, got.cut_weight_floor, *got.y))
+                built += 1
+            else:
+                assert got == want, rate
+                refused += 1
+        assert built >= 6 and refused >= 6, (built, refused)
+
+    @staticmethod
+    def corruptions(cert):
+        """Valid and corrupted copies of a certificate, by name."""
+        y, low = list(cert.y), min(range(len(cert.y)), key=lambda s: cert.y[s])
+        step = Fraction(1, 2 ** 96)
+        bound = sum(cert.y[t] for t in cert.spec.children[cert.spec.root]) / cert.mid_rate
+        moved = [tuple(y[:low] + [y[low] + d] + y[low + 1:]) for d in (step, -step)]
+        high = tuple(y[:low] + [Fraction(3, 2)] + y[low + 1:])
+        return {
+            "valid": cert,
+            "y-up": replaced(cert, y=moved[0]),
+            "y-down": replaced(cert, y=moved[1]),
+            "y-3/2": replaced(cert, y=high),
+            "y-short": replaced(cert, y=cert.y[:-1]),
+            "mu-11/10": replaced(cert, mid_rate=cert.mid_rate * Fraction(11, 10)),
+            "mu-rate": replaced(cert, mid_rate=cert.rate),
+            "mu-negative": replaced(cert, mid_rate=-cert.mid_rate),
+            "coeff-9/10": replaced(cert, budget_coeff=cert.budget_coeff * Fraction(9, 10)),
+            "floor-2": replaced(cert, cut_weight_floor=cert.cut_weight_floor * 2),
+            "floor-0": replaced(cert, cut_weight_floor=Fraction(0)),
+            "floor-at-bound": replaced(cert, cut_weight_floor=bound),
+            "radius-1": replaced(cert, radius=cert.radius - 1),
+        }
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_checks_match_the_reference(self, seed):
+        # the integer check and the Fraction one return equal dicts on valid
+        # and corrupted certificates; the short y needs its length tested
+        # before any entry is read
+        checked, names, failed = 0, set(), set()
+        for spec, rate in self.cases(seed):
+            cert = self.built(lower_bound_certificate, spec, rate)
+            if not isinstance(cert, LowerBoundCertificate):
+                continue
+            cases = self.corruptions(cert)
+            names.update(cases)
+            for name, case in cases.items():
+                got = check_certificate(case)
+                assert got == trees_reference.check_certificate(case), (name, rate)
+                if not all(got.values()):
+                    failed.add(name)
+            checked += 1
+        assert checked >= 6, checked
+        # no valid certificate fails, and each corruption but those that can
+        # keep a certificate valid fails somewhere
+        assert "valid" not in failed
+        assert failed >= names - {"valid", "y-down", "radius-1", "floor-at-bound"}
 
 
 class TestOrderIndependence:

@@ -71,6 +71,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,29 @@ class TestBudgets:
             b = BudgetSequence.parse(text)
             assert b.prefix_sums(len(want)) == want, text
             assert b.prefix_sums(0) == []
+
+    def test_integer_floors_match_the_fraction_floors(self):
+        # exp and poly values and prefix sums are floors of integer terms;
+        # they equal math.floor of the Fraction expression for n = 1..300,
+        # on seeded rationals and on rates below 1, at 1, read from a float
+        # and just above 1
+        rng = random.Random(5500)
+        rates = [Fraction(rng.randint(1, 400), rng.randint(1, 200)) for _ in range(12)] + [
+            Fraction(1, 3), Fraction(99, 100), Fraction(1), Fraction(1.1), Fraction(2.5),
+            1 + Fraction(1, 10 ** 20)]
+        ns = range(1, 301)
+        for rate in rates:
+            exp = BudgetSequence.exponential(rate)
+            want = [math.floor(rate ** n) for n in ns]
+            assert [exp(n) for n in ns] == want, rate
+            assert exp.prefix_sums(300) == list(accumulate(want)), rate
+            for degree in (0, 1, 2, 5):
+                poly = BudgetSequence.polynomial(rate, degree)
+                want = [math.floor(rate * n ** degree) for n in ns]
+                assert [poly(n) for n in ns] == want, (rate, degree)
+                assert poly.prefix_sums(300) == list(accumulate(want)), (rate, degree)
+        zero = BudgetSequence.polynomial(0, 3)
+        assert zero.prefix_sums(300) == [0] * 300
 
     def test_parse_roundtrip(self):
         for text in ("const:2", "exp:3/2", "exp:1.5", "poly:2,3", "list:1,0,2"):

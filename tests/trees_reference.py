@@ -7,7 +7,10 @@ lists one vertex at a time, ``min_cutset`` and ``separates`` walk a stack,
 ``cut_weight_target`` takes a running power of the rate, and
 ``certificate_y`` steps a certificate's y in Fractions, rounded down to the
 fixed scale, and ``exact_certificate_y`` without rounding, as
-``lower_bound_certificate`` did."""
+``lower_bound_certificate`` did.  ``lower_bound_certificate`` and
+``check_certificate`` build and check a certificate in Fractions, as
+``branching``'s did before they moved to integer numerator and denominator
+pairs."""
 
 from __future__ import annotations
 
@@ -17,7 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from firebreak.branching import PROPOSAL_SCALE, Cutset, Rate, _proposals, exact_rate
+from firebreak.branching import (CERTIFICATE_RADIUS_MAX, PROPOSAL_SCALE, Cutset,
+                                 LowerBoundCertificate, Rate, _proposals, compare_to_br,
+                                 exact_rate)
 from firebreak.errors import ResourceLimitError, SpecError, SynthesisError
 from firebreak.trees import VERTEX_CAP_ENV, Automaton, vertex_cap
 
@@ -121,6 +126,81 @@ def exact_certificate_y(spec: Automaton, mu: Fraction):
     certificate_y's y entrywise from above."""
     return tuple(next(islice(_state_recursion(spec, mu, _certificate_start(spec)),
                              2 * len(spec.children), None))[0])
+
+
+def _log(x: Fraction) -> float:
+    """Natural log of a positive rational: no float overflow, precise near 1."""
+    if Fraction(1, 2) < x < 2:
+        return math.log1p(float(x - 1))
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def _tail_below(ratio: Fraction, scale: Fraction, radius: int) -> bool:
+    """scale * ratio**(radius+1) < 1, compared in integers (no large gcd)."""
+    return (scale.numerator * ratio.numerator ** (radius + 1)
+            < scale.denominator * ratio.denominator ** (radius + 1))
+
+
+def lower_bound_certificate(spec: Automaton, rate: Rate) -> LowerBoundCertificate:
+    """The certificate built in Fractions: the same proposal, mid rate, y
+    steps, budget coefficient, cut floor and least radius, with the same
+    refusals."""
+    rate = exact_rate(rate)
+    if not rate > 0:
+        raise SpecError("rate must be positive")
+    if rate == 1:
+        raise SpecError("no finite budget coefficient exists at rate exactly 1")
+    kids = spec.children
+    _, v, _, bound, _ = max(reversed(_proposals(spec)), key=lambda prop: prop.lo)
+    if bound <= rate and compare_to_br(spec, rate) >= 0:
+        raise SpecError(f"rate {float(rate)} is not below the branching number")
+    if bound <= rate:
+        raise ResourceLimitError(f"rate {float(rate)} is below the branching number by less than "
+                                 f"the resolution of its Perron vector at PROPOSAL_SCALE = 2**48")
+    mu = ((rate + bound) / 2).limit_denominator(math.ceil(2 ** 12 / (bound - rate)))
+    p, q, top = mu.numerator, mu.denominator, PROPOSAL_SCALE ** 2
+    nums = [x * PROPOSAL_SCALE for x in v]
+    for _ in range(2 * len(kids)):
+        nums, last = [min(top, q * sum(nums[t] for t in k) // p) for k in kids], nums
+        if nums == last:
+            break
+    y = tuple(Fraction(n, top) for n in nums)
+    weight = Fraction(q * sum(nums[t] for t in kids[spec.root]), top * p)
+    coeff = rate / (rate - 1) if rate > 1 else Fraction(1)
+    floor = Fraction(9, 10) * weight
+    ratio = rate / mu
+    scale = coeff / ((1 - ratio) * floor)
+    gain = _log(mu / rate)
+    estimate = _log(scale) / gain - 1 if gain > 0 else math.inf
+    radius = max(0, math.ceil(min(estimate, CERTIFICATE_RADIUS_MAX + 1)))
+    if radius <= CERTIFICATE_RADIUS_MAX:
+        p, q = ratio.numerator, ratio.denominator
+        lhs, rhs = scale.numerator * p ** (radius + 1), scale.denominator * q ** (radius + 1)
+        while radius <= CERTIFICATE_RADIUS_MAX and lhs >= rhs:
+            radius, lhs, rhs = radius + 1, lhs * p, rhs * q
+        while 0 < radius <= CERTIFICATE_RADIUS_MAX and lhs * q < rhs * p:
+            radius, lhs, rhs = radius - 1, lhs // p, rhs // q
+    if radius > CERTIFICATE_RADIUS_MAX:
+        raise ResourceLimitError(f"certificate radius (estimate {estimate:,.0f}) is past "
+                                 f"CERTIFICATE_RADIUS_MAX = {CERTIFICATE_RADIUS_MAX}")
+    return LowerBoundCertificate(spec, rate, mu, coeff, floor, radius, y)
+
+
+def check_certificate(cert: LowerBoundCertificate) -> dict[str, bool]:
+    """The three certificate facts re-verified in Fractions."""
+    lam, mu, coeff, floor, y = (cert.rate, cert.mid_rate, cert.budget_coeff,
+                                cert.cut_weight_floor, cert.y)
+    kids = cert.spec.children
+    budget_ok = coeff >= lam / (lam - 1) if lam > 1 else 0 < lam < 1 and coeff >= 0
+    ratio = lam / mu if mu > lam else 1
+    return {
+        "ordered_and_budget_bounded": ratio < 1 and compare_to_br(cert.spec, mu) < 0 and budget_ok,
+        "cutsets_above_floor": len(y) == len(kids) and all(
+            0 <= y_s <= 1 and mu * y_s <= sum(y[t] for t in k) for y_s, k in zip(y, kids)
+        ) and 0 < floor <= sum(y[t] for t in kids[cert.spec.root]) / mu,
+        "geometric_tail_below_floor": ratio < 1 and floor > 0 and _tail_below(
+            ratio, coeff / ((1 - ratio) * floor), cert.radius),
+    }
 
 
 def compare_component(kids, comp: list[int], rate: Fraction) -> int:
