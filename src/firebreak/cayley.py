@@ -38,12 +38,13 @@ the sphere sizes, which growth, the surround trigger, the ball cap and the
 polynomial probes read with nothing built (a model builds its acceptor
 once).  A ``CayleyBall`` is the depth-R truncation of the acceptor, so its
 ``parent`` is the lex-min geodesic spanning tree and its levels are the
-Cayley distances.  It unfolds levels 0..R-1, and the whole ball only when
-one of its vertex arrays is read; its ``_rows(n)`` read the Cayley
-graph's rows off that tree with no element built.  So the game plays the
-ball and its spanning tree on one vertex numbering with different rows,
-and every tree algorithm here answers a Cayley question.  Only the
-surround and the probes play the game, so only they import ``game``.
+Cayley distances.  It holds its level starts alone until one of its vertex
+arrays or rows is read, and then unfolds whole; its ``_rows()`` read the
+Cayley graph's rows off that tree with no element built.  So the game
+plays the ball and its spanning tree on one vertex numbering with
+different rows, and every tree algorithm here answers a Cayley question.
+Only the surround and the probes play the game, so only they import
+``game``.
 """
 
 from __future__ import annotations
@@ -205,29 +206,24 @@ class CayleyBall(Truncation):
     radius-R sphere is the boundary.  Words and adjacency are derived from
     the tree as they are read; no element is built.
 
-    Unless built whole (``outer``), the ball unfolds levels 0..R-1 only
-    (``trees.unfold`` without ``outer``): the outer sphere is ids, its size
-    in ``level_starts``, and the interior's ``first_child`` runs into it.
-    The first read of the whole ball's ``parent``, ``state`` or
-    ``first_child`` unfolds it whole, and those arrays then stand in for
-    the interior's.  Rows below ``level_starts[R]`` read the interior's
-    arrays, so a game whose fire stops short of the outer sphere, as a
-    contained surround's does, unfolds nothing more."""
+    The ball holds only its level starts until ``parent``, ``state``,
+    ``first_child``, ``tree_generator``, ``boundary_mask`` or a row is read;
+    the first such read unfolds it whole, once.  A game whose fire fills
+    whole levels spreads from the level starts alone, so a contained
+    surround unfolds nothing."""
 
-    def __init__(self, model: GraphProduct, spheres: Sequence[int], outer: bool = False):
+    def __init__(self, model: GraphProduct, spheres: Sequence[int]):
         self.model, self.spec, self.depth = model, model.acceptor[0], len(spheres) - 1
-        *self._arrays, self.level_starts = unfold(self.spec, spheres, outer)
+        self.level_starts = (0, *accumulate(spheres))
 
-    def _whole(self) -> list[memoryview]:
-        """The whole ball's parent, state and first_child, unfolded on the
-        first read of any of them."""
-        if len(self._arrays[0]) < self.n_vertices:
-            self._arrays = list(unfold(self.spec, self.sphere_sizes())[:3])
-        return self._arrays
+    @cached_property
+    def _arrays(self) -> tuple[memoryview, memoryview, memoryview]:
+        """The parent, state and first_child arrays, unfolded on the first read."""
+        return unfold(self.spec, self.sphere_sizes())[:3]
 
-    parent = property(lambda self: self._whole()[0])
-    state = property(lambda self: self._whole()[1])
-    first_child = property(lambda self: self._whole()[2])
+    parent = property(lambda self: self._arrays[0])
+    state = property(lambda self: self._arrays[1])
+    first_child = property(lambda self: self._arrays[2])
 
     @cached_property
     def tree_generator(self) -> memoryview:
@@ -235,36 +231,33 @@ class CayleyBall(Truncation):
         root): the letter entering its acceptor state."""
         return packed(np.array(self.model.acceptor[1], np.intc)[view(self.state)])
 
-    def _rows(self, n: int) -> tuple[memoryview, memoryview]:
-        """Row offsets and column ids of the in-ball products v*g of the
-        first n vertices (n a level start), in generator order, read off the
-        tree in one numpy pass: child k, the parent, up the run and down the
-        new syllable (a same-factor move on a finite factor), or, for g of a
-        factor joined to that of the letter h entering v = parent*h,
-        parent*g's row entry for h, as g and h commute.  That entry is the
-        h-child of parent*g, since g merges into or shuffles in front of
-        parent's syllables and leaves h free to follow; they are filled
-        level by level, as parent*g may be such an entry a level up.  Below
-        level R a row holds every product and starts at v*|gens|; only the
-        outer sphere's rows (when n passes level R) drop those outside.  Up
-        to level R only the interior's arrays are read."""
+    def _rows(self) -> tuple[memoryview, memoryview]:
+        """Row offsets and column ids of the in-ball products v*g, in
+        generator order, read off the tree in one numpy pass: child k, the
+        parent, up the run and down the new syllable (a same-factor move on a
+        finite factor), or, for g of a factor joined to that of the letter h
+        entering v = parent*h, parent*g's row entry for h, as g and h
+        commute.  That entry is the h-child of parent*g, since g merges into
+        or shuffles in front of parent's syllables and leaves h free to
+        follow; they are filled level by level, as parent*g may be such an
+        entry a level up.  Below level R a row holds every product and
+        starts at v*|gens|; the outer sphere's rows drop those outside."""
         auto, entering, runs = self.model.acceptor
         model, n_gens = self.model, len(self.model.generators)
-        n_inner = self.level_starts[self.depth]  # with children in the ball
-        parent, states, first = map(view, self._whole() if n > n_inner else self._arrays)
+        n, n_inner = self.n_vertices, self.level_starts[self.depth]  # with children in the ball
+        parent, state, first = map(view, self._arrays)
         child = [{entering[t]: k for k, t in enumerate(kids)} for kids in auto.children]
         kid = np.array([[c.get(g, -1) for g in range(n_gens)] for c in child], np.int32)
 
         def down(t, g):  # the child of t entered by g, -1 outside the ball
-            k = np.where((t >= 0) & (t < n_inner), kid[states[t], g], -1)
+            k = np.where((t >= 0) & (t < n_inner), kid[state[t], g], -1)
             return np.where(k >= 0, first[t] + k, -1)
 
         # child ids; past n_inner all -1, and an inner row's other entries are set below
-        dense, state, parent = min(n, n_inner), states[:n], parent[:n]
         cols = np.empty((n, n_gens), np.int32)
-        np.take(kid, state[:dense], axis=0, out=cols[:dense], mode="clip")  # "raise" would copy
-        cols[:dense] += first[:dense, None]
-        cols[dense:] = -1
+        np.take(kid, state[:n_inner], axis=0, out=cols[:n_inner], mode="clip")  # "raise" would copy
+        cols[:n_inner] += first[:n_inner, None]
+        cols[n_inner:] = -1
         flat = cols.reshape(-1)
         up = [-1 if s == auto.root else model.inverse_index(entering[s]) for s in range(len(child))]
         at = np.array(up, np.int32)[state[1:]]  # each vertex's parent entry, by flat index
@@ -290,14 +283,11 @@ class CayleyBall(Truncation):
             for a, b in pairwise(np.searchsorted(rows, self.level_starts[1:])):
                 flat[at[a:b]] = flat[flat[of[a:b]] * n_gens + hs[a:b]]
         offsets, ends = zeroed(n + 1)
-        np.multiply(np.arange(dense + 1, dtype=np.intc), n_gens, out=ends[:dense + 1])
-        present = cols[dense:] >= 0  # the outer sphere's rows, when n takes them in
-        present.sum(axis=1, dtype=np.intc, out=ends[dense + 1:])
-        np.cumsum(ends[dense:], out=ends[dense:])  # row v ends where row v + 1 starts
-        columns = flat[:dense * n_gens]  # the product table as built, when n stops at level R
-        if dense < n:
-            columns = np.concatenate((columns, cols[dense:][present]))
-        return offsets, packed(columns)
+        np.multiply(np.arange(n_inner + 1, dtype=np.intc), n_gens, out=ends[:n_inner + 1])
+        present = cols[n_inner:] >= 0  # the outer sphere's products inside the ball
+        present.sum(axis=1, dtype=np.intc, out=ends[n_inner + 1:])
+        np.cumsum(ends[n_inner:], out=ends[n_inner:])  # row v ends where row v + 1 starts
+        return offsets, packed(np.concatenate((flat[:n_inner * n_gens], cols[n_inner:][present])))
 
     def sphere_sizes(self) -> list[int]:
         return [b - a for a, b in pairwise(self.level_starts)]
@@ -394,8 +384,10 @@ def ball(model, radius: int, spheres: Sequence[int] | None = None) -> CayleyBall
 def lex_min_tree(model, radius: int) -> CayleyBall:
     """The lex-min geodesic spanning tree of the radius-R ball: the ball
     itself, whose ``parent`` joins each element to its word's prefix,
-    unfolded whole at once, as its export reads every vertex array."""
-    return CayleyBall(model, _sphere_sizes(model, radius), outer=True)
+    unfolded here, as its export reads every vertex array."""
+    tree = CayleyBall(model, _sphere_sizes(model, radius))
+    tree.parent  # unfolds the ball
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +457,11 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
     on B(radius) and occupies B(radius+n) after round n, so protecting
     S(radius+n+1) in round n leaves a one-sphere guard band and blocks all
     further spread.  The trigger is read from the acceptor's sphere sizes,
-    which the ball then takes as they were walked, and the ball is built
-    only out to the protected sphere, which the fire never passes: the game
-    reads no row of that sphere, and ``separated`` finds no untouched
-    vertex, so the ball builds neither its rows nor its vertex arrays.
+    which the ball then takes as they were walked, and the ball reaches
+    only out to the protected sphere, which the fire never passes.  Each
+    round's fire fills the ball up to a level, so the game spreads it from
+    the level starts alone, and ``separated`` finds no untouched vertex:
+    the ball unfolds nothing and builds no row.
     Runs out of ball (SurroundCapError, with nothing built) when the rate
     does not outgrow the spheres within the given ball radius; the ball cap
     applies to that radius."""

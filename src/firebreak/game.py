@@ -13,23 +13,30 @@ adjacency).
 The game reads only this surface of it and asks no arena its class:
 ``n_vertices``; ``level_starts``, the first id of each level (distance
 from the root) 0..``depth`` and the vertex count, which give the initial
-fire and the first id that may be on the boundary; ``depth``;
-``boundary_mask``, one byte per vertex, 1 on the vertices whose burning
-makes the outcome inconclusive at this depth, all at level ``depth``,
-which ``reached`` reads only at frontier ids at level ``depth`` for
-``run_game`` and the oracle alike;
-``neighbors(v)``, row v of the arena's one adjacency, and
-``rows(last)``, numpy views of its row offsets and column ids holding rows
-0..last; and ``separated(statuses)``, the check on the same rows that a
-contained fire has no untouched neighbour.  The arena builds rows only as
-far as these reads reach, so a game whose fire stays off level ``depth``
-never builds that level's rows on a Cayley ball.
+fire, the first id that may be on the boundary and the level path below;
+``depth``; ``boundary_mask``, one byte per vertex, 1 on the vertices whose
+burning makes the outcome inconclusive at this depth, all at level
+``depth``, which ``reached`` reads only at frontier ids at level ``depth``
+for ``run_game`` and the oracle alike;
+``neighbors(v)``, row v of the arena's one adjacency, and ``rows()``,
+numpy views of its row offsets and column ids, built whole on first read;
+and ``separated(statuses)``, the check on the same rows that a contained
+fire has no untouched neighbour.
 
-A round's protect set and frontier are id sets of ``trees.id_set``, and the
-helper there picks each path: ``mark`` checks and marks the protect set and
-reports its first bad id, which ``_advance`` raises as the loop would, and
-``row_entries`` reads a frontier's rows or leaves a small one to
-``_advance``'s loop over ``neighbors``.
+A vertex's level is its distance from the root, so every row entry lies
+within one level of its vertex, and every vertex below the root has its
+parent one level up.  A frontier that is one run ending at the end of a
+level L below ``depth``, that covers all of level L, and before which no
+id of its first level or the level above is untouched, therefore spreads
+to exactly the untouched ids of level L + 1: ``_level_round`` reads them
+off ``level_starts`` and the statuses, with no row.  A fire that fills the
+ball up to a level each round, as a surround's does, reads no row at all.
+
+A round's protect set and any other frontier are id sets of
+``trees.id_set``, and the helper there picks each path: ``mark`` checks and
+marks the protect set and reports its first bad id, which ``_advance``
+raises as the loop would, and ``row_entries`` reads a frontier's rows or
+leaves a small one to ``_advance``'s loop over ``neighbors``.
 
 ``run_game`` plays the whole game on one status array that it changes in
 place, so the ``GameState.statuses`` a strategy sees is live; ``step``
@@ -43,7 +50,7 @@ write the ``r:ids;r:ids`` schedules of the command line and the oracle cache.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, islice, pairwise
@@ -51,6 +58,7 @@ from typing import Iterable, Mapping
 
 from .branching import Cutset, compare_to_br, cut_recursion, exact_rate, min_cutset
 from .errors import ResourceLimitError, SpecError, StrategyFault, SynthesisError
+from . import trees  # SPREAD_VECTOR_MIN as it stands when a round reads it
 from .trees import (BURNING, PROTECTED, UNTOUCHED, Automaton, Truncation, Value, as_tuple,
                     expand, format_id_set, id_set, mark, np, row_entries)
 
@@ -196,6 +204,8 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budg
             raise StrategyFault(round_no, f"vertex {bad} is burning and cannot be protected")
         raise SpecError(f"vertex {bad} is not in the arena")
     frontier, arena = state.frontier, state.arena
+    if (newly := _level_round(arena, statuses, frontier)) is not None:
+        return protect, newly
     if (reached := row_entries(arena, frontier)) is None:
         newly = []
         for v in frontier:
@@ -208,6 +218,32 @@ def _advance(state: GameState, statuses: bytearray, protect: Iterable[int], budg
     reached = reached[view[reached] == UNTOUCHED]
     view[reached] = BURNING
     return protect, id_set(reached)
+
+
+def _level_round(arena, statuses: bytearray, frontier):
+    """The new fire, marked burning, of a frontier that fills the arena up to
+    the end of a level below its depth, read off the level starts and the
+    statuses (see the module docstring); None for any other frontier."""
+    size, starts = len(frontier), arena.level_starts
+    if not size or (a := frontier[0]) + size - 1 != frontier[-1]:
+        return None
+    i = bisect_left(starts, e := a + size)  # level L + 1 = i, empty past a finite tree's end
+    if i > arena.depth or starts[i] != e or starts[i - 1] < a or statuses.find(
+            UNTOUCHED, starts[max(bisect_right(starts, a) - 2, 0)], a) >= 0:
+        return None
+    if (untouched := statuses.count(UNTOUCHED, e, hi := starts[i + 1])) == hi - e:
+        statuses[e:hi] = bytes((BURNING,)) * untouched
+        return id_set(range(e, hi))
+    if untouched < trees.SPREAD_VECTOR_MIN:  # a tuple, as id_set makes it: found id by id
+        newly, v = [], e
+        while (v := statuses.find(UNTOUCHED, v, hi)) >= 0:
+            statuses[v] = BURNING
+            newly.append(v)
+        return tuple(newly)
+    level = np.frombuffer(statuses, np.uint8)[e:hi]
+    newly = np.flatnonzero(level == UNTOUCHED)
+    level[newly] = BURNING
+    return newly + e
 
 
 # ---------------------------------------------------------------------------

@@ -30,24 +30,22 @@ them (``packed``): they index, slice and iterate to Python ints, as
 package walks a level or a vertex's children as a run of ids (``level``,
 one level per vertex, is for readers outside it).  A truncation is the one
 game arena and holds the one adjacency: flat rows, offsets and column ids
-as vertex arrays, which ``neighbors(v)`` slices and ``rows(last)`` views
-and alone builds, as far as play reads them: the interior rows (ids below
-``level_starts[D]``) on first use, and level D's once one of them is
-asked for, by ``neighbors`` or up to the last id of a frontier or of the
-side ``separated`` reads.  A tree's row lists the parent, then the
-children, and as tree rows are cheap a tree builds them all at once; a
-Cayley ball (``cayley.CayleyBall``) is the truncation of its group's word
-acceptor whose ``_rows(n)`` list the Cayley graph's neighbours of the
-first n vertices instead.  A ball unfolds levels 0..D-1 (``unfold``
-without ``outer``), and the whole tree only when one of its vertex arrays
-is read.  The level of a vertex is its distance from the root; the level
-of an edge is the level of its child endpoint.  Level-D vertices that
-continue in the infinite tree form the truncation *boundary*: separating
-the root from them is what a cutset must do, and a fire reaching one of
-them makes a game verdict inconclusive at this depth.  A level-D vertex
-continues when its state has children, or always for an explicit tree
-(``escape_leaves``): the depth of a finite description is the horizon of
-what it can rule out.
+as vertex arrays, which ``neighbors(v)`` slices and ``rows()`` views, all
+built on the first read of either.  A tree's row lists the parent, then
+the children; a Cayley ball (``cayley.CayleyBall``) is the truncation of
+its group's word acceptor whose ``_rows()`` list the Cayley graph's
+neighbours instead.  A ball holds only its level starts until one of its
+vertex arrays or rows is read, and then unfolds whole.  The level of a
+vertex is its distance from the root, on a ball as on a tree: every row
+entry lies within one level of its row's vertex, and the parent one level
+up is among them, which lets a game spread a fire that fills whole levels
+from ``level_starts`` alone.  The level of an edge is the level of its
+child endpoint.  Level-D vertices that continue in the infinite tree form
+the truncation *boundary*: separating the root from them is what a cutset
+must do, and a fire reaching one of them makes a game verdict inconclusive
+at this depth.  A level-D vertex continues when its state has children, or
+always for an explicit tree (``escape_leaves``): the depth of a finite
+description is the horizon of what it can rule out.
 
 Every set of vertex ids the game plays (a protect set, a frontier, the fire,
 one side of ``separated``'s check) goes through one helper: ``id_set`` sorts
@@ -75,11 +73,11 @@ def _deferred(name: str):
     """The module ``name`` as it is in ``sys.modules``, or one that loads on
     its first attribute read (``importlib.util.LazyLoader``).  ``np`` is numpy
     so bound, once for the package: ``branching``, ``game`` and ``cayley``
-    take it from here.  numpy loads at the first truncation, Cayley ball or
-    export, so ``br``, ``contain`` at or below br and ``cayley`` growth and
-    polyprobe never load it.  Nothing reads a numpy attribute at import, and
-    no module runs ``import numpy`` after this binding: that statement reads
-    ``__spec__``, which loads it."""
+    take it from here.  numpy loads at the first truncation, unfolded Cayley
+    ball or export, so ``br``, ``contain`` at or below br and ``cayley``
+    growth, polyprobe and a contained surround never load it.  Nothing reads
+    a numpy attribute at import, and no module runs ``import numpy`` after
+    this binding: that statement reads ``__spec__``, which loads it."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -299,54 +297,48 @@ def zeroed(size: int) -> tuple[memoryview, np.ndarray]:
 JOIN_COST, LEVEL_COST = 25, 45
 
 
-def unfold(auto: Automaton, sizes: Sequence[int], outer: bool = True) -> tuple:
+def unfold(auto: Automaton, sizes: Sequence[int]) -> tuple:
     """The automaton's tree to depth D = len(sizes) - 1, ``sizes`` its level
     counts, level-major with children in spec order, as a truncation's
     fields: each vertex's parent and state and the CSR child offsets
     ``first_child`` (level-D vertices have no children), vertex arrays, and
-    the first id of each level 0..D followed by the vertex count.  Without
-    ``outer``, the arrays stop above level D: parent and state for the ids
-    below ``level_starts[D]`` and first_child through that id, whose
-    offsets run into level D: the prefixes of the whole tree's arrays.
+    the first id of each level 0..D followed by the vertex count.
 
     Level L is the substitution s -> children(s) applied L times to the
     root, so a state's level-i word (its subtree's level i, as int32 bytes)
     is its children's level-(i - 1) words joined, built only while its
-    distance from the root is at most the last level's depth - i.  Where
-    those joins cost more (JOIN_COST, LEVEL_COST), as on long cycles and
-    deep explicit trees, each level is its predecessor's child words joined.
+    distance from the root is at most D - i.  Where those joins cost more
+    (JOIN_COST, LEVEL_COST), as on long cycles and deep explicit trees, each
+    level is its predecessor's child words joined.
     The state array reads the joined levels in place; the parents and child
     offsets each come from one repeat or cumsum."""
     kids, depth = auto.children, len(sizes) - 1
     starts = (0, *accumulate(sizes))
-    last = depth if outer else depth - 1  # the deepest level unfolded here
-    order, dist = [auto.root], {auto.root: 0}  # breadth-first, as far as that level
+    order, dist = [auto.root], {auto.root: 0}  # breadth-first, as far as level D
     for s in order:
-        for t in kids[s] if dist[s] < last else ():
+        for t in kids[s] if dist[s] < depth else ():
             if t not in dist:
                 dist[t] = dist[s] + 1
                 order.append(t)
     reach, levels = [dist[s] for s in order], [array("i", [auto.root]).tobytes()]
-    if JOIN_COST * ((last + 1) * len(order) - sum(reach)) > starts[last + 1] + LEVEL_COST * last:
+    if JOIN_COST * ((depth + 1) * len(order) - sum(reach)) > starts[-1] + LEVEL_COST * depth:
         words = {s: array("i", kids[s]).tobytes() for s in order}
-        for _ in range(last):
+        for _ in range(depth):
             levels.append(b"".join(map(words.__getitem__, array("i", levels[-1]))))
     else:
         words = {s: array("i", [s]).tobytes() for s in order}
-        for i in range(1, last + 1):
-            near = order[:bisect_right(reach, last - i)]
+        for i in range(1, depth + 1):
+            near = order[:bisect_right(reach, depth - i)]
             made = [b"".join(map(words.__getitem__, kids[s])) for s in near]
             words.update(zip(near, made))
             levels.append(words[auto.root])
-    state = memoryview(b"".join(levels[:last + 1])).cast("i")  # none at depth 0 without outer
+    state = memoryview(b"".join(levels)).cast("i")
     del levels, words  # the state bytes hold them now
     counts = np.array([len(ks) for ks in kids], np.intc)  # n_kids: the root is a vertex -1's child
     n_kids = np.concatenate(([1], counts[view(state)[:starts[depth]]]), dtype=np.intc)
-    up = starts[last] if last >= 0 else -1  # ids below it have their children here
-    parent = packed(np.arange(-1, up, dtype=np.intc).repeat(n_kids[:up + 1]))
-    first_child = n_kids.cumsum(dtype=np.intc)
-    if outer:
-        first_child = np.concatenate((first_child, np.full(sizes[depth], starts[-1], np.intc)))
+    parent = packed(np.arange(-1, starts[depth], dtype=np.intc).repeat(n_kids))
+    first_child = np.concatenate((n_kids.cumsum(dtype=np.intc),
+                                  np.full(sizes[depth], starts[-1], np.intc)))
     return parent, state, packed(first_child), starts
 
 
@@ -377,12 +369,10 @@ class Truncation:
         continues = np.array([spec.continues(s) for s in range(len(spec.children))])
         return bytes(first) + continues[view(self.state)[first:]].tobytes()
 
-    def _rows(self, n: int) -> tuple[memoryview, memoryview]:
+    def _rows(self) -> tuple[memoryview, memoryview]:
         """Row offsets and column ids, row v listing v's parent, then its
         children: row v starts after v - 1 parents and first_child[v] - 1
-        children, and child w sits in its parent's row at parent[w] + w - 1.
-        A tree's rows are cheap, so every row is built, whatever the n asked
-        for; a Cayley ball builds its graph's rows for the first n vertices."""
+        children, and child w sits in its parent's row at parent[w] + w - 1."""
         parent, first = view(self.parent), view(self.first_child)
         ids = np.arange(self.n_vertices + 1, dtype=np.intc)
         offsets, at = zeroed(self.n_vertices + 1)
@@ -394,28 +384,23 @@ class Truncation:
         cols[parent[1:] + ids[1:-1] - 1] = ids[1:-1]
         return offsets, columns
 
-    _built_rows = (array("i", [0]), array("i"))  # no row yet: the first ask builds some
-    _row_views = ()  # their numpy views, made once per build
+    @cached_property
+    def _built_rows(self) -> tuple[memoryview, memoryview]:
+        """The row offsets and column ids, every row built on the first read."""
+        return self._rows()
 
-    def rows(self, last: int) -> tuple[np.ndarray, np.ndarray]:
-        """Numpy views of row buffers holding rows 0..last: the interior rows
-        (ids below ``level_starts[depth]``) are built on first use, and level
-        D's only once one of them is asked for (see the module docstring)."""
-        if len(self._built_rows[0]) <= last + 1:
-            inner = self.level_starts[self.depth]
-            self._built_rows = self._rows(inner if last < inner else self.n_vertices)
-            self._row_views = tuple(map(view, self._built_rows))
-        return self._row_views
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-copy numpy views of the row offsets and column ids."""
+        return tuple(map(view, self._built_rows))
 
     def neighbors(self, v: int) -> memoryview:
-        self.rows(v)  # row v built; its memoryview slice iterates to ints
-        offsets, columns = self._built_rows
+        offsets, columns = self._built_rows  # a memoryview slice iterates to ints
         return columns[offsets[v]:offsets[v + 1]]
 
     def separated(self, statuses: bytes | bytearray) -> bool:
         """No burning vertex has an untouched neighbour, read off the row
         entries of whichever of the two statuses is fewer, as the graph is
-        undirected; rows are built only up to that side's last id."""
+        undirected."""
         burning, untouched = statuses.count(BURNING), statuses.count(UNTOUCHED)
         side, other = (BURNING, UNTOUCHED) if burning <= untouched else (UNTOUCHED, BURNING)
         if not min(burning, untouched):
@@ -442,7 +427,8 @@ def id_set(ids: Iterable[int]) -> tuple[int, ...] | range | np.ndarray:
     """The ids sorted, each once: from SPREAD_VECTOR_MIN ids on, a step-1
     range as it is or an int array (ids given otherwise become one when they
     fit in int64), and any other set a tuple of ints."""
-    if isinstance(ids, np.ndarray):
+    # a range or a tuple is told first, as reading np.ndarray loads numpy
+    if type(ids) not in (range, tuple) and isinstance(ids, np.ndarray):
         ids = _sorted_unique(ids)
     elif type(ids) is not range or ids.step != 1:
         ids = sorted(set(ids))
@@ -453,8 +439,9 @@ def id_set(ids: Iterable[int]) -> tuple[int, ...] | range | np.ndarray:
 
 
 def as_tuple(ids) -> tuple[int, ...]:
-    """An id set as a tuple of Python ints."""
-    return tuple(ids.tolist()) if isinstance(ids, np.ndarray) else tuple(ids)
+    """An id set as a tuple of Python ints; a range or a tuple loads no numpy."""
+    return tuple(ids if type(ids) in (range, tuple) or not isinstance(ids, np.ndarray)
+                 else ids.tolist())
 
 
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
@@ -515,7 +502,7 @@ def row_entries(arena, ids) -> np.ndarray | None:
     SPREAD_VECTOR_MIN entries or more, whose ``neighbors`` loop is cheaper."""
     if not (run := _one_run(ids)) and type(ids) is tuple:
         return None
-    offsets, columns = arena.rows(ids[-1])
+    offsets, columns = arena.rows()
     if run:
         lo, hi = offsets.item(ids[0]), offsets.item(ids[-1] + 1)
         return columns[lo:hi] if hi - lo >= SPREAD_VECTOR_MIN or type(ids) is not tuple else None

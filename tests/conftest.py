@@ -18,6 +18,12 @@ from firebreak.trees import Automaton
 from cayley_reference import ReferenceGraphProduct, joined_pairs
 
 
+# the groups whose balls are completed against the references: free,
+# Z^d, dihedral, free-product, F2 x Z and the pentagon Coxeter group
+COMPLETION_GROUPS = ["free:1", "free:2", "free:3", "zd:1", "zd:2", "zd:3", "dinf", "freeprod:2,3",
+                     "freeprod:3,3", "gp:0,0,0/ac,bc", "gp:2,2,2,2,2/ab,bc,cd,de,ae"]
+
+
 def binary_spec() -> Automaton:
     return PeriodicSpec(states={"A": ("A", "A")}, root="A")
 

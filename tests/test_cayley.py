@@ -55,30 +55,30 @@ Claims covered:
       subset of what the ball burns after every round (subgraph transfer)
     - a surround without trigger is decided with no ball, and a triggered
       one builds the ball only out to the protected sphere and its model's
-      word acceptor once, and rows for the ball's interior only; it walks
-      the level counts once, and a contained one builds no outer-sphere
-      vertex array
-    - a ball unfolds levels 0..R-1 and, whichever read completes it first,
-      its parent, state, first_child, level_starts, vertex count, tree
-      generators, boundary mask and rows equal the breadth-first
-      reference's and the eager unfolding's, at radii 0, 1, 2 and the first
-      radius past EXPORT_SPHERE_MIN, on free, Z^d, dihedral, free-product,
-      F2 x Z and pentagon balls; a game that reaches the outer sphere
-      builds its boundary mask and rows on demand, with the verdict, round
-      and trace of a ball built whole before play; a lex-min tree is
-      unfolded whole in one pass
-    - the rows built for a ball's interior are the first rows of its full
-      build, on every differential model at radii 1-6, and both equal, byte
-      for byte, the next ball's rows masked to the ball's ids, on every
-      named group, the two ``gp:`` examples and the seeded graph products
-      at radii 0-8: every row below level R is full
+      word acceptor once; it walks the level counts once, and a contained
+      one leaves its ball with no vertex array and no row
+    - a ball unfolds nothing until, whichever read comes first, its
+      parent, state, first_child, tree generators, boundary mask or rows
+      are read; then they, its level_starts and vertex count equal the
+      breadth-first reference's and the eager unfolding's, at radii 0, 1,
+      2 and the first radius past EXPORT_SPHERE_MIN, on free, Z^d,
+      dihedral, free-product, F2 x Z and pentagon balls; a game that
+      reaches the outer sphere unfolds the ball for its boundary mask on
+      demand and, as every round fills the ball up to a level, builds no
+      row, with the verdict, round and trace of a ball built whole before
+      play; a lex-min tree is unfolded whole, once, inside lex_min_tree
+    - a ball's rows below level R are dense, at offsets v*|gens|, and are
+      the first rows of the next ball's, on every differential model at
+      radii 1-6; its interior rows and all its rows equal, byte for byte,
+      the next ball's rows masked to the ball's ids, on every named group,
+      the two ``gp:`` examples and the seeded graph products at radii 0-8
     - the ball cap fails at the same radius after a larger ball was
       built, and the level-count walk stops at the cap's radius: every
       cayley mode on free:2 at R = 10**6 exits 2 naming the cap within 1 s
     - a ball's vertex and row arrays are memoryviews over numpy buffers that
       equal the reference's lists and read back Python ints; neither a
       surround nor a tree export builds the per-vertex level, and the R = 11
-      surround's traced peak stays within 17 bytes a ball vertex
+      surround's traced peak stays within 3 bytes a ball vertex
 """
 
 import bisect
@@ -120,8 +120,8 @@ from firebreak.cli import main as cli_main
 from firebreak.game import BURNING, PROTECTED, ScheduleStrategy, ball_ids, simulate, state_from_fire
 from firebreak.trees import Automaton
 from cayley_reference import ReferenceGraphProduct, joined_pairs, reference_ball, tree_export_text
-from conftest import (ball_elements, ball_words, child_ids, enumerate_geodesic_words, replaced,
-                      tree_export, vertex_levels)
+from conftest import (COMPLETION_GROUPS, ball_elements, ball_words, child_ids,
+                      enumerate_geodesic_words, replaced, tree_export, vertex_levels)
 
 ALL_MODELS = [group_from_name(name) for name in (
     "free:1", "free:2", "zd:1", "zd:2", "zd:3", "dinf", "freeprod:2,3", "freeprod:3,3")]
@@ -359,15 +359,23 @@ class TestTreeExport:
 
 class TestLexMinTree:
     def test_unfolded_whole_once(self, monkeypatch):
-        # the export reads every vertex array, so the tree is unfolded whole
-        # at once, not its interior first and the whole ball on first read
-        calls = []
-        unfold = cayley_mod.unfold
+        # the export reads every vertex array, so the tree is unfolded whole,
+        # once, inside lex_min_tree, from a ball that had unfolded nothing
+        calls, balls = [], []
+        unfold, ball_class = cayley_mod.unfold, cayley_mod.CayleyBall
         monkeypatch.setattr(cayley_mod, "unfold",
-                            lambda *args: calls.append(args[2:]) or unfold(*args))
+                            lambda *args: calls.append(len(args[1])) or unfold(*args))
+
+        def fresh(*args):
+            balls.append(ball_class(*args))
+            assert "_arrays" not in balls[-1].__dict__
+            return balls[-1]
+
+        monkeypatch.setattr(cayley_mod, "CayleyBall", fresh)
         tree = lex_min_tree(group_from_name("free:2"), 6)
+        assert balls == [tree] and calls == [7]
         cayley_mod.write_tree_export(tree, io.BytesIO())
-        assert calls == [(True,)]
+        assert calls == [7]
         n = tree.n_vertices
         assert [len(values) for values in tree._arrays] == [n, n, n + 1]
 
@@ -458,14 +466,12 @@ class TestWaitAndSurround:
         for _n, f_n, size in err.value.trace:
             assert f_n < size
 
-    def test_surround_builds_the_interior_rows_only(self):
-        # trigger 5 on B(7): the game reads no level-7 row, so the ball holds
-        # the rows of its 1,457 interior vertices, not all 4,373
+    def test_surround_builds_no_row(self):
+        # trigger 5 on B(7): every round's fire fills the ball up to a level,
+        # so the game reads no row of the 4,373-vertex ball, and no vertex array
         res = wait_and_surround(group_from_name("free:2"), 1, Fraction(5), 7)
-        offsets, columns = res.ball._built_rows
         assert (res.trigger_round, res.ball.n_vertices, res.verdict.kind) == (5, 4373, "contained")
-        assert len(offsets) - 1 == res.ball.level_starts[7] == 1457
-        assert len(columns) == offsets[-1]
+        assert not {"_arrays", "_built_rows"} & set(res.ball.__dict__)
 
     def test_no_trigger_builds_no_ball(self, monkeypatch):
         def no_ball(*_args, **_kw):
@@ -540,12 +546,11 @@ class TestWaitAndSurround:
                                     for _ in range(size)]
 
     def test_anchor_surround_peak_per_vertex(self):
-        # numpy reports its buffers to tracemalloc, so the traced peak of the
-        # R = 11 surround repeats to within a few kB: 14.8 bytes a ball
-        # vertex, against 22.8 with the outer sphere's parent, state and
-        # first_child built and 37.0 with also a stored level, array('i')
-        # copies of the vertex arrays, the full-ball state map in the rows
-        # and the sphere as an id array
+        # the traced peak of the R = 11 surround repeats to within a few kB:
+        # 2.35 bytes a ball vertex, the status bytes and the bytes that mark
+        # the sphere and a level, as the ball unfolds nothing and builds no
+        # row; 14.8 with the interior's vertex arrays and rows, 22.8 with the
+        # outer sphere's arrays too
         model = group_from_name("free:2")
         assert model.acceptor  # built once per model, outside the count
         tracemalloc.start()
@@ -555,7 +560,7 @@ class TestWaitAndSurround:
         finally:
             tracemalloc.stop()
         assert res.verdict.contained and res.ball.n_vertices == 354_293
-        assert peak <= 17 * res.ball.n_vertices, peak / res.ball.n_vertices
+        assert peak <= 3 * res.ball.n_vertices, peak / res.ball.n_vertices
 
     def test_no_fault_on_trigger_round(self):
         # the protected sphere is two steps ahead of the fire at play time
@@ -567,13 +572,12 @@ class TestWaitAndSurround:
         ("free:2", 4, 9), ("zd:3", Fraction(12, 5), 8), ("freeprod:3,3", Fraction(29, 10), 8)])
     def test_contained_surround_builds_no_outer_array(self, name, rate, ball_radius):
         # the fire stops inside the protected sphere and nothing is left
-        # untouched: the ball holds the arrays of levels 0..R-1 alone
+        # untouched: the ball holds its level starts alone, no vertex array
+        # and no row, and its arrays unfold whole on the first read
         res = wait_and_surround(group_from_name(name), 0, rate, ball_radius)
         b = res.ball
         assert res.verdict.contained
-        inner = b.level_starts[b.depth]
-        assert [len(values) for values in b._arrays] == [inner, inner, inner + 1]
-        assert not {"tree_generator", "boundary_mask"} & set(b.__dict__)
+        assert not {"_arrays", "_built_rows", "tree_generator", "boundary_mask"} & set(b.__dict__)
         assert len(b.parent) == len(b.state) == b.n_vertices == b.level_starts[-1]
         assert [len(values) for values in b._arrays] == [b.n_vertices] * 2 + [b.n_vertices + 1]
 
@@ -585,12 +589,6 @@ class TestWaitAndSurround:
                             lambda auto: walks.append(1) or walk(auto))
         res = wait_and_surround(group_from_name("free:2"), 1, 5, 8)
         assert res.verdict.contained and len(walks) == 1
-
-
-# the groups whose balls are completed against the references: free,
-# Z^d, dihedral, free-product, F2 x Z and the pentagon Coxeter group
-COMPLETION_GROUPS = ["free:1", "free:2", "free:3", "zd:1", "zd:2", "zd:3", "dinf", "freeprod:2,3",
-                     "freeprod:3,3", "gp:0,0,0/ac,bc", "gp:2,2,2,2,2/ab,bc,cd,de,ae"]
 
 
 def export_radius(model) -> int:
@@ -617,7 +615,7 @@ class TestOuterSphere:
             for first in ("parent", "state", "first_child", "tree_generator", "boundary_mask",
                           "rows"):
                 got = cayley_ball(model, radius)
-                assert len(got._arrays[0]) == got.level_starts[radius], radius
+                assert "_arrays" not in got.__dict__, radius
                 if first == "rows":
                     got.neighbors(got.n_vertices - 1)
                 else:
@@ -634,21 +632,23 @@ class TestOuterSphere:
 
     @pytest.mark.parametrize("half", [False, True], ids=["unprotected", "half-protected"])
     def test_simulate_builds_the_outer_arrays_on_demand(self, half):
-        # the fire reaches the outer sphere, whose boundary mask is built when
-        # the game first reads it; verdict, round and trace are those of a
-        # ball whose arrays and rows were all built before play
+        # the fire reaches the outer sphere, whose boundary mask, and with it
+        # the whole ball, is built when the game first reads it; every round
+        # fills the ball up to a level, so no row is built; verdict, round and
+        # trace are those of a ball whose arrays and rows were built before play
         model = group_from_name("free:2")
         b, ready = cayley_ball(model, 6), cayley_ball(model, 6)
         ready.boundary_mask, ready.neighbors(ready.n_vertices - 1)
         a, z = b.level_starts[6:]
         protect = range(a, a + (z - a) // 2) if half else range(0)
         strategy, budget = ScheduleStrategy({1: protect}), BudgetSequence.constant(len(protect))
-        assert "boundary_mask" not in b.__dict__ and len(b._arrays[0]) == a
+        assert not {"boundary_mask", "_arrays"} & set(b.__dict__)
         got = simulate(b, 1, strategy, budget)
         assert (got.kind, got.round_no, got.burnt) == ("boundary_reached", 5, None)
         assert [len(r.burnt) for r in got.trace] == [12, 36, 108, 324, 486 if half else 972]
         assert got.trace == simulate(ready, 1, strategy, budget).trace
-        assert "boundary_mask" in b.__dict__ and len(b._built_rows[0]) == a + 1
+        assert {"boundary_mask", "_arrays"} <= set(b.__dict__)
+        assert "_built_rows" not in b.__dict__
         assert [list(b.neighbors(v)) for v in range(a, z)] == \
             [list(ready.neighbors(v)) for v in range(a, z)]
 
@@ -883,15 +883,17 @@ class TestWordAcceptors:
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
     def test_interior_rows_are_a_prefix_of_all_rows(self, model):
-        # the rows built for the vertices below level R alone, as a game
-        # that stays inside builds them, are the first rows of the full build
+        # a row below level R holds every product v*g, so the rows of the
+        # vertices below level R are dense, at offsets v*|gens|, and are the
+        # first rows of the next ball's full build
         for radius in range(1, 7):
-            b = cayley_ball(model, radius)
-            inner = b.level_starts[radius]
-            (offsets, columns), (every, all_columns) = b._rows(inner), b._rows(b.n_vertices)
-            assert len(offsets) == inner + 1 and len(every) == b.n_vertices + 1
-            assert offsets == every[:inner + 1], radius
-            assert columns == all_columns[:every[inner]], radius
+            b, bigger = cayley_ball(model, radius), cayley_ball(model, radius + 1)
+            inner, n_gens = b.level_starts[radius], len(model.generators)
+            (offsets, columns), (every, all_columns) = b._rows(), bigger._rows()
+            assert len(offsets) == b.n_vertices + 1 and len(every) == bigger.n_vertices + 1
+            assert offsets[:inner + 1].tolist() == list(range(0, (inner + 1) * n_gens, n_gens))
+            assert offsets[:inner + 1] == every[:inner + 1], radius
+            assert columns[:offsets[inner]] == all_columns[:every[inner]], radius
 
     @pytest.mark.parametrize("model", DIFFERENTIAL_MODELS, ids=lambda m: m.name)
     def test_unfolding_numbers_vertices_as_the_ball(self, model):
@@ -909,7 +911,6 @@ class TestWordAcceptors:
         radius = differential_radii(model, most=3_000)[-1]
         group = ReferenceGraphProduct(model.orders, joined_pairs(model))
         got, ref = cayley_ball(model, radius), reference_ball(group, radius)
-        got.rows(got.n_vertices - 1)  # every row built
         offsets, columns = got._built_rows
         lists = [(name, getattr(ref, name)) for name in BALL_FIELDS] + [
             ("offsets", list(accumulate(map(len, ref.adjacency), initial=0))),
@@ -1044,8 +1045,8 @@ class TestGraphProducts:
         ids=lambda m: m.name)
     def test_rows_equal_the_masked_rows_of_the_next_ball(self, model):
         # B(R) is a prefix of B(R + 1), so masking B(R + 1)'s rows of B(R)'s
-        # vertices to B(R)'s ids gives B(R)'s rows: the interior rows, dense
-        # with offsets v*|gens|, and the full rows, masked on the outer sphere
+        # vertices to B(R)'s ids gives B(R)'s rows: those of the interior and
+        # then all of them, masked on the outer sphere
         def masked(rows, n, size):  # rows 0..n-1, entries below size
             offsets, columns = (np.frombuffer(a, np.intc) for a in rows)
             columns = columns[:offsets[n]]
@@ -1059,10 +1060,10 @@ class TestGraphProducts:
             if sum(level_counts(model.acceptor[0], radius + 1)) > 40_000:
                 break
             b, bigger = cayley_ball(model, radius), cayley_ball(model, radius + 1)
-            full = bigger._rows(bigger.n_vertices)
+            full, (offsets, columns) = bigger._rows(), b._rows()
             for n in (b.level_starts[radius], b.n_vertices):
-                offsets, columns = b._rows(n)
-                assert (offsets.tobytes(), columns.tobytes()) == masked(full, n, b.n_vertices), (radius, n)
+                got = offsets[:n + 1].tobytes(), columns[:offsets[n]].tobytes()
+                assert got == masked(full, n, b.n_vertices), (radius, n)
         assert radius >= 3
 
     def test_joins_read_off_the_model_not_its_name(self):

@@ -880,7 +880,8 @@ class TestCayley:
 SRC = os.path.dirname(os.path.dirname(firebreak.__file__))
 
 # runs that build no array: br, contain below br and at it (exit 2,
-# undetermined), cayley growth and polyprobe, and a usage error (exit 1)
+# undetermined), cayley growth, polyprobe and a contained surround, whose
+# fire fills whole levels, and a usage error (exit 1)
 NO_ARRAY_RUNS = [
     ["br", "binary.tree"],
     ["br", "fib.tree", "--lambda", "3/2"],
@@ -890,6 +891,7 @@ NO_ARRAY_RUNS = [
     ["contain", "jordan.tree", "--lambda", "2"],
     ["cayley", "free:2", "--mode", "growth", "--R", "6"],
     ["cayley", "free:2", "--mode", "polyprobe", "--R", "7", "--k", "1", "--c", "3", "--d", "2"],
+    ["cayley", "zd:2", "--mode", "surround", "--R", "6", "--lambda", "3", "--k", "1"],
     ["br"],
 ]
 

@@ -10,16 +10,27 @@ Claims covered:
       round and plays as the reference
     - the in-place engine plays as the copy-per-round reference
       (tests/game_reference.py) on random truncations and Cayley balls of
-      every model: same traces, verdicts, faults and fault rounds, also
-      with every id set, of balls and of truncations, forced into an int
-      array (the gather and fancy-index paths), and with every one-run
-      frontier forced to spread from one slice of the columns, or none;
+      every model: same traces, verdicts, faults and fault rounds, with
+      over a hundred rounds spread from the level starts alone; also, with
+      that level path off, with every id set, of balls and of truncations,
+      forced into an int array (the gather and fancy-index paths), and with
+      every one-run frontier forced to spread from one slice of the
+      columns, or none;
       protect sets past SPREAD_VECTOR_MIN that mix negative, burning,
       out-of-ball and huge ids fail with the reference's fault, message and
       round, and a trace records each protect set once, sorted;
       rows built on demand: the first separated, neighbors and numpy-round
-      reads of a fresh ball or tree, level-D rows included, agree with the
-      reference
+      reads of a fresh ball or tree, level-D rows included, build every row
+      and agree with the reference
+    - levels are distances: on random truncations and on balls of every
+      completion group at radii 0-6, every row entry lies within one level
+      of its row's vertex and every vertex but the root has one a level up;
+      the level path spreads as the reference from a whole ball, from a run
+      starting mid-level above its last level, and onto the arena's depth,
+      new fires of every form, and leaves to the rows a run starting
+      mid-level of its last level and one with an untouched id just
+      before it, which the reference spreads back to, on its level (the
+      same-level edges of balls with a C3 factor) or the one above
     - protect sets given as int32 or int64 arrays, of any size and with
       duplicates, negative, out-of-arena and burning ids, play as the same
       sets given as tuples, at the default SPREAD_VECTOR_MIN and at 1: equal
@@ -108,8 +119,9 @@ import firebreak.trees as trees_mod
 from firebreak.game import (BURNING, PROTECTED, UNTOUCHED, TraceRound, Verdict, ball_ids,
                             cut_weight_target, format_schedule, parse_schedule,
                             state_from_fire)
-from firebreak.trees import ExplicitSpec, PeriodicSpec, Truncation, as_tuple
+from firebreak.trees import ExplicitSpec, PeriodicSpec, Truncation, as_tuple, id_set
 from conftest import (
+    COMPLETION_GROUPS,
     binary_spec,
     budget_catalogue,
     child_ids,
@@ -292,7 +304,7 @@ def _count_id_set_paths(monkeypatch) -> Counter:
     def counted_entries(arena, ids):
         got = entries(arena, ids)
         calls["empty" if not len(ids) else "loop" if got is None else "slice"
-              if np.may_share_memory(got, arena.rows(ids[-1])[1]) else "gather"] += 1
+              if np.may_share_memory(got, arena.rows()[1]) else "gather"] += 1
         return got
 
     def counted_mark(statuses, ids, byte):
@@ -336,7 +348,21 @@ class TestInPlaceEngine:
         yield lambda: CanonicalStrategy(vprime)
         yield lambda: RandomStrategy(seed)  # a fresh strategy replays the same draws
 
-    def test_matches_copy_per_round_reference(self):
+    def test_matches_copy_per_round_reference(self, monkeypatch):
+        # over a hundred rounds, a ball fire's first among them, spread from
+        # the level starts alone (``_level_round``), as the reference spreads them
+        level_round, rounds = game_mod._level_round, Counter()
+
+        def counted(arena, statuses, frontier):
+            got = level_round(arena, statuses, frontier)
+            rounds[got is not None] += 1
+            return got
+
+        monkeypatch.setattr(game_mod, "_level_round", counted)
+        self.play_against_reference()
+        assert rounds[True] > 100 and rounds[False] > 100, rounds
+
+    def play_against_reference(self):
         rng = random.Random(53)
         kinds = Counter()
         for arena in self.arenas(rng):
@@ -363,7 +389,7 @@ class TestInPlaceEngine:
         # and every such protect set is marked by fancy indexing
         monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", 1)
         calls = _count_id_set_paths(monkeypatch)
-        self.test_matches_copy_per_round_reference()
+        self.play_against_reference()
         assert calls["gather"] > 100 and calls["fancy"] > 100, calls
         assert not calls["loop"] and not calls["tuple"], calls
         self.test_step_leaves_its_input_alone()  # step keeps the engine's forms of its frontiers
@@ -387,10 +413,11 @@ class TestInPlaceEngine:
         # truncations have rows too: with the threshold at 1 every round of
         # a truncation game spreads from the numpy rows
         monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", 1)
+        monkeypatch.setattr(game_mod, "_level_round", lambda *_args: None)  # every round by rows
         calls = _count_id_set_paths(monkeypatch)
         monkeypatch.setattr(self, "arenas", lambda rng: (
             random_truncation(rng, max_depth=7, size_limit=400) for _ in range(300)))
-        self.test_matches_copy_per_round_reference()
+        self.play_against_reference()
         assert calls["gather"] > 100 and calls["slice"] > 100 and not calls["loop"], calls
 
     @pytest.mark.parametrize("crossover", [0, 10 ** 9])
@@ -399,8 +426,9 @@ class TestInPlaceEngine:
         # columns, at 10**9 none does and the loop takes it (an empty set is
         # a tuple at any crossover, so 0 stands for 1 there)
         monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", max(crossover, 1))
+        monkeypatch.setattr(game_mod, "_level_round", lambda *_args: None)  # every round by rows
         calls = _count_id_set_paths(monkeypatch)
-        self.test_matches_copy_per_round_reference()
+        self.play_against_reference()
         self.test_step_leaves_its_input_alone()
         assert (calls["slice"] > 100) if crossover == 0 else (
             calls["slice"] == 0 and calls["loop"] > 100), calls
@@ -408,12 +436,11 @@ class TestInPlaceEngine:
     def test_rows_built_on_demand_match_the_reference(self, monkeypatch):
         # every read that builds rows, made first on a fresh arena and
         # checked against the reference on another fresh copy: separated on
-        # statuses whose rarer side holds a level-D id (before anything that
-        # builds every row), neighbors of an interior or a level-D id, and
-        # games whose every round reads the numpy rows up to its frontier's
-        # last id; a ball builds its interior rows first and level D's only
-        # once one of them is read, a tree all of them at once
+        # statuses whose rarer side holds a level-D id, neighbors of an
+        # interior or a level-D id, and games whose every round reads the
+        # numpy rows; the first read builds every row, on a ball as on a tree
         monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", 1)
+        monkeypatch.setattr(game_mod, "_level_round", lambda *_args: None)  # every round by rows
         rng = random.Random(61)
         arenas = [((lambda m=model, r=r: cayley_ball(m, r)),
                    reference_ball(ReferenceGraphProduct(model.orders, joined_pairs(model)),
@@ -428,7 +455,7 @@ class TestInPlaceEngine:
         seen = Counter()
 
         def built(a):
-            return len(a._built_rows[0]) - 1
+            return len(a.__dict__["_built_rows"][0]) - 1 if "_built_rows" in a.__dict__ else 0
 
         for make, adjacency in arenas:
             arena = make()
@@ -453,7 +480,7 @@ class TestInPlaceEngine:
 
             arena, first = make(), rng.choice((deep, rng.randrange(inner)))
             assert list(arena.neighbors(first)) == adjacency[first]
-            assert built(arena) == (n if every or first >= inner else inner)
+            assert built(arena) == n
             assert [list(arena.neighbors(v)) for v in range(n)] == adjacency
             seen["neighbors", every, first >= inner] += 1
 
@@ -547,6 +574,106 @@ class TestInPlaceEngine:
                 assert got.round_no == round_no
                 assert (as_tuple(got.frontier), got.statuses) == (want.frontier, want.statuses)
                 state, ref = got, want
+
+
+class TestLevelRounds:
+    """``_advance``'s level path, which spreads a frontier that fills the
+    arena up to the end of a level from ``level_starts`` and the statuses
+    alone, and the fact it rests on: levels are distances from the root."""
+
+    def test_row_entries_lie_within_one_level(self):
+        # every row entry is within one level of its row's vertex, and every
+        # vertex but the root has one a level up, on trees and on balls
+        rng = random.Random(71)
+        arenas = [random_truncation(rng, max_depth=8, size_limit=2000) for _ in range(300)]
+        arenas += [cayley_ball(group_from_name(name), r) for name in COMPLETION_GROUPS
+                   for r in range(7)]
+        for arena in arenas:
+            offsets, columns = arena.rows()
+            level = np.repeat(np.arange(arena.depth + 1), np.diff(arena.level_starts))
+            row = np.repeat(np.arange(arena.n_vertices), np.diff(offsets))
+            gap = level[columns] - level[row]
+            up = np.zeros(arena.n_vertices, bool)
+            up[row[gap == -1]] = True
+            assert np.abs(gap).max(initial=0) <= 1 and up[1:].all() and not up[0]
+
+    # the frontiers drawn, and whether the level helper takes each: a whole
+    # ball; a run from mid-level of a level above its last; the same with an
+    # untouched id just before it; a run from mid-level of its last level;
+    # one whose next level is at the arena's depth
+    KINDS = {"ball": True, "mid": True, "untouched-before": False, "mid-last": False,
+             "depth": True}
+
+    def draw(self, rng, arena, kind):
+        """Statuses and a frontier run [a, e) of the given kind, e the end of
+        a level L below the depth, or None when the arena has none."""
+        starts, depth = arena.level_starts, arena.depth
+        last = [lv for lv in range(depth) if starts[lv + 1] > starts[lv]]
+        if kind == "depth":
+            last = [lv for lv in last if lv == depth - 1]
+        if not last:
+            return None
+        top = rng.choice(last)
+        if kind == "mid-last":
+            if starts[top + 1] - starts[top] < 2:
+                return None
+            first, a = top, rng.randrange(starts[top] + 1, starts[top + 1])
+        else:
+            first = 0 if kind == "ball" else rng.randint(0, top)
+            a = starts[first] if first in (0, top) else rng.randrange(starts[first],
+                                                                       starts[first + 1])
+        e, n = starts[top + 1], arena.n_vertices
+        above = starts[max(first - 1, 0)]
+        statuses = bytearray(rng.choice((BURNING, PROTECTED, UNTOUCHED)) for _ in range(above))
+        statuses += bytearray(rng.choice((BURNING, PROTECTED)) for _ in range(above, a))
+        statuses += bytes((BURNING,)) * (e - a)
+        mix = rng.choice(((UNTOUCHED,), (PROTECTED, BURNING), (UNTOUCHED, PROTECTED, BURNING)))
+        statuses += bytearray(rng.choice(mix) for _ in range(e, starts[top + 2]))
+        statuses += bytes(n - len(statuses))
+        if kind == "untouched-before":
+            if not a:
+                return None
+            statuses[a - 1] = UNTOUCHED  # in a's level or the one above
+        return statuses, range(a, e)
+
+    def test_level_path_edges_match_the_reference(self, monkeypatch):
+        level_round, taken = game_mod._level_round, []
+        monkeypatch.setattr(game_mod, "_level_round", lambda *args: taken.append(
+            level_round(*args)) or taken[-1])
+        rng, seen, default = random.Random(73), Counter(), trees_mod.SPREAD_VECTOR_MIN
+        arenas = [random_truncation(rng, max_depth=7, size_limit=400) for _ in range(150)]
+        arenas += [cayley_ball(group_from_name(name), r) for name in COMPLETION_GROUPS
+                   for r in range(1, 5)]
+        for arena in arenas:  # new fires of every form: tuples, ranges and arrays
+            monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", rng.choice((default, 1)))
+            for kind, level_path in self.KINDS.items():
+                for _ in range(4):
+                    if (drawn := self.draw(rng, arena, kind)) is None:
+                        continue
+                    statuses, frontier = drawn
+                    got = step(GameState(arena, statuses, 0, id_set(frontier)), (), 0)
+                    want = game_reference.step(
+                        GameState(arena, bytes(statuses), 0, tuple(frontier)), (), 0)
+                    assert (as_tuple(got.frontier), bytes(got.statuses)) == (
+                        want.frontier, want.statuses), (kind, arena.level_starts, frontier)
+                    assert (taken[-1] is not None) == level_path, kind
+                    starts = arena.level_starts
+                    lo = starts[bisect.bisect_right(starts, frontier[-1])]
+                    hi = starts[bisect.bisect_right(starts, lo)] if lo < arena.n_vertices else lo
+                    if level_path:
+                        seen[kind, type(taken[-1]).__name__] += 1
+                    else:  # the spread the level path would have got wrong
+                        seen[kind, want.frontier != tuple(
+                            v for v in range(lo, hi) if statuses[v] == UNTOUCHED)] += 1
+                    if kind == "untouched-before" and want.statuses[frontier[0] - 1] == BURNING:
+                        same = bisect.bisect_right(starts, frontier[0] - 1) == bisect.bisect_right(
+                            starts, frontier[0])
+                        seen["spread back", "same level" if same else "level above"] += 1
+        assert min(seen[kind, form] for kind in ("ball", "mid")
+                   for form in ("range", "tuple", "ndarray")) > 10, seen
+        assert seen["depth", "range"] > 10 and seen["mid-last", True] > 10, seen
+        assert seen["untouched-before", True] > 10, seen
+        assert seen["spread back", "same level"] > 10 and seen["spread back", "level above"] > 10
 
 
 class TestOneRunProtectSets:
@@ -910,7 +1037,7 @@ class TestIdSets:
                             seen["loop"] += 1
                         else:
                             assert got.tolist() == want
-                            columns = arena.rows(n - 1)[1]
+                            columns = arena.rows()[1]
                             seen["slice" if np.may_share_memory(got, columns) else "gather"] += 1
         assert min(seen[path] for path in ("slice", "gather", "loop")) > 100, seen
 

@@ -480,7 +480,7 @@ class TestNumpyUnfolding:
                 (ref.parent, ref.level, ref.state)
             assert [list(child_ids(got, v)) for v in range(got.n_vertices)] == ref.children
             assert boundary_ids(got) == ref.boundary
-            offsets, columns = got.rows(got.n_vertices - 1)
+            offsets, columns = got.rows()
             for v in range(ref.n_vertices):
                 want = ([ref.parent[v]] if v else []) + ref.children[v]
                 assert list(got.neighbors(v)) == want
