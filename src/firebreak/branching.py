@@ -23,11 +23,12 @@ a proposal's bounds, a certificate's fields.  Every rate is read by
 handed out is a Fraction.
 
 For a spec the branching number is the largest Perron root over the
-strongly connected components of its automaton's count matrix.  Each has
-one proposal, an integer Perron vector with exact Collatz-Wielandt bounds
-lo <= br_C <= hi.  ``compare_to_br`` decides a rate outside them at once and
-one inside by exact elimination, ``br_bracket`` bisects on that sign, and
-a certificate steps the recursion's map from the best proposal on integers
+strongly connected components of its automaton's count matrix, which the
+automaton walks once (``Automaton.components``).  Each has one proposal,
+an integer Perron vector with exact Collatz-Wielandt bounds lo <= br_C <=
+hi.  ``compare_to_br`` decides a rate outside them at once and one inside
+by exact elimination, ``br_bracket`` bisects on that sign, and a
+certificate steps the recursion's map from the best proposal on integers
 over one fixed scale, rounding down, and is checked exactly, by integer
 cross-multiplication.
 """
@@ -238,34 +239,6 @@ def br_exact_periodic(spec: Automaton) -> float:
     return max(prop.root for prop in _proposals(spec))
 
 
-def _components(kids, root: int) -> list[list[int]]:
-    """Strongly connected components of an automaton graph whose states are
-    all reachable from the root, each a sorted state list: Tarjan's
-    algorithm with an explicit stack of (state, child iterator, stack height
-    at entry).  A state whose component is done gets index len(kids), which
-    lowers no low link."""
-    index, low, stack, comps = {root: 0}, {root: 0}, [root], []
-    work = [(root, iter(kids[root]), 0)]
-    while work:
-        v, todo, at = work[-1]
-        for w in todo:
-            if w not in index:
-                index[w] = low[w] = len(index)
-                work.append((w, iter(kids[w]), len(stack)))
-                stack.append(w)
-                break
-            low[v] = min(low[v], index[w])
-        else:
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comps.append(sorted(stack[at:]))
-                index.update(dict.fromkeys(stack[at:], len(kids)))
-                del stack[at:]
-    return comps
-
-
 def _proposals(auto: Automaton) -> list[Proposal]:
     """Per strongly connected component C: its states, its Perron vector
     from ``_perron`` rounded to integers v (PROPOSAL_SCALE at its largest
@@ -275,7 +248,7 @@ def _proposals(auto: Automaton) -> list[Proposal]:
     props = auto.__dict__.get("_proposals")
     if props is None:
         kids, props = auto.children, []
-        for comp in _components(kids, auto.root):
+        for comp in auto.components:
             x, root = _perron(kids, comp)
             on = {s: max(round(x_s * PROPOSAL_SCALE), 1) for s, x_s in zip(comp, x)}
             v = [on.get(s, 0) for s in range(len(kids))]
@@ -291,7 +264,7 @@ def _proposals(auto: Automaton) -> list[Proposal]:
     return props
 
 
-def _perron(kids, comp: list[int]) -> tuple[list[float], float]:
+def _perron(kids, comp: tuple[int, ...]) -> tuple[list[float], float]:
     """M_C's float Perron vector, largest entry 1, and root by Noda's inverse
     iteration (Noda 1971): x becomes (hi * I - M_C)^-1 x, scaled, where hi >
     br_C is x's largest ratio (M x)_s / x_s, so every pivot is positive (an
@@ -321,7 +294,7 @@ def _perron(kids, comp: list[int]) -> tuple[list[float], float]:
         x = [x_i / top for x_i in x]
 
 
-def _shifted_rows(kids, comp: list[int], rate) -> list[dict]:
+def _shifted_rows(kids, comp: tuple[int, ...], rate) -> list[dict]:
     """The sparse rows (column -> entry) of rate * I - M_C, columns in comp's order."""
     at = {s: i for i, s in enumerate(comp)}
     return [{at[t]: rate * (s == t) - kids[s].count(t) for t in {s, *kids[s]} if t in at}
@@ -470,8 +443,8 @@ def lower_bound_certificate(spec: Automaton, rate: Rate) -> LowerBoundCertificat
     ``Fraction.limit_denominator``, and for the stored fields only.
 
     Requires rate < branching number.  The proposal with the largest lower
-    Collatz-Wielandt bound, the last such in ``_components`` order (which
-    follows the spec's child order, not its state numbers), gives y = v /
+    Collatz-Wielandt bound, the last such in ``Automaton.components`` order
+    (which follows the spec's child order, not its state numbers), gives y = v /
     PROPOSAL_SCALE with mid_rate * y <= M y.  Up to 2n steps y -> min(1, M y /
     mid_rate), floored on integers over PROPOSAL_SCALE**2 and stopped at a
     fixed point, keep that and raise y: a floor of a larger value is no

@@ -36,15 +36,15 @@ the least generator leading there, which is the least geodesic word, whose
 prefix is the parent's normal form.  So the acceptor's level counts are
 the sphere sizes, which growth, the surround trigger, the ball cap and the
 polynomial probes read with nothing built (a model builds its acceptor
-once).  A ``CayleyBall`` is the depth-R truncation of the acceptor, so its
-``parent`` is the lex-min geodesic spanning tree and its levels are the
-Cayley distances.  It holds its level starts alone until one of its vertex
-arrays or rows is read, and then unfolds whole; its ``_rows()`` read the
-Cayley graph's rows off that tree with no element built.  So the game
-plays the ball and its spanning tree on one vertex numbering with
-different rows, and every tree algorithm here answers a Cayley question.
-Only the surround and the probes play the game, so only they import
-``game``.
+once) through ``trees.level_counts``.  A ``CayleyBall`` is the depth-R
+truncation of the acceptor, so its ``parent`` is the lex-min geodesic
+spanning tree and its levels are the Cayley distances.  Like any
+truncation it holds its level starts alone until a vertex array or a row
+is read, and then unfolds whole; its ``_rows()`` read the Cayley graph's
+rows off that tree with no element built.  So the game plays the ball
+and its spanning tree on one vertex numbering with different rows, and
+every tree algorithm here answers a Cayley question.  Only the surround
+and the probes play the game, so only they import ``game``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from itertools import accumulate, combinations, pairwise
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ResourceLimitError, SpecError, SurroundCapError
-from .trees import Automaton, Truncation, Value, format_ids, np, packed, unfold, view, zeroed
+from .trees import Automaton, Truncation, Value, format_ids, level_counts, np, packed, view, zeroed
 
 if TYPE_CHECKING:  # the records' annotations; the functions import game when they run
     from .game import FeasibilityResult, ScheduleStrategy, Verdict
@@ -204,26 +204,13 @@ class CayleyBall(Truncation):
     adjacency in place of the tree's.  Vertex order is layer-major,
     shortlex by word within a layer, so construction is canonical; the
     radius-R sphere is the boundary.  Words and adjacency are derived from
-    the tree as they are read; no element is built.
-
-    The ball holds only its level starts until ``parent``, ``state``,
-    ``first_child``, ``tree_generator``, ``boundary_mask`` or a row is read;
-    the first such read unfolds it whole, once.  A game whose fire fills
-    whole levels spreads from the level starts alone, so a contained
-    surround unfolds nothing."""
+    the tree as they are read; no element is built.  It unfolds as any
+    truncation does, on the first read of a vertex array: a contained
+    surround, whose fire fills whole levels, unfolds nothing."""
 
     def __init__(self, model: GraphProduct, spheres: Sequence[int]):
-        self.model, self.spec, self.depth = model, model.acceptor[0], len(spheres) - 1
-        self.level_starts = (0, *accumulate(spheres))
-
-    @cached_property
-    def _arrays(self) -> tuple[memoryview, memoryview, memoryview]:
-        """The parent, state and first_child arrays, unfolded on the first read."""
-        return unfold(self.spec, self.sphere_sizes())[:3]
-
-    parent = property(lambda self: self._arrays[0])
-    state = property(lambda self: self._arrays[1])
-    first_child = property(lambda self: self._arrays[2])
+        super().__init__(model.acceptor[0], spheres)
+        self.model = model
 
     @cached_property
     def tree_generator(self) -> memoryview:
@@ -289,9 +276,6 @@ class CayleyBall(Truncation):
         np.cumsum(ends[n_inner:], out=ends[n_inner:])  # row v ends where row v + 1 starts
         return offsets, packed(np.concatenate((flat[:n_inner * n_gens], cols[n_inner:][present])))
 
-    def sphere_sizes(self) -> list[int]:
-        return [b - a for a, b in pairwise(self.level_starts)]
-
 
 # From the first sphere of at least this many vertices on, the export is
 # written as byte records from numpy passes, and before it from Python
@@ -355,17 +339,13 @@ def write_tree_export(tree: CayleyBall, fh) -> None:
 def _sphere_sizes(model, radius: int) -> list[int]:
     """|S(0)|, ..., |S(radius)|, the acceptor's level counts.  The ball cap
     is decided here, before anything is built: the walk stops at the least
-    radius 1..R whose ball has more than DEFAULT_BALL_CAP elements and fails."""
+    radius whose ball has more than DEFAULT_BALL_CAP elements and fails."""
     if radius < 0:
         raise SpecError("ball radius must be >= 0")
-    spheres, total = [], 0
-    for r, size in zip(range(radius + 1), model.acceptor[0].iter_level_counts()):
-        total += size
-        if r and total > DEFAULT_BALL_CAP:
-            raise ResourceLimitError(
-                f"ball of radius {r} has {total} elements, the ball cap is {DEFAULT_BALL_CAP}"
-            )
-        spheres.append(size)
+    spheres = level_counts(model.acceptor[0], radius, DEFAULT_BALL_CAP)
+    if (total := sum(spheres)) > DEFAULT_BALL_CAP:
+        raise ResourceLimitError(f"ball of radius {len(spheres) - 1} has {total} elements, "
+                                 f"the ball cap is {DEFAULT_BALL_CAP}")
     return spheres
 
 

@@ -45,22 +45,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _text(write, what: str) -> str:
+    """``write()``, or ResourceLimitError where str() refuses an int past the digit limit."""
+    try:
+        return write()
+    except ValueError:
+        digits = sys.get_int_max_str_digits()
+        raise ResourceLimitError(f"a reported {what} has more than {digits} digits, "
+                                 f"past sys.get_int_max_str_digits() = {digits}") from None
+
+
 def _fmt(value, id_set=None) -> str:
     """A report cell's text; a list, tuple, range or array cell by ``id_set``
     (``trees.format_id_set``, which ``emit_report`` imports once a report)."""
     if type(value) in (int, str):  # most cells, ahead of Fraction's ABCMeta isinstance
-        return str(value)
+        return _text(value.__str__, "number")
     if value is None:
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):  # n/d, or n; str() refuses an int past the digit limit
-        try:
-            return str(value)
-        except ValueError:
-            digits = sys.get_int_max_str_digits()
-            raise ResourceLimitError(f"a reported fraction has more than {digits} digits, "
-                                     f"past sys.get_int_max_str_digits() = {digits}") from None
+    if isinstance(value, Fraction):  # n/d, or n
+        return _text(value.__str__, "fraction")
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple, range)) or getattr(value, "ndim", 0):  # numpy scalars have ndim 0
@@ -234,7 +239,7 @@ def cmd_simulate(args) -> int:
     budget = BudgetSequence.parse(args.budget)
     trunc = expand(spec, args.depth)
     config = _base_config("simulate")
-    config.update(spec=args.spec, k=args.k, budget=budget.describe(),
+    config.update(spec=args.spec, k=args.k, budget=_text(budget.describe, "budget"),
                   depth=args.depth, horizon=args.horizon)
     result: dict = {}
     tables = []
@@ -301,7 +306,7 @@ def cmd_oracle(args) -> int:
         fire = ball_ids(trunc, args.k)
     config = _base_config("oracle")
     config.update(spec=args.spec, k=args.k, x0=",".join(str(v) for v in fire),
-                  budget=budget.describe(), depth=depth, strict=args.strict,
+                  budget=_text(budget.describe, "budget"), depth=depth, strict=args.strict,
                   horizon=args.horizon)
     result: dict = {}
 

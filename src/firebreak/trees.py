@@ -17,53 +17,57 @@ An automaton built in code, as a Cayley model's word acceptor is, is a spec
 as these are.  Level counts, expansion, finiteness, the per-state min-cut
 recursion, the Perron root, regime decisions, certificates, the feasibility
 program and the explicit-only oracle read only the automaton, and
-``format_tree_spec`` writes it back as spec text.
+``format_tree_spec`` writes it back as spec text.  One walk answers each
+question about its shape: one walk of Tarjan's gives its components and
+live heights, one of its state counts its level counts (``level_counts``,
+stopped past the caller's cap) and one unfolding its truncation.
 
 A ``Truncation`` is the finite tree of all vertices at levels 0..D, in a
 deterministic level-major order (children in spec order), unfolded by
-substitution (``unfold``).  Its vertex arrays, ``parent``, ``state`` and
-the child offsets, are memoryviews over the numpy buffers that computed
-them (``packed``): they index, slice and iterate to Python ints, as
-``array('i')`` does, and numpy reads them back as zero-copy views
-(``view``).  ``level_starts`` holds the first id of each level and
-``first_child`` that of each vertex's children, so every reader in the
-package walks a level or a vertex's children as a run of ids (``level``,
+substitution (``unfold``) on the first read of a vertex array or a row, which
+``expand`` makes at once and a Cayley ball only when it is read.  Its vertex
+arrays, ``parent``, ``state`` and the child offsets, are memoryviews over the
+numpy buffers that computed them (``packed``): they index, slice and iterate
+to Python ints, as ``array('i')`` does, and numpy reads them back as
+zero-copy views (``view``).  ``level_starts`` holds the first id of each
+level and ``first_child`` that of each vertex's children, so every reader in
+the package walks a level or a vertex's children as a run of ids (``level``,
 one level per vertex, is for readers outside it).  A truncation is the one
-game arena and holds the one adjacency: flat rows, offsets and column ids
-as vertex arrays, which ``neighbors(v)`` slices and ``rows()`` views, all
-built on the first read of either.  A tree's row lists the parent, then
-the children; a Cayley ball (``cayley.CayleyBall``) is the truncation of
-its group's word acceptor whose ``_rows()`` list the Cayley graph's
-neighbours instead.  A ball holds only its level starts until one of its
-vertex arrays or rows is read, and then unfolds whole.  The level of a
-vertex is its distance from the root, on a ball as on a tree: every row
-entry lies within one level of its row's vertex, and the parent one level
-up is among them, which lets a game spread a fire that fills whole levels
-from ``level_starts`` alone.  The level of an edge is the level of its
-child endpoint.  Level-D vertices that continue in the infinite tree form
-the truncation *boundary*: separating the root from them is what a cutset
-must do, and a fire reaching one of them makes a game verdict inconclusive
-at this depth.  A level-D vertex continues when its state has children, or
-always for an explicit tree (``escape_leaves``): the depth of a finite
-description is the horizon of what it can rule out.
+game arena and holds the one adjacency: flat rows, offsets and column ids as
+vertex arrays, which ``neighbors(v)`` slices and ``rows()`` views, all built
+on the first read of either.  A tree's row lists the parent, then the
+children; a Cayley ball (``cayley.CayleyBall``) is the truncation of its
+group's word acceptor whose ``_rows()`` list the Cayley graph's neighbours
+instead.  The level of a vertex is its distance from the root, on a ball as
+on a tree: every row entry lies within one level of its row's vertex, and the
+parent one level up is among them, which lets a game spread a fire that fills
+whole levels from ``level_starts`` alone.  The level of an edge is the level
+of its child endpoint.  Level-D vertices that continue in the infinite tree
+form the truncation *boundary*: separating the root from them is what a
+cutset must do, and a fire reaching one of them makes a game verdict
+inconclusive at this depth.  A level-D vertex continues when its state has
+children, or always for an explicit tree (``escape_leaves``): the depth of a
+finite description is the horizon of what it can rule out.
 
 Every set of vertex ids the game plays (a protect set, a frontier, the fire,
 one side of ``separated``'s check) goes through one helper: ``id_set`` sorts
 and deduplicates it and picks its form once; ``mark`` (check and mark of a
-status byte) and ``row_entries`` take the path that form and its being a
-run (PROTECT_RUN_MIN ids or more, the ends len - 1 apart) make cheapest.
+status byte) takes the path that form and its being a run (PROTECT_RUN_MIN
+ids or more, the ends len - 1 apart) make cheapest, and ``row_entries``
+gathers the rows of an array or a range and leaves a tuple to the loop.
 Every id set a report or a trace prints is written by ``format_id_set``.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import sys
 from array import array
 from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, islice, pairwise
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitError, SpecError
@@ -159,32 +163,56 @@ class Automaton(Value):
     def continues(self, state: int) -> bool:
         return bool(self.children[state]) or self.escape_leaves
 
+    # the strongly connected components, each a sorted state tuple after
+    # those of its children's components (see _walk)
+    components = property(lambda self: self._walk[0])
+    # per state s, the greatest h such that a vertex of state s has a
+    # descendant h levels down that continues: -1 when not even the vertex
+    # itself continues, infinity when s reaches a cycle (see _walk)
+    live_heights = property(lambda self: self._walk[1])
+
     @cached_property
-    def live_heights(self) -> tuple[float, ...]:
-        """Per state s, the greatest h such that a vertex of state s has a
-        descendant h levels down that continues: -1 when not even the
-        vertex itself continues, infinity when s reaches a cycle.  This is
-        the table live_0(s) = continues(s), live_h(s) = some child has
-        live_{h-1}, kept as the height at which each state leaves it: only
-        a state with children has a live child, so the table shrinks with h
-        and stops changing within len(children) heights."""
-        kids = self.children
-        parents: list[list[int]] = [[] for _ in kids]
-        for s, ks in enumerate(kids):
-            for t in ks:
-                parents[t].append(s)
-        waiting = [len(ks) for ks in kids]  # children whose height is still open
-        ready = [s for s, ks in enumerate(kids) if not ks]
-        height: list[float] = [float("inf")] * len(kids)
-        for s in ready:
-            height[s] = 0 if self.escape_leaves else -1
-        while ready:  # a state every child of which is settled, bottom-up
-            for s in parents[ready.pop()]:
-                waiting[s] -= 1
-                if not waiting[s]:
-                    height[s] = 1 + max(height[t] for t in kids[s])
-                    ready.append(s)
-        return tuple(height)
+    def _walk(self) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...]]:
+        """Components and live heights from one Tarjan (1972) walk from the
+        root, with a stack of (state, child iterator, stack height at entry);
+        a done state gets index len(children), which lowers no low link.  As
+        a component closes, a state alone in it and not its own child sits
+        one level above its highest child (a leaf at 0 if it continues, else
+        -1), and any other is on a cycle, as is a child still on the stack."""
+        kids, root, done = self.children, self.root, len(self.children)
+        index, low, height = [-1] * done, [0] * done, [float("inf")] * done
+        top = [int(self.escape_leaves) - 2] * done  # the highest child height so far
+        index[root], seen, stack, comps = 0, 1, [root], []
+        work = [(root, iter(kids[root]), 0)]
+        while work:
+            v, todo, at = work[-1]
+            for w in todo:
+                if index[w] < 0:
+                    index[w] = low[w] = seen
+                    seen += 1
+                    work.append((w, iter(kids[w]), len(stack)))
+                    stack.append(w)
+                    break
+                if index[w] < low[v]:
+                    low[v] = index[w]
+                if height[w] > top[v]:
+                    top[v] = height[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    if at == len(stack) - 1:
+                        height[v] = top[v] + 1
+                    comps.append(tuple(sorted(stack[at:])))
+                    for s in stack[at:]:
+                        index[s] = done
+                    del stack[at:]
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if height[v] > top[u]:
+                        top[u] = height[v]
+        return tuple(comps), tuple(height)
 
     def iter_level_counts(self) -> Iterator[int]:
         """Vertices per level 0, 1, 2, ..., without end; a caller that
@@ -266,12 +294,19 @@ def ExplicitSpec(parents: tuple[int, ...]) -> Automaton:
     return Automaton(tuple(shapes), state[0], escape_leaves=True)
 
 
-def level_counts(spec: Automaton, depth: int) -> list[int]:
-    """Number of vertices per level, computed without materialising the
-    tree (the automaton's state-count vectors)."""
+def level_counts(spec: Automaton, depth: int, cap: float = math.inf) -> list[int]:
+    """Number of vertices per level 0..depth, computed without materialising
+    the tree (the automaton's state-count vectors).  With a cap the walk
+    stops at the first level whose running total passes it, and the counts
+    end there, summing past the cap."""
     if depth < 0:
         raise SpecError("depth must be >= 0")
-    return list(islice(spec.iter_level_counts(), depth + 1))
+    sizes, total = [], 0
+    for size in islice(spec.iter_level_counts(), depth + 1):
+        sizes.append(size)
+        if (total := total + size) > cap:
+            break
+    return sizes
 
 
 def view(values: memoryview) -> np.ndarray:
@@ -297,12 +332,11 @@ def zeroed(size: int) -> tuple[memoryview, np.ndarray]:
 JOIN_COST, LEVEL_COST = 25, 45
 
 
-def unfold(auto: Automaton, sizes: Sequence[int]) -> tuple:
+def unfold(auto: Automaton, sizes: Sequence[int]) -> tuple[memoryview, memoryview, memoryview]:
     """The automaton's tree to depth D = len(sizes) - 1, ``sizes`` its level
     counts, level-major with children in spec order, as a truncation's
-    fields: each vertex's parent and state and the CSR child offsets
-    ``first_child`` (level-D vertices have no children), vertex arrays, and
-    the first id of each level 0..D followed by the vertex count.
+    vertex arrays: each vertex's parent and state and the CSR child offsets
+    ``first_child`` (level-D vertices have no children).
 
     Level L is the substitution s -> children(s) applied L times to the
     root, so a state's level-i word (its subtree's level i, as int32 bytes)
@@ -339,23 +373,34 @@ def unfold(auto: Automaton, sizes: Sequence[int]) -> tuple:
     parent = packed(np.arange(-1, starts[depth], dtype=np.intc).repeat(n_kids))
     first_child = np.concatenate((n_kids.cumsum(dtype=np.intc),
                                   np.full(sizes[depth], starts[-1], np.intc)))
-    return parent, state, packed(first_child), starts
+    return parent, state, packed(first_child)
 
 
 class Truncation:
-    """Depth-D truncation of a tree spec (see the module docstring): the
-    children of v are ``first_child[v]`` .. ``first_child[v + 1] - 1``,
-    level L holds the ids ``level_starts[L]`` .. ``level_starts[L + 1] - 1``
-    and ``state`` is each vertex's automaton state."""
+    """Depth-D truncation of a tree spec from its level counts ``sizes``,
+    unfolded whole on the first read of a vertex array (see the module
+    docstring): v's children are ``first_child[v]`` .. ``first_child[v + 1]
+    - 1``, level L holds the ids ``level_starts[L]`` .. ``level_starts[L +
+    1] - 1`` and ``state`` is each vertex's automaton state."""
 
-    def __init__(self, spec: Automaton, depth: int, parent: memoryview, state: memoryview,
-                 first_child: memoryview, level_starts: tuple[int, ...]):
-        self.spec, self.depth, self.level_starts = spec, depth, level_starts
-        self.parent, self.state, self.first_child = parent, state, first_child
+    def __init__(self, spec: Automaton, sizes: Sequence[int]):
+        self.spec, self.depth, self.level_starts = spec, len(sizes) - 1, (0, *accumulate(sizes))
+
+    @cached_property
+    def _arrays(self) -> tuple[memoryview, memoryview, memoryview]:
+        """The parent, state and first_child arrays, unfolded on the first read."""
+        return unfold(self.spec, self.sphere_sizes())
+
+    parent = property(lambda self: self._arrays[0])
+    state = property(lambda self: self._arrays[1])
+    first_child = property(lambda self: self._arrays[2])
 
     @property
     def n_vertices(self) -> int:
         return self.level_starts[-1]
+
+    def sphere_sizes(self) -> list[int]:  # the level counts
+        return [b - a for a, b in pairwise(self.level_starts)]
 
     @cached_property
     def level(self) -> memoryview:
@@ -415,11 +460,11 @@ class Truncation:
 
 # Crossovers against the loops, timeit on free:2, zd:2, zd:3, binary and
 # ternary arenas (2-CPU VM): fancy indexing wins from 64-70 ids, the gather
-# from 32-64 ids, one slice of a run's rows from 35-100 entries.
+# from 32-64 ids.
 SPREAD_VECTOR_MIN = 64
 # One find and one slice check and mark a run in 1.1 us, the loop 0.1 us an
-# id: they cross at 8 ids.  Shorter runs, whose rows hold 64 entries only at
-# degree 9 or more, spread by the loop too.
+# id: they cross at 8 ids.  Only ``mark`` takes runs apart; a spread
+# gathers any id set of SPREAD_VECTOR_MIN ids or more, a run or not.
 PROTECT_RUN_MIN = 8
 
 
@@ -496,16 +541,14 @@ def mark(statuses: bytearray, ids, byte: int) -> int | None:
 
 def row_entries(arena, ids) -> np.ndarray | None:
     """The row entries of an id set of the arena's vertices, row after row,
-    read off ``arena.rows``: one slice of the columns for a run, else a
-    gather whose offset arithmetic runs in int32 (only the index into the
-    columns is intp).  None for a tuple that is not a run whose rows hold
-    SPREAD_VECTOR_MIN entries or more, whose ``neighbors`` loop is cheaper."""
-    if not (run := _one_run(ids)) and type(ids) is tuple:
+    read off ``arena.rows`` by a gather whose offset arithmetic runs in
+    int32 (only the index into the columns is intp), a range as the array
+    it spans.  None for a tuple, whose ``neighbors`` loop is cheaper."""
+    if type(ids) is tuple:
         return None
+    if type(ids) is range:
+        ids = np.arange(ids.start, ids.stop)
     offsets, columns = arena.rows()
-    if run:
-        lo, hi = offsets.item(ids[0]), offsets.item(ids[-1] + 1)
-        return columns[lo:hi] if hi - lo >= SPREAD_VECTOR_MIN or type(ids) is not tuple else None
     starts = offsets[ids]
     lengths = offsets[1:][ids] - starts
     at = np.arange(lengths.sum())
@@ -518,16 +561,15 @@ def expand(spec: Automaton, depth: int) -> Truncation:
 
     Children appear in spec order; vertex order is level-major, so the
     depth-D' truncation is a prefix of the depth-D one for D' <= D.
-    Raises ResourceLimitError when the vertex count would exceed the cap
-    (``FIREBREAK_VERTEX_CAP`` or 10**7 by default).
-    """
-    sizes = level_counts(spec, depth)
-    limit = vertex_cap()
+    Raises ResourceLimitError at the first level past the vertex cap
+    (``FIREBREAK_VERTEX_CAP`` or 10**7 by default), where the walk stops."""
+    sizes = level_counts(spec, depth, limit := vertex_cap())
     if (total := sum(sizes)) > limit:
-        raise ResourceLimitError(
-            f"truncation would have {total} vertices, cap is {limit} ({VERTEX_CAP_ENV})"
-        )
-    return Truncation(spec, depth, *unfold(spec, sizes))
+        raise ResourceLimitError(f"truncation to depth {depth} has {total} vertices by level "
+                                 f"{len(sizes) - 1}, cap is {limit} ({VERTEX_CAP_ENV})")
+    trunc = Truncation(spec, sizes)
+    trunc.parent  # unfolds it, inside this call
+    return trunc
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +669,7 @@ def format_tree_spec(spec: Automaton) -> str:
     any other automaton as a periodic spec whose states ``s0``, ``s1``, ...
     are zero-padded, so that name order is state order."""
     if spec.escape_leaves:
-        sizes = list(islice(spec.iter_level_counts(), spec.live_heights[spec.root] + 1))
+        sizes = level_counts(spec, spec.live_heights[spec.root])
         return format_parents(unfold(spec, sizes)[0][1:])
     width = len(str(len(spec.children) - 1))
     names = [f"s{s:0{width}}" for s in range(len(spec.children))]

@@ -59,7 +59,7 @@ from firebreak import (
     min_cutset,
 )
 from firebreak.branching import (CERTIFICATE_RADIUS_MAX, PROPOSAL_SCALE, LowerBoundCertificate,
-                                  _compare_component, _components, _proposals, br_enclosure,
+                                  _compare_component, _proposals, br_enclosure,
                                   compare_to_br, cut_recursion, exact_rate)
 from firebreak.game import cut_weight_target, synthesize_cutset_strategy
 from firebreak.errors import ResourceLimitError
@@ -529,7 +529,7 @@ class TestProposal:
     @staticmethod
     def reference(spec, rate):
         return min(trees_reference.compare_component(spec.children, comp, rate)
-                   for comp in _components(spec.children, spec.root))
+                   for comp in spec.components)
 
     @staticmethod
     def rates(rng, prop):
@@ -600,14 +600,17 @@ class TestProposal:
         assert [compare_to_br(spec, rate) for rate in rates] == [-1, 1]
 
     def test_proposals_are_kept_on_the_automaton(self, monkeypatch):
-        # built once per automaton and kept on it; a new spec, even an equal
-        # one, compiles to a new automaton that builds its own
+        # built once per automaton, from its components walked once, and
+        # kept on it; a new spec, even an equal one, compiles to a new
+        # automaton that walks and builds its own (one Perron vector for
+        # the Fibonacci automaton's one component)
         import firebreak.branching
         calls = []
-        real = firebreak.branching._components
-        monkeypatch.setattr(firebreak.branching, "_components",
+        real = firebreak.branching._perron
+        monkeypatch.setattr(firebreak.branching, "_perron",
                             lambda *args: calls.append(1) or real(*args))
         spec = fibonacci_spec()
+        assert spec.components == ((0, 1),) and spec.components is spec.components
         for rate in (Fraction(3, 2), Fraction(2), Fraction(1618034, 1000000)):
             compare_to_br(spec, rate)
         br_enclosure(spec)

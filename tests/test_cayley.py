@@ -94,6 +94,7 @@ import numpy as np
 import pytest
 
 import firebreak.cayley as cayley_mod
+import firebreak.trees as trees_mod
 from firebreak import (
     BudgetSequence,
     GraphProduct,
@@ -362,8 +363,8 @@ class TestLexMinTree:
         # the export reads every vertex array, so the tree is unfolded whole,
         # once, inside lex_min_tree, from a ball that had unfolded nothing
         calls, balls = [], []
-        unfold, ball_class = cayley_mod.unfold, cayley_mod.CayleyBall
-        monkeypatch.setattr(cayley_mod, "unfold",
+        unfold, ball_class = trees_mod.unfold, cayley_mod.CayleyBall
+        monkeypatch.setattr(trees_mod, "unfold",
                             lambda *args: calls.append(len(args[1])) or unfold(*args))
 
         def fresh(*args):

@@ -148,6 +148,40 @@ class TestBr:
         assert ("firebreak: a reported fraction has more than 4300 digits, "
                 "past sys.get_int_max_str_digits() = 4300") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, what", [
+        (["cayley", "free:2", "--mode", "polyprobe", "--R", "7", "--k", "1", "--c", "1",
+          "--d", "9000"], "number"),  # the budget table's cumulative budget 1**9000 + 2**9000
+        (["simulate", "binary.tree", "--k", "1", "--budget", "exp:1e5000", "--depth", "4"],
+         "budget"),  # the config line's budget text
+        (["oracle", "small.tree", "--budget", "exp:1e5000"], "budget"),
+    ], ids=["int-cell", "simulate-budget", "oracle-budget"])
+    def test_numbers_past_the_digit_limit_exit_two(self, argv, what, spec_dir, capsys):
+        # an int cell and a budget's text are guarded as a fraction cell is:
+        # exit 2 naming the limit, nothing printed and no traceback
+        (spec_dir / "small.tree").write_text("variant: explicit\nparents: 0 0 1 1 2 2\n")
+        argv = [str(spec_dir / a) if a.endswith(".tree") else a for a in argv]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out = run(argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (f"firebreak: a reported {what} has more than 4300 "
+                                           "digits, past sys.get_int_max_str_digits() = 4300\n")
+
+    def test_deep_simulate_stops_at_the_vertex_cap(self, spec_dir, capsys):
+        # the level walk stops at level 23, the first past 10**7 vertices,
+        # where it used to walk all 20,001 levels and fail to print their total
+        t0 = time.perf_counter()
+        code, out = run(["simulate", str(spec_dir / "binary.tree"), "--k", "1", "--budget",
+                         "const:1", "--depth", "20000"])
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "firebreak: truncation to depth 20000 has 16777215 vertices by level 23, "
+            "cap is 10000000 (FIREBREAK_VERTEX_CAP)\n")
+
     def test_cuts_table_builds_no_truncation(self, spec_dir, monkeypatch):
         # depth 8 has 511 vertices; the table reads the recursion instead
         monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "10")

@@ -295,16 +295,14 @@ class RandomStrategy:
 
 def _count_id_set_paths(monkeypatch) -> Counter:
     """Count the paths the engine's id sets take, by the rules of the
-    ``trees`` helper: ``row_entries`` calls by what they returned ("slice",
-    a view of the columns; "gather"; "loop", None), and ``mark`` calls by the
-    set's form ("run", "fancy" for an int array, "tuple" for the loop); an
-    empty set counts as "empty"."""
+    ``trees`` helper: ``row_entries`` calls by what they returned ("gather";
+    "loop", None), and ``mark`` calls by the set's form ("run", "fancy" for
+    an int array, "tuple" for the loop); an empty set counts as "empty"."""
     entries, marks, calls = game_mod.row_entries, game_mod.mark, Counter()
 
     def counted_entries(arena, ids):
         got = entries(arena, ids)
-        calls["empty" if not len(ids) else "loop" if got is None else "slice"
-              if np.may_share_memory(got, arena.rows()[1]) else "gather"] += 1
+        calls["empty" if not len(ids) else "loop" if got is None else "gather"] += 1
         return got
 
     def counted_mark(statuses, ids, byte):
@@ -418,20 +416,20 @@ class TestInPlaceEngine:
         monkeypatch.setattr(self, "arenas", lambda rng: (
             random_truncation(rng, max_depth=7, size_limit=400) for _ in range(300)))
         self.play_against_reference()
-        assert calls["gather"] > 100 and calls["slice"] > 100 and not calls["loop"], calls
+        assert calls["gather"] > 100 and not calls["loop"], calls
 
     @pytest.mark.parametrize("crossover", [0, 10 ** 9])
     def test_one_run_slices_match_copy_per_round_reference(self, crossover, monkeypatch):
-        # at crossover 0 every one-run frontier spreads from one slice of the
-        # columns, at 10**9 none does and the loop takes it (an empty set is
-        # a tuple at any crossover, so 0 stands for 1 there)
+        # at crossover 0 every frontier, one run of ids or not, spreads by
+        # the gather, at 10**9 none does and the loop takes it (an empty set
+        # is a tuple at any crossover, so 0 stands for 1 there)
         monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", max(crossover, 1))
         monkeypatch.setattr(game_mod, "_level_round", lambda *_args: None)  # every round by rows
         calls = _count_id_set_paths(monkeypatch)
         self.play_against_reference()
         self.test_step_leaves_its_input_alone()
-        assert (calls["slice"] > 100) if crossover == 0 else (
-            calls["slice"] == 0 and calls["loop"] > 100), calls
+        assert (calls["gather"] > 100 and not calls["loop"]) if crossover == 0 else (
+            calls["gather"] == 0 and calls["loop"] > 100), calls
 
     def test_rows_built_on_demand_match_the_reference(self, monkeypatch):
         # every read that builds rows, made first on a fresh arena and
@@ -926,9 +924,9 @@ class TestIdSets:
     """The id-set helper of ``trees``, one seeded differential test per
     branch: ``mark`` by find-and-slice, fancy index and loop against the
     copy-per-round reference's protect loop (tests/game_reference.py), and
-    ``row_entries`` by slice, gather and loop against the reference
-    adjacency, each branch forced by a threshold setting.  Ids come as
-    tuples, step-1 and other ranges and int32 and int64 arrays, with
+    ``row_entries`` by gather (of a range and of an int array) and loop
+    against the reference adjacency, each branch forced by a threshold
+    setting.  Ids come as tuples, step-1 and other ranges and int32 and int64 arrays, with
     repeats, and with negative, burning, past-the-end and past-int64 ids."""
 
     @staticmethod
@@ -1025,21 +1023,20 @@ class TestIdSets:
                 else:
                     ids = rng.sample(range(n), size)
                 want = [w for v in sorted(ids) for w in adjacency[v]]
-                run = size >= trees_mod.PROTECT_RUN_MIN and max(ids) - min(ids) == size - 1
                 for given in self.forms(rng, ids):
                     for vector_min in (default, 1, 10 ** 9):
                         monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", vector_min)
                         got_ids = trees_mod.id_set(given)
                         self.check_form(given, got_ids, ids)
                         got = trees_mod.row_entries(arena, got_ids)
-                        if got is None:  # left to the loop: a tuple, not a long run
-                            assert type(got_ids) is tuple and not (run and len(want) >= vector_min)
+                        if got is None:  # left to the loop: a tuple
+                            assert type(got_ids) is tuple
                             seen["loop"] += 1
                         else:
-                            assert got.tolist() == want
-                            columns = arena.rows()[1]
-                            seen["slice" if np.may_share_memory(got, columns) else "gather"] += 1
-        assert min(seen[path] for path in ("slice", "gather", "loop")) > 100, seen
+                            assert got.tolist() == want and type(got_ids) is not tuple
+                            seen["gather", type(got_ids)] += 1
+        assert min(seen[path] for path in (
+            "loop", ("gather", range), ("gather", np.ndarray))) > 100, seen
 
 
 class TestCanonical:

@@ -26,6 +26,13 @@ Claims covered:
       fields match byte for byte, by substitution and by level walk, on
       random specs, every named group's word acceptor, specs whose states
       the root reaches late or never, a chain, and depths 0 and 1
+    - one walk per question about an automaton: the Tarjan walk's live
+      heights and finiteness equal Kahn's bottom-up walk's, and its
+      components are the mutual-reachability classes, each after its
+      children's; the capped level walk is the uncapped one up to the first
+      level past the cap and reads no level beyond it, in ``expand`` too;
+      a truncation unfolds on its first read of a vertex array or a row,
+      and then equals the list-based expansion field by field
     - every vertex array, and the ``level`` the bench referee reads (derived
       from ``level_starts`` on first read), is a memoryview over a numpy
       buffer that equals the reference's lists and reads back Python ints,
@@ -33,6 +40,7 @@ Claims covered:
       ``level_starts`` and ``first_child``, as the package does
 """
 
+import math
 import random
 from array import array
 from collections import Counter
@@ -575,3 +583,114 @@ class TestNumpyUnfolding:
                                    "from the boundary"):
                         assert not cutset.separates(got)
         assert seen == {"weight", "range", "boundary"}, seen
+
+
+def random_shape(rng: random.Random) -> Automaton:
+    """A random automaton of up to 9 states, all reached from the root:
+    cycles, self-loops and leaves, with or without escape leaves."""
+    n = rng.randint(1, 9)
+    kids = [rng.choices(range(n), k=rng.choice((0, 0, 1, 2, 3))) for _ in range(n)]
+    states = {f"s{i}": tuple(f"s{t}" for t in ks) for i, ks in enumerate(kids)}
+    auto = PeriodicSpec(states=states, root="s0")
+    return Automaton(auto.children, auto.root, escape_leaves=rng.random() < 0.5)
+
+
+def walk_cases(rng: random.Random):
+    """Random shapes, then specs of every constructor and the named groups' acceptors."""
+    yield from (random_shape(rng) for _ in range(3000))
+    yield from (random_explicit_tree(rng, max_vertices=30) for _ in range(100))
+    yield from (random_symmetric_spec(rng) for _ in range(50))
+    yield from (random_periodic_spec(rng, allow_dead=True) for _ in range(100))
+    yield from late_specs(rng)
+    yield from (group_from_name(name).acceptor[0] for name in NAMED_GROUPS)
+
+
+class TestAutomatonWalks:
+    """One walk per question about an automaton, each against a reference
+    that shares no code with it: the Tarjan walk's live heights and
+    finiteness against Kahn's bottom-up walk (tests/trees_reference.py), its
+    components against the classes of mutual reachability; the capped level
+    walk against the uncapped one, stopping at the first level past the cap;
+    and a truncation unfolded on first read against the list-based
+    expansion, field by field."""
+
+    def test_live_heights_and_finiteness_match_kahns_walk(self):
+        seen = Counter()
+        for auto in walk_cases(random.Random(7500)):
+            want = trees_reference.live_heights(auto)
+            assert auto.live_heights == want, auto
+            assert [type(h) for h in auto.live_heights] == [type(h) for h in want], auto
+            assert auto.is_finite() == (want[auto.root] < math.inf), auto
+            seen[auto.is_finite(), auto.escape_leaves] += 1
+        assert len(seen) == 4 and min(seen.values()) > 100, seen
+
+    def test_components_are_the_mutual_reachability_classes(self):
+        seen = Counter()
+        for auto in walk_cases(random.Random(7600)):
+            kids = auto.children
+            reach = [{s} for s in range(len(kids))]  # the states each state reaches
+            changed = True
+            while changed:
+                changed = False
+                for s, ks in enumerate(kids):
+                    grown = reach[s].union(*(reach[t] for t in ks))
+                    changed |= len(grown) > len(reach[s])
+                    reach[s] = grown
+            classes = {tuple(sorted(t for t in reach[s] if s in reach[t]))
+                       for s in range(len(kids))}
+            comps = auto.components
+            assert set(comps) == classes and len(comps) == len(classes), auto
+            at = {s: i for i, comp in enumerate(comps) for s in comp}
+            # each component after those of its children's components
+            assert all(at[t] <= at[s] for s, ks in enumerate(kids) for t in ks), auto
+            seen["cyclic" if len(comps) < len(kids) else "acyclic"] += 1
+        assert min(seen.values()) > 500, seen
+
+    def test_capped_walk_stops_at_the_first_level_past_the_cap(self, monkeypatch):
+        levels = []
+        walk = Automaton.iter_level_counts
+        monkeypatch.setattr(Automaton, "iter_level_counts",
+                            lambda auto: (levels.append(n) or n for n in walk(auto)))
+        rng, seen = random.Random(7700), Counter()
+        for auto in walk_cases(rng):
+            depth = rng.randint(0, 12)
+            full = level_counts(auto, depth)
+            totals = list(accumulate(full))
+            for cap in (1, rng.randint(1, 50), totals[-1] - 1, totals[-1], 10 ** 9):
+                levels.clear()
+                got = level_counts(auto, depth, cap)
+                assert len(levels) == len(got) and got == full[:len(got)], (auto, depth, cap)
+                past = next((lv for lv, total in enumerate(totals) if total > cap), None)
+                assert got == (full if past is None else full[:past + 1]), (auto, depth, cap)
+                seen["past" if past is not None else "under"] += 1
+        assert min(seen.values()) > 1000, seen
+
+    def test_expand_stops_its_walk_at_the_cap(self, monkeypatch):
+        # |T(19)| = 2**20 - 1 passes a cap of 10**6: however deep the
+        # truncation asked for, the walk reads levels 0..19 and stops
+        levels = []
+        walk = Automaton.iter_level_counts
+        monkeypatch.setattr(Automaton, "iter_level_counts",
+                            lambda auto: (levels.append(n) or n for n in walk(auto)))
+        monkeypatch.setenv("FIREBREAK_VERTEX_CAP", str(10 ** 6))
+        with pytest.raises(ResourceLimitError, match=r"^truncation to depth 1000000 has 1048575 "
+                           r"vertices by level 19, cap is 1000000 \(FIREBREAK_VERTEX_CAP\)$"):
+            expand(binary_spec(), 10 ** 6)
+        assert len(levels) == 20
+
+    def test_truncations_unfold_on_first_read_as_the_lists(self):
+        rng, reads = random.Random(7800), ("parent", "state", "first_child", "boundary_mask",
+                                           "rows", "level")
+        for i, (spec, depth) in enumerate(TestNumpyUnfolding().instances(rng, 240)):
+            got = trees_mod.Truncation(spec, level_counts(spec, depth))
+            ref = trees_reference.expand(spec, depth)
+            assert "_arrays" not in got.__dict__ and got.n_vertices == ref.n_vertices
+            first = reads[i % len(reads)]
+            got.rows() if first == "rows" else getattr(got, first)
+            assert ("_arrays" in got.__dict__) == (first != "level"), first
+            assert (list(got.parent), list(got.state), vertex_levels(got), list(got.level)) == \
+                (ref.parent, ref.state, ref.level, ref.level)
+            assert [list(child_ids(got, v)) for v in range(got.n_vertices)] == ref.children
+            assert boundary_ids(got) == ref.boundary and got.depth == ref.depth
+            for v in range(ref.n_vertices):
+                assert list(got.neighbors(v)) == ([ref.parent[v]] if v else []) + ref.children[v]

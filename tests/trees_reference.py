@@ -10,7 +10,9 @@ fixed scale, and ``exact_certificate_y`` without rounding, as
 ``lower_bound_certificate`` did.  ``lower_bound_certificate`` and
 ``check_certificate`` build and check a certificate in Fractions, as
 ``branching``'s did before they moved to integer numerator and denominator
-pairs."""
+pairs.  ``live_heights`` settles the states bottom-up by Kahn's walk over
+their parents, as ``Automaton.live_heights`` did before it folded over the
+automaton's components."""
 
 from __future__ import annotations
 
@@ -25,6 +27,29 @@ from firebreak.branching import (CERTIFICATE_RADIUS_MAX, PROPOSAL_SCALE, Cutset,
                                  exact_rate)
 from firebreak.errors import ResourceLimitError, SpecError, SynthesisError
 from firebreak.trees import VERTEX_CAP_ENV, Automaton, vertex_cap
+
+
+def live_heights(auto: Automaton) -> tuple[float, ...]:
+    """Per state, its live height: a leaf at 0 when it continues (escape
+    leaves), else -1, a state whose children are all settled one above the
+    highest, and a state never settled, on or above a cycle, infinite."""
+    kids = auto.children
+    parents: list[list[int]] = [[] for _ in kids]
+    for s, ks in enumerate(kids):
+        for t in ks:
+            parents[t].append(s)
+    waiting = [len(ks) for ks in kids]  # children whose height is still open
+    ready = [s for s, ks in enumerate(kids) if not ks]
+    height: list[float] = [float("inf")] * len(kids)
+    for s in ready:
+        height[s] = 0 if auto.escape_leaves else -1
+    while ready:  # a state every child of which is settled, bottom-up
+        for s in parents[ready.pop()]:
+            waiting[s] -= 1
+            if not waiting[s]:
+                height[s] = 1 + max(height[t] for t in kids[s])
+                ready.append(s)
+    return tuple(height)
 
 
 def edge_weight(rate: Fraction, level: int) -> Fraction:
@@ -101,7 +126,7 @@ def cut_weight_target(rate, radius: int, probe_range: int = 120):
 def _certificate_start(auto: Automaton):
     """y_0 of a certificate: the vector over PROPOSAL_SCALE of the proposal
     lower_bound_certificate documents, the last one of largest lower
-    Collatz-Wielandt bound in _components order."""
+    Collatz-Wielandt bound in Automaton.components order."""
     props = _proposals(auto)
     best = max(prop.lo for prop in props)
     return [Fraction(x, PROPOSAL_SCALE) for x in [p for p in props if p.lo == best][-1].v]
@@ -241,12 +266,12 @@ class Truncation:
 def expand(spec: Automaton, depth: int) -> Truncation:
     if depth < 0:
         raise SpecError("depth must be >= 0")
-    limit = vertex_cap()
-    total = sum(islice(spec.iter_level_counts(), depth + 1))
-    if total > limit:
-        raise ResourceLimitError(
-            f"truncation would have {total} vertices, cap is {limit} ({VERTEX_CAP_ENV})"
-        )
+    limit, total = vertex_cap(), 0
+    for lv, size in enumerate(islice(spec.iter_level_counts(), depth + 1)):
+        total += size
+        if total > limit:  # the first level past the cap ends the walk
+            raise ResourceLimitError(f"truncation to depth {depth} has {total} vertices by "
+                                     f"level {lv}, cap is {limit} ({VERTEX_CAP_ENV})")
 
     succ = spec.children
     parent: list[int] = [-1]
