@@ -10,21 +10,30 @@ on an infinite spec: its bracket is exact), 1 usage or parse error, 2
 indeterminate result or a resource cap reached (the message names the
 cap), 3 strategy fault.
 
+Each subcommand's arguments are one table, ``COMMANDS``, and a run's argv
+is read off its command's table.  Whatever that reading cannot be sure
+argparse reads alike (help, ``--``, an unknown or abbreviated option, a
+missing value, a failed conversion or choice, a missing or extra
+positional, no subcommand) goes to the argparse parser built from the
+same table, which is imported and built only then.  So usage errors and
+help read as argparse writes them, and a run that parses loads neither
+argparse nor gettext.
+
 Each ``cmd_*`` imports the layers it runs when it starts, so a process
 loads only those: ``br`` trees and branching; ``cayley`` trees and cayley
 (and game, which needs branching, for surround and polyprobe); ``contain``
 and ``simulate`` trees, branching and game; ``oracle`` those and oracle.
-A usage error loads no layer.
+A usage error loads no layer, and ``fractions`` loads only with a layer
+or a command that reads a rational.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 import time
-from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import ResourceLimitError, SpecError, StrategyFault, SurroundCapError, SynthesisError
@@ -38,13 +47,6 @@ CUT_DEPTHS_MAX = 1000  # most rows of br's cuts table
 EVIDENCE_DEPTHS_MAX = 100  # most rows of contain's feasibility evidence table
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 on usage errors, not argparse's 2
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
 def _text(write, what: str) -> str:
     """``write()``, or ResourceLimitError where str() refuses an int past the digit limit."""
     try:
@@ -56,16 +58,17 @@ def _text(write, what: str) -> str:
 
 
 def _fmt(value, id_set=None) -> str:
-    """A report cell's text; a list, tuple, range or array cell by ``id_set``
-    (``trees.format_id_set``, which ``emit_report`` imports once a report)."""
-    if type(value) in (int, str):  # most cells, ahead of Fraction's ABCMeta isinstance
+    """A report cell's text, checked: a list, tuple, range or array cell by
+    ``id_set`` (``trees.format_id_set``, which ``emit_report`` imports once
+    a report), and ResourceLimitError for an int or Fraction past the digit limit."""
+    if type(value) in (int, str):
         return _text(value.__str__, "number")
     if value is None:
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):  # n/d, or n
-        return _text(value.__str__, "fraction")
+    if (fractions := sys.modules.get("fractions")) and isinstance(value, fractions.Fraction):
+        return _text(value.__str__, "fraction")  # n/d, or n
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple, range)) or getattr(value, "ndim", 0):  # numpy scalars have ndim 0
@@ -73,18 +76,29 @@ def _fmt(value, id_set=None) -> str:
     return str(value)
 
 
+# the text of a cell by its exact type; Fraction's is added once fractions
+# loads, as no Fraction cell exists before.  int and Fraction raise
+# ValueError past the digit limit.
+_CELLS = {int: int.__repr__, str: str.__str__, float: float.__repr__,
+          bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "-"}
+
+
 def emit_report(config: dict, result: dict, tables=(), out: str | None = None) -> str:
     from .trees import format_id_set
 
-    fmt = functools.partial(_fmt, id_set=format_id_set)
-    lines = [f"config.{k} = {fmt(config[k])}" for k in sorted(config)]
-    lines += [f"result.{k} = {fmt(result[k])}" for k in sorted(result)]
-    for name, header, rows in tables:
-        lines.append(f"csv {name}")
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    checked = functools.partial(_fmt, id_set=format_id_set)
+    cells = _CELLS
+    if fractions := sys.modules.get("fractions"):
+        cells = {**cells, fractions.Fraction: fractions.Fraction.__str__}
+
+    def cell(value) -> str:
+        write = cells.get(type(value))
+        return write(value) if write else checked(value)
+
+    try:
+        text = _report(config, result, tables, cell)
+    except ValueError:  # a number past the digit limit: the checked cells name it
+        text = _report(config, result, tables, checked)
     sys.stdout.write(text)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -92,7 +106,19 @@ def emit_report(config: dict, result: dict, tables=(), out: str | None = None) -
     return text
 
 
+def _report(config: dict, result: dict, tables, cell) -> str:
+    lines = [f"config.{k} = {cell(config[k])}" for k in sorted(config)]
+    lines += [f"result.{k} = {cell(result[k])}" for k in sorted(result)]
+    for name, header, rows in tables:  # each rows a list, read again on a retry
+        lines.append(f"csv {name}")
+        lines.append(",".join(header))
+        lines += [",".join([cell(v) for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _rational(text: str, option: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -110,6 +136,8 @@ def _cut_rows(spec, lam: Fraction, depths: int):
     """The cuts table: (lambda, depth, min_cut, flow_value) for depths 1..
     depths, read from the recursion.  ResourceLimitError past CUT_DEPTHS_MAX
     rows, checked first, and at the first weight too long for str()."""
+    from fractions import Fraction
+
     from .branching import cut_recursion
 
     if depths > CUT_DEPTHS_MAX:
@@ -289,7 +317,7 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     from .game import BudgetSequence, ball_ids, read_int
     from .oracle import OracleCache, brute_force_containment, oracle_key
-    from .trees import expand, format_tree_spec, load_tree_spec
+    from .trees import expand, format_parents, format_tree_spec, load_tree_spec
 
     spec = load_tree_spec(args.spec)
     if not spec.escape_leaves:
@@ -297,7 +325,8 @@ def cmd_oracle(args) -> int:
     if args.k < 0:
         raise SpecError("initial radius must be >= 0")
     budget = BudgetSequence.parse(args.budget)
-    depth = args.depth if args.depth is not None else spec.live_heights[spec.root]
+    height = spec.live_heights[spec.root]
+    depth = args.depth if args.depth is not None else height
     trunc = expand(spec, depth)
     if args.x0 is not None:
         if not (fire := sorted({read_int(t, "--x0") for t in args.x0.split(",") if t})):
@@ -311,8 +340,10 @@ def cmd_oracle(args) -> int:
     result: dict = {}
 
     cache = OracleCache(args.cache) if args.cache else None
-    key = oracle_key(format_tree_spec(spec), depth, fire, budget, args.horizon,
-                     restrict=not args.strict) if cache else None
+    key = None
+    if cache:  # the spec's text: the truncation's parents, when it is the whole tree
+        text = format_parents(trunc.parent[1:]) if depth >= height else format_tree_spec(spec)
+        key = oracle_key(text, depth, fire, budget, args.horizon, restrict=not args.strict)
     decision = cache.get(key) if cache else None
     result["cache_hit"] = decision is not None
     if decision is None:
@@ -411,82 +442,169 @@ def cmd_cayley(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache  # one parser per process; parse_args leaves it unchanged
-def build_parser() -> _Parser:
-    parser = _Parser(prog="firebreak", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("br", help="branching number: exact (periodic) and bracket")
-    p.add_argument("spec")
-    p.add_argument("--tol", type=float, default=0.01)
-    p.add_argument("--lambda", default=None,
-                   help="also tabulate min-cut and flow values at this rate")
-    p.add_argument("--cut-depths", type=int, default=8)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_br)
-
-    p = sub.add_parser("contain", help="synthesize or refute containment at a rate")
-    p.add_argument("spec")
-    p.add_argument("--lambda", required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--D-max", dest="D_max", type=int, default=40)
-    p.add_argument("--evidence-depths", type=int, default=8)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_contain)
-
-    p = sub.add_parser("simulate", help="play a strategy and print the trace")
-    p.add_argument("spec")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", required=True)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--horizon", type=int, default=None)
-    play = p.add_mutually_exclusive_group()  # one strategy per run
-    play.add_argument("--protect", help="comma-separated ids for a canonical strategy")
-    play.add_argument("--schedule", help="round:ids;round:ids explicit schedule")
-    play.add_argument("--replay", help="trace file to replay and verify")
-    p.add_argument("--trace-out")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("oracle", help="brute-force containment on a small explicit tree")
-    p.add_argument("spec")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--x0", help="explicit initial fire ids (overrides --k)")
-    p.add_argument("--budget", required=True)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--strict", action="store_true",
-                   help="unpruned protect-set enumeration (soundness audits)")
-    p.add_argument("--cache", help="plain-text result cache file")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("cayley", help="Cayley-graph growth, surround, probes, exports")
-    p.add_argument("group", help="free:R | zd:D | dinf | freeprod:M1,M2[,..]")
-    p.add_argument("--mode", required=True,
-                   choices=["growth", "surround", "polyprobe", "tree"])
-    p.add_argument("--R", type=int, required=True)
-    p.add_argument("--lambda", default=None)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--c", default="1")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_cayley)
-
-    for p in sub.choices.values():
-        p.add_argument("--metrics", help="write wall time and peak RSS as JSON to this file")
-    parser.commands = sub.choices  # each subcommand's own parser, by name
-    return parser
+# Each subcommand's arguments, in the parser's order: its help, its command,
+# its arguments (a name, the positional's first and then each option's, and
+# its add_argument keywords) and the options of which a run gives at most one.
+_METRICS = ("--metrics", {"help": "write wall time and peak RSS as JSON to this file"})
+COMMANDS = {
+    "br": ("branching number: exact (periodic) and bracket", cmd_br, [
+        ("spec", {}),
+        ("--tol", {"type": float, "default": 0.01}),
+        ("--lambda", {"default": None,
+                      "help": "also tabulate min-cut and flow values at this rate"}),
+        ("--cut-depths", {"type": int, "default": 8}),
+        ("--out", {}),
+        _METRICS,
+    ], ()),
+    "contain": ("synthesize or refute containment at a rate", cmd_contain, [
+        ("spec", {}),
+        ("--lambda", {"required": True}),
+        ("--k", {"type": int, "default": 1}),
+        ("--D-max", {"dest": "D_max", "type": int, "default": 40}),
+        ("--evidence-depths", {"type": int, "default": 8}),
+        ("--out", {}),
+        _METRICS,
+    ], ()),
+    "simulate": ("play a strategy and print the trace", cmd_simulate, [
+        ("spec", {}),
+        ("--k", {"type": int, "required": True}),
+        ("--budget", {"required": True}),
+        ("--depth", {"type": int, "default": 8}),
+        ("--horizon", {"type": int, "default": None}),
+        ("--protect", {"help": "comma-separated ids for a canonical strategy"}),
+        ("--schedule", {"help": "round:ids;round:ids explicit schedule"}),
+        ("--replay", {"help": "trace file to replay and verify"}),
+        ("--trace-out", {}),
+        ("--out", {}),
+        _METRICS,
+    ], ("--protect", "--schedule", "--replay")),  # one strategy per run
+    "oracle": ("brute-force containment on a small explicit tree", cmd_oracle, [
+        ("spec", {}),
+        ("--k", {"type": int, "default": 0}),
+        ("--x0", {"help": "explicit initial fire ids (overrides --k)"}),
+        ("--budget", {"required": True}),
+        ("--depth", {"type": int, "default": None}),
+        ("--horizon", {"type": int, "default": None}),
+        ("--strict", {"action": "store_true",
+                      "help": "unpruned protect-set enumeration (soundness audits)"}),
+        ("--cache", {"help": "plain-text result cache file"}),
+        ("--out", {}),
+        _METRICS,
+    ], ()),
+    "cayley": ("Cayley-graph growth, surround, probes, exports", cmd_cayley, [
+        ("group", {"help": "free:R | zd:D | dinf | freeprod:M1,M2[,..]"}),
+        ("--mode", {"required": True, "choices": ["growth", "surround", "polyprobe", "tree"]}),
+        ("--R", {"type": int, "required": True}),
+        ("--lambda", {"default": None}),
+        ("--k", {"type": int, "default": 1}),
+        ("--c", {"default": "1"}),
+        ("--d", {"type": int, "default": 2}),
+        ("--out", {}),
+        _METRICS,
+    ], ()),
+}
 
 
-def parse(argv=None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, by the named subcommand's parser if it can."""
+def _shape(command: str, func, arguments, exclusive) -> tuple:
+    """What ``_read`` needs of a command's table: the positional's name,
+    each option's (dest, type, choices, whether it takes no value) by its
+    flag, the namespace's defaults, the dests a run must give and the
+    exclusive ones."""
+    (positional, _), *options = arguments
+    flags, defaults, required = {}, {"command": command, "func": func}, {positional}
+    for flag, kw in options:
+        dest = kw.get("dest", flag[2:].replace("-", "_"))
+        switch = kw.get("action") == "store_true"
+        flags[flag] = (dest, kw.get("type"), kw.get("choices"), switch)
+        defaults[dest] = False if switch else kw.get("default")
+        if kw.get("required"):
+            required.add(dest)
+    return positional, flags, defaults, required, {flags[flag][0] for flag in exclusive}
+
+
+_SHAPES = {command: _shape(command, func, arguments, exclusive)
+           for command, (_, func, arguments, exclusive) in COMMANDS.items()}
+
+
+def _negative(word: str) -> bool:
+    """Whether argparse reads ``word`` as a negative number, a value and
+    not an option: "-" and digits, with at most one "." and a digit after it."""
+    whole, dot, fraction = word[1:].partition(".")
+    return whole.isdecimal() if not dot else fraction.isdecimal() and (
+        not whole or whole.isdecimal())
+
+
+def _read(command: str, words: list[str]) -> SimpleNamespace | None:
+    """The arguments ``words`` give ``command``, as its parser reads them,
+    or None where that parser might read them otherwise: a word that starts
+    with "-" and is neither an option's exact flag (``--flag=value`` too)
+    nor a negative number, a missing value, a failed conversion or choice,
+    a second positional, a required argument missing, or two exclusive
+    options.  An option given twice keeps its last value."""
+    positional, flags, defaults, required, exclusive = _SHAPES[command]
+    values, given = dict(defaults), set()
+    words = iter(words)
+    for word in words:
+        if word[:1] != "-" or _negative(word):
+            if positional in given:
+                return None
+            dest, value = positional, word
+        else:
+            flag, eq, value = word.partition("=")
+            if (option := flags.get(flag)) is None:
+                return None
+            dest, convert, choices, switch = option
+            if switch:
+                if eq:
+                    return None
+                value = True
+            else:
+                if not eq and ((value := next(words, None)) is None
+                               or value[:1] == "-" and not _negative(value)):
+                    return None
+                if convert is not None:
+                    try:
+                        value = convert(value)
+                    except ValueError:
+                        return None
+                if choices is not None and value not in choices:
+                    return None
+        values[dest] = value
+        given.add(dest)
+    if not required <= given or len(exclusive & given) > 1:
+        return None
+    return SimpleNamespace(**values)
+
+
+def parse(argv=None):
+    """``build_parser().parse_args(argv)``'s arguments (argv defaults to
+    ``sys.argv[1:]``): read off the named command's table where ``_read``
+    can, by the parser otherwise, which writes usage errors and help."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and (command := build_parser().commands.get(argv[0])):
-        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)  # anything left over, and every usage error
+    if argv and argv[0] in _SHAPES and (args := _read(argv[0], argv[1:])) is not None:
+        return args
+    return build_parser().parse_args(argv)
+
+
+@functools.cache  # one parser per process, built from COMMANDS on the first usage error or help
+def build_parser():
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # exit 1 on usage errors, not argparse's 2
+            self.print_usage(sys.stderr)
+            sys.stderr.write(f"{self.prog}: error: {message}\n")
+            raise SystemExit(EXIT_USAGE)
+
+    parser = Parser(prog="firebreak", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, func, arguments, exclusive) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        group = p.add_mutually_exclusive_group() if exclusive else None
+        for name, kw in arguments:
+            (group if name in exclusive else p).add_argument(name, **kw)
+        p.set_defaults(func=func)
+    return parser
 
 
 def main(argv=None) -> int:

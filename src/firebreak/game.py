@@ -736,6 +736,7 @@ def _feasibility_counts(auto, radius: int, caps: list[int], depth: int,
         chosen = best(radius + 1, counts, 0)
     finally:
         sys.setrecursionlimit(limit)
+        best = None  # its closure holds it: free the memo and tables without the cyclic GC
     if chosen is None:
         return FeasibilityResult(feasible=False, depth=depth, radius=radius), None
     sizes, cuts = chosen

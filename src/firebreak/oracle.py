@@ -105,7 +105,10 @@ def brute_force_containment(trunc: Truncation, x0: Iterable[int],
                 return (protect, *tail)
         return None
 
-    schedule = search(start)
+    try:
+        schedule = search(start)
+    finally:
+        search = explore = None  # each closure holds the other: free them without the cyclic GC
     return OracleDecision(feasible=schedule is not None, schedule=schedule)
 
 

@@ -109,6 +109,9 @@ def vertex_cap() -> int:
     try:
         cap = int(raw)
     except ValueError as exc:
+        if (digits := sys.get_int_max_str_digits()) and sum(map(str.isdecimal, raw)) > digits:
+            raise ResourceLimitError(f"{VERTEX_CAP_ENV} has more than {digits} digits, past "
+                                     f"sys.get_int_max_str_digits() = {digits}") from None
         raise SpecError(f"{VERTEX_CAP_ENV} must be an integer, got {raw!r}") from exc
     if cap <= 0:
         raise SpecError(f"{VERTEX_CAP_ENV} must be positive, got {cap}")

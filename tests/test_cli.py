@@ -6,6 +6,7 @@ or a resource cap reached, 3 strategy fault.
 
 import ast
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +27,7 @@ import firebreak
 from firebreak import (BudgetSequence, ExplicitSpec, PeriodicSpec, ScheduleStrategy,
                        SymmetricSpec, expand, feasibility_check, format_tree_spec, max_flow,
                        min_cut_weight, parse_tree_spec, simulate, step)
-from firebreak.cli import _fmt, build_parser, main, parse
+from firebreak.cli import _fmt, build_parser, emit_report, main, parse
 from firebreak.game import state_from_fire
 from firebreak.trees import Automaton, format_id_set
 from conftest import random_periodic_spec
@@ -548,6 +550,20 @@ class TestSimulate:
         assert code == 2
         assert "FIREBREAK_VERTEX_CAP" in capsys.readouterr().err
 
+    def test_vertex_cap_past_the_digit_limit_exits_two(self, spec_dir, monkeypatch, capsys):
+        # named as the other digit-limit paths name theirs; the 5,001 digits are not echoed
+        monkeypatch.setenv("FIREBREAK_VERTEX_CAP", "1" + "0" * 5000)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out = run(["simulate", str(spec_dir / "binary.tree"), "--k", "1",
+                             "--budget", "const:1", "--depth", "3"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == ("firebreak: FIREBREAK_VERTEX_CAP has more than 4300 "
+                                           "digits, past sys.get_int_max_str_digits() = 4300\n")
+
 
 class TestRejectedInput:
     @pytest.mark.parametrize("argv", [
@@ -767,6 +783,26 @@ class TestOracle:
             _code, deep = run(argv + ["--depth", "2"])
             assert f"result.cache_hit = {hit}" in deep and "result.feasible = true" in deep
 
+    @pytest.mark.parametrize("depth, unfolds", [(None, 1), (3, 1), (5, 1), (2, 2)])
+    def test_cache_key_reads_the_searched_truncation(self, depth, unfolds, tmp_path, monkeypatch):
+        # at or past the tree's height (3) the key's spec text is the
+        # truncation's parents, so the tree unfolds once; the key is the same
+        from firebreak import trees
+        from firebreak.oracle import oracle_key
+
+        spec = tmp_path / "t.tree"
+        spec.write_text("variant: explicit\nparents: 0 0 1 1 2 2 3 4 5 6\n")
+        calls = []
+        unfold = trees.unfold
+        monkeypatch.setattr(trees, "unfold", lambda *a: calls.append(a) or unfold(*a))
+        argv = ["oracle", str(spec), "--budget", "const:1", "--cache", str(tmp_path / "o.cache")]
+        assert run(argv + ([] if depth is None else ["--depth", str(depth)]))[0] == 0
+        assert len(calls) == unfolds
+        key = oracle_key(format_tree_spec(parse_tree_spec(spec.read_text())),
+                         3 if depth is None else depth, [0], BudgetSequence.parse("const:1"),
+                         None, restrict=True)
+        assert (tmp_path / "o.cache").read_text().split()[0] == key
+
     def test_periodic_spec_rejected(self, spec_dir):
         code, _out = run(["oracle", str(spec_dir / "binary.tree"),
                           "--k", "0", "--budget", "const:1"])
@@ -937,6 +973,22 @@ def cli_process(argv, cwd, path=SRC) -> tuple[int, bytes, bytes]:
     return done.returncode, done.stdout, done.stderr
 
 
+SMALL = "variant: explicit\nparents: 0 0 1 1 2 2 3 4 5 6\n"
+# one run of each command, contain below and above br, and each cayley mode
+EVERY_COMMAND = [
+    ["br", "fib.tree", "--lambda", "3/2"],
+    ["contain", "fib.tree", "--lambda", "3/2"],
+    ["contain", "fib.tree", "--lambda", "17/10", "--k", "1"],
+    ["simulate", "small.tree", "--k", "0", "--budget", "const:1", "--depth", "4",
+     "--schedule", "1:1;2:5;3:10"],
+    ["oracle", "small.tree", "--budget", "const:1"],
+    ["oracle", "small.tree", "--budget", "const:1", "--strict"],
+    ["cayley", "free:2", "--mode", "growth", "--R", "6"],
+    ["cayley", "zd:2", "--mode", "surround", "--R", "12", "--lambda", "3/2", "--k", "1"],
+    ["cayley", "free:2", "--mode", "polyprobe", "--R", "6", "--d", "2", "--k", "2"],
+    ["cayley", "free:2", "--mode", "tree", "--R", "3", "--out", "f2.tree"],
+]
+
 # the exit code and the layers a fresh CLI process loads for each run:
 # only those its command calls, and none on a usage error
 RUN_LAYERS = [
@@ -986,6 +1038,25 @@ class TestStartUp:
             "print(sorted(name.split('.')[1] for name in sys.modules\n"
             "             if name.startswith('firebreak.') and name not in\n"
             "             ('firebreak.cli', 'firebreak.errors')))\n", cwd=spec_dir) == [str(code), repr(layers)]
+
+    def run_modules(self, cwd, runs, modules) -> list[str]:
+        """The exit codes of ``runs`` in one fresh process, and which of ``modules`` it loaded."""
+        return self.python(
+            "import io, sys, firebreak.cli\n"
+            "from contextlib import redirect_stdout\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            f"    codes = [firebreak.cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes)\n"
+            f"print(sorted(set(sys.modules) & {set(modules)!r}))\n", cwd=cwd)
+
+    def test_runs_that_parse_load_no_argparse(self, spec_dir):
+        (spec_dir / "small.tree").write_text(SMALL)
+        assert self.run_modules(spec_dir, EVERY_COMMAND, ["argparse", "gettext"]) == [
+            repr([0] * len(EVERY_COMMAND)), "[]"]
+
+    def test_growth_and_tree_load_no_fractions(self, spec_dir):
+        runs = [argv for argv in EVERY_COMMAND if argv[3:4] in (["growth"], ["tree"])]
+        assert self.run_modules(spec_dir, runs, ["fractions", "decimal"]) == ["[0, 0]", "[]"]
 
     def test_import_leaves_numpy_unloaded(self):
         assert self.python("import sys, firebreak.cli\n"
@@ -1110,10 +1181,15 @@ class TestExports:
 
 
 def test_parser_is_built_once_per_process(spec_dir):
-    run(["br", str(spec_dir / "binary.tree")])
-    built = build_parser.cache_info().misses
-    run(["br", str(spec_dir / "ray.tree")])
-    assert build_parser.cache_info().misses == built == 1
+    # a run that parses builds no parser; usage errors build one, once
+    build_parser.cache_clear()
+    with redirect_stderr(io.StringIO()):
+        run(["br", str(spec_dir / "binary.tree")])
+        run(["br", str(spec_dir / "ray.tree")])
+        assert build_parser.cache_info().misses == 0
+        run(["br"])
+        run(["br", "--tol"])
+    assert build_parser.cache_info().misses == 1
 
 
 # per subcommand: its positionals, the options it must have, and the
@@ -1144,34 +1220,104 @@ def seeded_argv(rng: random.Random, command: str) -> list[str]:
     return [command] + [w for group in words for w in group]
 
 
-def parsed_by_the_whole_parser(argv):
+# edits that make a seeded argv odd: an abbreviated flag, a negative or
+# malformed value or positional, a repeated option, with an odd value too,
+# a second exclusive option, "--", help, a missing value or positional, a
+# bad choice, an extra positional, a switch given "=", and no subcommand
+ODD_WORDS = ["-3", "-0.5", "-.5", "-1e3", "-x", "-", "-3\n", "-\u0663", "-1.", "-1.2.3", "- 1",
+             "", "1_0", " 2 ", "nan", "x", "0x1", "\u0663", "1" * 5000]
+
+
+def _abbreviate(rng, argv):
+    flags = [i for i, w in enumerate(argv) if w.startswith("--") and len(w.split("=")[0]) > 3]
+    if flags:
+        i = rng.choice(flags)
+        flag, eq, value = argv[i].partition("=")
+        argv[i] = flag[:rng.randint(3, len(flag) - 1)] + eq + value
+    return argv
+
+
+def _odd_value(rng, argv):
+    if len(argv) < 2:
+        return argv + [rng.choice(ODD_WORDS)]
+    i = rng.randrange(1, len(argv))
+    flag, eq, _ = argv[i].partition("=")
+    argv[i] = (flag + eq if eq else "") + rng.choice(ODD_WORDS)
+    return argv
+
+
+def _repeat(rng, argv):
+    _, required, optional = PARSE_SHAPES.get(argv[0] if argv else "br", PARSE_SHAPES["br"])
+    flag, *value = rng.choice(required + optional + [("--out", "p.txt")])
+    if value and rng.random() < 0.5:
+        value = [rng.choice(ODD_WORDS)]
+    return argv + ([flag + "=" + value[0]] if value and rng.random() < 0.3 else [flag, *value])
+
+
+def _insert(rng, argv):
+    argv.insert(rng.randint(min(1, len(argv)), len(argv)), rng.choice(
+        ["--", "-h", "--help", "--he", "-", "", "x.tree", "-7", "--strict=1", "--out=",
+         "--metrics=-m.json", "--schedule", "--replay=t.trace", "--mode=spin"]))
+    return argv
+
+
+ODD_EDITS = [_abbreviate, _odd_value, _odd_value, _repeat, _repeat, _repeat, _insert,
+             lambda rng, argv: argv[:-1], lambda rng, argv: argv[1:]]
+
+
+def odd_argv(rng: random.Random, command: str) -> list[str]:
+    argv = seeded_argv(rng, command)
+    for _ in range(rng.randint(1, 2)):
+        argv = rng.choice(ODD_EDITS)(rng, argv)
+    return argv
+
+
+def parse_outcome(read, argv):
+    """``read(argv)``'s exit code (None when it returns), stdout, stderr and
+    the vars() of what it returns, each value as its repr (a nan is one)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            build_parser().parse_args(argv)
-            code = None
+            code, args = None, {k: repr(v) for k, v in vars(read(argv)).items()}
         except SystemExit as exc:
-            code = int(exc.code or 0)
-    return code, out.getvalue(), err.getvalue()
+            code, args = int(exc.code or 0), None
+    return code, out.getvalue(), err.getvalue(), args
 
 
 class TestParse:
-    """``main`` reads a named subcommand's arguments with that subcommand's
-    parser, and falls back to the whole parser for anything else."""
+    """``main`` reads a named subcommand's arguments off its table, and
+    falls back to the whole parser for anything else."""
 
     @pytest.mark.parametrize("command", sorted(PARSE_SHAPES))
     def test_seeded_argvs_parse_as_the_whole_parser(self, command, monkeypatch):
         rng = random.Random(f"parse:{command}")
         argvs = [seeded_argv(rng, command) for _ in range(40)]
-        expected = [build_parser().parse_args(argv) for argv in argvs]
+        expected = [vars(build_parser().parse_args(argv)) for argv in argvs]
         monkeypatch.setattr(build_parser(), "parse_args", None)  # not called on these
-        assert [parse(argv) for argv in argvs] == expected
+        assert [vars(parse(argv)) for argv in argvs] == expected
 
-    def test_report_cells(self):
+    @pytest.mark.parametrize("command", sorted(PARSE_SHAPES))
+    def test_odd_argvs_parse_as_the_whole_parser(self, command):
+        # the same exit code, stdout, stderr and arguments, read off the
+        # table or handed to the parser; both happen
+        rng = random.Random(f"odd:{command}")
+        argvs = [odd_argv(rng, command) for _ in range(120)]
+        read_off_the_table = 0
+        for argv in argvs:
+            got = parse_outcome(parse, argv)
+            assert got == parse_outcome(build_parser().parse_args, argv), argv
+            read_off_the_table += isinstance(parse(argv), SimpleNamespace) if got[0] is None else 0
+        assert 10 <= read_off_the_table < len(argvs)
+
+    def test_report_cells(self, capsys):
         cells = (None, True, False, 0, -12, "x", "", Fraction(3, 2), Fraction(-4), 0.5, 1e300,
                  (), (1, 2), [3, "a"])
-        assert [_fmt(v, format_id_set) for v in cells] == ["-", "true", "false", "0", "-12", "x", "", "3/2",
-                                            "-4", "0.5", "1e+300", "-", "1 2", "3 a"]
+        texts = ["-", "true", "false", "0", "-12", "x", "", "3/2", "-4", "0.5", "1e+300", "-",
+                 "1 2", "3 a"]
+        assert [_fmt(v, format_id_set) for v in cells] == texts
+        # a report reads the common cells by their exact type, with the same text
+        emit_report({}, {}, [("cells", ["c"] * len(cells), [cells])])
+        assert capsys.readouterr().out.splitlines()[-1] == ",".join(texts)
 
     @pytest.mark.parametrize("argv", [
         [], ["frobnicate", "x"], ["br", "t.tree", "--D-max", "0"], ["br", "a", "b"],
@@ -1183,8 +1329,36 @@ class TestParse:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
-        assert (code, out.getvalue(), err.getvalue()) == parsed_by_the_whole_parser(argv)
+        assert (code, out.getvalue(), err.getvalue()) == parse_outcome(
+            build_parser().parse_args, argv)[:3]
         assert code in (0, 1) and (out.getvalue() or err.getvalue())
+
+
+def cycles_left(call) -> int:
+    """What the cyclic GC finds after a ``call()``, run once before to warm up."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoReferenceCycle:
+    """A run frees what it made by reference counts alone: a search's
+    recursive closures are unbound when it returns."""
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+    def test_a_run_leaves_no_cycle(self, argv, spec_dir, monkeypatch):
+        (spec_dir / "small.tree").write_text(SMALL)
+        monkeypatch.chdir(spec_dir)
+        assert cycles_left(lambda: run(argv)) == 0
+
+    def test_a_feasibility_check_leaves_no_cycle(self):
+        spec, budget = parse_tree_spec(FIB), BudgetSequence.parse("exp:3/2")
+        assert cycles_left(lambda: feasibility_check(spec, 1, budget, 8)) == 0
 
 
 class TestDeterminism:
