@@ -436,11 +436,32 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
+def _limit_denominator(n: int, d: int, bound: int) -> tuple[int, int]:
+    """``Fraction(n, d).limit_denominator(bound)`` for d > 0 and bound >= 1,
+    on integers, as a coprime pair: the same continued-fraction walk over
+    n/d in lowest terms and the same choice of the closer of its two
+    candidates, the last convergent on a tie, with no Fraction built."""
+    g = math.gcd(n, d)
+    n, den = n // g, d // g
+    if den <= bound:
+        return n, den
+    p0, q0, p1, q1, d = 0, 1, 1, 0, den
+    while (a := n // d) * q1 + q0 <= bound:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    # p1/q1 lies d / (q1 * den) from the value, and the other candidate
+    # 1 / (q1 * (q0 + k * q1)) from p1/q1, on the value's other side
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def lower_bound_certificate(spec: Automaton, rate: Rate) -> LowerBoundCertificate:
     """Build a non-containment certificate for budgets floor(rate**n), in
     exact arithmetic (the rate is read by exact_rate), on integer numerator
-    and denominator pairs: a Fraction is built for the mid rate, through
-    ``Fraction.limit_denominator``, and for the stored fields only.
+    and denominator pairs: a Fraction is built for the stored fields only,
+    the mid rate among them, which ``_limit_denominator`` finds on integers.
 
     Requires rate < branching number.  The proposal with the largest lower
     Collatz-Wielandt bound, the last such in ``Automaton.components`` order
@@ -469,9 +490,10 @@ def lower_bound_certificate(spec: Automaton, rate: Rate) -> LowerBoundCertificat
     if gap <= 0:
         raise ResourceLimitError(f"rate {float(rate)} is below the branching number by less than "
                                  f"the resolution of its Perron vector at PROPOSAL_SCALE = 2**48")
-    # the midpoint of rate and bound, to a denominator of at most ceil(2**12 / (bound - rate))
-    mu = Fraction(a * d + c * b, 2 * b * d).limit_denominator(-(-2 ** 12 * b * d // gap))
-    p, q, top = mu.numerator, mu.denominator, PROPOSAL_SCALE ** 2
+    # the mid rate mu = p/q: the midpoint of rate and bound, to a denominator
+    # of at most ceil(2**12 / (bound - rate))
+    p, q = _limit_denominator(a * d + c * b, 2 * b * d, -(-2 ** 12 * b * d // gap))
+    top = PROPOSAL_SCALE ** 2
     nums = [x * PROPOSAL_SCALE for x in v]
     for _ in range(2 * len(kids)):
         nums, last = [min(top, q * sum(nums[t] for t in k) // p) for k in kids], nums
@@ -493,8 +515,8 @@ def lower_bound_certificate(spec: Automaton, rate: Rate) -> LowerBoundCertificat
     if radius > CERTIFICATE_RADIUS_MAX:
         raise ResourceLimitError(f"certificate radius (estimate {estimate:,.0f}) is past "
                                  f"CERTIFICATE_RADIUS_MAX = {CERTIFICATE_RADIUS_MAX}")
-    return LowerBoundCertificate(spec, rate, mu, Fraction(cn, cd), Fraction(fn, fd), radius,
-                                 tuple(Fraction(n, top) for n in nums))
+    return LowerBoundCertificate(spec, rate, Fraction(p, q), Fraction(cn, cd), Fraction(fn, fd),
+                                 radius, tuple(Fraction(n, top) for n in nums))
 
 
 def check_certificate(cert: LowerBoundCertificate) -> dict[str, bool]:

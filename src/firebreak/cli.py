@@ -596,7 +596,8 @@ def build_parser():
             sys.stderr.write(f"{self.prog}: error: {message}\n")
             raise SystemExit(EXIT_USAGE)
 
-    parser = Parser(prog="firebreak", description=__doc__)
+    # the module docstring's user-facing paragraph: the subcommands, the report and the exit codes
+    parser = Parser(prog="firebreak", description=__doc__ and __doc__.split("\n\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, func, arguments, exclusive) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)

@@ -21,8 +21,8 @@ class StrategyFault(RuntimeError):
 
 class SynthesisError(RuntimeError):
     """Cutset-strategy synthesis exhausted its depth budget without finding
-    a light enough cutset (rate at or below the branching number, or the
-    depth cap is too small)."""
+    a min cut that fits its rounds (rate at or below the branching number,
+    or the depth cap is too small)."""
 
 
 class SurroundCapError(RuntimeError):

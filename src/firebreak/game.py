@@ -49,6 +49,7 @@ write the ``r:ids;r:ids`` schedules of the command line and the oracle cache.
 
 from __future__ import annotations
 
+import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -816,7 +817,9 @@ class SynthesisResult(Value):
 def cut_weight_target(rate, radius: int, probe_range: int = 120) -> Fraction:
     """Largest eps such that any cutset lighter than eps schedules within
     budgets floor(rate**n): eps <= floor(rate**(n-radius)) / rate**n for
-    every n > radius.  For the rate p/q the head is the least
+    every n > radius.  A bound sufficient for the level-by-level schedule,
+    not its condition: synthesis stops on the per-level fit itself, and
+    reports eps.  For the rate p/q the head is the least
     floor(P/Q) * Q / P over P = p**m, Q = q**m, in integers.  That ratio is
     at least 1 - (Q-1)/P, a bound that never falls as m grows, so the scan
     stops once the bound reaches the head (at m = 1 for an integer rate);
@@ -838,14 +841,63 @@ def cut_weight_target(rate, radius: int, probe_range: int = 120) -> Fraction:
     return Fraction(num * q ** radius, den * p ** radius)
 
 
+def min_cut_levels(spec: Automaton, steps):
+    """Per depth D = 0, 1, ...: (step, counts), with ``step`` the
+    recursion's step D as ``steps`` (cut_recursion's) yields it and
+    counts {level: n} the number of vertices on each level of the depth-D
+    cut that min_cutset returns, for the levels that have one.  Read per
+    (level, state) off the steps, with no truncation built.  A state's value
+    never rises with height, so an entry of state s at height h = D - level
+    is cut while h is below c(s), the first height at which the value of s
+    is below 1, and is open after, its count passed to its children a level
+    down (to none at height 0; those of a value-0 entry have value 0 and
+    are never cut).  Heights grow one a depth, so an entry enters the cut
+    once and leaves it once, at depth level + c(s), by which depth the
+    steps have reached c(s)."""
+    kids = spec.children
+    first = [math.inf] * len(kids)  # c(s), once the steps reach it
+    pending, known = list(range(len(kids))), []  # states without and with c(s)
+    cut = {}  # level -> {state: count}, the entries in the cut
+    for depth, step in enumerate(steps):
+        if pending:
+            nums, den, _ = step
+            for s in pending:
+                if nums[s] < den:
+                    first[s] = depth
+                    known.append(s)
+            pending = [s for s in pending if first[s] > depth]
+        # (level, state, count, height) of the entries placed at this depth
+        placed = [(1, t, 1, 0) for t in kids[spec.root]] if depth == 1 else []
+        for s in known:  # the entries whose height reaches c(s) leave the cut
+            lv = depth - first[s]
+            entries = cut.get(lv)
+            if entries and s in entries:
+                n = entries.pop(s)
+                placed += [(lv + 1, t, n, first[s] - 1) for t in kids[s]]
+                if not entries:
+                    del cut[lv]
+        while placed:
+            lv, s, n, h = placed.pop()
+            if h < first[s]:
+                entries = cut.setdefault(lv, {})
+                entries[s] = entries.get(s, 0) + n
+            elif h:
+                placed += [(lv + 1, t, n, h - 1) for t in kids[s]]
+        yield step, {lv: sum(entries.values()) for lv, entries in cut.items()}
+
+
 def synthesize_cutset_strategy(spec: Automaton, rate, radius: int,
                                depth_max: int = 40) -> SynthesisResult:
-    """Find a cutset light enough that playing its level-n vertices in
-    round n - radius always fits the budget floor(rate**n), and wrap it as
-    a strategy.  Requires rate above the branching number; fails with
-    SynthesisError when no light cutset appears within depth_max.  The
-    min-cut weight at each depth comes from the per-state recursion, so
-    only the truncation at the returned depth is materialised."""
+    """Find the shallowest depth whose min cut (the one min_cutset returns)
+    fits its rounds: its level-n vertices, played in round n - radius, fit
+    that round's budget floor(rate**(n - radius)) on every level, and no
+    cut vertex lies at a level <= radius.  The per-level counts come from
+    ``min_cut_levels`` on the per-state recursion, so only the truncation
+    at the returned depth is materialised.  Any cut lighter than
+    ``cut_weight_target``'s eps fits, so the depth is never deeper than the
+    first with a lighter min cut; eps is reported as that sufficient bound.
+    Requires rate above the branching number; fails with SynthesisError
+    when no min cut fits within depth_max."""
     if radius < 0:
         raise SpecError("initial radius must be >= 0")
     if depth_max <= radius:
@@ -853,12 +905,18 @@ def synthesize_cutset_strategy(spec: Automaton, rate, radius: int,
     rate, steps = cut_recursion(spec, rate)
     if compare_to_br(spec, rate) <= 0:
         raise SpecError(f"rate {float(rate)} is not above the branching number")
-    probe_range = max(depth_max + 40, 120)
-    eps = cut_weight_target(rate, radius, probe_range=probe_range)
-    seen = [next(steps)]  # the steps 0..depth, which min_cutset reads
-    for depth, (nums, den, weight) in zip(range(1, depth_max + 1), steps):
-        seen.append((nums, den, weight))
-        if depth > radius and weight * eps.denominator < eps.numerator * den:
+    eps = cut_weight_target(rate, radius)
+    p, q = rate.numerator, rate.denominator
+    budgets = [0]  # budgets[m] = floor(rate**m), the budget of round m, in integers
+    seen = []  # the steps 0..depth, which min_cutset reads
+    for depth, (step, counts) in zip(range(depth_max + 1), min_cut_levels(spec, steps)):
+        seen.append(step)
+        _, den, weight = step
+        if depth <= radius:
+            continue
+        budgets.append(p ** (depth - radius) // q ** (depth - radius))
+        # level n is played in round n - radius, so no cut vertex may lie at a level <= radius
+        if all(lv > radius and n <= budgets[lv - radius] for lv, n in counts.items()):
             trunc = expand(spec, depth)
             cut = min_cutset(trunc, rate, steps=seen)
             ids = cut.ids
@@ -869,7 +927,7 @@ def synthesize_cutset_strategy(spec: Automaton, rate, radius: int,
                                    weight=Fraction(weight, den), depth=depth,
                                    radius=radius)
     raise SynthesisError(
-        f"no cutset of weight < {float(eps):.6g} within depth {depth_max} "
-        f"(last min-cut weight {weight / den:.6g}); the rate may not exceed "
-        f"the branching number, or depth_max is too small"
+        f"no min cut fits its rounds (at most floor(rate**(n - k)) vertices on each level "
+        f"n > k) within depth {depth_max} (last min-cut weight {weight / den:.6g}); the rate "
+        f"may not exceed the branching number, or depth_max is too small"
     )

@@ -59,7 +59,8 @@ from firebreak import (
     min_cutset,
 )
 from firebreak.branching import (CERTIFICATE_RADIUS_MAX, PROPOSAL_SCALE, LowerBoundCertificate,
-                                  _compare_component, _proposals, br_enclosure,
+                                  _compare_component, _limit_denominator, _proposals,
+                                  br_enclosure,
                                   compare_to_br, cut_recursion, exact_rate)
 from firebreak.game import cut_weight_target, synthesize_cutset_strategy
 from firebreak.errors import ResourceLimitError
@@ -950,6 +951,32 @@ class TestCertificate:
             y[low] = min(1, y[low] + Fraction(1, 10))
             bad = replaced(cert, y=tuple(y))
         assert not all(check_certificate(bad).values())
+
+
+class TestLimitDenominator:
+    def test_matches_fraction_limit_denominator(self):
+        # seeded (numerator, denominator, bound) triples, a quarter of them
+        # with bound 1 and a quarter the midpoint of two Stern-Brocot
+        # neighbours, an exact tie between the walk's two candidates
+        rng, ties = random.Random(111), 0
+        for i in range(12_000):
+            n = rng.randint(-10 ** rng.randint(1, 30), 10 ** rng.randint(1, 30))
+            d = rng.randint(1, 10 ** rng.randint(1, 30))
+            bound = 1 if i % 4 == 0 else rng.randint(1, d)
+            if i % 4 == 3:
+                (a, b), (c, e) = (0, 1), (1, 0)
+                for _ in range(rng.randint(2, 40)):
+                    if rng.random() < 0.5:
+                        a, b = a + c, b + e
+                    else:
+                        c, e = a + c, b + e
+                if e == 0:
+                    continue
+                mid = (Fraction(a, b) + Fraction(c, e)) / 2 + rng.randint(-5, 5)
+                n, d, bound, ties = mid.numerator, mid.denominator, max(b, e), ties + 1
+            want = Fraction(n, d).limit_denominator(bound)
+            assert _limit_denominator(n, d, bound) == (want.numerator, want.denominator)
+        assert ties >= 2_500
 
 
 class TestIntegerCertificate:

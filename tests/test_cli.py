@@ -136,13 +136,14 @@ class TestBr:
                 "past sys.get_int_max_str_digits() = 4300") in capsys.readouterr().err
 
     def test_report_fraction_past_the_digit_limit_exits_two(self, spec_dir, capsys):
-        # a rate just above br on the 200-level cycle: its cut at depth 3000
-        # weighs a fraction of more than 4300 digits
+        # a rate just above br on the 200-level cycle, with a 60-digit
+        # numerator: its cut at depth 87 weighs a fraction of 5,134 digits,
+        # more than 4300
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
             code, out = run(["contain", str(spec_dir / "c200.tree"), "--lambda",
-                             "1008100000000000000000000000001/1000000000000000000000000000000",
+                             "10081" + "0" * 54 + "1/1" + "0" * 59,
                              "--k", "1", "--D-max", "3000"])
         finally:
             sys.set_int_max_str_digits(limit)
@@ -268,9 +269,29 @@ class TestContain:
 
     def test_cut_past_the_vertex_cap_exits_two(self, spec_dir, capsys):
         code, _out = run(["contain", str(spec_dir / "fib.tree"),
-                          "--lambda", "17/10", "--k", "2"])
+                          "--lambda", "33/20", "--k", "2"])
         assert code == 2
         assert "FIREBREAK_VERTEX_CAP" in capsys.readouterr().err
+
+    def test_depth_max_does_not_size_the_weight_target(self, spec_dir):
+        # epsilon's probe range stays at 120 powers whatever --D-max, so a
+        # depth-3 cut under --D-max 10**7 costs what it does under 40
+        argv = ["contain", str(spec_dir / "binary.tree"), "--lambda", "3", "--k", "1"]
+        t0 = time.perf_counter()
+        code, out = run([*argv, "--D-max", "10000000"])
+        assert time.perf_counter() - t0 < 1
+        assert (code, out.replace("config.depth_max = 10000000\n", "config.depth_max = 40\n")) \
+            == run([*argv, "--D-max", "40"])
+        assert "result.cut_depth = 3\n" in out
+
+    def test_shallowest_fitting_cut_passes_under_the_vertex_cap(self, spec_dir):
+        # fib at 17/10, k=2: its first min cut lighter than epsilon lies at
+        # depth 33, past the vertex cap; the first that fits its rounds lies
+        # at depth 16, in a truncation of 6,763 vertices
+        code, out = run(["contain", str(spec_dir / "fib.tree"), "--lambda", "17/10", "--k", "2"])
+        assert code == 0
+        assert "result.cut_depth = 16\n" in out
+        assert "result.verdict = contained\n" in out
 
     def test_certificate_check_builds_no_truncation(self, spec_dir, monkeypatch):
         # the check reads depths 1..8; depth 8 has 511 vertices
@@ -464,15 +485,16 @@ class TestContain:
     @pytest.mark.parametrize("name, text, argv, digest", [
         ("ternary.tree", "variant: periodic\nroot: A\nstates: A -> A A A\n",
          ["--lambda", "7/2", "--k", "1"],
-         "548027ec3003574dca4abc3935475b3676339d3c7cf07e7b50d5e2c5e793f42e"),
+         "8646faef3015347b4f9589a687a7747598c481fc0ae3c579b02fc254be921a84"),
         ("binary.tree", BINARY, ["--lambda", "5/2", "--k", "3"],
-         "bc37cb0733eaf3cab0a7a05db58a48207d0bcf24a5f160c6715e8d9bba42aa66"),
+         "30725da8fc446b04c302fde7dbaec0829f04d0f6194402fa0c97a4ca281afdd0"),
     ])
     def test_large_cut_reports_match_golden(self, name, text, argv, digest, tmp_path,
                                             monkeypatch):
-        # the ternary cut has 59,049 vertices and the binary one 16,384; the
-        # sha256 of each full report (about 355 KB and 99 KB) was written by
-        # the list-based truncation and cut walks the numpy ones replaced
+        # the ternary cut has 19,683 of 29,524 vertices at depth 9 and the
+        # binary one 8,192 at depth 13; the sha256 of each full report (about
+        # 118 KB and 48 KB) was taken once its schedule matched the
+        # list-based truncation and cut walks the numpy ones replaced
         monkeypatch.chdir(tmp_path)
         Path(name).write_text(text)
         code, out = run(["contain", name, *argv])
@@ -1332,6 +1354,18 @@ class TestParse:
         assert (code, out.getvalue(), err.getvalue()) == parse_outcome(
             build_parser().parse_args, argv)[:3]
         assert code in (0, 1) and (out.getvalue() or err.getvalue())
+
+    def test_top_level_help_is_for_users(self):
+        # -h describes the subcommands, the report and the exit codes, and
+        # none of the notes on how the front end reads its arguments
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["-h"]) == 0
+        text = " ".join(out.getvalue().split())
+        assert "Exit codes: 0 determinate result" in text
+        assert "1 usage or parse error, 2 indeterminate result" in text
+        assert "3 strategy fault." in text
+        assert "COMMANDS" not in text and "argparse" not in text and "fractions" not in text
 
 
 def cycles_left(call) -> int:

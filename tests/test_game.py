@@ -68,6 +68,11 @@ Claims covered:
     - synthesized cutset strategies stay within budget, play level n at
       round n - k, and contain; synthesis materialises only the truncation
       it returns, so a cut past the vertex cap fails at once
+    - on seeded periodic and symmetric specs above br, synthesis stops at
+      the shallowest depth whose reference min cut fits its rounds, never
+      deeper than the first with a cut lighter than epsilon; the walk's
+      per-level counts are the reference cut's at every depth, and the
+      strategy replays through the reference engine to the same verdict
     - traces round-trip through the text format (golden file); malformed
       trace lines are rejected by line number; a trace with large rounds
       reads as Python ints, round-trips and replays, and one id apart in a
@@ -82,7 +87,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +124,8 @@ import firebreak.trees as trees_mod
 from firebreak.game import (BURNING, PROTECTED, UNTOUCHED, TraceRound, Verdict, ball_ids,
                             cut_weight_target, format_schedule, parse_schedule,
                             state_from_fire)
-from firebreak.trees import ExplicitSpec, PeriodicSpec, Truncation, as_tuple, id_set
+from firebreak.branching import br_exact_periodic, compare_to_br, cut_recursion
+from firebreak.trees import ExplicitSpec, PeriodicSpec, SymmetricSpec, Truncation, as_tuple, id_set
 from conftest import (
     COMPLETION_GROUPS,
     binary_spec,
@@ -1424,9 +1430,18 @@ class TestThreeOneTree:
 class TestSynthesis:
     @staticmethod
     def check_weight(res, rate):
-        # the recursion's W(depth) is the weight of the materialised cut and
+        # the cut fits its rounds: level n's count is at most the budget of
+        # round n - k, and no cut vertex lies at a level <= k.  A cut lighter
+        # than epsilon fits (the bound's soundness), so no depth before the
+        # returned one, whose min cut does not fit, has a lighter min cut.
+        # The recursion's W(depth) is the weight of the materialised cut and
         # the value of the reference max flow
-        assert res.weight < res.epsilon
+        budget, level = BudgetSequence.exponential(rate), vertex_levels(res.trunc)
+        per_level = Counter(level[v] for v in res.cutset.ids.tolist())
+        assert all(lv > res.radius and n <= budget(lv - res.radius)
+                   for lv, n in per_level.items())
+        steps = islice(cut_recursion(res.trunc.spec, rate)[1], res.radius + 1, res.depth)
+        assert all(Fraction(weight, den) >= res.epsilon for _, den, weight in steps)
         assert res.weight == cut_weight(res.trunc, res.cutset, rate) \
             == max_flow(res.trunc, rate).value
 
@@ -1487,8 +1502,8 @@ class TestSynthesis:
         assert cut_weight_target(rate, radius) == min(head, tail)
 
     def test_depth_exhaustion_raises(self):
-        # rate barely above the branching number: light cutsets exist only
-        # far deeper than the cap
+        # rate barely above the branching number: min cuts that fit their
+        # rounds exist only far deeper than the cap
         with pytest.raises(SynthesisError):
             synthesize_cutset_strategy(binary_spec(), Fraction(201, 100), 1,
                                        depth_max=3)
@@ -1500,15 +1515,15 @@ class TestSynthesis:
         monkeypatch.setattr(firebreak.game, "expand",
                             lambda spec, depth: depths.append(depth) or real(spec, depth))
         res = synthesize_cutset_strategy(fibonacci_spec(), 2, 1)
-        assert res.depth == 5
-        assert depths == [5]
+        assert res.depth == 3
+        assert depths == [3]
 
     def test_cut_past_the_vertex_cap_fails_at_once(self):
-        # fib at 17/10, k=2 cuts at depth 33, which has 24,157,815 vertices
+        # fib at 33/20, k=2 cuts at depth 36, which has 102,334,153 vertices
         with pytest.raises(ResourceLimitError, match="FIREBREAK_VERTEX_CAP"):
-            synthesize_cutset_strategy(fibonacci_spec(), Fraction(17, 10), 2)
+            synthesize_cutset_strategy(fibonacci_spec(), Fraction(33, 20), 2)
 
-    @pytest.mark.parametrize("rate, depth", [(3.0, 3), (2.5, 6)])
+    @pytest.mark.parametrize("rate, depth", [(3.0, 3), (2.5, 5)])
     def test_float_rate_synthesises_as_its_rational(self, rate, depth):
         # a float rate is the rational it is: no margin on its weight target
         res = synthesize_cutset_strategy(binary_spec(), rate, 1, depth_max=12)
@@ -1519,6 +1534,81 @@ class TestSynthesis:
         assert type(res.weight) is type(res.epsilon) is Fraction
         verdict = simulate(res.trunc, 1, res.strategy, BudgetSequence.exponential(rate))
         assert verdict.contained
+
+
+class TestShallowestFittingCut:
+    """Synthesis against the reference cuts at every depth up to the one it
+    returns (tests/trees_reference.py) and the reference engine."""
+
+    @staticmethod
+    def spec(rng):
+        """A seeded periodic spec of 2-4 states, some of them leaves, or a
+        symmetric one of 2-4 levels before it repeats, with an infinite tree."""
+        while True:
+            if rng.random() < 0.6:
+                names = "ABCD"[:rng.randint(2, 4)]
+                spec = PeriodicSpec(states={s: tuple(rng.choice(names) for _ in range(
+                    rng.randint(0 if s != "A" else 1, 3))) for s in names}, root="A")
+            else:
+                pre = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+                per = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2)))
+                spec = SymmetricSpec(preperiod=pre, period=per)
+            if 2 <= len(spec.children) <= 4 and not spec.is_finite():
+                return spec
+
+    @staticmethod
+    def levels(trunc, ids) -> list[int]:
+        """The count per level 0..depth of a reference truncation's id set."""
+        counts = [0] * (trunc.depth + 1)
+        for v in ids:
+            counts[trunc.level[v]] += 1
+        return counts
+
+    @staticmethod
+    def fits(counts, k, budget) -> bool:
+        return all(not n or lv > k and n <= budget(lv - k) for lv, n in enumerate(counts))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stops_at_the_shallowest_fitting_min_cut(self, seed):
+        rng, checked = random.Random(4800 + seed), 0
+        while checked < 15:
+            spec, k = self.spec(rng), rng.randint(0, 3)
+            br = br_exact_periodic(spec)
+            rate = Fraction(br * (1.01 + 0.79 * rng.random())).limit_denominator(100)
+            sizes = list(accumulate(level_counts(spec, 14)))
+            depth_max = max(d for d in range(15) if d == 0 or sizes[d] <= 3000)
+            if depth_max <= k or compare_to_br(spec, rate) <= 0:
+                continue
+            budget, eps = BudgetSequence.exponential(rate), cut_weight_target(rate, k)
+            try:
+                res = synthesize_cutset_strategy(spec, rate, k, depth_max=depth_max)
+            except SynthesisError:
+                res = None
+            last = res.depth if res else depth_max
+            walk, eps_depth = game_mod.min_cut_levels(spec, cut_recursion(spec, rate)[1]), None
+            for depth, (_, counts) in zip(range(last + 1), walk):
+                t = trees_reference.expand(spec, depth)
+                cut = trees_reference.min_cutset(t, rate)
+                want = self.levels(t, cut.ids.tolist())
+                assert counts == {lv: n for lv, n in enumerate(want) if n}
+                if depth <= k:
+                    continue
+                fits = self.fits(want, k, budget)
+                light = trees_reference.min_cut_weight(t, rate) < eps
+                assert fits or not light  # a cut lighter than epsilon fits
+                if eps_depth is None and light:
+                    eps_depth = depth
+                assert fits == (res is not None and depth == res.depth)  # none shallower fits
+            if res is None:
+                assert eps_depth is None
+                continue
+            assert eps_depth is None or res.depth <= eps_depth
+            assert res.cutset.ids.tolist() == sorted(cut.ids.tolist())
+            got = simulate(res.trunc, k, res.strategy, budget)
+            ref = game_reference.simulate(res.trunc, k, res.strategy, budget)
+            assert (got.kind, got.round_no, got.burnt) == (ref.kind, ref.round_no, ref.burnt)
+            assert got.contained
+            checked += 1
 
 
 class TestSmallerFiresInherit:
