@@ -54,7 +54,8 @@ from itertools import accumulate, combinations, pairwise
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ResourceLimitError, SpecError, SurroundCapError
-from .trees import Automaton, Truncation, Value, format_ids, level_counts, np, packed, view, zeroed
+from .trees import (Automaton, Truncation, Value, format_ids, level_counts, np, packed, put_digits, view,
+                    zeroed)
 
 if TYPE_CHECKING:  # the records' annotations; the functions import game when they run
     from .game import FeasibilityResult, ScheduleStrategy, Verdict
@@ -279,12 +280,14 @@ class CayleyBall(Truncation):
 
 # From the first sphere of at least this many vertices on, the export is
 # written as byte records from numpy passes, and before it from Python
-# strings.  Measured sphere by sphere on zd:2, zd:3, free:2, freeprod:3,3
-# and dinf balls (2-CPU VM), the numpy pass costs about 18 us a sphere more
-# than the strings' fixed cost, and the two cross between 70 and 130
-# vertices (free:2's 108-vertex sphere: 73 us against 48; freeprod:3,3's
-# 128: 48 against 61).
-EXPORT_SPHERE_MIN = 128
+# strings.  Measured on whole exports of ten balls (zd:2 at R = 35 and 60,
+# zd:3, zd:4, free:2, free:3, freeprod:3,3, freeprod:2,3, F2 x Z and dinf;
+# 2-CPU VM), their summed time is flat for crossovers from 24 to 48
+# vertices and rises from 64 on (zd:2 at R = 60: 774 us at 32, 811 at 64,
+# 1,343 at 128).  Forced one way or the other, a numpy pass costs about
+# 7 us a sphere more (dinf at R = 60), and strings about 0.26 us a vertex
+# more (free:2 at R = 9), so the two cross near 27 vertices.
+EXPORT_SPHERE_MIN = 32
 EXPORT_CHUNK = 2 ** 16  # most ids one digit pass writes, so the export runs in fixed memory
 
 
@@ -295,11 +298,13 @@ def write_tree_export(tree: CayleyBall, fh) -> None:
     A word is its tree parent's plus one letter.  The spheres before the
     first one of EXPORT_SPHERE_MIN vertices are written from Python
     strings, a word and a line a vertex.  From there on, as every generator
-    name is one letter, the words of sphere L are an (|S(L)|, L) byte
-    matrix gathered from sphere L - 1's plus the entering letters, and its
-    lines are fixed-width byte records, one block per run of at most
-    EXPORT_CHUNK ids of one digit width, written into the records in place;
-    the parent lines go through ``format_ids``, EXPORT_CHUNK at a time."""
+    name is one letter, the words of sphere L are the first L bytes of
+    the rows of an (|S(L)|, R) byte matrix, R the radius: one take of
+    sphere L - 1's rows by parent, then the entering letters in column L.
+    Its lines are fixed-width byte records, one block per run of at most
+    EXPORT_CHUNK ids of one digit width, whose ids are written from
+    ``trees.digit_table``.  The parent lines go through ``format_ids``,
+    EXPORT_CHUNK ids at a time, so the text is never held whole."""
     names, starts = tree.model.generators, tree.level_starts
     first = next((lv for lv in range(1, tree.depth + 1)
                   if starts[lv + 1] - starts[lv] >= EXPORT_SPHERE_MIN), tree.depth + 1)
@@ -309,28 +314,24 @@ def write_tree_export(tree: CayleyBall, fh) -> None:
     fh.write("".join(f"# vertex {v} = {w or 'id'}\n" for v, w in enumerate(words)).encode())
     parent, entering = view(tree.parent), view(tree.tree_generator)
     letters = np.frombuffer("".join(names).encode(), np.uint8)
-    if first <= tree.depth:
+    if first <= tree.depth:  # a row a word, padded to the longest word
         up = starts[first - 1]
-        words = np.frombuffer("".join(words[up:]).encode(), np.uint8)
-        words = words.reshape(starts[first] - up, first - 1)
+        words = np.frombuffer("".join(w.ljust(tree.depth) for w in words[up:]).encode(), np.uint8)
+        words = words.reshape(starts[first] - up, tree.depth)
     for lv in range(first, tree.depth + 1):
         a, b, up = starts[lv], starts[lv + 1], starts[lv - 1]
-        grown = np.empty((b - a, lv), np.uint8)
-        grown[:, :-1] = words[parent[a:b] - up]
-        grown[:, -1] = letters[entering[a:b]]
-        words = grown
-        cuts = {10 ** k for k in range(len(str(a)), len(str(b - 1)))}  # where the width grows
-        for lo, hi in pairwise(sorted({a, b, *cuts, *range(a, b, EXPORT_CHUNK)})):
+        words = np.take(words, parent[a:b] - up, axis=0)
+        words[:, lv - 1] = letters[entering[a:b]]
+        lo = a
+        while lo < b:  # a block of ids of one width, at most EXPORT_CHUNK of them
             width = len(str(lo))
+            hi = min(b, lo + EXPORT_CHUNK, 10 ** width)
             rec = np.empty((hi - lo, 13 + width + lv), np.uint8)
-            rec[:, :9] = np.frombuffer(b"# vertex ", np.uint8)
-            ids = np.arange(lo, hi, dtype=np.intc)
-            for k in range(8 + width, 8, -1):  # the id's digits, last first
-                rec[:, k], ids = ids % 10 + ord("0"), ids // 10
-            rec[:, 9 + width:12 + width] = np.frombuffer(b" = ", np.uint8)
-            rec[:, 12 + width:-1] = words[lo - a:hi - a]
-            rec[:, -1] = ord("\n")
+            rec[:] = np.frombuffer(b"# vertex " + bytes(width) + b" = " + bytes(lv) + b"\n", np.uint8)
+            put_digits(rec[:, 9:], range(lo, hi), width)
+            rec[:, 12 + width:-1] = words[lo - a:hi - a, :lv]
             fh.write(rec)
+            lo = hi
     fh.write(b"variant: explicit\n" + b"parents:\n" * (len(parent) == 1))
     for a in range(1, len(parent), EXPORT_CHUNK):
         fh.write(format_ids(parent[a:a + EXPORT_CHUNK], 16, b"parents: "))

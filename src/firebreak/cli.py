@@ -99,11 +99,20 @@ def emit_report(config: dict, result: dict, tables=(), out: str | None = None) -
         text = _report(config, result, tables, cell)
     except ValueError:  # a number past the digit limit: the checked cells name it
         text = _report(config, result, tables, checked)
+    fh = open_out(out, "--out") if out else None  # before stdout, so a bad path prints nothing
     sys.stdout.write(text)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if fh:
+        with fh:
             fh.write(text)
     return text
+
+
+def open_out(path: str, option: str, mode: str = "w"):
+    """``path`` opened to write, or a SpecError naming ``option`` and the reason."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise SpecError(f"{option}: cannot write {path!r} ({exc.strerror or exc})") from exc
 
 
 def _report(config: dict, result: dict, tables, cell) -> str:
@@ -300,7 +309,7 @@ def cmd_simulate(args) -> int:
     tables.append(("trace", ("round", "protect", "burn"),
                    [(r.round_no, *r.played) for r in verdict.trace]))
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
+        with open_out(args.trace_out, "--trace-out") as fh:
             fh.write(format_trace(verdict))
     code = EXIT_OK if verdict.contained else EXIT_INDETERMINATE
     if args.replay is not None:
@@ -426,7 +435,7 @@ def cmd_cayley(args) -> int:
         if not args.out:
             raise SpecError("--out is required for mode tree")
         tree = lex_min_tree(model, args.R)
-        with open(args.out, "wb") as fh:
+        with open_out(args.out, "--out", "wb") as fh:
             write_tree_export(tree, fh)
         result.update(vertices=tree.n_vertices, out=args.out,
                       level_counts=tuple(tree.sphere_sizes()))
@@ -618,7 +627,7 @@ def main(argv=None) -> int:
     if args.metrics:
         try:
             _write_metrics(args.metrics, time.perf_counter() - start)
-        except OSError as exc:
+        except (SpecError, OSError) as exc:
             sys.stderr.write(f"firebreak: {exc}\n")
             return EXIT_USAGE
     return code
@@ -647,7 +656,7 @@ def _write_metrics(path: str, wall_s: float) -> None:
 
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     peak_rss_mb = rss / 2 ** (20 if sys.platform == "darwin" else 10)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_out(path, "--metrics") as fh:
         json.dump({"peak_rss_mb": peak_rss_mb, "wall_s": wall_s}, fh)
         fh.write("\n")
 

@@ -853,11 +853,26 @@ def min_cut_levels(spec: Automaton, steps):
     down (to none at height 0; those of a value-0 entry have value 0 and
     are never cut).  Heights grow one a depth, so an entry enters the cut
     once and leaves it once, at depth level + c(s), by which depth the
-    steps have reached c(s)."""
-    kids = spec.children
+    steps have reached c(s) and every c(t) below it.  So what an entry of s
+    leaves to is the same each time: the cut entries of its open subtree,
+    as (levels down, state, multiplicity), walked once a state (``spread``)
+    on a table of (child, multiplicity) per state."""
+    kids = [tuple({t: c.count(t) for t in c}.items()) for c in spec.children]  # (child, multiplicity)
     first = [math.inf] * len(kids)  # c(s), once the steps reach it
     pending, known = list(range(len(kids))), []  # states without and with c(s)
-    cut = {}  # level -> {state: count}, the entries in the cut
+    spreads = {}
+    cut, totals = {}, {}  # count per (level, state) entry in the cut, and per level
+
+    def spread(s):
+        found, stack = {}, [(1, t, m, first[s] - 1) for t, m in kids[s]]
+        while stack:
+            down, t, m, h = stack.pop()
+            if h < first[t]:
+                found[down, t] = found.get((down, t), 0) + m
+            elif h:
+                stack += [(down + 1, u, m * k, h - 1) for u, k in kids[t]]
+        return [(down, t, m) for (down, t), m in found.items()]
+
     for depth, step in enumerate(steps):
         if pending:
             nums, den, _ = step
@@ -866,24 +881,21 @@ def min_cut_levels(spec: Automaton, steps):
                     first[s] = depth
                     known.append(s)
             pending = [s for s in pending if first[s] > depth]
-        # (level, state, count, height) of the entries placed at this depth
-        placed = [(1, t, 1, 0) for t in kids[spec.root]] if depth == 1 else []
+        if depth == 1:  # the root's children, at height 0, are cut unless of value 0
+            cut = {(1, t): m for t, m in kids[spec.root] if first[t]}
+            totals = {1: sum(cut.values())} if cut else {}
         for s in known:  # the entries whose height reaches c(s) leave the cut
             lv = depth - first[s]
-            entries = cut.get(lv)
-            if entries and s in entries:
-                n = entries.pop(s)
-                placed += [(lv + 1, t, n, first[s] - 1) for t in kids[s]]
-                if not entries:
-                    del cut[lv]
-        while placed:
-            lv, s, n, h = placed.pop()
-            if h < first[s]:
-                entries = cut.setdefault(lv, {})
-                entries[s] = entries.get(s, 0) + n
-            elif h:
-                placed += [(lv + 1, t, n, h - 1) for t in kids[s]]
-        yield step, {lv: sum(entries.values()) for lv, entries in cut.items()}
+            if n := cut.pop((lv, s), 0):
+                totals[lv] -= n
+                if not totals[lv]:
+                    del totals[lv]
+                if s not in spreads:
+                    spreads[s] = spread(s)
+                for down, t, m in spreads[s]:
+                    cut[lv + down, t] = cut.get((lv + down, t), 0) + n * m
+                    totals[lv + down] = totals.get(lv + down, 0) + n * m
+        yield step, dict(totals)
 
 
 def synthesize_cutset_strategy(spec: Automaton, rate, radius: int,

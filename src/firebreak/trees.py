@@ -55,7 +55,9 @@ and deduplicates it and picks its form once; ``mark`` (check and mark of a
 status byte) takes the path that form and its being a run (PROTECT_RUN_MIN
 ids or more, the ends len - 1 apart) make cheapest, and ``row_entries``
 gathers the rows of an array or a range and leaves a tuple to the loop.
-Every id set a report or a trace prints is written by ``format_id_set``.
+Every id set a report or a trace prints is written by ``format_id_set``, and
+every id list the package prints, a tree export's parent lines among them,
+by one digit writer, ``format_ids``.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import os
 import sys
 from array import array
 from bisect import bisect_right
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, islice, pairwise
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -690,30 +692,102 @@ def format_parents(parents: Sequence[int]) -> str:
     return "variant: explicit\n" + (lines or b"parents:\n").decode()
 
 
+_TENS = [10 ** k for k in range(1, 19)]  # an id below _TENS[w - 1] has at most w digits
+
+
+@cache
+def digit_table() -> np.ndarray:
+    """The 4-digit decimal records of 0..9999 as a read-only (10**4, 4)
+    uint8 table, zero-padded; built by broadcasting on the first call (so
+    on the first large id list written, never at import) and kept."""
+    table = np.empty((10, 10, 10, 10, 4), np.uint8)
+    digits = np.arange(48, 58, dtype=np.uint8)  # b"0" .. b"9"
+    for k in range(4):
+        table[..., k] = digits.reshape((10,) + (1,) * (3 - k))
+    table.flags.writeable = False
+    return table.reshape(10 ** 4, 4)
+
+
+def put_digits(out: np.ndarray, ids, width: int) -> None:
+    """Write each id's ``width`` decimal digits, zero-padded, into the first
+    ``width`` columns of ``out``'s last axis (``ids`` has the shape of the
+    other axes): four digits a gather on ``digit_table``, from the right."""
+    table = digit_table()
+    if type(ids) is range:  # a run of ids: their digits are rows of the table
+        if width <= 4:
+            out[..., :width] = table[ids.start:ids.stop, 4 - width:]
+            return
+        ids = np.arange(ids.start, ids.stop)
+    for end in range(width, 0, -4):
+        low = ids
+        if end > 4:
+            ids = ids // 10 ** 4
+            low = low - ids * 10 ** 4
+        k = min(end, 4)
+        out[..., end - k:end] = np.take(table, low, axis=0)[..., 4 - k:]
+
+
+# Below this many ids a list is written by str and join: the table writer's
+# numpy passes cost about 16 us a list whatever its length, str and join
+# about 0.1 us an id (sorted lists of 64-256 ids of 2-5 digits, plain and in
+# lines; 2-CPU VM), and the two cross between 130 and 190 ids.
+FORMAT_IDS_TABLE_MIN = 160
+
+
 def format_ids(ids: np.ndarray, line: int = 0, head: bytes = b"") -> bytes:
     """Non-negative ids as the bytes of ``" ".join(map(str, ids))`` or, with
-    ``line``, as lines of ``line`` ids, each headed by ``head``: a record an
-    id of the head, the widest id's digits and a separator, from which a
-    keep mask drops the leading zeros and the heads inside a line."""
-    if not len(ids):
-        return b""
-    at, width = len(head), len(str(int(ids.max())))
-    rec = np.empty((len(ids), at + width + 1), np.uint8)
-    rec[:, :at] = np.frombuffer(head, np.uint8)
-    rest = ids.copy()
-    for k in range(at + width - 1, at - 1, -1):
-        rec[:, k] = rest % 10 + ord("0")
-        rest //= 10
-    rec[:, -1] = ord(" ")
-    if line:
-        rec[line - 1::line, -1] = rec[-1, -1] = ord("\n")
-    keep = np.ones(rec.shape, bool)
-    keep[:, :at] = False
-    keep[::line or len(ids), :at] = True
-    keep[-1, -1] = bool(line)
-    for k in range(1, width):  # the digit standing for 10**k, kept from 10**k on
-        np.greater_equal(ids, 10 ** k, out=keep[:, at + width - 1 - k])
-    return rec.tobytes() if keep.all() else rec[keep].tobytes()
+    ``line``, as lines of ``line`` ids, each headed by ``head``.  From
+    FORMAT_IDS_TABLE_MIN ids on, each maximal run of ids of one digit width
+    is one block of fixed-width records (``_id_records``) whose digits are
+    gathered from ``digit_table``, so ids in non-decreasing order, as every
+    caller passes them, make at most one block per width."""
+    if not (n := len(ids)) or n < FORMAT_IDS_TABLE_MIN:
+        ids = ids.tolist()
+        if not line:
+            return " ".join(map(str, ids)).encode()
+        text = head.decode()
+        return "".join(f"{text}{' '.join(map(str, ids[i:i + line]))}\n"
+                       for i in range(0, n, line)).encode()
+    small, large = bisect_right(_TENS, int(ids.min())), bisect_right(_TENS, int(ids.max()))
+    if small == large:
+        cuts = [0, n]
+    elif (ids[1:] >= ids[:-1]).all():
+        cuts = [0, *np.searchsorted(ids, _TENS[small:large]).tolist(), n]
+    else:
+        widths = np.searchsorted(np.array(_TENS[small:large]), ids, "right")
+        cuts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), n]
+    blocks = []
+    for a, b in pairwise(cuts):
+        if a < b:  # a run; without lines, one line of its own
+            width = bisect_right(_TENS, int(ids[a])) + 1
+            blocks.append(_id_records(ids[a:b], width, a % line if line else 0, line or b - a, head))
+            if b == n or not line:  # the list's last line ends; a plain run's last id, a space
+                blocks[-1][-1] = ord("\n" if line else " ")
+    if not line:
+        blocks[-1] = blocks[-1][:-1]  # no separator after the last id
+    return b"".join(blocks)
+
+
+def _id_records(ids: np.ndarray, width: int, skip: int, line: int, head: bytes) -> np.ndarray:
+    """Ids of ``width`` digits as lines of ``head`` and ``line`` fixed-width
+    records, a record the digits and a space, the line's last ending in a
+    newline instead.  The first id lands ``skip`` records into its line, so
+    a block may start and end inside a line: the bytes from its first record
+    to its last, as a uint8 view."""
+    m, at, size = len(ids), len(head), width + 1
+    rows = (skip + m - 1) // line + 1
+    rec = np.empty((rows, at + line * size), np.uint8)
+    if at:
+        rec[:, :at] = np.frombuffer(head, np.uint8)
+    fields = rec[:, at:].reshape(rows, line, size)
+    fields[..., width] = ord(" ")
+    fields[:, -1, width] = ord("\n")
+    if rows * line != m:  # pad the first and last lines to whole lines
+        ids, padded = np.zeros(rows * line, ids.dtype), ids
+        ids[skip:skip + m] = padded
+    put_digits(fields, ids.reshape(rows, line), width)
+    flat = rec.reshape(-1)
+    return flat[at + skip * size if skip else 0:flat.size - (rows * line - skip - m) * size]
 
 
 def format_id_set(ids) -> str:

@@ -310,7 +310,8 @@ class TestLexMinWords:
 
 
 EXPORT_CASES = ([("free:1", 60)] + [("free:2", r) for r in range(10)]
-                + [("free:3", 6), ("dinf", 60), ("zd:2", 40), ("zd:3", 12), ("freeprod:3,3", 10)])
+                + [("free:3", 6), ("dinf", 60), ("zd:2", 35), ("zd:2", 40), ("zd:3", 12),
+                   ("freeprod:3,3", 10), ("gp:0,0,0/ac,bc", 7)])
 
 
 class TestTreeExport:
@@ -322,12 +323,15 @@ class TestTreeExport:
     parent lines."""
 
     def test_chunked_bytes_match_the_reference(self, monkeypatch):
-        monkeypatch.setattr(cayley_mod, "EXPORT_CHUNK", 32)  # two 16-id lines
-        for name, radius in (("free:2", 6), ("zd:2", 12), ("free:1", 60), ("dinf", 0)):
-            tree = lex_min_tree(group_from_name(name), radius)
-            got = io.BytesIO()
-            cayley_mod.write_tree_export(tree, got)
-            assert got.getvalue() == tree_export_text(tree).encode(), (name, radius)
+        for chunk, threshold in ((16, 0), (32, 0), (32, cayley_mod.EXPORT_SPHERE_MIN)):
+            monkeypatch.setattr(cayley_mod, "EXPORT_CHUNK", chunk)  # one or two 16-id lines
+            monkeypatch.setattr(cayley_mod, "EXPORT_SPHERE_MIN", threshold)
+            for name, radius in (("free:2", 6), ("zd:2", 12), ("zd:2", 35), ("free:1", 60),
+                                 ("dinf", 60), ("dinf", 0), ("gp:0,0,0/ac,bc", 7)):
+                tree = lex_min_tree(group_from_name(name), radius)
+                got = io.BytesIO()
+                cayley_mod.write_tree_export(tree, got)
+                assert got.getvalue() == tree_export_text(tree).encode(), (name, radius, chunk)
 
     @pytest.mark.parametrize("threshold", [None, 0, 10 ** 9])
     def test_bytes_match_the_reference(self, threshold, monkeypatch):

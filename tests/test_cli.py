@@ -661,17 +661,33 @@ class TestRejectedInput:
           "--schedule", ""], "--schedule: '' is not an integer"),
         (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
           "--replay", ""], "--replay: cannot read '' (No such file or directory)"),
+        (["cayley", "free:2", "--mode", "tree", "--R", "3", "--out", "{d}/no/x.tree"],
+         "--out: cannot write '{d}/no/x.tree' (No such file or directory)"),
+        (["cayley", "free:2", "--mode", "growth", "--R", "3", "--out", "{d}/no/r.txt"],
+         "--out: cannot write '{d}/no/r.txt' (No such file or directory)"),
+        (["cayley", "free:2", "--mode", "growth", "--R", "3", "--metrics", "{d}/no/m.json"],
+         "--metrics: cannot write '{d}/no/m.json' (No such file or directory)"),
+        (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
+          "--trace-out", "{d}/no/t.trace"],
+         "--trace-out: cannot write '{d}/no/t.trace' (No such file or directory)"),
     ], ids=["surround-no-lambda", "polyprobe-bad-c", "evidence-depths-0",
             "evidence-depths-negative", "cut-depths-0", "cut-depths-negative",
             "br-depth-max-0", "br-tol-nan", "br-finite-tol-nan", "br-finite-tol-negative",
             "simulate-negative-horizon",
             "oracle-negative-horizon", "oracle-x0-comma", "oracle-x0-empty",
             "contain-finite-spec", "simulate-protect-outside", "simulate-protect-comma",
-            "simulate-protect-empty", "simulate-schedule-empty", "simulate-replay-empty"])
+            "simulate-protect-empty", "simulate-schedule-empty", "simulate-replay-empty",
+            "tree-out-no-dir", "growth-out-no-dir", "metrics-no-dir", "trace-out-no-dir"])
     def test_bad_option_exits_one(self, argv, message, spec_dir, capsys):
         code, _out = run([a.format(d=spec_dir) for a in argv])
         assert code == 1
-        assert f"firebreak: {message}" in capsys.readouterr().err
+        assert f"firebreak: {message.format(d=spec_dir)}" in capsys.readouterr().err
+
+    def test_unwritable_out_prints_no_report(self, spec_dir, capsys):
+        code, out = run(["cayley", "free:2", "--mode", "growth", "--R", "3",
+                         "--out", str(spec_dir / "no" / "r.txt")])
+        assert code == 1 and out == ""
+        assert "--out: cannot write" in capsys.readouterr().err
 
     def test_tree_without_out_exits_before_building(self, monkeypatch, capsys):
         import firebreak.cayley

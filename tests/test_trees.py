@@ -423,7 +423,10 @@ def late_specs(rng: random.Random):
 
 def digit_cases(rng):
     """Id arrays: none, a single id (0 among them), runs and random draws
-    that cross each power of ten up to 10**9, sorted and unsorted."""
+    that cross each power of ten up to 10**9, sorted and unsorted; a width
+    change inside one 16-id line; int64 ids past 2**31 and past 10**8,
+    which take more than one table gather an id; and a run of ids longer
+    than the export's chunk, crossing 10**5."""
     yield np.array([], np.intc)
     for one in (0, 7, 10, 10 ** 9):
         yield np.array([one], np.intc)
@@ -432,14 +435,26 @@ def digit_cases(rng):
         draw = rng.integers(0, 10 ** k + 50, rng.integers(1, 300))
         yield draw
         yield np.sort(draw).astype(np.intc)
+    yield np.arange(95, 105, dtype=np.intc)  # 99 -> 100 at the 5th id of the line
+    yield np.array([3, 96, 99, 100, 100, 101, 7], np.intc)
+    for top in (2 ** 31, 10 ** 8, 10 ** 12, 2 ** 62):
+        yield np.sort(rng.integers(top - 5000, top + 5000, 400, dtype=np.int64))
+        yield rng.integers(0, top + 10, 200, dtype=np.int64)
+    yield np.repeat(np.arange(10 ** 5 - 40_000, 10 ** 5 + 40_000, dtype=np.intc), 2)[5:]
 
 
 class TestFormatIds:
-    """The one digit writer against str and join, plain and in lines."""
+    """The one digit writer against str and join, plain and in lines, at the
+    default crossover to str and join and forced both ways."""
 
-    def test_matches_str_join(self):
-        rng = np.random.default_rng(9100)
-        for ids in digit_cases(rng):
+    def test_matches_str_join(self, monkeypatch):
+        for table_min in (trees_mod.FORMAT_IDS_TABLE_MIN, 0, 10 ** 9):
+            monkeypatch.setattr(trees_mod, "FORMAT_IDS_TABLE_MIN", table_min)
+            self.check(digit_cases(np.random.default_rng(9100)))
+
+    @staticmethod
+    def check(cases):
+        for ids in cases:
             want = " ".join(map(str, ids.tolist()))
             assert format_ids(ids) == want.encode(), ids
             lines = ["parents: " + " ".join(map(str, ids[i:i + 16].tolist())) + "\n"
