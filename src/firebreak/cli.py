@@ -356,6 +356,8 @@ def cmd_oracle(args) -> int:
     decision = cache.get(key) if cache else None
     result["cache_hit"] = decision is not None
     if decision is None:
+        if cache:  # opened for append before the search, so a path it cannot write costs none
+            open_out(args.cache, "--cache", "a").close()
         decision = brute_force_containment(trunc, fire, budget,
                                            horizon=args.horizon,
                                            restrict=not args.strict)
@@ -622,14 +624,21 @@ def main(argv=None) -> int:
         args = parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if not args.metrics:
+        return _run(args)
+    try:  # opened before the command, so a path it cannot write costs no run and prints no report
+        fh = open_out(args.metrics, "--metrics")
+    except SpecError as exc:
+        sys.stderr.write(f"firebreak: {exc}\n")
+        return EXIT_USAGE
     start = time.perf_counter()
-    code = _run(args)
-    if args.metrics:
-        try:
-            _write_metrics(args.metrics, time.perf_counter() - start)
-        except (SpecError, OSError) as exc:
-            sys.stderr.write(f"firebreak: {exc}\n")
-            return EXIT_USAGE
+    try:
+        with fh:
+            code = _run(args)
+            _write_metrics(fh, time.perf_counter() - start)
+    except OSError as exc:  # writing or closing the metrics file; _run reports the command's own
+        sys.stderr.write(f"firebreak: --metrics: {exc}\n")
+        return EXIT_USAGE
     return code
 
 
@@ -647,7 +656,7 @@ def _run(args) -> int:
         return EXIT_INDETERMINATE
 
 
-def _write_metrics(path: str, wall_s: float) -> None:
+def _write_metrics(fh, wall_s: float) -> None:
     """The run's wall time around the command and the process's peak RSS,
     as JSON; ru_maxrss counts bytes on macOS and KiB elsewhere.  Its modules
     load here, as only a run with ``--metrics`` writes one."""
@@ -656,9 +665,8 @@ def _write_metrics(path: str, wall_s: float) -> None:
 
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     peak_rss_mb = rss / 2 ** (20 if sys.platform == "darwin" else 10)
-    with open_out(path, "--metrics") as fh:
-        json.dump({"peak_rss_mb": peak_rss_mb, "wall_s": wall_s}, fh)
-        fh.write("\n")
+    json.dump({"peak_rss_mb": peak_rss_mb, "wall_s": wall_s}, fh)
+    fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -699,7 +699,7 @@ _TENS = [10 ** k for k in range(1, 19)]  # an id below _TENS[w - 1] has at most 
 def digit_table() -> np.ndarray:
     """The 4-digit decimal records of 0..9999 as a read-only (10**4, 4)
     uint8 table, zero-padded; built by broadcasting on the first call (so
-    on the first large id list written, never at import) and kept."""
+    on the first id list written, never at import) and kept."""
     table = np.empty((10, 10, 10, 10, 4), np.uint8)
     digits = np.arange(48, 58, dtype=np.uint8)  # b"0" .. b"9"
     for k in range(4):
@@ -727,27 +727,15 @@ def put_digits(out: np.ndarray, ids, width: int) -> None:
         out[..., end - k:end] = np.take(table, low, axis=0)[..., 4 - k:]
 
 
-# Below this many ids a list is written by str and join: the table writer's
-# numpy passes cost about 16 us a list whatever its length, str and join
-# about 0.1 us an id (sorted lists of 64-256 ids of 2-5 digits, plain and in
-# lines; 2-CPU VM), and the two cross between 130 and 190 ids.
-FORMAT_IDS_TABLE_MIN = 160
-
-
 def format_ids(ids: np.ndarray, line: int = 0, head: bytes = b"") -> bytes:
     """Non-negative ids as the bytes of ``" ".join(map(str, ids))`` or, with
-    ``line``, as lines of ``line`` ids, each headed by ``head``.  From
-    FORMAT_IDS_TABLE_MIN ids on, each maximal run of ids of one digit width
-    is one block of fixed-width records (``_id_records``) whose digits are
-    gathered from ``digit_table``, so ids in non-decreasing order, as every
-    caller passes them, make at most one block per width."""
-    if not (n := len(ids)) or n < FORMAT_IDS_TABLE_MIN:
-        ids = ids.tolist()
-        if not line:
-            return " ".join(map(str, ids)).encode()
-        text = head.decode()
-        return "".join(f"{text}{' '.join(map(str, ids[i:i + line]))}\n"
-                       for i in range(0, n, line)).encode()
+    ``line``, as lines of ``line`` ids, each headed by ``head``.  Each
+    maximal run of ids of one digit width is one block of fixed-width
+    records (``_id_records``) whose digits are gathered from
+    ``digit_table``, so ids in non-decreasing order, as every caller passes
+    them, make at most one block per width."""
+    if not (n := len(ids)):
+        return b""
     small, large = bisect_right(_TENS, int(ids.min())), bisect_right(_TENS, int(ids.max()))
     if small == large:
         cuts = [0, n]

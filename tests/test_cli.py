@@ -7,7 +7,6 @@ or a resource cap reached, 3 strategy fault.
 import ast
 import dataclasses
 import gc
-import hashlib
 import io
 import json
 import math
@@ -482,25 +481,6 @@ class TestContain:
         assert [r[0] for r in rows] == [str(d) for d in range(115, 123)]
         assert all(r[1] == "infeasible" for r in rows)
 
-    @pytest.mark.parametrize("name, text, argv, digest", [
-        ("ternary.tree", "variant: periodic\nroot: A\nstates: A -> A A A\n",
-         ["--lambda", "7/2", "--k", "1"],
-         "8646faef3015347b4f9589a687a7747598c481fc0ae3c579b02fc254be921a84"),
-        ("binary.tree", BINARY, ["--lambda", "5/2", "--k", "3"],
-         "30725da8fc446b04c302fde7dbaec0829f04d0f6194402fa0c97a4ca281afdd0"),
-    ])
-    def test_large_cut_reports_match_golden(self, name, text, argv, digest, tmp_path,
-                                            monkeypatch):
-        # the ternary cut has 19,683 of 29,524 vertices at depth 9 and the
-        # binary one 8,192 at depth 13; the sha256 of each full report (about
-        # 118 KB and 48 KB) was taken once its schedule matched the
-        # list-based truncation and cut walks the numpy ones replaced
-        monkeypatch.chdir(tmp_path)
-        Path(name).write_text(text)
-        code, out = run(["contain", name, *argv])
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     def test_wide_tree_below_threshold(self, tmp_path):
         # the depth-6 truncation of a 20-ary tree passes the default cap
         path = tmp_path / "wide.tree"
@@ -670,6 +650,8 @@ class TestRejectedInput:
         (["simulate", "{d}/binary.tree", "--k", "0", "--budget", "const:1", "--depth", "3",
           "--trace-out", "{d}/no/t.trace"],
          "--trace-out: cannot write '{d}/no/t.trace' (No such file or directory)"),
+        (["oracle", "{d}/ray5.tree", "--budget", "const:1", "--cache", "{d}/no/o.cache"],
+         "--cache: cannot write '{d}/no/o.cache' (No such file or directory)"),
     ], ids=["surround-no-lambda", "polyprobe-bad-c", "evidence-depths-0",
             "evidence-depths-negative", "cut-depths-0", "cut-depths-negative",
             "br-depth-max-0", "br-tol-nan", "br-finite-tol-nan", "br-finite-tol-negative",
@@ -677,10 +659,11 @@ class TestRejectedInput:
             "oracle-negative-horizon", "oracle-x0-comma", "oracle-x0-empty",
             "contain-finite-spec", "simulate-protect-outside", "simulate-protect-comma",
             "simulate-protect-empty", "simulate-schedule-empty", "simulate-replay-empty",
-            "tree-out-no-dir", "growth-out-no-dir", "metrics-no-dir", "trace-out-no-dir"])
+            "tree-out-no-dir", "growth-out-no-dir", "metrics-no-dir", "trace-out-no-dir",
+            "cache-no-dir"])
     def test_bad_option_exits_one(self, argv, message, spec_dir, capsys):
-        code, _out = run([a.format(d=spec_dir) for a in argv])
-        assert code == 1
+        code, out = run([a.format(d=spec_dir) for a in argv])
+        assert code == 1 and out == ""
         assert f"firebreak: {message.format(d=spec_dir)}" in capsys.readouterr().err
 
     def test_unwritable_out_prints_no_report(self, spec_dir, capsys):
@@ -688,6 +671,20 @@ class TestRejectedInput:
                          "--out", str(spec_dir / "no" / "r.txt")])
         assert code == 1 and out == ""
         assert "--out: cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module, stub, argv", [
+        ("cayley", "growth_rate_estimate",
+         ["cayley", "free:2", "--mode", "growth", "--R", "3", "--metrics", "{d}/no/m.json"]),
+        ("oracle", "brute_force_containment",
+         ["oracle", "{d}/ray5.tree", "--budget", "const:1", "--cache", "{d}/no/o.cache"]),
+    ], ids=["metrics", "cache"])
+    def test_unwritable_file_costs_no_run(self, module, stub, argv, spec_dir, monkeypatch, capsys):
+        def no_run(*_a, **_kw):
+            raise AssertionError(f"{stub} ran before its file was opened")
+        monkeypatch.setattr(f"firebreak.{module}.{stub}", no_run)
+        code, out = run([a.format(d=spec_dir) for a in argv])
+        assert code == 1 and out == ""
+        assert f"{argv[-2]}: cannot write" in capsys.readouterr().err
 
     def test_tree_without_out_exits_before_building(self, monkeypatch, capsys):
         import firebreak.cayley

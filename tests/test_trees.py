@@ -444,13 +444,10 @@ def digit_cases(rng):
 
 
 class TestFormatIds:
-    """The one digit writer against str and join, plain and in lines, at the
-    default crossover to str and join and forced both ways."""
+    """The one digit writer against str and join, plain and in lines, at every size."""
 
-    def test_matches_str_join(self, monkeypatch):
-        for table_min in (trees_mod.FORMAT_IDS_TABLE_MIN, 0, 10 ** 9):
-            monkeypatch.setattr(trees_mod, "FORMAT_IDS_TABLE_MIN", table_min)
-            self.check(digit_cases(np.random.default_rng(9100)))
+    def test_matches_str_join(self):
+        self.check(digit_cases(np.random.default_rng(9100)))
 
     @staticmethod
     def check(cases):
