@@ -191,9 +191,6 @@ class FlowAssignment(Value):
 
     _fields = ("flows", "value", "rate")
 
-    def __init__(self, flows: dict[int, Fraction], value: Fraction, rate: Fraction):
-        self.__dict__.update(flows=flows, value=value, rate=rate)
-
 
 def max_flow(trunc: Truncation, rate: Rate) -> FlowAssignment:
     """A maximum feasible flow from the root to the boundary, built
@@ -356,9 +353,6 @@ def br_enclosure(spec: Automaton) -> tuple[float, float, float]:
 class BracketResult(Value):
     _fields = ("lo", "hi", "probes")
 
-    def __init__(self, lo: float, hi: float, probes: tuple[tuple[float, str], ...]):
-        self.__dict__.update(lo=lo, hi=hi, probes=probes)
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
@@ -408,12 +402,6 @@ class LowerBoundCertificate(Value):
     """
 
     _fields = ("spec", "rate", "mid_rate", "budget_coeff", "cut_weight_floor", "radius", "y")
-
-    def __init__(self, spec: Automaton, rate: Fraction, mid_rate: Fraction,
-                 budget_coeff: Fraction, cut_weight_floor: Fraction, radius: int,
-                 y: tuple[Fraction, ...]):
-        self.__dict__.update(spec=spec, rate=rate, mid_rate=mid_rate, budget_coeff=budget_coeff,
-                             cut_weight_floor=cut_weight_floor, radius=radius, y=y)
 
 
 def _log(n: int, d: int) -> float:

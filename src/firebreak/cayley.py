@@ -51,14 +51,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate, combinations, pairwise
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError, SpecError, SurroundCapError
 from .trees import (Automaton, Truncation, Value, format_ids, level_counts, np, packed, put_digits, view,
                     zeroed)
-
-if TYPE_CHECKING:  # the records' annotations; the functions import game when they run
-    from .game import FeasibilityResult, ScheduleStrategy, Verdict
 
 _LETTERS = "abcdefghij"
 
@@ -384,12 +381,6 @@ class GrowthEstimate(Value):
     _fields = ("radius", "sphere_sizes", "ball_sizes", "ball_root_sequence",
                "sphere_ratio_sequence")
 
-    def __init__(self, radius: int, sphere_sizes: tuple[int, ...], ball_sizes: tuple[int, ...],
-                 ball_root_sequence: tuple[float, ...], sphere_ratio_sequence: tuple[float, ...]):
-        self.__dict__.update(radius=radius, sphere_sizes=sphere_sizes, ball_sizes=ball_sizes,
-                             ball_root_sequence=ball_root_sequence,
-                             sphere_ratio_sequence=sphere_ratio_sequence)
-
     @property
     def ball_root(self) -> float:
         return self.ball_root_sequence[-1]
@@ -420,16 +411,12 @@ def growth_rate_estimate(model, radius: int) -> GrowthEstimate:
 
 
 class SurroundResult(Value):
+    """A surround's schedule and verdict on its ball, the round it protects
+    the sphere S(sphere_index) in, that sphere's ids (a range) and the
+    (round, budget, sphere size) trace that found the round."""
+
     _fields = ("strategy", "verdict", "trigger_round", "sphere_index", "sphere", "budget_trace",
                "ball")
-
-    def __init__(self, strategy: ScheduleStrategy, verdict: Verdict, trigger_round: int,
-                 sphere_index: int, sphere: range, budget_trace: tuple[tuple[int, int, int], ...],
-                 ball: CayleyBall):
-        # sphere: the protected layer's ids; budget_trace: (round, budget, sphere size)
-        self.__dict__.update(strategy=strategy, verdict=verdict, trigger_round=trigger_round,
-                             sphere_index=sphere_index, sphere=sphere,
-                             budget_trace=budget_trace, ball=ball)
 
 
 def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundResult:
@@ -481,12 +468,10 @@ def wait_and_surround(model, radius: int, rate, ball_radius: int) -> SurroundRes
 
 
 class ProbeReport(Value):
-    _fields = ("feasibility", "budget_vs_sphere", "note")
+    """A polynomial probe's ``FeasibilityResult``, its (n, cumulative budget,
+    |S(n+1)|) rows and the note on what it proves."""
 
-    def __init__(self, feasibility: FeasibilityResult,
-                 budget_vs_sphere: tuple[tuple[int, int, int], ...], note: str):
-        # budget_vs_sphere: (n, cumulative budget, |S(n+1)|)
-        self.__dict__.update(feasibility=feasibility, budget_vs_sphere=budget_vs_sphere, note=note)
+    _fields = ("feasibility", "budget_vs_sphere", "note")
 
 
 def polynomial_probe(model, coeff, degree: int, radius: int, depth: int) -> ProbeReport:

@@ -12,12 +12,13 @@ cap), 3 strategy fault.
 
 Each subcommand's arguments are one table, ``COMMANDS``, and a run's argv
 is read off its command's table.  Whatever that reading cannot be sure
-argparse reads alike (help, ``--``, an unknown or abbreviated option, a
-missing value, a failed conversion or choice, a missing or extra
-positional, no subcommand) goes to the argparse parser built from the
-same table, which is imported and built only then.  So usage errors and
-help read as argparse writes them, and a run that parses loads neither
-argparse nor gettext.
+argparse reads alike (help, ``--``, an unknown or abbreviated option,
+``--flag=value``, any other word or value that starts with "-", a missing
+value, a failed conversion or choice, a missing or extra positional, no
+subcommand) goes to the argparse parser built from the same table, which
+is imported and built only then.  So usage errors and help read as
+argparse writes them, and a run that parses loads neither argparse nor
+gettext.
 
 Each ``cmd_*`` imports the layers it runs when it starts, so a process
 loads only those: ``br`` trees and branching; ``cayley`` trees and cayley
@@ -57,48 +58,37 @@ def _text(write, what: str) -> str:
                                  f"past sys.get_int_max_str_digits() = {digits}") from None
 
 
-def _fmt(value, id_set=None) -> str:
-    """A report cell's text, checked: a list, tuple, range or array cell by
-    ``id_set`` (``trees.format_id_set``, which ``emit_report`` imports once
-    a report), and ResourceLimitError for an int or Fraction past the digit limit."""
-    if type(value) in (int, str):
-        return _text(value.__str__, "number")
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if (fractions := sys.modules.get("fractions")) and isinstance(value, fractions.Fraction):
-        return _text(value.__str__, "fraction")  # n/d, or n
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (list, tuple, range)) or getattr(value, "ndim", 0):  # numpy scalars have ndim 0
-        return id_set(value)
-    return str(value)
-
-
-# the text of a cell by its exact type; Fraction's is added once fractions
-# loads, as no Fraction cell exists before.  int and Fraction raise
-# ValueError past the digit limit.
+# a report cell's text by its exact type, to which emit_report adds the id
+# sets and, once fractions loads (no Fraction cell exists before), Fraction
 _CELLS = {int: int.__repr__, str: str.__str__, float: float.__repr__,
           bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "-"}
 
 
 def emit_report(config: dict, result: dict, tables=(), out: str | None = None) -> str:
+    """A run's report, to stdout and to ``out`` when given: an id set cell (a
+    list, tuple, range or array) by ``trees.format_id_set``, a numpy scalar
+    by str, and ResourceLimitError for an int past the digit limit."""
     from .trees import format_id_set
 
-    checked = functools.partial(_fmt, id_set=format_id_set)
-    cells = _CELLS
+    cells = {**_CELLS, list: format_id_set, tuple: format_id_set, range: format_id_set}
     if fractions := sys.modules.get("fractions"):
-        cells = {**cells, fractions.Fraction: fractions.Fraction.__str__}
+        cells[fractions.Fraction] = fractions.Fraction.__str__
 
     def cell(value) -> str:
-        write = cells.get(type(value))
-        return write(value) if write else checked(value)
+        write = cells.get(type(value)) or (format_id_set if getattr(value, "ndim", 0) else str)
+        try:
+            return write(value)
+        except ValueError:  # an int past the digit limit, alone, in an id set or in a Fraction
+            what = "fraction" if fractions and type(value) is fractions.Fraction else "number"
+            return _text(value.__str__, what)
 
-    try:
-        text = _report(config, result, tables, cell)
-    except ValueError:  # a number past the digit limit: the checked cells name it
-        text = _report(config, result, tables, checked)
+    lines = [f"config.{k} = {cell(config[k])}" for k in sorted(config)]
+    lines += [f"result.{k} = {cell(result[k])}" for k in sorted(result)]
+    for name, header, rows in tables:
+        lines.append(f"csv {name}")
+        lines.append(",".join(header))
+        lines += [",".join([cell(v) for v in row]) for row in rows]
+    text = "\n".join(lines) + "\n"
     fh = open_out(out, "--out") if out else None  # before stdout, so a bad path prints nothing
     sys.stdout.write(text)
     if fh:
@@ -113,16 +103,6 @@ def open_out(path: str, option: str, mode: str = "w"):
         return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise SpecError(f"{option}: cannot write {path!r} ({exc.strerror or exc})") from exc
-
-
-def _report(config: dict, result: dict, tables, cell) -> str:
-    lines = [f"config.{k} = {cell(config[k])}" for k in sorted(config)]
-    lines += [f"result.{k} = {cell(result[k])}" for k in sorted(result)]
-    for name, header, rows in tables:  # each rows a list, read again on a retry
-        lines.append(f"csv {name}")
-        lines.append(",".join(header))
-        lines += [",".join([cell(v) for v in row]) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _rational(text: str, option: str) -> Fraction:
@@ -537,41 +517,29 @@ _SHAPES = {command: _shape(command, func, arguments, exclusive)
            for command, (_, func, arguments, exclusive) in COMMANDS.items()}
 
 
-def _negative(word: str) -> bool:
-    """Whether argparse reads ``word`` as a negative number, a value and
-    not an option: "-" and digits, with at most one "." and a digit after it."""
-    whole, dot, fraction = word[1:].partition(".")
-    return whole.isdecimal() if not dot else fraction.isdecimal() and (
-        not whole or whole.isdecimal())
-
-
 def _read(command: str, words: list[str]) -> SimpleNamespace | None:
     """The arguments ``words`` give ``command``, as its parser reads them,
-    or None where that parser might read them otherwise: a word that starts
-    with "-" and is neither an option's exact flag (``--flag=value`` too)
-    nor a negative number, a missing value, a failed conversion or choice,
-    a second positional, a required argument missing, or two exclusive
-    options.  An option given twice keeps its last value."""
+    or None where that parser might read them otherwise or fails: any word
+    or value that starts with "-" and is not an option's exact flag (so
+    ``--flag=value`` and negative numbers too), a missing value, a failed
+    conversion or choice, a second positional, a required argument missing,
+    or two exclusive options.  An option given twice keeps its last value."""
     positional, flags, defaults, required, exclusive = _SHAPES[command]
     values, given = dict(defaults), set()
     words = iter(words)
     for word in words:
-        if word[:1] != "-" or _negative(word):
+        if word[:1] != "-":
             if positional in given:
                 return None
             dest, value = positional, word
+        elif (option := flags.get(word)) is None:
+            return None
         else:
-            flag, eq, value = word.partition("=")
-            if (option := flags.get(flag)) is None:
-                return None
             dest, convert, choices, switch = option
             if switch:
-                if eq:
-                    return None
                 value = True
             else:
-                if not eq and ((value := next(words, None)) is None
-                               or value[:1] == "-" and not _negative(value)):
+                if (value := next(words, None)) is None or value[:1] == "-":
                     return None
                 if convert is not None:
                     try:

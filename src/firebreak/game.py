@@ -57,11 +57,11 @@ from fractions import Fraction
 from itertools import accumulate, islice, pairwise
 from typing import Iterable, Mapping
 
-from .branching import Cutset, compare_to_br, cut_recursion, exact_rate, min_cutset
+from .branching import compare_to_br, cut_recursion, exact_rate, min_cutset
 from .errors import ResourceLimitError, SpecError, StrategyFault, SynthesisError
 from . import trees  # SPREAD_VECTOR_MIN as it stands when a round reads it
-from .trees import (BURNING, PROTECTED, UNTOUCHED, Automaton, Truncation, Value, as_tuple,
-                    expand, format_id_set, id_set, mark, np, row_entries)
+from .trees import (BURNING, PROTECTED, UNTOUCHED, Automaton, Value, as_tuple, expand,
+                    format_id_set, id_set, mark, np, row_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +79,7 @@ class BudgetSequence(Value):
     p**n // q**n for the rate p/q, a * n**degree // b for the coeff a/b."""
 
     _fields = ("kind", "params")
-
-    def __init__(self, kind: str, params: tuple = ()):
-        self.__dict__.update(kind=kind, params=params)
+    _defaults = {"params": ()}
 
     @classmethod
     def constant(cls, c: int) -> "BudgetSequence":
@@ -355,11 +353,12 @@ class TraceRound:
 
 
 class Verdict(Value):
-    _fields = ("kind", "round_no", "burnt", "trace")
+    """A game's outcome ``kind``, the round it ended in, the burnt vertices'
+    count (None unless contained) and the played rounds' ``TraceRound``s
+    (default none)."""
 
-    def __init__(self, kind: str, round_no: int, burnt: int | None,
-                 trace: tuple[TraceRound, ...] = ()):
-        self.__dict__.update(kind=kind, round_no=round_no, burnt=burnt, trace=trace)
+    _fields = ("kind", "round_no", "burnt", "trace")
+    _defaults = {"trace": ()}
 
     @property
     def contained(self) -> bool:
@@ -805,13 +804,11 @@ def _splits(counts: tuple[int, ...], size: int):
 
 
 class SynthesisResult(Value):
-    _fields = ("strategy", "trunc", "cutset", "epsilon", "weight", "depth", "radius")
+    """A synthesized schedule, the truncation and cutset it plays, the
+    target eps, the cutset's weight (W(depth) from the per-state recursion),
+    the cut depth and the fire's radius."""
 
-    def __init__(self, strategy: ScheduleStrategy, trunc: Truncation, cutset: Cutset,
-                 epsilon: Fraction, weight: Fraction, depth: int, radius: int):
-        # weight: the cutset's weight, W(depth) from the per-state recursion
-        self.__dict__.update(strategy=strategy, trunc=trunc, cutset=cutset, epsilon=epsilon,
-                             weight=weight, depth=depth, radius=radius)
+    _fields = ("strategy", "trunc", "cutset", "epsilon", "weight", "depth", "radius")
 
 
 def cut_weight_target(rate, radius: int, probe_range: int = 120) -> Fraction:

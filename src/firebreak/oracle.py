@@ -40,11 +40,10 @@ STRICT_FREE_CAP = 12
 
 
 class OracleDecision(Value):
-    _fields = ("feasible", "schedule")
+    """Whether a containment strategy exists and, when one does, its
+    schedule: the protect set per round, from round 1 (else None)."""
 
-    def __init__(self, feasible: bool, schedule: tuple[tuple[int, ...], ...] | None):
-        # schedule: the protect set per round, from round 1
-        self.__dict__.update(feasible=feasible, schedule=schedule)
+    _fields = ("feasible", "schedule")
 
 
 def brute_force_containment(trunc: Truncation, x0: Iterable[int],

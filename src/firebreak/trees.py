@@ -49,15 +49,15 @@ inconclusive at this depth.  A level-D vertex continues when its state has
 children, or always for an explicit tree (``escape_leaves``): the depth of a
 finite description is the horizon of what it can rule out.
 
-Every set of vertex ids the game plays (a protect set, a frontier, the fire,
-one side of ``separated``'s check) goes through one helper: ``id_set`` sorts
-and deduplicates it and picks its form once; ``mark`` (check and mark of a
-status byte) takes the path that form and its being a run (PROTECT_RUN_MIN
-ids or more, the ends len - 1 apart) make cheapest, and ``row_entries``
-gathers the rows of an array or a range and leaves a tuple to the loop.
-Every id set a report or a trace prints is written by ``format_id_set``, and
-every id list the package prints, a tree export's parent lines among them,
-by one digit writer, ``format_ids``.
+Every set of vertex ids the game plays (a protect set, a frontier, the fire)
+goes through one helper: ``id_set`` sorts and deduplicates it and picks its
+form once, a range for a run of SPREAD_VECTOR_MIN ids or more, an int array
+for any other set that large and a tuple below it.  ``mark`` (check and mark
+of a status byte) and ``row_entries`` take their path by that form alone: a
+range is one slice, an array one numpy pass and a tuple the loop.  Every id
+set a report or a trace prints is written by ``format_id_set``, and every id
+list the package prints, a tree export's parent lines among them, by one
+digit writer, ``format_ids``.
 """
 
 from __future__ import annotations
@@ -122,13 +122,25 @@ def vertex_cap() -> int:
 
 class Value:
     """An immutable value, the automaton's and the result records' base, with
-    nothing generated for it at import: a subclass's ``__init__`` puts the
-    fields ``_fields`` names in the instance dict once, and any later
-    assignment raises.  Two values of one class are equal when their fields
-    are, and hash by them.  Caches go in the same dict by
-    ``object.__setattr__`` or ``cached_property``."""
+    nothing generated for it at import.  The one constructor writes the
+    fields ``_fields`` names, by position or by name and else from
+    ``_defaults``, in the instance dict once, and raises TypeError unless
+    each is given once; any later assignment raises.  Two values of one
+    class are equal when their fields are, and hash by them.  Caches go in
+    the same dict by ``object.__setattr__`` or ``cached_property``."""
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **named):
+        fields, values = self._fields, self.__dict__
+        values.update(zip(fields, args), **named)
+        once = len(values) == len(args) + len(named) and not (named and named.keys() - fields)
+        if len(values) < len(fields):
+            values.update(self._defaults | values)
+        if not once or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(fields)}, each once, "
+                            "by position or by name")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -155,15 +167,12 @@ class Value:
 class Automaton(Value):
     """A tree spec.  ``children[s]`` is the ordered child-state tuple of
     state s; the tree unfolds from ``root``.  Every state is reachable from
-    the root.  ``escape_leaves`` makes every level-D vertex of a truncation
-    continue (explicit trees); otherwise a level-D vertex continues when its
-    state has children."""
+    the root.  ``escape_leaves`` (default False) makes every level-D vertex
+    of a truncation continue (explicit trees); otherwise a level-D vertex
+    continues when its state has children."""
 
     _fields = ("children", "root", "escape_leaves")
-
-    def __init__(self, children: tuple[tuple[int, ...], ...], root: int,
-                 escape_leaves: bool = False):
-        self.__dict__.update(children=children, root=root, escape_leaves=escape_leaves)
+    _defaults = {"escape_leaves": False}
 
     def continues(self, state: int) -> bool:
         return bool(self.children[state]) or self.escape_leaves
@@ -465,32 +474,35 @@ class Truncation:
 
 # Crossovers against the loops, timeit on free:2, zd:2, zd:3, binary and
 # ternary arenas (2-CPU VM): fancy indexing wins from 64-70 ids, the gather
-# from 32-64 ids.
+# from 32-64 ids.  A run of that many ids is a range, whose find and slice
+# beat both.
 SPREAD_VECTOR_MIN = 64
-# One find and one slice check and mark a run in 1.1 us, the loop 0.1 us an
-# id: they cross at 8 ids.  Only ``mark`` takes runs apart; a spread
-# gathers any id set of SPREAD_VECTOR_MIN ids or more, a run or not.
-PROTECT_RUN_MIN = 8
 
 
 def id_set(ids: Iterable[int]) -> tuple[int, ...] | range | np.ndarray:
     """The ids sorted, each once: from SPREAD_VECTOR_MIN ids on, a step-1
-    range as it is or an int array (ids given otherwise become one when they
-    fit in int64), and any other set a tuple of ints."""
+    range when they are one run (their ends len - 1 apart), as it is when
+    given one, or else an int array (ids given otherwise become one when
+    they fit in int64); any other set a tuple of ints."""
     # a range or a tuple is told first, as reading np.ndarray loads numpy
-    if type(ids) not in (range, tuple) and isinstance(ids, np.ndarray):
+    if type(ids) is range and ids.step == 1:
+        pass
+    elif type(ids) is not tuple and isinstance(ids, np.ndarray):
         ids = _sorted_unique(ids)
-    elif type(ids) is not range or ids.step != 1:
+    else:
         ids = sorted(set(ids))
-        if len(ids) < SPREAD_VECTOR_MIN or not -2 ** 63 <= ids[0] <= ids[-1] < 2 ** 63:
-            return tuple(ids)
-        ids = np.array(ids, np.int64)
-    return ids if len(ids) >= SPREAD_VECTOR_MIN else as_tuple(ids)
+    if len(ids) < SPREAD_VECTOR_MIN:
+        return as_tuple(ids)
+    if (last := int(ids[-1])) - (first := int(ids[0])) == len(ids) - 1:
+        return ids if type(ids) is range else range(first, last + 1)
+    if type(ids) is not list:
+        return ids
+    return np.array(ids, np.int64) if -2 ** 63 <= first and last < 2 ** 63 else tuple(ids)
 
 
 def as_tuple(ids) -> tuple[int, ...]:
-    """An id set as a tuple of Python ints; a range or a tuple loads no numpy."""
-    return tuple(ids if type(ids) in (range, tuple) or not isinstance(ids, np.ndarray)
+    """An id set as a tuple of Python ints; a range, tuple or list loads no numpy."""
+    return tuple(ids if type(ids) in (range, tuple, list) or not isinstance(ids, np.ndarray)
                  else ids.tolist())
 
 
@@ -506,26 +518,20 @@ def _sorted_unique(ids: np.ndarray) -> np.ndarray:
     return ids[keep]
 
 
-def _one_run(ids) -> bool:
-    """Whether an id set is one run of PROTECT_RUN_MIN ids or more: its ends len - 1 apart."""
-    return len(ids) >= PROTECT_RUN_MIN and ids[-1] - ids[0] == len(ids) - 1
-
-
 def mark(statuses: bytearray, ids, byte: int) -> int | None:
     """Give the ids of an id set the status byte.  The first of them, in
     sorted order, that is burning or outside the statuses stops the marking
-    (ids before it may be marked) and is returned.  A run takes one find and
-    one slice, an int array one fancy-index pass, and a tuple the loop."""
-    size = len(ids)
-    if _one_run(ids):
-        first, stop = int(ids[0]), int(ids[0]) + size
+    (ids before it may be marked) and is returned.  A range takes one find
+    and one slice, an int array one fancy-index pass, and a tuple the loop."""
+    if type(ids) is range:
+        first, stop = ids.start, ids.stop
         if first < 0:
             return first
         if (hit := statuses.find(BURNING, first, stop)) >= 0:
             return hit
         if stop > len(statuses):
             return max(first, len(statuses))
-        statuses[first:stop] = bytes((byte,)) * size
+        statuses[first:stop] = bytes((byte,)) * len(ids)
     elif type(ids) is tuple:
         for v in ids:
             if not 0 <= v < len(statuses) or statuses[v] == BURNING:
@@ -538,7 +544,7 @@ def mark(statuses: bytearray, ids, byte: int) -> int | None:
         view = np.frombuffer(statuses, np.uint8)
         if (burning := np.flatnonzero(view[inside] == BURNING)).size:
             return int(inside[burning[0]])
-        if len(inside) < size:
+        if len(inside) < len(ids):
             return int(ids[len(inside)])
         view[inside] = byte
     return None
@@ -546,14 +552,15 @@ def mark(statuses: bytearray, ids, byte: int) -> int | None:
 
 def row_entries(arena, ids) -> np.ndarray | None:
     """The row entries of an id set of the arena's vertices, row after row,
-    read off ``arena.rows`` by a gather whose offset arithmetic runs in
-    int32 (only the index into the columns is intp), a range as the array
-    it spans.  None for a tuple, whose ``neighbors`` loop is cheaper."""
+    read off ``arena.rows``: a range's as one slice of the columns (a view,
+    which callers only read), an array's by a gather whose offset
+    arithmetic runs in int32 (only the index into the columns is intp).
+    None for a tuple, whose ``neighbors`` loop is cheaper."""
     if type(ids) is tuple:
         return None
-    if type(ids) is range:
-        ids = np.arange(ids.start, ids.stop)
     offsets, columns = arena.rows()
+    if type(ids) is range:
+        return columns[offsets[ids.start]:offsets[ids.stop]]
     starts = offsets[ids]
     lengths = offsets[1:][ids] - starts
     at = np.arange(lengths.sum())
@@ -728,22 +735,16 @@ def put_digits(out: np.ndarray, ids, width: int) -> None:
 
 
 def format_ids(ids: np.ndarray, line: int = 0, head: bytes = b"") -> bytes:
-    """Non-negative ids as the bytes of ``" ".join(map(str, ids))`` or, with
-    ``line``, as lines of ``line`` ids, each headed by ``head``.  Each
-    maximal run of ids of one digit width is one block of fixed-width
-    records (``_id_records``) whose digits are gathered from
-    ``digit_table``, so ids in non-decreasing order, as every caller passes
-    them, make at most one block per width."""
+    """Non-negative ids in non-decreasing order, as every caller has them
+    (id sets are sorted and level-major parent lists never decrease), as the
+    bytes of ``" ".join(map(str, ids))`` or, with ``line``, as lines of
+    ``line`` ids, each headed by ``head``.  The ids of each digit width are
+    one block of fixed-width records (``_id_records``) whose digits are
+    gathered from ``digit_table``."""
     if not (n := len(ids)):
         return b""
-    small, large = bisect_right(_TENS, int(ids.min())), bisect_right(_TENS, int(ids.max()))
-    if small == large:
-        cuts = [0, n]
-    elif (ids[1:] >= ids[:-1]).all():
-        cuts = [0, *np.searchsorted(ids, _TENS[small:large]).tolist(), n]
-    else:
-        widths = np.searchsorted(np.array(_TENS[small:large]), ids, "right")
-        cuts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), n]
+    small, large = bisect_right(_TENS, int(ids[0])), bisect_right(_TENS, int(ids[-1]))
+    cuts = [0, *np.searchsorted(ids, _TENS[small:large]).tolist(), n] if small < large else [0, n]
     blocks = []
     for a, b in pairwise(cuts):
         if a < b:  # a run; without lines, one line of its own

@@ -26,9 +26,9 @@ import firebreak
 from firebreak import (BudgetSequence, ExplicitSpec, PeriodicSpec, ScheduleStrategy,
                        SymmetricSpec, expand, feasibility_check, format_tree_spec, max_flow,
                        min_cut_weight, parse_tree_spec, simulate, step)
-from firebreak.cli import _fmt, build_parser, emit_report, main, parse
+from firebreak.cli import build_parser, emit_report, main, parse
 from firebreak.game import state_from_fire
-from firebreak.trees import Automaton, format_id_set
+from firebreak.trees import Automaton
 from conftest import random_periodic_spec
 
 BINARY = "variant: periodic\nroot: A\nstates: A -> A A\n"
@@ -200,14 +200,14 @@ class TestBr:
         path.write_text(format_tree_spec(spec))
         for lam in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)):
             code, out = run(["br", str(path), "--tol", "0.1",
-                             "--lambda", _fmt(lam), "--cut-depths", "6"])
+                             "--lambda", str(lam), "--cut-depths", "6"])
             assert code == 0
             expected = []
             for depth in range(1, 7):
                 trunc = expand(spec, depth)
                 weight = min_cut_weight(trunc, lam)
                 assert max_flow(trunc, lam).value == weight
-                expected.append([_fmt(lam), str(depth), _fmt(weight), _fmt(weight)])
+                expected.append([str(lam), str(depth), str(weight), str(weight)])
             assert csv_rows(out, "cuts") == expected
 
 
@@ -1249,8 +1249,7 @@ def seeded_argv(rng: random.Random, command: str) -> list[str]:
     chosen = required + rng.sample(optional, rng.randint(0, len(optional)))
     chosen += rng.sample([("--out", "o.txt"), ("--metrics", "m.json")], rng.randint(0, 2))
     rng.shuffle(chosen)
-    words = [[flag + "=" + value[0]] if value and rng.random() < 0.3 else [flag, *value]
-             for flag, *value in chosen]
+    words = [[flag, *value] for flag, *value in chosen]
     words.insert(rng.randint(0, len(words)), positionals)
     return [command] + [w for group in words for w in group]
 
@@ -1258,7 +1257,8 @@ def seeded_argv(rng: random.Random, command: str) -> list[str]:
 # edits that make a seeded argv odd: an abbreviated flag, a negative or
 # malformed value or positional, a repeated option, with an odd value too,
 # a second exclusive option, "--", help, a missing value or positional, a
-# bad choice, an extra positional, a switch given "=", and no subcommand
+# bad choice, an extra positional, a value or a switch given "=", and no
+# subcommand
 ODD_WORDS = ["-3", "-0.5", "-.5", "-1e3", "-x", "-", "-3\n", "-\u0663", "-1.", "-1.2.3", "- 1",
              "", "1_0", " 2 ", "nan", "x", "0x1", "\u0663", "1" * 5000]
 
@@ -1296,7 +1296,15 @@ def _insert(rng, argv):
     return argv
 
 
-ODD_EDITS = [_abbreviate, _odd_value, _odd_value, _repeat, _repeat, _repeat, _insert,
+def _join(rng, argv):
+    flags = [i for i, w in enumerate(argv[:-1]) if w.startswith("--") and argv[i + 1][:1] != "-"]
+    if flags:
+        i = rng.choice(flags)
+        argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+    return argv
+
+
+ODD_EDITS = [_abbreviate, _odd_value, _odd_value, _repeat, _repeat, _repeat, _insert, _join,
              lambda rng, argv: argv[:-1], lambda rng, argv: argv[1:]]
 
 
@@ -1342,17 +1350,22 @@ class TestParse:
             got = parse_outcome(parse, argv)
             assert got == parse_outcome(build_parser().parse_args, argv), argv
             read_off_the_table += isinstance(parse(argv), SimpleNamespace) if got[0] is None else 0
-        assert 10 <= read_off_the_table < len(argvs)
+        assert 5 <= read_off_the_table < len(argvs)
 
     def test_report_cells(self, capsys):
+        import numpy as np
+
         cells = (None, True, False, 0, -12, "x", "", Fraction(3, 2), Fraction(-4), 0.5, 1e300,
-                 (), (1, 2), [3, "a"])
+                 (), (1, 2), [3, "a"], range(0), range(98, 102), np.array([7, 10], np.intc),
+                 np.int64(-9), np.float64(0.25), np.bool_(True))
         texts = ["-", "true", "false", "0", "-12", "x", "", "3/2", "-4", "0.5", "1e+300", "-",
-                 "1 2", "3 a"]
-        assert [_fmt(v, format_id_set) for v in cells] == texts
-        # a report reads the common cells by their exact type, with the same text
-        emit_report({}, {}, [("cells", ["c"] * len(cells), [cells])])
-        assert capsys.readouterr().out.splitlines()[-1] == ",".join(texts)
+                 "1 2", "3 a", "-", "98 99 100 101", "7 10", "-9", "0.25", "True"]
+        # a report reads each cell by its exact type, an id set by format_id_set
+        # and a numpy scalar by str, in the config and result lines as in a table
+        emit_report({"c": cells[-1]}, {"r": cells[-5]}, [("cells", ["c"] * len(cells), [cells])])
+        assert capsys.readouterr().out.splitlines() == [
+            "config.c = True", "result.r = 98 99 100 101", "csv cells", ",".join(["c"] * len(cells)),
+            ",".join(texts)]
 
     @pytest.mark.parametrize("argv", [
         [], ["frobnicate", "x"], ["br", "t.tree", "--D-max", "0"], ["br", "a", "b"],

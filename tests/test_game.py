@@ -13,9 +13,8 @@ Claims covered:
       every model: same traces, verdicts, faults and fault rounds, with
       over a hundred rounds spread from the level starts alone; also, with
       that level path off, with every id set, of balls and of truncations,
-      forced into an int array (the gather and fancy-index paths), and with
-      every one-run frontier forced to spread from one slice of the
-      columns, or none;
+      forced into a range when it is one run and an int array otherwise
+      (the slice, gather and fancy-index paths), or into a tuple (the loops);
       protect sets past SPREAD_VECTOR_MIN that mix negative, burning,
       out-of-ball and huge ids fail with the reference's fault, message and
       round, and a trace records each protect set once, sorted;
@@ -39,8 +38,8 @@ Claims covered:
     - a protect set that is one run of 1 to 3,000 ids, given as a list, a
       range or an array, fails with the reference's first burning id, first
       id past the arena or budget fault, and plays to its statuses, whether
-      the run check takes it or (short runs) the loop does, as the same ids
-      with a gap do through the gather and the loop paths
+      id_set makes it a range or (short runs) the loop takes it, as the same
+      ids with a gap do through the gather and the loop paths
     - the id-set helper, branch by branch against the reference: check and
       mark by find-and-slice, fancy index and loop names the reference's
       first bad id or marks its statuses, and row entries by slice, gather
@@ -300,21 +299,22 @@ class RandomStrategy:
 
 
 def _count_id_set_paths(monkeypatch) -> Counter:
-    """Count the paths the engine's id sets take, by the rules of the
-    ``trees`` helper: ``row_entries`` calls by what they returned ("gather";
-    "loop", None), and ``mark`` calls by the set's form ("run", "fancy" for
-    an int array, "tuple" for the loop); an empty set counts as "empty"."""
+    """Count the paths the engine's id sets take, by the form ``id_set``
+    gave them: ``row_entries`` calls by what they returned ("slice" for a
+    range, "gather" for an int array; "loop", None), and ``mark`` calls by
+    the set's form ("run" for a range, "fancy" for an int array, "tuple" for
+    the loop); an empty set counts as "empty"."""
     entries, marks, calls = game_mod.row_entries, game_mod.mark, Counter()
 
     def counted_entries(arena, ids):
         got = entries(arena, ids)
-        calls["empty" if not len(ids) else "loop" if got is None else "gather"] += 1
+        calls["empty" if not len(ids) else "loop" if got is None
+              else "slice" if type(ids) is range else "gather"] += 1
         return got
 
     def counted_mark(statuses, ids, byte):
-        size = len(ids)
-        calls["empty" if not size else "run" if size >= trees_mod.PROTECT_RUN_MIN
-              and ids[-1] - ids[0] == size - 1 else "tuple" if type(ids) is tuple else "fancy"] += 1
+        calls["empty" if not len(ids) else "run" if type(ids) is range
+              else "tuple" if type(ids) is tuple else "fancy"] += 1
         return marks(statuses, ids, byte)
 
     monkeypatch.setattr(game_mod, "row_entries", counted_entries)
@@ -388,13 +388,15 @@ class TestInPlaceEngine:
                               "StrategyFault", "SpecError"}, kinds
 
     def test_numpy_rounds_match_copy_per_round_reference(self, monkeypatch):
-        # with the threshold at 1, every id set of a ball game that is not
-        # one run is an int array: every such frontier spreads by the gather
-        # and every such protect set is marked by fancy indexing
+        # with the threshold at 1, every id set of a ball game is a range
+        # when it is one run of ids and an int array otherwise: such a
+        # frontier spreads by a slice or the gather, and such a protect set
+        # is marked by one slice or by fancy indexing
         monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", 1)
         calls = _count_id_set_paths(monkeypatch)
         self.play_against_reference()
         assert calls["gather"] > 100 and calls["fancy"] > 100, calls
+        assert calls["slice"] > 20 and calls["run"] > 100, calls
         assert not calls["loop"] and not calls["tuple"], calls
         self.test_step_leaves_its_input_alone()  # step keeps the engine's forms of its frontiers
 
@@ -426,16 +428,17 @@ class TestInPlaceEngine:
 
     @pytest.mark.parametrize("crossover", [0, 10 ** 9])
     def test_one_run_slices_match_copy_per_round_reference(self, crossover, monkeypatch):
-        # at crossover 0 every frontier, one run of ids or not, spreads by
-        # the gather, at 10**9 none does and the loop takes it (an empty set
-        # is a tuple at any crossover, so 0 stands for 1 there)
+        # at crossover 0 every frontier spreads from the rows, one run of ids
+        # by a slice and any other by the gather, at 10**9 none does and the
+        # loop takes it (an empty set is a tuple at any crossover, so 0
+        # stands for 1 there)
         monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", max(crossover, 1))
         monkeypatch.setattr(game_mod, "_level_round", lambda *_args: None)  # every round by rows
         calls = _count_id_set_paths(monkeypatch)
         self.play_against_reference()
         self.test_step_leaves_its_input_alone()
-        assert (calls["gather"] > 100 and not calls["loop"]) if crossover == 0 else (
-            calls["gather"] == 0 and calls["loop"] > 100), calls
+        assert (min(calls["slice"], calls["gather"]) > 100 and not calls["loop"]) if crossover == 0 \
+            else (calls["slice"] == calls["gather"] == 0 and calls["loop"] > 100), calls
 
     def test_rows_built_on_demand_match_the_reference(self, monkeypatch):
         # every read that builds rows, made first on a fresh arena and
@@ -681,11 +684,11 @@ class TestLevelRounds:
 
 
 class TestOneRunProtectSets:
-    """A protect set that is one run of PROTECT_RUN_MIN ids or more is
-    checked with one find and marked with one slice: at that threshold and
-    at 1 it fails and plays as the copy-per-round reference's loop, and the
-    same ids with a gap fail and play as the reference through the gather
-    and the loop paths."""
+    """A protect set that is one run of SPREAD_VECTOR_MIN ids or more is a
+    range, checked with one find and marked with one slice: at that
+    threshold and at 1 it fails and plays as the copy-per-round reference's
+    loop, and the same ids with a gap fail and play as the reference
+    through the gather and the loop paths."""
 
     @staticmethod
     def outcome(play, state, protect, budget):
@@ -696,7 +699,7 @@ class TestOneRunProtectSets:
     def test_runs_fail_and_play_as_the_loop_and_gather_paths(self, monkeypatch):
         b = cayley_ball(group_from_name("free:2"), 7)  # 4,373 vertices
         n, rng, kinds = b.n_vertices, random.Random(89), Counter()
-        default, default_run = trees_mod.SPREAD_VECTOR_MIN, trees_mod.PROTECT_RUN_MIN
+        default = trees_mod.SPREAD_VECTOR_MIN
         for _ in range(160):
             # a few burning ids anywhere, some protected ones, and the root
             # burning as the frontier
@@ -711,8 +714,8 @@ class TestOneRunProtectSets:
             run = list(range(start, start + size))
             budget = rng.choice((n, n, size, size - 1))
             want = self.outcome(game_reference.step, state, run, budget)
-            for run_min in (1, default_run):  # every run by one find, or short ones looped
-                monkeypatch.setattr(trees_mod, "PROTECT_RUN_MIN", run_min)
+            for vector_min in (1, default):  # every run by one find, or short ones looped
+                monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", vector_min)
                 for given in (run, run[::-1] + run[:2], range(start, start + size),
                               np.array(run, np.int64), np.array(run, np.int32)[::-1]):
                     assert self.outcome(step, state, given, budget) == want, (start, size)
@@ -930,7 +933,7 @@ class TestIdSets:
     """The id-set helper of ``trees``, one seeded differential test per
     branch: ``mark`` by find-and-slice, fancy index and loop against the
     copy-per-round reference's protect loop (tests/game_reference.py), and
-    ``row_entries`` by gather (of a range and of an int array) and loop
+    ``row_entries`` by a slice of a range, a gather of an int array and loop
     against the reference adjacency, each branch forced by a threshold
     setting.  Ids come as tuples, step-1 and other ranges and int32 and int64 arrays, with
     repeats, and with negative, burning, past-the-end and past-int64 ids."""
@@ -953,13 +956,17 @@ class TestIdSets:
 
     @staticmethod
     def check_form(given, got, ids):
-        """id_set's form: a step-1 range as given or an int array (of the
-        given dtype, else int64) from SPREAD_VECTOR_MIN ids on, else a tuple."""
-        assert trees_mod.as_tuple(got) == tuple(sorted(set(ids)))
-        large = len(got) >= trees_mod.SPREAD_VECTOR_MIN
-        if large and type(given) is range and given.step == 1:
-            assert got is given
-        elif large and all(-2 ** 63 <= v < 2 ** 63 for v in ids):
+        """id_set's form: from SPREAD_VECTOR_MIN ids on, a step-1 range when
+        they are one run (a given step-1 range as it is), else an int array
+        (of the given dtype, else int64) when they fit in int64; else a tuple."""
+        want = tuple(sorted(set(ids)))
+        assert trees_mod.as_tuple(got) == want
+        if len(want) < trees_mod.SPREAD_VECTOR_MIN:
+            assert type(got) is tuple
+        elif want[-1] - want[0] == len(want) - 1:
+            assert type(got) is range and got.step == 1
+            assert got is given or type(given) is not range or given.step != 1
+        elif all(-2 ** 63 <= v < 2 ** 63 for v in ids):
             assert got.dtype == (given.dtype if isinstance(given, np.ndarray) else np.int64)
         else:
             assert type(got) is tuple
@@ -967,8 +974,7 @@ class TestIdSets:
     def test_mark_matches_the_reference_loop(self, monkeypatch):
         b = cayley_ball(group_from_name("free:2"), 6)  # 1,457 vertices
         n, rng, seen = b.n_vertices, random.Random(97), Counter()
-        limits = [(trees_mod.PROTECT_RUN_MIN, trees_mod.SPREAD_VECTOR_MIN), (1, 1),
-                  (10 ** 9, 1), (10 ** 9, 10 ** 9), (1, 10 ** 9)]
+        limits = (trees_mod.SPREAD_VECTOR_MIN, 1, 10 ** 9)
         for _ in range(150):
             statuses = bytearray(rng.choices((UNTOUCHED, PROTECTED), (9, 1), k=n))
             burning = rng.sample(range(n), rng.choice((0, 1, 3, 8)))
@@ -988,13 +994,12 @@ class TestIdSets:
             want = _engine_outcome(game_reference.step, GameState(b, bytes(statuses), 0, ()),
                                    ids, len(ids))
             for given in self.forms(rng, ids):
-                for run_min, vector_min in limits:
-                    monkeypatch.setattr(trees_mod, "PROTECT_RUN_MIN", run_min)
+                for vector_min in limits:
                     monkeypatch.setattr(trees_mod, "SPREAD_VECTOR_MIN", vector_min)
                     got = trees_mod.id_set(given)
                     self.check_form(given, got, ids)
-                    path = ("run" if len(got) >= run_min and got[-1] - got[0] == len(got) - 1
-                            else "loop" if type(got) is tuple else "fancy")
+                    path = ("run" if type(got) is range else "loop" if type(got) is tuple
+                            else "fancy")
                     marked = bytearray(statuses)
                     bad = trees_mod.mark(marked, got, PROTECTED)
                     if isinstance(want, tuple):  # the reference names the first bad id
@@ -1040,9 +1045,9 @@ class TestIdSets:
                             seen["loop"] += 1
                         else:
                             assert got.tolist() == want and type(got_ids) is not tuple
-                            seen["gather", type(got_ids)] += 1
+                            seen["rows", type(got_ids)] += 1
         assert min(seen[path] for path in (
-            "loop", ("gather", range), ("gather", np.ndarray))) > 100, seen
+            "loop", ("rows", range), ("rows", np.ndarray))) > 100, seen
 
 
 class TestCanonical:

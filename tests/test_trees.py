@@ -10,10 +10,15 @@ Claims covered:
     - the parser round-trips, rejects unknown fields and bad documents
     - the digit writer gives the bytes of str and join, plain and in the
       parent lines' 16-id lines, on empty, single and power-of-ten-crossing
-      id arrays, sorted and unsorted, and the id-set writer gives the join,
+      id arrays in non-decreasing order, and the id-set writer gives the join,
       or "-" for none, on the same ids as int32 and int64 arrays, tuples
       and ranges
     - the expansion cap raises ResourceLimitError
+    - every value record is built by the one ``Value`` constructor: by
+      position or by name to equal values with equal hashes, its defaults
+      filled in, and TypeError naming the class and its fields for an
+      unknown name, a missing field, an extra positional value or a field
+      given twice
     - one representation: a periodic truncation re-read as an explicit
       tree, and a symmetric spec written as its cycle automaton, expand to
       the same truncation (and decide feasibility identically)
@@ -63,7 +68,10 @@ from firebreak import (
 )
 from firebreak import Cutset, cut_weight, feasibility_check, min_cutset
 from firebreak import trees as trees_mod
-from firebreak.cayley import group_from_name
+from firebreak.branching import BracketResult, FlowAssignment, LowerBoundCertificate
+from firebreak.cayley import GrowthEstimate, ProbeReport, SurroundResult, group_from_name
+from firebreak.game import BudgetSequence, SynthesisResult, Verdict
+from firebreak.oracle import OracleDecision
 from firebreak.trees import Automaton, format_id_set, format_ids, format_parents
 import trees_reference
 from conftest import (
@@ -306,6 +314,54 @@ class TestDegenerate:
         assert counts_of(t) == [1, 2, 2, 2, 2]
 
 
+# every value record: its class, its fields in order and its defaults
+RECORDS = [
+    (Automaton, ("children", "root", "escape_leaves"), {"escape_leaves": False}),
+    (BudgetSequence, ("kind", "params"), {"params": ()}),
+    (Verdict, ("kind", "round_no", "burnt", "trace"), {"trace": ()}),
+    (SynthesisResult, ("strategy", "trunc", "cutset", "epsilon", "weight", "depth", "radius"),
+     {}),
+    (BracketResult, ("lo", "hi", "probes"), {}),
+    (FlowAssignment, ("flows", "value", "rate"), {}),
+    (LowerBoundCertificate,
+     ("spec", "rate", "mid_rate", "budget_coeff", "cut_weight_floor", "radius", "y"), {}),
+    (GrowthEstimate, ("radius", "sphere_sizes", "ball_sizes", "ball_root_sequence",
+                      "sphere_ratio_sequence"), {}),
+    (SurroundResult, ("strategy", "verdict", "trigger_round", "sphere_index", "sphere",
+                      "budget_trace", "ball"), {}),
+    (ProbeReport, ("feasibility", "budget_vs_sphere", "note"), {}),
+    (OracleDecision, ("feasible", "schedule"), {}),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_the_one_value_constructor(cls, fields, defaults):
+    assert cls._fields == fields and cls._defaults == defaults
+    assert "__init__" not in vars(cls)  # the base's constructor, not one of its own
+    values = [(cls.__name__, i) for i in range(len(fields))]
+    named = dict(zip(fields, values))
+    by_position, by_name = cls(*values), cls(**named)
+    assert by_position == by_name and hash(by_position) == hash(by_name)
+    assert [getattr(by_name, name) for name in fields] == values
+    assert cls(*values[:1], **dict(list(named.items())[1:])) == by_position
+    # the defaults fill in, left out by position or by name
+    given = fields[:len(fields) - len(defaults)]
+    for record in (cls(*values[:len(given)]), cls(**{name: named[name] for name in given})):
+        assert [getattr(record, name) for name in fields] == values[:len(given)] + list(
+            defaults.values())
+    with pytest.raises(AttributeError):
+        by_name.__setattr__(fields[0], 0)
+    message = f"{cls.__name__} takes {', '.join(fields)}, each once"
+    for bad in ({**named, "unknown": 0},  # an unknown name
+                {name: value for name, value in named.items() if name != fields[0]}):  # missing
+        with pytest.raises(TypeError, match=message):
+            cls(**bad)
+    with pytest.raises(TypeError, match=message):  # an extra positional value
+        cls(*values, 0)
+    with pytest.raises(TypeError, match=message):  # a field by position and by name
+        cls(*values, **{fields[0]: values[0]})
+
+
 def cycle_spec(pre: tuple[int, ...], per: tuple[int, ...]) -> Automaton:
     """The periodic automaton of a symmetric spec: one state per level of
     preperiod + period, the last one looping back to the period start."""
@@ -422,24 +478,25 @@ def late_specs(rng: random.Random):
 
 
 def digit_cases(rng):
-    """Id arrays: none, a single id (0 among them), runs and random draws
-    that cross each power of ten up to 10**9, sorted and unsorted; a width
-    change inside one 16-id line; int64 ids past 2**31 and past 10**8,
-    which take more than one table gather an id; and a run of ids longer
-    than the export's chunk, crossing 10**5."""
+    """Id arrays in non-decreasing order, as ``format_ids`` takes them: none,
+    a single id (0 among them), runs and sorted random draws with repeats
+    that cross each power of ten up to 10**9; a width change inside one
+    16-id line; int64 ids past 2**31 and past 10**8, which take more than
+    one table gather an id; and a run of ids longer than the export's
+    chunk, crossing 10**5."""
     yield np.array([], np.intc)
     for one in (0, 7, 10, 10 ** 9):
         yield np.array([one], np.intc)
     for k in range(1, 10):
         yield np.arange(max(0, 10 ** k - 20), 10 ** k + 20, dtype=np.intc)
-        draw = rng.integers(0, 10 ** k + 50, rng.integers(1, 300))
+        draw = np.sort(rng.integers(0, 10 ** k + 50, rng.integers(1, 300)))
         yield draw
-        yield np.sort(draw).astype(np.intc)
+        yield draw.astype(np.intc)
     yield np.arange(95, 105, dtype=np.intc)  # 99 -> 100 at the 5th id of the line
-    yield np.array([3, 96, 99, 100, 100, 101, 7], np.intc)
+    yield np.array([3, 96, 99, 100, 100, 101, 1000], np.intc)
     for top in (2 ** 31, 10 ** 8, 10 ** 12, 2 ** 62):
         yield np.sort(rng.integers(top - 5000, top + 5000, 400, dtype=np.int64))
-        yield rng.integers(0, top + 10, 200, dtype=np.int64)
+        yield np.sort(rng.integers(0, top + 10, 200, dtype=np.int64))
     yield np.repeat(np.arange(10 ** 5 - 40_000, 10 ** 5 + 40_000, dtype=np.intc), 2)[5:]
 
 
